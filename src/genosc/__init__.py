@@ -26,8 +26,9 @@ from .perturbation import (Regime, SeriesExpansion, large_r_series,
                            small_r_series, wavefunction_correction)
 from .spheroidal import (Kind, Route, SpheroidalPoint, SpheroidalSolution,
                          TridiagonalSystem, build_tridiag_t, build_tridiag_u,
-                         eigensolve, lambda_curve, map_spheroidal_point,
-                         psi_spheroidal, t_coefficients, u_coefficients)
+                         eigensolve, lambda_curve, lambda_grid,
+                         map_spheroidal_point, psi_spheroidal, t_coefficients,
+                         u_coefficients)
 
 __version__ = "0.1.0"
 
@@ -41,7 +42,7 @@ __all__ = [
     "bi_orthogonality_hypergeometric", "bound_state_count",
     "build_tridiag_t", "build_tridiag_u", "channel_constants",
     "energy_cylindrical_parts", "energy_level", "enumerate_level",
-    "eigensolve", "gram_matrix", "lambda_curve", "large_r_series",
+    "eigensolve", "gram_matrix", "lambda_curve", "lambda_grid", "large_r_series",
     "m_matrix_cyl", "map_spheroidal_point", "morse_spectrum",
     "morse_wavefunction", "n_matrix_sph", "psi_cylindrical", "psi_spherical",
     "psi_spheroidal", "quadrature_norm", "radial_cylindrical",

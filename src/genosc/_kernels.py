@@ -11,7 +11,6 @@ import os
 
 import numpy as np
 
-_EPS = 2.220446049250313e-16
 _INT_TOL = 1e-9
 
 # Lanczos approximation, g = 7, 9 terms. Valid for positive arguments;
@@ -113,67 +112,6 @@ def christoffel_weights(acoef, bcoef, x):
     for i in range(x.shape[0]):
         w[i] = 1.0 / total[i] if math.isfinite(total[i]) else 0.0
     return w
-
-
-def tridiag_ql(d, e, z, want_z):
-    """Implicit-shift QL for a symmetric tridiagonal matrix, in place.
-
-    d (n,) diagonal -> eigenvalues (unsorted); e (n,) subdiagonal in e[:n-1],
-    e[n-1] workspace; z (n, n) starts as identity when want_z, accumulates
-    eigenvectors in columns. Returns 0 on success, 1 if an eigenvalue fails
-    to converge in 50 implicit shifts.
-    """
-    n = d.shape[0]
-    e[n - 1] = 0.0
-    for l in range(n):
-        its = 0
-        while True:
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= _EPS * dd + 1e-300:
-                    break
-                m += 1
-            if m == l:
-                break
-            its += 1
-            if its > 50:
-                return 1
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + (r if g >= 0.0 else -r))
-            s = 1.0
-            c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                bb = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * bb
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - bb
-                if want_z:
-                    for k in range(n):
-                        f2 = z[k, i + 1]
-                        z[k, i + 1] = s * z[k, i] + c * f2
-                        z[k, i] = c * z[k, i] - s * f2
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    return 0
 
 
 def cg_sum(a, b, al, be, cc):
@@ -281,7 +219,6 @@ _PY_IMPLS = {
     "gegenbauer_arr": gegenbauer_arr,
     "hermite_arr": hermite_arr,
     "christoffel_weights": christoffel_weights,
-    "tridiag_ql": tridiag_ql,
     "cg_sum": cg_sum,
 }
 
@@ -296,7 +233,7 @@ if USE_NUMBA:
     _JIT_IMPLS = {}
     for _name in ("ln_gamma_pos", "gamma_sign_ln", "jacobi_arr", "laguerre_arr",
                   "gegenbauer_arr", "hermite_arr", "christoffel_weights",
-                  "tridiag_ql", "cg_sum"):
+                  "cg_sum"):
         _JIT_IMPLS[_name] = njit(cache=True)(_PY_IMPLS[_name])
     # rebind so jitted kernels resolve each other at compile time
     globals().update(_JIT_IMPLS)

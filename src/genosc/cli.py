@@ -26,8 +26,8 @@ from .morse import (MorseParams, morse_spectrum, morse_wavefunction,
                     quadrature_norm)
 from .oracles import SUITE_MANIFEST, run_verification_suite
 from .perturbation import large_r_series, small_r_series
-from .spheroidal import (Kind, build_tridiag_t, eigensolve, t_coefficients,
-                         u_coefficients)
+from .spheroidal import (Kind, build_tridiag_t, eigensolve, lambda_grid,
+                         t_coefficients, u_coefficients)
 
 __all__ = ["JobConfig", "main", "entry"]
 
@@ -236,11 +236,9 @@ def cmd_interbasis(cfg: JobConfig) -> tuple[list[Section], int]:
 
 def cmd_spheroidal(cfg: JobConfig) -> tuple[list[Section], int]:
     n = cfg.n
-    curve_rows = []
-    for radius in _grid_values(cfg.r_grid):
-        sol = eigensolve(build_tridiag_t(n, cfg.params, cfg.branch,
-                                         float(radius), cfg.kind))
-        curve_rows.append((float(radius), *sol.lam))
+    grid = _grid_values(cfg.r_grid)
+    lam = lambda_grid(n, cfg.params, cfg.branch, cfg.kind, grid)
+    curve_rows = [(float(radius), *row) for radius, row in zip(grid, lam)]
     u = u_coefficients(n, cfg.k, cfg.params, cfg.branch, cfg.R, cfg.kind)
     t = t_coefficients(n, cfg.k, cfg.params, cfg.branch, cfg.R, cfg.kind)
     coeff_rows = tuple((idx, u[idx], t[idx]) for idx in range(n + 1))

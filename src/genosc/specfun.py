@@ -211,9 +211,10 @@ def _monic_coeffs(kind: str, n: int, alpha: float, beta: float):
 def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -> QuadratureRule:
     """Golub-Welsch construction of an n-point Gaussian rule.
 
-    Nodes are eigenvalues of the symmetrized recurrence (Jacobi) matrix;
-    weights come from the reciprocal Christoffel sums, so no eigenvectors
-    are needed. Rules are cached and immutable.
+    Nodes are the eigenvalues of the symmetrized recurrence (Jacobi) matrix,
+    solved by LAPACK (numpy.linalg.eigvalsh, ascending); weights come from
+    the reciprocal Christoffel sums, so no eigenvectors are needed. Rules are
+    cached and immutable.
     """
     if kind not in _QUAD_KINDS:
         raise DomainError(f"unknown quadrature kind {kind!r}, expected one of {_QUAD_KINDS}")
@@ -239,15 +240,14 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
             raise DomainError(f"jacobi rule requires alpha, beta > -1, got ({alpha}, {beta})")
     acoef, bcoef = _monic_coeffs("laguerre" if kind == "laguerre" else "jacobi",
                                  n, alpha, beta)
-    d = acoef.copy()
-    e = np.zeros(n)
-    if n > 1:
-        e[: n - 1] = np.sqrt(bcoef[1:])
-    status = _kernels.tridiag_ql(d, e, np.zeros((1, 1)), False)
-    if status != 0:
-        raise NumericError(f"quadrature eigensolve failed to converge for {kind}, n={n}")
-    order = np.argsort(d)
-    nodes = np.ascontiguousarray(d[order])
+    off = np.sqrt(bcoef[1:])
+    jacobi = np.diag(acoef) + np.diag(off, 1) + np.diag(off, -1)
+    try:
+        nodes = np.linalg.eigvalsh(jacobi)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"quadrature eigensolve failed for {kind}, n={n}: {exc}") from exc
+    if not np.isfinite(nodes).all():
+        raise NumericError(f"quadrature eigensolve gave non-finite nodes for {kind}, n={n}")
     weights = _kernels.christoffel_weights(acoef, bcoef, nodes)
     if not np.all(weights > 0.0):
         raise AccuracyError(f"quadrature weights underflowed for {kind}, n={n}")

@@ -11,13 +11,13 @@ and T (spherical) of the spheroidal states.
 import enum
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import tridiag_ql
 from .bases import psi_cylindrical, psi_spherical
 from .errors import DomainError, NumericError
-from .interbasis import m_matrix_cyl, n_matrix_sph, w_matrix
+from .interbasis import m_matrix_cyl, n_matrix_sph, w_coefficient
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     require_admissible, separation_constant_A)
 
@@ -143,28 +143,41 @@ def build_tridiag_t(n: int, params: SystemParams, branch: Branch, R: float,
                              kind=kind, R=R)
 
 
+def _residual_bound(size: int, diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    """Largest eigen residual the contract allows; diag/offdiag may be stacked."""
+    scale = np.maximum(np.abs(diag).max(axis=-1), 1.0)
+    if offdiag.shape[-1]:
+        scale = np.maximum(scale, np.abs(offdiag).max(axis=-1))
+    return _RESIDUAL_FACTOR * size * scale
+
+
+def _eigh(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigenpairs (ascending) of one symmetric matrix or a stack of them.
+
+    LAPACK can return NaN instead of failing when the matrix holds a
+    non-finite entry; that counts as a failure too.
+    """
+    try:
+        lam, vec = np.linalg.eigh(mats)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolve failed for {what}: {exc}") from exc
+    if not np.isfinite(lam).all():
+        raise NumericError(f"eigensolve gave non-finite eigenvalues for {what}")
+    return lam, vec
+
+
 def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
     """Eigenvalues and sign-fixed orthonormal eigenvectors of the system.
 
+    Solved by LAPACK (numpy.linalg.eigh) on the dense matrix.
     Sign convention: component k of column k nonnegative, falling back to the
     largest-magnitude component when component k is numerically zero.
     """
     size = system.n + 1
-    d = np.array(system.diag, dtype=float)
-    e = np.zeros(size)
-    if size > 1:
-        e[: size - 1] = system.offdiag
-    z = np.eye(size)
-    status = tridiag_ql(d, e, z, True)
-    if status != 0:
-        raise NumericError(f"tridiagonal eigensolve failed to converge at n={system.n}")
-    order = np.argsort(d)
-    lam = np.ascontiguousarray(d[order])
-    vec = np.ascontiguousarray(z[:, order])
     dense = system.dense()
+    lam, vec = _eigh(dense, f"n={system.n}")
     residual = np.abs(dense @ vec - vec * lam).max()
-    scale = max(np.abs(system.diag).max(), np.abs(system.offdiag).max(initial=0.0), 1.0)
-    if residual > _RESIDUAL_FACTOR * size * scale:
+    if residual > _residual_bound(size, system.diag, system.offdiag):
         raise NumericError(f"eigensolve residual {residual:.3e} above contract at n={system.n}")
     for k in range(size):
         pivot = vec[k, k]
@@ -178,27 +191,40 @@ def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
                               R=system.R, lam=lam, vectors=vec)
 
 
+@lru_cache(maxsize=256)
 def _pair_columns(n: int, k: int, params: SystemParams, branch: Branch, R: float,
                   kind: Kind) -> tuple[np.ndarray, np.ndarray]:
-    """Column k of both eigensolutions with a single consistent global sign.
+    """Solve-once state: column k of both eigensolutions, read-only, with a
+    single consistent global sign; cached per (n, k, params, branch, R, kind).
 
     The per-system sign rule pins component k of each column independently,
     which flips the two representations of the same state against each other
     whenever the diagonal entries of W are negative. The pair rule keeps the
     per-system sign on whichever column has the better-pinned component k
     (the selecting component stays sharp toward that column's limit end) and
-    flips the other column when T != W^T U.
+    flips the other column when T != W^T U. Since T = +-W^T U, the sign shows
+    in the largest component q of T alone (|T^q| >= 1/sqrt(n+1)), so one
+    column of W is enough.
     """
-    n, k = _check_level_index(n, k)
     u = eigensolve(build_tridiag_u(n, params, branch, R, kind)).vectors[:, k].copy()
     t = eigensolve(build_tridiag_t(n, params, branch, R, kind)).vectors[:, k].copy()
-    ent = w_matrix(n, params, branch).entries
-    if float(ent.T @ u @ t) < 0.0:
+    q = int(np.argmax(np.abs(t)))
+    w_col = np.array([w_coefficient(n, p, q, params, branch) for p in range(n + 1)])
+    if t[q] * float(w_col @ u) < 0.0:
         if abs(t[k]) >= abs(u[k]):
             u = -u
         else:
             t = -t
+    u.flags.writeable = False
+    t.flags.writeable = False
     return u, t
+
+
+def _solved_pair(n: int, k: int, params: SystemParams, branch: Branch, R: float,
+                 kind: Kind) -> tuple[np.ndarray, np.ndarray]:
+    """Validate the arguments into a canonical cache key, then read the state."""
+    n, k = _check_level_index(n, k)
+    return _pair_columns(n, k, params, branch, _check_r(R), kind)
 
 
 def u_coefficients(n: int, k: int, params: SystemParams, branch: Branch, R: float,
@@ -206,9 +232,9 @@ def u_coefficients(n: int, k: int, params: SystemParams, branch: Branch, R: floa
     """Column k of the cylindrical-side eigensolution: Psi_k = sum_p U^p Psi_cyl(p).
 
     Sign-locked to the spherical partner so that T^q = sum_p U^p W_np^q holds
-    with matching global sign.
+    with matching global sign. The array is read-only and shared between calls.
     """
-    return _pair_columns(n, k, params, branch, R, kind)[0]
+    return _solved_pair(n, k, params, branch, R, kind)[0]
 
 
 def t_coefficients(n: int, k: int, params: SystemParams, branch: Branch, R: float,
@@ -217,7 +243,50 @@ def t_coefficients(n: int, k: int, params: SystemParams, branch: Branch, R: floa
 
     Sign-locked to the cylindrical partner; see u_coefficients.
     """
-    return _pair_columns(n, k, params, branch, R, kind)[1]
+    return _solved_pair(n, k, params, branch, R, kind)[1]
+
+
+# Entries per stacked LAPACK call in lambda_grid (8 MB of matrices), so that
+# any grid the CLI accepts is solved in bounded memory.
+_GRID_CHUNK_ENTRIES = 1 << 20
+
+
+def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
+                R_grid) -> np.ndarray:
+    """All separation constants lambda_0..lambda_n at every R of a grid.
+
+    Row i holds the ascending eigenvalues of build_tridiag_t(n, ..., R_grid[i],
+    kind) = diag(A_q) + sign (R^2/2) n_matrix_sph, assembled from one
+    n_matrix_sph and solved by stacked LAPACK calls; every row meets the
+    residual contract of eigensolve.
+    """
+    n, _ = _check_level_index(n, 0)
+    grid = np.asarray(R_grid, dtype=float)
+    if grid.ndim != 1 or grid.size == 0:
+        raise DomainError("R grid must be a nonempty one-dimensional sequence")
+    if not np.all((grid > 0.0) & np.isfinite(grid)):
+        raise DomainError("R grid must be positive and finite")
+    size = n + 1
+    n_mat = n_matrix_sph(n, params, branch)
+    a_q = np.array([separation_constant_A(q, params, branch) for q in range(size)])
+    idx = np.arange(size)
+    chunk = max(1, _GRID_CHUNK_ENTRIES // (size * size))
+    lam = np.empty((grid.size, size))
+    for lo in range(0, grid.size, chunk):
+        radii = grid[lo:lo + chunk]
+        # the same floating-point operations, in the same order, as build_tridiag_t
+        mats = (kind.sign * 0.5 * radii * radii)[:, None, None] * n_mat
+        mats[:, idx, idx] += a_q
+        vals, vecs = _eigh(mats, f"lambda grid at n={n}")
+        residual = np.abs(mats @ vecs - vecs * vals[:, None, :]).max(axis=(1, 2))
+        above = residual > _residual_bound(size, mats[:, idx, idx],
+                                           mats[:, idx[:-1], idx[1:]])
+        if above.any():
+            bad = int(np.argmax(above))
+            raise NumericError(f"eigensolve residual {residual[bad]:.3e} above contract "
+                               f"at n={n}, R={radii[bad]:g}")
+        lam[lo:lo + chunk] = vals
+    return lam
 
 
 def lambda_curve(n: int, k: int, params: SystemParams, branch: Branch, kind: Kind,
@@ -225,15 +294,10 @@ def lambda_curve(n: int, k: int, params: SystemParams, branch: Branch, kind: Kin
     """Separation constant lambda_k sampled on an ascending positive R grid."""
     n, k = _check_level_index(n, k)
     grid = np.asarray(R_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("R grid must be a nonempty one-dimensional sequence")
-    if not np.all(grid > 0.0) or not np.all(np.diff(grid) > 0.0):
-        raise DomainError("R grid must be positive and strictly ascending")
-    out = []
-    for r_val in grid:
-        sol = eigensolve(build_tridiag_t(n, params, branch, float(r_val), kind))
-        out.append((float(r_val), float(sol.lam[k])))
-    return out
+    if grid.ndim == 1 and not np.all(np.diff(grid) > 0.0):
+        raise DomainError("R grid must be strictly ascending")
+    lam = lambda_grid(n, params, branch, kind, grid)
+    return [(float(r_val), float(row[k])) for r_val, row in zip(grid, lam)]
 
 
 def map_spheroidal_point(point: SpheroidalPoint, R: float, kind: Kind):

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
+from genosc import spheroidal
 from genosc.cli import main
 from genosc.errors import NumericError
 from genosc.oracles import SUITE_MANIFEST
@@ -203,6 +205,19 @@ def test_identical_configs_are_byte_identical(tmp_path):
             assert first
 
 
+def test_spheroidal_cold_and_warm_state_byte_identical():
+    argv = ["spheroidal", *BOTH_FLAGS, "--n", "6", "--k", "4", "--kind", "oblate",
+            "--R", "2.75", "--R-grid", "0.1:4:40", "--format", "json"]
+    spheroidal._pair_columns.cache_clear()
+    code, cold, _ = run_cli(argv)
+    assert code == 0
+    misses = spheroidal._pair_columns.cache_info().misses
+    code, warm, _ = run_cli(argv)
+    assert code == 0
+    assert spheroidal._pair_columns.cache_info().misses == misses
+    assert cold == warm
+
+
 def test_csv_cells_are_17_significant_digits():
     _, out, _ = run_cli(["spectrum", *BOTH_FLAGS, "--n", "2", "--format", "csv"])
     assert "7.2999999999999998" in out
@@ -242,6 +257,25 @@ def test_numeric_failure_exits_4(monkeypatch):
     code, _, err = run_cli(["spectrum"])
     assert code == 4
     assert "numeric failure" in err
+
+
+def test_lapack_failure_exits_4(monkeypatch):
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", boom)
+    code, out, err = run_cli(["spheroidal", "--n", "3"])
+    assert code == 4
+    assert out == ""
+    assert "numeric failure" in err
+
+
+def test_non_finite_spheroidal_input_writes_no_numbers():
+    for argv in (["spheroidal", "--omega", "inf"],
+                 ["spheroidal", "--P", "inf", "--n", "1"]):
+        code, out, _ = run_cli(argv)
+        assert code in (2, 4), argv
+        assert out == "", argv
 
 
 def test_console_script_runs():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_genlaguerre, roots_jacobi
 
 from genosc import specfun as sf
-from genosc.errors import AccuracyError, DomainError
+from genosc.errors import AccuracyError, DomainError, NumericError
 
 mpmath.mp.dps = 35
 
@@ -337,6 +338,24 @@ def test_quadrature_jacobi_moments():
             ref = jacobi_moment_oracle(a, b, k)
             got = r.integrate(r.nodes ** k)
             assert got == pytest.approx(ref, rel=1e-12, abs=1e-13), (n, a, b, k)
+
+
+def test_quadrature_nodes_match_scipy_at_large_sizes():
+    for kind, n, a, b in [("laguerre", 150, 0.5, 0.0), ("jacobi", 200, 0.0, 0.0),
+                          ("jacobi", 200, 1.3, -0.4)]:
+        r = sf.build_quadrature(kind, n, a, b)
+        ref, _ = roots_genlaguerre(n, a) if kind == "laguerre" else roots_jacobi(n, a, b)
+        assert np.all(r.weights > 0.0)
+        np.testing.assert_allclose(r.nodes, ref, rtol=1e-13, atol=0.0)
+
+
+def test_quadrature_lapack_failure_is_numeric_error(monkeypatch):
+    def boom(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    with pytest.raises(NumericError):
+        sf.build_quadrature("jacobi", 23, 0.125, 0.625)
 
 
 def test_quadrature_degree_2n_not_exact():

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from genosc.errors import DomainError
+from genosc import spheroidal
+from genosc.errors import DomainError, NumericError
 from genosc.interbasis import m_matrix_cyl, n_matrix_sph, w_matrix
 from genosc.model import (Branch, SphericalLabel, SystemParams,
                           admissible_branches, channel_constants,
@@ -15,8 +16,8 @@ from genosc.model import (Branch, SphericalLabel, SystemParams,
 from genosc.bases import psi_spherical
 from genosc.spheroidal import (Kind, Route, SpheroidalPoint, build_tridiag_t,
                                build_tridiag_u, eigensolve, lambda_curve,
-                               map_spheroidal_point, psi_spheroidal,
-                               t_coefficients, u_coefficients)
+                               lambda_grid, map_spheroidal_point,
+                               psi_spheroidal, t_coefficients, u_coefficients)
 
 BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3, c=1
 STEEP = SystemParams(omega=2.0, p_strength=2.0, q_strength=1.5, m=2)    # b=1.5
@@ -160,6 +161,28 @@ def test_eigensolve_large_level():
     np.testing.assert_allclose(sol.vectors.T @ sol.vectors, np.eye(81), atol=1e-10)
 
 
+def _raise_linalg_error(*args, **kwargs):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+
+def test_lapack_failure_is_numeric_error(monkeypatch):
+    system = build_tridiag_t(3, BOTH, Branch.Plus, 1.0, Kind.Prolate)
+    monkeypatch.setattr(np.linalg, "eigh", _raise_linalg_error)
+    with pytest.raises(NumericError):
+        eigensolve(system)
+    with pytest.raises(NumericError):
+        lambda_grid(3, BOTH, Branch.Plus, Kind.Prolate, [0.5, 1.0])
+
+
+def test_non_finite_eigenvalues_are_numeric_error():
+    system = build_tridiag_t(3, BOTH, Branch.Plus, 1.0, Kind.Prolate)
+    diag = system.diag.copy()
+    diag[1] = math.inf
+    with pytest.raises(NumericError):
+        eigensolve(spheroidal.TridiagonalSystem(diag, system.offdiag, system.basis,
+                                                system.kind, system.R))
+
+
 # ----------------------------------------------------- coefficient columns
 
 def test_pair_consistency_t_equals_wt_u():
@@ -192,6 +215,39 @@ def test_limit_endpoints():
             assert laminf / 1e6 == pytest.approx(0.5 * e_z, rel=1e-2)
 
 
+def test_solved_state_is_read_only_and_shared():
+    u = u_coefficients(3, 1, BOTH, Branch.Plus, 1.23, Kind.Oblate)
+    t = t_coefficients(3, 1, BOTH, Branch.Plus, 1.23, Kind.Oblate)
+    for arr in (u, t):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    assert u_coefficients(3, 1, BOTH, Branch.Plus, 1.23, Kind.Oblate) is u
+
+
+def test_psi_reads_solved_state_from_cache():
+    pts = [SpheroidalPoint(0.6, eta, 0.3) for eta in (0.2, 0.5, 0.9)]
+    psi_spheroidal(4, 2, 1, BOTH, Branch.Plus, 2.345, Kind.Oblate, pts[0],
+                   Route.ViaSpherical)
+    before = spheroidal._pair_columns.cache_info()
+    for pt in pts:
+        for route in Route:
+            psi_spheroidal(4, 2, 1, BOTH, Branch.Plus, 2.345, Kind.Oblate, pt, route)
+    after = spheroidal._pair_columns.cache_info()
+    assert after.misses == before.misses
+    assert after.hits - before.hits == len(pts) * len(Route)
+
+
+def test_psi_cold_and_warm_state_identical():
+    pt = SpheroidalPoint(1.6, 0.35, 1.1)
+    args = (3, 1, 1, BOTH, Branch.Plus, 0.87, Kind.Prolate, pt)
+    spheroidal._pair_columns.cache_clear()
+    cold = [psi_spheroidal(*args, route) for route in Route]
+    assert spheroidal._pair_columns.cache_info().currsize == 1
+    warm = [psi_spheroidal(*args, route) for route in Route]
+    assert cold == warm
+
+
 def test_coefficient_index_validation():
     with pytest.raises(DomainError):
         u_coefficients(2, 3, BOTH, Branch.Plus, 1.0, Kind.Prolate)
@@ -219,9 +275,30 @@ def test_lambda_curve_continuity():
 
 
 def test_lambda_curve_grid_validation():
-    for bad in ([], [2.0, 1.0], [-1.0, 1.0], [[1.0, 2.0]]):
+    for bad in ([], [2.0, 1.0], [-1.0, 1.0], [[1.0, 2.0]], [1.0, math.inf]):
         with pytest.raises(DomainError):
             lambda_curve(1, 0, BOTH, Branch.Plus, Kind.Prolate, bad)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", [0, 1, 5, 20, 40])
+def test_lambda_grid_matches_per_r_eigensolve(n, kind):
+    grid = np.linspace(0.05, 12.0, 25)
+    lam = lambda_grid(n, STEEP, Branch.Plus, kind, grid)
+    assert lam.shape == (grid.size, n + 1)
+    for row, radius in zip(lam, grid):
+        ref = eigensolve(build_tridiag_t(n, STEEP, Branch.Plus, float(radius), kind)).lam
+        np.testing.assert_allclose(row, ref, rtol=1e-14, atol=0.0)
+    curve = lambda_curve(n, n // 2, STEEP, Branch.Plus, kind, grid)
+    assert [point[1] for point in curve] == list(lam[:, n // 2])
+
+
+def test_lambda_grid_chunks_agree_with_one_stack(monkeypatch):
+    grid = np.linspace(0.1, 5.0, 30)
+    whole = lambda_grid(6, BOTH, Branch.Minus, Kind.Oblate, grid)
+    monkeypatch.setattr(spheroidal, "_GRID_CHUNK_ENTRIES", 4 * 49)
+    chunked = lambda_grid(6, BOTH, Branch.Minus, Kind.Oblate, grid)
+    np.testing.assert_array_equal(chunked, whole)
 
 
 # ---------------------------------------------------------- ring reduction
