@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    except NumericError as exc:
+    except (NumericError, OverflowError, FloatingPointError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

@@ -1,10 +1,16 @@
 """Continued Clebsch-Gordan coefficients and the cylindrical/spherical bridge.
 
 The expansion coefficients W connecting the two eigenbases of one degenerate
-level are SU(2) Clebsch-Gordan coefficients continued to real arguments. The
-continued Racah sum terminates because a+b-c stays a nonnegative integer for
-every argument pattern generated here; 1/Gamma at nonpositive integers is
-zero throughout. Also provides the tridiagonal matrix elements of the two
+level are SU(2) Clebsch-Gordan coefficients continued to real arguments.
+Column q of W is the eigenvector of the tridiagonal operator 2 M (M from
+m_matrix_cyl) for the closed-form eigenvalue A_q, so w_matrix builds it by
+the two-sided three-term recursion of Schulten and Gordon (J. Math. Phys.
+16, 1961 (1975)) in O(n^2) per table, stable at every level. The continued
+Racah sum (w_coefficient, cg_continued, ring_w) is kept as the small-level
+oracle: it terminates because a+b-c stays a nonnegative integer for every
+argument pattern generated here, with 1/Gamma at nonpositive integers zero
+throughout, but its alternating terms cancel and it loses orthogonality
+from n ~ 70. Also provides the tridiagonal matrix elements of the two
 commuting operators (M in the cylindrical basis, N in the spherical one)
 that the spheroidal module deforms.
 """
@@ -17,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import AccuracyError, DomainError
+from .errors import AccuracyError, DomainError, NumericError
 from .model import Branch, SystemParams, energy_cylindrical_parts, require_admissible
 from .specfun import build_quadrature, jacobi_p, ln_gamma
 
@@ -27,6 +33,7 @@ __all__ = [
     "cg_continued",
     "w_coefficient",
     "w_matrix",
+    "w_column",
     "w_integral_oracle",
     "ring_w",
     "m_matrix_cyl",
@@ -34,6 +41,12 @@ __all__ = [
 ]
 
 _SELECTION_TOL = 1e-12
+# Eigen residual contract, shared with the spheroidal eigensolves: a residual
+# may reach this factor times the matrix size and scale.
+_RESIDUAL_FACTOR = 1e-12
+# A recursion column is rescaled once a value passes this magnitude, far
+# below overflow.
+_RESCALE_AT = 2.0 ** 256
 
 
 @dataclass(frozen=True)
@@ -121,13 +134,108 @@ class CoefficientMatrix:
                                  entries=self.entries.T.copy())
 
 
+def _residual_bound(size: int, diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
+    """Largest eigen residual the contract allows; diag/offdiag may be stacked."""
+    scale = np.maximum(np.abs(diag).max(axis=-1), 1.0)
+    if offdiag.shape[-1]:
+        scale = np.maximum(scale, np.abs(offdiag).max(axis=-1))
+    return _RESIDUAL_FACTOR * size * scale
+
+
+def _recursion_columns(diag: np.ndarray, off: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Unit eigenvectors of an unreduced symmetric tridiagonal matrix for its
+    known eigenvalues lam, one column each, first component positive (or
+    underflowed to zero).
+
+    Two-sided three-term recursion: a downward pass from x_n = 1 runs while
+    |x| grows, i.e. through the forbidden region at the top end up to its
+    turning point, where the downward direction is the stable one; an upward
+    pass from x_0 = +1 runs to that turning point. The downward part is scaled
+    to agree with the upward one there, and the column normalized. Both
+    passes rescale a column whose values pass _RESCALE_AT.
+    """
+    size, count = diag.size, lam.size
+    shift = diag[:, None] - lam
+    down = np.zeros((size, count))
+    down[-1] = 1.0
+    growing = np.ones(count, dtype=bool)
+    with np.errstate(all="ignore"):   # a corrupted matrix shows as non-finite output
+        for p in range(size - 1, 0, -1):
+            acc = shift[p] * down[p]
+            if p + 1 < size:
+                acc += off[p] * down[p + 1]
+            new = -acc / off[p - 1]
+            growing &= np.abs(new) > np.abs(down[p])
+            if not growing.any():
+                break
+            down[p - 1] = np.where(growing, new, 0.0)
+            big = np.abs(down[p - 1]) > _RESCALE_AT
+            if big.any():
+                down[p - 1:, big] /= np.abs(down[p - 1, big])
+        # every value of a growing run is nonzero, so the turning point is the
+        # first nonzero entry of each column
+        turn = np.argmax(down != 0.0, axis=0)
+        up = np.zeros((size, count))
+        up[0] = 1.0
+        for p in range(int(turn.max())):
+            acc = shift[p] * up[p]
+            if p:
+                acc += off[p - 1] * up[p - 1]
+            up[p + 1] = np.where(p < turn, -acc / off[p], 0.0)
+            big = np.abs(up[p + 1]) > _RESCALE_AT
+            if big.any():
+                up[:p + 2, big] /= np.abs(up[p + 1, big])
+        cols = np.arange(count)
+        match = up[turn, cols] / down[turn, cols]
+        vec = np.where(np.arange(size)[:, None] <= turn, up, down * match)
+        vec /= np.abs(vec).max(axis=0)   # so the sum of squares cannot overflow
+        vec /= np.sqrt((vec * vec).sum(axis=0))
+    return vec
+
+
+def _w_columns(n: int, params: SystemParams, branch: Branch,
+               qs: np.ndarray) -> np.ndarray:
+    """Columns qs of W by recursion, checked against the eigen residual contract.
+
+    Column q is the eigenvector of 2 m_matrix_cyl for A_q; its sign is the
+    Racah sum's, since W_n0^q is a single Racah term with positive Gamma
+    arguments, hence positive, and the recursion starts at x_0 = +1.
+    """
+    b, c, _ = require_admissible(params, branch)
+    mat = 2.0 * m_matrix_cyl(n, params, branch)
+    diag, off = np.diag(mat), np.diag(mat, 1)
+    base = 2.0 * qs + c + branch.sign * b
+    lam = (base + 0.5) * (base + 1.5)
+    vec = _recursion_columns(diag, off, lam)
+    if not np.isfinite(vec).all():
+        raise NumericError(f"interbasis recursion gave non-finite entries at n={n}")
+    residual = np.abs(mat @ vec - vec * lam).max()
+    if residual > _residual_bound(n + 1, diag, off):
+        raise NumericError(f"interbasis eigen residual {residual:.3e} above contract at n={n}")
+    return vec
+
+
+def w_column(n: int, q: int, params: SystemParams, branch: Branch) -> np.ndarray:
+    """Column q of the W table (W_np^q for p = 0..n) in O(n), by recursion."""
+    n, _, q = _check_level_indices(n, 0, q)
+    return _w_columns(n, params, branch, np.array([float(q)]))[:, 0]
+
+
 def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
-    """All W_np^q at level n as a CoefficientMatrix (cylindrical to spherical)."""
+    """All W_np^q at level n as a CoefficientMatrix (cylindrical to spherical).
+
+    Built by recursion (see _recursion_columns) in O(n^2); agrees with
+    w_coefficient where the Racah sum is accurate. Raises NumericError when
+    an entry is non-finite or the table misses its contract: max|W W^T - I|
+    within _RESIDUAL_FACTOR (n+1), max|2M W - W diag(A)| within the eigen
+    residual bound.
+    """
     n, _, _ = _check_level_indices(n, 0, 0)
-    ent = np.empty((n + 1, n + 1))
-    for p in range(n + 1):
-        for q in range(n + 1):
-            ent[p, q] = w_coefficient(n, p, q, params, branch)
+    ent = _w_columns(n, params, branch, np.arange(n + 1.0))
+    ortho = np.abs(ent @ ent.T - np.eye(n + 1)).max()
+    if ortho > _RESIDUAL_FACTOR * (n + 1):
+        raise NumericError(f"interbasis table orthogonality {ortho:.3e} above contract "
+                           f"at n={n}")
     ent.flags.writeable = False
     return CoefficientMatrix(n=n, branch=branch,
                              orientation="cylindrical_to_spherical", entries=ent)

@@ -10,6 +10,7 @@ admissible only while b <= 1/2.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .errors import DomainError
@@ -60,6 +61,9 @@ class SystemParams:
     m: int
 
     def __post_init__(self):
+        for name in ("omega", "p_strength", "q_strength"):
+            if not math.isfinite(getattr(self, name)):
+                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.omega > 0.0:
             raise DomainError(f"omega must be positive, got {self.omega}")
         if not self.p_strength > -0.25:

@@ -17,12 +17,13 @@ import numpy as np
 
 from .bases import psi_cylindrical, psi_spherical
 from .errors import DomainError, NumericError
-from .interbasis import m_matrix_cyl, n_matrix_sph, w_coefficient
+# re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
+from .interbasis import (_RESIDUAL_FACTOR, _residual_bound, m_matrix_cyl,  # noqa: F401
+                         n_matrix_sph, w_column)
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     require_admissible, separation_constant_A)
 
 _SIGN_PIVOT_TOL = 1e-12
-_RESIDUAL_FACTOR = 1e-12
 
 
 class Kind(enum.Enum):
@@ -143,14 +144,6 @@ def build_tridiag_t(n: int, params: SystemParams, branch: Branch, R: float,
                              kind=kind, R=R)
 
 
-def _residual_bound(size: int, diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
-    """Largest eigen residual the contract allows; diag/offdiag may be stacked."""
-    scale = np.maximum(np.abs(diag).max(axis=-1), 1.0)
-    if offdiag.shape[-1]:
-        scale = np.maximum(scale, np.abs(offdiag).max(axis=-1))
-    return _RESIDUAL_FACTOR * size * scale
-
-
 def _eigh(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
     """LAPACK eigenpairs (ascending) of one symmetric matrix or a stack of them.
 
@@ -204,13 +197,12 @@ def _pair_columns(n: int, k: int, params: SystemParams, branch: Branch, R: float
     (the selecting component stays sharp toward that column's limit end) and
     flips the other column when T != W^T U. Since T = +-W^T U, the sign shows
     in the largest component q of T alone (|T^q| >= 1/sqrt(n+1)), so one
-    column of W is enough.
+    column of W, an O(n) recursion, is enough.
     """
     u = eigensolve(build_tridiag_u(n, params, branch, R, kind)).vectors[:, k].copy()
     t = eigensolve(build_tridiag_t(n, params, branch, R, kind)).vectors[:, k].copy()
     q = int(np.argmax(np.abs(t)))
-    w_col = np.array([w_coefficient(n, p, q, params, branch) for p in range(n + 1)])
-    if t[q] * float(w_col @ u) < 0.0:
+    if t[q] * float(w_column(n, q, params, branch) @ u) < 0.0:
         if abs(t[k]) >= abs(u[k]):
             u = -u
         else:

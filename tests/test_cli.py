@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import genosc
-from genosc import spheroidal
+from genosc import interbasis, spheroidal
 from genosc.cli import main
 from genosc.errors import NumericError
 from genosc.oracles import SUITE_MANIFEST
@@ -99,6 +99,32 @@ def test_interbasis_ring_agreement_section():
         assert diff <= 1e-12
     code, out, _ = run_cli(["interbasis", *BOTH_FLAGS, "--n", "2", "--format", "json"])
     assert "ring_agreement" not in json.loads(out)["data"]
+
+
+def test_interbasis_high_level_stays_orthogonal():
+    # the Racah-sum table reached max ortho_dev 6.5e4 here and still exited 0
+    for branch in ("plus", "minus"):
+        code, out, _ = run_cli(["interbasis", *BOTH_FLAGS, "--branch", branch,
+                                "--n", "170", "--format", "json"])
+        assert code == 0, branch
+        rows = json.loads(out)["data"]["w_matrix"]["rows"]
+        assert len(rows) == 171
+        assert max(row[-1] for row in rows) <= 1e-12, branch
+
+
+def test_interbasis_contract_miss_exits_4(monkeypatch):
+    clean = interbasis.m_matrix_cyl
+
+    def corrupted(n, params, branch):
+        mat = clean(n, params, branch)
+        mat[0, 0] += 1e-3
+        return mat
+
+    monkeypatch.setattr(interbasis, "m_matrix_cyl", corrupted)
+    code, out, err = run_cli(["interbasis", *BOTH_FLAGS, "--n", "6"])
+    assert code == 4
+    assert out == ""
+    assert "numeric failure" in err
 
 
 # ---------------------------------------------------------------- spheroidal
@@ -281,6 +307,26 @@ def test_non_finite_spheroidal_input_writes_no_numbers():
         assert out == "", argv
 
 
+def test_non_finite_system_input_exits_2():
+    for command in ("spectrum", "interbasis", "spheroidal", "perturb"):
+        for flag in ("--omega", "--P", "--Q"):
+            for token in ("inf", "-inf", "nan"):
+                argv = [command, f"{flag}={token}", "--n", "1"]
+                code, out, err = run_cli(argv)
+                assert code == 2, argv
+                assert out == "", argv
+                assert "invalid config" in err, argv
+
+
+def test_overflow_exits_4():
+    for argv in (["perturb", "--order", "400"],
+                 ["morse", "--V0", "1e300", "--a", "1e-300"]):
+        code, out, err = run_cli(argv)
+        assert code == 4, argv
+        assert out == "", argv
+        assert "numeric failure" in err, argv
+
+
 def test_console_script_runs():
     # Run the `genosc` target declared in pyproject.toml the way the
     # console-script wrapper generated at install time does, so the test needs
@@ -305,3 +351,19 @@ def test_console_script_runs():
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "-1.125" in proc.stdout
+
+
+def test_python_m_genosc_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(genosc.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "genosc", "morse", "--V0", "2",
+                           "--a", "1", "--format", "csv"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert "-1.125" in proc.stdout
+    proc = subprocess.run([sys.executable, "-m", "genosc", "spectrum", "--omega=nan"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stdout == ""

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from sympy import Rational
 from sympy.physics.quantum.cg import CG as sympy_cg
 
-from genosc.errors import AccuracyError, DomainError
+import genosc.interbasis as interbasis
+from genosc.errors import AccuracyError, DomainError, NumericError
 from genosc.interbasis import (CgArgs, cg_continued, m_matrix_cyl,
-                               n_matrix_sph, ring_w, w_coefficient,
+                               n_matrix_sph, ring_w, w_coefficient, w_column,
                                w_integral_oracle, w_matrix)
 from genosc.model import (Branch, CylindricalLabel, SphericalLabel,
                           SystemParams, channel_constants,
@@ -146,6 +147,76 @@ def test_w_integral_oracle_rule_size():
     assert exact == pytest.approx(w_coefficient(3, 1, 3, BOTH, Branch.Plus), abs=1e-13)
     with pytest.raises(AccuracyError):
         w_integral_oracle(3, 1, 3, BOTH, Branch.Plus, rule_points=3)
+
+
+def test_w_recursion_matches_racah_sum():
+    for params, branch in BRANCH_CASES:
+        for n in range(21):
+            ent = w_matrix(n, params, branch).entries
+            racah = np.array([[w_coefficient(n, p, q, params, branch)
+                               for q in range(n + 1)] for p in range(n + 1)])
+            np.testing.assert_allclose(ent, racah, rtol=0.0, atol=1e-12,
+                                       err_msg=f"n={n} {branch}")
+            assert np.all(ent[0] > 0.0), (n, branch)
+
+
+def test_w_column_is_w_matrix_column():
+    for params, branch in BRANCH_CASES:
+        ent = w_matrix(12, params, branch).entries
+        for q in range(13):
+            np.testing.assert_allclose(w_column(12, q, params, branch), ent[:, q],
+                                       rtol=0.0, atol=1e-15)
+    with pytest.raises(DomainError):
+        w_column(3, 4, BOTH, Branch.Plus)
+
+
+def test_w_column_rescales_past_overflow():
+    # at n = 1200 both passes of the top columns would overflow unscaled;
+    # w_column checks each column's eigen residual itself
+    for q in (1144, 1200):
+        col = w_column(1200, q, BOTH, Branch.Plus)
+        assert np.isfinite(col).all()
+        assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("n", [60, 150, 300])
+def test_w_high_levels_meet_contract_and_match_eigh(n):
+    for params, branch in BRANCH_CASES:
+        ent = w_matrix(n, params, branch).entries
+        m2 = 2.0 * m_matrix_cyl(n, params, branch)
+        a_q = np.array([separation_constant_A(q, params, branch) for q in range(n + 1)])
+        bound = interbasis._RESIDUAL_FACTOR * (n + 1)
+        assert np.abs(ent @ ent.T - np.eye(n + 1)).max() <= bound
+        assert np.abs(ent.T @ ent - np.eye(n + 1)).max() <= bound
+        scale = max(np.abs(m2).max(), 1.0)
+        assert np.abs(ent.T @ m2 @ ent - np.diag(a_q)).max() <= bound * scale
+        # LAPACK eigenvectors, aligned in sign on each column's largest entry
+        _, vec = np.linalg.eigh(m2)
+        pivot = np.argmax(np.abs(vec), axis=0)
+        cols = np.arange(n + 1)
+        vec *= np.sign(vec[pivot, cols] * ent[pivot, cols])
+        assert np.abs(vec - ent).max() <= 1e-12, (n, branch)
+
+
+def test_w_corrupted_operator_is_numeric_error(monkeypatch):
+    clean = interbasis.m_matrix_cyl
+
+    def shifted(n, params, branch):
+        mat = clean(n, params, branch)
+        mat[n // 2, n // 2] += 1e-3
+        return mat
+
+    def poisoned(n, params, branch):
+        mat = clean(n, params, branch)
+        mat[n // 2, n // 2] = float("nan")
+        return mat
+
+    for corrupt in (shifted, poisoned):
+        monkeypatch.setattr(interbasis, "m_matrix_cyl", corrupt)
+        with pytest.raises(NumericError):
+            w_matrix(8, BOTH, Branch.Plus)
+        with pytest.raises(NumericError):
+            w_column(8, 3, BOTH, Branch.Plus)
 
 
 def test_w_matrix_transposed():

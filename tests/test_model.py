@@ -37,6 +37,10 @@ def test_params_validation():
         SystemParams(1.0, 0.1, -0.1, 0)
     with pytest.raises(DomainError):
         SystemParams(1.0, 0.1, 0.1, 0.5)
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        for args in ((bad, 0.1, 0.1, 0), (1.0, bad, 0.1, 0), (1.0, 0.1, bad, 0)):
+            with pytest.raises(DomainError):
+                SystemParams(*args)
 
 
 def test_branch_admissibility():
