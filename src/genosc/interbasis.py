@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .errors import AccuracyError, DomainError, NumericError
 from .model import Branch, SystemParams, energy_cylindrical_parts, require_admissible
 from .specfun import build_quadrature, jacobi_p, ln_gamma
@@ -41,6 +40,8 @@ __all__ = [
 ]
 
 _SELECTION_TOL = 1e-12
+# Distance from an integer below which a continued CG argument counts as one.
+_INT_TOL = 1e-9
 # Eigen residual contract, shared with the spheroidal eigensolves: a residual
 # may reach this factor times the matrix size and scale.
 _RESIDUAL_FACTOR = 1e-12
@@ -66,6 +67,88 @@ class CgArgs:
     gamma: float
 
 
+def _is_int(v: float) -> bool:
+    return abs(v - math.floor(v + 0.5)) < _INT_TOL
+
+
+def _cg_sum(a: float, b: float, al: float, be: float, cc: float) -> tuple[float, int]:
+    """Racah single-sum Clebsch-Gordan value for gamma = al + be.
+
+    Valid for analytically continued real arguments provided a+b-c is a
+    nonnegative integer, which truncates the t-sum; integer a-al or b+be
+    tighten the upper bound further and integer c-b+al / c-a-be lift the
+    lower one. Reciprocals of Gamma at nonpositive integers are taken as
+    zero. Returns (value, status); status 1 flags arguments outside the
+    continued pattern (non-terminating sum or a negative square-root
+    argument that has no principal continuation).
+    """
+    g = al + be
+    abc = a + b - cc
+    if not _is_int(abc):
+        return 0.0, 1
+    if abc < -0.5:
+        return 0.0, 0
+    two_c1 = 2.0 * cc + 1.0
+    if two_c1 <= 0.0:
+        return 0.0, 1
+    ama = a - al
+    bpb = b + be
+    cmg = cc - g
+
+    pref_args = (abc + 1.0, a - b + cc + 1.0, -a + b + cc + 1.0,
+                 a + al + 1.0, ama + 1.0, bpb + 1.0, b - be + 1.0,
+                 cc + g + 1.0, cmg + 1.0)
+    lnpref = math.log(two_c1)
+    for v in pref_args:
+        if v <= 0.0:
+            return 0.0, 0 if _is_int(v) else 1
+        lnpref += math.lgamma(v)
+    pden = a + b + cc + 2.0
+    if pden <= 0.0:
+        return 0.0, 1
+    lnpref -= math.lgamma(pden)
+
+    big1 = cc - b + al
+    big2 = cc - a - be
+    tmin = 0
+    for big in (big1, big2):
+        if _is_int(big) and -big > tmin:
+            tmin = int(math.floor(-big + 0.5))
+    tmax = int(math.floor(abc + 0.5))
+    for top in (ama, bpb):
+        if _is_int(top):
+            tmax = min(tmax, int(math.floor(top + 0.5)))
+
+    # each term is (-1)^t / prod Gamma(arg); a pole in any argument zeroes it
+    # (pole tolerance and sign rule as in specfun.gamma_sign_ln)
+    signs, logs = [], []
+    for t in range(tmin, tmax + 1):
+        sgn = -1.0 if t % 2 else 1.0
+        logden = 0.0
+        for arg in (t + 1.0, abc - t + 1.0, ama - t + 1.0, bpb - t + 1.0,
+                    big1 + t + 1.0, big2 + t + 1.0):
+            if arg <= 0.0 and abs(arg - math.floor(arg + 0.5)) < 1e-12:
+                break
+            if arg < 0.0 and math.floor(arg) % 2:
+                sgn = -sgn
+            logden += math.lgamma(arg)
+        else:
+            signs.append(sgn)
+            logs.append(-logden)
+    if not logs:
+        return 0.0, 0
+    lmax = max(logs)
+    # compensated summation of the scaled terms
+    total = 0.0
+    comp = 0.0
+    for sgn, lg in zip(signs, logs):
+        y = sgn * math.exp(lg - lmax) - comp
+        t_new = total + y
+        comp = (t_new - total) - y
+        total = t_new
+    return total * math.exp(lmax + 0.5 * lnpref), 0
+
+
 def cg_continued(args: CgArgs) -> float:
     """Continued SU(2) Clebsch-Gordan coefficient via the terminating Racah sum.
 
@@ -75,8 +158,8 @@ def cg_continued(args: CgArgs) -> float:
     """
     if abs(args.gamma - (args.alpha + args.beta)) > _SELECTION_TOL:
         return 0.0
-    val, status = _kernels.cg_sum(float(args.a), float(args.b), float(args.alpha),
-                                  float(args.beta), float(args.c))
+    val, status = _cg_sum(float(args.a), float(args.b), float(args.alpha),
+                          float(args.beta), float(args.c))
     if status != 0:
         raise DomainError(
             f"continued CG sum does not terminate for arguments {args}")

@@ -14,7 +14,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import _kernels
 from .errors import AccuracyError, DomainError, NumericError
 
 __all__ = [
@@ -49,20 +48,75 @@ def ln_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    return _kernels.ln_gamma_pos(float(x))
+    return math.lgamma(x)
 
 
 def gamma_sign_ln(x: float) -> tuple[float, float]:
-    """(sign, ln|Gamma(x)|) for any real x; sign 0.0 at the poles."""
-    return _kernels.gamma_sign_ln(float(x))
+    """(sign, ln|Gamma(x)|) for any real x; sign 0.0 at the poles.
+
+    A point within 1e-12 of a nonpositive integer counts as a pole. Off the
+    poles Gamma(x) < 0 exactly where x < 0 and floor(x) is odd.
+    """
+    x = float(x)
+    if x <= 0.0 and abs(x - math.floor(x + 0.5)) < 1e-12:
+        return 0.0, math.inf
+    sign = -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
+    return sign, math.lgamma(x)
 
 
-def _poly_eval(kernel, args, x):
+def _jacobi(n, alpha, beta, x):
+    p0 = np.ones_like(x)
+    if n == 0:
+        return p0
+    p1 = 0.5 * (alpha - beta + (alpha + beta + 2.0) * x)
+    for k in range(2, n + 1):
+        k2ab = 2.0 * k + alpha + beta
+        c1 = 2.0 * k * (k + alpha + beta) * (k2ab - 2.0)
+        c2 = (k2ab - 1.0) * (alpha * alpha - beta * beta)
+        c3 = (k2ab - 2.0) * (k2ab - 1.0) * k2ab
+        c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * k2ab
+        p0, p1 = p1, ((c2 + c3 * x) * p1 - c4 * p0) / c1
+    return p1
+
+
+def _laguerre(n, alpha, x):
+    p0 = np.ones_like(x)
+    if n == 0:
+        return p0
+    p1 = 1.0 + alpha - x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2.0 * k - 1.0 + alpha - x) * p1 - (k - 1.0 + alpha) * p0) / k
+    return p1
+
+
+def _gegenbauer(n, lam, x):
+    p0 = np.ones_like(x)
+    if n == 0:
+        return p0
+    p1 = 2.0 * lam * x
+    for k in range(2, n + 1):
+        p0, p1 = p1, (2.0 * (k + lam - 1.0) * x * p1 - (k + 2.0 * lam - 2.0) * p0) / k
+    return p1
+
+
+def _hermite(n, x):
+    p0 = np.ones_like(x)
+    if n == 0:
+        return p0
+    p1 = 2.0 * x
+    for k in range(2, n + 1):
+        p0, p1 = p1, 2.0 * x * p1 - 2.0 * (k - 1.0) * p0
+    return p1
+
+
+def _poly_eval(recurrence, args, x):
+    """Run a forward three-term recurrence over the points x (any shape)."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = kernel(*args, np.ascontiguousarray(arr.ravel()))
+    out = recurrence(*args, arr.ravel())
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out[0])
     return out.reshape(arr.shape)
+
 
 def _check_degree(n: int) -> int:
     if n < 0 or n != int(n):
@@ -75,7 +129,7 @@ def jacobi_p(n: int, alpha: float, beta: float, x):
     n = _check_degree(n)
     if alpha <= -1.0 or beta <= -1.0:
         raise DomainError(f"jacobi_p requires alpha, beta > -1, got ({alpha}, {beta})")
-    return _poly_eval(_kernels.jacobi_arr, (n, float(alpha), float(beta)), x)
+    return _poly_eval(_jacobi, (n, float(alpha), float(beta)), x)
 
 
 def gen_laguerre(n: int, alpha: float, x):
@@ -83,7 +137,7 @@ def gen_laguerre(n: int, alpha: float, x):
     n = _check_degree(n)
     if alpha <= -1.0:
         raise DomainError(f"gen_laguerre requires alpha > -1, got {alpha}")
-    return _poly_eval(_kernels.laguerre_arr, (n, float(alpha)), x)
+    return _poly_eval(_laguerre, (n, float(alpha)), x)
 
 
 def gegenbauer(n: int, lam: float, x):
@@ -91,13 +145,13 @@ def gegenbauer(n: int, lam: float, x):
     n = _check_degree(n)
     if lam <= -0.5 or lam == 0.0:
         raise DomainError(f"gegenbauer requires lam > -1/2, lam != 0, got {lam}")
-    return _poly_eval(_kernels.gegenbauer_arr, (n, float(lam)), x)
+    return _poly_eval(_gegenbauer, (n, float(lam)), x)
 
 
 def hermite(n: int, x):
     """Physicists' Hermite polynomial H_n(x)."""
     n = _check_degree(n)
-    return _poly_eval(_kernels.hermite_arr, (n,), x)
+    return _poly_eval(_hermite, (n,), x)
 
 
 def assoc_legendre(l: int, m: int, x):
@@ -248,7 +302,17 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
         raise NumericError(f"quadrature eigensolve failed for {kind}, n={n}: {exc}") from exc
     if not np.isfinite(nodes).all():
         raise NumericError(f"quadrature eigensolve gave non-finite nodes for {kind}, n={n}")
-    weights = _kernels.christoffel_weights(acoef, bcoef, nodes)
+    # Christoffel sums of the orthonormal polynomials at the nodes; where a
+    # sum overflows the true weight underflows double precision, so it is 0
+    sqb = np.sqrt(bcoef)
+    prev = np.zeros_like(nodes)
+    cur = np.full_like(nodes, 1.0 / sqb[0])
+    total = cur * cur
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n - 1):
+            prev, cur = cur, ((nodes - acoef[k]) * cur - sqb[k] * prev) / sqb[k + 1]
+            total = total + cur * cur
+        weights = np.where(np.isfinite(total), 1.0 / total, 0.0)
     if not np.all(weights > 0.0):
         raise AccuracyError(f"quadrature weights underflowed for {kind}, n={n}")
     nodes.flags.writeable = False

@@ -45,7 +45,7 @@ def criterion(num: int, text: str):
 
 @pytest.fixture(scope="module", autouse=True)
 def warm_kernels():
-    # first touch compiles the jitted kernels; keeps the timed criteria
+    # first touch fills the quadrature caches; keeps the timed criteria
     # measuring compute, matching a warmed long-running session
     gram_matrix(GramFamily.Theta, 2, CRIT_SETS[0], Branch.Plus)
     w_integral_oracle(2, 1, 1, CRIT_SETS[0], Branch.Plus)

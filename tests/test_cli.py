@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genosc
 from genosc import interbasis, spheroidal
@@ -99,6 +102,19 @@ def test_interbasis_ring_agreement_section():
         assert diff <= 1e-12
     code, out, _ = run_cli(["interbasis", *BOTH_FLAGS, "--n", "2", "--format", "json"])
     assert "ring_agreement" not in json.loads(out)["data"]
+
+
+def test_interbasis_ring_agreement_stops_past_accurate_range():
+    code, out, _ = run_cli(["interbasis", "--P", "0", "--n", "60", "--format", "json"])
+    assert code == 0
+    rows = json.loads(out)["data"]["ring_agreement"]["rows"]
+    assert len(rows) == 61 * 61
+    assert max(row[-1] for row in rows) <= 1e-8
+    code, out, _ = run_cli(["interbasis", "--P", "0", "--n", "61", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert "ring_agreement" not in data
+    assert len(data["w_matrix"]["rows"]) == 62
 
 
 def test_interbasis_high_level_stays_orthogonal():
@@ -288,6 +304,21 @@ def test_numeric_failure_exits_4(monkeypatch):
     assert "numeric failure" in err
 
 
+def test_non_finite_output_cell_exits_4(monkeypatch):
+    import genosc.cli as cli_mod
+
+    for bad in (float("nan"), np.float64("inf"), -math.inf):
+        def bad_row(cfg, bad=bad):
+            return [cli_mod.Section("levels", ("n", "energy"), ((0, 1.5), (1, bad)))], 0
+
+        monkeypatch.setitem(cli_mod._COMMANDS, "spectrum", bad_row)
+        for fmt in ("json", "csv"):
+            code, out, err = run_cli(["spectrum", "--format", fmt])
+            assert code == 4, (bad, fmt)
+            assert out == "", (bad, fmt)
+            assert "numeric failure" in err, (bad, fmt)
+
+
 def test_lapack_failure_exits_4(monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -325,6 +356,30 @@ def test_overflow_exits_4():
         assert code == 4, argv
         assert out == "", argv
         assert "numeric failure" in err, argv
+
+
+def _refuse_constant(token):
+    raise ValueError(f"non-strict JSON token {token}")
+
+
+def _system_values(low):
+    # mostly in the accepted range (up to inf), plus non-finite and far-off values
+    return st.one_of(st.floats(min_value=low), st.sampled_from(
+        [math.inf, -math.inf, math.nan, 1e300, -1e300, 1e-300]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(command=st.sampled_from(["spectrum", "interbasis", "spheroidal", "perturb"]),
+       n=st.integers(0, 6), omega=_system_values(0.0), p=_system_values(-0.25),
+       q=_system_values(0.0))
+def test_fuzz_cli_exit_codes_and_strict_json(command, n, omega, p, q):
+    argv = [command, "--n", str(n), f"--omega={omega!r}", f"--P={p!r}", f"--Q={q!r}"]
+    code, out, _ = run_cli(argv)
+    assert code in (0, 2, 3, 4), argv
+    if code == 0:
+        json.loads(out, parse_constant=_refuse_constant)
+    else:
+        assert out == "", argv
 
 
 def test_console_script_runs():

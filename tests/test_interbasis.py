@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +114,32 @@ def test_cg_symmetries_at_continued_arguments():
         regge = cg((a + b + alpha + beta) / 2, (a + b - alpha - beta) / 2,
                    (a - b + alpha - beta) / 2, (a - b - alpha + beta) / 2, c)
         assert regge == pytest.approx(val, abs=1e-13)
+
+
+def racah_sum_mpmath(a, b, alpha, beta, c):
+    a, b, alpha, beta, c = (mpmath.mpf(v) for v in (a, b, alpha, beta, c))
+    g = alpha + beta
+    pref = (2 * c + 1) / mpmath.gamma(a + b + c + 2)
+    for v in (a + b - c + 1, a - b + c + 1, -a + b + c + 1, a + alpha + 1,
+              a - alpha + 1, b + beta + 1, b - beta + 1, c + g + 1, c - g + 1):
+        pref *= mpmath.gamma(v)
+    total = mpmath.mpf(0)
+    for t in range(int(mpmath.nint(a + b - c)) + 1):
+        total += (-1) ** t * mpmath.rgamma(t + 1) * mpmath.rgamma(a + b - c - t + 1) \
+            * mpmath.rgamma(a - alpha - t + 1) * mpmath.rgamma(b + beta - t + 1) \
+            * mpmath.rgamma(c - b + alpha + t + 1) * mpmath.rgamma(c - a - beta + t + 1)
+    return float(mpmath.sqrt(pref) * total)
+
+
+def test_cg_negative_gamma_arguments_against_mpmath():
+    # a - alpha and b + beta are not integers here, so the later terms carry
+    # 1/Gamma at negative non-integer arguments, whose sign alternates
+    with mpmath.workdps(30):
+        for args in [(1.3, 2.1, 1.0, -0.6, 0.4), (1.3, 2.1, 0.7, -0.2, 1.4),
+                     (2.45, 1.8, 1.2, -0.9, 1.25)]:
+            ref = racah_sum_mpmath(*args)
+            assert abs(ref) > 1e-3
+            assert cg(*args) == pytest.approx(ref, rel=1e-12), args
 
 
 # ------------------------------------------------------------ W matrices

@@ -103,6 +103,16 @@ def test_gamma_sign_ln_negative_axis():
     for pole in (0.0, -1.0, -6.0):
         s, lg = sf.gamma_sign_ln(pole)
         assert s == 0.0 and math.isinf(lg)
+    # near the poles, at -40.5 (Gamma ~ 1e-48) and over a non-integer sweep
+    # of (-60, 0): sign and ln|Gamma| both against mpmath
+    xs = [-3.0 - 1e-9, -3.0 + 1e-9, -1e-9, -40.5,
+          *np.linspace(-59.95, -0.05, 600)]
+    for x in xs:
+        s, lg = sf.gamma_sign_ln(x)
+        ref = mpmath.gamma(mpmath.mpf(x))
+        assert s == float(mpmath.sign(ref)), x
+        ref_ln = float(mpmath.log(abs(ref)))
+        assert abs(lg - ref_ln) <= 1e-13 * max(abs(ref_ln), 1.0), x
 
 
 # ---------------------------------------------------------------- polynomials
@@ -381,3 +391,7 @@ def test_quadrature_domain_errors():
         sf.build_quadrature("laguerre", 0, 0.5)
     with pytest.raises(AccuracyError):
         sf.build_quadrature("laguerre", sf.LAGUERRE_MAX_POINTS + 1, 0.0)
+    # Christoffel sums overflow at the largest nodes: those weights
+    # underflow double precision, so the rule is refused
+    with pytest.raises(AccuracyError):
+        sf.build_quadrature("jacobi", 600, 500.0, 0.0)
