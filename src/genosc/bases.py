@@ -46,6 +46,11 @@ def _shaped(out, x):
     return out
 
 
+def _with_phase(amp, m: int, phi, scalar: bool):
+    out = amp * np.exp(1j * m * np.asarray(phi, dtype=np.float64)) / _SQRT_TWO_PI
+    return complex(out) if scalar else out
+
+
 def _check_index(k, name: str) -> int:
     if k != int(k) or k < 0:
         raise DomainError(f"{name} must be a nonnegative integer, got {k}")
@@ -93,10 +98,7 @@ def psi_spherical(label: SphericalLabel, params: SystemParams, point):
     r, theta, phi = point
     rad = radial_spherical(label.n_r, label.q, params, label.branch, r)
     ang = theta_angular(label.q, params, label.branch, theta)
-    out = rad * ang * np.exp(1j * label.m * np.asarray(phi, dtype=np.float64)) / _SQRT_TWO_PI
-    if all(np.isscalar(v) or np.ndim(v) == 0 for v in point):
-        return complex(out)
-    return out
+    return _with_phase(rad * ang, label.m, phi, all(np.ndim(v) == 0 for v in point))
 
 
 def radial_cylindrical(n_rho: int, params: SystemParams, rho):
@@ -138,10 +140,7 @@ def psi_cylindrical(label: CylindricalLabel, params: SystemParams, point):
     rho, phi, z = point
     rad = radial_cylindrical(label.n_rho, params, rho)
     ax = z_axial(label.p, params, label.branch, z)
-    out = rad * ax * np.exp(1j * label.m * np.asarray(phi, dtype=np.float64)) / _SQRT_TWO_PI
-    if all(np.isscalar(v) or np.ndim(v) == 0 for v in point):
-        return complex(out)
-    return out
+    return _with_phase(rad * ax, label.m, phi, all(np.ndim(v) == 0 for v in point))
 
 
 def theta_ring(l: int, m: int, delta: float, theta):
@@ -178,7 +177,4 @@ def spherical_harmonic_limit(l: int, m: int, theta, phi):
     convention, which differs from Condon-Shortley by (-1)^|m|.
     """
     ang = theta_ring(l, m, 0.0, theta)
-    out = ang * np.exp(1j * int(m) * np.asarray(phi, dtype=np.float64)) / _SQRT_TWO_PI
-    if (np.isscalar(theta) or np.ndim(theta) == 0) and (np.isscalar(phi) or np.ndim(phi) == 0):
-        return complex(out)
-    return out
+    return _with_phase(ang, int(m), phi, np.ndim(theta) == 0 and np.ndim(phi) == 0)

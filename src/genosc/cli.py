@@ -40,6 +40,8 @@ _SMALL_PROBES = (0.05, 0.1)
 _LARGE_PROBES = (20.0, 40.0)
 
 _MORSE_GRID_POINTS = 101
+# |norm - 1| contract; quadrature_norm stays near 1e-12 or below up to lambda = 400
+_MORSE_NORM_TOL = 1e-10
 
 # The ring cross-route evaluates (n+1)^2 Racah sums, whose alternating terms
 # cancel: max abs_diff is ~1e-11 at n = 40, ~1e-9 at n = 60 and ~1e-7 at
@@ -217,10 +219,10 @@ def cmd_spectrum(cfg: JobConfig) -> tuple[list[Section], int]:
 
 def cmd_interbasis(cfg: JobConfig) -> tuple[list[Section], int]:
     n = cfg.n
-    table = w_matrix(n, cfg.params, cfg.branch).entries
-    residual = np.abs(table @ table.T - np.eye(n + 1))
+    mat = w_matrix(n, cfg.params, cfg.branch)
+    table = mat.entries
     cols = ("p", *(f"W_q{q}" for q in range(n + 1)), "ortho_dev")
-    rows = tuple((p, *table[p], float(residual[p].max())) for p in range(n + 1))
+    rows = tuple((p, *table[p], float(mat.ortho_dev[p])) for p in range(n + 1))
     sections = [Section("w_matrix", cols, rows)]
     if cfg.params.p_strength == 0.0 and n <= _RING_MAX_LEVEL:
         # b = 1/2 exactly: the delta-relabeled ring coefficients must agree
@@ -253,9 +255,7 @@ def cmd_spheroidal(cfg: JobConfig) -> tuple[list[Section], int]:
 
 
 def _observed_order(errs: list[float], xs: list[float]):
-    if max(errs) < 1e-13:
-        return "exact-to-roundoff"
-    if min(errs) == 0.0:
+    if max(errs) < 1e-13 or min(errs) == 0.0:
         return "exact-to-roundoff"
     return math.log(errs[1] / errs[0]) / math.log(xs[1] / xs[0])
 
@@ -293,14 +293,19 @@ def cmd_morse(cfg: JobConfig) -> tuple[list[Section], int]:
     # the threshold level (if any) is marginal and has no normalizable state
     lam = params.lam
     normalizable = [p for p in range(len(energies)) if 2.0 * lam - 2.0 * p - 1.0 > 0.0]
-    norm_rows = tuple((p, quadrature_norm(p, params),
-                       abs(quadrature_norm(p, params) - 1.0)) for p in normalizable)
+    norm_rows = []
+    for p in normalizable:
+        norm = quadrature_norm(p, params)
+        if not abs(norm - 1.0) <= _MORSE_NORM_TOL:
+            raise NumericError(f"Morse level {p} has norm {norm!r}, off one by more "
+                               f"than {_MORSE_NORM_TOL:g}")
+        norm_rows.append((p, norm, abs(norm - 1.0)))
     x = np.linspace(-2.0 / params.a, 8.0 / params.a, _MORSE_GRID_POINTS)
     psi = [morse_wavefunction(p, params, x) for p in normalizable]
     grid_rows = tuple((float(x[i]), *(float(col[i]) for col in psi))
                       for i in range(x.size))
     return [Section("levels", ("p", "energy"), level_rows),
-            Section("norms", ("p", "norm", "abs_dev"), norm_rows),
+            Section("norms", ("p", "norm", "abs_dev"), tuple(norm_rows)),
             Section("wavefunctions",
                     ("x", *(f"psi_{p}" for p in normalizable)), grid_rows)], 0
 
@@ -336,9 +341,7 @@ _COMMANDS = {"spectrum": cmd_spectrum, "interbasis": cmd_interbasis,
 # ----------------------------------------------------------------- rendering
 
 def _cell(value) -> str:
-    if isinstance(value, bool):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, (int, np.integer)):   # bool too: True -> 1
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         if not math.isfinite(value):
@@ -397,10 +400,10 @@ def main(argv=None) -> int:
             with open(cfg.out, "w", newline="") as handle:
                 handle.write(text)
         return code
-    except DomainError as exc:
+    except (DomainError, OSError) as exc:   # OSError: an unwritable --out
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
-    except (NumericError, OverflowError, FloatingPointError) as exc:
+    except (NumericError, OverflowError, FloatingPointError, MemoryError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 4
 

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -209,6 +210,13 @@ class CoefficientMatrix:
     orientation: str
     entries: np.ndarray
 
+    @cached_property
+    def ortho_dev(self) -> np.ndarray:
+        """Largest |entries entries^T - I| of each row (read-only, formed once)."""
+        dev = np.abs(self.entries @ self.entries.T - np.eye(self.n + 1)).max(axis=1)
+        dev.flags.writeable = False
+        return dev
+
     def transposed(self) -> "CoefficientMatrix":
         flipped = ("spherical_to_cylindrical"
                    if self.orientation == "cylindrical_to_spherical"
@@ -315,13 +323,14 @@ def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     """
     n, _, _ = _check_level_indices(n, 0, 0)
     ent = _w_columns(n, params, branch, np.arange(n + 1.0))
-    ortho = np.abs(ent @ ent.T - np.eye(n + 1)).max()
+    ent.flags.writeable = False
+    mat = CoefficientMatrix(n=n, branch=branch, orientation="cylindrical_to_spherical",
+                            entries=ent)
+    ortho = mat.ortho_dev.max()
     if ortho > _RESIDUAL_FACTOR * (n + 1):
         raise NumericError(f"interbasis table orthogonality {ortho:.3e} above contract "
                            f"at n={n}")
-    ent.flags.writeable = False
-    return CoefficientMatrix(n=n, branch=branch,
-                             orientation="cylindrical_to_spherical", entries=ent)
+    return mat
 
 
 def w_integral_oracle(n: int, p: int, q: int, params: SystemParams, branch: Branch,

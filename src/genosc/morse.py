@@ -5,7 +5,8 @@ into the half-line channel with omega = 2 lambda, E_z = 4 lambda^2 and an
 inverse-square strength fixed by the energy, so spectrum and wavefunctions
 come out of the oscillator machinery.  The printed closed-form constant in
 the source material does not square-integrate to one; the constant used
-here does, and quadrature_norm exposes the measured check.
+here does, as quadrature_norm (Gauss-Legendre panels in log w) and
+quadrature_norm_scaled (Gauss-Laguerre) both measure.
 """
 
 import logging
@@ -19,9 +20,10 @@ from .specfun import build_quadrature, gen_laguerre, ln_gamma
 
 _logger = logging.getLogger(__name__)
 
-# norm window widening halts once the density falls this far below its peak
-_TRUNCATION_RATIO = 1e-18
-_SEGMENT_NODES = 24
+_PANEL_NODES = 24
+# panel width in log w is this over sqrt((p+1)(p+alpha+1)); norms hold 4e-13 up to 8
+_PANEL_SCALE = 4.0
+_TAIL_MASS = 1e-18   # share of the norm the tail bound leaves below the panels
 
 
 @dataclass(frozen=True)
@@ -62,10 +64,6 @@ def bound_state_count(params: MorseParams) -> int:
     return int(math.floor(lam - 0.5)) + 1
 
 
-def _energy(p: int, params: MorseParams) -> float:
-    return -params.v0 * (1.0 - (p + 0.5) / params.lam) ** 2
-
-
 def morse_spectrum(params: MorseParams) -> np.ndarray:
     """Discrete energies for p = 0 .. floor(lam - 1/2), strictly increasing."""
     count = bound_state_count(params)
@@ -73,7 +71,8 @@ def morse_spectrum(params: MorseParams) -> np.ndarray:
         _logger.info("no discrete Morse levels: sqrt(2 V0)/a = %.6g <= 1/2",
                      params.lam)
         return np.empty(0)
-    out = np.array([_energy(p, params) for p in range(count)])
+    out = np.array([-params.v0 * (1.0 - (p + 0.5) / params.lam) ** 2
+                    for p in range(count)])
     out.flags.writeable = False
     return out
 
@@ -115,55 +114,50 @@ def _check_level(p: int, params: MorseParams) -> tuple[int, float, float]:
 
 
 def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:
-    """Normalized bound state at position x; accepts scalars or arrays."""
+    """Normalized bound state at position x; accepts scalars or arrays.
+
+    Evaluated through log w = log(2 lambda) - a x, so deep in the tail w
+    underflows to zero without a log(0).
+    """
     p, lam, alpha = _check_level(p, params)
     ln_c = 0.5 * (math.log(params.a) + ln_gamma(p + 1.0) + math.log(alpha)
                   - ln_gamma(2.0 * lam - p))
-    w = 2.0 * lam * np.exp(-params.a * np.asarray(x, dtype=np.float64))
+    log_w = math.log(2.0 * lam) - params.a * np.asarray(x, dtype=np.float64)
     with np.errstate(under="ignore"):
-        vals = ((-1.0) ** p * np.exp(ln_c + 0.5 * alpha * np.log(w) - 0.5 * w)
+        w = np.exp(log_w)
+        vals = ((-1.0) ** p * np.exp(ln_c + 0.5 * alpha * log_w - 0.5 * w)
                 * gen_laguerre(p, alpha, w))
     return vals if vals.ndim else float(vals)
 
 
 def quadrature_norm(p: int, params: MorseParams) -> float:
-    """Norm integral of psi_p^2 over the line, the printed-constant check.
+    """Norm integral of psi_p^2 over the line, the x-space check of the constant.
 
-    The window widens outward from the density peak until the integrand is
-    below 1e-18 of it, then composite Gauss-Legendre panels of width 1/a
-    finish the job.
+    Gauss-Legendre panels in t = log w (dx = dt / a), laid out in closed form
+    with nu = 2p + alpha + 1 = 2 lambda: of width _PANEL_SCALE /
+    sqrt((p+1)(p+alpha+1)) from w_s = max(alpha^2 - 1, 1) / (2 nu), below the
+    first Laguerre zero (by Sturm comparison; for alpha^2 < 2 that zero
+    exceeds j_{alpha,1}^2 / (2 nu)), to 4 nu + 60, past the turning point
+    2 nu. Below w_s the density is at most alpha Gamma(p+alpha+1) /
+    (p! Gamma(alpha+1)^2) w^alpha; panels double in width until that bound
+    leaves under _TAIL_MASS. All nodes go through one morse_wavefunction call.
     """
     p, lam, alpha = _check_level(p, params)
-    a = params.a
-
-    def density(xv):
-        return np.asarray(morse_wavefunction(p, params, xv)) ** 2
-
-    # envelope w^alpha e^-w peaks at w = alpha
-    x_peak = -math.log(alpha / (2.0 * lam)) / a
-    peak = float(density(x_peak).max())
-    step = 0.5 / a
-    lo = hi = x_peak
-    while True:
-        val = float(density(lo - step))
-        lo -= step
-        peak = max(peak, val)
-        if val < _TRUNCATION_RATIO * peak:
-            break
-    while True:
-        val = float(density(hi + step))
-        hi += step
-        peak = max(peak, val)
-        if val < _TRUNCATION_RATIO * peak:
-            break
-    rule = build_quadrature("legendre", _SEGMENT_NODES)
-    edges = np.linspace(lo, hi, int(math.ceil((hi - lo) * a)) + 1)
-    total = 0.0
-    for left, right in zip(edges[:-1], edges[1:]):
-        half = 0.5 * (right - left)
-        nodes = 0.5 * (left + right) + half * rule.nodes
-        total += half * rule.integrate(density(nodes))
-    return total
+    nu = 2.0 * lam
+    width = _PANEL_SCALE / math.sqrt((p + 1.0) * (p + alpha + 1.0))
+    t_s = math.log(max(alpha * alpha - 1.0, 1.0) / (2.0 * nu))
+    t_top = math.log(4.0 * nu + 60.0)
+    ln_bound = ln_gamma(p + alpha + 1.0) - ln_gamma(p + 1.0) - 2.0 * ln_gamma(alpha + 1.0)
+    t_min = (math.log(_TAIL_MASS) - ln_bound) / alpha
+    doublings = math.ceil(math.log2(max(t_s - t_min, 0.0) / width + 1.0))
+    edges = np.concatenate([
+        t_s - width * (2.0 ** np.arange(doublings, 0, -1) - 1.0),
+        np.linspace(t_s, t_top, math.ceil((t_top - t_s) / width) + 1)])
+    rule = build_quadrature("legendre", _PANEL_NODES)
+    half = 0.5 * np.diff(edges)
+    t = (edges[:-1] + half)[:, None] + half[:, None] * rule.nodes
+    psi = morse_wavefunction(p, params, (math.log(nu) - t) / params.a)
+    return float(half @ (psi * psi) @ rule.weights) / params.a
 
 
 def quadrature_norm_scaled(p: int, params: MorseParams) -> float:

@@ -354,11 +354,6 @@ def _suite_jobs():
     return jobs
 
 
-def _run_gram(job) -> CheckReport:
-    family, n_max, params, branch = job
-    return gram_matrix(family, n_max, params, branch)[1]
-
-
 def run_verification_suite() -> list[CheckReport]:
     """Execute the fixed oracle manifest and return its CheckReport rows.
 
@@ -367,7 +362,7 @@ def run_verification_suite() -> list[CheckReport]:
     """
     reports: list[CheckReport] = []
     for job in _suite_jobs():
-        reports.append(_run_gram(job))
+        reports.append(gram_matrix(*job)[1])
     for params, branch, n, pairs in _BI_CASES:
         for q, qp in pairs:
             reports.append(bi_orthogonality(n, q, qp, params, branch))

@@ -202,6 +202,25 @@ def test_morse_worked_example():
     assert len(grid["rows"]) == 101
 
 
+def test_morse_norm_contract_miss_exits_4(monkeypatch):
+    import genosc.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "quadrature_norm", lambda p, params: 1.0 + 1e-6)
+    code, out, err = run_cli(["morse", "--V0", "2", "--a", "1"])
+    assert code == 4
+    assert out == ""
+    assert "numeric failure" in err
+
+
+def test_morse_deep_well_exits_4_with_empty_stdout():
+    # psi overflows inside gen_laguerre from p = 168 here; the run must still
+    # end quickly, without numbers
+    code, out, err = run_cli(["morse", "--V0", "50000", "--a", "1"])
+    assert code == 4
+    assert out == ""
+    assert "numeric failure" in err
+
+
 def test_morse_below_threshold_is_empty():
     code, out, _ = run_cli(["morse", "--V0", "0.02", "--a", "1", "--format", "json"])
     assert code == 0
@@ -290,6 +309,26 @@ def test_unknown_flags_exit_2():
         with redirect_stderr(io.StringIO()):
             main(["spectrum", "--bogus", "1"])
     assert info.value.code == 2
+
+
+def test_unwritable_out_exits_2(tmp_path):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, out, err = run_cli(["spectrum", "--out", str(target)])
+        assert code == 2, target
+        assert out == "", target
+        assert "invalid config" in err, target
+
+
+def test_allocation_failure_exits_4():
+    # 728 TiB each, past the 128 TiB a process maps by default, so numpy
+    # refuses at once under any overcommit policy; interbasis first builds
+    # its 80 MB column index, so a larger n would touch real memory
+    for argv in (["interbasis", "--n", "10000000"],
+                 ["spheroidal", "--R-grid", "0.1:5:100000000000000"]):
+        code, out, err = run_cli(argv)
+        assert code == 4, argv
+        assert out == "", argv
+        assert "numeric failure" in err, argv
 
 
 def test_numeric_failure_exits_4(monkeypatch):

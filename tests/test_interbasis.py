@@ -255,6 +255,16 @@ def test_w_matrix_transposed():
     assert not mat.entries.flags.writeable
 
 
+def test_w_matrix_keeps_row_orthogonality():
+    mat = w_matrix(12, BOTH, Branch.Plus)
+    for table in (mat, mat.transposed()):
+        ent = table.entries
+        expected = np.abs(ent @ ent.T - np.eye(13)).max(axis=1)
+        np.testing.assert_array_equal(table.ortho_dev, expected)
+        assert not table.ortho_dev.flags.writeable
+        assert table.ortho_dev.max() <= 1e-13
+
+
 def test_w_index_validation():
     with pytest.raises(DomainError):
         w_coefficient(2, 3, 0, BOTH, Branch.Plus)

@@ -2,7 +2,9 @@
 
 import logging
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -112,12 +114,58 @@ def test_wavefunction_scalar_and_array_forms():
 
 
 def test_normalization_both_quadrature_routes():
-    for lam, a in [(2.0, 1.0), (3.2, 1.3), (7.3, 1.0)]:
-        params = params_for(lam, a)
-        for p in range(bound_state_count(params)):
-            assert quadrature_norm(p, params) == pytest.approx(1.0, abs=1e-10)
-            assert quadrature_norm_scaled(p, params) == pytest.approx(
-                1.0, abs=1e-12)
+    # (80, 1) and V0 = 55.1355 had norms 1.124 and 0.772 under a window search
+    cases = [(params_for(lam, a), range(bound_state_count(params_for(lam, a))))
+             for lam, a in [(2.0, 1.0), (3.2, 1.3), (7.3, 1.0), (80.0, 1.0),
+                            (50.0, 0.3), (50.0, 2.0), (150.0, 0.3), (150.0, 2.0)]]
+    cases.append((MorseParams(55.1355, 1.0), range(11)))
+    # top levels within 1e-3 .. 1e-9 of the continuum threshold
+    cases += [(params_for(p + 0.5 + gap), [p]) for p in (0, 10, 100)
+              for gap in (1e-3, 1e-6, 1e-9)]
+    for params, levels in cases:
+        for p in levels:
+            assert quadrature_norm(p, params) == pytest.approx(1.0, abs=1e-12)
+            # the Gauss-Laguerre sum of L_p^alpha squared is Gamma(p+alpha+1)/p!,
+            # past the float range on the low levels of the deep wells
+            alpha = 2.0 * params.lam - 2.0 * p - 1.0
+            if math.lgamma(p + alpha + 1.0) - math.lgamma(p + 1.0) <= 700.0:
+                assert quadrature_norm_scaled(p, params) == pytest.approx(
+                    1.0, abs=1e-12)
+
+
+def test_quadrature_norm_matches_mpmath_integral():
+    # the threshold level of V0 = 55.1355 (alpha = 2e-3): its w^alpha tail
+    # reaches t = log w ~ -2e4
+    params, p = MorseParams(55.1355, 1.0), 10
+    with mpmath.workdps(20):
+        lam = mpmath.sqrt(2 * mpmath.mpf(params.v0)) / params.a
+        alpha = 2 * lam - 2 * p - 1
+
+        def laguerre(w):
+            lo, hi = mpmath.mpf(1), 1 + alpha - w
+            for k in range(2, p + 1):
+                lo, hi = hi, ((2 * k - 1 + alpha - w) * hi - (k - 1 + alpha) * lo) / k
+            return hi
+
+        # psi^2 dx in t = log w: C^2 / a = p! alpha / Gamma(2 lam - p)
+        scale = mpmath.factorial(p) * alpha / mpmath.gamma(2 * lam - p)
+        exact = float(mpmath.quad(
+            lambda t: scale * mpmath.exp(alpha * t - mpmath.exp(t)) * laguerre(mpmath.exp(t)) ** 2,
+            [-60 / alpha, -30, -5, 0, 1, 2, 3, 4, 6]))
+    assert abs(quadrature_norm(p, params) - exact) <= 1e-13
+
+
+def test_wavefunction_deep_tail_is_finite_without_warnings():
+    # w = 2 lam e^{-a x} underflows past a x ~ 745; log w does not
+    for params in (params_for(7.3), params_for(80.0, 2.0)):
+        xs = np.array([400.0, 1e3, 1e5]) / params.a
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = [morse_wavefunction(p, params, xs) for p in range(3)]
+            assert morse_wavefunction(0, params, 1e3 / params.a) == 0.0
+        for val in vals:
+            assert np.isfinite(val).all()
+            assert np.abs(val).max() < 1e-100
 
 
 def test_orthogonality():
