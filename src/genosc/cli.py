@@ -9,6 +9,7 @@ use 17-significant-digit decimals so every float round-trips exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -115,7 +116,9 @@ def _grid_values(grid: tuple[float, float, int]) -> np.ndarray:
     return np.linspace(grid[0], grid[1], grid[2])
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The genosc argument parser, built on first use and shared by every main()."""
     parser = argparse.ArgumentParser(
         prog="genosc",
         description="Generalized 3D oscillator: spectra, interbasis expansions, "

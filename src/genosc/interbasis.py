@@ -285,16 +285,21 @@ def _recursion_columns(diag: np.ndarray, off: np.ndarray, lam: np.ndarray) -> np
 
 
 def _w_columns(n: int, params: SystemParams, branch: Branch,
-               qs: np.ndarray) -> np.ndarray:
-    """Columns qs of W by recursion, checked against the eigen residual contract.
+               qs: np.ndarray | None = None) -> np.ndarray:
+    """Columns qs (default all, 0..n) of W by recursion, checked against the
+    eigen residual contract.
 
     Column q is the eigenvector of 2 m_matrix_cyl for A_q; its sign is the
     Racah sum's, since W_n0^q is a single Racah term with positive Gamma
-    arguments, hence positive, and the recursion starts at x_0 = +1.
+    arguments, hence positive, and the recursion starts at x_0 = +1. The
+    dense (n+1)^2 operator is allocated before any O(n) array, so a level
+    too large to tabulate fails at once.
     """
     b, c, _ = require_admissible(params, branch)
     mat = 2.0 * m_matrix_cyl(n, params, branch)
     diag, off = np.diag(mat), np.diag(mat, 1)
+    if qs is None:
+        qs = np.arange(n + 1.0)
     base = 2.0 * qs + c + branch.sign * b
     lam = (base + 0.5) * (base + 1.5)
     vec = _recursion_columns(diag, off, lam)
@@ -322,7 +327,7 @@ def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     residual bound.
     """
     n, _, _ = _check_level_indices(n, 0, 0)
-    ent = _w_columns(n, params, branch, np.arange(n + 1.0))
+    ent = _w_columns(n, params, branch)
     ent.flags.writeable = False
     mat = CoefficientMatrix(n=n, branch=branch, orientation="cylindrical_to_spherical",
                             entries=ent)

@@ -80,30 +80,57 @@ def _check_order(order: int) -> int:
     return int(order)
 
 
-def _recursion_tables(coupling: np.ndarray, denom, k: int,
-                      order: int) -> tuple[tuple[float, ...], np.ndarray]:
-    # component k stays pinned at every order, so lambda^{(j)} is just the
-    # k-th component of coupling @ previous row
-    size = coupling.shape[0]
+def _column_sums(block: np.ndarray, what: str) -> np.ndarray:
+    """Exactly rounded sum of each column of a block of finite products."""
+    if not np.isfinite(block).all():
+        raise NumericError(f"non-finite product in {what}")
+    try:
+        return np.array([math.fsum(col) for col in block.T.tolist()])
+    except OverflowError as exc:
+        raise NumericError(f"sum overflows in {what}") from exc
+
+
+def _recursion_tables(coupling: np.ndarray, denom: np.ndarray, k: int, order: int,
+                      regime: Regime) -> tuple[tuple[float, ...], np.ndarray]:
+    # The coupling is tridiagonal, so component q of coupling @ (previous row)
+    # has at most three nonzero products.  Component k stays pinned at every
+    # order, so lambda^{(j)} is its k-th component.  math.fsum is exactly
+    # rounded and skips zero terms, so every coefficient is the correctly
+    # rounded sum of its products, whatever the summation order.
+    size = denom.size
+    others = np.arange(size) != k
+    resonant = np.flatnonzero(others & (np.abs(denom) < _RESONANCE_TOL))
+    if resonant.size:
+        raise NumericError(f"resonant denominator at order 1, component {resonant[0]}")
+    denom = np.where(others, denom, 1.0)
+    bands = np.zeros((3, size))   # bands[:, q] couples q to q-1, q, q+1
+    bands[0, 1:] = np.diag(coupling, -1)
+    bands[1] = np.diag(coupling)
+    bands[2, :-1] = np.diag(coupling, 1)
+    if not np.isfinite(bands).all():
+        raise NumericError(f"non-finite coupling in the {regime.value}-R series")
     table = np.zeros((order + 1, size))
     table[0, k] = 1.0
-    lams: list[float] = []
-    for j in range(1, order + 1):
-        w = [math.fsum(coupling[q, r] * table[j - 1, r] for r in range(size))
-             for q in range(size)]
-        lams.append(w[k])
-        for q in range(size):
-            if q == k:
-                continue
-            den = denom(q)
-            if abs(den) < _RESONANCE_TOL:
-                raise NumericError(
-                    f"resonant denominator at order {j}, component {q}")
-            shift = math.fsum(lams[j - t - 1] * table[t, q]
-                              for t in range(1, j))
-            table[j, q] = (w[q] - shift) / den
+    lams = np.zeros(order)
+    terms = np.zeros((3, size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, order + 1):
+            what = f"the {regime.value}-R series at order {j}"
+            prev = table[j - 1]
+            np.multiply(bands[0, 1:], prev[:-1], out=terms[0, 1:])
+            np.multiply(bands[1], prev, out=terms[1])
+            np.multiply(bands[2, :-1], prev[1:], out=terms[2, :-1])
+            w = _column_sums(terms, what)
+            lams[j - 1] = w[k]
+            # sum_{t=1}^{j-1} lambda^{(j-t)} T[t, q], one column per q
+            shift = _column_sums(lams[:j - 1][::-1, None] * table[1:j], what)
+            row = (w - shift) / denom
+            row[k] = 0.0
+            if not np.isfinite(row).all():
+                raise NumericError(f"non-finite table entry in {what}")
+            table[j] = row
     table.flags.writeable = False
-    return tuple(lams), table
+    return tuple(lams.tolist()), table
 
 
 def small_r_series(n: int, k: int, params: SystemParams, branch: Branch,
@@ -113,9 +140,11 @@ def small_r_series(n: int, k: int, params: SystemParams, branch: Branch,
     order = _check_order(order)
     b, c, _ = require_admissible(params, branch)
     gamma = c + branch.sign * b
-    coupling = n_matrix_sph(n, params, branch) / (2.0 * params.omega)
-    lams, table = _recursion_tables(
-        coupling, lambda q: 4.0 * (k - q) * (k + q + gamma + 1.0), k, order)
+    q = np.arange(n + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coupling = n_matrix_sph(n, params, branch) / (2.0 * params.omega)
+        denom = 4.0 * (k - q) * (k + q + gamma + 1.0)
+    lams, table = _recursion_tables(coupling, denom, k, order, Regime.SmallR)
     return SeriesExpansion(Regime.SmallR, n, k, order,
                            separation_constant_A(k, params, branch),
                            params.omega, lams, table)
@@ -127,9 +156,10 @@ def large_r_series(n: int, k: int, params: SystemParams, branch: Branch,
     n, k = _check_indices(n, k)
     order = _check_order(order)
     require_admissible(params, branch)
-    coupling = 2.0 * m_matrix_cyl(n, params, branch)
-    lams, table = _recursion_tables(
-        coupling, lambda p: float(k - p), k, order)
+    with np.errstate(over="ignore"):
+        coupling = 2.0 * m_matrix_cyl(n, params, branch)
+    lams, table = _recursion_tables(coupling, k - np.arange(n + 1.0), k, order,
+                                    Regime.LargeR)
     e_z = energy_cylindrical_parts(0, k, params, branch)[1]
     return SeriesExpansion(Regime.LargeR, n, k, order,
                            e_z / (2.0 * params.omega),

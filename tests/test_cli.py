@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -178,6 +179,19 @@ def test_perturb_reports_expected_orders():
     assert orders["large"] == pytest.approx(-3.0, abs=0.3)
 
 
+def test_perturb_overflow_exits_4_without_traceback_or_warning():
+    for argv in (["perturb", "--n", "6", "--k", "1", "--order", "400"],
+                 ["perturb", "--n", "5", "--order", "400"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(argv)
+        assert code == 4, argv
+        assert out == "", argv
+        assert len(err.splitlines()) == 1, err
+        assert err.startswith("numeric failure"), err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+
+
 def test_perturb_trivial_level_is_exact():
     code, out, _ = run_cli(["perturb", *BOTH_FLAGS, "--n", "0", "--k", "0",
                             "--format", "json"])
@@ -282,6 +296,37 @@ def test_spheroidal_cold_and_warm_state_byte_identical():
     assert cold == warm
 
 
+def test_repeated_main_calls_match_fresh_parser_runs():
+    # main() shares one parser; no flag value may carry over between calls
+    import genosc.cli as cli_mod
+
+    calls = [["perturb", "--n", "3", "--k", "2", "--order", "3"],
+             ["spectrum", "--n", "1", "--format", "csv"],
+             ["perturb", "--n", "4", "--bogus"],
+             ["perturb"],
+             ["interbasis", "--P", "0.3", "--m", "2"],
+             ["spheroidal", "--kind", "oblate", "--k", "1"],
+             ["interbasis", "--n", "many"],
+             ["spectrum"],
+             ["spheroidal"]]
+
+    def run(argv):
+        try:
+            return run_cli(argv)[:2]
+        except SystemExit as exc:   # argparse rejects the flag
+            return exc.code, ""
+
+    fresh = []
+    for argv in calls:
+        cli_mod.build_parser.cache_clear()
+        fresh.append(run(argv))
+    assert [code for code, _ in fresh] == [0, 0, 2, 0, 0, 0, 2, 0, 0]
+    assert cli_mod.build_parser() is cli_mod.build_parser()
+    for _ in range(2):
+        for argv, expected in zip(calls, fresh):
+            assert run(argv) == expected, argv
+
+
 def test_csv_cells_are_17_significant_digits():
     _, out, _ = run_cli(["spectrum", *BOTH_FLAGS, "--n", "2", "--format", "csv"])
     assert "7.2999999999999998" in out
@@ -321,14 +366,33 @@ def test_unwritable_out_exits_2(tmp_path):
 
 def test_allocation_failure_exits_4():
     # 728 TiB each, past the 128 TiB a process maps by default, so numpy
-    # refuses at once under any overcommit policy; interbasis first builds
-    # its 80 MB column index, so a larger n would touch real memory
+    # refuses at once under any overcommit policy
     for argv in (["interbasis", "--n", "10000000"],
                  ["spheroidal", "--R-grid", "0.1:5:100000000000000"]):
         code, out, err = run_cli(argv)
         assert code == 4, argv
         assert out == "", argv
         assert "numeric failure" in err, argv
+
+
+def test_huge_interbasis_level_is_refused_before_any_column_array():
+    # Under a 2 GiB address-space cap a regression that builds an O(n) array
+    # first fails in the child with that array's shape, instead of touching
+    # 8 GB inside the test process.
+    script = ("import resource, sys\n"
+              "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+              "from genosc.cli import main\n"
+              "sys.exit(main(['interbasis', '--n', '1000000000']))\n")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(genosc.__file__).parents[1]),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 4, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("numeric failure")
+    assert "(1000000001, 1000000001)" in proc.stderr
 
 
 def test_numeric_failure_exits_4(monkeypatch):

@@ -1,11 +1,13 @@
 """Perturbation series: closed-form low orders, truncation scaling, mixing."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
-from genosc.errors import DomainError
+from genosc.errors import DomainError, NumericError
+from genosc.interbasis import m_matrix_cyl, n_matrix_sph
 from genosc.model import (Branch, SystemParams, admissible_branches,
                           channel_constants, separation_constant_A)
 from genosc.perturbation import (Regime, large_r_series, small_r_series,
@@ -251,6 +253,66 @@ def test_correction_projection_against_eigenvector():
                                             Branch.Plus, R, Regime.LargeR)
         assert abs(w[k - 1] - lo) <= 1e3 / (x * x)
         assert abs(w[k + 1] - hi) <= 1e3 / (x * x)
+
+
+# ------------------------------------------- banded vs dense recursion
+
+def dense_recursion(coupling, denom, k, order):
+    """The recursion as first written: full dense rows, one fsum per entry."""
+    size = coupling.shape[0]
+    table = np.zeros((order + 1, size))
+    table[0, k] = 1.0
+    lams = []
+    for j in range(1, order + 1):
+        w = [math.fsum(coupling[q, r] * table[j - 1, r] for r in range(size))
+             for q in range(size)]
+        lams.append(w[k])
+        for q in range(size):
+            if q == k:
+                continue
+            shift = math.fsum(lams[j - t - 1] * table[t, q] for t in range(1, j))
+            table[j, q] = (w[q] - shift) / denom[q]
+    return tuple(lams), table
+
+
+def dense_reference(regime, n, k, params, branch, order):
+    if regime is Regime.SmallR:
+        b, c, _ = channel_constants(params)
+        gamma = c + branch.sign * b
+        coupling = n_matrix_sph(n, params, branch) / (2.0 * params.omega)
+        denom = [4.0 * (k - q) * (k + q + gamma + 1.0) for q in range(n + 1)]
+    else:
+        coupling = 2.0 * m_matrix_cyl(n, params, branch)
+        denom = [float(k - p) for p in range(n + 1)]
+    return dense_recursion(coupling, denom, k, order)
+
+
+def test_banded_recursion_matches_dense_reference_bit_for_bit():
+    rng = random.Random(1975)
+    makers = {Regime.SmallR: small_r_series, Regime.LargeR: large_r_series}
+    checked = 0
+    for _ in range(300):
+        params = SystemParams(omega=10.0 ** rng.uniform(-1.0, 1.0),
+                              p_strength=rng.choice((rng.uniform(-0.25, 0.0),
+                                                     rng.uniform(0.0, 4.0))),
+                              q_strength=rng.choice((0.0, rng.uniform(0.0, 3.0))),
+                              m=rng.randint(0, 3))
+        branch = rng.choice(admissible_branches(params))
+        n = rng.randint(0, 14)
+        k = rng.randint(0, n)
+        order = rng.choice((1, 2, 3, 6, 12, 20, 40))
+        regime = rng.choice(tuple(Regime))
+        series = makers[regime](n, k, params, branch, order=order)
+        lams, table = dense_reference(regime, n, k, params, branch, order)
+        assert series.lambda_coeffs == lams
+        assert series.vector_coeffs.tobytes() == table.tobytes()
+        checked += params.p_strength <= 0.0 and branch is Branch.Minus
+    assert checked >= 10
+
+
+def test_series_overflow_raises_numeric_error():
+    with pytest.raises(NumericError, match="large-R series at order"):
+        large_r_series(6, 1, SystemParams(1.0, 0.0, 0.0, 0), Branch.Plus, order=400)
 
 
 # ------------------------------------------------------------ validation
