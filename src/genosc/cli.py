@@ -4,6 +4,10 @@ Output is a header block (the fully resolved configuration) followed by named
 data sections.  Data sections are pure functions of the configuration, carry
 no timestamps, and therefore come out byte-identical across runs.  CSV cells
 use 17-significant-digit decimals so every float round-trips exactly.
+
+Both renderers write the fixed schema directly: JSON reproduces the bytes of
+json.dumps(sort_keys=True, indent=2) with each row through the C encoder,
+and CSV formats a row with one %-string per row type signature.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from io import StringIO
 
 import numpy as np
 
@@ -23,8 +26,8 @@ from .interbasis import ring_w, w_matrix
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     energy_cylindrical_parts, energy_level, require_admissible,
                     ring_relabel, separation_constant_A)
-from .morse import (MorseParams, morse_spectrum, morse_wavefunction,
-                    quadrature_norm)
+from .morse import (MorseParams, bound_state_count, morse_spectrum,
+                    morse_wavefunction, quadrature_norm)
 from .oracles import SUITE_MANIFEST, run_verification_suite
 from .perturbation import large_r_series, small_r_series
 from .spheroidal import (Kind, build_tridiag_t, eigensolve, lambda_grid,
@@ -43,6 +46,9 @@ _LARGE_PROBES = (20.0, 40.0)
 _MORSE_GRID_POINTS = 101
 # |norm - 1| contract; quadrature_norm stays near 1e-12 or below up to lambda = 400
 _MORSE_NORM_TOL = 1e-10
+# More levels than this are refused before listing: psi already overflows
+# from p ~ 170-200 once lambda passes ~200, so such a run could only exit 4.
+_MORSE_MAX_LEVELS = 10_000
 
 # The ring cross-route evaluates (n+1)^2 Racah sums, whose alternating terms
 # cancel: max abs_diff is ~1e-11 at n = 40, ~1e-9 at n = 60 and ~1e-7 at
@@ -223,21 +229,22 @@ def cmd_spectrum(cfg: JobConfig) -> tuple[list[Section], int]:
 def cmd_interbasis(cfg: JobConfig) -> tuple[list[Section], int]:
     n = cfg.n
     mat = w_matrix(n, cfg.params, cfg.branch)
-    table = mat.entries
+    table = mat.entries.tolist()
     cols = ("p", *(f"W_q{q}" for q in range(n + 1)), "ortho_dev")
-    rows = tuple((p, *table[p], float(mat.ortho_dev[p])) for p in range(n + 1))
+    rows = tuple((p, *entries, dev)
+                 for p, (entries, dev) in enumerate(zip(table, mat.ortho_dev.tolist())))
     sections = [Section("w_matrix", cols, rows)]
     if cfg.params.p_strength == 0.0 and n <= _RING_MAX_LEVEL:
         # b = 1/2 exactly: the delta-relabeled ring coefficients must agree
+        m, branch = cfg.params.m, cfg.branch
+        sph = [ring_relabel(SphericalLabel(n - q, q, m, branch), cfg.params)
+               for q in range(n + 1)]
         rows = []
-        for p in range(n + 1):
-            cyl = ring_relabel(CylindricalLabel(n - p, p, cfg.params.m, cfg.branch),
-                               cfg.params)
-            for q in range(n + 1):
-                sph = ring_relabel(SphericalLabel(n - q, q, cfg.params.m, cfg.branch),
-                                   cfg.params)
-                ring = ring_w(cyl.N, cfg.params.m, cyl.n3, sph.l, sph.delta)
-                rows.append((p, q, table[p, q], ring, abs(table[p, q] - ring)))
+        for p, entries in enumerate(table):
+            cyl = ring_relabel(CylindricalLabel(n - p, p, m, branch), cfg.params)
+            for q, (general, label) in enumerate(zip(entries, sph)):
+                ring = ring_w(cyl.N, m, cyl.n3, label.l, label.delta)
+                rows.append((p, q, general, ring, abs(general - ring)))
         sections.append(Section("ring_agreement",
                                 ("p", "q", "general", "ring", "abs_diff"),
                                 tuple(rows)))
@@ -248,19 +255,26 @@ def cmd_spheroidal(cfg: JobConfig) -> tuple[list[Section], int]:
     n = cfg.n
     grid = _grid_values(cfg.r_grid)
     lam = lambda_grid(n, cfg.params, cfg.branch, cfg.kind, grid)
-    curve_rows = [(float(radius), *row) for radius, row in zip(grid, lam)]
+    curve_rows = tuple((radius, *row) for radius, row in zip(grid.tolist(), lam.tolist()))
     u = u_coefficients(n, cfg.k, cfg.params, cfg.branch, cfg.R, cfg.kind)
     t = t_coefficients(n, cfg.k, cfg.params, cfg.branch, cfg.R, cfg.kind)
-    coeff_rows = tuple((idx, u[idx], t[idx]) for idx in range(n + 1))
+    coeff_rows = tuple(zip(range(n + 1), u.tolist(), t.tolist()))
     return [Section("lambda_curve",
-                    ("R", *(f"lambda_{k}" for k in range(n + 1))), tuple(curve_rows)),
+                    ("R", *(f"lambda_{k}" for k in range(n + 1))), curve_rows),
             Section("coefficients", ("idx", "u", "t"), coeff_rows)], 0
 
 
 def _observed_order(errs: list[float], xs: list[float]):
     if max(errs) < 1e-13 or min(errs) == 0.0:
         return "exact-to-roundoff"
-    return math.log(errs[1] / errs[0]) / math.log(xs[1] / xs[0])
+    # extreme omega overflows an error or underflows x to zero
+    with np.errstate(all="ignore"):
+        err_ratio = np.float64(errs[1]) / errs[0]
+        x_ratio = np.float64(xs[1]) / xs[0]
+    if not (0.0 < err_ratio < math.inf and 1.0 < x_ratio < math.inf):
+        raise NumericError(f"no convergence order from errors {errs[0]:.3g}, "
+                           f"{errs[1]:.3g} at x = {xs[0]:.3g}, {xs[1]:.3g}")
+    return math.log(err_ratio) / math.log(x_ratio)
 
 
 def cmd_perturb(cfg: JobConfig) -> tuple[list[Section], int]:
@@ -275,10 +289,12 @@ def cmd_perturb(cfg: JobConfig) -> tuple[list[Section], int]:
             exact = eigensolve(build_tridiag_t(n, cfg.params, cfg.branch,
                                                radius, Kind.Prolate)).lam[k]
             approx = series.eigenvalue(radius)
-            err = abs(approx - exact)
-            x = omega * radius * radius
-            # the large-R comparison happens on the bounded quantity lambda/x
-            scaled = err / x if regime == "large" else err
+            # extreme omega overflows here; the non-finite cells fail at rendering
+            with np.errstate(all="ignore"):
+                err = abs(approx - exact)
+                x = omega * radius * radius
+                # the large-R comparison happens on the bounded quantity lambda/x
+                scaled = err / x if regime == "large" else err
             rows.append((regime, radius, approx, exact, err, scaled))
             errs.append(scaled)
             xs.append(x)
@@ -291,8 +307,12 @@ def cmd_perturb(cfg: JobConfig) -> tuple[list[Section], int]:
 
 def cmd_morse(cfg: JobConfig) -> tuple[list[Section], int]:
     params = cfg.morse
+    count = bound_state_count(params)
+    if count > _MORSE_MAX_LEVELS:
+        raise NumericError(f"Morse well has {count} levels, more than the "
+                           f"{_MORSE_MAX_LEVELS} whose states stay finite")
     energies = morse_spectrum(params)
-    level_rows = tuple((p, float(e)) for p, e in enumerate(energies))
+    level_rows = tuple(enumerate(energies.tolist()))
     # the threshold level (if any) is marginal and has no normalizable state
     lam = params.lam
     normalizable = [p for p in range(len(energies)) if 2.0 * lam - 2.0 * p - 1.0 > 0.0]
@@ -304,9 +324,8 @@ def cmd_morse(cfg: JobConfig) -> tuple[list[Section], int]:
                                f"than {_MORSE_NORM_TOL:g}")
         norm_rows.append((p, norm, abs(norm - 1.0)))
     x = np.linspace(-2.0 / params.a, 8.0 / params.a, _MORSE_GRID_POINTS)
-    psi = [morse_wavefunction(p, params, x) for p in normalizable]
-    grid_rows = tuple((float(x[i]), *(float(col[i]) for col in psi))
-                      for i in range(x.size))
+    psi = [morse_wavefunction(p, params, x).tolist() for p in normalizable]
+    grid_rows = tuple(zip(x.tolist(), *psi))
     return [Section("levels", ("p", "energy"), level_rows),
             Section("norms", ("p", "norm", "abs_dev"), tuple(norm_rows)),
             Section("wavefunctions",
@@ -359,36 +378,87 @@ def _csv_quote(text: str) -> str:
     return text
 
 
+def _csv_format(types: tuple[type, ...]) -> str | None:
+    """One %-string for a numeric row signature, matching _cell per value;
+    None when a cell is not a number (it goes through _cell/_csv_quote)."""
+    codes = []
+    for kind in types:
+        if issubclass(kind, (int, np.integer)):   # bool too: True -> 1
+            codes.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            codes.append("%.17g")
+        else:
+            return None
+    return ",".join(codes) + "\n"
+
+
 def render_csv(cfg: JobConfig, sections: list[Section]) -> str:
-    out = StringIO()
     echo = cfg.echo()
-    for key in sorted(echo):
-        out.write(f"# {key} = {echo[key]}\n")
+    out = [f"# {key} = {echo[key]}\n" for key in sorted(echo)]
+    formats: dict[tuple[type, ...], str | None] = {}
     for section in sections:
-        out.write(f"## {section.name}\n")
-        out.write(",".join(section.columns) + "\n")
+        out.append(f"## {section.name}\n")
+        out.append(",".join(section.columns) + "\n")
         for row in section.rows:
-            out.write(",".join(_csv_quote(_cell(v)) for v in row) + "\n")
-    return out.getvalue()
+            types = tuple(map(type, row))
+            if types not in formats:
+                formats[types] = _csv_format(types)
+            fmt = formats[types]
+            line = fmt % tuple(row) if fmt is not None else None
+            # %.17g writes inf/nan, the only cells with an "n"; _cell refuses them
+            if line is None or "n" in line:
+                line = ",".join(_csv_quote(_cell(v)) for v in row) + "\n"
+            out.append(line)
+    return "".join(out)
+
+
+def _plain_number(value):
+    if isinstance(value, np.integer):
+        return int(value)
+    if isinstance(value, np.floating):
+        return float(value)
+    raise TypeError(f"cannot write {type(value).__name__} to JSON")
+
+
+# Row values sit 10 spaces deep (data > section > rows > row) in the
+# json.dumps(indent=2) layout. The C encoder runs only without indent, so the
+# row layout comes from the item separator and the row brackets are written
+# by hand.
+_ROW_INDENT = " " * 10
+_JSON_ROW = json.JSONEncoder(allow_nan=False, default=_plain_number,
+                             separators=(",\n" + _ROW_INDENT, ": "))
+
+
+def _json_block(items: list[str], indent: str, brackets: str) -> str:
+    """Encoded items one per line at indent, as json.dumps(indent=2) nests them."""
+    if not items:
+        return brackets
+    return (brackets[0] + "\n" + indent + (",\n" + indent).join(items)
+            + "\n" + indent[:-2] + brackets[1])
+
+
+def _json_row(row) -> str:
+    inner = _JSON_ROW.encode(row)[1:-1]
+    return f"[\n{_ROW_INDENT}{inner}\n        ]" if inner else "[]"
+
+
+def _json_section(section: Section) -> str:
+    columns = _json_block([json.dumps(c) for c in section.columns], " " * 8, "[]")
+    rows = _json_block([_json_row(row) for row in section.rows], " " * 8, "[]")
+    return _json_block([f'"columns": {columns}', f'"rows": {rows}'], " " * 6, "{}")
 
 
 def render_json(cfg: JobConfig, sections: list[Section]) -> str:
-    def plain(value):
-        if isinstance(value, (np.integer,)):
-            return int(value)
-        if isinstance(value, (np.floating,)):
-            return float(value)
-        return value
-
-    data = {s.name: {"columns": list(s.columns),
-                     "rows": [[plain(v) for v in row] for row in s.rows]}
-            for s in sections}
+    by_name = {s.name: s for s in sections}   # a repeated name keeps its last section
     try:
-        text = json.dumps({"header": cfg.echo(), "data": data},
-                          sort_keys=True, indent=2, allow_nan=False)
+        header = json.dumps(cfg.echo(), sort_keys=True, indent=2, allow_nan=False)
+        blocks = [f"{json.dumps(name)}: {_json_section(by_name[name])}"
+                  for name in sorted(by_name)]
     except ValueError as exc:
         raise NumericError(f"refusing to write non-finite JSON: {exc}") from exc
-    return text + "\n"
+    data = _json_block(blocks, " " * 4, "{}")
+    header = header.replace("\n", "\n  ")
+    return _json_block([f'"data": {data}', f'"header": {header}'], "  ", "{}") + "\n"
 
 
 def main(argv=None) -> int:

@@ -212,8 +212,13 @@ class CoefficientMatrix:
 
     @cached_property
     def ortho_dev(self) -> np.ndarray:
-        """Largest |entries entries^T - I| of each row (read-only, formed once)."""
-        dev = np.abs(self.entries @ self.entries.T - np.eye(self.n + 1)).max(axis=1)
+        """Largest |entries entries^T - I| of each row (read-only, formed once).
+
+        The product runs in numpy's own einsum loop, not BLAS, so its bytes do
+        not depend on the BLAS thread count.
+        """
+        gram = np.einsum("ik,jk->ij", self.entries, self.entries)
+        dev = np.abs(gram - np.eye(self.n + 1)).max(axis=1)
         dev.flags.writeable = False
         return dev
 
@@ -246,11 +251,11 @@ def _recursion_columns(diag: np.ndarray, off: np.ndarray, lam: np.ndarray) -> np
     passes rescale a column whose values pass _RESCALE_AT.
     """
     size, count = diag.size, lam.size
-    shift = diag[:, None] - lam
     down = np.zeros((size, count))
     down[-1] = 1.0
     growing = np.ones(count, dtype=bool)
     with np.errstate(all="ignore"):   # a corrupted matrix shows as non-finite output
+        shift = diag[:, None] - lam
         for p in range(size - 1, 0, -1):
             acc = shift[p] * down[p]
             if p + 1 < size:
@@ -296,17 +301,20 @@ def _w_columns(n: int, params: SystemParams, branch: Branch,
     too large to tabulate fails at once.
     """
     b, c, _ = require_admissible(params, branch)
-    mat = 2.0 * m_matrix_cyl(n, params, branch)
-    diag, off = np.diag(mat), np.diag(mat, 1)
-    if qs is None:
-        qs = np.arange(n + 1.0)
-    base = 2.0 * qs + c + branch.sign * b
-    lam = (base + 0.5) * (base + 1.5)
-    vec = _recursion_columns(diag, off, lam)
-    if not np.isfinite(vec).all():
-        raise NumericError(f"interbasis recursion gave non-finite entries at n={n}")
-    residual = np.abs(mat @ vec - vec * lam).max()
-    if residual > _residual_bound(n + 1, diag, off):
+    # extreme parameters overflow the operator; the checks below refuse them
+    with np.errstate(all="ignore"):
+        mat = 2.0 * m_matrix_cyl(n, params, branch)
+        diag, off = np.diag(mat), np.diag(mat, 1)
+        if qs is None:
+            qs = np.arange(n + 1.0)
+        base = 2.0 * qs + c + branch.sign * b
+        lam = (base + 0.5) * (base + 1.5)
+        vec = _recursion_columns(diag, off, lam)
+        if not np.isfinite(vec).all():
+            raise NumericError(f"interbasis recursion gave non-finite entries at n={n}")
+        residual = np.abs(mat @ vec - vec * lam).max()
+        bound = _residual_bound(n + 1, diag, off)
+    if not residual <= bound:
         raise NumericError(f"interbasis eigen residual {residual:.3e} above contract at n={n}")
     return vec
 
@@ -332,7 +340,7 @@ def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     mat = CoefficientMatrix(n=n, branch=branch, orientation="cylindrical_to_spherical",
                             entries=ent)
     ortho = mat.ortho_dev.max()
-    if ortho > _RESIDUAL_FACTOR * (n + 1):
+    if not ortho <= _RESIDUAL_FACTOR * (n + 1):
         raise NumericError(f"interbasis table orthogonality {ortho:.3e} above contract "
                            f"at n={n}")
     return mat

@@ -71,8 +71,7 @@ def morse_spectrum(params: MorseParams) -> np.ndarray:
         _logger.info("no discrete Morse levels: sqrt(2 V0)/a = %.6g <= 1/2",
                      params.lam)
         return np.empty(0)
-    out = np.array([-params.v0 * (1.0 - (p + 0.5) / params.lam) ** 2
-                    for p in range(count)])
+    out = -params.v0 * (1.0 - (np.arange(count) + 0.5) / params.lam) ** 2
     out.flags.writeable = False
     return out
 

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -180,8 +181,11 @@ def test_perturb_reports_expected_orders():
 
 
 def test_perturb_overflow_exits_4_without_traceback_or_warning():
+    # the last two overflow an error and underflow x = omega R^2 to zero
     for argv in (["perturb", "--n", "6", "--k", "1", "--order", "400"],
-                 ["perturb", "--n", "5", "--order", "400"]):
+                 ["perturb", "--n", "5", "--order", "400"],
+                 ["perturb", "--omega=1e-300", "--n", "3", "--k", "1"],
+                 ["perturb", "--omega=5e-324", "--Q=1e150", "--n", "1", "--k", "1"]):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(argv)
@@ -230,6 +234,16 @@ def test_morse_deep_well_exits_4_with_empty_stdout():
     # psi overflows inside gen_laguerre from p = 168 here; the run must still
     # end quickly, without numbers
     code, out, err = run_cli(["morse", "--V0", "50000", "--a", "1"])
+    assert code == 4
+    assert out == ""
+    assert "numeric failure" in err
+
+
+def test_morse_too_many_levels_exits_4_at_once():
+    # 1.4e10 levels; listing them one by one never finished
+    start = time.perf_counter()
+    code, out, err = run_cli(["morse", "--V0", "1e20", "--a", "1"])
+    assert time.perf_counter() - start < 1.0
     assert code == 4
     assert out == ""
     assert "numeric failure" in err
@@ -395,6 +409,33 @@ def test_huge_interbasis_level_is_refused_before_any_column_array():
     assert "(1000000001, 1000000001)" in proc.stderr
 
 
+def test_stdout_does_not_depend_on_blas_threads():
+    # ortho_dev once came from a BLAS product whose summation order followed
+    # the thread count; each child sets the count before numpy loads
+    script = ("import hashlib, io, sys\n"
+              "from contextlib import redirect_stdout\n"
+              "from genosc.cli import main\n"
+              "for argv in (['interbasis', '--n', '100', '--P', '0.3'],\n"
+              "             ['spheroidal', '--n', '100', '--R-grid', '0.1:5:50'],\n"
+              "             ['morse', '--V0', '50', '--a', '0.5']):\n"
+              "    out = io.StringIO()\n"
+              "    with redirect_stdout(out):\n"
+              "        code = main(argv)\n"
+              "    print(code, hashlib.sha256(out.getvalue().encode()).hexdigest())\n")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (str(Path(genosc.__file__).parents[1]),
+                        env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        digests.append(proc.stdout.splitlines())
+    assert [line.split()[0] for line in digests[0]] == ["0", "0", "0"]
+    assert digests[0] == digests[1]
+
+
 def test_numeric_failure_exits_4(monkeypatch):
     import genosc.cli as cli_mod
 
@@ -454,7 +495,8 @@ def test_non_finite_system_input_exits_2():
 
 def test_overflow_exits_4():
     for argv in (["perturb", "--order", "400"],
-                 ["morse", "--V0", "1e300", "--a", "1e-300"]):
+                 ["morse", "--V0", "1e300", "--a", "1e-300"],
+                 ["interbasis", "--n", "1", "--P=1e300", "--Q=1.7976931348623157e+308"]):
         code, out, err = run_cli(argv)
         assert code == 4, argv
         assert out == "", argv

@@ -259,8 +259,14 @@ def test_w_matrix_keeps_row_orthogonality():
     mat = w_matrix(12, BOTH, Branch.Plus)
     for table in (mat, mat.transposed()):
         ent = table.entries
-        expected = np.abs(ent @ ent.T - np.eye(13)).max(axis=1)
+        # numpy's einsum loop, not BLAS, so the bytes do not follow the thread count
+        expected = np.abs(np.einsum("ik,jk->ij", ent, ent) - np.eye(13)).max(axis=1)
         np.testing.assert_array_equal(table.ortho_dev, expected)
+        # and within a few roundings of the exactly summed products
+        rows = ent.tolist()
+        exact = [max(abs(math.fsum(a * b for a, b in zip(ri, rj)) - (i == j))
+                     for j, rj in enumerate(rows)) for i, ri in enumerate(rows)]
+        np.testing.assert_allclose(table.ortho_dev, exact, rtol=0, atol=13 * 2.0 ** -52)
         assert not table.ortho_dev.flags.writeable
         assert table.ortho_dev.max() <= 1e-13
 
