@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                    require_admissible)
+                    _check_nonneg_int, require_admissible)
 from .specfun import gegenbauer, gen_laguerre, jacobi_p, ln_gamma
 
 __all__ = [
@@ -51,18 +51,12 @@ def _with_phase(amp, m: int, phi, scalar: bool):
     return complex(out) if scalar else out
 
 
-def _check_index(k, name: str) -> int:
-    if k != int(k) or k < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {k}")
-    return int(k)
-
-
 def theta_angular(q: int, params: SystemParams, branch: Branch, theta):
     """Angular factor Theta_q: N_q (sin t)^c (cos t)^(1/2 +- b) P_q^(c, +-b)(cos 2t).
 
     Normalized to integral Theta^2 sin(t) dt = 1/2 over (0, pi/2), N_q > 0.
     """
-    q = _check_index(q, "q")
+    q = _check_nonneg_int(q, "q")
     b, c, _ = require_admissible(params, branch)
     beta = branch.sign * b
     t = _checked(theta, "theta", upper=0.5 * math.pi)
@@ -77,8 +71,8 @@ def theta_angular(q: int, params: SystemParams, branch: Branch, theta):
 
 def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
     """Radial factor R_{n_r q} with unit norm against r^2 dr on (0, inf)."""
-    n_r = _check_index(n_r, "n_r")
-    q = _check_index(q, "q")
+    n_r = _check_nonneg_int(n_r, "n_r")
+    q = _check_nonneg_int(q, "q")
     b, c, _ = require_admissible(params, branch)
     alpha = 2.0 * q + c + branch.sign * b + 1.0
     rr = _checked(r, "r")
@@ -103,7 +97,7 @@ def psi_spherical(label: SphericalLabel, params: SystemParams, point):
 
 def radial_cylindrical(n_rho: int, params: SystemParams, rho):
     """Radial factor R_{n_rho}(rho; c) with unit norm against rho d rho."""
-    n_rho = _check_index(n_rho, "n_rho")
+    n_rho = _check_nonneg_int(n_rho, "n_rho")
     _, c, _ = require_admissible(params, Branch.Plus)
     rr = _checked(rho, "rho")
     omega = params.omega
@@ -121,7 +115,7 @@ def z_axial(p: int, params: SystemParams, branch: Branch, z):
     The alternating sign matters: the interbasis coefficients are defined
     against exactly this convention.
     """
-    p = _check_index(p, "p")
+    p = _check_nonneg_int(p, "p")
     b, _, _ = require_admissible(params, branch)
     beta = branch.sign * b
     zz = _checked(z, "z")
@@ -152,7 +146,7 @@ def theta_ring(l: int, m: int, delta: float, theta):
 
     Valid on (0, pi); same half-interval normalization as theta_angular.
     """
-    l = _check_index(l, "l")
+    l = _check_nonneg_int(l, "l")
     ma = abs(int(m))
     if m != int(m) or l < ma:
         raise DomainError(f"theta_ring needs integer m with |m| <= l, got l={l}, m={m}")

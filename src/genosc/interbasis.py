@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AccuracyError, DomainError, NumericError
-from .model import Branch, SystemParams, energy_cylindrical_parts, require_admissible
+from .model import Branch, SystemParams, _check_nonneg_int, require_admissible
 from .specfun import build_quadrature, jacobi_p, ln_gamma
 
 __all__ = [
@@ -168,10 +168,7 @@ def cg_continued(args: CgArgs) -> float:
 
 
 def _check_level_indices(n: int, p: int, q: int) -> tuple[int, int, int]:
-    for name, v in (("n", n), ("p", p), ("q", q)):
-        if v != int(v) or v < 0:
-            raise DomainError(f"{name} must be a nonnegative integer, got {v}")
-    n, p, q = int(n), int(p), int(q)
+    n, p, q = _check_nonneg_int(n, "n"), _check_nonneg_int(p, "p"), _check_nonneg_int(q, "q")
     if p > n or q > n:
         raise DomainError(f"indices must satisfy 0 <= p, q <= n, got n={n}, p={p}, q={q}")
     return n, p, q
@@ -232,10 +229,26 @@ class CoefficientMatrix:
 
 def _residual_bound(size: int, diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
     """Largest eigen residual the contract allows; diag/offdiag may be stacked."""
-    scale = np.maximum(np.abs(diag).max(axis=-1), 1.0)
-    if offdiag.shape[-1]:
-        scale = np.maximum(scale, np.abs(offdiag).max(axis=-1))
-    return _RESIDUAL_FACTOR * size * scale
+    return _RESIDUAL_FACTOR * size * np.maximum(np.abs(diag).max(axis=-1, initial=1.0),
+                                                np.abs(offdiag).max(axis=-1, initial=0.0))
+
+
+def _check_residual(diag: np.ndarray, off: np.ndarray, vec: np.ndarray, lam: np.ndarray,
+                    what) -> None:
+    """Eigen residual contract: NumericError unless max|T vec - vec diag(lam)| of the
+    symmetric tridiagonal T with bands diag/off is within _residual_bound. Formed on
+    the bands in O(n^2) without BLAS, stacked (one bound per matrix) and NaN-safe;
+    `what` names the problem, or for a stack maps the failing index to its name."""
+    with np.errstate(all="ignore"):
+        res = (diag[..., None] - lam[..., None, :]) * vec
+        res[..., :-1, :] += off[..., None] * vec[..., 1:, :]
+        res[..., 1:, :] += off[..., None] * vec[..., :-1, :]
+        residual = np.abs(res).max(axis=(-2, -1))
+        within = residual <= _residual_bound(diag.shape[-1], diag, off)
+    if not within.all():
+        bad = int(np.argmin(within))
+        label = what if isinstance(what, str) else what(bad)
+        raise NumericError(f"eigen residual {residual.flat[bad]:.3e} above contract for {label}")
 
 
 def _recursion_columns(diag: np.ndarray, off: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -310,12 +323,9 @@ def _w_columns(n: int, params: SystemParams, branch: Branch,
         base = 2.0 * qs + c + branch.sign * b
         lam = (base + 0.5) * (base + 1.5)
         vec = _recursion_columns(diag, off, lam)
-        if not np.isfinite(vec).all():
-            raise NumericError(f"interbasis recursion gave non-finite entries at n={n}")
-        residual = np.abs(mat @ vec - vec * lam).max()
-        bound = _residual_bound(n + 1, diag, off)
-    if not residual <= bound:
-        raise NumericError(f"interbasis eigen residual {residual:.3e} above contract at n={n}")
+    if not np.isfinite(vec).all():
+        raise NumericError(f"interbasis recursion gave non-finite entries at n={n}")
+    _check_residual(diag, off, vec, lam, f"interbasis table at n={n}")
     return vec
 
 
@@ -384,10 +394,7 @@ def ring_w(N: int, m: int, n3: int, l: int, delta: float) -> float:
     c0 = (2l-1)/4 + delta/2, alpha = (N+|m|-2 n3)/4 + delta/2,
     beta = (2 n3 - N + |m| - 1)/4; no extra sign factor.
     """
-    for name, v in (("N", N), ("n3", n3), ("l", l)):
-        if v != int(v) or v < 0:
-            raise DomainError(f"{name} must be a nonnegative integer, got {v}")
-    N, n3, l = int(N), int(n3), int(l)
+    N, n3, l = _check_nonneg_int(N, "N"), _check_nonneg_int(n3, "n3"), _check_nonneg_int(l, "l")
     ma = abs(int(m))
     if delta < 0.0:
         raise DomainError(f"delta must be nonnegative, got {delta}")

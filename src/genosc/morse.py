@@ -122,7 +122,7 @@ def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:
     ln_c = 0.5 * (math.log(params.a) + ln_gamma(p + 1.0) + math.log(alpha)
                   - ln_gamma(2.0 * lam - p))
     log_w = math.log(2.0 * lam) - params.a * np.asarray(x, dtype=np.float64)
-    with np.errstate(under="ignore"):
+    with np.errstate(all="ignore"):   # non-finite values fail the norm contract
         w = np.exp(log_w)
         vals = ((-1.0) ** p * np.exp(ln_c + 0.5 * alpha * log_w - 0.5 * w)
                 * gen_laguerre(p, alpha, w))

@@ -18,10 +18,10 @@ import numpy as np
 from .bases import psi_cylindrical, psi_spherical
 from .errors import DomainError, NumericError
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
-from .interbasis import (_RESIDUAL_FACTOR, _residual_bound, m_matrix_cyl,  # noqa: F401
+from .interbasis import (_RESIDUAL_FACTOR, _check_residual, m_matrix_cyl,  # noqa: F401
                          n_matrix_sph, w_column)
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                    require_admissible, separation_constant_A)
+                    _check_nonneg_int, require_admissible, separation_constant_A)
 
 _SIGN_PIVOT_TOL = 1e-12
 
@@ -76,11 +76,7 @@ class TridiagonalSystem:
         return len(self.diag) - 1
 
     def dense(self) -> np.ndarray:
-        mat = np.diag(self.diag).copy()
-        idx = np.arange(self.n)
-        mat[idx, idx + 1] = self.offdiag
-        mat[idx + 1, idx] = self.offdiag
-        return mat
+        return _dense(self.diag, self.offdiag)
 
 
 @dataclass(frozen=True)
@@ -96,10 +92,7 @@ class SpheroidalSolution:
 
 
 def _check_level_index(n: int, k: int) -> tuple[int, int]:
-    for name, v in (("n", n), ("k", k)):
-        if v != int(v) or v < 0:
-            raise DomainError(f"{name} must be a nonnegative integer, got {v}")
-    n, k = int(n), int(k)
+    n, k = _check_nonneg_int(n, "n"), _check_nonneg_int(k, "k")
     if k > n:
         raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
     return n, k
@@ -120,12 +113,24 @@ def build_tridiag_u(n: int, params: SystemParams, branch: Branch, R: float,
     base = 2.0 * m_matrix_cyl(n, params, branch)
     p = np.arange(n + 1, dtype=float)
     e_z = params.omega * (2.0 * p + branch.sign * b + 1.0)
-    diag = np.diag(base) + kind.sign * 0.5 * R * R * e_z
+    with np.errstate(over="ignore"):   # an overflowed entry fails the eigensolve
+        diag = np.diag(base) + kind.sign * 0.5 * R * R * e_z
     offdiag = np.diag(base, 1).copy()
     diag.flags.writeable = False
     offdiag.flags.writeable = False
     return TridiagonalSystem(diag=diag, offdiag=offdiag, basis="cylindrical",
                              kind=kind, R=R)
+
+
+def _t_bands(n: int, params: SystemParams, branch: Branch, kind: Kind,
+             radii) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of diag(A_q) + sign (R^2/2) n_matrix_sph at one R, or one row per R
+    of an array; an overflowed entry is left to fail the eigensolve."""
+    n_mat = n_matrix_sph(n, params, branch)
+    a_q = np.array([separation_constant_A(q, params, branch) for q in range(n + 1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.asarray(kind.sign * 0.5 * radii * radii)[..., None]
+        return a_q + scale * np.diag(n_mat), scale * np.diag(n_mat, 1)
 
 
 def build_tridiag_t(n: int, params: SystemParams, branch: Branch, R: float,
@@ -134,28 +139,37 @@ def build_tridiag_t(n: int, params: SystemParams, branch: Branch, R: float,
     n, _ = _check_level_index(n, 0)
     require_admissible(params, branch)
     R = _check_r(R)
-    base = kind.sign * 0.5 * R * R * n_matrix_sph(n, params, branch)
-    a_q = np.array([separation_constant_A(q, params, branch) for q in range(n + 1)])
-    diag = a_q + np.diag(base)
-    offdiag = np.diag(base, 1).copy()
+    diag, offdiag = _t_bands(n, params, branch, kind, R)
     diag.flags.writeable = False
     offdiag.flags.writeable = False
     return TridiagonalSystem(diag=diag, offdiag=offdiag, basis="spherical",
                              kind=kind, R=R)
 
 
-def _eigh(mats: np.ndarray, what: str) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigenpairs (ascending) of one symmetric matrix or a stack of them.
+def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal matrix, or stack of them, from its bands."""
+    idx = np.arange(diag.shape[-1])
+    mat = np.zeros(diag.shape + idx.shape)
+    mat[..., idx, idx] = diag
+    mat[..., idx[:-1], idx[1:]] = mat[..., idx[1:], idx[:-1]] = off
+    return mat
 
-    LAPACK can return NaN instead of failing when the matrix holds a
-    non-finite entry; that counts as a failure too.
+
+def _solve(diag: np.ndarray, off: np.ndarray, what) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigenpairs (ascending) of the symmetric tridiagonal matrix with
+    bands diag/off, or of a stack of them, under the eigen residual contract.
+
+    LAPACK can return NaN instead of failing on a non-finite entry; that fails
+    too. `what` names the problem as in _check_residual, what(None) a stack.
     """
+    label = what if isinstance(what, str) else what(None)
     try:
-        lam, vec = np.linalg.eigh(mats)
+        lam, vec = np.linalg.eigh(_dense(diag, off))
     except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolve failed for {what}: {exc}") from exc
+        raise NumericError(f"eigensolve failed for {label}: {exc}") from exc
     if not np.isfinite(lam).all():
-        raise NumericError(f"eigensolve gave non-finite eigenvalues for {what}")
+        raise NumericError(f"eigensolve gave non-finite eigenvalues for {label}")
+    _check_residual(diag, off, vec, lam, what)
     return lam, vec
 
 
@@ -166,13 +180,8 @@ def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
     Sign convention: component k of column k nonnegative, falling back to the
     largest-magnitude component when component k is numerically zero.
     """
-    size = system.n + 1
-    dense = system.dense()
-    lam, vec = _eigh(dense, f"n={system.n}")
-    residual = np.abs(dense @ vec - vec * lam).max()
-    if residual > _residual_bound(size, system.diag, system.offdiag):
-        raise NumericError(f"eigensolve residual {residual:.3e} above contract at n={system.n}")
-    for k in range(size):
+    lam, vec = _solve(system.diag, system.offdiag, f"n={system.n}")
+    for k in range(system.n + 1):
         pivot = vec[k, k]
         if abs(pivot) < _SIGN_PIVOT_TOL:
             pivot = vec[np.argmax(np.abs(vec[:, k])), k]
@@ -248,9 +257,9 @@ def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
     """All separation constants lambda_0..lambda_n at every R of a grid.
 
     Row i holds the ascending eigenvalues of build_tridiag_t(n, ..., R_grid[i],
-    kind) = diag(A_q) + sign (R^2/2) n_matrix_sph, assembled from one
-    n_matrix_sph and solved by stacked LAPACK calls; every row meets the
-    residual contract of eigensolve.
+    kind) = diag(A_q) + sign (R^2/2) n_matrix_sph, from the same bands (one
+    n_matrix_sph per level) and the same solve as eigensolve, in stacked
+    LAPACK calls.
     """
     n, _ = _check_level_index(n, 0)
     grid = np.asarray(R_grid, dtype=float)
@@ -258,26 +267,15 @@ def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
         raise DomainError("R grid must be a nonempty one-dimensional sequence")
     if not np.all((grid > 0.0) & np.isfinite(grid)):
         raise DomainError("R grid must be positive and finite")
-    size = n + 1
-    n_mat = n_matrix_sph(n, params, branch)
-    a_q = np.array([separation_constant_A(q, params, branch) for q in range(size)])
-    idx = np.arange(size)
-    chunk = max(1, _GRID_CHUNK_ENTRIES // (size * size))
-    lam = np.empty((grid.size, size))
+    diag, off = _t_bands(n, params, branch, kind, grid)
+    chunk = max(1, _GRID_CHUNK_ENTRIES // ((n + 1) * (n + 1)))
+    lam = np.empty_like(diag)
+
+    def what(i):   # i indexes the chunk starting at lo
+        return f"lambda grid at n={n}" + ("" if i is None else f", R={grid[lo + i]:g}")
+
     for lo in range(0, grid.size, chunk):
-        radii = grid[lo:lo + chunk]
-        # the same floating-point operations, in the same order, as build_tridiag_t
-        mats = (kind.sign * 0.5 * radii * radii)[:, None, None] * n_mat
-        mats[:, idx, idx] += a_q
-        vals, vecs = _eigh(mats, f"lambda grid at n={n}")
-        residual = np.abs(mats @ vecs - vecs * vals[:, None, :]).max(axis=(1, 2))
-        above = residual > _residual_bound(size, mats[:, idx, idx],
-                                           mats[:, idx[:-1], idx[1:]])
-        if above.any():
-            bad = int(np.argmax(above))
-            raise NumericError(f"eigensolve residual {residual[bad]:.3e} above contract "
-                               f"at n={n}, R={radii[bad]:g}")
-        lam[lo:lo + chunk] = vals
+        lam[lo:lo + chunk] = _solve(diag[lo:lo + chunk], off[lo:lo + chunk], what)[0]
     return lam
 
 

@@ -503,6 +503,16 @@ def test_overflow_exits_4():
         assert "numeric failure" in err, argv
 
 
+def test_spheroidal_grid_overflow_exits_4_without_warning():
+    # R^2/2 overflows the operator bands; pytest turns any genosc.spheroidal
+    # RuntimeWarning into an error
+    for grid in ("1e-300:1e300:3", "0.1:1e154:3"):
+        code, out, err = run_cli(["spheroidal", "--R-grid", grid])
+        assert code == 4, grid
+        assert out == "", grid
+        assert err.startswith("numeric failure"), grid
+
+
 def _refuse_constant(token):
     raise ValueError(f"non-strict JSON token {token}")
 

@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from genosc import spheroidal
+from genosc import interbasis, spheroidal
 from genosc.errors import DomainError, NumericError
-from genosc.interbasis import m_matrix_cyl, n_matrix_sph, w_matrix
+from genosc.interbasis import m_matrix_cyl, n_matrix_sph, w_column, w_matrix
 from genosc.model import (Branch, SphericalLabel, SystemParams,
                           admissible_branches, channel_constants,
                           energy_cylindrical_parts, energy_level, ring_energy,
@@ -288,7 +288,7 @@ def test_lambda_grid_matches_per_r_eigensolve(n, kind):
     assert lam.shape == (grid.size, n + 1)
     for row, radius in zip(lam, grid):
         ref = eigensolve(build_tridiag_t(n, STEEP, Branch.Plus, float(radius), kind)).lam
-        np.testing.assert_allclose(row, ref, rtol=1e-14, atol=0.0)
+        np.testing.assert_array_equal(row, ref)
     curve = lambda_curve(n, n // 2, STEEP, Branch.Plus, kind, grid)
     assert [point[1] for point in curve] == list(lam[:, n // 2])
 
@@ -299,6 +299,20 @@ def test_lambda_grid_chunks_agree_with_one_stack(monkeypatch):
     monkeypatch.setattr(spheroidal, "_GRID_CHUNK_ENTRIES", 4 * 49)
     chunked = lambda_grid(6, BOTH, Branch.Minus, Kind.Oblate, grid)
     np.testing.assert_array_equal(chunked, whole)
+
+
+def test_every_level_eigenproblem_meets_one_residual_contract(monkeypatch):
+    # with a zero contract factor every eigen residual is a miss, whichever
+    # solve path formed it
+    monkeypatch.setattr(interbasis, "_RESIDUAL_FACTOR", 0.0)
+    with pytest.raises(NumericError, match="eigen residual"):
+        w_matrix(6, BOTH, Branch.Plus)
+    with pytest.raises(NumericError, match="eigen residual"):
+        w_column(6, 2, BOTH, Branch.Plus)
+    with pytest.raises(NumericError, match="eigen residual"):
+        eigensolve(build_tridiag_t(4, STEEP, Branch.Plus, 1.3, Kind.Prolate))
+    with pytest.raises(NumericError, match=r"eigen residual .* n=4, R=0\.7"):
+        lambda_grid(4, STEEP, Branch.Plus, Kind.Oblate, [0.7, 1.1, 2.5])
 
 
 # ---------------------------------------------------------- ring reduction
