@@ -21,11 +21,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_nonneg_int
 from .interbasis import ring_w, w_matrix
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                    _check_nonneg_int, energy_cylindrical_parts, energy_level,
-                    require_admissible, ring_relabel, separation_constant_A)
+                    energy_cylindrical_parts, energy_level, require_admissible,
+                    ring_relabel, separation_constant_A)
 from .morse import (MorseParams, bound_state_count, morse_spectrum,
                     morse_wavefunction, quadrature_norm)
 from .oracles import SUITE_MANIFEST, run_verification_suite
@@ -194,7 +194,7 @@ def resolve_config(args: argparse.Namespace) -> JobConfig:
     n = getattr(args, "n", 0)
     k = getattr(args, "k", 0)
     order = getattr(args, "order", 2)
-    _check_nonneg_int(n, "level")
+    check_nonneg_int(n, "level")
     if k != int(k) or not 0 <= k <= n:
         raise DomainError(f"index k must lie in 0..{n}, got {k}")
     if order < 1:

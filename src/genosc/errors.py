@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them."""
+
+import numpy as np
 
 
 class DomainError(ValueError):
@@ -11,3 +13,38 @@ class NumericError(RuntimeError):
 
 class AccuracyError(NumericError):
     """A requested accuracy cannot be guaranteed (e.g. quadrature too small)."""
+
+
+def check_nonneg_int(value, name: str) -> int:
+    """value as an int; DomainError unless it is a finite nonnegative integer.
+
+    Infinities, NaN and non-numbers are refused with the same error, never with
+    the OverflowError or ValueError that int() raises on them.
+    """
+    if type(value) is int and value >= 0:   # the common case, without int()
+        return value
+    try:
+        ok = value == int(value) and value >= 0
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
+    return int(value)
+
+
+def require_points(ok, message: str, value=None) -> None:
+    """DomainError(message) unless ok holds at every point.
+
+    ok is a boolean scalar or array over points. Over more than one point the
+    error names the index of the first failing one; value, when given, is an
+    array of ok's shape (or a scalar) whose entry at that point is quoted.
+    """
+    ok = np.asarray(ok)
+    if ok.all() if ok.ndim else ok:   # a scalar's truth value costs less than .all()
+        return
+    idx = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+    if value is not None:
+        message += f", got {np.asarray(value)[idx]}"
+    if ok.size > 1:
+        message += f" at point {idx[0] if len(idx) == 1 else idx}"
+    raise DomainError(message)

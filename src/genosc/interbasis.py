@@ -23,8 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NumericError
-from .model import Branch, SystemParams, _check_nonneg_int, require_admissible
+from .errors import AccuracyError, DomainError, NumericError, check_nonneg_int
+from .model import Branch, SystemParams, require_admissible
 from .specfun import build_quadrature, jacobi_p, ln_gamma
 
 __all__ = [
@@ -168,7 +168,7 @@ def cg_continued(args: CgArgs) -> float:
 
 
 def _check_level_indices(n: int, p: int, q: int) -> tuple[int, int, int]:
-    n, p, q = _check_nonneg_int(n, "n"), _check_nonneg_int(p, "p"), _check_nonneg_int(q, "q")
+    n, p, q = check_nonneg_int(n, "n"), check_nonneg_int(p, "p"), check_nonneg_int(q, "q")
     if p > n or q > n:
         raise DomainError(f"indices must satisfy 0 <= p, q <= n, got n={n}, p={p}, q={q}")
     return n, p, q
@@ -394,7 +394,7 @@ def ring_w(N: int, m: int, n3: int, l: int, delta: float) -> float:
     c0 = (2l-1)/4 + delta/2, alpha = (N+|m|-2 n3)/4 + delta/2,
     beta = (2 n3 - N + |m| - 1)/4; no extra sign factor.
     """
-    N, n3, l = _check_nonneg_int(N, "N"), _check_nonneg_int(n3, "n3"), _check_nonneg_int(l, "l")
+    N, n3, l = check_nonneg_int(N, "N"), check_nonneg_int(n3, "n3"), check_nonneg_int(l, "l")
     ma = abs(int(m))
     if delta < 0.0:
         raise DomainError(f"delta must be nonnegative, got {delta}")

@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_nonneg_int
 
 __all__ = [
     "Branch",
@@ -43,12 +43,6 @@ class Branch(enum.Enum):
     @property
     def sign(self) -> int:
         return self.value
-
-
-def _check_nonneg_int(value, name: str) -> int:
-    if value != int(value) or value < 0:
-        raise DomainError(f"{name} must be a nonnegative integer, got {value}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -109,8 +103,8 @@ class SphericalLabel:
     branch: Branch
 
     def __post_init__(self):
-        _check_nonneg_int(self.n_r, "n_r")
-        _check_nonneg_int(self.q, "q")
+        check_nonneg_int(self.n_r, "n_r")
+        check_nonneg_int(self.q, "q")
 
     @property
     def n(self) -> int:
@@ -127,8 +121,8 @@ class CylindricalLabel:
     branch: Branch
 
     def __post_init__(self):
-        _check_nonneg_int(self.n_rho, "n_rho")
-        _check_nonneg_int(self.p, "p")
+        check_nonneg_int(self.n_rho, "n_rho")
+        check_nonneg_int(self.p, "p")
 
     @property
     def n(self) -> int:
@@ -150,17 +144,17 @@ class RingLabel:
     n3: int | None = None
 
     def __post_init__(self):
-        _check_nonneg_int(self.N, "N")
+        check_nonneg_int(self.N, "N")
         if self.delta < 0.0:
             raise DomainError(f"delta must be nonnegative, got {self.delta}")
         if self.l is not None:
-            _check_nonneg_int(self.l, "l")
+            check_nonneg_int(self.l, "l")
             if self.l < abs(self.m) or self.l > self.N or (self.N - self.l) % 2:
                 raise DomainError(
                     f"ring label needs |m| <= l <= N with N - l even, got N={self.N}, "
                     f"l={self.l}, m={self.m}")
         if self.n3 is not None:
-            _check_nonneg_int(self.n3, "n3")
+            check_nonneg_int(self.n3, "n3")
             if self.n3 > self.N - abs(self.m) or (self.N - abs(self.m) - self.n3) % 2:
                 raise DomainError(
                     f"ring label needs 0 <= n3 <= N - |m| with N - |m| - n3 even, got "
@@ -169,7 +163,7 @@ class RingLabel:
 
 def separation_constant_A(q: int, params: SystemParams, branch: Branch) -> float:
     """Angular separation constant A_q = (2q + c +- b + 1/2)(2q + c +- b + 3/2)."""
-    q = _check_nonneg_int(q, "q")
+    q = check_nonneg_int(q, "q")
     b, c, _ = require_admissible(params, branch)
     base = 2.0 * q + c + branch.sign * b
     return (base + 0.5) * (base + 1.5)
@@ -177,7 +171,7 @@ def separation_constant_A(q: int, params: SystemParams, branch: Branch) -> float
 
 def energy_level(n: int, params: SystemParams, branch: Branch) -> float:
     """E_n = omega (2n + c +- b + 2); degenerate across all splits of n."""
-    n = _check_nonneg_int(n, "n")
+    n = check_nonneg_int(n, "n")
     b, c, _ = require_admissible(params, branch)
     return params.omega * (2.0 * n + c + branch.sign * b + 2.0)
 
@@ -185,8 +179,8 @@ def energy_level(n: int, params: SystemParams, branch: Branch) -> float:
 def energy_cylindrical_parts(n_rho: int, p: int, params: SystemParams,
                              branch: Branch) -> tuple[float, float]:
     """(E_rho, E_z) = (omega (2 n_rho + c + 1), omega (2p +- b + 1))."""
-    n_rho = _check_nonneg_int(n_rho, "n_rho")
-    p = _check_nonneg_int(p, "p")
+    n_rho = check_nonneg_int(n_rho, "n_rho")
+    p = check_nonneg_int(p, "p")
     b, c, _ = require_admissible(params, branch)
     e_rho = params.omega * (2.0 * n_rho + c + 1.0)
     e_z = params.omega * (2.0 * p + branch.sign * b + 1.0)
@@ -199,7 +193,7 @@ def enumerate_level(n: int, params: SystemParams) -> list[tuple[SphericalLabel, 
     Pair k holds the spherical label with q = k and the cylindrical label
     with p = k; the pairing is positional bookkeeping, not a physical map.
     """
-    n = _check_nonneg_int(n, "n")
+    n = check_nonneg_int(n, "n")
     out = []
     for branch in admissible_branches(params):
         for k in range(n + 1):
@@ -231,11 +225,11 @@ def ring_relabel(label, params: SystemParams) -> RingLabel:
 
 def ring_separation_constant(l: int, delta: float) -> float:
     """A_l(delta) = (l + delta)(l + delta + 1); reduces to l(l+1) at delta = 0."""
-    l = _check_nonneg_int(l, "l")
+    l = check_nonneg_int(l, "l")
     return (l + delta) * (l + delta + 1.0)
 
 
 def ring_energy(N: int, delta: float, omega: float) -> float:
     """E_N = omega (N + delta + 3/2); the isotropic-oscillator ladder at delta = 0."""
-    N = _check_nonneg_int(N, "N")
+    N = check_nonneg_int(N, "N")
     return omega * (N + delta + 1.5)

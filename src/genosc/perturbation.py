@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, NumericError, check_nonneg_int
 from .interbasis import m_matrix_cyl, n_matrix_sph
 from .model import (SystemParams, Branch, energy_cylindrical_parts,
                     require_admissible, separation_constant_A)
@@ -67,15 +67,15 @@ def _check_r(R: float) -> float:
 
 
 def _check_indices(n: int, k: int) -> tuple[int, int]:
-    if n != int(n) or n < 0:
-        raise DomainError(f"level n must be a nonnegative integer, got {n!r}")
-    if k != int(k) or not 0 <= k <= n:
+    n = check_nonneg_int(n, "level n")
+    k = check_nonneg_int(k, "channel index k")
+    if k > n:
         raise DomainError(f"channel index k must lie in 0..{n}, got {k!r}")
-    return int(n), int(k)
+    return n, k
 
 
 def _check_order(order: int) -> int:
-    if order != int(order) or order < 1:
+    if check_nonneg_int(order, "series order") < 1:
         raise DomainError(f"series order must be a positive integer, got {order!r}")
     return int(order)
 

@@ -9,19 +9,22 @@ three-term recurrences.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NumericError
+from .errors import AccuracyError, DomainError, NumericError, check_nonneg_int
 
 __all__ = [
     "QuadratureRule",
     "ln_gamma",
     "gamma_sign_ln",
     "jacobi_p",
+    "jacobi_rows",
     "gen_laguerre",
+    "gen_laguerre_rows",
     "gegenbauer",
     "hermite",
     "assoc_legendre",
@@ -64,11 +67,17 @@ def gamma_sign_ln(x: float) -> tuple[float, float]:
     return sign, math.lgamma(x)
 
 
+# The recurrences yield their values at degrees 0, 1, ..., n in turn, each one
+# row over the points, and keep only the last two rows. A yielded row is the
+# recurrence's own state: read it, do not write to it.
+
 def _jacobi(n, alpha, beta, x):
     p0 = np.ones_like(x)
+    yield p0
     if n == 0:
-        return p0
+        return
     p1 = 0.5 * (alpha - beta + (alpha + beta + 2.0) * x)
+    yield p1
     for k in range(2, n + 1):
         k2ab = 2.0 * k + alpha + beta
         c1 = 2.0 * k * (k + alpha + beta) * (k2ab - 2.0)
@@ -76,68 +85,100 @@ def _jacobi(n, alpha, beta, x):
         c3 = (k2ab - 2.0) * (k2ab - 1.0) * k2ab
         c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * k2ab
         p0, p1 = p1, ((c2 + c3 * x) * p1 - c4 * p0) / c1
-    return p1
+        yield p1
 
 
 def _laguerre(n, alpha, x):
-    p0 = np.ones_like(x)
+    # alpha is a float, or an array broadcasting against x with one order per row
+    p0 = (np.ones_like(x) if isinstance(alpha, float)
+          else np.ones(np.broadcast_shapes(alpha.shape, x.shape)))
+    yield p0
     if n == 0:
-        return p0
+        return
     p1 = 1.0 + alpha - x
+    yield p1
     for k in range(2, n + 1):
         p0, p1 = p1, ((2.0 * k - 1.0 + alpha - x) * p1 - (k - 1.0 + alpha) * p0) / k
-    return p1
+        yield p1
 
 
 def _gegenbauer(n, lam, x):
     p0 = np.ones_like(x)
+    yield p0
     if n == 0:
-        return p0
+        return
     p1 = 2.0 * lam * x
+    yield p1
     for k in range(2, n + 1):
         p0, p1 = p1, (2.0 * (k + lam - 1.0) * x * p1 - (k + 2.0 * lam - 2.0) * p0) / k
-    return p1
+        yield p1
 
 
 def _hermite(n, x):
     p0 = np.ones_like(x)
+    yield p0
     if n == 0:
-        return p0
+        return
     p1 = 2.0 * x
+    yield p1
     for k in range(2, n + 1):
         p0, p1 = p1, 2.0 * x * p1 - 2.0 * (k - 1.0) * p0
-    return p1
+        yield p1
 
 
 def _poly_eval(recurrence, args, x):
-    """Run a forward three-term recurrence over the points x (any shape)."""
+    """Last degree of a forward three-term recurrence over the points x (any
+    shape); a float for a scalar x. Only the last two rows are ever held."""
     arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = recurrence(*args, arr.ravel())
+    out = deque(recurrence(*args, arr.ravel()), maxlen=1)[0]
     if np.isscalar(x) or np.ndim(x) == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
 
 def _check_degree(n: int) -> int:
-    if n < 0 or n != int(n):
-        raise DomainError(f"polynomial degree must be a nonnegative integer, got {n}")
-    return int(n)
+    return check_nonneg_int(n, "polynomial degree")
+
+
+def _jacobi_args(n, alpha, beta):
+    n = _check_degree(n)
+    if not (alpha > -1.0 and beta > -1.0):
+        raise DomainError(f"jacobi_p requires alpha, beta > -1, got ({alpha}, {beta})")
+    return n, float(alpha), float(beta)
+
+
+def jacobi_rows(n: int, alpha: float, beta: float, x):
+    """P_0^(alpha, beta)(x), ..., P_n^(alpha, beta)(x), alpha, beta > -1, as a
+    generator of rows over the array x, from one forward recurrence."""
+    return _jacobi(*_jacobi_args(n, alpha, beta), np.asarray(x, dtype=np.float64))
 
 
 def jacobi_p(n: int, alpha: float, beta: float, x):
     """Jacobi polynomial P_n^(alpha, beta)(x), alpha, beta > -1."""
+    return _poly_eval(_jacobi, _jacobi_args(n, alpha, beta), x)
+
+
+def _laguerre_args(n, alpha):
     n = _check_degree(n)
-    if alpha <= -1.0 or beta <= -1.0:
-        raise DomainError(f"jacobi_p requires alpha, beta > -1, got ({alpha}, {beta})")
-    return _poly_eval(_jacobi, (n, float(alpha), float(beta)), x)
+    array = isinstance(alpha, np.ndarray)
+    if not (np.all(alpha > -1.0) if array else alpha > -1.0):
+        raise DomainError(f"gen_laguerre requires alpha > -1, got {alpha}")
+    return n, alpha if array else float(alpha)
+
+
+def gen_laguerre_rows(n: int, alpha, x):
+    """L_0^alpha(x), ..., L_n^alpha(x), alpha > -1, as a generator of rows over
+    the array x, from one forward recurrence.
+
+    alpha may be a numpy array that broadcasts against x; every row then has
+    the broadcast shape, with the order alpha varying along it.
+    """
+    return _laguerre(*_laguerre_args(n, alpha), np.asarray(x, dtype=np.float64))
 
 
 def gen_laguerre(n: int, alpha: float, x):
     """Generalized Laguerre polynomial L_n^alpha(x), alpha > -1."""
-    n = _check_degree(n)
-    if alpha <= -1.0:
-        raise DomainError(f"gen_laguerre requires alpha > -1, got {alpha}")
-    return _poly_eval(_laguerre, (n, float(alpha)), x)
+    return _poly_eval(_laguerre, _laguerre_args(n, alpha), x)
 
 
 def gegenbauer(n: int, lam: float, x):
@@ -272,7 +313,7 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     """
     if kind not in _QUAD_KINDS:
         raise DomainError(f"unknown quadrature kind {kind!r}, expected one of {_QUAD_KINDS}")
-    if n < 1 or n != int(n):
+    if check_nonneg_int(n, "quadrature size") < 1:
         raise DomainError(f"quadrature size must be a positive integer, got {n}")
     n = int(n)
     alpha = float(alpha)

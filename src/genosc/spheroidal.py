@@ -15,13 +15,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .bases import psi_cylindrical, psi_spherical
-from .errors import DomainError, NumericError
+from .bases import _with_phase, cylindrical_level, spherical_level
+from .errors import DomainError, NumericError, check_nonneg_int, require_points
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
 from .interbasis import (_RESIDUAL_FACTOR, _check_residual, m_matrix_cyl,  # noqa: F401
                          n_matrix_sph, w_column)
-from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                    _check_nonneg_int, require_admissible, separation_constant_A)
+from .model import Branch, SystemParams, require_admissible, separation_constant_A
 
 _SIGN_PIVOT_TOL = 1e-12
 
@@ -44,21 +43,38 @@ class Route(enum.Enum):
     ViaCylindrical = "cylindrical"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpheroidalPoint:
-    """Point (xi, eta, phi); the prolate sheet additionally needs xi >= 1."""
+    """Point (xi, eta, phi), or a batch of points as three equal-shape arrays.
 
-    xi: float
-    eta: float
-    phi: float
+    Needs finite xi >= 0, -1 <= eta <= 1 and 0 <= phi < 2 pi at every point;
+    the prolate sheet additionally needs xi >= 1. Array fields are stored as
+    read-only float arrays, scalars as given. A DomainError about a batch
+    names the index of its first bad point. Points compare and hash by
+    identity, as arrays cannot be compared to one truth value.
+    """
+
+    xi: float | np.ndarray
+    eta: float | np.ndarray
+    phi: float | np.ndarray
 
     def __post_init__(self) -> None:
-        if not (self.xi >= 0.0) or not math.isfinite(self.xi):
-            raise DomainError(f"need xi >= 0, got {self.xi}")
-        if not (-1.0 <= self.eta <= 1.0):
-            raise DomainError(f"need -1 <= eta <= 1, got {self.eta}")
-        if not (0.0 <= self.phi < 2.0 * math.pi):
-            raise DomainError(f"need 0 <= phi < 2 pi, got {self.phi}")
+        try:
+            coords = [np.asarray(v, dtype=float) for v in (self.xi, self.eta, self.phi)]
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"xi, eta and phi must be real numbers or arrays: {exc}") from exc
+        xi, eta, phi = coords
+        if not xi.shape == eta.shape == phi.shape:
+            raise DomainError(f"xi, eta and phi need equal shapes, got "
+                              f"{xi.shape}, {eta.shape}, {phi.shape}")
+        require_points((xi >= 0.0) & np.isfinite(xi), "need xi >= 0", xi)
+        require_points((-1.0 <= eta) & (eta <= 1.0), "need -1 <= eta <= 1", eta)
+        require_points((0.0 <= phi) & (phi < 2.0 * math.pi), "need 0 <= phi < 2 pi", phi)
+        if xi.ndim:
+            for name, arr in zip(("xi", "eta", "phi"), coords):
+                arr = arr.copy()
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -92,7 +108,7 @@ class SpheroidalSolution:
 
 
 def _check_level_index(n: int, k: int) -> tuple[int, int]:
-    n, k = _check_nonneg_int(n, "n"), _check_nonneg_int(k, "k")
+    n, k = check_nonneg_int(n, "n"), check_nonneg_int(k, "k")
     if k > n:
         raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
     return n, k
@@ -290,48 +306,71 @@ def lambda_curve(n: int, k: int, params: SystemParams, branch: Branch, kind: Kin
     return [(float(r_val), float(row[k])) for r_val, row in zip(grid, lam)]
 
 
+def _image(point: SpheroidalPoint, R: float, kind: Kind):
+    """(rho, phi, z, r) of the point: arrays of its shape, numpy scalars for a
+    scalar point. A huge xi overflows rho and r to inf, for callers to refuse."""
+    R = _check_r(R)
+    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
+    xi, eta, phi = (np.asarray(v, dtype=float)[()] for v in (point.xi, point.eta, point.phi))
+    if kind is Kind.Prolate:
+        require_points(xi >= 1.0, "prolate sheet needs xi >= 1", xi)
+    with np.errstate(over="ignore"):
+        radial2 = xi * xi - 1.0 if kind is Kind.Prolate else xi * xi + 1.0
+        rho = 0.5 * R * np.sqrt(radial2 * (1.0 - eta * eta))
+        z = 0.5 * R * xi * eta
+        r = np.hypot(rho, z)
+    return rho, phi, z, r
+
+
 def map_spheroidal_point(point: SpheroidalPoint, R: float, kind: Kind):
     """Cartesian, spherical and cylindrical images of a spheroidal point.
 
     Prolate: rho = (R/2) sqrt((xi^2-1)(1-eta^2)), z = (R/2) xi eta; the
-    oblate sheet replaces xi^2-1 by xi^2+1 and admits xi >= 0.
+    oblate sheet replaces xi^2-1 by xi^2+1 and admits xi >= 0. Maps a batch
+    elementwise into arrays of its shape; a scalar point gets Python floats.
     """
-    R = _check_r(R)
-    if kind is Kind.Prolate and point.xi < 1.0:
-        raise DomainError(f"prolate sheet needs xi >= 1, got {point.xi}")
-    radial2 = point.xi * point.xi - 1.0 if kind is Kind.Prolate \
-        else point.xi * point.xi + 1.0
-    rho = 0.5 * R * math.sqrt(radial2 * (1.0 - point.eta * point.eta))
-    z = 0.5 * R * point.xi * point.eta
-    x = rho * math.cos(point.phi)
-    y = rho * math.sin(point.phi)
-    r = math.hypot(rho, z)
-    theta = math.atan2(rho, z)
-    return (x, y, z), (r, theta, point.phi), (rho, point.phi, z)
+    rho, phi, z, r = _image(point, R, kind)
+    with np.errstate(invalid="ignore"):   # inf * 0 where rho overflowed
+        x, y = rho * np.cos(phi), rho * np.sin(phi)
+    images = (x, y, z), (r, np.arctan2(rho, z), phi), (rho, phi, z)
+    if np.ndim(point.xi):
+        return images
+    return tuple(tuple(float(v) for v in image) for image in images)
 
 
 def psi_spheroidal(n: int, k: int, m: int, params: SystemParams, branch: Branch,
                    R: float, kind: Kind, point: SpheroidalPoint,
-                   route: Route) -> complex:
-    """Spheroidal wavefunction synthesized through either expansion route.
+                   route: Route):
+    """Spheroidal wavefunction Psi_k = sum_q T^q Psi_sph(q) = sum_p U^p Psi_cyl(p).
+
+    All n+1 terms of the level are evaluated at once over every point (see
+    bases.spherical_level and bases.cylindrical_level), then contracted with
+    the coefficient column and given the phase e^{i m phi} / sqrt(2 pi).
+    Returns a complex for a scalar point and a complex array of the point's
+    shape for a batch; a batch and one-point calls give identical values.
 
     Evaluable on the z > 0 half-domain only, where the one-dimensional basis
-    factors are defined.
+    factors are defined. A point whose image has a non-finite rho, z or r
+    raises DomainError on either route; past the far tail of the Gaussians a
+    term is exactly 0.
     """
     n, k = _check_level_index(n, k)
     if m != params.m:
         raise DomainError(f"label m={m} differs from params m={params.m}")
     if not isinstance(route, Route):
         raise DomainError(f"unknown synthesis route {route!r}")
-    _, sph_pt, cyl_pt = map_spheroidal_point(point, R, kind)
-    if cyl_pt[2] <= 0.0:
-        raise DomainError("synthesis point must map into the z > 0 half-domain")
+    rho, phi, z, r = _image(point, R, kind)
+    require_points(z > 0.0, "synthesis point must map into the z > 0 half-domain")
+    require_points(np.isfinite(rho) & np.isfinite(z) & np.isfinite(r),
+                   "synthesis point maps to a non-finite rho, z or r")
     if route is Route.ViaSpherical:
         coeff = t_coefficients(n, k, params, branch, R, kind)
-        return sum(coeff[q] * psi_spherical(
-            SphericalLabel(n_r=n - q, q=q, m=m, branch=branch), params, sph_pt)
-            for q in range(n + 1))
-    coeff = u_coefficients(n, k, params, branch, R, kind)
-    return sum(coeff[p] * psi_cylindrical(
-        CylindricalLabel(n_rho=n - p, p=p, m=m, branch=branch), params, cyl_pt)
-        for p in range(n + 1))
+        terms = spherical_level(n, params, branch, r, np.arctan2(rho, z))
+    else:
+        coeff = u_coefficients(n, k, params, branch, R, kind)
+        terms = cylindrical_level(n, params, branch, rho, z)
+    # summed term by term, so that no point's value depends on the batch size
+    amp = coeff[0] * terms[0]
+    for c, term in zip(coeff[1:], terms[1:]):
+        amp = amp + c * term
+    return _with_phase(amp, m, phi, np.ndim(point.xi) == 0)

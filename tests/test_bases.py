@@ -1,18 +1,21 @@
 """Eigenfunction factors: norms, node counts, limits, operator residuals."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from genosc.bases import (psi_cylindrical, psi_spherical, radial_cylindrical,
-                          radial_spherical, spherical_harmonic_limit,
+from genosc.bases import (cylindrical_level, psi_cylindrical, psi_spherical,
+                          radial_cylindrical, radial_spherical,
+                          spherical_harmonic_limit, spherical_level,
                           theta_angular, theta_ring, z_axial)
 from genosc.errors import DomainError
 from genosc.model import (Branch, CylindricalLabel, SphericalLabel,
-                          SystemParams, channel_constants, ring_relabel,
-                          separation_constant_A)
+                          SystemParams, admissible_branches, channel_constants,
+                          ring_relabel, separation_constant_A)
+from genosc.specfun import gen_laguerre, jacobi_p, ln_gamma
 
 BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3, c=1
 RING = SystemParams(omega=1.0, p_strength=0.0, q_strength=3.0, m=1)     # b=1/2, c=2
@@ -71,6 +74,11 @@ def test_theta_domain():
         theta_angular(0, BOTH, Branch.Plus, math.pi / 2)
     with pytest.raises(DomainError):
         theta_angular(0, STEEP, Branch.Minus, 0.3)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="q must be"):
+            theta_angular(bad, BOTH, Branch.Plus, 0.3)
+        with pytest.raises(DomainError, match="theta must lie"):
+            theta_angular(0, BOTH, Branch.Plus, bad)
 
 
 def test_theta_poschl_teller_residual():
@@ -129,6 +137,15 @@ def test_radial_domain():
         radial_spherical(0, 0, BOTH, Branch.Plus, 0.0)
     with pytest.raises(DomainError):
         radial_cylindrical(0, BOTH, -1.0)
+    with pytest.raises(DomainError, match="r must lie"):
+        radial_spherical(0, 0, BOTH, Branch.Plus, math.nan)
+    with pytest.raises(DomainError, match=r"rho must lie .* at point 1"):
+        radial_cylindrical(0, BOTH, np.array([1.0, math.nan]))
+    with pytest.raises(DomainError, match="z must lie"):
+        z_axial(0, BOTH, Branch.Plus, math.nan)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="n_r must be"):
+            radial_spherical(bad, 0, BOTH, Branch.Plus, 1.0)
 
 
 # ---------------------------------------------------------------- axial
@@ -256,3 +273,151 @@ def test_psi_label_params_mismatch():
     lbl = SphericalLabel(n_r=0, q=0, m=2, branch=Branch.Plus)
     with pytest.raises(DomainError):
         psi_spherical(lbl, BOTH, (1.0, 0.5, 0.0))
+
+
+# ------------------------------------------------------ per-label parity
+
+# The per-label evaluators as they were before they shared their
+# normalizations with the level evaluators, kept as the reference that they
+# still give the same values bit for bit (test_specfun pins the polynomials).
+
+def _ref_theta_angular(q, params, branch, theta):
+    b, c, _ = channel_constants(params)
+    beta = branch.sign * b
+    t = np.asarray(theta, dtype=np.float64)
+    ln_n2 = (math.log(2.0 * q + c + beta + 1.0) + ln_gamma(q + 1.0)
+             + ln_gamma(q + c + beta + 1.0) - ln_gamma(q + c + 1.0)
+             - ln_gamma(q + beta + 1.0))
+    st, ct = np.sin(t), np.cos(t)
+    out = (math.exp(0.5 * ln_n2) * st ** c * ct ** (0.5 + beta)
+           * jacobi_p(q, c, beta, np.cos(2.0 * t)))
+    return float(out) if np.ndim(theta) == 0 else out
+
+
+def _ref_radial_spherical(n_r, q, params, branch, r):
+    b, c, _ = channel_constants(params)
+    alpha = 2.0 * q + c + branch.sign * b + 1.0
+    rr = np.asarray(r, dtype=np.float64)
+    omega = params.omega
+    ln_c2 = (math.log(2.0) + 1.5 * math.log(omega)
+             + ln_gamma(n_r + 1.0) - ln_gamma(n_r + alpha + 1.0))
+    x = omega * rr * rr
+    out = (math.exp(0.5 * ln_c2) * (math.sqrt(omega) * rr) ** (alpha - 0.5)
+           * np.exp(-0.5 * x) * gen_laguerre(n_r, alpha, x))
+    return float(out) if np.ndim(r) == 0 else out
+
+
+def _ref_radial_cylindrical(n_rho, params, rho):
+    _, c, _ = channel_constants(params)
+    rr = np.asarray(rho, dtype=np.float64)
+    omega = params.omega
+    ln_c2 = (math.log(2.0) + math.log(omega)
+             + ln_gamma(n_rho + 1.0) - ln_gamma(n_rho + c + 1.0))
+    x = omega * rr * rr
+    out = (math.exp(0.5 * ln_c2) * np.exp(-0.5 * x)
+           * (math.sqrt(omega) * rr) ** c * gen_laguerre(n_rho, c, x))
+    return float(out) if np.ndim(rho) == 0 else out
+
+
+def _ref_z_axial(p, params, branch, z):
+    b, _, _ = channel_constants(params)
+    beta = branch.sign * b
+    zz = np.asarray(z, dtype=np.float64)
+    omega = params.omega
+    ln_c2 = 0.5 * math.log(omega) + ln_gamma(p + 1.0) - ln_gamma(p + beta + 1.0)
+    x = omega * zz * zz
+    out = ((-1.0) ** p * math.exp(0.5 * ln_c2) * np.exp(-0.5 * x)
+           * (math.sqrt(omega) * zz) ** (0.5 + beta) * gen_laguerre(p, beta, x))
+    return float(out) if np.ndim(z) == 0 else out
+
+
+def _random_system(rng):
+    """Parameters over both branch regimes, c = 0 included (m = 0, Q = 0)."""
+    m = int(rng.integers(0, 3))
+    params = SystemParams(omega=10.0 ** rng.uniform(-1.0, 1.0),
+                          p_strength=float(rng.choice([rng.uniform(-0.25, 0.0),
+                                                       rng.uniform(0.0, 4.0)])),
+                          q_strength=float(rng.choice([0.0, rng.uniform(0.0, 3.0)])),
+                          m=m)
+    branches = admissible_branches(params)
+    return params, branches[int(rng.integers(len(branches)))]
+
+
+def _same(got, ref):
+    return type(got) is type(ref) and np.array_equal(got, ref)
+
+
+def test_per_label_evaluators_match_reference_bit_for_bit():
+    rng = np.random.default_rng(1996)
+    for _ in range(150):
+        params, branch = _random_system(rng)
+        q, deg = (int(v) for v in rng.integers(0, 21, 2))
+        u = rng.uniform(0.02, 7.0, int(rng.integers(1, 20))) / math.sqrt(params.omega)
+        t = rng.uniform(0.01, 0.5 * math.pi - 0.01, u.size)
+        for r, theta in ((u, t), (float(u[0]), float(t[0]))):
+            assert _same(theta_angular(q, params, branch, theta),
+                         _ref_theta_angular(q, params, branch, theta))
+            assert _same(radial_spherical(deg, q, params, branch, r),
+                         _ref_radial_spherical(deg, q, params, branch, r))
+            assert _same(radial_cylindrical(deg, params, r),
+                         _ref_radial_cylindrical(deg, params, r))
+            assert _same(z_axial(deg, params, branch, r), _ref_z_axial(deg, params, branch, r))
+
+
+# -------------------------------------------------------- level evaluators
+
+def test_level_terms_match_per_label_products():
+    rng = np.random.default_rng(5)
+    for params in (BOTH, RING, ISO, STEEP):
+        for branch in admissible_branches(params):
+            for n in (0, 1, 4, 11, 20):
+                u = rng.uniform(0.05, 6.0, 30)
+                t = rng.uniform(0.01, 0.5 * math.pi - 0.01, 30)
+                sph = spherical_level(n, params, branch, u, t)
+                cyl = cylindrical_level(n, params, branch, u, t)
+                assert sph.shape == cyl.shape == (n + 1, 30)
+                ref_sph = np.array([radial_spherical(n - q, q, params, branch, u)
+                                    * theta_angular(q, params, branch, t)
+                                    for q in range(n + 1)])
+                ref_cyl = np.array([radial_cylindrical(n - p, params, u)
+                                    * z_axial(p, params, branch, t) for p in range(n + 1)])
+                for got, ref in ((sph, ref_sph), (cyl, ref_cyl)):
+                    np.testing.assert_allclose(got, ref, rtol=1e-13,
+                                               atol=1e-15 * np.abs(ref).max())
+                # a point gives the same values alone as in the batch
+                for i in (0, 17):
+                    assert np.array_equal(spherical_level(n, params, branch, u[i], t[i]),
+                                          sph[:, i])
+                    assert np.array_equal(cylindrical_level(n, params, branch, u[i], t[i]),
+                                          cyl[:, i])
+
+
+def test_level_evaluators_validate_like_per_label():
+    with pytest.raises(DomainError, match="theta must lie .* at point 1"):
+        spherical_level(2, BOTH, Branch.Plus, [1.0, 1.0], [0.3, math.pi / 2])
+    with pytest.raises(DomainError, match="z must lie .* at point 2"):
+        cylindrical_level(2, BOTH, Branch.Plus, [1.0, 1.0, 1.0], [0.3, 0.4, 0.0])
+    with pytest.raises(DomainError):
+        cylindrical_level(2, STEEP, Branch.Minus, 1.0, 1.0)
+    with pytest.raises(DomainError):
+        spherical_level(math.inf, BOTH, Branch.Plus, 1.0, 0.3)
+
+
+def test_level_far_tail_is_exactly_zero_without_warnings():
+    # the Gaussian e^{-omega u^2/2} is 0 in double precision from u ~ 38.6 at
+    # omega = 1 (27.3 at omega = 2) on; the polynomial and power factors
+    # overflow far beyond that
+    far = np.array([1.0, 20.0, 1e3, 1e100, 1e200, 1e307])
+    theta = np.full(far.shape, 0.7)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for params in (BOTH, STEEP):
+            for branch in admissible_branches(params):
+                for n in (0, 5, 20, 60):
+                    near = np.ones(far.shape)
+                    for level in (spherical_level(n, params, branch, far, theta),
+                                  cylindrical_level(n, params, branch, far, near),
+                                  cylindrical_level(n, params, branch, near, far)):
+                        assert np.all(level[:, :2] != 0.0)
+                        assert np.all(level[:, 2:] == 0.0)
+                    assert np.all(spherical_level(n, params, branch, 1e200, 0.7) == 0.0)

@@ -1,10 +1,12 @@
 """Parameter bookkeeping: derived constants, energies, labels, ring relabeling."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genosc.errors import DomainError
+from genosc.errors import DomainError, check_nonneg_int
 from genosc.model import (Branch, CylindricalLabel, RingLabel, SphericalLabel,
                           SystemParams, admissible_branches, channel_constants,
                           energy_cylindrical_parts, energy_level,
@@ -113,6 +115,18 @@ def test_label_validation():
         CylindricalLabel(n_rho=0, p=-2, m=0, branch=Branch.Plus)
     lbl = SphericalLabel(n_r=2, q=3, m=1, branch=Branch.Plus)
     assert lbl.n == 5
+    # non-finite and non-numeric indices are domain errors, not the
+    # OverflowError or ValueError that int() raises on them
+    for bad in (math.inf, -math.inf, math.nan, "2", None, 1.5):
+        with pytest.raises(DomainError, match="nonnegative integer"):
+            SphericalLabel(n_r=bad, q=0, m=0, branch=Branch.Plus)
+        with pytest.raises(DomainError):
+            energy_level(bad, BOTH, Branch.Plus)
+        with pytest.raises(DomainError):
+            separation_constant_A(bad, BOTH, Branch.Plus)
+        with pytest.raises(DomainError, match="level"):
+            check_nonneg_int(bad, "level")
+    assert check_nonneg_int(3.0, "n") == 3 and type(check_nonneg_int(3.0, "n")) is int
 
 
 def test_ring_relabel_examples():

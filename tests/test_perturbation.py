@@ -322,6 +322,13 @@ def test_argument_validation():
         small_r_series(2, 3, BOTH, Branch.Plus)
     with pytest.raises(DomainError):
         small_r_series(-1, 0, BOTH, Branch.Plus)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="level n"):
+            small_r_series(bad, 0, BOTH, Branch.Plus)
+        with pytest.raises(DomainError, match="channel index k"):
+            large_r_series(2, bad, BOTH, Branch.Plus)
+        with pytest.raises(DomainError, match="series order"):
+            small_r_series(2, 1, BOTH, Branch.Plus, order=bad)
     with pytest.raises(DomainError):
         large_r_series(2, 1, BOTH, Branch.Plus, order=0)
     with pytest.raises(DomainError):

@@ -192,11 +192,118 @@ def test_polynomial_domain_errors():
     with pytest.raises(DomainError):
         sf.jacobi_p(2, -1.0, 0.0, 0.5)
     with pytest.raises(DomainError):
+        sf.jacobi_p(2, 0.5, math.nan, 0.5)
+    with pytest.raises(DomainError):
         sf.gen_laguerre(2, -1.2, 0.5)
+    with pytest.raises(DomainError):
+        sf.gen_laguerre(2, math.nan, 0.5)
+    with pytest.raises(DomainError):
+        sf.gen_laguerre_rows(2, np.array([[0.5], [-1.5]]), np.ones(3))
     with pytest.raises(DomainError):
         sf.gegenbauer(2, 0.0, 0.5)
     with pytest.raises(DomainError):
         sf.jacobi_p(-1, 0.0, 0.0, 0.5)
+    # non-finite and non-numeric degrees are domain errors, not OverflowError
+    # or ValueError from int()
+    for bad in (math.inf, -math.inf, math.nan, 2.5, "3", None):
+        for call in (lambda n: sf.gen_laguerre(n, 0.5, 1.0),
+                     lambda n: sf.jacobi_p(n, 0.5, 0.5, 0.2),
+                     lambda n: sf.gegenbauer(n, 0.5, 0.2),
+                     lambda n: sf.hermite(n, 0.2),
+                     lambda n: sf.assoc_legendre(n, 0, 0.2),
+                     lambda n: sf.gen_laguerre_rows(n, 0.5, 1.0),
+                     lambda n: sf.jacobi_rows(n, 0.5, 0.5, 0.2)):
+            with pytest.raises(DomainError, match="polynomial degree"):
+                call(bad)
+
+
+# The two-array recurrences that the row generators replaced, kept as the
+# reference that every degree still comes out bit for bit.
+
+def _ref_jacobi(n, alpha, beta, x):
+    p0 = np.ones_like(x)
+    if n == 0:
+        return p0
+    p1 = 0.5 * (alpha - beta + (alpha + beta + 2.0) * x)
+    for k in range(2, n + 1):
+        k2ab = 2.0 * k + alpha + beta
+        c1 = 2.0 * k * (k + alpha + beta) * (k2ab - 2.0)
+        c2 = (k2ab - 1.0) * (alpha * alpha - beta * beta)
+        c3 = (k2ab - 2.0) * (k2ab - 1.0) * k2ab
+        c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * k2ab
+        p0, p1 = p1, ((c2 + c3 * x) * p1 - c4 * p0) / c1
+    return p1
+
+
+def _ref_laguerre(n, alpha, x):
+    p0 = np.ones_like(x)
+    if n == 0:
+        return p0
+    p1 = 1.0 + alpha - x
+    for k in range(2, n + 1):
+        p0, p1 = p1, ((2.0 * k - 1.0 + alpha - x) * p1 - (k - 1.0 + alpha) * p0) / k
+    return p1
+
+
+def _ref_gegenbauer(n, lam, x):
+    p0 = np.ones_like(x)
+    if n == 0:
+        return p0
+    p1 = 2.0 * lam * x
+    for k in range(2, n + 1):
+        p0, p1 = p1, (2.0 * (k + lam - 1.0) * x * p1 - (k + 2.0 * lam - 2.0) * p0) / k
+    return p1
+
+
+def _ref_hermite(n, x):
+    p0 = np.ones_like(x)
+    if n == 0:
+        return p0
+    p1 = 2.0 * x
+    for k in range(2, n + 1):
+        p0, p1 = p1, 2.0 * x * p1 - 2.0 * (k - 1.0) * p0
+    return p1
+
+
+def test_polynomials_match_two_array_recurrences_bit_for_bit():
+    rng = np.random.default_rng(1996)
+    for _ in range(300):
+        n = int(rng.integers(0, 41))
+        a, b = rng.uniform(-0.99, 8.0, 2)
+        lam = rng.uniform(0.05, 6.0)
+        size = int(rng.integers(1, 30))
+        x = rng.uniform(-1.0, 1.0, size)
+        w = rng.uniform(0.0, 80.0, size)
+        cases = [(sf.jacobi_p(n, a, b, x), _ref_jacobi(n, a, b, x)),
+                 (sf.gen_laguerre(n, a, w), _ref_laguerre(n, a, w)),
+                 (sf.gegenbauer(n, lam, x), _ref_gegenbauer(n, lam, x)),
+                 (sf.hermite(n, 3.0 * x), _ref_hermite(n, 3.0 * x)),
+                 (sf.jacobi_p(n, a, b, x.reshape(1, -1)), _ref_jacobi(n, a, b, x)[None]),
+                 # a scalar point runs as a batch of one
+                 (sf.jacobi_p(n, a, b, float(x[0])), _ref_jacobi(n, a, b, x[:1])[0]),
+                 (sf.gen_laguerre(n, a, float(w[0])), _ref_laguerre(n, a, w[:1])[0])]
+        for got, ref in cases:
+            assert np.shape(got) == np.shape(ref)
+            assert np.array_equal(got, ref)
+
+
+def test_rows_give_every_degree_of_one_recurrence():
+    rng = np.random.default_rng(7)
+    n = 25
+    x = rng.uniform(-1.0, 1.0, 17)
+    w = rng.uniform(0.0, 60.0, 17)
+    rows = list(sf.jacobi_rows(n, 1.3, -0.4, x))
+    assert len(rows) == n + 1
+    for j, row in enumerate(rows):
+        assert np.array_equal(row, _ref_jacobi(j, 1.3, -0.4, x))
+    # one order per output row: row j, entry q is L_j^{alpha_q}
+    alpha = rng.uniform(-0.5, 30.0, 6)
+    rows = list(sf.gen_laguerre_rows(n, alpha[:, None], w))
+    assert len(rows) == n + 1
+    for j, row in enumerate(rows):
+        assert row.shape == (alpha.size, w.size)
+        for q, a in enumerate(alpha):
+            assert np.array_equal(row[q], _ref_laguerre(j, a, w))
 
 
 # ------------------------------------------------------- connecting formulas
@@ -389,6 +496,9 @@ def test_quadrature_domain_errors():
         sf.build_quadrature("jacobi", 5, -1.5, 0.0)
     with pytest.raises(DomainError):
         sf.build_quadrature("laguerre", 0, 0.5)
+    for bad in (math.inf, math.nan, 2.5):
+        with pytest.raises(DomainError, match="quadrature size"):
+            sf.build_quadrature("legendre", bad)
     with pytest.raises(AccuracyError):
         sf.build_quadrature("laguerre", sf.LAGUERRE_MAX_POINTS + 1, 0.0)
     # Christoffel sums overflow at the largest nodes: those weights

@@ -1,6 +1,7 @@
 """Spheroidal systems: triple-route eigenvalues, limits, synthesis, mapping."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ import pytest
 from genosc import interbasis, spheroidal
 from genosc.errors import DomainError, NumericError
 from genosc.interbasis import m_matrix_cyl, n_matrix_sph, w_column, w_matrix
-from genosc.model import (Branch, SphericalLabel, SystemParams,
+from genosc.model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                           admissible_branches, channel_constants,
                           energy_cylindrical_parts, energy_level, ring_energy,
                           ring_relabel, ring_separation_constant,
                           separation_constant_A)
-from genosc.bases import psi_spherical
+from genosc.bases import psi_cylindrical, psi_spherical
 from genosc.spheroidal import (Kind, Route, SpheroidalPoint, build_tridiag_t,
                                build_tridiag_u, eigensolve, lambda_curve,
                                lambda_grid, map_spheroidal_point,
@@ -255,6 +256,11 @@ def test_coefficient_index_validation():
         t_coefficients(2, 0, BOTH, Branch.Plus, -1.0, Kind.Prolate)
     with pytest.raises(DomainError):
         build_tridiag_u(2, STEEP, Branch.Minus, 1.0, Kind.Prolate)
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(DomainError, match="n must be"):
+            u_coefficients(bad, 0, BOTH, Branch.Plus, 1.0, Kind.Prolate)
+        with pytest.raises(DomainError, match="k must be"):
+            t_coefficients(2, bad, BOTH, Branch.Plus, 1.0, Kind.Prolate)
 
 
 # ------------------------------------------------------------ lambda curve
@@ -410,6 +416,46 @@ def test_point_validation():
         SpheroidalPoint(1.0, 0.0, 2.0 * math.pi)
     with pytest.raises(DomainError):
         map_spheroidal_point(SpheroidalPoint(0.5, 0.0, 0.0), 1.0, Kind.Prolate)
+    with pytest.raises(DomainError):
+        SpheroidalPoint(math.inf, 0.0, 0.0)
+    with pytest.raises(DomainError):
+        SpheroidalPoint(1.0, math.nan, 0.0)
+
+
+def test_point_batch_validation_names_first_bad_point():
+    ok = np.array([1.2, 1.5, 2.0, 3.0])
+    with pytest.raises(DomainError, match=r"need xi >= 0, got -0.1 at point 2"):
+        SpheroidalPoint(np.array([1.2, 1.5, -0.1, -0.2]), ok * 0.1, ok)
+    with pytest.raises(DomainError, match=r"need -1 <= eta <= 1, got 1.2 at point 1"):
+        SpheroidalPoint(ok, np.array([0.1, 1.2, 0.3, 0.4]), ok)
+    with pytest.raises(DomainError, match=r"phi .* at point 3"):
+        SpheroidalPoint(ok, ok * 0.1, np.array([0.0, 1.0, 2.0, 7.0]))
+    with pytest.raises(DomainError, match=r"at point \(1, 0\)"):
+        SpheroidalPoint(ok.reshape(2, 2), np.array([[0.1, 0.2], [-3.0, 0.4]]),
+                        ok.reshape(2, 2))
+    with pytest.raises(DomainError, match="equal shapes"):
+        SpheroidalPoint(ok, ok[:3] * 0.1, ok)
+    with pytest.raises(DomainError, match="real numbers"):
+        SpheroidalPoint("a", 0.1, 0.2)
+    with pytest.raises(DomainError, match=r"prolate sheet needs xi >= 1, got 0.5 at point 1"):
+        map_spheroidal_point(SpheroidalPoint(np.array([1.5, 0.5]), np.zeros(2), np.zeros(2)),
+                             1.0, Kind.Prolate)
+    pt = SpheroidalPoint([1.2, 1.5], [0.1, 0.2], [0.0, 1.0])
+    assert isinstance(pt.xi, np.ndarray) and not pt.xi.flags.writeable
+    assert pt == pt and pt != SpheroidalPoint([1.2, 1.5], [0.1, 0.2], [0.0, 1.0])
+    assert len({pt, pt}) == 1
+
+
+def test_map_batch_is_elementwise():
+    rng = np.random.default_rng(11)
+    xi, eta, phi = rng.uniform(1.0, 3.0, 9), rng.uniform(-1.0, 1.0, 9), rng.uniform(0, 6, 9)
+    for kind in KINDS:
+        batch = map_spheroidal_point(SpheroidalPoint(xi, eta, phi), 1.3, kind)
+        for i in range(xi.size):
+            one = map_spheroidal_point(SpheroidalPoint(float(xi[i]), float(eta[i]),
+                                                       float(phi[i])), 1.3, kind)
+            assert all(type(v) is float for image in one for v in image)
+            assert one == tuple(tuple(float(v[i]) for v in image) for image in batch)
 
 
 # ---------------------------------------------------------------- psi
@@ -449,12 +495,11 @@ def test_psi_small_r_reduces_to_spherical():
 
 
 def test_psi_eta_profile_node_count():
+    eta = np.linspace(0.02, 0.98, 300)
+    pts = SpheroidalPoint(np.full(eta.shape, 1.4), eta, np.zeros(eta.shape))
     for k in range(4):
-        vals = []
-        for eta in np.linspace(0.02, 0.98, 300):
-            pt = SpheroidalPoint(1.4, float(eta), 0.0)
-            vals.append(psi_spheroidal(3, k, 1, BOTH, Branch.Plus, 1.5,
-                                       Kind.Prolate, pt, Route.ViaSpherical).real)
+        vals = psi_spheroidal(3, k, 1, BOTH, Branch.Plus, 1.5, Kind.Prolate, pts,
+                              Route.ViaSpherical).real
         sgn = np.sign(vals)
         assert int(np.sum(sgn[1:] * sgn[:-1] < 0)) == k
 
@@ -471,3 +516,112 @@ def test_psi_domain_errors():
     with pytest.raises(DomainError):
         psi_spheroidal(1, 0, 1, BOTH, Branch.Plus, 1.0, Kind.Prolate, pt,
                        "spherical")
+    with pytest.raises(DomainError, match=r"z > 0 half-domain at point 2"):
+        psi_spheroidal(1, 0, 1, BOTH, Branch.Plus, 1.0, Kind.Prolate,
+                       SpheroidalPoint([1.5, 1.6, 1.7], [0.4, 0.3, -0.2], [0.0, 0.0, 0.0]),
+                       Route.ViaCylindrical)
+    # eta = 1 maps onto the z axis: theta = 0 and rho = 0 leave the domain
+    # of the spherical and the cylindrical factors
+    on_axis = SpheroidalPoint([1.5, 1.6], [0.4, 1.0], [0.0, 0.0])
+    with pytest.raises(DomainError, match=r"theta must lie .* at point 1"):
+        psi_spheroidal(1, 0, 1, BOTH, Branch.Plus, 1.0, Kind.Prolate, on_axis,
+                       Route.ViaSpherical)
+    with pytest.raises(DomainError, match=r"rho must lie .* at point 1"):
+        psi_spheroidal(1, 0, 1, BOTH, Branch.Plus, 1.0, Kind.Prolate, on_axis,
+                       Route.ViaCylindrical)
+
+
+# -------------------------------------------------------- psi on batches
+
+def reference_psi(n, k, params, branch, R, kind, point, route):
+    """The per-term synthesis: sum of coeff * psi_spherical or psi_cylindrical,
+    one basis call per term and point."""
+    _, sph, cyl = map_spheroidal_point(point, R, kind)
+    if route is Route.ViaSpherical:
+        coeff = t_coefficients(n, k, params, branch, R, kind)
+        return sum(coeff[q] * psi_spherical(
+            SphericalLabel(n_r=n - q, q=q, m=params.m, branch=branch), params, sph)
+            for q in range(n + 1))
+    coeff = u_coefficients(n, k, params, branch, R, kind)
+    return sum(coeff[p] * psi_cylindrical(
+        CylindricalLabel(n_rho=n - p, p=p, m=params.m, branch=branch), params, cyl)
+        for p in range(n + 1))
+
+
+def random_points(rng, kind, size):
+    lo = 1.02 if kind is Kind.Prolate else 0.02
+    return (rng.uniform(lo, lo + 2.5, size), rng.uniform(0.03, 0.97, size),
+            rng.uniform(0.0, 2.0 * math.pi, size))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4, 10, 20])
+def test_psi_batch_matches_per_term_synthesis(n):
+    rng = np.random.default_rng(100 + n)
+    for params in (BOTH, STEEP, SETS[0]):
+        for branch in admissible_branches(params):
+            k = int(rng.integers(0, n + 1))
+            for kind in KINDS:
+                xi, eta, phi = random_points(rng, kind, 12)
+                batch = SpheroidalPoint(xi, eta, phi)
+                for route in Route:
+                    got = psi_spheroidal(n, k, params.m, params, branch, 1.3, kind, batch,
+                                         route)
+                    ref = np.array([reference_psi(n, k, params, branch, 1.3, kind,
+                                                  SpheroidalPoint(*map(float, pt)), route)
+                                    for pt in zip(xi, eta, phi)])
+                    scale = max(np.abs(ref).max(), params.omega ** 0.75)
+                    assert np.abs(got - ref).max() <= 1e-13 * scale
+
+
+def test_psi_batch_equals_scalar_calls_bit_for_bit():
+    rng = np.random.default_rng(2026)
+    c_zero = SystemParams(omega=0.7, p_strength=-0.2, q_strength=0.0, m=0)   # c = 0, b < 1/2
+    for params in (BOTH, STEEP, RING, c_zero, SETS[1]):
+        for branch in admissible_branches(params):
+            for n in (0, 3, 12):
+                k = int(rng.integers(0, n + 1))
+                for kind in KINDS:
+                    xi, eta, phi = random_points(rng, kind, 7)
+                    for route in Route:
+                        args = (n, k, params.m, params, branch, 0.9, kind)
+                        batch = psi_spheroidal(*args, SpheroidalPoint(xi, eta, phi), route)
+                        assert batch.shape == (7,) and batch.dtype == complex
+                        for i in range(7):
+                            one = psi_spheroidal(*args, SpheroidalPoint(
+                                float(xi[i]), float(eta[i]), float(phi[i])), route)
+                            assert type(one) is complex and one == batch[i]
+                        grid = psi_spheroidal(*args, SpheroidalPoint(
+                            xi[:6].reshape(2, 3), eta[:6].reshape(2, 3),
+                            phi[:6].reshape(2, 3)), route)
+                        assert np.array_equal(grid, batch[:6].reshape(2, 3))
+
+
+def test_psi_batch_routes_agree():
+    rng = np.random.default_rng(3)
+    for kind in KINDS:
+        pts = SpheroidalPoint(*random_points(rng, kind, 40))
+        for k in range(5):
+            a = psi_spheroidal(4, k, 1, BOTH, Branch.Minus, 1.8, kind, pts, Route.ViaSpherical)
+            b = psi_spheroidal(4, k, 1, BOTH, Branch.Minus, 1.8, kind, pts,
+                               Route.ViaCylindrical)
+            np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("route", list(Route))
+def test_psi_far_tail_is_zero_or_domain_error_without_warnings(route):
+    params = SystemParams(omega=1.1, p_strength=0.7, q_strength=1.3, m=1)
+    args = (4, 2, 1, params, Branch.Plus, 1.7, Kind.Prolate)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # the Gaussians are 0 there, so every term is: psi is exactly 0
+        assert psi_spheroidal(*args, SpheroidalPoint(1e100, 0.5, 0.3), route) == 0j
+        batch = psi_spheroidal(*args, SpheroidalPoint([1.5, 1e100], [0.5, 0.5], [0.3, 0.3]),
+                               route)
+        assert batch[0] != 0 and batch[1] == 0
+        # rho overflows to inf: the same error on both routes
+        with pytest.raises(DomainError, match=r"^synthesis point maps to a non-finite "
+                                              r"rho, z or r$"):
+            psi_spheroidal(*args, SpheroidalPoint(1e200, 0.5, 0.3), route)
+        with pytest.raises(DomainError, match=r"non-finite rho, z or r at point 1$"):
+            psi_spheroidal(*args, SpheroidalPoint([1.5, 1e200], [0.5, 0.5], [0.3, 0.3]),
+                           route)
