@@ -4,14 +4,14 @@ Angular/axial factors are normalized over the half-regions theta in (0, pi/2)
 and z > 0 with integral 1/2; radial factors carry unit norm. Coordinate
 singularities are excluded by precondition: for the Minus branch the
 exponents 1/2 - b and c can put a one-sided divergence at the excluded
-endpoints, so no limit evaluation is attempted.
+endpoints, so no limit evaluation is attempted. Coordinates must be finite.
 
-Each factor is evaluated for one label, or for every term of an oscillator
-level at once (spherical_level, cylindrical_level), where one recurrence per
-polynomial family gives every degree; both share the normalizations below.
-In a level evaluator a radial or axial factor is exactly 0 wherever its
-Gaussian e^{-x/2} is 0 in floating point, so the far tail gives 0, never
-inf * 0.
+Each radial and axial factor is a constant times one orthonormal Laguerre
+function of x = omega u^2 (specfun.laguerre_functions). Each factor is
+evaluated for one label, or for every term of an oscillator level at once
+(spherical_level, cylindrical_level), where one recurrence per family gives
+every degree; both read the same per-family helper below. In the far tail
+every factor is exactly 0, never inf * 0.
 """
 
 from __future__ import annotations
@@ -23,8 +23,7 @@ import numpy as np
 from .errors import DomainError, check_nonneg_int, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     require_admissible)
-from .specfun import (gegenbauer, gen_laguerre, gen_laguerre_rows, jacobi_p,
-                      jacobi_rows, ln_gamma)
+from .specfun import gegenbauer, jacobi_rows, laguerre_functions, ln_gamma
 
 __all__ = [
     "theta_angular",
@@ -41,33 +40,11 @@ __all__ = [
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# e^{-x/2} is 0 in double precision once x passes about 1491, so capping
-# x = omega u^2 at this value keeps it finite without changing any Gaussian.
-_TAIL_X = 1600.0
 
-
-def _checked(x, name: str, upper: float | None = None):
+def _checked(x, name: str, upper: float = math.inf):
     arr = np.asarray(x, dtype=np.float64)
-    ok = arr > 0.0 if upper is None else (arr > 0.0) & (arr < upper)
-    hi = "inf" if upper is None else upper
-    require_points(ok, f"{name} must lie strictly inside (0, {hi})")
+    require_points((arr > 0.0) & (arr < upper), f"{name} must lie strictly inside (0, {upper})")
     return arr
-
-
-def _gaussian(u, omega: float):
-    """(sqrt(omega) u, x = omega u^2, e^{-x/2}) over the points u > 0.
-
-    Where e^{-x/2} is 0 in floating point the first two are replaced by 1 and
-    0: the factor is then exactly 0 and no power or polynomial overflows.
-    """
-    u = np.minimum(u, math.sqrt(_TAIL_X / omega))
-    x = omega * u * u
-    gauss = np.exp(-0.5 * x)
-    s = math.sqrt(omega) * u
-    if not gauss.all():
-        tail = gauss == 0.0
-        s, x = np.where(tail, 1.0, s), np.where(tail, 0.0, x)
-    return s, x, gauss
 
 
 def _shaped(out, x):
@@ -81,32 +58,38 @@ def _with_phase(amp, m: int, phi, scalar: bool):
     return complex(out) if scalar else out
 
 
-# Log-squared normalizations, each a function of one label's indices, shared
-# by the per-label and the level evaluators. Every Gamma argument is at least
-# 1/2 (c >= 0, and -b >= -1/2 where Minus is admissible).
-
-def _ln_theta_norm2(q: int, c: float, beta: float) -> float:
-    """ln N_q^2 of theta_angular."""
-    return (math.log(2.0 * q + c + beta + 1.0) + math.lgamma(q + 1.0)
-            + math.lgamma(q + c + beta + 1.0) - math.lgamma(q + c + 1.0)
-            - math.lgamma(q + beta + 1.0))
+def _log_x(omega: float, u):   # ln(omega u^2), finite where omega u^2 is not
+    return math.log(omega) + 2.0 * np.log(u)
 
 
-def _ln_radial_sph_c2(n_r: int, alpha: float, omega: float) -> float:
-    """ln C^2 of radial_spherical, alpha = 2q + c +- b + 1."""
-    return (math.log(2.0) + 1.5 * math.log(omega)
-            + math.lgamma(n_r + 1.0) - math.lgamma(n_r + alpha + 1.0))
+def _angular(qs, c: float, beta: float, t):
+    """Theta_q(t) = N_q (sin t)^c (cos t)^(1/2 + beta) P_q^(c, beta)(cos 2t), q in qs."""
+    rows = list(jacobi_rows(max(qs), c, beta, np.cos(2.0 * t)))
+    # ln N_q^2; every Gamma argument is at least 1/2 (c >= 0, beta >= -1/2)
+    ln_norm2 = [math.log(2.0 * q + c + beta + 1.0) + math.lgamma(q + 1.0)
+                + math.lgamma(q + c + beta + 1.0) - math.lgamma(q + c + 1.0)
+                - math.lgamma(q + beta + 1.0) for q in qs]
+    norm = np.exp(0.5 * np.array(ln_norm2)).reshape((-1,) + (1,) * np.ndim(t))
+    # np.power, never **: on a lone point's numpy scalar ** runs libm pow
+    point = np.power(np.sin(t), c) * np.power(np.cos(t), 0.5 + beta)
+    return norm * point * np.array([rows[q] for q in qs])
 
 
-def _ln_radial_cyl_c2(n_rho: int, c: float, omega: float) -> float:
-    """ln C^2 of radial_cylindrical."""
-    return (math.log(2.0) + math.log(omega)
-            + math.lgamma(n_rho + 1.0) - math.lgamma(n_rho + c + 1.0))
+def _radial_sph(degrees, qs, c: float, beta: float, omega: float, r):
+    """R_{n_r q} = sqrt(2) omega^(3/4) x^(-1/4) phi_{n_r}^(2q+c+beta+1)(x), (n_r, q) in zip."""
+    return laguerre_functions(degrees, [2.0 * q + c + beta + 1.0 for q in qs], _log_x(omega, r),
+                              -0.25, 0.5 * math.log(2.0) + 0.75 * math.log(omega))
 
 
-def _ln_axial_c2(p: int, beta: float, omega: float) -> float:
-    """ln C^2 of z_axial, without its (-1)^p sign."""
-    return 0.5 * math.log(omega) + math.lgamma(p + 1.0) - math.lgamma(p + beta + 1.0)
+def _radial_cyl(degrees, c: float, omega: float, rho):
+    """R_{n_rho} = sqrt(2 omega) phi_{n_rho}^c(x) for each n_rho in degrees."""
+    return laguerre_functions(degrees, c, _log_x(omega, rho), 0.0, 0.5 * math.log(2.0 * omega))
+
+
+def _axial(ps, beta: float, omega: float, z):
+    """Z_p = (-1)^p omega^(1/4) x^(1/4) phi_p^beta(x) for each p in ps."""
+    sign = np.array([(-1.0) ** p for p in ps]).reshape((-1,) + (1,) * np.ndim(z))
+    return sign * laguerre_functions(ps, beta, _log_x(omega, z), 0.25, 0.25 * math.log(omega))
 
 
 def theta_angular(q: int, params: SystemParams, branch: Branch, theta):
@@ -116,13 +99,8 @@ def theta_angular(q: int, params: SystemParams, branch: Branch, theta):
     """
     q = check_nonneg_int(q, "q")
     b, c, _ = require_admissible(params, branch)
-    beta = branch.sign * b
     t = _checked(theta, "theta", upper=0.5 * math.pi)
-    ln_n2 = _ln_theta_norm2(q, c, beta)
-    st, ct = np.sin(t), np.cos(t)
-    out = (math.exp(0.5 * ln_n2) * st ** c * ct ** (0.5 + beta)
-           * jacobi_p(q, c, beta, np.cos(2.0 * t)))
-    return _shaped(out, theta)
+    return _shaped(_angular((q,), c, branch.sign * b, t)[0], theta)
 
 
 def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
@@ -130,14 +108,8 @@ def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
     n_r = check_nonneg_int(n_r, "n_r")
     q = check_nonneg_int(q, "q")
     b, c, _ = require_admissible(params, branch)
-    alpha = 2.0 * q + c + branch.sign * b + 1.0
-    rr = _checked(r, "r")
-    omega = params.omega
-    ln_c2 = _ln_radial_sph_c2(n_r, alpha, omega)
-    x = omega * rr * rr
-    out = (math.exp(0.5 * ln_c2) * (math.sqrt(omega) * rr) ** (alpha - 0.5)
-           * np.exp(-0.5 * x) * gen_laguerre(n_r, alpha, x))
-    return _shaped(out, r)
+    out = _radial_sph((n_r,), (q,), c, branch.sign * b, params.omega, _checked(r, "r"))
+    return _shaped(out[0], r)
 
 
 def psi_spherical(label: SphericalLabel, params: SystemParams, point):
@@ -155,12 +127,7 @@ def radial_cylindrical(n_rho: int, params: SystemParams, rho):
     n_rho = check_nonneg_int(n_rho, "n_rho")
     _, c, _ = require_admissible(params, Branch.Plus)
     rr = _checked(rho, "rho")
-    omega = params.omega
-    ln_c2 = _ln_radial_cyl_c2(n_rho, c, omega)
-    x = omega * rr * rr
-    out = (math.exp(0.5 * ln_c2) * np.exp(-0.5 * x)
-           * (math.sqrt(omega) * rr) ** c * gen_laguerre(n_rho, c, x))
-    return _shaped(out, rho)
+    return _shaped(_radial_cyl((n_rho,), c, params.omega, rr)[0], rho)
 
 
 def z_axial(p: int, params: SystemParams, branch: Branch, z):
@@ -171,14 +138,8 @@ def z_axial(p: int, params: SystemParams, branch: Branch, z):
     """
     p = check_nonneg_int(p, "p")
     b, _, _ = require_admissible(params, branch)
-    beta = branch.sign * b
     zz = _checked(z, "z")
-    omega = params.omega
-    ln_c2 = _ln_axial_c2(p, beta, omega)
-    x = omega * zz * zz
-    out = ((-1.0) ** p * math.exp(0.5 * ln_c2) * np.exp(-0.5 * x)
-           * (math.sqrt(omega) * zz) ** (0.5 + beta) * gen_laguerre(p, beta, x))
-    return _shaped(out, z)
+    return _shaped(_axial((p,), branch.sign * b, params.omega, zz)[0], z)
 
 
 def psi_cylindrical(label: CylindricalLabel, params: SystemParams, point):
@@ -193,59 +154,37 @@ def psi_cylindrical(label: CylindricalLabel, params: SystemParams, point):
 
 # The level evaluators below return row k = the k-th term of a level at every
 # point, an array of shape (n+1,) + the points' shape (a scalar point gives
-# n+1 values). They raise point-only factors with np.power, never **: on the
-# numpy scalars of a single point ** runs the scalar pow, which can differ in
-# the last bit from the array loop, and no value may depend on the batch size.
+# n+1 values).
 
 def spherical_level(n: int, params: SystemParams, branch: Branch, r, theta) -> np.ndarray:
     """Every term R_{n-q,q}(r) Theta_q(theta), q = 0..n, of level n at once.
 
     r and theta are equal-shape arrays of points, or scalars. The radial
-    factors come from one Laguerre recurrence that carries the order
+    factors come from one Laguerre-function recurrence that carries the order
     2q + c +- b + 1 of every term, the angular ones from one Jacobi recurrence.
     """
     n = check_nonneg_int(n, "n")
     b, c, _ = require_admissible(params, branch)
     beta = branch.sign * b
-    omega = params.omega
-    s, x, gauss = _gaussian(_checked(r, "r"), omega)
+    rr = _checked(r, "r")
     t = _checked(theta, "theta", upper=0.5 * math.pi)
-    column = (n + 1,) + (1,) * np.ndim(x)
-    orders = [2.0 * q + c + beta + 1.0 for q in range(n + 1)]
-    alpha = np.array(orders).reshape(column)
-    ln_norm2 = [_ln_radial_sph_c2(n - q, a, omega) + _ln_theta_norm2(q, c, beta)
-                for q, a in enumerate(orders)]
-    norm = np.exp(0.5 * np.array(ln_norm2)).reshape(column)
-    # row j holds degree j at every order; term q reads degree n - q
-    rows = gen_laguerre_rows(n, alpha, x)
-    lag = np.array([row[n - j] for j, row in enumerate(rows)][::-1])
-    jac = np.array(list(jacobi_rows(n, c, beta, np.cos(2.0 * t))))
-    point = np.power(np.sin(t), c) * np.power(np.cos(t), 0.5 + beta) * gauss
-    return norm * np.power(s, alpha - 0.5) * point * lag * jac
+    qs = range(n + 1)
+    return (_radial_sph([n - q for q in qs], qs, c, beta, params.omega, rr)
+            * _angular(qs, c, beta, t))
 
 
 def cylindrical_level(n: int, params: SystemParams, branch: Branch, rho, z) -> np.ndarray:
     """Every term R_{n-p}(rho) Z_p(z), p = 0..n, of level n at once.
 
     rho and z are equal-shape arrays of points, or scalars. The radial and the
-    axial factors each come from one Laguerre recurrence over all degrees.
+    axial factors each come from one Laguerre-function recurrence over all
+    degrees.
     """
     n = check_nonneg_int(n, "n")
     b, c, _ = require_admissible(params, branch)
-    beta = branch.sign * b
-    omega = params.omega
-    s_rho, x_rho, g_rho = _gaussian(_checked(rho, "rho"), omega)
-    s_z, x_z, g_z = _gaussian(_checked(z, "z"), omega)
-    ln_norm2 = [_ln_radial_cyl_c2(n - p, c, omega) + _ln_axial_c2(p, beta, omega)
-                for p in range(n + 1)]
-    # the axial factor carries the sign (-1)^p
-    norm = (np.exp(0.5 * np.array(ln_norm2)) * (-1.0) ** np.arange(n + 1)).reshape(
-        (n + 1,) + (1,) * np.ndim(x_rho))
-    # term p reads radial degree n - p and axial degree p
-    rad = np.array(list(gen_laguerre_rows(n, c, x_rho)))[::-1]
-    ax = np.array(list(gen_laguerre_rows(n, beta, x_z)))
-    point = g_rho * np.power(s_rho, c) * g_z * np.power(s_z, 0.5 + beta)
-    return norm * point * rad * ax
+    ps = range(n + 1)
+    return (_radial_cyl([n - p for p in ps], c, params.omega, _checked(rho, "rho"))
+            * _axial(ps, branch.sign * b, params.omega, _checked(z, "z")))
 
 
 def theta_ring(l: int, m: int, delta: float, theta):

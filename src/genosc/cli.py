@@ -46,8 +46,7 @@ _LARGE_PROBES = (20.0, 40.0)
 _MORSE_GRID_POINTS = 101
 # |norm - 1| contract; quadrature_norm stays near 1e-12 or below up to lambda = 400
 _MORSE_NORM_TOL = 1e-10
-# More levels than this are refused before listing: psi already overflows
-# from p ~ 170-200 once lambda passes ~200, so such a run could only exit 4.
+# More levels are refused before listing; at O(p) steps a level they would not end.
 _MORSE_MAX_LEVELS = 10_000
 
 # The ring cross-route evaluates (n+1)^2 Racah sums, whose alternating terms
@@ -309,7 +308,7 @@ def cmd_morse(cfg: JobConfig) -> tuple[list[Section], int]:
     count = bound_state_count(params)
     if count > _MORSE_MAX_LEVELS:
         raise NumericError(f"Morse well has {count} levels, more than the "
-                           f"{_MORSE_MAX_LEVELS} whose states stay finite")
+                           f"{_MORSE_MAX_LEVELS} that a run can norm-check")
     energies = morse_spectrum(params)
     level_rows = tuple(enumerate(energies.tolist()))
     # the threshold level (if any) is marginal and has no normalizable state

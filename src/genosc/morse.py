@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .specfun import build_quadrature, gen_laguerre, ln_gamma
+from .specfun import build_quadrature, gen_laguerre, laguerre_functions, ln_gamma
 
 _logger = logging.getLogger(__name__)
 
@@ -115,17 +115,13 @@ def _check_level(p: int, params: MorseParams) -> tuple[int, float, float]:
 def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:
     """Normalized bound state at position x; accepts scalars or arrays.
 
-    Evaluated through log w = log(2 lambda) - a x, so deep in the tail w
-    underflows to zero without a log(0).
+    psi_p = (-1)^p sqrt(a alpha) phi_p^alpha(w), w = 2 lambda e^{-a x}, taken
+    through log w = log(2 lambda) - a x: no log(0) where w underflows.
     """
     p, lam, alpha = _check_level(p, params)
-    ln_c = 0.5 * (math.log(params.a) + ln_gamma(p + 1.0) + math.log(alpha)
-                  - ln_gamma(2.0 * lam - p))
     log_w = math.log(2.0 * lam) - params.a * np.asarray(x, dtype=np.float64)
-    with np.errstate(all="ignore"):   # non-finite values fail the norm contract
-        w = np.exp(log_w)
-        vals = ((-1.0) ** p * np.exp(ln_c + 0.5 * alpha * log_w - 0.5 * w)
-                * gen_laguerre(p, alpha, w))
+    vals = (-1.0) ** p * laguerre_functions((p,), alpha, log_w, 0.0,
+                                            0.5 * math.log(params.a * alpha))[0]
     return vals if vals.ndim else float(vals)
 
 
@@ -160,7 +156,12 @@ def quadrature_norm(p: int, params: MorseParams) -> float:
 
 
 def quadrature_norm_scaled(p: int, params: MorseParams) -> float:
-    """Same norm after the exponential substitution, now a Gauss-type sum."""
+    """Same norm after the exponential substitution, now a Gauss-type sum.
+
+    Deep wells are out of reach: past alpha ~ 171.6 (lambda ~ 86 at p = 0)
+    the weight integral Gamma(alpha) leaves double range (AccuracyError from
+    build_quadrature), and the sum Gamma(p+alpha+1)/p! overflows sooner.
+    """
     p, lam, alpha = _check_level(p, params)
     rule = build_quadrature("laguerre", p + 1, alpha=alpha - 1.0)
     vals = gen_laguerre(p, alpha, rule.nodes) ** 2

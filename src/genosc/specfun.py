@@ -4,6 +4,9 @@ Everything downstream (basis evaluation, overlap coefficients, oracle
 integrals) is built on these primitives. Normalization-sized quantities are
 handled in log space via ln_gamma; polynomial values come from forward
 three-term recurrences.
+
+laguerre_functions runs the orthonormal Laguerre functions on scaled rows with
+a log scale per point: no overflow at any degree, exactly 0 in the far tail.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ __all__ = [
     "jacobi_p",
     "jacobi_rows",
     "gen_laguerre",
-    "gen_laguerre_rows",
+    "laguerre_functions",
     "gegenbauer",
     "hermite",
     "assoc_legendre",
@@ -89,9 +92,7 @@ def _jacobi(n, alpha, beta, x):
 
 
 def _laguerre(n, alpha, x):
-    # alpha is a float, or an array broadcasting against x with one order per row
-    p0 = (np.ones_like(x) if isinstance(alpha, float)
-          else np.ones(np.broadcast_shapes(alpha.shape, x.shape)))
+    p0 = np.ones_like(x)
     yield p0
     if n == 0:
         return
@@ -158,27 +159,80 @@ def jacobi_p(n: int, alpha: float, beta: float, x):
     return _poly_eval(_jacobi, _jacobi_args(n, alpha, beta), x)
 
 
-def _laguerre_args(n, alpha):
-    n = _check_degree(n)
-    array = isinstance(alpha, np.ndarray)
-    if not (np.all(alpha > -1.0) if array else alpha > -1.0):
-        raise DomainError(f"gen_laguerre requires alpha > -1, got {alpha}")
-    return n, alpha if array else float(alpha)
-
-
-def gen_laguerre_rows(n: int, alpha, x):
-    """L_0^alpha(x), ..., L_n^alpha(x), alpha > -1, as a generator of rows over
-    the array x, from one forward recurrence.
-
-    alpha may be a numpy array that broadcasts against x; every row then has
-    the broadcast shape, with the order alpha varying along it.
-    """
-    return _laguerre(*_laguerre_args(n, alpha), np.asarray(x, dtype=np.float64))
-
-
 def gen_laguerre(n: int, alpha: float, x):
     """Generalized Laguerre polynomial L_n^alpha(x), alpha > -1."""
-    return _poly_eval(_laguerre, _laguerre_args(n, alpha), x)
+    n = _check_degree(n)
+    if not alpha > -1.0:
+        raise DomainError(f"gen_laguerre requires alpha > -1, got {alpha}")
+    return _poly_eval(_laguerre, (n, float(alpha)), x)
+
+
+@lru_cache(maxsize=1024)
+def _ln_gamma_sum(y: float) -> float:
+    """lnGamma(y), y > 0, on [100, 1e4) from an exact sum of ln(y - j): lgamma is 1e-12 off."""
+    m = int(y) - 1 if 100.0 <= y < 1e4 else 0
+    return math.lgamma(y - m) + math.fsum(math.log(y - j) for j in range(1, m + 1))
+
+
+def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
+                       ln_const: float = 0.0) -> np.ndarray:
+    """e^ln_const x^power phi_k^alpha(x) at x = exp(log_x), a row per k in degrees.
+
+    phi_k^alpha(x) = sqrt(k!/Gamma(k+alpha+1)) x^(alpha/2) e^(-x/2) L_k^alpha(x),
+    alpha > -1, from sqrt((k+1)(k+alpha+1)) phi_{k+1} = (2k+alpha+1-x) phi_k
+    - sqrt(k(k+alpha)) phi_{k-1} on rows renormalised by exact powers of two,
+    beside each point's log scale ln phi_0 + ln_const + power ln x. alpha is one
+    order, or one per (distinct) degree; log_x is finite, or -inf if alpha > 0
+    = power. Points do not affect each other (a lone one runs as a cheaper numpy
+    scalar); one where every requested phi is below e^-1500 gives exactly 0 (for
+    ln_const < 700, |power| <= 1).
+    """
+    degrees = [_check_degree(k) for k in degrees]
+    orders = [float(alpha)] if np.isscalar(alpha) else [float(a) for a in alpha]
+    wanted = {deg: i for i, deg in enumerate(degrees)}
+    if (not degrees or len(wanted) < len(degrees) or len(orders) not in (1, len(degrees))
+            or not all(a > -1.0 for a in orders)):
+        raise DomainError(f"laguerre_functions needs distinct degrees and alpha > -1, one "
+                          f"order or one per degree; got alpha={alpha}, degrees {degrees}")
+    n, lo, hi = max(degrees), min(orders), max(orders)
+    # |phi_k| <= e^(m ln(x + c) - x/2 + 1/16), k <= n, x >= 1 (m = hi+/2 + n, c = 3n + 1.5 hi+
+    # + 1): below e^-1500 past x_tail, where points move to give 0. Below it a step grows
+    # max(|phi_{k-1}|, |phi_k|) at most 2 x_tail / sqrt(lo + 1) times; rows checked for 2^332
+    # every `every` steps stay below 2^1000.
+    x_tail = 3002.0 + (2.0 * max(hi, 0.0) + 4.0 * n) * math.log(3004.0 + 5.0 * n + 2.5 * hi)
+    every = max(1, int((668.0 * math.log(2.0) - math.log(2.0 * x_tail))
+                       / math.log(2.0 * x_tail / math.sqrt(lo + 1.0))))
+    pts = np.minimum(np.asarray(log_x, dtype=np.float64), math.log(x_tail))
+    x = np.exp(pts)
+    if len(orders) == 1:   # one order runs on the points
+        col, ln_gamma, p1 = lo, _ln_gamma_sum(lo + 1.0), 1.0
+        steps = [(2.0 * k + lo + 1.0, math.sqrt(k * (k + lo)),
+                  math.sqrt((k + 1.0) * (k + lo + 1.0))) for k in range(n)]
+    else:                  # one order per row, on a (rows,) + points grid
+        col = np.array(orders).reshape((-1,) + (1,) * pts.ndim)
+        k = np.arange(n, dtype=np.float64).reshape((-1, 1) + (1,) * pts.ndim)
+        steps = list(zip(2.0 * k + col + 1.0, np.sqrt(k * (k + col)),
+                         np.sqrt((k + 1.0) * (k + col + 1.0))))
+        ln_gamma = np.array([_ln_gamma_sum(a + 1.0) for a in orders]).reshape(col.shape)
+        p1 = np.ones(np.broadcast_shapes(col.shape, pts.shape))
+    ln0 = (0.5 * col + power) * pts - 0.5 * x + (ln_const - 0.5 * ln_gamma)
+    rows = [None] * len(degrees)
+    p0, exp2, scale = 0.0, 0, np.exp(ln0)   # p0, p1: scaled phi_{k-1}, phi_k
+    for k in range(n + 1):
+        if k in wanted:
+            i = wanted[k]
+            rows[i] = p1 * scale if len(orders) == 1 else p1[i] * scale[i]
+        if k == n:
+            break
+        if k and k % every == 0:
+            big = np.maximum(np.abs(p0), np.abs(p1))
+            if big.max() > 2.0 ** 332:
+                e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
+                p0, p1, exp2 = np.ldexp(p0, -e), np.ldexp(p1, -e), exp2 + e
+                scale = np.exp(ln0 + exp2 * math.log(2.0))
+        a, s, d = steps[k]   # (a - x) phi_k - s phi_{k-1} over d, phi_{-1} = 0
+        p0, p1 = p1, ((a - x) * p1 - s * p0) / d if k else (a - x) / d
+    return np.array(rows) if len(rows) > 1 else rows[0][None]
 
 
 def gegenbauer(n: int, lam: float, x):
@@ -287,18 +341,23 @@ def _monic_coeffs(kind: str, n: int, alpha: float, beta: float):
     if kind == "laguerre":
         a = 2.0 * k + alpha + 1.0
         b = k * (k + alpha)
-        b[0] = math.exp(ln_gamma(alpha + 1.0))
-        return a, b
-    ab = alpha + beta
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-        b = (4.0 * k * (k + alpha) * (k + beta) * (k + ab)
-             / ((2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)))
-    a[0] = (beta - alpha) / (ab + 2.0)
-    b[0] = math.exp((ab + 1.0) * math.log(2.0) + ln_gamma(alpha + 1.0)
-                    + ln_gamma(beta + 1.0) - ln_gamma(ab + 2.0))
-    if n > 1:
-        b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+        ln_b0 = ln_gamma(alpha + 1.0)
+    else:
+        ab = alpha + beta
+        with np.errstate(invalid="ignore", divide="ignore"):
+            a = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+            b = (4.0 * k * (k + alpha) * (k + beta) * (k + ab)
+                 / ((2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)))
+        a[0] = (beta - alpha) / (ab + 2.0)
+        ln_b0 = ((ab + 1.0) * math.log(2.0) + ln_gamma(alpha + 1.0)
+                 + ln_gamma(beta + 1.0) - ln_gamma(ab + 2.0))
+        if n > 1:
+            b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    try:
+        b[0] = math.exp(ln_b0)
+    except OverflowError:
+        raise AccuracyError(f"{kind} rule weight integral e^{ln_b0:.6g} leaves double "
+                            f"range for n={n}, alpha={alpha}, beta={beta}") from None
     return a, b
 
 
@@ -309,7 +368,8 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     Nodes are the eigenvalues of the symmetrized recurrence (Jacobi) matrix,
     solved by LAPACK (numpy.linalg.eigvalsh, ascending); weights come from
     the reciprocal Christoffel sums, so no eigenvectors are needed. Rules are
-    cached and immutable.
+    cached and immutable. A weight integral past the double range (laguerre
+    from alpha ~ 170 on) raises AccuracyError.
     """
     if kind not in _QUAD_KINDS:
         raise DomainError(f"unknown quadrature kind {kind!r}, expected one of {_QUAD_KINDS}")

@@ -230,13 +230,16 @@ def test_morse_norm_contract_miss_exits_4(monkeypatch):
     assert "numeric failure" in err
 
 
-def test_morse_deep_well_exits_4_with_empty_stdout():
-    # psi overflows inside gen_laguerre from p = 168 here; the run must still
-    # end quickly, without numbers
-    code, out, err = run_cli(["morse", "--V0", "50000", "--a", "1"])
-    assert code == 4
-    assert out == ""
-    assert "numeric failure" in err
+def test_morse_deep_well_exits_0_with_tight_norms():
+    # lambda = 200: L_p^alpha overflows from p ~ 168 here, so psi has to come
+    # from the scaled Laguerre-function recurrence
+    code, out, _ = run_cli(["morse", "--V0", "20000", "--a", "1", "--format", "json"])
+    assert code == 0
+    data = json.loads(out)["data"]
+    assert len(data["norms"]["rows"]) == 200
+    for _, _, dev in data["norms"]["rows"]:
+        assert dev <= 1e-12
+    assert all(math.isfinite(v) for row in data["wavefunctions"]["rows"] for v in row)
 
 
 def test_morse_too_many_levels_exits_4_at_once():

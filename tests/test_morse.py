@@ -111,6 +111,31 @@ def test_wavefunction_scalar_and_array_forms():
     assert isinstance(morse_wavefunction(0, params, 0.0), float)
     for x, v in zip(xs, vec):
         assert morse_wavefunction(0, params, float(x)) == v
+    # deep wells (lambda ~ 316 and 400), where L_p^alpha overflows: within
+    # 1e-12 of the largest |psi| on the grid of 40-digit mpmath values of
+    # (-1)^p sqrt(a alpha) phi_p^alpha(w), and a point alone as in the batch
+    for v0, a in ((50000.0, 1.0), (80000.0, 1.0)):
+        params = MorseParams(v0, a)
+        top = bound_state_count(params) - 1
+        if 2.0 * params.lam - 2.0 * top - 1.0 <= 0.0:
+            top -= 1
+        xs = np.linspace(-2.0, 8.0, 21) / a
+        for p in (0, top // 2, top):
+            vec = morse_wavefunction(p, params, xs)
+            with mpmath.workdps(40):
+                lam = mpmath.sqrt(2 * mpmath.mpf(v0)) / a
+                alpha = 2 * lam - 2 * p - 1
+                ln_c = (mpmath.log(a * alpha) + mpmath.loggamma(p + 1)
+                        - mpmath.loggamma(p + alpha + 1)) / 2
+                want = []
+                for x in xs:
+                    w = 2 * lam * mpmath.exp(-a * mpmath.mpf(float(x)))
+                    lag = mpmath.laguerre(p, alpha, w)
+                    want.append(float((-1) ** p * lag
+                                      * mpmath.exp(ln_c + alpha / 2 * mpmath.log(w) - w / 2)))
+            want = np.array(want)
+            assert np.abs(vec - want).max() <= 1e-12 * np.abs(want).max()
+            assert morse_wavefunction(p, params, float(xs[7])) == vec[7]
 
 
 def test_normalization_both_quadrature_routes():

@@ -198,7 +198,11 @@ def test_polynomial_domain_errors():
     with pytest.raises(DomainError):
         sf.gen_laguerre(2, math.nan, 0.5)
     with pytest.raises(DomainError):
-        sf.gen_laguerre_rows(2, np.array([[0.5], [-1.5]]), np.ones(3))
+        sf.laguerre_functions([2, 1], [0.5, -1.5], np.zeros(3))
+    with pytest.raises(DomainError):
+        sf.laguerre_functions([2, 1, 0], [0.5, 1.5], np.zeros(3))
+    with pytest.raises(DomainError):
+        sf.laguerre_functions([], 0.5, np.zeros(3))
     with pytest.raises(DomainError):
         sf.gegenbauer(2, 0.0, 0.5)
     with pytest.raises(DomainError):
@@ -211,7 +215,7 @@ def test_polynomial_domain_errors():
                      lambda n: sf.gegenbauer(n, 0.5, 0.2),
                      lambda n: sf.hermite(n, 0.2),
                      lambda n: sf.assoc_legendre(n, 0, 0.2),
-                     lambda n: sf.gen_laguerre_rows(n, 0.5, 1.0),
+                     lambda n: sf.laguerre_functions([n], 0.5, 0.0),
                      lambda n: sf.jacobi_rows(n, 0.5, 0.5, 0.2)):
             with pytest.raises(DomainError, match="polynomial degree"):
                 call(bad)
@@ -296,14 +300,31 @@ def test_rows_give_every_degree_of_one_recurrence():
     assert len(rows) == n + 1
     for j, row in enumerate(rows):
         assert np.array_equal(row, _ref_jacobi(j, 1.3, -0.4, x))
-    # one order per output row: row j, entry q is L_j^{alpha_q}
+
+    # the orthonormal Laguerre functions against the polynomial recurrence,
+    # within 1e-12 of the largest |phi| over the points
+    def ref_phi(j, a):
+        ln_c = 0.5 * (math.lgamma(j + 1.0) - math.lgamma(j + a + 1.0))
+        return np.exp(ln_c + 0.5 * a * np.log(w) - 0.5 * w) * _ref_laguerre(j, a, w)
+
+    def close(got, want):
+        return np.all(np.abs(got - want) <= 1e-12 * np.abs(want).max())
+
+    # every degree of one order, in any order of rows
+    degrees = rng.permutation(n + 1)
+    phi = sf.laguerre_functions(degrees, 2.7, np.log(w))
+    assert phi.shape == (n + 1, w.size)
+    for row, j in zip(phi, degrees):
+        assert close(row, ref_phi(j, 2.7))
+    # one order per row: row q is phi_{n-q}^{alpha_q}
     alpha = rng.uniform(-0.5, 30.0, 6)
-    rows = list(sf.gen_laguerre_rows(n, alpha[:, None], w))
-    assert len(rows) == n + 1
-    for j, row in enumerate(rows):
-        assert row.shape == (alpha.size, w.size)
-        for q, a in enumerate(alpha):
-            assert np.array_equal(row[q], _ref_laguerre(j, a, w))
+    phi = sf.laguerre_functions([n - q for q in range(alpha.size)], alpha, np.log(w))
+    for q, (row, a) in enumerate(zip(phi, alpha)):
+        assert close(row, ref_phi(n - q, a))
+    # a point alone gives the bits it gets in the batch; x = 0 at order > 0
+    assert np.array_equal(sf.laguerre_functions([7], 2.7, math.log(w[3]))[0],
+                          sf.laguerre_functions([7], 2.7, np.log(w))[0, 3])
+    assert sf.laguerre_functions([0, 3], 0.5, -math.inf).tolist() == [0.0, 0.0]
 
 
 # ------------------------------------------------------- connecting formulas
@@ -501,6 +522,10 @@ def test_quadrature_domain_errors():
             sf.build_quadrature("legendre", bad)
     with pytest.raises(AccuracyError):
         sf.build_quadrature("laguerre", sf.LAGUERRE_MAX_POINTS + 1, 0.0)
+    # weight integrals Gamma(172) and 2^1101 / 1101 leave double range
+    for args in (("laguerre", 5, 171.0), ("jacobi", 5, 1100.0, 0.0)):
+        with pytest.raises(AccuracyError, match=rf"{args[0]} rule .* n=5, alpha={args[2]}"):
+            sf.build_quadrature(*args)
     # Christoffel sums overflow at the largest nodes: those weights
     # underflow double precision, so the rule is refused
     with pytest.raises(AccuracyError):
