@@ -338,10 +338,7 @@ def cmd_verify(cfg: JobConfig) -> tuple[list[Section], int]:
     rows, failures = [], 0
     for rep in reports:
         tol = rep.tolerance * scale
-        gap = abs(rep.measured - rep.expected)
-        if rep.relative:
-            gap /= abs(rep.expected)
-        passed = gap <= tol
+        passed = rep.passes(tol)
         failures += not passed
         rows.append((rep.name, rep.measured, rep.expected, tol,
                      int(rep.relative), "pass" if passed else "FAIL"))

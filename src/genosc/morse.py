@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, check_nonneg_int
 from .specfun import build_quadrature, gen_laguerre, laguerre_functions, ln_gamma
 
 _logger = logging.getLogger(__name__)
@@ -100,9 +100,13 @@ def sw_to_morse(params: MorseParams, energy: float) -> EffectiveChannel:
 
 def _check_level(p: int, params: MorseParams) -> tuple[int, float, float]:
     count = bound_state_count(params)
-    if p != int(p) or not 0 <= p < count:
+    try:
+        level = check_nonneg_int(p, "level p")
+    except DomainError:
+        level = count   # not an index at all: the same range message
+    if level >= count:
         raise DomainError(f"level p must lie in 0..{count - 1}, got {p!r}")
-    p = int(p)
+    p = level
     lam = params.lam
     alpha = 2.0 * lam - 2.0 * p - 1.0
     if alpha <= 0.0:
@@ -152,7 +156,10 @@ def quadrature_norm(p: int, params: MorseParams) -> float:
     half = 0.5 * np.diff(edges)
     t = (edges[:-1] + half)[:, None] + half[:, None] * rule.nodes
     psi = morse_wavefunction(p, params, (math.log(nu) - t) / params.a)
-    return float(half @ (psi * psi) @ rule.weights) / params.a
+    # numpy's own loops, not BLAS, so the sum order does not follow the thread
+    # count; panels first, as one three-operand loop would add every term in turn
+    panels = np.einsum("i,ij->j", half, psi * psi)
+    return float(np.einsum("j,j->", panels, rule.weights)) / params.a
 
 
 def quadrature_norm_scaled(p: int, params: MorseParams) -> float:

@@ -5,19 +5,21 @@ pointwise basis evaluators, never through the coefficient formulas under
 test.  Integrands are divided by the rule's weight function first, which
 leaves exact polynomials, so any residual measures implementation error
 rather than quadrature truncation.  Results come back as CheckReport rows;
-run_verification_suite() executes the fixed manifest the CLI reports on.
+run_verification_suite() executes the fixed table of named checks the CLI
+reports on.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bases import radial_cylindrical, radial_spherical, theta_angular, z_axial
-from .errors import DomainError
+from .errors import DomainError, check_nonneg_int
 from .interbasis import w_matrix
 from .model import Branch, SystemParams, admissible_branches, require_admissible
 from .morse import MorseParams, bound_state_count, morse_wavefunction
@@ -47,8 +49,7 @@ _TOL_LARGE = 1e-8    # levels 7..12
 class CheckReport:
     """One verification row: measured vs expected at a fixed tolerance.
 
-    ``passed`` is |measured - expected| <= tolerance, taken relative to
-    |expected| when ``relative`` is set.
+    ``passed`` is ``passes(tolerance)``.
     """
 
     name: str
@@ -58,25 +59,30 @@ class CheckReport:
     passed: bool
     relative: bool = False
 
+    def passes(self, tolerance: float) -> bool:
+        """|measured - expected| <= tolerance, relative to |expected| when ``relative``."""
+        gap = abs(self.measured - self.expected)
+        if self.relative:
+            gap /= abs(self.expected)
+        return bool(gap <= tolerance)
+
 
 def _report(name: str, measured: float, expected: float, tolerance: float,
             relative: bool = False) -> CheckReport:
-    gap = abs(measured - expected)
-    if relative:
-        gap /= abs(expected)
-    return CheckReport(name=name, measured=float(measured), expected=float(expected),
-                       tolerance=float(tolerance), passed=bool(gap <= tolerance),
-                       relative=relative)
+    report = CheckReport(name=name, measured=float(measured), expected=float(expected),
+                         tolerance=float(tolerance), passed=False, relative=relative)
+    return replace(report, passed=report.passes(report.tolerance))
 
 
 def _tolerance(level: int) -> float:
     return _TOL_SMALL if level <= 6 else _TOL_LARGE
 
 
-def _check_level(n, lo: int = 0) -> int:
-    if n != int(n) or n < lo:
-        raise DomainError(f"level index must be an integer >= {lo}, got {n}")
-    return int(n)
+def _params_tag(params) -> str:
+    if isinstance(params, MorseParams):
+        return f"(V0={params.v0:g}, a={params.a:g})"
+    return (f"(omega={params.omega:g}, P={params.p_strength:g}, "
+            f"Q={params.q_strength:g}, m={params.m})")
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -88,6 +94,27 @@ def reciprocal_gamma(x: float) -> float:
     return sign * math.exp(-ln_abs)
 
 
+def _bi_indices(n, q, q_prime) -> tuple[int, int, int]:
+    n = check_nonneg_int(n, "level n")
+    q = check_nonneg_int(q, "q")
+    q_prime = check_nonneg_int(q_prime, "q'")
+    if q > n or q_prime > n:
+        raise DomainError(f"angular indices must stay <= level, got q={q}, "
+                          f"q'={q_prime} at n={n}")
+    return n, q, q_prime
+
+
+def _bi_expected(q: int, q_prime: int, params: SystemParams, branch: Branch) -> float:
+    """Closed-form J_{q q'}: omega / (2q + c +- b + 1) on the diagonal, else 0."""
+    b, c, _ = require_admissible(params, branch)
+    return params.omega / (2 * q + c + branch.sign * b + 1.0) if q == q_prime else 0.0
+
+
+def _bi_name(route: str, n: int, q: int, q_prime: int, params, branch: Branch) -> str:
+    return (f"bi-orthogonality {route} n={n} q={q} q'={q_prime} "
+            f"{_params_tag(params)} {branch.name.lower()}")
+
+
 def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
                      branch: Branch) -> CheckReport:
     """Plain-dr overlap of two same-level spherical radial factors.
@@ -97,12 +124,7 @@ def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
     Gauss-Laguerre rule in t = omega r^2 after dividing out the shared
     weight t^(q + q' + c +- b) e^{-t}; the closed form is the expectation.
     """
-    n = _check_level(n)
-    q = _check_level(q)
-    q_prime = _check_level(q_prime)
-    if q > n or q_prime > n:
-        raise DomainError(f"angular indices must stay <= level, got q={q}, "
-                          f"q'={q_prime} at n={n}")
+    n, q, q_prime = _bi_indices(n, q, q_prime)
     b, c, _ = require_admissible(params, branch)
     beta = branch.sign * b
     omega = params.omega
@@ -118,10 +140,8 @@ def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
         return vals * np.exp(0.5 * rule.nodes) / np.sqrt(rule.nodes) ** (alpha_q - 0.5)
 
     measured = rule.integrate(reduced(q) * reduced(q_prime)) / (2.0 * math.sqrt(omega))
-    expected = omega / (2 * q + c + beta + 1.0) if q == q_prime else 0.0
-    name = (f"bi-orthogonality quad n={n} q={q} q'={q_prime} "
-            f"{_params_tag(params)} {branch.name.lower()}")
-    return _report(name, measured, expected, _tolerance(n))
+    return _report(_bi_name("quad", n, q, q_prime, params, branch), measured,
+                   _bi_expected(q, q_prime, params, branch), _tolerance(n))
 
 
 def bi_orthogonality_hypergeometric(n: int, q: int, q_prime: int,
@@ -132,12 +152,7 @@ def bi_orthogonality_hypergeometric(n: int, q: int, q_prime: int,
     terminating 2F1 vanishes for q > q' and the 1/Gamma factor for q < q',
     so only q = q' survives with omega / (2q + c +- b + 1).
     """
-    n = _check_level(n)
-    q = _check_level(q)
-    q_prime = _check_level(q_prime)
-    if q > n or q_prime > n:
-        raise DomainError(f"angular indices must stay <= level, got q={q}, "
-                          f"q'={q_prime} at n={n}")
+    n, q, q_prime = _bi_indices(n, q, q_prime)
     b, c, _ = require_admissible(params, branch)
     gamma_sum = c + branch.sign * b
     ln_pref = ln_gamma(q + q_prime + gamma_sum + 1.0) - ln_gamma(2 * q_prime + gamma_sum + 2.0)
@@ -159,88 +174,90 @@ class GramFamily(enum.Enum):
     Morse = "morse"
 
 
-def _params_tag(params) -> str:
-    if isinstance(params, MorseParams):
-        return f"(V0={params.v0:g}, a={params.a:g})"
-    return (f"(omega={params.omega:g}, P={params.p_strength:g}, "
-            f"Q={params.q_strength:g}, m={params.m})")
+@dataclass(frozen=True)
+class _GramEntry:
+    """One family's Gram as a sum over one Gauss rule of n_max + 2 points.
+
+    exponents(n_max, params, branch) gives the rule's (alpha, beta), the
+    power of the node factor each row divides out, and the scale in front of
+    the sum. Each row divides out x^power e^{-x/2} on a Laguerre rule,
+    ((1-x)/2)^(alpha/2) ((1+x)/2)^power on a Jacobi one; what is left is a
+    polynomial of degree at most n_max, so the rule is exact. coord maps the
+    nodes to the evaluator's coordinate and row(k, params, branch, coord) is
+    the public per-label evaluator at degree k, which takes params_type.
+    """
+
+    params_type: type
+    kind: str
+    exponents: Callable
+    coord: Callable
+    row: Callable
+    target: float
 
 
-def _gram_theta(n_max, params, branch):
+def _theta_exponents(n_max, params, branch):
+    # x = cos 2 theta: sin theta dtheta carries the extra cos^(1/2) per row
     b, c, _ = require_admissible(params, branch)
     beta = branch.sign * b
-    rule = build_quadrature("jacobi", n_max + 2, alpha=c, beta=beta)
-    theta = 0.5 * np.arccos(rule.nodes)
-    s, ct = np.sin(theta), np.cos(theta)
-    rows = [theta_angular(q, params, branch, theta) / (s ** c * ct ** (0.5 + beta))
-            for q in range(n_max + 1)]
-    scale = 2.0 ** (-c - beta - 2.0)
-    return scale * (np.vstack(rows) * rule.weights) @ np.vstack(rows).T, 0.5
+    return c, beta, 0.25 + 0.5 * beta, 2.0 ** (-c - beta - 2.0)
 
 
-def _gram_radial_sph(n_max, params, branch):
+def _radial_sph_exponents(n_max, params, branch):
     # angular index pinned to q = 0: one Gauss rule then covers the whole
     # family, and the q > 0 normalizations are exercised by bi_orthogonality
     b, c, _ = require_admissible(params, branch)
     alpha0 = c + branch.sign * b + 1.0
-    omega = params.omega
-    rule = build_quadrature("laguerre", n_max + 2, alpha=alpha0)
-    r = np.sqrt(rule.nodes / omega)
-    grow = np.exp(0.5 * rule.nodes)
-    rows = [radial_spherical(n_r, 0, params, branch, r) * grow
-            / np.sqrt(rule.nodes) ** (alpha0 - 0.5)
-            for n_r in range(n_max + 1)]
-    return (np.vstack(rows) * rule.weights) @ np.vstack(rows).T / (2.0 * omega ** 1.5), 1.0
+    return alpha0, 0.0, 0.5 * alpha0 - 0.25, 0.5 * params.omega ** -1.5
 
 
-def _gram_radial_cyl(n_max, params, branch):
+def _radial_cyl_exponents(n_max, params, branch):
     _, c, _ = require_admissible(params, branch)
-    omega = params.omega
-    rule = build_quadrature("laguerre", n_max + 2, alpha=c)
-    rho = np.sqrt(rule.nodes / omega)
-    grow = np.exp(0.5 * rule.nodes)
-    rows = [radial_cylindrical(n_rho, params, rho) * grow / np.sqrt(rule.nodes) ** c
-            for n_rho in range(n_max + 1)]
-    return (np.vstack(rows) * rule.weights) @ np.vstack(rows).T / (2.0 * omega), 1.0
+    return c, 0.0, 0.5 * c, 0.5 / params.omega
 
 
-def _gram_axial(n_max, params, branch):
+def _axial_exponents(n_max, params, branch):
     b, _, _ = require_admissible(params, branch)
     beta = branch.sign * b
-    omega = params.omega
-    rule = build_quadrature("laguerre", n_max + 2, alpha=beta)
-    z = np.sqrt(rule.nodes / omega)
-    grow = np.exp(0.5 * rule.nodes)
-    rows = [z_axial(p, params, branch, z) * grow / np.sqrt(rule.nodes) ** (0.5 + beta)
-            for p in range(n_max + 1)]
-    return (np.vstack(rows) * rule.weights) @ np.vstack(rows).T / (2.0 * math.sqrt(omega)), 0.5
+    return beta, 0.0, 0.25 + 0.5 * beta, 0.5 / math.sqrt(params.omega)
 
 
-def _gram_morse(n_max, params):
-    if not isinstance(params, MorseParams):
-        raise DomainError("Morse Gram checks need MorseParams")
+def _morse_exponents(n_max, params, branch):
+    # psi_p psi_p' dx = w^(2 lam - p - p' - 2) e^{-w} L_p L_p' dw / a: the rule
+    # takes w^(2 lam - 2 n_max - 2), each row keeps w^(n_max - p) L_p
     lam = params.lam
     count = bound_state_count(params)
     if n_max >= count or 2.0 * lam - 2.0 * n_max - 1.0 <= 0.0:
         raise DomainError(f"only {count} normalizable Morse levels here, "
                           f"cannot Gram up to p={n_max}")
-    size = n_max + 1
-    gram = np.empty((size, size))
-    for p in range(size):
-        for pp in range(p, size):
-            # per-pair rule: the shared weight exponent depends on p + p'
-            alpha_pair = 2.0 * lam - p - pp - 2.0
-            rule = build_quadrature("laguerre", n_max + 2, alpha=alpha_pair)
-            x = -np.log(rule.nodes / (2.0 * lam)) / params.a
-            grow = np.exp(0.5 * rule.nodes)
+    return 2.0 * lam - 2.0 * n_max - 2.0, 0.0, lam - n_max - 0.5, 1.0 / params.a
 
-            def reduced(pi: int) -> np.ndarray:
-                return (morse_wavefunction(pi, params, x) * grow
-                        * rule.nodes ** (pi + 0.5 - lam))
 
-            val = rule.integrate(reduced(p) * reduced(pp)) / params.a
-            gram[p, pp] = gram[pp, p] = val
-    return gram, 1.0
+def _half_line(nodes, params):
+    return np.sqrt(nodes / params.omega)
+
+
+_GRAM = {
+    GramFamily.Theta: _GramEntry(
+        SystemParams, "jacobi", _theta_exponents, lambda nodes, params: 0.5 * np.arccos(nodes),
+        theta_angular, 0.5),
+    GramFamily.RadialSph: _GramEntry(
+        SystemParams, "laguerre", _radial_sph_exponents, _half_line,
+        lambda k, params, branch, r: radial_spherical(k, 0, params, branch, r), 1.0),
+    GramFamily.RadialCyl: _GramEntry(
+        SystemParams, "laguerre", _radial_cyl_exponents, _half_line,
+        lambda k, params, branch, rho: radial_cylindrical(k, params, rho), 1.0),
+    GramFamily.Axial: _GramEntry(
+        SystemParams, "laguerre", _axial_exponents, _half_line, z_axial, 0.5),
+    GramFamily.Morse: _GramEntry(
+        MorseParams, "laguerre", _morse_exponents,
+        lambda nodes, params: -np.log(nodes / (2.0 * params.lam)) / params.a,
+        lambda k, params, branch, x: morse_wavefunction(k, params, x), 1.0),
+}
+
+
+def _gram_name(family: GramFamily, n_max: int, params, branch: Branch) -> str:
+    branch_tag = "" if family is GramFamily.Morse else f" {branch.name.lower()}"
+    return f"gram {family.value} n<={n_max} {_params_tag(params)}{branch_tag}"
 
 
 def gram_matrix(family: GramFamily, n_max: int, params,
@@ -249,27 +266,36 @@ def gram_matrix(family: GramFamily, n_max: int, params,
 
     Returns the matrix and a CheckReport whose measured value is the largest
     entrywise deviation from the expected multiple of the identity (1/2 for
-    the half-line-normalized theta and axial families, 1 otherwise).
+    the half-line-normalized theta and axial families, 1 otherwise). Every
+    family, Morse included, builds one Gauss rule and one row per degree.
     """
     if not isinstance(family, GramFamily):
         raise DomainError(f"family must be a GramFamily member, got {family!r}")
-    n_max = _check_level(n_max)
-    if family is GramFamily.Morse:
-        gram, target = _gram_morse(n_max, params)
-    elif family is GramFamily.Theta:
-        gram, target = _gram_theta(n_max, params, branch)
-    elif family is GramFamily.RadialSph:
-        gram, target = _gram_radial_sph(n_max, params, branch)
-    elif family is GramFamily.RadialCyl:
-        gram, target = _gram_radial_cyl(n_max, params, branch)
+    n_max = check_nonneg_int(n_max, "n_max")
+    entry = _GRAM[family]
+    if not isinstance(params, entry.params_type):
+        raise DomainError(f"{family.value} Gram checks need "
+                          f"{entry.params_type.__name__}, got {type(params).__name__}")
+    alpha, beta, power, scale = entry.exponents(n_max, params, branch)
+    rule = build_quadrature(entry.kind, n_max + 2, alpha=alpha, beta=beta)
+    x = rule.nodes
+    if entry.kind == "laguerre":
+        root = np.exp(0.5 * x) * x ** -power
     else:
-        gram, target = _gram_axial(n_max, params, branch)
-    deviation = float(np.max(np.abs(gram - target * np.eye(n_max + 1))))
-    branch_tag = "" if family is GramFamily.Morse else f" {branch.name.lower()}"
-    name = f"gram {family.value} n<={n_max} {_params_tag(params)}{branch_tag}"
-    report = _report(name, deviation, 0.0, _tolerance(n_max))
+        root = (0.5 - 0.5 * x) ** (-0.5 * alpha) * (0.5 + 0.5 * x) ** -power
+    coord = entry.coord(x, params)
+    rows = np.array([entry.row(k, params, branch, coord) for k in range(n_max + 1)]) * root
+    # numpy's own loop, not BLAS: the sum order does not follow the thread count
+    gram = scale * np.einsum("ip,p,jp->ij", rows, rule.weights, rows)
+    deviation = float(np.max(np.abs(gram - entry.target * np.eye(n_max + 1))))
+    report = _report(_gram_name(family, n_max, params, branch), deviation, 0.0,
+                     _tolerance(n_max))
     gram.flags.writeable = False
     return gram, report
+
+
+def _overlap_name(n: int, params: SystemParams, branch: Branch) -> str:
+    return f"overlap vs closed form n={n} {_params_tag(params)} {branch.name.lower()}"
 
 
 def w_overlap_oracle(n: int, params: SystemParams,
@@ -281,7 +307,7 @@ def w_overlap_oracle(n: int, params: SystemParams,
     the angular evaluator, with no Clebsch-Gordan machinery involved.  The
     report compares the table entrywise against w_matrix().
     """
-    n = _check_level(n)
+    n = check_nonneg_int(n, "level n")
     if n > W_OVERLAP_MAX_LEVEL:
         raise DomainError(f"overlap oracle supports levels up to "
                           f"{W_OVERLAP_MAX_LEVEL}, got {n}")
@@ -307,8 +333,7 @@ def w_overlap_oracle(n: int, params: SystemParams,
 
     closed = w_matrix(n, params, branch).entries
     deviation = float(np.max(np.abs(table - closed)))
-    name = f"overlap vs closed form n={n} {_params_tag(params)} {branch.name.lower()}"
-    report = _report(name, deviation, 0.0, _tolerance(n))
+    report = _report(_overlap_name(n, params, branch), deviation, 0.0, _tolerance(n))
     table.flags.writeable = False
     return table, report
 
@@ -344,63 +369,48 @@ _MORSE_CASES = (
 )
 
 
-def _suite_jobs():
-    jobs = []
-    for params in _SUITE_SETS:
-        for branch in admissible_branches(params):
-            for family in (GramFamily.Theta, GramFamily.RadialSph,
-                           GramFamily.RadialCyl, GramFamily.Axial):
-                jobs.append((family, _GRAM_LEVEL, params, branch))
-    return jobs
+def _suite() -> tuple[tuple[str, Callable[[], CheckReport]], ...]:
+    """The verification suite as (name, check) rows, in report order.
+
+    Each check returns the CheckReport of its row, named as the row is; the
+    checks look the oracles up by module name when they run.
+    """
+    def gram(family, n_max, params, branch=Branch.Plus):
+        return (_gram_name(family, n_max, params, branch),
+                lambda: gram_matrix(family, n_max, params, branch)[1])
+
+    def bi(route, n, q, qp, params, branch):
+        name = _bi_name(route, n, q, qp, params, branch)
+        if route == "quad":
+            return name, lambda: bi_orthogonality(n, q, qp, params, branch)
+        return name, lambda: _report(
+            name, bi_orthogonality_hypergeometric(n, q, qp, params, branch),
+            _bi_expected(q, qp, params, branch), _tolerance(n))
+
+    def overlap(n, params, branch):
+        return (_overlap_name(n, params, branch),
+                lambda: w_overlap_oracle(n, params, branch)[1])
+
+    families = (GramFamily.Theta, GramFamily.RadialSph, GramFamily.RadialCyl, GramFamily.Axial)
+    return (*(gram(family, _GRAM_LEVEL, params, branch) for params in _SUITE_SETS
+              for branch in admissible_branches(params) for family in families),
+            *(bi("quad", n, q, qp, params, branch)
+              for params, branch, n, pairs in _BI_CASES for q, qp in pairs),
+            *(bi("2F1", n, q, qp, params, branch)
+              for params, branch, n, pairs in _HYP_CASES for q, qp in pairs),
+            *(overlap(n, params, branch) for params, branch, n in _OVERLAP_CASES),
+            *(gram(GramFamily.Morse, n_max, mparams) for mparams, n_max in _MORSE_CASES))
+
+
+_SUITE = _suite()
+
+SUITE_MANIFEST: tuple[str, ...] = tuple(name for name, _ in _SUITE)
 
 
 def run_verification_suite() -> list[CheckReport]:
-    """Execute the fixed oracle manifest and return its CheckReport rows.
+    """Run every check of the suite table and return its CheckReport rows.
 
     The row order and count are deterministic; SUITE_MANIFEST lists the
     names so callers can confirm nothing was skipped.
     """
-    reports: list[CheckReport] = []
-    for job in _suite_jobs():
-        reports.append(gram_matrix(*job)[1])
-    for params, branch, n, pairs in _BI_CASES:
-        for q, qp in pairs:
-            reports.append(bi_orthogonality(n, q, qp, params, branch))
-    for params, branch, n, pairs in _HYP_CASES:
-        b, c, _ = require_admissible(params, branch)
-        gamma_sum = c + branch.sign * b
-        for q, qp in pairs:
-            measured = bi_orthogonality_hypergeometric(n, q, qp, params, branch)
-            expected = params.omega / (2 * q + gamma_sum + 1.0) if q == qp else 0.0
-            name = (f"bi-orthogonality 2F1 n={n} q={q} q'={qp} "
-                    f"{_params_tag(params)} {branch.name.lower()}")
-            reports.append(_report(name, measured, expected, _tolerance(n)))
-    for params, branch, n in _OVERLAP_CASES:
-        reports.append(w_overlap_oracle(n, params, branch)[1])
-    for mparams, n_max in _MORSE_CASES:
-        reports.append(gram_matrix(GramFamily.Morse, n_max, mparams)[1])
-    return reports
-
-
-def _manifest() -> tuple[str, ...]:
-    names = []
-    for family, n_max, params, branch in _suite_jobs():
-        names.append(f"gram {family.value} n<={n_max} {_params_tag(params)} "
-                     f"{branch.name.lower()}")
-    for params, branch, n, pairs in _BI_CASES:
-        for q, qp in pairs:
-            names.append(f"bi-orthogonality quad n={n} q={q} q'={qp} "
-                         f"{_params_tag(params)} {branch.name.lower()}")
-    for params, branch, n, pairs in _HYP_CASES:
-        for q, qp in pairs:
-            names.append(f"bi-orthogonality 2F1 n={n} q={q} q'={qp} "
-                         f"{_params_tag(params)} {branch.name.lower()}")
-    for params, branch, n in _OVERLAP_CASES:
-        names.append(f"overlap vs closed form n={n} {_params_tag(params)} "
-                     f"{branch.name.lower()}")
-    for mparams, n_max in _MORSE_CASES:
-        names.append(f"gram morse n<={n_max} {_params_tag(mparams)}")
-    return tuple(names)
-
-
-SUITE_MANIFEST: tuple[str, ...] = _manifest()
+    return [check() for _, check in _SUITE]

@@ -34,14 +34,7 @@ __all__ = [
     "hyp2f1_unit",
     "build_quadrature",
     "LAGUERRE_MAX_POINTS",
-    "ANGULAR_POINTS",
-    "RADIAL_POINTS",
 ]
-
-# Default rule sizes: every integrand in scope is polynomial x weight with
-# degree <= 4n + 20 at n <= 20, so these are exact with a wide margin.
-ANGULAR_POINTS = 200
-RADIAL_POINTS = 128
 
 # Above ~180 points the smallest Gauss-Laguerre weights underflow to zero,
 # breaking the all-positive invariant; refuse before that happens.
@@ -332,7 +325,8 @@ class QuadratureRule:
 
     def integrate(self, values: np.ndarray) -> float:
         """Contract sampled integrand values (at .nodes) with the weights."""
-        return float(np.dot(self.weights, values))
+        # numpy's own loop, not BLAS: the sum order does not follow the thread count
+        return float(np.einsum("i,i->", self.weights, values))
 
 
 def _monic_coeffs(kind: str, n: int, alpha: float, beta: float):

@@ -413,14 +413,17 @@ def test_huge_interbasis_level_is_refused_before_any_column_array():
 
 
 def test_stdout_does_not_depend_on_blas_threads():
-    # ortho_dev once came from a BLAS product whose summation order followed
+    # ortho_dev, the Gram and quadrature sums behind verify and the Morse
+    # norms could each come from a BLAS product whose summation order follows
     # the thread count; each child sets the count before numpy loads
     script = ("import hashlib, io, sys\n"
               "from contextlib import redirect_stdout\n"
               "from genosc.cli import main\n"
               "for argv in (['interbasis', '--n', '100', '--P', '0.3'],\n"
               "             ['spheroidal', '--n', '100', '--R-grid', '0.1:5:50'],\n"
-              "             ['morse', '--V0', '50', '--a', '0.5']):\n"
+              "             ['morse', '--V0', '50', '--a', '0.5'],\n"
+              "             ['morse', '--V0', '3200', '--a', '1'],\n"
+              "             ['verify']):\n"
               "    out = io.StringIO()\n"
               "    with redirect_stdout(out):\n"
               "        code = main(argv)\n"
@@ -435,7 +438,7 @@ def test_stdout_does_not_depend_on_blas_threads():
                               text=True, env=env, timeout=120)
         assert proc.returncode == 0, proc.stderr
         digests.append(proc.stdout.splitlines())
-    assert [line.split()[0] for line in digests[0]] == ["0", "0", "0"]
+    assert [line.split()[0] for line in digests[0]] == ["0"] * 5
     assert digests[0] == digests[1]
 
 

@@ -233,8 +233,8 @@ def test_parameter_validation():
         with pytest.raises(DomainError):
             MorseParams(*bad)
     params = MorseParams(2.0, 1.0)
-    for p in (-1, 2, 0.5):
-        with pytest.raises(DomainError):
+    for p in (-1, 2, 0.5, math.inf, -math.inf, math.nan, "x"):
+        with pytest.raises(DomainError, match=r"level p must lie in 0\.\.1"):
             morse_wavefunction(p, params, 0.0)
     with pytest.raises(DomainError):
         quadrature_norm(5, params)

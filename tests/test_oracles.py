@@ -8,12 +8,12 @@ from scipy import integrate
 
 from genosc.errors import DomainError
 from genosc.model import Branch, SystemParams, admissible_branches
-from genosc.morse import MorseParams
+from genosc.morse import MorseParams, bound_state_count
 from genosc.oracles import (SUITE_MANIFEST, CheckReport, GramFamily,
                             bi_orthogonality, bi_orthogonality_hypergeometric,
                             gram_matrix, reciprocal_gamma,
                             run_verification_suite, w_overlap_oracle)
-from genosc.specfun import hermite
+from genosc.specfun import build_quadrature, hermite
 
 BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3, c=1
 STEEP = SystemParams(omega=2.0, p_strength=2.0, q_strength=1.5, m=2)    # b=1.5
@@ -85,6 +85,14 @@ def test_bi_orthogonality_rejects_bad_indices():
         bi_orthogonality_hypergeometric(1, 2, 0, BOTH, Branch.Plus)
     with pytest.raises(DomainError):
         bi_orthogonality(3, 0, 0, STEEP, Branch.Minus)
+    # non-numbers and non-finite indices: DomainError, never OverflowError
+    # or ValueError from int()
+    for bad in (math.inf, math.nan, "x"):
+        for args in ((bad, 0, 0), (2, bad, 0), (2, 0, bad)):
+            with pytest.raises(DomainError):
+                bi_orthogonality(*args, BOTH, Branch.Plus)
+            with pytest.raises(DomainError):
+                bi_orthogonality_hypergeometric(*args, BOTH, Branch.Plus)
 
 
 # ------------------------------------------------------------- Gram matrices
@@ -119,12 +127,32 @@ def test_gram_morse_identity_and_guards():
     gram, rep = gram_matrix(GramFamily.Morse, 2, MorseParams(v0=8.6528, a=1.3))
     assert rep.passed
     assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
+    # deeper wells, every n_max the family allows up to 30: one rule per Gram
+    # keeps the matrix within 1e-12 of the identity
+    for lam in (24.0, 40.0, 80.0):
+        for a in (0.3, 2.0):
+            params = MorseParams(v0=0.5 * (lam * a) ** 2, a=a)
+            for n_max in range(min(bound_state_count(params) - 1, 30) + 1):
+                gram, rep = gram_matrix(GramFamily.Morse, n_max, params)
+                assert rep.passed, (lam, a, n_max)
+                assert np.max(np.abs(gram - np.eye(n_max + 1))) <= 1e-12, (lam, a, n_max)
+    # a cold Morse Gram builds exactly one Gauss rule
+    misses = build_quadrature.cache_info().misses
+    gram_matrix(GramFamily.Morse, 7, MorseParams(v0=0.5 * (23.4567 * 0.71) ** 2, a=0.71))
+    assert build_quadrature.cache_info().misses == misses + 1
     with pytest.raises(DomainError):
         gram_matrix(GramFamily.Morse, 3, MorseParams(v0=5.12, a=1.0))
     with pytest.raises(DomainError):
         gram_matrix(GramFamily.Morse, 1, BOTH)
     with pytest.raises(DomainError):
+        gram_matrix(GramFamily.Theta, 1, MorseParams(v0=8.6528, a=1.3))
+    with pytest.raises(DomainError):
         gram_matrix("theta", 2, BOTH)
+    for bad in (math.inf, math.nan, "x", -1, 1.5):
+        with pytest.raises(DomainError):
+            gram_matrix(GramFamily.Theta, bad, BOTH)
+        with pytest.raises(DomainError):
+            gram_matrix(GramFamily.Morse, bad, MorseParams(v0=8.6528, a=1.3))
 
 
 # ------------------------------------------------------------ overlap oracle
@@ -179,6 +207,8 @@ def test_suite_manifest_is_deterministic():
 def test_report_pass_logic():
     ok = CheckReport("x", 1.0, 1.0, 1e-12, True)
     assert ok.passed and not ok.relative
+    rel = CheckReport("y", 1.1, 1.0, 0.2, True, relative=True)
+    assert rel.passes(0.11) and not rel.passes(0.09)
     rep = bi_orthogonality(1, 0, 1, BOTH, Branch.Plus)
     assert rep.expected == 0.0
     assert rep.tolerance == 1e-10
