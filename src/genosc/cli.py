@@ -21,11 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, check_nonneg_int
+from .errors import DomainError, NumericError, _require_table, check_nonneg_int
 from .interbasis import ring_w, w_matrix
-from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                    energy_cylindrical_parts, energy_level, require_admissible,
-                    ring_relabel, separation_constant_A)
+from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams, _a_q, _e_n,
+                    _e_rho, _e_z, require_admissible, ring_relabel)
 from .morse import (MorseParams, bound_state_count, morse_spectrum,
                     morse_wavefunction, quadrature_norm)
 from .oracles import SUITE_MANIFEST, run_verification_suite
@@ -213,15 +212,18 @@ def resolve_config(args: argparse.Namespace) -> JobConfig:
 # ------------------------------------------------------------------ commands
 
 def cmd_spectrum(cfg: JobConfig) -> tuple[list[Section], int]:
-    levels = [(n, energy_level(n, cfg.params, cfg.branch)) for n in range(cfg.n + 1)]
-    states = []
-    for n in range(cfg.n + 1):
-        for idx in range(n + 1):
-            e_rho, e_z = energy_cylindrical_parts(n - idx, idx, cfg.params, cfg.branch)
-            states.append((n, idx, separation_constant_A(idx, cfg.params, cfg.branch),
-                           e_rho, e_z))
-    return [Section("levels", ("n", "energy"), tuple(levels)),
-            Section("states", ("n", "idx", "A_q", "E_rho", "E_z"), tuple(states))], 0
+    top, params, branch = cfg.n, cfg.params, cfg.branch
+    _require_table(((top + 1) * (top + 2) // 2, 5), "spectrum states table")
+    idx = np.arange(top + 1)
+    # extreme omega overflows a value; the non-finite cells fail at rendering
+    with np.errstate(over="ignore"):
+        energy, a_q, e_rho, e_z = (form(idx, params, branch).tolist()
+                                   for form in (_e_n, _a_q, _e_rho, _e_z))
+    levels = tuple(zip(range(top + 1), energy))
+    states = tuple((n, q, a_q[q], e_rho[n - q], e_z[q])
+                   for n in range(top + 1) for q in range(n + 1))
+    return [Section("levels", ("n", "energy"), levels),
+            Section("states", ("n", "idx", "A_q", "E_rho", "E_z"), states)], 0
 
 
 def cmd_interbasis(cfg: JobConfig) -> tuple[list[Section], int]:
@@ -472,7 +474,8 @@ def main(argv=None) -> int:
         print(f"invalid config: {exc}", file=sys.stderr)
         return 2
     except (NumericError, OverflowError, FloatingPointError, MemoryError) as exc:
-        print(f"numeric failure: {exc}", file=sys.stderr)
+        # a bare MemoryError has no text; name its type instead
+        print(f"numeric failure: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 4
 
 

@@ -48,3 +48,16 @@ def require_points(ok, message: str, value=None) -> None:
     if ok.size > 1:
         message += f" at point {idx[0] if len(idx) == 1 else idx}"
     raise DomainError(message)
+
+
+def _require_table(shape: tuple[int, ...], what: str) -> None:
+    """NumericError unless numpy can allocate a float table of this shape.
+
+    The one refusal of tables too large to build, made before any O(n) work.
+    numpy refuses a size it cannot map with MemoryError and one past its
+    largest array with ValueError; the trial array is never written.
+    """
+    try:
+        np.empty(shape)
+    except (MemoryError, ValueError) as exc:
+        raise NumericError(f"cannot tabulate the {what} of shape {shape}: {exc}") from exc

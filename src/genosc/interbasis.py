@@ -10,9 +10,10 @@ Racah sum (w_coefficient, cg_continued, ring_w) is kept as the small-level
 oracle: it terminates because a+b-c stays a nonnegative integer for every
 argument pattern generated here, with 1/Gamma at nonpositive integers zero
 throughout, but its alternating terms cancel and it loses orthogonality
-from n ~ 70. Also provides the tridiagonal matrix elements of the two
-commuting operators (M in the cylindrical basis, N in the spherical one)
-that the spheroidal module deforms.
+from n ~ 70. Also owns the two commuting tridiagonal operators of a level
+(M in the cylindrical basis, N in the spherical one) as O(n) bands, which
+the W recursion, the spheroidal systems and the perturbation series read;
+m_matrix_cyl and n_matrix_sph are their dense views.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, NumericError, check_nonneg_int
-from .model import Branch, SystemParams, require_admissible
+from .errors import (AccuracyError, DomainError, NumericError, _require_table,
+                     check_nonneg_int)
+from .model import Branch, SystemParams, _a_q, _e_n, require_admissible
 from .specfun import build_quadrature, jacobi_p, ln_gamma
 
 __all__ = [
@@ -307,21 +309,17 @@ def _w_columns(n: int, params: SystemParams, branch: Branch,
     """Columns qs (default all, 0..n) of W by recursion, checked against the
     eigen residual contract.
 
-    Column q is the eigenvector of 2 m_matrix_cyl for A_q; its sign is the
-    Racah sum's, since W_n0^q is a single Racah term with positive Gamma
-    arguments, hence positive, and the recursion starts at x_0 = +1. The
-    dense (n+1)^2 operator is allocated before any O(n) array, so a level
-    too large to tabulate fails at once.
+    Column q is the eigenvector of 2 M (bands from _m_bands) for A_q; its sign
+    is the Racah sum's, since W_n0^q is a single Racah term with positive
+    Gamma arguments, hence positive, and the recursion starts at x_0 = +1.
+    A level too large to tabulate is refused by _m_bands before any O(n)
+    array exists.
     """
-    b, c, _ = require_admissible(params, branch)
+    diag, off = _m_bands(n, params, branch)
     # extreme parameters overflow the operator; the checks below refuse them
     with np.errstate(all="ignore"):
-        mat = 2.0 * m_matrix_cyl(n, params, branch)
-        diag, off = np.diag(mat), np.diag(mat, 1)
-        if qs is None:
-            qs = np.arange(n + 1.0)
-        base = 2.0 * qs + c + branch.sign * b
-        lam = (base + 0.5) * (base + 1.5)
+        diag, off = 2.0 * diag, 2.0 * off
+        lam = _a_q(np.arange(n + 1.0) if qs is None else qs, params, branch)
         vec = _recursion_columns(diag, off, lam)
     if not np.isfinite(vec).all():
         raise NumericError(f"interbasis recursion gave non-finite entries at n={n}")
@@ -412,49 +410,70 @@ def ring_w(N: int, m: int, n3: int, l: int, delta: float) -> float:
                                c=c0, gamma=alpha + beta))
 
 
+def _m_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (diag, off) of m_matrix_cyl at a validated level n, in O(n).
+
+    Every consumer of M reads these; a level whose (n+1)^2 table cannot be
+    allocated is refused first.
+    """
+    b, c, _ = require_admissible(params, branch)
+    _require_table((n + 1, n + 1), f"level n={n} operator")
+    sb = branch.sign * b
+    d0 = 0.5 * (c - sb + 0.5) * (c - sb + 1.5)
+    diag = np.array([d0 + 2.0 * (p + 1.0) * (n - p) + 2.0 * (p + sb) * (n + c - p + 1.0)
+                     for p in range(n + 1)])
+    off = np.array([2.0 * math.sqrt((p + 1.0) * (p + 1.0 + sb) * (n - p) * (n + c - p))
+                    for p in range(n)])
+    return diag, off
+
+
+def _n_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (diag, off) of n_matrix_sph at a validated level n, in O(n).
+
+    Every consumer of N reads these; a level whose (n+1)^2 table cannot be
+    allocated is refused first. The q = 0 diagonal uses the factored form
+    because c + sb can vanish (c = b on the Minus branch).
+    """
+    b, c, _ = require_admissible(params, branch)
+    _require_table((n + 1, n + 1), f"level n={n} operator")
+    sb = branch.sign * b
+    e_n = _e_n(n, params, branch)
+    diag, off = [e_n * (sb + 1.0) / (c + sb + 2.0)], []
+    for q in range(1, n + 1):
+        base = 2.0 * q + c + sb
+        diag.append(e_n * (2.0 * q * (q + 1.0) + (c + sb) * (2.0 * q + sb + 1.0))
+                    / (base * (base + 2.0)))
+        off.append(-2.0 * params.omega * math.sqrt(
+            q * (n - q + 1.0) * (q + c + sb) * (q + sb) * (q + c)
+            * (n + q + c + sb + 1.0)
+            / (base * base * (base - 1.0) * (base + 1.0))))
+    return np.array(diag), np.array(off)
+
+
+def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal matrix, or stack of them, from its bands."""
+    idx = np.arange(diag.shape[-1])
+    mat = np.zeros(diag.shape + idx.shape)
+    mat[..., idx, idx] = diag
+    mat[..., idx[:-1], idx[1:]] = mat[..., idx[1:], idx[:-1]] = off
+    return mat
+
+
 def m_matrix_cyl(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     """Matrix of the spherical constant's operator in the cylindrical basis.
 
     Symmetric tridiagonal over p = 0..n; twice this matrix is similar to
-    diag(A_q) through the W matrix.
+    diag(A_q) through the W matrix. A dense view of its bands.
     """
     n, _, _ = _check_level_indices(n, 0, 0)
-    b, c, _ = require_admissible(params, branch)
-    sb = branch.sign * b
-    mat = np.zeros((n + 1, n + 1))
-    for p in range(n + 1):
-        mat[p, p] = (0.5 * (c - sb + 0.5) * (c - sb + 1.5)
-                     + 2.0 * (p + 1.0) * (n - p)
-                     + 2.0 * (p + sb) * (n + c - p + 1.0))
-        if p < n:
-            off = 2.0 * math.sqrt((p + 1.0) * (p + 1.0 + sb) * (n - p) * (n + c - p))
-            mat[p, p + 1] = off
-            mat[p + 1, p] = off
-    return mat
+    return _dense(*_m_bands(n, params, branch))
 
 
 def n_matrix_sph(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     """Matrix of the cylindrical constant's operator in the spherical basis.
 
-    Symmetric tridiagonal over q = 0..n with eigenvalues E_z(p); the q = 0
-    diagonal uses the factored form because c + sb can vanish (c = b on the
-    Minus branch).
+    Symmetric tridiagonal over q = 0..n with eigenvalues E_z(p). A dense
+    view of its bands.
     """
     n, _, _ = _check_level_indices(n, 0, 0)
-    b, c, _ = require_admissible(params, branch)
-    sb = branch.sign * b
-    omega = params.omega
-    e_n = omega * (2.0 * n + c + sb + 2.0)
-    mat = np.zeros((n + 1, n + 1))
-    mat[0, 0] = e_n * (sb + 1.0) / (c + sb + 2.0)
-    for q in range(1, n + 1):
-        base = 2.0 * q + c + sb
-        mat[q, q] = (e_n * (2.0 * q * (q + 1.0) + (c + sb) * (2.0 * q + sb + 1.0))
-                     / (base * (base + 2.0)))
-        off = -2.0 * omega * math.sqrt(
-            q * (n - q + 1.0) * (q + c + sb) * (q + sb) * (q + c)
-            * (n + q + c + sb + 1.0)
-            / (base * base * (base - 1.0) * (base + 1.0)))
-        mat[q - 1, q] = off
-        mat[q, q - 1] = off
-    return mat
+    return _dense(*_n_bands(n, params, branch))

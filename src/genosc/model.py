@@ -161,19 +161,42 @@ class RingLabel:
                     f"N={self.N}, n3={self.n3}, m={self.m}")
 
 
-def separation_constant_A(q: int, params: SystemParams, branch: Branch) -> float:
-    """Angular separation constant A_q = (2q + c +- b + 1/2)(2q + c +- b + 3/2)."""
-    q = check_nonneg_int(q, "q")
+# The closed forms below take one index or an index array, and are the only
+# place each is written; the public scalar functions validate and call them.
+
+def _a_q(q, params: SystemParams, branch: Branch):
+    """A_q = (2q + c +- b + 1/2)(2q + c +- b + 3/2)."""
     b, c, _ = require_admissible(params, branch)
     base = 2.0 * q + c + branch.sign * b
     return (base + 0.5) * (base + 1.5)
 
 
-def energy_level(n: int, params: SystemParams, branch: Branch) -> float:
-    """E_n = omega (2n + c +- b + 2); degenerate across all splits of n."""
-    n = check_nonneg_int(n, "n")
+def _e_n(n, params: SystemParams, branch: Branch):
+    """E_n = omega (2n + c +- b + 2)."""
     b, c, _ = require_admissible(params, branch)
     return params.omega * (2.0 * n + c + branch.sign * b + 2.0)
+
+
+def _e_rho(n_rho, params: SystemParams, branch: Branch):
+    """E_rho = omega (2 n_rho + c + 1)."""
+    _, c, _ = require_admissible(params, branch)
+    return params.omega * (2.0 * n_rho + c + 1.0)
+
+
+def _e_z(p, params: SystemParams, branch: Branch):
+    """E_z = omega (2p +- b + 1)."""
+    b, _, _ = require_admissible(params, branch)
+    return params.omega * (2.0 * p + branch.sign * b + 1.0)
+
+
+def separation_constant_A(q: int, params: SystemParams, branch: Branch) -> float:
+    """Angular separation constant A_q = (2q + c +- b + 1/2)(2q + c +- b + 3/2)."""
+    return _a_q(check_nonneg_int(q, "q"), params, branch)
+
+
+def energy_level(n: int, params: SystemParams, branch: Branch) -> float:
+    """E_n = omega (2n + c +- b + 2); degenerate across all splits of n."""
+    return _e_n(check_nonneg_int(n, "n"), params, branch)
 
 
 def energy_cylindrical_parts(n_rho: int, p: int, params: SystemParams,
@@ -181,10 +204,7 @@ def energy_cylindrical_parts(n_rho: int, p: int, params: SystemParams,
     """(E_rho, E_z) = (omega (2 n_rho + c + 1), omega (2p +- b + 1))."""
     n_rho = check_nonneg_int(n_rho, "n_rho")
     p = check_nonneg_int(p, "p")
-    b, c, _ = require_admissible(params, branch)
-    e_rho = params.omega * (2.0 * n_rho + c + 1.0)
-    e_z = params.omega * (2.0 * p + branch.sign * b + 1.0)
-    return e_rho, e_z
+    return _e_rho(n_rho, params, branch), _e_z(p, params, branch)
 
 
 def enumerate_level(n: int, params: SystemParams) -> list[tuple[SphericalLabel, CylindricalLabel]]:

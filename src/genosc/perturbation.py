@@ -1,7 +1,7 @@
 """Perturbation series for the spheroidal separation constant in omega R^2.
 
 Both regimes reduce to the same order-by-order recursion: an unperturbed
-diagonal plus a tridiagonal coupling read off the interbasis matrix tables.
+diagonal plus a tridiagonal coupling read off the interbasis operator bands.
 Small R expands around the spherical constants A_k in powers of omega R^2,
 large R around the half z-energies in inverse powers.  The eigenvector
 tables keep component k pinned (T_kk^{(j)} = delta_{j0}), so the series
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, check_nonneg_int
-from .interbasis import m_matrix_cyl, n_matrix_sph
-from .model import (SystemParams, Branch, energy_cylindrical_parts,
-                    require_admissible, separation_constant_A)
+from .interbasis import _m_bands, _n_bands
+from .model import SystemParams, Branch, _a_q, _e_z, require_admissible
 
 _RESONANCE_TOL = 1e-12
 
@@ -90,13 +89,14 @@ def _column_sums(block: np.ndarray, what: str) -> np.ndarray:
         raise NumericError(f"sum overflows in {what}") from exc
 
 
-def _recursion_tables(coupling: np.ndarray, denom: np.ndarray, k: int, order: int,
-                      regime: Regime) -> tuple[tuple[float, ...], np.ndarray]:
-    # The coupling is tridiagonal, so component q of coupling @ (previous row)
-    # has at most three nonzero products.  Component k stays pinned at every
-    # order, so lambda^{(j)} is its k-th component.  math.fsum is exactly
-    # rounded and skips zero terms, so every coefficient is the correctly
-    # rounded sum of its products, whatever the summation order.
+def _recursion_tables(diag: np.ndarray, off: np.ndarray, denom: np.ndarray, k: int,
+                      order: int, regime: Regime) -> tuple[tuple[float, ...], np.ndarray]:
+    # The coupling is the symmetric tridiagonal matrix with bands diag/off, so
+    # component q of coupling @ (previous row) has at most three nonzero
+    # products.  Component k stays pinned at every order, so lambda^{(j)} is
+    # its k-th component.  math.fsum is exactly rounded and skips zero terms,
+    # so every coefficient is the correctly rounded sum of its products,
+    # whatever the summation order.
     size = denom.size
     others = np.arange(size) != k
     resonant = np.flatnonzero(others & (np.abs(denom) < _RESONANCE_TOL))
@@ -104,9 +104,9 @@ def _recursion_tables(coupling: np.ndarray, denom: np.ndarray, k: int, order: in
         raise NumericError(f"resonant denominator at order 1, component {resonant[0]}")
     denom = np.where(others, denom, 1.0)
     bands = np.zeros((3, size))   # bands[:, q] couples q to q-1, q, q+1
-    bands[0, 1:] = np.diag(coupling, -1)
-    bands[1] = np.diag(coupling)
-    bands[2, :-1] = np.diag(coupling, 1)
+    bands[0, 1:] = off
+    bands[1] = diag
+    bands[2, :-1] = off
     if not np.isfinite(bands).all():
         raise NumericError(f"non-finite coupling in the {regime.value}-R series")
     table = np.zeros((order + 1, size))
@@ -140,13 +140,13 @@ def small_r_series(n: int, k: int, params: SystemParams, branch: Branch,
     order = _check_order(order)
     b, c, _ = require_admissible(params, branch)
     gamma = c + branch.sign * b
+    diag, off = _n_bands(n, params, branch)
     q = np.arange(n + 1)
     with np.errstate(over="ignore", invalid="ignore"):
-        coupling = n_matrix_sph(n, params, branch) / (2.0 * params.omega)
+        diag, off = diag / (2.0 * params.omega), off / (2.0 * params.omega)
         denom = 4.0 * (k - q) * (k + q + gamma + 1.0)
-    lams, table = _recursion_tables(coupling, denom, k, order, Regime.SmallR)
-    return SeriesExpansion(Regime.SmallR, n, k, order,
-                           separation_constant_A(k, params, branch),
+    lams, table = _recursion_tables(diag, off, denom, k, order, Regime.SmallR)
+    return SeriesExpansion(Regime.SmallR, n, k, order, _a_q(k, params, branch),
                            params.omega, lams, table)
 
 
@@ -155,14 +155,13 @@ def large_r_series(n: int, k: int, params: SystemParams, branch: Branch,
     """Expand lambda_k(R)/(omega R^2) = E_z(k)/(2 omega) + sum_j lambda^{(j)} (omega R^2)^{-j}."""
     n, k = _check_indices(n, k)
     order = _check_order(order)
-    require_admissible(params, branch)
+    diag, off = _m_bands(n, params, branch)
     with np.errstate(over="ignore"):
-        coupling = 2.0 * m_matrix_cyl(n, params, branch)
-    lams, table = _recursion_tables(coupling, k - np.arange(n + 1.0), k, order,
+        diag, off = 2.0 * diag, 2.0 * off
+    lams, table = _recursion_tables(diag, off, k - np.arange(n + 1.0), k, order,
                                     Regime.LargeR)
-    e_z = energy_cylindrical_parts(0, k, params, branch)[1]
     return SeriesExpansion(Regime.LargeR, n, k, order,
-                           e_z / (2.0 * params.omega),
+                           _e_z(k, params, branch) / (2.0 * params.omega),
                            params.omega, lams, table)
 
 

@@ -18,9 +18,9 @@ import numpy as np
 from .bases import _with_phase, cylindrical_level, spherical_level
 from .errors import DomainError, NumericError, check_nonneg_int, require_points
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
-from .interbasis import (_RESIDUAL_FACTOR, _check_residual, m_matrix_cyl,  # noqa: F401
-                         n_matrix_sph, w_column)
-from .model import Branch, SystemParams, require_admissible, separation_constant_A
+from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _dense, _m_bands,  # noqa: F401
+                         _n_bands, w_column)
+from .model import Branch, SystemParams, _a_q, _e_z, require_admissible
 
 _SIGN_PIVOT_TOL = 1e-12
 
@@ -124,14 +124,13 @@ def build_tridiag_u(n: int, params: SystemParams, branch: Branch, R: float,
                     kind: Kind) -> TridiagonalSystem:
     """Cylindrical-side system 2 m_matrix_cyl + sign (R^2/2) diag(E_z(p))."""
     n, _ = _check_level_index(n, 0)
-    b, _, _ = require_admissible(params, branch)
+    require_admissible(params, branch)
     R = _check_r(R)
-    base = 2.0 * m_matrix_cyl(n, params, branch)
-    p = np.arange(n + 1, dtype=float)
-    e_z = params.omega * (2.0 * p + branch.sign * b + 1.0)
+    diag, offdiag = _m_bands(n, params, branch)
     with np.errstate(over="ignore"):   # an overflowed entry fails the eigensolve
-        diag = np.diag(base) + kind.sign * 0.5 * R * R * e_z
-    offdiag = np.diag(base, 1).copy()
+        e_z = _e_z(np.arange(n + 1.0), params, branch)
+        diag = 2.0 * diag + kind.sign * 0.5 * R * R * e_z
+        offdiag = 2.0 * offdiag
     diag.flags.writeable = False
     offdiag.flags.writeable = False
     return TridiagonalSystem(diag=diag, offdiag=offdiag, basis="cylindrical",
@@ -142,11 +141,11 @@ def _t_bands(n: int, params: SystemParams, branch: Branch, kind: Kind,
              radii) -> tuple[np.ndarray, np.ndarray]:
     """Bands of diag(A_q) + sign (R^2/2) n_matrix_sph at one R, or one row per R
     of an array; an overflowed entry is left to fail the eigensolve."""
-    n_mat = n_matrix_sph(n, params, branch)
-    a_q = np.array([separation_constant_A(q, params, branch) for q in range(n + 1)])
+    n_diag, n_off = _n_bands(n, params, branch)
     with np.errstate(over="ignore", invalid="ignore"):
+        a_q = _a_q(np.arange(n + 1.0), params, branch)
         scale = np.asarray(kind.sign * 0.5 * radii * radii)[..., None]
-        return a_q + scale * np.diag(n_mat), scale * np.diag(n_mat, 1)
+        return a_q + scale * n_diag, scale * n_off
 
 
 def build_tridiag_t(n: int, params: SystemParams, branch: Branch, R: float,
@@ -160,15 +159,6 @@ def build_tridiag_t(n: int, params: SystemParams, branch: Branch, R: float,
     offdiag.flags.writeable = False
     return TridiagonalSystem(diag=diag, offdiag=offdiag, basis="spherical",
                              kind=kind, R=R)
-
-
-def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Symmetric tridiagonal matrix, or stack of them, from its bands."""
-    idx = np.arange(diag.shape[-1])
-    mat = np.zeros(diag.shape + idx.shape)
-    mat[..., idx, idx] = diag
-    mat[..., idx[:-1], idx[1:]] = mat[..., idx[1:], idx[:-1]] = off
-    return mat
 
 
 def _solve(diag: np.ndarray, off: np.ndarray, what) -> tuple[np.ndarray, np.ndarray]:
@@ -273,8 +263,8 @@ def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
     """All separation constants lambda_0..lambda_n at every R of a grid.
 
     Row i holds the ascending eigenvalues of build_tridiag_t(n, ..., R_grid[i],
-    kind) = diag(A_q) + sign (R^2/2) n_matrix_sph, from the same bands (one
-    n_matrix_sph per level) and the same solve as eigensolve, in stacked
+    kind) = diag(A_q) + sign (R^2/2) n_matrix_sph, from the same bands (N's
+    built once per level) and the same solve as eigensolve, in stacked
     LAPACK calls.
     """
     n, _ = _check_level_index(n, 0)

@@ -20,6 +20,8 @@ import genosc
 from genosc import interbasis, spheroidal
 from genosc.cli import main
 from genosc.errors import NumericError
+from genosc.model import (Branch, SystemParams, energy_cylindrical_parts, energy_level,
+                          separation_constant_A)
 from genosc.oracles import SUITE_MANIFEST
 
 
@@ -44,6 +46,10 @@ def csv_section(text, name):
     return rows[0].split(","), rows[1:]
 
 
+def _bits(rows):
+    return [[v.hex() if isinstance(v, float) else v for v in row] for row in rows]
+
+
 # ------------------------------------------------------------------ spectrum
 
 def test_spectrum_worked_row():
@@ -52,6 +58,22 @@ def test_spectrum_worked_row():
     _, rows = csv_section(out, "levels")
     assert rows[2].split(",")[0] == "2"
     assert float(rows[2].split(",")[1]) == pytest.approx(7.3, abs=1e-14)
+    # every cell is the scalar closed form, bit for bit
+    for flags, branch in ((BOTH_FLAGS, Branch.Plus), (BOTH_FLAGS, Branch.Minus),
+                          (["--omega", "2.5", "--P", "0.3", "--Q", "1.7", "--m", "-2"],
+                           Branch.Plus)):
+        code, out, _ = run_cli(["spectrum", *flags, "--branch", branch.name.lower(),
+                                "--n", "40"])
+        assert code == 0
+        header, data = json.loads(out)["header"], json.loads(out)["data"]
+        params = SystemParams(omega=header["omega"], p_strength=header["P"],
+                              q_strength=header["Q"], m=header["m"])
+        levels = [[n, energy_level(n, params, branch)] for n in range(41)]
+        states = [[n, q, separation_constant_A(q, params, branch),
+                   *energy_cylindrical_parts(n - q, q, params, branch)]
+                  for n in range(41) for q in range(n + 1)]
+        for name, want in (("levels", levels), ("states", states)):
+            assert _bits(data[name]["rows"]) == _bits(want), name
 
 
 def test_spectrum_isotropic_ladder():
@@ -131,14 +153,15 @@ def test_interbasis_high_level_stays_orthogonal():
 
 
 def test_interbasis_contract_miss_exits_4(monkeypatch):
-    clean = interbasis.m_matrix_cyl
+    # every consumer of M reads its bands from interbasis._m_bands
+    clean = interbasis._m_bands
 
     def corrupted(n, params, branch):
-        mat = clean(n, params, branch)
-        mat[0, 0] += 1e-3
-        return mat
+        diag, off = clean(n, params, branch)
+        diag[0] += 1e-3
+        return diag, off
 
-    monkeypatch.setattr(interbasis, "m_matrix_cyl", corrupted)
+    monkeypatch.setattr(interbasis, "_m_bands", corrupted)
     code, out, err = run_cli(["interbasis", *BOTH_FLAGS, "--n", "6"])
     assert code == 4
     assert out == ""
@@ -383,9 +406,13 @@ def test_unwritable_out_exits_2(tmp_path):
 
 def test_allocation_failure_exits_4():
     # 728 TiB each, past the 128 TiB a process maps by default, so numpy
-    # refuses at once under any overcommit policy
+    # refuses at once under any overcommit policy; at n = 1.1e9 the (n+1)^2
+    # operator table passes numpy's largest array size, which numpy refuses
+    # with ValueError instead of MemoryError
     for argv in (["interbasis", "--n", "10000000"],
-                 ["spheroidal", "--R-grid", "0.1:5:100000000000000"]):
+                 ["spheroidal", "--R-grid", "0.1:5:100000000000000"],
+                 ["interbasis", "--n", "1100000000"],
+                 ["spheroidal", "--n", "1100000000"]):
         code, out, err = run_cli(argv)
         assert code == 4, argv
         assert out == "", argv
@@ -395,21 +422,42 @@ def test_allocation_failure_exits_4():
 def test_huge_interbasis_level_is_refused_before_any_column_array():
     # Under a 2 GiB address-space cap a regression that builds an O(n) array
     # first fails in the child with that array's shape, instead of touching
-    # 8 GB inside the test process.
-    script = ("import resource, sys\n"
+    # 8 GB inside the test process. The level operators are refused by the
+    # shape of their (n+1)^2 table, the spectrum by its states table; each
+    # run is timed in the child, after start-up.
+    script = ("import io, json, resource, sys, time\n"
+              "from contextlib import redirect_stderr, redirect_stdout\n"
               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
               "from genosc.cli import main\n"
-              "sys.exit(main(['interbasis', '--n', '1000000000']))\n")
+              "report = []\n"
+              "for cmd in ('spectrum', 'interbasis', 'spheroidal', 'perturb'):\n"
+              "    for n in ('1000000000', '1100000000'):\n"
+              "        out, err = io.StringIO(), io.StringIO()\n"
+              "        start = time.perf_counter()\n"
+              "        with redirect_stdout(out), redirect_stderr(err):\n"
+              "            code = main([cmd, '--n', n])\n"
+              "        report.append([cmd, n, code, out.getvalue(), err.getvalue(),\n"
+              "                       time.perf_counter() - start])\n"
+              "print(json.dumps(report))\n")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(genosc.__file__).parents[1]),
                     env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env, timeout=60)
-    assert proc.returncode == 4, proc.stderr
-    assert proc.stdout == ""
-    assert proc.stderr.startswith("numeric failure")
-    assert "(1000000001, 1000000001)" in proc.stderr
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert len(report) == 8
+    for cmd, n, code, out, err, seconds in report:
+        assert code == 4, (cmd, n, err)
+        assert out == "", (cmd, n)
+        assert err.startswith("numeric failure: ") and err.strip() != "numeric failure:", \
+            (cmd, n, err)
+        assert "Traceback" not in err, (cmd, n)
+        assert seconds < 5.0, (cmd, n, seconds)
+        size = int(n) + 1
+        shape = "states table" if cmd == "spectrum" else f"({size}, {size})"
+        assert shape in err, (cmd, n, err)
 
 
 def test_stdout_does_not_depend_on_blas_threads():

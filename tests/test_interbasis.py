@@ -1,6 +1,7 @@
 """Interbasis expansion: continued CG values, W matrices, operator tridiagonals."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -16,7 +17,7 @@ from genosc.interbasis import (CgArgs, cg_continued, m_matrix_cyl,
                                n_matrix_sph, ring_w, w_coefficient, w_column,
                                w_integral_oracle, w_matrix)
 from genosc.model import (Branch, CylindricalLabel, SphericalLabel,
-                          SystemParams, channel_constants,
+                          SystemParams, admissible_branches, channel_constants,
                           energy_cylindrical_parts, ring_relabel,
                           separation_constant_A)
 
@@ -226,20 +227,21 @@ def test_w_high_levels_meet_contract_and_match_eigh(n):
 
 
 def test_w_corrupted_operator_is_numeric_error(monkeypatch):
-    clean = interbasis.m_matrix_cyl
+    # every consumer of M reads its bands from interbasis._m_bands
+    clean = interbasis._m_bands
 
     def shifted(n, params, branch):
-        mat = clean(n, params, branch)
-        mat[n // 2, n // 2] += 1e-3
-        return mat
+        diag, off = clean(n, params, branch)
+        diag[n // 2] += 1e-3
+        return diag, off
 
     def poisoned(n, params, branch):
-        mat = clean(n, params, branch)
-        mat[n // 2, n // 2] = float("nan")
-        return mat
+        diag, off = clean(n, params, branch)
+        diag[n // 2] = float("nan")
+        return diag, off
 
     for corrupt in (shifted, poisoned):
-        monkeypatch.setattr(interbasis, "m_matrix_cyl", corrupt)
+        monkeypatch.setattr(interbasis, "_m_bands", corrupt)
         with pytest.raises(NumericError):
             w_matrix(8, BOTH, Branch.Plus)
         with pytest.raises(NumericError):
@@ -346,6 +348,63 @@ def test_matrices_symmetric_tridiagonal():
     for mat in (m_matrix_cyl(4, BOTH, Branch.Plus), n_matrix_sph(4, BOTH, Branch.Minus)):
         np.testing.assert_array_equal(mat, mat.T)
         assert np.all(np.triu(mat, 2) == 0.0)
+
+
+def _ref_m_matrix_cyl(n, params, branch):
+    # the dense loop the bands replaced, kept as the bit-for-bit reference
+    b, c, _ = channel_constants(params)
+    sb = branch.sign * b
+    mat = np.zeros((n + 1, n + 1))
+    for p in range(n + 1):
+        mat[p, p] = (0.5 * (c - sb + 0.5) * (c - sb + 1.5)
+                     + 2.0 * (p + 1.0) * (n - p)
+                     + 2.0 * (p + sb) * (n + c - p + 1.0))
+        if p < n:
+            off = 2.0 * math.sqrt((p + 1.0) * (p + 1.0 + sb) * (n - p) * (n + c - p))
+            mat[p, p + 1] = off
+            mat[p + 1, p] = off
+    return mat
+
+
+def _ref_n_matrix_sph(n, params, branch):
+    b, c, _ = channel_constants(params)
+    sb = branch.sign * b
+    omega = params.omega
+    e_n = omega * (2.0 * n + c + sb + 2.0)
+    mat = np.zeros((n + 1, n + 1))
+    mat[0, 0] = e_n * (sb + 1.0) / (c + sb + 2.0)
+    for q in range(1, n + 1):
+        base = 2.0 * q + c + sb
+        mat[q, q] = (e_n * (2.0 * q * (q + 1.0) + (c + sb) * (2.0 * q + sb + 1.0))
+                     / (base * (base + 2.0)))
+        off = -2.0 * omega * math.sqrt(
+            q * (n - q + 1.0) * (q + c + sb) * (q + sb) * (q + c)
+            * (n + q + c + sb + 1.0)
+            / (base * base * (base - 1.0) * (base + 1.0)))
+        mat[q - 1, q] = off
+        mat[q, q - 1] = off
+    return mat
+
+
+def test_operator_matrices_match_dense_loops_bit_for_bit():
+    rng = random.Random(1996)
+    minus = 0
+    for case in range(60):
+        # every third set sits at P <= 0, where the Minus branch is admissible
+        p_strength = rng.uniform(-0.25, 0.0) if case % 3 == 0 else rng.uniform(0.0, 5.0)
+        params = SystemParams(omega=10.0 ** rng.uniform(-2.0, 2.0),
+                              p_strength=max(p_strength, -0.2499),
+                              q_strength=rng.choice((0.0, rng.uniform(0.0, 8.0))),
+                              m=rng.randint(-3, 3))
+        for branch in admissible_branches(params):
+            minus += branch is Branch.Minus
+            for n in (0, 1, 2, 5, 13, 40, 100, 300):
+                for built, ref in ((m_matrix_cyl, _ref_m_matrix_cyl),
+                                   (n_matrix_sph, _ref_n_matrix_sph)):
+                    got, want = built(n, params, branch), ref(n, params, branch)
+                    assert got.tobytes() == want.tobytes(), (built.__name__, n, params,
+                                                             branch)
+    assert minus >= 20
 
 
 def test_m_matrix_similarity_and_spectrum():

@@ -88,6 +88,17 @@ def test_builders_match_closed_forms():
                 dt, ot = closed_form_t(n, params, branch, R, kind)
                 np.testing.assert_allclose(sys_t.diag, dt, rtol=1e-12, atol=1e-10)
                 np.testing.assert_allclose(sys_t.offdiag, ot, rtol=1e-12, atol=1e-12)
+                # bit for bit what the public operators and closed forms give
+                scale = kind.sign * 0.5 * R * R
+                m_mat, n_mat = m_matrix_cyl(n, params, branch), n_matrix_sph(n, params, branch)
+                e_z = [energy_cylindrical_parts(n - p, p, params, branch)[1]
+                       for p in range(n + 1)]
+                a_q = [separation_constant_A(q, params, branch) for q in range(n + 1)]
+                for got, want in ((sys_u.diag, 2.0 * np.diag(m_mat) + scale * np.array(e_z)),
+                                  (sys_u.offdiag, 2.0 * np.diag(m_mat, 1)),
+                                  (sys_t.diag, np.array(a_q) + scale * np.diag(n_mat)),
+                                  (sys_t.offdiag, scale * np.diag(n_mat, 1))):
+                    assert got.tobytes() == want.tobytes()
 
 
 def test_oblate_negates_every_r2_term():
