@@ -25,8 +25,8 @@ from .errors import DomainError, NumericError, _require_table, check_nonneg_int
 from .interbasis import ring_w, w_matrix
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams, _a_q, _e_n,
                     _e_rho, _e_z, require_admissible, ring_relabel)
-from .morse import (MorseParams, bound_state_count, morse_spectrum,
-                    morse_wavefunction, quadrature_norm)
+from .morse import (MorseParams, _wavefunctions, bound_state_count, morse_spectrum,
+                    quadrature_norm)
 from .oracles import SUITE_MANIFEST, run_verification_suite
 from .perturbation import large_r_series, small_r_series
 from .spheroidal import (Kind, build_tridiag_t, eigensolve, lambda_grid,
@@ -45,8 +45,13 @@ _LARGE_PROBES = (20.0, 40.0)
 _MORSE_GRID_POINTS = 101
 # |norm - 1| contract; quadrature_norm stays near 1e-12 or below up to lambda = 400
 _MORSE_NORM_TOL = 1e-10
-# More levels are refused before listing; at O(p) steps a level they would not end.
-_MORSE_MAX_LEVELS = 10_000
+# More levels are refused before listing: the norm checks cost O(lambda^3), and
+# 1000 levels took 27 s on a 2-core Xeon with one BLAS thread
+_MORSE_MAX_LEVELS = 1000
+
+# Peak memory per output cell of a row table held as Python tuples and rendered:
+# at most ~320 B measured (spheroidal --n 0 in JSON; spectrum ~150 B)
+_CELL_BYTES = 384
 
 # The ring cross-route evaluates (n+1)^2 Racah sums, whose alternating terms
 # cancel: max abs_diff is ~1e-11 at n = 40, ~1e-9 at n = 60 and ~1e-7 at
@@ -114,10 +119,6 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     if not (0.0 < start < stop) or count < 2:
         raise DomainError(f"R-grid needs 0 < start < stop and count >= 2, got {text!r}")
     return start, stop, count
-
-
-def _grid_values(grid: tuple[float, float, int]) -> np.ndarray:
-    return np.linspace(grid[0], grid[1], grid[2])
 
 
 @functools.cache
@@ -213,7 +214,7 @@ def resolve_config(args: argparse.Namespace) -> JobConfig:
 
 def cmd_spectrum(cfg: JobConfig) -> tuple[list[Section], int]:
     top, params, branch = cfg.n, cfg.params, cfg.branch
-    _require_table(((top + 1) * (top + 2) // 2, 5), "spectrum states table")
+    _require_table(((top + 1) * (top + 2) // 2, 5), "spectrum states table", _CELL_BYTES)
     idx = np.arange(top + 1)
     # extreme omega overflows a value; the non-finite cells fail at rendering
     with np.errstate(over="ignore"):
@@ -253,7 +254,10 @@ def cmd_interbasis(cfg: JobConfig) -> tuple[list[Section], int]:
 
 def cmd_spheroidal(cfg: JobConfig) -> tuple[list[Section], int]:
     n = cfg.n
-    grid = _grid_values(cfg.r_grid)
+    # a level past any table is refused by its (n+1)^2 operator first
+    _require_table((n + 1, n + 1), f"level n={n} operator")
+    _require_table((cfg.r_grid[2], n + 2), "spheroidal lambda_curve table", _CELL_BYTES)
+    grid = np.linspace(*cfg.r_grid)
     lam = lambda_grid(n, cfg.params, cfg.branch, cfg.kind, grid)
     curve_rows = tuple((radius, *row) for radius, row in zip(grid.tolist(), lam.tolist()))
     u = u_coefficients(n, cfg.k, cfg.params, cfg.branch, cfg.R, cfg.kind)
@@ -314,8 +318,7 @@ def cmd_morse(cfg: JobConfig) -> tuple[list[Section], int]:
     energies = morse_spectrum(params)
     level_rows = tuple(enumerate(energies.tolist()))
     # the threshold level (if any) is marginal and has no normalizable state
-    lam = params.lam
-    normalizable = [p for p in range(len(energies)) if 2.0 * lam - 2.0 * p - 1.0 > 0.0]
+    normalizable = [p for p in range(len(energies)) if 2.0 * params.lam - 2.0 * p - 1.0 > 0.0]
     norm_rows = []
     for p in normalizable:
         norm = quadrature_norm(p, params)
@@ -324,7 +327,7 @@ def cmd_morse(cfg: JobConfig) -> tuple[list[Section], int]:
                                f"than {_MORSE_NORM_TOL:g}")
         norm_rows.append((p, norm, abs(norm - 1.0)))
     x = np.linspace(-2.0 / params.a, 8.0 / params.a, _MORSE_GRID_POINTS)
-    psi = [morse_wavefunction(p, params, x).tolist() for p in normalizable]
+    psi = _wavefunctions(normalizable, params, x).tolist() if normalizable else []
     grid_rows = tuple(zip(x.tolist(), *psi))
     return [Section("levels", ("p", "energy"), level_rows),
             Section("norms", ("p", "norm", "abs_dev"), tuple(norm_rows)),

@@ -50,14 +50,15 @@ def require_points(ok, message: str, value=None) -> None:
     raise DomainError(message)
 
 
-def _require_table(shape: tuple[int, ...], what: str) -> None:
-    """NumericError unless numpy can allocate a float table of this shape.
+def _require_table(shape: tuple[int, ...], what: str, cell_bytes: int = 8) -> None:
+    """NumericError unless numpy can allocate cell_bytes a cell for a table of this shape.
 
     The one refusal of tables too large to build, made before any O(n) work.
     numpy refuses a size it cannot map with MemoryError and one past its
     largest array with ValueError; the trial array is never written.
     """
     try:
-        np.empty(shape)
+        np.empty(shape + (cell_bytes // 8,))
     except (MemoryError, ValueError) as exc:
-        raise NumericError(f"cannot tabulate the {what} of shape {shape}: {exc}") from exc
+        raise NumericError(f"cannot tabulate the {what} of shape {shape} "
+                           f"at {cell_bytes} B a cell: {exc}") from exc

@@ -116,16 +116,21 @@ def _check_level(p: int, params: MorseParams) -> tuple[int, float, float]:
     return p, lam, alpha
 
 
-def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:
-    """Normalized bound state at position x; accepts scalars or arrays.
+def _wavefunctions(ps, params: MorseParams, x) -> np.ndarray:
+    """psi_p(x) = (-1)^p sqrt(a alpha_p) phi_p^alpha_p(w), a row per normalizable p in ps,
+    from one Laguerre-function recurrence: alpha_p = 2 lambda - 2p - 1, and w =
+    2 lambda e^{-a x} is taken through log w = log(2 lambda) - a x (no log(0))."""
+    alphas = [2.0 * params.lam - 2.0 * p - 1.0 for p in ps]
+    log_w = math.log(2.0 * params.lam) - params.a * np.asarray(x, dtype=np.float64)
+    sign = np.reshape([(-1.0) ** p for p in ps], (-1,) + (1,) * log_w.ndim)
+    return sign * laguerre_functions(ps, alphas, log_w, 0.0,
+                                     [0.5 * math.log(params.a * alpha) for alpha in alphas])
 
-    psi_p = (-1)^p sqrt(a alpha) phi_p^alpha(w), w = 2 lambda e^{-a x}, taken
-    through log w = log(2 lambda) - a x: no log(0) where w underflows.
-    """
-    p, lam, alpha = _check_level(p, params)
-    log_w = math.log(2.0 * lam) - params.a * np.asarray(x, dtype=np.float64)
-    vals = (-1.0) ** p * laguerre_functions((p,), alpha, log_w, 0.0,
-                                            0.5 * math.log(params.a * alpha))[0]
+
+def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:
+    """Normalized bound state psi_p at position x; accepts scalars or arrays."""
+    p, _, _ = _check_level(p, params)
+    vals = _wavefunctions((p,), params, x)[0]
     return vals if vals.ndim else float(vals)
 
 

@@ -1,10 +1,13 @@
 """Independent numerical cross-checks for the closed-form machinery.
 
 Every oracle here recomputes a quantity through Gauss quadrature against the
-pointwise basis evaluators, never through the coefficient formulas under
-test.  Integrands are divided by the rule's weight function first, which
-leaves exact polynomials, so any residual measures implementation error
-rather than quadrature truncation.  Results come back as CheckReport rows;
+pointwise basis functions, never through the coefficient formulas under
+test.  Each reads every degree it needs from one call of the family's level
+helper (bases._angular, _radial_sph, _radial_cyl, _axial, morse._wavefunctions;
+the public evaluators are their one-row views) and contracts once.
+Integrands are divided by the rule's weight function first, which leaves
+exact polynomials, so any residual measures implementation error rather than
+quadrature truncation.  Results come back as CheckReport rows;
 run_verification_suite() executes the fixed table of named checks the CLI
 reports on.
 """
@@ -18,11 +21,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bases import radial_cylindrical, radial_spherical, theta_angular, z_axial
+from .bases import _angular, _axial, _radial_cyl, _radial_sph
 from .errors import DomainError, check_nonneg_int
 from .interbasis import w_matrix
 from .model import Branch, SystemParams, admissible_branches, require_admissible
-from .morse import MorseParams, bound_state_count, morse_wavefunction
+from .morse import MorseParams, _wavefunctions, bound_state_count
 from .specfun import build_quadrature, gamma_sign_ln, hyp2f1_unit, ln_gamma
 
 __all__ = [
@@ -126,20 +129,17 @@ def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
     """
     n, q, q_prime = _bi_indices(n, q, q_prime)
     b, c, _ = require_admissible(params, branch)
-    beta = branch.sign * b
-    omega = params.omega
+    beta, omega = branch.sign * b, params.omega
     shared = q + q_prime + c + beta
     # admissible labels keep the combined exponent integrable
     assert shared > -1.0
     rule = build_quadrature("laguerre", n + 2, alpha=shared)
-    r = np.sqrt(rule.nodes / omega)
-
-    def reduced(qi: int) -> np.ndarray:
-        alpha_q = 2 * qi + c + beta + 1.0
-        vals = radial_spherical(n - qi, qi, params, branch, r)
-        return vals * np.exp(0.5 * rule.nodes) / np.sqrt(rule.nodes) ** (alpha_q - 0.5)
-
-    measured = rule.integrate(reduced(q) * reduced(q_prime)) / (2.0 * math.sqrt(omega))
+    # one recurrence for both labels; its degrees n - q must be distinct
+    qs = [q] if q == q_prime else [q, q_prime]
+    vals = _radial_sph([n - qi for qi in qs], qs, c, beta, omega, np.sqrt(rule.nodes / omega))
+    alpha = 2.0 * np.array(qs)[:, None] + c + beta + 1.0
+    reduced = vals * np.exp(0.5 * rule.nodes) / np.sqrt(rule.nodes) ** (alpha - 0.5)
+    measured = rule.integrate(reduced[0] * reduced[-1]) / (2.0 * math.sqrt(omega))
     return _report(_bi_name("quad", n, q, q_prime, params, branch), measured,
                    _bi_expected(q, q_prime, params, branch), _tolerance(n))
 
@@ -174,54 +174,45 @@ class GramFamily(enum.Enum):
     Morse = "morse"
 
 
-@dataclass(frozen=True)
-class _GramEntry:
-    """One family's Gram as a sum over one Gauss rule of n_max + 2 points.
+# Each family gives its Gram rule (kind, alpha, beta, node power, scale) and
+# rows(x), every degree 0..n_max at the nodes from one level-helper call. Each
+# row divides out x^power e^{-x/2} (Laguerre) or ((1-x)/2)^(alpha/2)
+# ((1+x)/2)^power (Jacobi), leaving a polynomial of degree <= n_max: the rule
+# of n_max + 2 points is exact.
 
-    exponents(n_max, params, branch) gives the rule's (alpha, beta), the
-    power of the node factor each row divides out, and the scale in front of
-    the sum. Each row divides out x^power e^{-x/2} on a Laguerre rule,
-    ((1-x)/2)^(alpha/2) ((1+x)/2)^power on a Jacobi one; what is left is a
-    polynomial of degree at most n_max, so the rule is exact. coord maps the
-    nodes to the evaluator's coordinate and row(k, params, branch, coord) is
-    the public per-label evaluator at degree k, which takes params_type.
-    """
-
-    params_type: type
-    kind: str
-    exponents: Callable
-    coord: Callable
-    row: Callable
-    target: float
-
-
-def _theta_exponents(n_max, params, branch):
+def _gram_theta(n_max, params, branch):
     # x = cos 2 theta: sin theta dtheta carries the extra cos^(1/2) per row
     b, c, _ = require_admissible(params, branch)
     beta = branch.sign * b
-    return c, beta, 0.25 + 0.5 * beta, 2.0 ** (-c - beta - 2.0)
+    return (("jacobi", c, beta, 0.25 + 0.5 * beta, 2.0 ** (-c - beta - 2.0)),
+            lambda x: _angular(range(n_max + 1), c, beta, 0.5 * np.arccos(x)))
 
 
-def _radial_sph_exponents(n_max, params, branch):
-    # angular index pinned to q = 0: one Gauss rule then covers the whole
-    # family, and the q > 0 normalizations are exercised by bi_orthogonality
+def _gram_radial_sph(n_max, params, branch):
+    # q = 0, one order for every row: one Gauss rule covers the family, and
+    # bi_orthogonality exercises the q > 0 normalizations
     b, c, _ = require_admissible(params, branch)
-    alpha0 = c + branch.sign * b + 1.0
-    return alpha0, 0.0, 0.5 * alpha0 - 0.25, 0.5 * params.omega ** -1.5
+    beta, omega = branch.sign * b, params.omega
+    alpha0 = c + beta + 1.0
+    return (("laguerre", alpha0, 0.0, 0.5 * alpha0 - 0.25, 0.5 * omega ** -1.5),
+            lambda x: _radial_sph(range(n_max + 1), (0,), c, beta, omega, np.sqrt(x / omega)))
 
 
-def _radial_cyl_exponents(n_max, params, branch):
+def _gram_radial_cyl(n_max, params, branch):
     _, c, _ = require_admissible(params, branch)
-    return c, 0.0, 0.5 * c, 0.5 / params.omega
+    omega = params.omega
+    return (("laguerre", c, 0.0, 0.5 * c, 0.5 / omega),
+            lambda x: _radial_cyl(range(n_max + 1), c, omega, np.sqrt(x / omega)))
 
 
-def _axial_exponents(n_max, params, branch):
+def _gram_axial(n_max, params, branch):
     b, _, _ = require_admissible(params, branch)
-    beta = branch.sign * b
-    return beta, 0.0, 0.25 + 0.5 * beta, 0.5 / math.sqrt(params.omega)
+    beta, omega = branch.sign * b, params.omega
+    return (("laguerre", beta, 0.0, 0.25 + 0.5 * beta, 0.5 / math.sqrt(omega)),
+            lambda x: _axial(range(n_max + 1), beta, omega, np.sqrt(x / omega)))
 
 
-def _morse_exponents(n_max, params, branch):
+def _gram_morse(n_max, params, branch):
     # psi_p psi_p' dx = w^(2 lam - p - p' - 2) e^{-w} L_p L_p' dw / a: the rule
     # takes w^(2 lam - 2 n_max - 2), each row keeps w^(n_max - p) L_p
     lam = params.lam
@@ -229,29 +220,18 @@ def _morse_exponents(n_max, params, branch):
     if n_max >= count or 2.0 * lam - 2.0 * n_max - 1.0 <= 0.0:
         raise DomainError(f"only {count} normalizable Morse levels here, "
                           f"cannot Gram up to p={n_max}")
-    return 2.0 * lam - 2.0 * n_max - 2.0, 0.0, lam - n_max - 0.5, 1.0 / params.a
+    a = params.a
+    return (("laguerre", 2.0 * lam - 2.0 * n_max - 2.0, 0.0, lam - n_max - 0.5, 1.0 / a),
+            lambda w: _wavefunctions(range(n_max + 1), params, -np.log(w / (2.0 * lam)) / a))
 
 
-def _half_line(nodes, params):
-    return np.sqrt(nodes / params.omega)
-
-
+# family -> (parameter type, target multiple of the identity, rule and rows)
 _GRAM = {
-    GramFamily.Theta: _GramEntry(
-        SystemParams, "jacobi", _theta_exponents, lambda nodes, params: 0.5 * np.arccos(nodes),
-        theta_angular, 0.5),
-    GramFamily.RadialSph: _GramEntry(
-        SystemParams, "laguerre", _radial_sph_exponents, _half_line,
-        lambda k, params, branch, r: radial_spherical(k, 0, params, branch, r), 1.0),
-    GramFamily.RadialCyl: _GramEntry(
-        SystemParams, "laguerre", _radial_cyl_exponents, _half_line,
-        lambda k, params, branch, rho: radial_cylindrical(k, params, rho), 1.0),
-    GramFamily.Axial: _GramEntry(
-        SystemParams, "laguerre", _axial_exponents, _half_line, z_axial, 0.5),
-    GramFamily.Morse: _GramEntry(
-        MorseParams, "laguerre", _morse_exponents,
-        lambda nodes, params: -np.log(nodes / (2.0 * params.lam)) / params.a,
-        lambda k, params, branch, x: morse_wavefunction(k, params, x), 1.0),
+    GramFamily.Theta: (SystemParams, 0.5, _gram_theta),
+    GramFamily.RadialSph: (SystemParams, 1.0, _gram_radial_sph),
+    GramFamily.RadialCyl: (SystemParams, 1.0, _gram_radial_cyl),
+    GramFamily.Axial: (SystemParams, 0.5, _gram_axial),
+    GramFamily.Morse: (MorseParams, 1.0, _gram_morse),
 }
 
 
@@ -267,27 +247,27 @@ def gram_matrix(family: GramFamily, n_max: int, params,
     Returns the matrix and a CheckReport whose measured value is the largest
     entrywise deviation from the expected multiple of the identity (1/2 for
     the half-line-normalized theta and axial families, 1 otherwise). Every
-    family, Morse included, builds one Gauss rule and one row per degree.
+    family, Morse included, builds one Gauss rule and reads every degree from
+    one recurrence.
     """
     if not isinstance(family, GramFamily):
         raise DomainError(f"family must be a GramFamily member, got {family!r}")
     n_max = check_nonneg_int(n_max, "n_max")
-    entry = _GRAM[family]
-    if not isinstance(params, entry.params_type):
+    params_type, target, family_rule = _GRAM[family]
+    if not isinstance(params, params_type):
         raise DomainError(f"{family.value} Gram checks need "
-                          f"{entry.params_type.__name__}, got {type(params).__name__}")
-    alpha, beta, power, scale = entry.exponents(n_max, params, branch)
-    rule = build_quadrature(entry.kind, n_max + 2, alpha=alpha, beta=beta)
+                          f"{params_type.__name__}, got {type(params).__name__}")
+    (kind, alpha, beta, power, scale), rows = family_rule(n_max, params, branch)
+    rule = build_quadrature(kind, n_max + 2, alpha=alpha, beta=beta)
     x = rule.nodes
-    if entry.kind == "laguerre":
+    if kind == "laguerre":
         root = np.exp(0.5 * x) * x ** -power
     else:
         root = (0.5 - 0.5 * x) ** (-0.5 * alpha) * (0.5 + 0.5 * x) ** -power
-    coord = entry.coord(x, params)
-    rows = np.array([entry.row(k, params, branch, coord) for k in range(n_max + 1)]) * root
+    reduced = rows(x) * root
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
-    gram = scale * np.einsum("ip,p,jp->ij", rows, rule.weights, rows)
-    deviation = float(np.max(np.abs(gram - entry.target * np.eye(n_max + 1))))
+    gram = scale * np.einsum("ip,p,jp->ij", reduced, rule.weights, reduced)
+    deviation = float(np.max(np.abs(gram - target * np.eye(n_max + 1))))
     report = _report(_gram_name(family, n_max, params, branch), deviation, 0.0,
                      _tolerance(n_max))
     gram.flags.writeable = False
@@ -316,20 +296,21 @@ def w_overlap_oracle(n: int, params: SystemParams,
     rule = build_quadrature("jacobi", n + 2, alpha=c, beta=beta)
     theta = 0.5 * np.arccos(rule.nodes)
     s, ct = np.sin(theta), np.cos(theta)
-    scale = 2.0 ** (-c - beta - 2.0)
-    angular = [theta_angular(q, params, branch, theta) for q in range(n + 1)]
+    # a scalar exponent per row: numpy squares, roots and inverts exactly only
+    # for those, and the sums cancel enough to turn 1 ulp here into 1e-13
+    shape = np.array([2.0 ** (-c - beta - 2.0) * s ** (2.0 * (n - p) - c)
+                      * ct ** (2.0 * p - beta - 0.5) for p in range(n + 1)])
+    integrands = shape[:, None] * _angular(range(n + 1), c, beta, theta)
+    # numpy's own loop, not BLAS: the sum order does not follow the thread count
+    integrals = np.einsum("k,pqk->pq", rule.weights, integrands)
 
-    table = np.empty((n + 1, n + 1))
-    for p in range(n + 1):
-        shape = scale * s ** (2.0 * (n - p) - c) * ct ** (2.0 * p - beta - 0.5)
-        ln_row = (-ln_gamma(n - p + 1.0) - ln_gamma(n - p + c + 1.0)
-                  - ln_gamma(p + 1.0) - ln_gamma(p + beta + 1.0))
-        for q in range(n + 1):
-            ln_const = ln_row + ln_gamma(n - q + 1.0) + ln_gamma(n + q + c + beta + 2.0)
-            # (-1)^(p+q): the axial (-1)^p prefactor cancels its Laguerre
-            # leading sign, the spherical side keeps (-1)^(n-q)
-            integral = rule.integrate(shape * angular[q])
-            table[p, q] = 2.0 * (-1.0) ** (p + q) * math.exp(0.5 * ln_const) * integral
+    lg = np.vectorize(ln_gamma, otypes=[float])
+    k = np.arange(n + 1.0)   # p down the rows, q across the columns
+    ln_row = -lg(n - k + 1.0) - lg(n - k + c + 1.0) - lg(k + 1.0) - lg(k + beta + 1.0)
+    ln_const = ln_row[:, None] + lg(n - k + 1.0) + lg(n + k + c + beta + 2.0)
+    # (-1)^(p+q): the axial (-1)^p prefactor cancels its Laguerre leading
+    # sign, the spherical side keeps (-1)^(n-q)
+    table = 2.0 * (-1.0) ** np.add.outer(k, k) * np.exp(0.5 * ln_const) * integrals
 
     closed = w_matrix(n, params, branch).entries
     deviation = float(np.max(np.abs(table - closed)))

@@ -175,18 +175,20 @@ def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
     alpha > -1, from sqrt((k+1)(k+alpha+1)) phi_{k+1} = (2k+alpha+1-x) phi_k
     - sqrt(k(k+alpha)) phi_{k-1} on rows renormalised by exact powers of two,
     beside each point's log scale ln phi_0 + ln_const + power ln x. alpha is one
-    order, or one per (distinct) degree; log_x is finite, or -inf if alpha > 0
-    = power. Points do not affect each other (a lone one runs as a cheaper numpy
-    scalar); one where every requested phi is below e^-1500 gives exactly 0 (for
-    ln_const < 700, |power| <= 1).
+    order, or one per (distinct) degree, and ln_const one value or one per order;
+    log_x is finite, or -inf if alpha > 0 = power. Points do not affect each other (a lone one
+    runs as a cheaper numpy scalar), nor, to 2 ulp, do rows. A point where every
+    requested phi is below e^-1500 gives exactly 0 (for ln_const < 700, |power| <= 1).
     """
     degrees = [_check_degree(k) for k in degrees]
     orders = [float(alpha)] if np.isscalar(alpha) else [float(a) for a in alpha]
+    consts = [float(ln_const)] if np.isscalar(ln_const) else [float(c) for c in ln_const]
     wanted = {deg: i for i, deg in enumerate(degrees)}
     if (not degrees or len(wanted) < len(degrees) or len(orders) not in (1, len(degrees))
-            or not all(a > -1.0 for a in orders)):
-        raise DomainError(f"laguerre_functions needs distinct degrees and alpha > -1, one "
-                          f"order or one per degree; got alpha={alpha}, degrees {degrees}")
+            or len(consts) not in (1, len(orders)) or not all(a > -1.0 for a in orders)):
+        raise DomainError(f"laguerre_functions needs distinct degrees, alpha > -1 and one order "
+                          f"or one per degree, ln_const likewise; got alpha={alpha}, "
+                          f"ln_const={ln_const}, degrees {degrees}")
     n, lo, hi = max(degrees), min(orders), max(orders)
     # |phi_k| <= e^(m ln(x + c) - x/2 + 1/16), k <= n, x >= 1 (m = hi+/2 + n, c = 3n + 1.5 hi+
     # + 1): below e^-1500 past x_tail, where points move to give 0. Below it a step grows
@@ -198,7 +200,7 @@ def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
     pts = np.minimum(np.asarray(log_x, dtype=np.float64), math.log(x_tail))
     x = np.exp(pts)
     if len(orders) == 1:   # one order runs on the points
-        col, ln_gamma, p1 = lo, _ln_gamma_sum(lo + 1.0), 1.0
+        col, ln_gamma, p1, const = lo, _ln_gamma_sum(lo + 1.0), 1.0, consts[0]
         steps = [(2.0 * k + lo + 1.0, math.sqrt(k * (k + lo)),
                   math.sqrt((k + 1.0) * (k + lo + 1.0))) for k in range(n)]
     else:                  # one order per row, on a (rows,) + points grid
@@ -207,8 +209,9 @@ def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
         steps = list(zip(2.0 * k + col + 1.0, np.sqrt(k * (k + col)),
                          np.sqrt((k + 1.0) * (k + col + 1.0))))
         ln_gamma = np.array([_ln_gamma_sum(a + 1.0) for a in orders]).reshape(col.shape)
+        const = np.reshape(consts, (-1,) + (1,) * pts.ndim)
         p1 = np.ones(np.broadcast_shapes(col.shape, pts.shape))
-    ln0 = (0.5 * col + power) * pts - 0.5 * x + (ln_const - 0.5 * ln_gamma)
+    ln0 = (0.5 * col + power) * pts - 0.5 * x + (const - 0.5 * ln_gamma)
     rows = [None] * len(degrees)
     p0, exp2, scale = 0.0, 0, np.exp(ln0)   # p0, p1: scaled phi_{k-1}, phi_k
     for k in range(n + 1):
@@ -222,7 +225,12 @@ def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
             if big.max() > 2.0 ** 332:
                 e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
                 p0, p1, exp2 = np.ldexp(p0, -e), np.ldexp(p1, -e), exp2 + e
-                scale = np.exp(ln0 + exp2 * math.log(2.0))
+                # e^ln0 2^exp2 as e^r 2^(j + exp2), ln0 = r + j ln 2 split exactly
+                # (ln 2's head has 15 bits): rounding ln0 + exp2 ln 2 would cost
+                # ulps that follow the steps that renormalised a row
+                j = np.rint(np.maximum(ln0, -1e4) / math.log(2.0))   # e^-1e4: 0 anyway
+                r = (ln0 - j * 0.693145751953125) - j * 1.4286068203094172321e-6
+                scale = np.where(e > 0, np.ldexp(np.exp(r), j.astype(np.int64) + exp2), scale)
         a, s, d = steps[k]   # (a - x) phi_k - s phi_{k-1} over d, phi_{-1} = 0
         p0, p1 = p1, ((a - x) * p1 - s * p0) / d if k else (a - x) / d
     return np.array(rows) if len(rows) > 1 else rows[0][None]

@@ -17,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genosc
-from genosc import interbasis, spheroidal
+from genosc import cli, interbasis, spheroidal
 from genosc.cli import main
 from genosc.errors import NumericError
 from genosc.model import (Branch, SystemParams, energy_cylindrical_parts, energy_level,
                           separation_constant_A)
+from genosc.morse import MorseParams, bound_state_count
 from genosc.oracles import SUITE_MANIFEST
 
 
@@ -266,13 +267,18 @@ def test_morse_deep_well_exits_0_with_tight_norms():
 
 
 def test_morse_too_many_levels_exits_4_at_once():
-    # 1.4e10 levels; listing them one by one never finished
-    start = time.perf_counter()
-    code, out, err = run_cli(["morse", "--V0", "1e20", "--a", "1"])
-    assert time.perf_counter() - start < 1.0
-    assert code == 4
-    assert out == ""
-    assert "numeric failure" in err
+    # 1.4e10 levels; listing them one by one never finished. One level past
+    # the cap (lambda = cap + 3/4) would norm-check for over a minute
+    lam = cli._MORSE_MAX_LEVELS + 0.75
+    for v0 in ("1e20", repr(0.5 * lam * lam)):
+        start = time.perf_counter()
+        code, out, err = run_cli(["morse", "--V0", v0, "--a", "1"])
+        assert time.perf_counter() - start < 1.0, v0
+        assert code == 4, v0
+        assert out == "", v0
+        assert "numeric failure" in err, v0
+        assert f"more than the {cli._MORSE_MAX_LEVELS}" in err, v0
+    assert bound_state_count(MorseParams(0.5 * lam * lam, 1.0)) == cli._MORSE_MAX_LEVELS + 1
 
 
 def test_morse_below_threshold_is_empty():
@@ -423,41 +429,48 @@ def test_huge_interbasis_level_is_refused_before_any_column_array():
     # Under a 2 GiB address-space cap a regression that builds an O(n) array
     # first fails in the child with that array's shape, instead of touching
     # 8 GB inside the test process. The level operators are refused by the
-    # shape of their (n+1)^2 table, the spectrum by its states table; each
-    # run is timed in the child, after start-up.
+    # shape of their (n+1)^2 table, the spectrum and spheroidal rows by their
+    # output table; each run is timed in the child, after start-up.
     script = ("import io, json, resource, sys, time\n"
               "from contextlib import redirect_stderr, redirect_stdout\n"
               "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
               "from genosc.cli import main\n"
               "report = []\n"
-              "for cmd in ('spectrum', 'interbasis', 'spheroidal', 'perturb'):\n"
-              "    for n in ('1000000000', '1100000000'):\n"
-              "        out, err = io.StringIO(), io.StringIO()\n"
-              "        start = time.perf_counter()\n"
-              "        with redirect_stdout(out), redirect_stderr(err):\n"
-              "            code = main([cmd, '--n', n])\n"
-              "        report.append([cmd, n, code, out.getvalue(), err.getvalue(),\n"
-              "                       time.perf_counter() - start])\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    out, err = io.StringIO(), io.StringIO()\n"
+              "    start = time.perf_counter()\n"
+              "    with redirect_stdout(out), redirect_stderr(err):\n"
+              "        code = main(argv)\n"
+              "    report.append([code, out.getvalue(), err.getvalue(),\n"
+              "                   time.perf_counter() - start])\n"
               "print(json.dumps(report))\n")
+    # (argv, what the refusal names). The last two tables fit as floats but
+    # not as the rows their commands hold (~120 B and ~270 B a cell measured):
+    # sized at 8 B a cell they ran 10-40 s, then failed on a bare MemoryError
+    cases = [([cmd, "--n", n], "states table" if cmd == "spectrum"
+              else f"({int(n) + 1}, {int(n) + 1})")
+             for cmd in ("spectrum", "interbasis", "spheroidal", "perturb")
+             for n in ("1000000000", "1100000000")]
+    cases += [(["spectrum", "--n", "5000"], "spectrum states table of shape (12507501, 5)"),
+              (["spheroidal", "--n", "2", "--R-grid", "0.1:5:3000000"],
+               "lambda_curve table of shape (3000000, 4)")]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(Path(genosc.__file__).parents[1]),
                     env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, env=env, timeout=60)
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps([a for a, _ in cases])],
+                          capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
-    assert len(report) == 8
-    for cmd, n, code, out, err, seconds in report:
-        assert code == 4, (cmd, n, err)
-        assert out == "", (cmd, n)
+    assert len(report) == len(cases) == 10
+    for (argv, named), (code, out, err, seconds) in zip(cases, report):
+        assert code == 4, (argv, err)
+        assert out == "", argv
         assert err.startswith("numeric failure: ") and err.strip() != "numeric failure:", \
-            (cmd, n, err)
-        assert "Traceback" not in err, (cmd, n)
-        assert seconds < 5.0, (cmd, n, seconds)
-        size = int(n) + 1
-        shape = "states table" if cmd == "spectrum" else f"({size}, {size})"
-        assert shape in err, (cmd, n, err)
+            (argv, err)
+        assert "Traceback" not in err, argv
+        assert seconds < 5.0, (argv, seconds)
+        assert named in err, (argv, err)
 
 
 def test_stdout_does_not_depend_on_blas_threads():

@@ -10,7 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 from genosc.errors import DomainError
-from genosc.morse import (EffectiveChannel, MorseParams, bound_state_count,
+from genosc.morse import (EffectiveChannel, MorseParams, _wavefunctions, bound_state_count,
                           morse_spectrum, morse_wavefunction, quadrature_norm,
                           quadrature_norm_scaled, sw_to_morse)
 
@@ -136,6 +136,24 @@ def test_wavefunction_scalar_and_array_forms():
             want = np.array(want)
             assert np.abs(vec - want).max() <= 1e-12 * np.abs(want).max()
             assert morse_wavefunction(p, params, float(xs[7])) == vec[7]
+
+
+def test_level_rows_match_one_level_evaluator():
+    # every normalizable level in one recurrence, on the morse command's grid;
+    # the deep wells renormalise a row at other steps than its one-level call
+    for lam in (3.3, 24.0, 80.0, 400.0):
+        params = params_for(lam)
+        xs = np.linspace(-2.0 / params.a, 8.0 / params.a, 101)
+        ps = [p for p in range(bound_state_count(params)) if 2.0 * lam - 2.0 * p - 1.0 > 0.0]
+        rows = _wavefunctions(ps, params, xs)
+        assert rows.shape == (len(ps), xs.size)
+        for p, row in zip(ps, rows):
+            one = morse_wavefunction(p, params, xs)
+            assert np.abs(row - one).max() <= 1e-14 * np.abs(one).max(), (lam, p)
+        for p in (0, ps[-1]):
+            value = morse_wavefunction(p, params, float(xs[40]))
+            assert isinstance(value, float)
+            assert value == morse_wavefunction(p, params, xs)[40]
 
 
 def test_normalization_both_quadrature_routes():

@@ -6,14 +6,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from genosc.bases import radial_cylindrical, radial_spherical, theta_angular, z_axial
 from genosc.errors import DomainError
+from genosc.interbasis import w_matrix
 from genosc.model import Branch, SystemParams, admissible_branches
-from genosc.morse import MorseParams, bound_state_count
+from genosc.morse import MorseParams, bound_state_count, morse_wavefunction
 from genosc.oracles import (SUITE_MANIFEST, CheckReport, GramFamily,
                             bi_orthogonality, bi_orthogonality_hypergeometric,
                             gram_matrix, reciprocal_gamma,
                             run_verification_suite, w_overlap_oracle)
-from genosc.specfun import build_quadrature, hermite
+from genosc.specfun import build_quadrature, hermite, ln_gamma
 
 BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3, c=1
 STEEP = SystemParams(omega=2.0, p_strength=2.0, q_strength=1.5, m=2)    # b=1.5
@@ -155,7 +157,104 @@ def test_gram_morse_identity_and_guards():
             gram_matrix(GramFamily.Morse, bad, MorseParams(v0=8.6528, a=1.3))
 
 
+def _ref_gram_rule(family, n_max, params, branch):
+    """(kind, alpha, beta, node power, scale, coordinate map, evaluator at degree k)."""
+    if family is GramFamily.Morse:
+        lam = params.lam
+        return ("laguerre", 2.0 * lam - 2.0 * n_max - 2.0, 0.0, lam - n_max - 0.5,
+                1.0 / params.a, lambda w: -np.log(w / (2.0 * lam)) / params.a,
+                lambda k, x: morse_wavefunction(k, params, x))
+    b, c = math.sqrt(params.p_strength + 0.25), math.sqrt(params.q_strength + params.m ** 2)
+    beta = branch.sign * b
+    half_line = lambda t: np.sqrt(t / params.omega)
+    if family is GramFamily.Theta:
+        return ("jacobi", c, beta, 0.25 + 0.5 * beta, 2.0 ** (-c - beta - 2.0),
+                lambda t: 0.5 * np.arccos(t), lambda k, x: theta_angular(k, params, branch, x))
+    if family is GramFamily.RadialSph:
+        alpha0 = c + beta + 1.0
+        return ("laguerre", alpha0, 0.0, 0.5 * alpha0 - 0.25, 0.5 * params.omega ** -1.5,
+                half_line, lambda k, x: radial_spherical(k, 0, params, branch, x))
+    if family is GramFamily.RadialCyl:
+        return ("laguerre", c, 0.0, 0.5 * c, 0.5 / params.omega,
+                half_line, lambda k, x: radial_cylindrical(k, params, x))
+    return ("laguerre", beta, 0.0, 0.25 + 0.5 * beta, 0.5 / math.sqrt(params.omega),
+            half_line, lambda k, x: z_axial(k, params, branch, x))
+
+
+def _ref_gram(family, n_max, params, branch):
+    """Gram matrix with one public-evaluator call per degree, term by term."""
+    kind, alpha, beta, power, scale, coord, row = _ref_gram_rule(family, n_max, params, branch)
+    rule = build_quadrature(kind, n_max + 2, alpha=alpha, beta=beta)
+    x = rule.nodes
+    if kind == "laguerre":
+        root = np.exp(0.5 * x) * x ** -power
+    else:
+        root = (0.5 - 0.5 * x) ** (-0.5 * alpha) * (0.5 + 0.5 * x) ** -power
+    rows = [row(k, coord(x)) * root for k in range(n_max + 1)]
+    return np.array([[scale * rule.integrate(rows[i] * rows[j]) for j in range(n_max + 1)]
+                     for i in range(n_max + 1)])
+
+
+def _seeded_systems(count, seed):
+    rng = np.random.default_rng(seed)
+    # P < 0 on every third set keeps the Minus branch admissible
+    return [SystemParams(omega=float(rng.uniform(0.2, 4.0)),
+                         p_strength=float(rng.uniform(-0.25, 0.0) if i % 3 == 0
+                                          else rng.uniform(0.0, 4.0)),
+                         q_strength=float(rng.uniform(0.0, 3.0)), m=int(rng.integers(0, 4)))
+            for i in range(count)]
+
+
+def test_gram_matches_per_degree_evaluators():
+    systems = _seeded_systems(24, 14)
+    assert sum(Branch.Minus in admissible_branches(s) for s in systems) >= 8
+    rng = np.random.default_rng(15)
+    wells = [MorseParams(v0=0.5 * (lam * a) ** 2, a=a)
+             for lam, a in zip(rng.uniform(13.0, 80.0, 24), rng.uniform(0.3, 2.5, 24))]
+    for n_max in (0, 1, 4, 12):
+        for params, branch in branch_cases(systems):
+            for family in (GramFamily.Theta, GramFamily.RadialSph,
+                           GramFamily.RadialCyl, GramFamily.Axial):
+                gram, _ = gram_matrix(family, n_max, params, branch)
+                ref = _ref_gram(family, n_max, params, branch)
+                assert np.abs(gram - ref).max() <= 1e-14, (family, n_max, params, branch)
+        for params in wells:
+            gram, _ = gram_matrix(GramFamily.Morse, n_max, params)
+            ref = _ref_gram(GramFamily.Morse, n_max, params, Branch.Plus)
+            assert np.abs(gram - ref).max() <= 1e-14, (n_max, params)
+
+
 # ------------------------------------------------------------ overlap oracle
+
+def _ref_overlap(n, params, branch):
+    """The overlap table entry by entry: one angular evaluator call per q and
+    one quadrature sum per (p, q)."""
+    b, c = math.sqrt(params.p_strength + 0.25), math.sqrt(params.q_strength + params.m ** 2)
+    beta = branch.sign * b
+    rule = build_quadrature("jacobi", n + 2, alpha=c, beta=beta)
+    theta = 0.5 * np.arccos(rule.nodes)
+    s, ct = np.sin(theta), np.cos(theta)
+    angular = [theta_angular(q, params, branch, theta) for q in range(n + 1)]
+    table = np.empty((n + 1, n + 1))
+    for p in range(n + 1):
+        shape = 2.0 ** (-c - beta - 2.0) * s ** (2.0 * (n - p) - c) * ct ** (2.0 * p - beta - 0.5)
+        ln_row = (-ln_gamma(n - p + 1.0) - ln_gamma(n - p + c + 1.0)
+                  - ln_gamma(p + 1.0) - ln_gamma(p + beta + 1.0))
+        for q in range(n + 1):
+            ln_const = ln_row + ln_gamma(n - q + 1.0) + ln_gamma(n + q + c + beta + 2.0)
+            table[p, q] = (2.0 * (-1.0) ** (p + q) * math.exp(0.5 * ln_const)
+                           * rule.integrate(shape * angular[q]))
+    return table
+
+
+def test_overlap_oracle_matches_entrywise_reference():
+    for params, branch in branch_cases(_seeded_systems(6, 16) + CRIT + [BOTH]):
+        for n in range(13):
+            table, rep = w_overlap_oracle(n, params, branch)
+            assert np.abs(table - _ref_overlap(n, params, branch)).max() <= 1e-14, \
+                (params, branch, n)
+            assert rep.measured == np.abs(table - w_matrix(n, params, branch).entries).max()
+
 
 def test_overlap_oracle_trivial_level():
     table, rep = w_overlap_oracle(0, BOTH, Branch.Plus)
