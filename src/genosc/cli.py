@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError, _require_table, check_nonneg_int
-from .interbasis import ring_w, w_matrix
+from .interbasis import _require_operator, ring_w, w_matrix
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams, _a_q, _e_n,
                     _e_rho, _e_z, require_admissible, ring_relabel)
 from .morse import (MorseParams, _wavefunctions, bound_state_count, morse_spectrum,
@@ -49,9 +49,10 @@ _MORSE_NORM_TOL = 1e-10
 # 1000 levels took 27 s on a 2-core Xeon with one BLAS thread
 _MORSE_MAX_LEVELS = 1000
 
-# Peak memory per output cell of a row table held as Python tuples and rendered:
-# at most ~320 B measured (spheroidal --n 0 in JSON; spectrum ~150 B)
-_CELL_BYTES = 384
+# Peak memory per cell of a row table held as Python tuples and rendered as JSON,
+# measured: spectrum's states ~125-147 B, spheroidal's lambda_curve ~360 B (--n 0)
+_STATES_CELL_BYTES = 160
+_CURVE_CELL_BYTES = 384
 
 # The ring cross-route evaluates (n+1)^2 Racah sums, whose alternating terms
 # cancel: max abs_diff is ~1e-11 at n = 40, ~1e-9 at n = 60 and ~1e-7 at
@@ -214,7 +215,7 @@ def resolve_config(args: argparse.Namespace) -> JobConfig:
 
 def cmd_spectrum(cfg: JobConfig) -> tuple[list[Section], int]:
     top, params, branch = cfg.n, cfg.params, cfg.branch
-    _require_table(((top + 1) * (top + 2) // 2, 5), "spectrum states table", _CELL_BYTES)
+    _require_table(((top + 1) * (top + 2) // 2, 5), "spectrum states table", _STATES_CELL_BYTES)
     idx = np.arange(top + 1)
     # extreme omega overflows a value; the non-finite cells fail at rendering
     with np.errstate(over="ignore"):
@@ -254,9 +255,8 @@ def cmd_interbasis(cfg: JobConfig) -> tuple[list[Section], int]:
 
 def cmd_spheroidal(cfg: JobConfig) -> tuple[list[Section], int]:
     n = cfg.n
-    # a level past any table is refused by its (n+1)^2 operator first
-    _require_table((n + 1, n + 1), f"level n={n} operator")
-    _require_table((cfg.r_grid[2], n + 2), "spheroidal lambda_curve table", _CELL_BYTES)
+    _require_operator(n)   # first, so a level past any table names its operator
+    _require_table((cfg.r_grid[2], n + 2), "spheroidal lambda_curve table", _CURVE_CELL_BYTES)
     grid = np.linspace(*cfg.r_grid)
     lam = lambda_grid(n, cfg.params, cfg.branch, cfg.kind, grid)
     curve_rows = tuple((radius, *row) for radius, row in zip(grid.tolist(), lam.tolist()))

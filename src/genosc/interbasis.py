@@ -410,14 +410,15 @@ def ring_w(N: int, m: int, n3: int, l: int, delta: float) -> float:
                                c=c0, gamma=alpha + beta))
 
 
-def _m_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, np.ndarray]:
-    """Bands (diag, off) of m_matrix_cyl at a validated level n, in O(n).
-
-    Every consumer of M reads these; a level whose (n+1)^2 table cannot be
-    allocated is refused first.
-    """
-    b, c, _ = require_admissible(params, branch)
+def _require_operator(n: int) -> None:
+    """NumericError unless level n's (n+1)^2 operator table can be allocated."""
     _require_table((n + 1, n + 1), f"level n={n} operator")
+
+
+def _m_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, np.ndarray]:
+    """Bands (diag, off) of m_matrix_cyl at validated level n, in O(n), for every consumer of M."""
+    b, c, _ = require_admissible(params, branch)
+    _require_operator(n)
     sb = branch.sign * b
     d0 = 0.5 * (c - sb + 0.5) * (c - sb + 1.5)
     diag = np.array([d0 + 2.0 * (p + 1.0) * (n - p) + 2.0 * (p + sb) * (n + c - p + 1.0)
@@ -428,14 +429,13 @@ def _m_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, 
 
 
 def _n_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, np.ndarray]:
-    """Bands (diag, off) of n_matrix_sph at a validated level n, in O(n).
+    """Bands (diag, off) of n_matrix_sph at validated level n, in O(n), for every consumer of N.
 
-    Every consumer of N reads these; a level whose (n+1)^2 table cannot be
-    allocated is refused first. The q = 0 diagonal uses the factored form
-    because c + sb can vanish (c = b on the Minus branch).
+    The q = 0 diagonal uses the factored form because c + sb can vanish (c = b on
+    the Minus branch).
     """
     b, c, _ = require_admissible(params, branch)
-    _require_table((n + 1, n + 1), f"level n={n} operator")
+    _require_operator(n)
     sb = branch.sign * b
     e_n = _e_n(n, params, branch)
     diag, off = [e_n * (sb + 1.0) / (c + sb + 2.0)], []

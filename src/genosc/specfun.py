@@ -225,10 +225,10 @@ def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
             if big.max() > 2.0 ** 332:
                 e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
                 p0, p1, exp2 = np.ldexp(p0, -e), np.ldexp(p1, -e), exp2 + e
-                # e^ln0 2^exp2 as e^r 2^(j + exp2), ln0 = r + j ln 2 split exactly
-                # (ln 2's head has 15 bits): rounding ln0 + exp2 ln 2 would cost
-                # ulps that follow the steps that renormalised a row
-                j = np.rint(np.maximum(ln0, -1e4) / math.log(2.0))   # e^-1e4: 0 anyway
+                # e^ln0 2^exp2 as e^r 2^(j + exp2), ln0 = r + j ln 2 split exactly (ln 2's
+                # head has 15 bits, |j| < 2^38 past the floor that keeps -inf off the cast):
+                # rounding ln0 + exp2 ln 2 costs ulps that follow which steps renormalised a row
+                j = np.rint(np.maximum(ln0, -1e11) / math.log(2.0))
                 r = (ln0 - j * 0.693145751953125) - j * 1.4286068203094172321e-6
                 scale = np.where(e > 0, np.ldexp(np.exp(r), j.astype(np.int64) + exp2), scale)
         a, s, d = steps[k]   # (a - x) phi_k - s phi_{k-1} over d, phi_{-1} = 0

@@ -1,6 +1,8 @@
 """Special-function layer: frozen references, closed-form oracles, quadrature."""
 
+import decimal
 import math
+from decimal import Decimal
 
 import mpmath
 import numpy as np
@@ -325,6 +327,27 @@ def test_rows_give_every_degree_of_one_recurrence():
     assert np.array_equal(sf.laguerre_functions([7], 2.7, math.log(w[3]))[0],
                           sf.laguerre_functions([7], 2.7, np.log(w))[0, 3])
     assert sf.laguerre_functions([0, 3], 0.5, -math.inf).tolist() == [0.0, 0.0]
+
+    # degree 6000 up to its turning point x ~ 24000, where ln phi_0 = -x/2 is
+    # far below e^-745: the recurrence on rows scaled by powers of two, each
+    # point's scale e^(-x/2) 2^exp2 formed in 40 digits, at the x the
+    # function sees (exp of log x: an ulp off x moves phi_6000 by ~1e-12)
+    def ref_deep(j, x):
+        p0, p1, exp2 = 0.0, 1.0, 0
+        for k in range(j):
+            p0, p1 = p1, ((2.0 * k + 1.0 - x) * p1 - k * p0) / (k + 1.0)
+            if abs(p1) > 2.0 ** 300:
+                p0, p1, exp2 = p0 / 2.0 ** 300, p1 / 2.0 ** 300, exp2 + 300
+        with decimal.localcontext(prec=40) as ctx:
+            return float(ctx.exp(Decimal(-0.5 * x) + exp2 * ctx.ln(Decimal(2))) * Decimal(p1))
+
+    deep = np.array([20000.0, 23000.0, 23500.0, 24000.0])
+    for alpha in (0.0, [0.0, 0.0]):
+        phi = sf.laguerre_functions([6000, 5999], alpha, np.log(deep))
+        for row, j in zip(phi, (6000, 5999)):
+            want = np.array([ref_deep(j, x) for x in np.exp(np.log(deep)).tolist()])
+            assert np.abs(want).max() > 1e-3
+            assert close(row, want), (alpha, j)
 
 
 # ------------------------------------------------------- connecting formulas
