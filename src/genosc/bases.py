@@ -200,8 +200,8 @@ def theta_ring(l: int, m: int, delta: float, theta):
     ma = abs(int(m))
     if m != int(m) or l < ma:
         raise DomainError(f"theta_ring needs integer m with |m| <= l, got l={l}, m={m}")
-    if delta < 0.0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
+    if not 0.0 <= delta < math.inf:
+        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
     t = _checked(theta, "theta", upper=math.pi)
     mu = ma + delta
     ln_const = ((mu) * math.log(2.0) + ln_gamma(mu + 0.5)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, _require_table, check_nonneg_int
+from .errors import (DomainError, NumericError, _require_table, check_nonneg_int,
+                     check_positive)
 from .interbasis import _require_operator, ring_w, w_matrix
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams, _a_q, _e_n,
                     _e_rho, _e_z, require_admissible, ring_relabel)
@@ -199,13 +200,11 @@ def resolve_config(args: argparse.Namespace) -> JobConfig:
         raise DomainError(f"index k must lie in 0..{n}, got {k}")
     if order < 1:
         raise DomainError(f"series order must be >= 1, got {order}")
-    R = getattr(args, "R", 1.0)
-    if not (R > 0.0 and math.isfinite(R)):
-        raise DomainError(f"R must be positive and finite, got {R}")
+    R = check_positive(getattr(args, "R", 1.0), "R")
     grid = _parse_grid(args.r_grid) if hasattr(args, "r_grid") else None
     return JobConfig(command=args.command, params=params, branch=branch,
                      morse=morse, n=int(n), k=int(k), order=int(order),
-                     R=float(R), r_grid=grid,
+                     R=R, r_grid=grid,
                      kind=_KINDS[getattr(args, "kind", "prolate")],
                      fmt=args.format, out=args.out,
                      tolerance_profile=getattr(args, "tolerance_profile", "default"))

@@ -1,5 +1,7 @@
 """Exception types shared across the package, and the input checks that raise them."""
 
+import math
+
 import numpy as np
 
 
@@ -30,6 +32,21 @@ def check_nonneg_int(value, name: str) -> int:
     if not ok:
         raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(value)
+
+
+def check_positive(value, name: str) -> float:
+    """value as a float; DomainError unless it is a finite positive number.
+
+    Strings and None get that error too, never float()'s TypeError or ValueError."""
+    if type(value) is float and 0.0 < value < math.inf:   # the common case, without float()
+        return value
+    try:
+        x = math.nan if isinstance(value, (str, bytes)) else float(value)
+    except (TypeError, ValueError):
+        x = math.nan
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+    return x
 
 
 def require_points(ok, message: str, value=None) -> None:

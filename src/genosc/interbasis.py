@@ -10,10 +10,12 @@ Racah sum (w_coefficient, cg_continued, ring_w) is kept as the small-level
 oracle: it terminates because a+b-c stays a nonnegative integer for every
 argument pattern generated here, with 1/Gamma at nonpositive integers zero
 throughout, but its alternating terms cancel and it loses orthogonality
-from n ~ 70. Also owns the two commuting tridiagonal operators of a level
-(M in the cylindrical basis, N in the spherical one) as O(n) bands, which
-the W recursion, the spheroidal systems and the perturbation series read;
-m_matrix_cyl and n_matrix_sph are their dense views.
+from n ~ 70. _overlap_table, the one overlap-integral route (read by
+w_integral_oracle and oracles.w_overlap_oracle), stops at n = 12. Also owns
+the two commuting tridiagonal operators of a level (M in the cylindrical
+basis, N in the spherical one) as O(n) bands, which the W recursion, the
+spheroidal systems and the perturbation series read; m_matrix_cyl and
+n_matrix_sph are their dense views.
 """
 
 from __future__ import annotations
@@ -24,10 +26,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (AccuracyError, DomainError, NumericError, _require_table,
-                     check_nonneg_int)
+from .bases import _angular
+from .errors import DomainError, NumericError, _require_table, check_nonneg_int
 from .model import Branch, SystemParams, _a_q, _e_n, require_admissible
-from .specfun import build_quadrature, jacobi_p, ln_gamma
+from .specfun import build_quadrature, ln_gamma
 
 __all__ = [
     "CgArgs",
@@ -43,6 +45,9 @@ __all__ = [
 ]
 
 _SELECTION_TOL = 1e-12
+# The overlap route refuses levels above this: its sums cancel more at each level, at
+# (omega, P, Q, m) = (1.3, 0.7, 1.1, 1) 4e-12 off w_matrix at n = 12, 6e-3 at n = 40.
+W_OVERLAP_MAX_LEVEL = 12
 # Distance from an integer below which a continued CG argument counts as one.
 _INT_TOL = 1e-9
 # Eigen residual contract, shared with the spheroidal eigensolves: a residual
@@ -354,35 +359,46 @@ def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     return mat
 
 
-def w_integral_oracle(n: int, p: int, q: int, params: SystemParams, branch: Branch,
-                      rule_points: int | None = None) -> float:
-    """Same coefficient from the overlap-integral route (Gauss-Jacobi).
+def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
+    """Level n's W table as overlap integrals of the two bases (read-only).
 
-    W_np^q = (-1)^(q-p) B_np^q E_np^q, with E the x = cos(2 theta) overlap
-    2^-(n+c+-b+1) int (1-x)^(n-p+c) (1+x)^(p+-b) P_q^(c,+-b)(x) dx. The
-    integrand splits as the rule's weight times a polynomial of degree n+q,
-    so the quadrature value is exact up to roundoff.
+    Projecting the cylindrical state onto each angular factor and matching
+    the top power of r reduces every entry to a single Jacobi-Gauss sum over
+    the angular evaluator, with no Clebsch-Gordan machinery involved.
     """
-    n, p, q = _check_level_indices(n, p, q)
+    n = check_nonneg_int(n, "level n")
+    if n > W_OVERLAP_MAX_LEVEL:
+        raise DomainError(f"overlap oracle supports levels up to "
+                          f"{W_OVERLAP_MAX_LEVEL}, got {n}")
     b, c, _ = require_admissible(params, branch)
-    sb = branch.sign * b
-    needed = (n + q) // 2 + 1
-    npts = n + 8 if rule_points is None else int(rule_points)
-    if 2 * npts - 1 < n + q:
-        raise AccuracyError(
-            f"quadrature of {npts} points is not exact at degree {n + q}; "
-            f"needs at least {needed}")
-    ln_b2 = (math.log(2.0 * q + c + sb + 1.0)
-             + ln_gamma(n - q + 1.0) + ln_gamma(q + 1.0)
-             + ln_gamma(q + c + sb + 1.0) + ln_gamma(n + q + c + sb + 2.0)
-             - ln_gamma(n - p + 1.0) - ln_gamma(p + 1.0)
-             - ln_gamma(q + c + 1.0) - ln_gamma(q + sb + 1.0)
-             - ln_gamma(n - p + c + 1.0) - ln_gamma(p + sb + 1.0))
-    rule = build_quadrature("jacobi", npts, c, sb)
-    x = rule.nodes
-    poly = (1.0 - x) ** (n - p) * (1.0 + x) ** p * jacobi_p(q, c, sb, x)
-    e_val = 2.0 ** (-(n + c + sb + 1.0)) * rule.integrate(poly)
-    return (-1.0) ** (q - p) * math.exp(0.5 * ln_b2) * e_val
+    beta = branch.sign * b
+    rule = build_quadrature("jacobi", n + 2, alpha=c, beta=beta)
+    theta = 0.5 * np.arccos(rule.nodes)
+    s, ct = np.sin(theta), np.cos(theta)
+    # a scalar exponent per row: numpy squares, roots and inverts exactly only
+    # for those, and the sums cancel enough to turn 1 ulp here into 1e-13
+    shape = np.array([2.0 ** (-c - beta - 2.0) * s ** (2.0 * (n - p) - c)
+                      * ct ** (2.0 * p - beta - 0.5) for p in range(n + 1)])
+    integrands = shape[:, None] * _angular(range(n + 1), c, beta, theta)
+    # numpy's own loop, not BLAS: the sum order does not follow the thread count
+    integrals = np.einsum("k,pqk->pq", rule.weights, integrands)
+
+    lg = np.vectorize(ln_gamma, otypes=[float])
+    k = np.arange(n + 1.0)   # p down the rows, q across the columns
+    ln_row = -lg(n - k + 1.0) - lg(n - k + c + 1.0) - lg(k + 1.0) - lg(k + beta + 1.0)
+    ln_const = ln_row[:, None] + lg(n - k + 1.0) + lg(n + k + c + beta + 2.0)
+    # (-1)^(p+q): the axial (-1)^p prefactor cancels its Laguerre leading
+    # sign, the spherical side keeps (-1)^(n-q)
+    table = 2.0 * (-1.0) ** np.add.outer(k, k) * np.exp(0.5 * ln_const) * integrals
+    table.flags.writeable = False
+    return table
+
+
+def w_integral_oracle(n: int, p: int, q: int, params: SystemParams, branch: Branch) -> float:
+    """Same coefficient from the overlap-integral route: entry (p, q) of the
+    table w_overlap_oracle checks; DomainError past W_OVERLAP_MAX_LEVEL."""
+    n, p, q = _check_level_indices(n, p, q)
+    return float(_overlap_table(n, params, branch)[p, q])
 
 
 def ring_w(N: int, m: int, n3: int, l: int, delta: float) -> float:
@@ -393,9 +409,9 @@ def ring_w(N: int, m: int, n3: int, l: int, delta: float) -> float:
     beta = (2 n3 - N + |m| - 1)/4; no extra sign factor.
     """
     N, n3, l = check_nonneg_int(N, "N"), check_nonneg_int(n3, "n3"), check_nonneg_int(l, "l")
-    ma = abs(int(m))
-    if delta < 0.0:
-        raise DomainError(f"delta must be nonnegative, got {delta}")
+    ma = check_nonneg_int(abs(m), "|m|")
+    if not 0.0 <= delta < math.inf:
+        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
     if l < ma or l > N or (N - l) % 2:
         raise DomainError(f"need |m| <= l <= N with N - l even, got N={N}, l={l}, m={m}")
     if n3 > N - ma or (N - ma - n3) % 2:

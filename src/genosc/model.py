@@ -145,8 +145,9 @@ class RingLabel:
 
     def __post_init__(self):
         check_nonneg_int(self.N, "N")
-        if self.delta < 0.0:
-            raise DomainError(f"delta must be nonnegative, got {self.delta}")
+        check_nonneg_int(abs(self.m), "|m|")
+        if not 0.0 <= self.delta < math.inf:
+            raise DomainError(f"delta must be nonnegative and finite, got {self.delta}")
         if self.l is not None:
             check_nonneg_int(self.l, "l")
             if self.l < abs(self.m) or self.l > self.N or (self.N - self.l) % 2:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_nonneg_int
+from .errors import DomainError, check_nonneg_int, check_positive
 from .specfun import build_quadrature, gen_laguerre, laguerre_functions, ln_gamma
 
 _logger = logging.getLogger(__name__)
@@ -35,10 +35,7 @@ class MorseParams:
 
     def __post_init__(self) -> None:
         for name in ("v0", "a"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise DomainError(f"{name} must be positive and finite, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, check_positive(getattr(self, name), name))
 
     @property
     def lam(self) -> float:

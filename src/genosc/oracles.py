@@ -7,7 +7,8 @@ helper (bases._angular, _radial_sph, _radial_cyl, _axial, morse._wavefunctions;
 the public evaluators are their one-row views) and contracts once.
 Integrands are divided by the rule's weight function first, which leaves
 exact polynomials, so any residual measures implementation error rather than
-quadrature truncation.  Results come back as CheckReport rows;
+quadrature truncation.  The overlap table is interbasis._overlap_table, the
+one overlap route, capped at n = 12.  Results come back as CheckReport rows;
 run_verification_suite() executes the fixed table of named checks the CLI
 reports on.
 """
@@ -23,7 +24,7 @@ import numpy as np
 
 from .bases import _angular, _axial, _radial_cyl, _radial_sph
 from .errors import DomainError, check_nonneg_int
-from .interbasis import w_matrix
+from .interbasis import W_OVERLAP_MAX_LEVEL, _overlap_table, w_matrix  # noqa: F401
 from .model import Branch, SystemParams, admissible_branches, require_admissible
 from .morse import MorseParams, _wavefunctions, bound_state_count
 from .specfun import build_quadrature, gamma_sign_ln, hyp2f1_unit, ln_gamma
@@ -39,10 +40,6 @@ __all__ = [
     "run_verification_suite",
     "w_overlap_oracle",
 ]
-
-# overlap levels above this would need quadratures past the comfortable
-# exact-polynomial range, so the oracle refuses rather than degrade
-W_OVERLAP_MAX_LEVEL = 12
 
 _TOL_SMALL = 1e-10   # levels up to 6
 _TOL_LARGE = 1e-8    # levels 7..12
@@ -282,40 +279,14 @@ def w_overlap_oracle(n: int, params: SystemParams,
                      branch: Branch) -> tuple[np.ndarray, CheckReport]:
     """Interbasis table recomputed as overlap integrals of the bases.
 
-    Projecting the cylindrical state onto each angular factor and matching
-    the top power of r reduces every entry to a single Jacobi-Gauss sum over
-    the angular evaluator, with no Clebsch-Gordan machinery involved.  The
-    report compares the table entrywise against w_matrix().
+    The table is interbasis._overlap_table (w_integral_oracle reads its
+    entries), refused past W_OVERLAP_MAX_LEVEL. The report compares it
+    entrywise against w_matrix().
     """
-    n = check_nonneg_int(n, "level n")
-    if n > W_OVERLAP_MAX_LEVEL:
-        raise DomainError(f"overlap oracle supports levels up to "
-                          f"{W_OVERLAP_MAX_LEVEL}, got {n}")
-    b, c, _ = require_admissible(params, branch)
-    beta = branch.sign * b
-    rule = build_quadrature("jacobi", n + 2, alpha=c, beta=beta)
-    theta = 0.5 * np.arccos(rule.nodes)
-    s, ct = np.sin(theta), np.cos(theta)
-    # a scalar exponent per row: numpy squares, roots and inverts exactly only
-    # for those, and the sums cancel enough to turn 1 ulp here into 1e-13
-    shape = np.array([2.0 ** (-c - beta - 2.0) * s ** (2.0 * (n - p) - c)
-                      * ct ** (2.0 * p - beta - 0.5) for p in range(n + 1)])
-    integrands = shape[:, None] * _angular(range(n + 1), c, beta, theta)
-    # numpy's own loop, not BLAS: the sum order does not follow the thread count
-    integrals = np.einsum("k,pqk->pq", rule.weights, integrands)
-
-    lg = np.vectorize(ln_gamma, otypes=[float])
-    k = np.arange(n + 1.0)   # p down the rows, q across the columns
-    ln_row = -lg(n - k + 1.0) - lg(n - k + c + 1.0) - lg(k + 1.0) - lg(k + beta + 1.0)
-    ln_const = ln_row[:, None] + lg(n - k + 1.0) + lg(n + k + c + beta + 2.0)
-    # (-1)^(p+q): the axial (-1)^p prefactor cancels its Laguerre leading
-    # sign, the spherical side keeps (-1)^(n-q)
-    table = 2.0 * (-1.0) ** np.add.outer(k, k) * np.exp(0.5 * ln_const) * integrals
-
+    table = _overlap_table(n, params, branch)
     closed = w_matrix(n, params, branch).entries
     deviation = float(np.max(np.abs(table - closed)))
     report = _report(_overlap_name(n, params, branch), deviation, 0.0, _tolerance(n))
-    table.flags.writeable = False
     return table, report
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, check_nonneg_int
+from .errors import DomainError, NumericError, check_nonneg_int, check_positive
 from .interbasis import _m_bands, _n_bands
 from .model import SystemParams, Branch, _a_q, _e_z, require_admissible
 
@@ -41,7 +41,7 @@ class SeriesExpansion:
 
     def eigenvalue(self, R: float) -> float:
         """Series value at interfocus half-distance parameter R."""
-        x = _check_r(R) ** 2 * self.omega
+        x = check_positive(R, "R") ** 2 * self.omega
         if self.regime is Regime.SmallR:
             tail = math.fsum(c * x ** (j + 1)
                              for j, c in enumerate(self.lambda_coeffs))
@@ -52,17 +52,10 @@ class SeriesExpansion:
 
     def vector(self, R: float) -> np.ndarray:
         """Series eigenvector at R, normalized to component k = 1."""
-        x = _check_r(R) ** 2 * self.omega
+        x = check_positive(R, "R") ** 2 * self.omega
         sign = 1 if self.regime is Regime.SmallR else -1
         powers = np.array([x ** (sign * j) for j in range(self.order + 1)])
         return powers @ self.vector_coeffs
-
-
-def _check_r(R: float) -> float:
-    R = float(R)
-    if not math.isfinite(R) or R <= 0.0:
-        raise DomainError(f"R must be positive and finite, got {R!r}")
-    return R
 
 
 def _check_indices(n: int, k: int) -> tuple[int, int]:
@@ -179,7 +172,7 @@ def wavefunction_correction(n: int, k: int, m: int, params: SystemParams,
         raise DomainError(f"m mismatch: label has {m}, system has {params.m}")
     if not isinstance(regime, Regime):
         raise DomainError(f"regime must be a Regime member, got {regime!r}")
-    x = _check_r(R) ** 2 * params.omega
+    x = check_positive(R, "R") ** 2 * params.omega
     if regime is Regime.SmallR:
         series = small_r_series(n, k, params, branch, order=1)
         scale = x

@@ -16,7 +16,8 @@ from functools import lru_cache
 import numpy as np
 
 from .bases import _with_phase, cylindrical_level, spherical_level
-from .errors import DomainError, NumericError, check_nonneg_int, require_points
+from .errors import (DomainError, NumericError, check_nonneg_int, check_positive,
+                     require_points)
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
 from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _dense, _m_bands,  # noqa: F401
                          _n_bands, w_column)
@@ -114,18 +115,12 @@ def _check_level_index(n: int, k: int) -> tuple[int, int]:
     return n, k
 
 
-def _check_r(R: float) -> float:
-    if not (R > 0.0) or not math.isfinite(R):
-        raise DomainError(f"interfocus distance must be positive, got {R}")
-    return float(R)
-
-
 def build_tridiag_u(n: int, params: SystemParams, branch: Branch, R: float,
                     kind: Kind) -> TridiagonalSystem:
     """Cylindrical-side system 2 m_matrix_cyl + sign (R^2/2) diag(E_z(p))."""
     n, _ = _check_level_index(n, 0)
     require_admissible(params, branch)
-    R = _check_r(R)
+    R = check_positive(R, "R")
     diag, offdiag = _m_bands(n, params, branch)
     with np.errstate(over="ignore"):   # an overflowed entry fails the eigensolve
         e_z = _e_z(np.arange(n + 1.0), params, branch)
@@ -153,7 +148,7 @@ def build_tridiag_t(n: int, params: SystemParams, branch: Branch, R: float,
     """Spherical-side system diag(A_q) + sign (R^2/2) n_matrix_sph."""
     n, _ = _check_level_index(n, 0)
     require_admissible(params, branch)
-    R = _check_r(R)
+    R = check_positive(R, "R")
     diag, offdiag = _t_bands(n, params, branch, kind, R)
     diag.flags.writeable = False
     offdiag.flags.writeable = False
@@ -231,7 +226,7 @@ def _solved_pair(n: int, k: int, params: SystemParams, branch: Branch, R: float,
                  kind: Kind) -> tuple[np.ndarray, np.ndarray]:
     """Validate the arguments into a canonical cache key, then read the state."""
     n, k = _check_level_index(n, k)
-    return _pair_columns(n, k, params, branch, _check_r(R), kind)
+    return _pair_columns(n, k, params, branch, check_positive(R, "R"), kind)
 
 
 def u_coefficients(n: int, k: int, params: SystemParams, branch: Branch, R: float,
@@ -258,6 +253,20 @@ def t_coefficients(n: int, k: int, params: SystemParams, branch: Branch, R: floa
 _GRID_CHUNK_ENTRIES = 1 << 20
 
 
+def _radius_grid(R_grid) -> np.ndarray:
+    """R_grid as a float array; DomainError unless it is a nonempty 1-D
+    sequence of positive finite numbers (strings and None are not numbers)."""
+    try:
+        grid = np.asarray(R_grid)
+        ok = grid.ndim == 1 and grid.size > 0 and grid.dtype.kind in "iuf"
+    except ValueError:   # a ragged sequence
+        ok = False
+    if not ok or not np.all((grid > 0.0) & np.isfinite(grid)):
+        raise DomainError("R grid must be a nonempty one-dimensional sequence of "
+                          "positive finite numbers")
+    return grid.astype(float, copy=False)
+
+
 def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
                 R_grid) -> np.ndarray:
     """All separation constants lambda_0..lambda_n at every R of a grid.
@@ -268,11 +277,7 @@ def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
     LAPACK calls.
     """
     n, _ = _check_level_index(n, 0)
-    grid = np.asarray(R_grid, dtype=float)
-    if grid.ndim != 1 or grid.size == 0:
-        raise DomainError("R grid must be a nonempty one-dimensional sequence")
-    if not np.all((grid > 0.0) & np.isfinite(grid)):
-        raise DomainError("R grid must be positive and finite")
+    grid = _radius_grid(R_grid)
     diag, off = _t_bands(n, params, branch, kind, grid)
     chunk = max(1, _GRID_CHUNK_ENTRIES // ((n + 1) * (n + 1)))
     lam = np.empty_like(diag)
@@ -289,8 +294,8 @@ def lambda_curve(n: int, k: int, params: SystemParams, branch: Branch, kind: Kin
                  R_grid) -> list[tuple[float, float]]:
     """Separation constant lambda_k sampled on an ascending positive R grid."""
     n, k = _check_level_index(n, k)
-    grid = np.asarray(R_grid, dtype=float)
-    if grid.ndim == 1 and not np.all(np.diff(grid) > 0.0):
+    grid = _radius_grid(R_grid)
+    if not np.all(np.diff(grid) > 0.0):
         raise DomainError("R grid must be strictly ascending")
     lam = lambda_grid(n, params, branch, kind, grid)
     return [(float(r_val), float(row[k])) for r_val, row in zip(grid, lam)]
@@ -299,7 +304,7 @@ def lambda_curve(n: int, k: int, params: SystemParams, branch: Branch, kind: Kin
 def _image(point: SpheroidalPoint, R: float, kind: Kind):
     """(rho, phi, z, r) of the point: arrays of its shape, numpy scalars for a
     scalar point. A huge xi overflows rho and r to inf, for callers to refuse."""
-    R = _check_r(R)
+    R = check_positive(R, "R")
     # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
     xi, eta, phi = (np.asarray(v, dtype=float)[()] for v in (point.xi, point.eta, point.phi))
     if kind is Kind.Prolate:

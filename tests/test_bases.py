@@ -79,6 +79,9 @@ def test_theta_domain():
             theta_angular(bad, BOTH, Branch.Plus, 0.3)
         with pytest.raises(DomainError, match="theta must lie"):
             theta_angular(0, BOTH, Branch.Plus, bad)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(DomainError, match="delta"):
+            theta_ring(2, 1, bad, 0.3)
 
 
 def test_theta_poschl_teller_residual():

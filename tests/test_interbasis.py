@@ -12,14 +12,15 @@ from sympy import Rational
 from sympy.physics.quantum.cg import CG as sympy_cg
 
 import genosc.interbasis as interbasis
-from genosc.errors import AccuracyError, DomainError, NumericError
+from genosc.errors import DomainError, NumericError
 from genosc.interbasis import (CgArgs, cg_continued, m_matrix_cyl,
                                n_matrix_sph, ring_w, w_coefficient, w_column,
                                w_integral_oracle, w_matrix)
-from genosc.model import (Branch, CylindricalLabel, SphericalLabel,
+from genosc.model import (Branch, CylindricalLabel, RingLabel, SphericalLabel,
                           SystemParams, admissible_branches, channel_constants,
                           energy_cylindrical_parts, ring_relabel,
                           separation_constant_A)
+from genosc.oracles import w_overlap_oracle
 
 BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3, c=1
 STEEP = SystemParams(omega=2.0, p_strength=2.0, q_strength=1.5, m=2)    # b=1.5
@@ -167,14 +168,14 @@ def test_w_matches_integral_oracle():
                     assert w_coefficient(n, p, q, params, branch) == pytest.approx(
                         w_integral_oracle(n, p, q, params, branch), abs=1e-12), \
                         (n, p, q, branch)
-
-
-def test_w_integral_oracle_rule_size():
-    # degree n+q needs 2*npts-1 coverage: 4 points suffice at n=3, q=3
-    exact = w_integral_oracle(3, 1, 3, BOTH, Branch.Plus, rule_points=4)
-    assert exact == pytest.approx(w_coefficient(3, 1, 3, BOTH, Branch.Plus), abs=1e-13)
-    with pytest.raises(AccuracyError):
-        w_integral_oracle(3, 1, 3, BOTH, Branch.Plus, rule_points=3)
+    # one overlap route: each entry is the oracle table's, bit for bit
+    for params, branch in BRANCH_CASES:
+        for n in range(13):
+            table = w_overlap_oracle(n, params, branch)[0]
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    assert w_integral_oracle(n, p, q, params, branch) == table[p, q], \
+                        (n, p, q, branch)
 
 
 def test_w_recursion_matches_racah_sum():
@@ -329,6 +330,16 @@ def test_ring_w_validation():
         ring_w(4, 1, 5, 2, 0.0)    # n3 > N - |m|
     with pytest.raises(DomainError):
         ring_w(4, 1, 1, 2, -0.2)   # delta < 0
+    for bad_m in (1.5, math.nan):   # a non-integer m is not read as m = 1
+        with pytest.raises(DomainError, match=r"\|m\| must be"):
+            ring_w(3, bad_m, 2, 1, 0.2)
+        with pytest.raises(DomainError, match=r"\|m\| must be"):
+            RingLabel(N=3, m=bad_m, delta=0.2, l=3)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError, match="delta"):
+            ring_w(3, 1, 2, 1, bad)
+        with pytest.raises(DomainError, match="delta"):
+            RingLabel(N=3, m=1, delta=bad, l=1)
 
 
 # ----------------------------------------------------- operator matrices

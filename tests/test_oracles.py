@@ -8,7 +8,7 @@ from scipy import integrate
 
 from genosc.bases import radial_cylindrical, radial_spherical, theta_angular, z_axial
 from genosc.errors import DomainError
-from genosc.interbasis import w_matrix
+from genosc.interbasis import w_integral_oracle, w_matrix
 from genosc.model import Branch, SystemParams, admissible_branches
 from genosc.morse import MorseParams, bound_state_count, morse_wavefunction
 from genosc.oracles import (SUITE_MANIFEST, CheckReport, GramFamily,
@@ -283,6 +283,9 @@ def test_overlap_oracle_level_cap():
         w_overlap_oracle(13, BOTH, Branch.Plus)
     with pytest.raises(DomainError):
         w_overlap_oracle(-1, BOTH, Branch.Plus)
+    # the per-entry route reads the same table, so it shares the cap
+    with pytest.raises(DomainError, match="up to 12"):
+        w_integral_oracle(13, 0, 0, BOTH, Branch.Plus)
 
 
 # -------------------------------------------------------- verification suite

@@ -336,6 +336,11 @@ def test_argument_validation():
     ser = small_r_series(1, 0, BOTH, Branch.Plus)
     with pytest.raises(DomainError):
         ser.eigenvalue(0.0)
+    for bad in ("0.5", None, math.nan, math.inf, -math.inf, -1.0):
+        with pytest.raises(DomainError, match="R must be positive"):
+            ser.eigenvalue(bad)
+        with pytest.raises(DomainError, match="R must be positive"):
+            ser.vector(bad)
     with pytest.raises(DomainError):
         wavefunction_correction(2, 1, 0, BOTH, Branch.Plus, 1.0, Regime.SmallR)
     with pytest.raises(DomainError):

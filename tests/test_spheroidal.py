@@ -272,6 +272,16 @@ def test_coefficient_index_validation():
             u_coefficients(bad, 0, BOTH, Branch.Plus, 1.0, Kind.Prolate)
         with pytest.raises(DomainError, match="k must be"):
             t_coefficients(2, bad, BOTH, Branch.Plus, 1.0, Kind.Prolate)
+    # one positive-radius check for every R argument and grid entry
+    for bad in ("1.5", None, math.nan, math.inf, -math.inf, 0.0):
+        with pytest.raises(DomainError, match="R must be positive"):
+            build_tridiag_t(2, BOTH, Branch.Plus, bad, Kind.Prolate)
+        with pytest.raises(DomainError, match="R must be positive"):
+            u_coefficients(2, 0, BOTH, Branch.Plus, bad, Kind.Prolate)
+        with pytest.raises(DomainError, match="R grid"):
+            lambda_grid(2, BOTH, Branch.Plus, Kind.Prolate, [0.5, bad])
+        with pytest.raises(DomainError, match="R grid"):
+            lambda_curve(2, 0, BOTH, Branch.Plus, Kind.Prolate, [0.5, bad])
 
 
 # ------------------------------------------------------------ lambda curve
