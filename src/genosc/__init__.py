@@ -17,8 +17,8 @@ from .model import (Branch, CylindricalLabel, RingLabel, SphericalLabel,
                     require_admissible, ring_energy, ring_relabel,
                     ring_separation_constant, separation_constant_A)
 from .morse import (EffectiveChannel, MorseParams, bound_state_count,
-                    morse_spectrum, morse_wavefunction, quadrature_norm,
-                    sw_to_morse)
+                    morse_norms, morse_spectrum, morse_wavefunction,
+                    quadrature_norm, sw_to_morse)
 from .oracles import (SUITE_MANIFEST, CheckReport, GramFamily,
                       bi_orthogonality, bi_orthogonality_hypergeometric,
                       gram_matrix, run_verification_suite, w_overlap_oracle)
@@ -43,7 +43,7 @@ __all__ = [
     "build_tridiag_t", "build_tridiag_u", "channel_constants",
     "energy_cylindrical_parts", "energy_level", "enumerate_level",
     "eigensolve", "gram_matrix", "lambda_curve", "lambda_grid", "large_r_series",
-    "m_matrix_cyl", "map_spheroidal_point", "morse_spectrum",
+    "m_matrix_cyl", "map_spheroidal_point", "morse_norms", "morse_spectrum",
     "morse_wavefunction", "n_matrix_sph", "psi_cylindrical", "psi_spherical",
     "psi_spheroidal", "quadrature_norm", "radial_cylindrical",
     "radial_spherical", "require_admissible", "ring_energy", "ring_relabel",

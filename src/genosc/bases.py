@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .errors import DomainError, check_nonneg_int, require_points
+from .errors import DomainError, check_abs_int, check_nonneg_int, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     require_admissible)
 from .specfun import gegenbauer, jacobi_rows, laguerre_functions, ln_gamma
@@ -196,10 +196,9 @@ def theta_ring(l: int, m: int, delta: float, theta):
 
     Valid on (0, pi); same half-interval normalization as theta_angular.
     """
-    l = check_nonneg_int(l, "l")
-    ma = abs(int(m))
-    if m != int(m) or l < ma:
-        raise DomainError(f"theta_ring needs integer m with |m| <= l, got l={l}, m={m}")
+    l, ma = check_nonneg_int(l, "l"), check_abs_int(m, "m")
+    if l < ma:
+        raise DomainError(f"theta_ring needs |m| <= l, got l={l}, m={m}")
     if not 0.0 <= delta < math.inf:
         raise DomainError(f"delta must be nonnegative and finite, got {delta}")
     t = _checked(theta, "theta", upper=math.pi)

@@ -26,8 +26,8 @@ from .errors import (DomainError, NumericError, _require_table, check_nonneg_int
 from .interbasis import _require_operator, ring_w, w_matrix
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams, _a_q, _e_n,
                     _e_rho, _e_z, require_admissible, ring_relabel)
-from .morse import (MorseParams, _wavefunctions, bound_state_count, morse_spectrum,
-                    quadrature_norm)
+from .morse import (MorseParams, _wavefunctions, bound_state_count, morse_norms,
+                    morse_spectrum, normalizable_levels)
 from .oracles import SUITE_MANIFEST, run_verification_suite
 from .perturbation import large_r_series, small_r_series
 from .spheroidal import (Kind, build_tridiag_t, eigensolve, lambda_grid,
@@ -44,10 +44,10 @@ _SMALL_PROBES = (0.05, 0.1)
 _LARGE_PROBES = (20.0, 40.0)
 
 _MORSE_GRID_POINTS = 101
-# |norm - 1| contract; quadrature_norm stays near 1e-12 or below up to lambda = 400
+# |norm - 1| contract; morse_norms stays near 1e-12 up to lambda = 400 and within 7e-12 at 1000
 _MORSE_NORM_TOL = 1e-10
-# More levels are refused before listing: the norm checks cost O(lambda^3), and
-# 1000 levels took 27 s on a 2-core Xeon with one BLAS thread
+# More levels are refused before listing: the norms cost O(lambda^3), and 1000
+# levels took 5.2-6.4 s (144-155 MB peak) on a 2-core Xeon with one BLAS thread
 _MORSE_MAX_LEVELS = 1000
 
 # Peak memory per cell of a row table held as Python tuples and rendered as JSON,
@@ -314,13 +314,11 @@ def cmd_morse(cfg: JobConfig) -> tuple[list[Section], int]:
     if count > _MORSE_MAX_LEVELS:
         raise NumericError(f"Morse well has {count} levels, more than the "
                            f"{_MORSE_MAX_LEVELS} that a run can norm-check")
-    energies = morse_spectrum(params)
-    level_rows = tuple(enumerate(energies.tolist()))
+    level_rows = tuple(enumerate(morse_spectrum(params).tolist()))
     # the threshold level (if any) is marginal and has no normalizable state
-    normalizable = [p for p in range(len(energies)) if 2.0 * params.lam - 2.0 * p - 1.0 > 0.0]
+    normalizable = normalizable_levels(params)
     norm_rows = []
-    for p in normalizable:
-        norm = quadrature_norm(p, params)
+    for p, norm in zip(normalizable, morse_norms(params).tolist()):
         if not abs(norm - 1.0) <= _MORSE_NORM_TOL:
             raise NumericError(f"Morse level {p} has norm {norm!r}, off one by more "
                                f"than {_MORSE_NORM_TOL:g}")

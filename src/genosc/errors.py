@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input checks that raise them."""
 
 import math
+import numbers
 
 import numpy as np
 
@@ -32,6 +33,12 @@ def check_nonneg_int(value, name: str) -> int:
     if not ok:
         raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(value)
+
+
+def check_abs_int(value, name: str) -> int:
+    """|value| as an int; DomainError unless value is a finite integer of either sign."""
+    finite = isinstance(value, numbers.Real) and math.isfinite(value)
+    return check_nonneg_int(abs(value) if finite else value, f"|{name}|")
 
 
 def check_positive(value, name: str) -> float:

@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .bases import _angular
-from .errors import DomainError, NumericError, _require_table, check_nonneg_int
+from .errors import DomainError, NumericError, _require_table, check_abs_int, check_nonneg_int
 from .model import Branch, SystemParams, _a_q, _e_n, require_admissible
 from .specfun import build_quadrature, ln_gamma
 
@@ -409,7 +409,7 @@ def ring_w(N: int, m: int, n3: int, l: int, delta: float) -> float:
     beta = (2 n3 - N + |m| - 1)/4; no extra sign factor.
     """
     N, n3, l = check_nonneg_int(N, "N"), check_nonneg_int(n3, "n3"), check_nonneg_int(l, "l")
-    ma = check_nonneg_int(abs(m), "|m|")
+    ma = check_abs_int(m, "m")
     if not 0.0 <= delta < math.inf:
         raise DomainError(f"delta must be nonnegative and finite, got {delta}")
     if l < ma or l > N or (N - l) % 2:

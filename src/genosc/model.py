@@ -13,7 +13,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, check_nonneg_int
+from .errors import DomainError, check_abs_int, check_nonneg_int
 
 __all__ = [
     "Branch",
@@ -145,7 +145,7 @@ class RingLabel:
 
     def __post_init__(self):
         check_nonneg_int(self.N, "N")
-        check_nonneg_int(abs(self.m), "|m|")
+        check_abs_int(self.m, "m")
         if not 0.0 <= self.delta < math.inf:
             raise DomainError(f"delta must be nonnegative and finite, got {self.delta}")
         if self.l is not None:

@@ -5,8 +5,10 @@ into the half-line channel with omega = 2 lambda, E_z = 4 lambda^2 and an
 inverse-square strength fixed by the energy, so spectrum and wavefunctions
 come out of the oscillator machinery.  The printed closed-form constant in
 the source material does not square-integrate to one; the constant used
-here does, as quadrature_norm (Gauss-Legendre panels in log w) and
-quadrature_norm_scaled (Gauss-Laguerre) both measure.
+here does, as morse_norms measures: with N the top normalizable level, every
+psi_p^2 dx is w^alpha0 e^{-w} dw (alpha0 = 2 lambda - 2N - 2, in (-1, 1]) times a
+polynomial of degree <= 2N, so one (N+1)-point Gauss-Laguerre rule, whose
+scaled weights hold at any depth, integrates every norm exactly.
 """
 
 import logging
@@ -16,14 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_nonneg_int, check_positive
-from .specfun import build_quadrature, gen_laguerre, laguerre_functions, ln_gamma
+from .specfun import build_quadrature, laguerre_functions
 
 _logger = logging.getLogger(__name__)
-
-_PANEL_NODES = 24
-# panel width in log w is this over sqrt((p+1)(p+alpha+1)); norms hold 4e-13 up to 8
-_PANEL_SCALE = 4.0
-_TAIL_MASS = 1e-18   # share of the norm the tail bound leaves below the panels
 
 
 @dataclass(frozen=True)
@@ -95,7 +92,7 @@ def sw_to_morse(params: MorseParams, energy: float) -> EffectiveChannel:
                             b=2.0 * math.sqrt(-2.0 * energy) / params.a)
 
 
-def _check_level(p: int, params: MorseParams) -> tuple[int, float, float]:
+def _check_level(p: int, params: MorseParams) -> int:
     count = bound_state_count(params)
     try:
         level = check_nonneg_int(p, "level p")
@@ -103,14 +100,17 @@ def _check_level(p: int, params: MorseParams) -> tuple[int, float, float]:
         level = count   # not an index at all: the same range message
     if level >= count:
         raise DomainError(f"level p must lie in 0..{count - 1}, got {p!r}")
-    p = level
-    lam = params.lam
-    alpha = 2.0 * lam - 2.0 * p - 1.0
-    if alpha <= 0.0:
+    if level not in normalizable_levels(params):
         raise DomainError(
-            f"level p = {p} sits exactly at the continuum threshold "
+            f"level p = {level} sits exactly at the continuum threshold "
             "and is not square integrable")
-    return p, lam, alpha
+    return level
+
+
+def normalizable_levels(params: MorseParams) -> range:
+    """Bound levels with a square-integrable state: alpha_p = 2 lambda - 2p - 1 > 0."""
+    count = bound_state_count(params)
+    return range(count if 2.0 * params.lam - 2.0 * count + 1.0 > 0.0 else count - 1)
 
 
 def _wavefunctions(ps, params: MorseParams, x) -> np.ndarray:
@@ -126,54 +126,33 @@ def _wavefunctions(ps, params: MorseParams, x) -> np.ndarray:
 
 def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:
     """Normalized bound state psi_p at position x; accepts scalars or arrays."""
-    p, _, _ = _check_level(p, params)
+    p = _check_level(p, params)
     vals = _wavefunctions((p,), params, x)[0]
     return vals if vals.ndim else float(vals)
 
 
+def _norms(ps, params: MorseParams) -> np.ndarray:
+    """Norm integrals of psi_p^2 over the line for p in ps, on the well's one rule: N + 1
+    Gauss-Laguerre points of weight w^alpha0 e^{-w}. As dx = dw / (a w), norm_p is
+    sum_i s_i psi_p(w_i)^2 / (a w_i), s_i the rule's scaled weights."""
+    top = normalizable_levels(params)[-1]
+    rule = build_quadrature("laguerre", top + 1, alpha=2.0 * params.lam - 2.0 * top - 2.0)
+    w = rule.nodes
+    psi = _wavefunctions(ps, params, np.log(2.0 * params.lam / w) / params.a)
+    # numpy's own loop, not BLAS, so the sum order does not follow the thread count
+    return np.einsum("pi,i,pi->p", psi, rule.scaled_weights / (params.a * w), psi)
+
+
+def morse_norms(params: MorseParams) -> np.ndarray:
+    """Norm integral of psi_p^2 over the line for each normalizable level, in order."""
+    levels = normalizable_levels(params)
+    return _norms(levels, params) if levels else np.empty(0)
+
+
 def quadrature_norm(p: int, params: MorseParams) -> float:
-    """Norm integral of psi_p^2 over the line, the x-space check of the constant.
-
-    Gauss-Legendre panels in t = log w (dx = dt / a), laid out in closed form
-    with nu = 2p + alpha + 1 = 2 lambda: of width _PANEL_SCALE /
-    sqrt((p+1)(p+alpha+1)) from w_s = max(alpha^2 - 1, 1) / (2 nu), below the
-    first Laguerre zero (by Sturm comparison; for alpha^2 < 2 that zero
-    exceeds j_{alpha,1}^2 / (2 nu)), to 4 nu + 60, past the turning point
-    2 nu. Below w_s the density is at most alpha Gamma(p+alpha+1) /
-    (p! Gamma(alpha+1)^2) w^alpha; panels double in width until that bound
-    leaves under _TAIL_MASS. All nodes go through one morse_wavefunction call.
-    """
-    p, lam, alpha = _check_level(p, params)
-    nu = 2.0 * lam
-    width = _PANEL_SCALE / math.sqrt((p + 1.0) * (p + alpha + 1.0))
-    t_s = math.log(max(alpha * alpha - 1.0, 1.0) / (2.0 * nu))
-    t_top = math.log(4.0 * nu + 60.0)
-    ln_bound = ln_gamma(p + alpha + 1.0) - ln_gamma(p + 1.0) - 2.0 * ln_gamma(alpha + 1.0)
-    t_min = (math.log(_TAIL_MASS) - ln_bound) / alpha
-    doublings = math.ceil(math.log2(max(t_s - t_min, 0.0) / width + 1.0))
-    edges = np.concatenate([
-        t_s - width * (2.0 ** np.arange(doublings, 0, -1) - 1.0),
-        np.linspace(t_s, t_top, math.ceil((t_top - t_s) / width) + 1)])
-    rule = build_quadrature("legendre", _PANEL_NODES)
-    half = 0.5 * np.diff(edges)
-    t = (edges[:-1] + half)[:, None] + half[:, None] * rule.nodes
-    psi = morse_wavefunction(p, params, (math.log(nu) - t) / params.a)
-    # numpy's own loops, not BLAS, so the sum order does not follow the thread
-    # count; panels first, as one three-operand loop would add every term in turn
-    panels = np.einsum("i,ij->j", half, psi * psi)
-    return float(np.einsum("j,j->", panels, rule.weights)) / params.a
+    """Norm integral of psi_p^2 over the line: level p's entry of morse_norms."""
+    p = _check_level(p, params)
+    return float(_norms((p,), params)[0])
 
 
-def quadrature_norm_scaled(p: int, params: MorseParams) -> float:
-    """Same norm after the exponential substitution, now a Gauss-type sum.
-
-    Deep wells are out of reach: past alpha ~ 171.6 (lambda ~ 86 at p = 0)
-    the weight integral Gamma(alpha) leaves double range (AccuracyError from
-    build_quadrature), and the sum Gamma(p+alpha+1)/p! overflows sooner.
-    """
-    p, lam, alpha = _check_level(p, params)
-    rule = build_quadrature("laguerre", p + 1, alpha=alpha - 1.0)
-    vals = gen_laguerre(p, alpha, rule.nodes) ** 2
-    scale = math.exp(ln_gamma(p + 1.0) + math.log(alpha)
-                     - ln_gamma(2.0 * lam - p))
-    return scale * rule.integrate(vals)
+quadrature_norm_scaled = quadrature_norm   # the scaled Gauss-Laguerre sum's name, now one route

@@ -26,7 +26,7 @@ from .bases import _angular, _axial, _radial_cyl, _radial_sph
 from .errors import DomainError, check_nonneg_int
 from .interbasis import W_OVERLAP_MAX_LEVEL, _overlap_table, w_matrix  # noqa: F401
 from .model import Branch, SystemParams, admissible_branches, require_admissible
-from .morse import MorseParams, _wavefunctions, bound_state_count
+from .morse import MorseParams, _wavefunctions, normalizable_levels
 from .specfun import build_quadrature, gamma_sign_ln, hyp2f1_unit, ln_gamma
 
 __all__ = [
@@ -134,9 +134,9 @@ def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
     # one recurrence for both labels; its degrees n - q must be distinct
     qs = [q] if q == q_prime else [q, q_prime]
     vals = _radial_sph([n - qi for qi in qs], qs, c, beta, omega, np.sqrt(rule.nodes / omega))
-    alpha = 2.0 * np.array(qs)[:, None] + c + beta + 1.0
-    reduced = vals * np.exp(0.5 * rule.nodes) / np.sqrt(rule.nodes) ** (alpha - 0.5)
-    measured = rule.integrate(reduced[0] * reduced[-1]) / (2.0 * math.sqrt(omega))
+    # t^(shared + 1/2) e^-t times a polynomial: the scaled weights carry all but t^(1/2)
+    measured = float(np.einsum("i,i,i->", rule.scaled_weights / np.sqrt(rule.nodes),
+                               vals[0], vals[-1])) / (2.0 * math.sqrt(omega))
     return _report(_bi_name("quad", n, q, q_prime, params, branch), measured,
                    _bi_expected(q, q_prime, params, branch), _tolerance(n))
 
@@ -212,12 +212,10 @@ def _gram_axial(n_max, params, branch):
 def _gram_morse(n_max, params, branch):
     # psi_p psi_p' dx = w^(2 lam - p - p' - 2) e^{-w} L_p L_p' dw / a: the rule
     # takes w^(2 lam - 2 n_max - 2), each row keeps w^(n_max - p) L_p
-    lam = params.lam
-    count = bound_state_count(params)
-    if n_max >= count or 2.0 * lam - 2.0 * n_max - 1.0 <= 0.0:
+    lam, a, count = params.lam, params.a, len(normalizable_levels(params))
+    if n_max >= count:
         raise DomainError(f"only {count} normalizable Morse levels here, "
                           f"cannot Gram up to p={n_max}")
-    a = params.a
     return (("laguerre", 2.0 * lam - 2.0 * n_max - 2.0, 0.0, lam - n_max - 0.5, 1.0 / a),
             lambda w: _wavefunctions(range(n_max + 1), params, -np.log(w / (2.0 * lam)) / a))
 
@@ -257,13 +255,13 @@ def gram_matrix(family: GramFamily, n_max: int, params,
     (kind, alpha, beta, power, scale), rows = family_rule(n_max, params, branch)
     rule = build_quadrature(kind, n_max + 2, alpha=alpha, beta=beta)
     x = rule.nodes
-    if kind == "laguerre":
-        root = np.exp(0.5 * x) * x ** -power
+    if kind == "laguerre":   # the scaled weights carry the rule's x^alpha e^-x
+        root = x ** (0.5 * alpha - power)
     else:
         root = (0.5 - 0.5 * x) ** (-0.5 * alpha) * (0.5 + 0.5 * x) ** -power
     reduced = rows(x) * root
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
-    gram = scale * np.einsum("ip,p,jp->ij", reduced, rule.weights, reduced)
+    gram = scale * np.einsum("ip,p,jp->ij", reduced, rule.scaled_weights, reduced)
     deviation = float(np.max(np.abs(gram - target * np.eye(n_max + 1))))
     report = _report(_gram_name(family, n_max, params, branch), deviation, 0.0,
                      _tolerance(n_max))

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -33,12 +33,7 @@ __all__ = [
     "assoc_legendre",
     "hyp2f1_unit",
     "build_quadrature",
-    "LAGUERRE_MAX_POINTS",
 ]
-
-# Above ~180 points the smallest Gauss-Laguerre weights underflow to zero,
-# breaking the all-positive invariant; refuse before that happens.
-LAGUERRE_MAX_POINTS = 150
 
 _QUAD_KINDS = ("legendre", "jacobi", "laguerre")
 
@@ -164,7 +159,7 @@ def gen_laguerre(n: int, alpha: float, x):
 def _ln_gamma_sum(y: float) -> float:
     """lnGamma(y), y > 0, on [100, 1e4) from an exact sum of ln(y - j): lgamma is 1e-12 off."""
     m = int(y) - 1 if 100.0 <= y < 1e4 else 0
-    return math.lgamma(y - m) + math.fsum(math.log(y - j) for j in range(1, m + 1))
+    return math.lgamma(y - m) + math.fsum(np.log(y - np.arange(1.0, m + 1.0)).tolist())
 
 
 def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
@@ -172,15 +167,16 @@ def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
     """e^ln_const x^power phi_k^alpha(x) at x = exp(log_x), a row per k in degrees.
 
     phi_k^alpha(x) = sqrt(k!/Gamma(k+alpha+1)) x^(alpha/2) e^(-x/2) L_k^alpha(x),
-    alpha > -1, from sqrt((k+1)(k+alpha+1)) phi_{k+1} = (2k+alpha+1-x) phi_k
-    - sqrt(k(k+alpha)) phi_{k-1} on rows renormalised by exact powers of two,
-    beside each point's log scale ln phi_0 + ln_const + power ln x. alpha is one
-    order, or one per (distinct) degree, and ln_const one value or one per order;
-    log_x is finite, or -inf if alpha > 0 = power. Points do not affect each other (a lone one
-    runs as a cheaper numpy scalar), nor, to 2 ulp, do rows. A point where every
-    requested phi is below e^-1500 gives exactly 0 (for ln_const < 700, |power| <= 1).
+    alpha > -1, from sqrt((k+1)(k+alpha+1)) phi_{k+1} = (k+alpha+1) phi_k - x chi_k and
+    chi_{k+1} = sqrt((k+1)/(k+alpha+1)) chi_k + phi_{k+1}, chi_k being phi_k with L_k^(alpha+1)
+    (DLMF 18.9.13-14; x is a factor, so small x keeps its digits at high degree), on rows
+    renormalised by exact powers of two beside each point's log scale ln phi_0 + ln_const
+    + power ln x. alpha is one order, or one per (distinct) degree, and ln_const one value
+    or one per order; log_x is finite, or -inf if alpha > 0 = power. Points do not affect
+    each other (a lone one runs as a cheaper numpy scalar), nor, to 2 ulp, do rows. A point
+    where every requested phi is below e^-1500 gives exactly 0 (for ln_const < 700, |power| <= 1).
     """
-    degrees = [_check_degree(k) for k in degrees]
+    degrees = [k if type(k) is int and k >= 0 else _check_degree(k) for k in degrees]
     orders = [float(alpha)] if np.isscalar(alpha) else [float(a) for a in alpha]
     consts = [float(ln_const)] if np.isscalar(ln_const) else [float(c) for c in ln_const]
     wanted = {deg: i for i, deg in enumerate(degrees)}
@@ -192,7 +188,7 @@ def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
     n, lo, hi = max(degrees), min(orders), max(orders)
     # |phi_k| <= e^(m ln(x + c) - x/2 + 1/16), k <= n, x >= 1 (m = hi+/2 + n, c = 3n + 1.5 hi+
     # + 1): below e^-1500 past x_tail, where points move to give 0. Below it a step grows
-    # max(|phi_{k-1}|, |phi_k|) at most 2 x_tail / sqrt(lo + 1) times; rows checked for 2^332
+    # max(|phi_k|, |chi_k|) at most 2 x_tail / sqrt(lo + 1) times; rows checked for 2^332
     # every `every` steps stay below 2^1000.
     x_tail = 3002.0 + (2.0 * max(hi, 0.0) + 4.0 * n) * math.log(3004.0 + 5.0 * n + 2.5 * hi)
     every = max(1, int((668.0 * math.log(2.0) - math.log(2.0 * x_tail))
@@ -200,39 +196,50 @@ def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
     pts = np.minimum(np.asarray(log_x, dtype=np.float64), math.log(x_tail))
     x = np.exp(pts)
     if len(orders) == 1:   # one order runs on the points
-        col, ln_gamma, p1, const = lo, _ln_gamma_sum(lo + 1.0), 1.0, consts[0]
-        steps = [(2.0 * k + lo + 1.0, math.sqrt(k * (k + lo)),
-                  math.sqrt((k + 1.0) * (k + lo + 1.0))) for k in range(n)]
-    else:                  # one order per row, on a (rows,) + points grid
+        col, ln_gamma, phi, const = lo, _ln_gamma_sum(lo + 1.0), 1.0, consts[0]
+        steps = [(k + lo, math.sqrt(k * (k + lo)), math.sqrt(k / (k + lo)))
+                 for k in range(1, n + 1)]
+    else:   # one order per row, on a (rows,) + points grid in degree order
+        by_degree = [wanted[deg] for deg in sorted(wanted)]
+        orders = [orders[i] for i in by_degree]
+        consts = consts if len(consts) == 1 else [consts[i] for i in by_degree]
         col = np.array(orders).reshape((-1,) + (1,) * pts.ndim)
-        k = np.arange(n, dtype=np.float64).reshape((-1, 1) + (1,) * pts.ndim)
-        steps = list(zip(2.0 * k + col + 1.0, np.sqrt(k * (k + col)),
-                         np.sqrt((k + 1.0) * (k + col + 1.0))))
+        k = np.arange(1, n + 1, dtype=np.float64).reshape((-1, 1) + (1,) * pts.ndim)
+        steps = list(zip(k + col, np.sqrt(k * (k + col)), np.sqrt(k / (k + col))))
         ln_gamma = np.array([_ln_gamma_sum(a + 1.0) for a in orders]).reshape(col.shape)
         const = np.reshape(consts, (-1,) + (1,) * pts.ndim)
-        p1 = np.ones(np.broadcast_shapes(col.shape, pts.shape))
+        phi = np.ones(np.broadcast_shapes(col.shape, pts.shape))
     ln0 = (0.5 * col + power) * pts - 0.5 * x + (const - 0.5 * ln_gamma)
     rows = [None] * len(degrees)
-    p0, exp2, scale = 0.0, 0, np.exp(ln0)   # p0, p1: scaled phi_{k-1}, phi_k
+    chi, exp2, scale = phi, 0, np.exp(ln0)   # phi, chi: scaled phi_k, chi_k (chi_0 = phi_0)
+    read = 0   # rows read and still on the grid, cut in batches of a quarter of it, 16 or more
     for k in range(n + 1):
-        if k in wanted:
-            i = wanted[k]
-            rows[i] = p1 * scale if len(orders) == 1 else p1[i] * scale[i]
+        if k in wanted and len(orders) == 1:
+            rows[wanted[k]] = phi * scale
+        elif k in wanted:
+            rows[wanted[k]] = phi[read] * scale[read]
+            read += 1
+            if read >= max(16, len(phi) / 4):
+                phi, chi, scale, ln0 = phi[read:], chi[read:], scale[read:], ln0[read:]
+                exp2 = exp2[read:] if isinstance(exp2, np.ndarray) else exp2
+                steps[k:] = [(c[read:], d[read:], g[read:]) for c, d, g in steps[k:]]
+                read = 0
         if k == n:
             break
         if k and k % every == 0:
-            big = np.maximum(np.abs(p0), np.abs(p1))
+            big = np.maximum(np.abs(phi), np.abs(chi))
             if big.max() > 2.0 ** 332:
                 e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
-                p0, p1, exp2 = np.ldexp(p0, -e), np.ldexp(p1, -e), exp2 + e
+                phi, chi, exp2 = np.ldexp(phi, -e), np.ldexp(chi, -e), exp2 + e
                 # e^ln0 2^exp2 as e^r 2^(j + exp2), ln0 = r + j ln 2 split exactly (ln 2's
                 # head has 15 bits, |j| < 2^38 past the floor that keeps -inf off the cast):
                 # rounding ln0 + exp2 ln 2 costs ulps that follow which steps renormalised a row
                 j = np.rint(np.maximum(ln0, -1e11) / math.log(2.0))
                 r = (ln0 - j * 0.693145751953125) - j * 1.4286068203094172321e-6
                 scale = np.where(e > 0, np.ldexp(np.exp(r), j.astype(np.int64) + exp2), scale)
-        a, s, d = steps[k]   # (a - x) phi_k - s phi_{k-1} over d, phi_{-1} = 0
-        p0, p1 = p1, ((a - x) * p1 - s * p0) / d if k else (a - x) / d
+        c, d, g = steps[k]
+        phi = (c * phi - x * chi) / d
+        chi = g * chi + phi
     return np.array(rows) if len(rows) > 1 else rows[0][None]
 
 
@@ -320,8 +327,10 @@ class QuadratureRule:
 
     kind is one of 'legendre' (weight 1 on [-1,1]), 'jacobi' (weight
     (1-x)^alpha (1+x)^beta on [-1,1]) or 'laguerre' (weight x^alpha e^-x on
-    [0, inf)). Nodes are strictly increasing; weights strictly positive; a
-    rule of N points is exact through polynomial degree 2N - 1.
+    [0, inf)). Nodes are strictly increasing; a rule of N points is exact through
+    degree 2N - 1. Weights are strictly positive; a Laguerre rule's leave double range
+    past ~180 points or alpha ~ 170, where reading them raises AccuracyError. Its
+    scaled_weights, the weights over x^alpha e^-x, never do; other kinds' are the weights.
     """
 
     kind: str
@@ -329,7 +338,22 @@ class QuadratureRule:
     alpha: float
     beta: float
     nodes: np.ndarray
-    weights: np.ndarray
+    scaled_weights: np.ndarray
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """The Gauss weights: a Laguerre rule's scaled_weights times x^alpha e^-x."""
+        if self.kind != "laguerre":
+            return self.scaled_weights
+        with np.errstate(over="ignore", under="ignore"):
+            # to a few ulps: the half power stays in range wherever the weights do
+            half = self.nodes ** (0.5 * self.alpha) * np.exp(-0.5 * self.nodes)
+            weights = self.scaled_weights * half * half
+        if not np.all((weights > 0.0) & (weights < math.inf)):
+            raise AccuracyError(f"laguerre rule weights leave double range for "
+                                f"n={self.npoints}, alpha={self.alpha}")
+        weights.flags.writeable = False
+        return weights
 
     def integrate(self, values: np.ndarray) -> float:
         """Contract sampled integrand values (at .nodes) with the weights."""
@@ -337,28 +361,23 @@ class QuadratureRule:
         return float(np.einsum("i,i->", self.weights, values))
 
 
-def _monic_coeffs(kind: str, n: int, alpha: float, beta: float):
+def _jacobi_coeffs(n: int, alpha: float, beta: float):
     """Monic three-term coefficients (a_k, b_k) with b_0 the weight integral."""
     k = np.arange(n, dtype=np.float64)
-    if kind == "laguerre":
-        a = 2.0 * k + alpha + 1.0
-        b = k * (k + alpha)
-        ln_b0 = ln_gamma(alpha + 1.0)
-    else:
-        ab = alpha + beta
-        with np.errstate(invalid="ignore", divide="ignore"):
-            a = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-            b = (4.0 * k * (k + alpha) * (k + beta) * (k + ab)
-                 / ((2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)))
-        a[0] = (beta - alpha) / (ab + 2.0)
-        ln_b0 = ((ab + 1.0) * math.log(2.0) + ln_gamma(alpha + 1.0)
-                 + ln_gamma(beta + 1.0) - ln_gamma(ab + 2.0))
-        if n > 1:
-            b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    ab = alpha + beta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+        b = (4.0 * k * (k + alpha) * (k + beta) * (k + ab)
+             / ((2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)))
+    a[0] = (beta - alpha) / (ab + 2.0)
+    ln_b0 = ((ab + 1.0) * math.log(2.0) + ln_gamma(alpha + 1.0)
+             + ln_gamma(beta + 1.0) - ln_gamma(ab + 2.0))
+    if n > 1:
+        b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
     try:
         b[0] = math.exp(ln_b0)
     except OverflowError:
-        raise AccuracyError(f"{kind} rule weight integral e^{ln_b0:.6g} leaves double "
+        raise AccuracyError(f"jacobi rule weight integral e^{ln_b0:.6g} leaves double "
                             f"range for n={n}, alpha={alpha}, beta={beta}") from None
     return a, b
 
@@ -369,9 +388,10 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
 
     Nodes are the eigenvalues of the symmetrized recurrence (Jacobi) matrix,
     solved by LAPACK (numpy.linalg.eigvalsh, ascending); weights come from
-    the reciprocal Christoffel sums, so no eigenvectors are needed. Rules are
-    cached and immutable. A weight integral past the double range (laguerre
-    from alpha ~ 170 on) raises AccuracyError.
+    the reciprocal Christoffel sums, so no eigenvectors are needed. A Laguerre
+    rule's sum is of orthonormal Laguerre functions (laguerre_functions), which
+    gives its scaled weights at any size; a Jacobi rule whose weight integral or
+    weights leave double range raises AccuracyError. Rules are cached and immutable.
     """
     if kind not in _QUAD_KINDS:
         raise DomainError(f"unknown quadrature kind {kind!r}, expected one of {_QUAD_KINDS}")
@@ -380,45 +400,43 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     n = int(n)
     alpha = float(alpha)
     beta = float(beta)
-    if kind == "legendre":
-        if alpha != 0.0 or beta != 0.0:
-            raise DomainError("legendre rule takes no exponents")
-    elif kind == "laguerre":
-        if alpha <= -1.0:
-            raise DomainError(f"laguerre rule requires alpha > -1, got {alpha}")
-        if beta != 0.0:
-            raise DomainError("laguerre rule has a single exponent; beta must stay 0")
-        if n > LAGUERRE_MAX_POINTS:
-            raise AccuracyError(
-                f"laguerre rules above {LAGUERRE_MAX_POINTS} points underflow "
-                f"their smallest weights; requested {n}")
+    if kind == "laguerre":
+        if alpha <= -1.0 or beta != 0.0:
+            raise DomainError(f"laguerre rule needs alpha > -1, beta = 0, got ({alpha}, {beta})")
+        k = np.arange(n, dtype=np.float64)
+        acoef, off = 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
     else:
+        if kind == "legendre" and (alpha != 0.0 or beta != 0.0):
+            raise DomainError("legendre rule takes no exponents")
         if alpha <= -1.0 or beta <= -1.0:
             raise DomainError(f"jacobi rule requires alpha, beta > -1, got ({alpha}, {beta})")
-    acoef, bcoef = _monic_coeffs("laguerre" if kind == "laguerre" else "jacobi",
-                                 n, alpha, beta)
-    off = np.sqrt(bcoef[1:])
-    jacobi = np.diag(acoef) + np.diag(off, 1) + np.diag(off, -1)
+        acoef, bcoef = _jacobi_coeffs(n, alpha, beta)
+        off = np.sqrt(bcoef[1:])
+    jacobi = np.diag(acoef)
+    jacobi.flat[n::n + 1] = off   # the subdiagonal: eigvalsh reads the lower triangle
     try:
         nodes = np.linalg.eigvalsh(jacobi)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"quadrature eigensolve failed for {kind}, n={n}: {exc}") from exc
-    if not np.isfinite(nodes).all():
-        raise NumericError(f"quadrature eigensolve gave non-finite nodes for {kind}, n={n}")
-    # Christoffel sums of the orthonormal polynomials at the nodes; where a
-    # sum overflows the true weight underflows double precision, so it is 0
-    sqb = np.sqrt(bcoef)
-    prev = np.zeros_like(nodes)
-    cur = np.full_like(nodes, 1.0 / sqb[0])
-    total = cur * cur
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n - 1):
-            prev, cur = cur, ((nodes - acoef[k]) * cur - sqb[k] * prev) / sqb[k + 1]
-            total = total + cur * cur
-        weights = np.where(np.isfinite(total), 1.0 / total, 0.0)
-    if not np.all(weights > 0.0):
-        raise AccuracyError(f"quadrature weights underflowed for {kind}, n={n}")
+    if not (np.isfinite(nodes).all() and (kind != "laguerre" or nodes[0] > 0.0)):
+        raise NumericError(f"quadrature eigensolve gave nodes off the {kind} interval, n={n}")
+    if kind == "laguerre":
+        phi = laguerre_functions(range(n), alpha, np.log(nodes))
+        weights = 1.0 / np.einsum("ki,ki->i", phi, phi)
+    else:
+        # Christoffel sums of the orthonormal polynomials at the nodes; where a
+        # sum overflows the true weight underflows double precision: 0, refused below
+        sqb = np.sqrt(bcoef)
+        prev, cur = np.zeros_like(nodes), np.full_like(nodes, 1.0 / sqb[0])
+        total = cur * cur
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n - 1):
+                prev, cur = cur, ((nodes - acoef[k]) * cur - sqb[k] * prev) / sqb[k + 1]
+                total = total + cur * cur
+        weights = 1.0 / total
+    if not np.all((weights > 0.0) & (weights < math.inf)):
+        raise AccuracyError(f"quadrature weights leave double range for {kind}, n={n}")
     nodes.flags.writeable = False
     weights.flags.writeable = False
     return QuadratureRule(kind=kind, npoints=n, alpha=alpha, beta=beta,
-                          nodes=nodes, weights=weights)
+                          nodes=nodes, scaled_weights=weights)

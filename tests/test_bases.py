@@ -84,6 +84,12 @@ def test_theta_domain():
             theta_ring(2, 1, bad, 0.3)
 
 
+@pytest.mark.parametrize("bad_m", [math.nan, math.inf, "1", 1.5])
+def test_theta_ring_m_must_be_an_integer(bad_m):
+    with pytest.raises(DomainError, match=r"\|m\| must be"):
+        theta_ring(2, bad_m, 0.1, 0.3)
+
+
 def test_theta_poschl_teller_residual():
     # f = Theta sqrt(sin t) satisfies
     # -f'' + [(b^2-1/4)/cos^2 + (c^2-1/4)/sin^2] f = (A + 1/4) f

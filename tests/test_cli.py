@@ -247,7 +247,7 @@ def test_morse_worked_example():
 def test_morse_norm_contract_miss_exits_4(monkeypatch):
     import genosc.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "quadrature_norm", lambda p, params: 1.0 + 1e-6)
+    monkeypatch.setattr(cli_mod, "morse_norms", lambda params: np.array([1.0, 1.0 + 1e-6]))
     code, out, err = run_cli(["morse", "--V0", "2", "--a", "1"])
     assert code == 4
     assert out == ""

@@ -342,6 +342,15 @@ def test_ring_w_validation():
             RingLabel(N=3, m=1, delta=bad, l=1)
 
 
+@pytest.mark.parametrize("bad_m", [math.nan, math.inf, "1", 1.5])
+def test_ring_m_must_be_an_integer(bad_m):
+    # refused before abs() or int() sees it: no TypeError, ValueError or OverflowError
+    with pytest.raises(DomainError, match=r"\|m\| must be"):
+        ring_w(3, bad_m, 2, 1, 0.2)
+    with pytest.raises(DomainError, match=r"\|m\| must be"):
+        RingLabel(N=3, m=bad_m, delta=0.2, l=3)
+
+
 # ----------------------------------------------------- operator matrices
 
 def test_m_matrix_worked_value():

@@ -9,9 +9,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from genosc.cli import _MORSE_NORM_TOL
 from genosc.errors import DomainError
 from genosc.morse import (EffectiveChannel, MorseParams, _wavefunctions, bound_state_count,
-                          morse_spectrum, morse_wavefunction, quadrature_norm,
+                          morse_norms, morse_spectrum, morse_wavefunction, quadrature_norm,
                           quadrature_norm_scaled, sw_to_morse)
 
 
@@ -196,6 +197,21 @@ def test_quadrature_norm_matches_mpmath_integral():
             lambda t: scale * mpmath.exp(alpha * t - mpmath.exp(t)) * laguerre(mpmath.exp(t)) ** 2,
             [-60 / alpha, -30, -5, 0, 1, 2, 3, 4, 6]))
     assert abs(quadrature_norm(p, params) - exact) <= 1e-13
+
+
+def test_morse_norms_from_one_rule_past_the_old_laguerre_cap():
+    # lambda = 400: every level from one 400-point Gauss-Laguerre rule, past the
+    # 150 points a Laguerre rule was once capped at; quadrature_norm reads the
+    # same rule one level at a time
+    params = params_for(400.0)
+    norms = morse_norms(params)
+    assert norms.shape == (400,)
+    assert np.abs(norms - 1.0).max() <= _MORSE_NORM_TOL
+    for p in (0, 200, 399):
+        assert abs(quadrature_norm(p, params) - norms[p]) <= 1e-14
+    # the threshold level has no norm; a well without levels has none at all
+    assert morse_norms(params_for(10.5)).shape == (10,)
+    assert morse_norms(params_for(0.5)).shape == (0,)
 
 
 def test_wavefunction_deep_tail_is_finite_without_warnings():

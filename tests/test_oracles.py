@@ -157,6 +157,18 @@ def test_gram_morse_identity_and_guards():
             gram_matrix(GramFamily.Morse, bad, MorseParams(v0=8.6528, a=1.3))
 
 
+@pytest.mark.parametrize("lam", [95.0, 300.0])
+def test_gram_morse_past_double_range_weights(lam):
+    # the rule's order 2 lam - 2 n_max - 2 runs up to 188 and 598 here; past about
+    # 170 its plain weights leave double range, its scaled ones do not
+    params = MorseParams(v0=0.5 * lam ** 2, a=1.0)
+    for n_max in (0, 4, 12):
+        gram, rep = gram_matrix(GramFamily.Morse, n_max, params)
+        assert rep.tolerance == (1e-10 if n_max <= 6 else 1e-8)
+        assert rep.passed, (lam, n_max, rep.measured)
+        assert np.max(np.abs(gram - np.eye(n_max + 1))) <= rep.tolerance
+
+
 def _ref_gram_rule(family, n_max, params, branch):
     """(kind, alpha, beta, node power, scale, coordinate map, evaluator at degree k)."""
     if family is GramFamily.Morse:

@@ -481,6 +481,27 @@ def test_quadrature_laguerre_moments():
             assert got == pytest.approx(ref, rel=1e-12), (n, alpha, k)
 
 
+def test_quadrature_laguerre_scaled_weights_past_plain_range():
+    # 400 points and alpha = 180, where the plain weights leave double range: the
+    # scaled weights stay finite and positive, and sum_i w~_i x_i^(j+alpha) e^-x_i
+    # is Gamma(j + alpha + 1) for small j; they are the plain ones where both exist
+    for n, alpha in ((400, 0.0), (400, 0.7), (400, -0.9), (6, 180.0)):
+        r = sf.build_quadrature("laguerre", n, alpha)
+        w = r.scaled_weights
+        assert np.all(np.isfinite(w)) and np.all(w > 0.0)
+        assert not w.flags.writeable
+        ln_x = np.log(r.nodes)
+        for j in range(6):
+            ln_ref = math.lgamma(j + alpha + 1.0)
+            got = np.sum(w * np.exp((j + alpha) * ln_x - r.nodes - ln_ref))
+            assert got == pytest.approx(1.0, rel=1e-12), (n, alpha, j)
+    r = sf.build_quadrature("laguerre", 30, 2.8)
+    np.testing.assert_allclose(r.weights, r.scaled_weights * r.nodes ** 2.8 * np.exp(-r.nodes),
+                               rtol=1e-13)
+    assert sf.build_quadrature("jacobi", 7, 2.5, -0.7).scaled_weights is \
+        sf.build_quadrature("jacobi", 7, 2.5, -0.7).weights
+
+
 def jacobi_moment_oracle(a, b, k):
     """Exact int_-1^1 (1-x)^a (1+x)^b x^k dx via x^k = ((1+x)-1)^k and Beta."""
     a, b = mpmath.mpf(a), mpmath.mpf(b)
@@ -543,12 +564,17 @@ def test_quadrature_domain_errors():
     for bad in (math.inf, math.nan, 2.5):
         with pytest.raises(DomainError, match="quadrature size"):
             sf.build_quadrature("legendre", bad)
-    with pytest.raises(AccuracyError):
-        sf.build_quadrature("laguerre", sf.LAGUERRE_MAX_POINTS + 1, 0.0)
-    # weight integrals Gamma(172) and 2^1101 / 1101 leave double range
-    for args in (("laguerre", 5, 171.0), ("jacobi", 5, 1100.0, 0.0)):
-        with pytest.raises(AccuracyError, match=rf"{args[0]} rule .* n=5, alpha={args[2]}"):
-            sf.build_quadrature(*args)
+    # a Laguerre rule's smallest weights underflow past ~180 points, and its weight
+    # integral Gamma(172) leaves double range: reading those weights is refused
+    for n, alpha in ((400, 0.0), (5, 171.0)):
+        rule = sf.build_quadrature("laguerre", n, alpha)
+        with pytest.raises(AccuracyError, match=rf"laguerre rule .* n={n}, alpha={alpha}"):
+            rule.weights
+        with pytest.raises(AccuracyError):
+            rule.integrate(np.ones(n))
+    # the weight integral 2^1101 / 1101 leaves double range
+    with pytest.raises(AccuracyError, match=r"jacobi rule .* n=5, alpha=1100.0"):
+        sf.build_quadrature("jacobi", 5, 1100.0, 0.0)
     # Christoffel sums overflow at the largest nodes: those weights
     # underflow double precision, so the rule is refused
     with pytest.raises(AccuracyError):
