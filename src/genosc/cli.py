@@ -55,9 +55,10 @@ _MORSE_MAX_LEVELS = 1000
 _STATES_CELL_BYTES = 160
 _CURVE_CELL_BYTES = 384
 
-# The ring cross-route evaluates (n+1)^2 Racah sums, whose alternating terms
-# cancel: max abs_diff is ~1e-11 at n = 40, ~1e-9 at n = 60 and ~1e-7 at
-# n = 80, so the section is emitted only up to this level.
+# The ring cross-route evaluates the level's (n+1)^2 ring coefficients in one
+# Racah-sum call, whose alternating terms cancel: max abs_diff is ~1e-11 at
+# n = 40, ~1e-9 at n = 60 and ~1e-7 at n = 80, so the section is emitted only
+# up to this level.
 _RING_MAX_LEVEL = 60
 
 
@@ -240,12 +241,15 @@ def cmd_interbasis(cfg: JobConfig) -> tuple[list[Section], int]:
         m, branch = cfg.params.m, cfg.branch
         sph = [ring_relabel(SphericalLabel(n - q, q, m, branch), cfg.params)
                for q in range(n + 1)]
-        rows = []
-        for p, entries in enumerate(table):
-            cyl = ring_relabel(CylindricalLabel(n - p, p, m, branch), cfg.params)
-            for q, (general, label) in enumerate(zip(entries, sph)):
-                ring = ring_w(cyl.N, m, cyl.n3, label.l, label.delta)
-                rows.append((p, q, general, ring, abs(general - ring)))
+        cyl = [ring_relabel(CylindricalLabel(n - p, p, m, branch), cfg.params)
+               for p in range(n + 1)]
+        # one Racah sum for the level: an (N, n3) column against an l row
+        ring = ring_w(np.array([[label.N] for label in cyl]), m,
+                      np.array([[label.n3] for label in cyl]),
+                      np.array([label.l for label in sph]), sph[0].delta).tolist()
+        rows = [(p, q, general, value, abs(general - value))
+                for p, (entries, ring_row) in enumerate(zip(table, ring))
+                for q, (general, value) in enumerate(zip(entries, ring_row))]
         sections.append(Section("ring_agreement",
                                 ("p", "q", "general", "ring", "abs_diff"),
                                 tuple(rows)))

@@ -10,7 +10,11 @@ Racah sum (w_coefficient, cg_continued, ring_w) is kept as the small-level
 oracle: it terminates because a+b-c stays a nonnegative integer for every
 argument pattern generated here, with 1/Gamma at nonpositive integers zero
 throughout, but its alternating terms cancel and it loses orthogonality
-from n ~ 70. _overlap_table, the one overlap-integral route (read by
+from n ~ 70. It is one sum over arrays of arguments (_cg_sum): w_coefficient
+and ring_w take index arrays that broadcast, so a level's table is one call,
+and cg_continued reads one entry. Each entry takes the float operations of a
+one-entry sum in the same order, so it does not depend on the array it is
+in. _overlap_table, the one overlap-integral route (read by
 w_integral_oracle and oracles.w_overlap_oracle), stops at n = 12. Also owns
 the two commuting tridiagonal operators of a level (M in the cylindrical
 basis, N in the spherical one) as O(n) bands, which the W recursion, the
@@ -50,6 +54,14 @@ _SELECTION_TOL = 1e-12
 W_OVERLAP_MAX_LEVEL = 12
 # Distance from an integer below which a continued CG argument counts as one.
 _INT_TOL = 1e-9
+# Past this many values (or Racah terms), finding the distinct ones before
+# calling libm saves more than it costs.
+_DISTINCT_FROM = 512
+# Racah terms held at once (about 0.2 kB each); an array call with more is
+# summed in parts, so its memory does not grow with the table.
+_MAX_TERMS = 2 ** 16
+# Rows of a Racah term's six Gamma arguments that hold -t, not +t (see _racah_terms).
+_TERM_NEG = np.array([[0], [1], [1], [1], [0], [0]])
 # Eigen residual contract, shared with the spheroidal eigensolves: a residual
 # may reach this factor times the matrix size and scale.
 _RESIDUAL_FACTOR = 1e-12
@@ -75,86 +87,175 @@ class CgArgs:
     gamma: float
 
 
-def _is_int(v: float) -> bool:
-    return abs(v - math.floor(v + 0.5)) < _INT_TOL
+def _is_int(v: np.ndarray) -> np.ndarray:
+    return np.abs(v - np.floor(v + 0.5)) < _INT_TOL
 
 
-def _cg_sum(a: float, b: float, al: float, be: float, cc: float) -> tuple[float, int]:
-    """Racah single-sum Clebsch-Gordan value for gamma = al + be.
+def _libm(fn, x: np.ndarray, repeats: bool = False) -> np.ndarray:
+    """fn (math.lgamma, math.log or math.exp) at every entry of the 1-D array x:
+    libm's value bit for bit, where numpy's own exp and log differ from it by
+    an ulp on some inputs. With repeats, fn runs once per distinct value."""
+    if repeats and x.size > _DISTINCT_FROM:
+        values, index = np.unique(x, return_inverse=True)
+        return _libm(fn, values)[index]
+    return np.fromiter(map(fn, x.tolist()), float, x.size)
+
+
+def _cg_sum(a: np.ndarray, b: np.ndarray, al: np.ndarray, be: np.ndarray,
+            cc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Racah single-sum Clebsch-Gordan values for gamma = al + be, entry by
+    entry over float arrays of one shape; returns (values, status) of it.
 
     Valid for analytically continued real arguments provided a+b-c is a
     nonnegative integer, which truncates the t-sum; integer a-al or b+be
     tighten the upper bound further and integer c-b+al / c-a-be lift the
     lower one. Reciprocals of Gamma at nonpositive integers are taken as
-    zero. Returns (value, status); status 1 flags arguments outside the
-    continued pattern (non-terminating sum or a negative square-root
-    argument that has no principal continuation).
+    zero. Status 1 flags arguments outside the continued pattern
+    (non-terminating sum or a negative square-root argument that has no
+    principal continuation). Each entry gets the float operations of a sum
+    over that entry alone, in the same order (libm's lgamma, log and exp;
+    the compensated sum stepped in t order), so no entry depends on another.
     """
-    g = al + be
-    abc = a + b - cc
-    if not _is_int(abc):
-        return 0.0, 1
-    if abc < -0.5:
-        return 0.0, 0
-    two_c1 = 2.0 * cc + 1.0
-    if two_c1 <= 0.0:
-        return 0.0, 1
-    ama = a - al
-    bpb = b + be
-    cmg = cc - g
+    shape = a.shape
+    a, b, al, be, cc = (v.ravel() for v in (a, b, al, be, cc))
+    value = np.zeros(a.size)
+    with np.errstate(all="ignore"):   # a non-finite argument ends with status 1
+        ab = a + b
+        abc = ab - cc
+        two_c1 = 2.0 * cc + 1.0
+        ama = a - al
+        bpb = b + be
+        g = al + be
+        # the nine prefactor Gamma arguments, then the denominator's a+b+c+2
+        pref = np.array((abc, a - b, -a + b, a + al, ama, bpb, b - be, cc + g, cc - g,
+                         ab + cc))
+        pref[1:3] += cc
+        pref[:9] += 1.0
+        pref[9] += 2.0
+        # an entry stops at its first refusal in this order, with status 1 but
+        # where noted: a+b-c not an integer; a+b-c < 0 (status 0); 2c+1 <= 0; a
+        # prefactor argument <= 0 (status 0 at an integer); a+b+c+2 <= 0
+        stop = np.empty((13, a.size), dtype=bool)
+        stop[0] = ~_is_int(abc)
+        stop[1] = abc < -0.5
+        stop[2] = two_c1 <= 0.0
+        np.less_equal(pref, 0.0, out=stop[3:])
+        stopped = stop.any(axis=0)
+        status = np.zeros(a.size, dtype=np.int8)
+        if np.count_nonzero(stopped):
+            code = np.ones(stop.shape, dtype=np.int8)
+            code[1] = 0
+            code[3:12] = ~_is_int(pref[:9])
+            cols = np.arange(a.size)
+            status = np.where(stopped, code[stop.argmax(axis=0), cols], np.int8(0))
+        live = np.flatnonzero(~stopped)
 
-    pref_args = (abc + 1.0, a - b + cc + 1.0, -a + b + cc + 1.0,
-                 a + al + 1.0, ama + 1.0, bpb + 1.0, b - be + 1.0,
-                 cc + g + 1.0, cmg + 1.0)
-    lnpref = math.log(two_c1)
-    for v in pref_args:
-        if v <= 0.0:
-            return 0.0, 0 if _is_int(v) else 1
-        lnpref += math.lgamma(v)
-    pden = a + b + cc + 2.0
-    if pden <= 0.0:
-        return 0.0, 1
-    lnpref -= math.lgamma(pden)
+        # log(2c+1), plus each prefactor lgamma, minus lgamma(a+b+c+2), in this order
+        logs = np.empty((11, live.size))
+        logs[0] = _libm(math.log, two_c1[live], repeats=True)
+        logs[1:] = _libm(math.lgamma, pref[:, live].ravel(), repeats=True).reshape(10, -1)
+        logs[10] *= -1.0
+        lnpref = np.add.accumulate(logs)[-1]
+        # a term's Gamma arguments are base[k] +- t + 1 (see _TERM_NEG)
+        base = np.array((np.zeros(a.size), abc, ama, bpb, cc - b + al, cc - a - be))[:, live]
+        total, lmax, has = _racah_terms(base)
+        value[live[has]] = total[has] * _libm(math.exp, lmax[has] + 0.5 * lnpref[has])
+    return value.reshape(shape), status.reshape(shape)
 
-    big1 = cc - b + al
-    big2 = cc - a - be
-    tmin = 0
-    for big in (big1, big2):
-        if _is_int(big) and -big > tmin:
-            tmin = int(math.floor(-big + 0.5))
-    tmax = int(math.floor(abc + 0.5))
-    for top in (ama, bpb):
-        if _is_int(top):
-            tmax = min(tmax, int(math.floor(top + 0.5)))
 
-    # each term is (-1)^t / prod Gamma(arg); a pole in any argument zeroes it
-    # (pole tolerance and sign rule as in specfun.gamma_sign_ln)
-    signs, logs = [], []
-    for t in range(tmin, tmax + 1):
-        sgn = -1.0 if t % 2 else 1.0
-        logden = 0.0
-        for arg in (t + 1.0, abc - t + 1.0, ama - t + 1.0, bpb - t + 1.0,
-                    big1 + t + 1.0, big2 + t + 1.0):
-            if arg <= 0.0 and abs(arg - math.floor(arg + 0.5)) < 1e-12:
-                break
-            if arg < 0.0 and math.floor(arg) % 2:
-                sgn = -sgn
-            logden += math.lgamma(arg)
-        else:
-            signs.append(sgn)
-            logs.append(-logden)
-    if not logs:
-        return 0.0, 0
-    lmax = max(logs)
-    # compensated summation of the scaled terms
-    total = 0.0
-    comp = 0.0
-    for sgn, lg in zip(signs, logs):
-        y = sgn * math.exp(lg - lmax) - comp
+def _term_arguments(base: np.ndarray, ent: np.ndarray, t: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """(values, index): values[index] are the six Gamma arguments
+    base[k, ent] +- t + 1 (sign from _TERM_NEG) of every term, shape (6, terms).
+
+    Many terms share few arguments, so past _DISTINCT_FROM terms values holds
+    each distinct one once, found by the integer key (base value, sign, t)
+    without sorting the arguments; below, values holds every term's own.
+    """
+    if ent.size <= _DISTINCT_FROM:
+        args = base[:, ent] + np.where(_TERM_NEG, -t, t) + 1.0
+        return args.ravel(), np.arange(args.size).reshape(args.shape)
+    span = int(t.max()) + 1
+    uniq, which = np.unique(base.ravel(), return_inverse=True)
+    keys = (which.reshape(base.shape) * 2 + _TERM_NEG)[:, ent] * span + t
+    used = np.zeros(uniq.size * 2 * span, dtype=bool)
+    used[keys] = True
+    row, t_of = np.divmod(used.nonzero()[0], span)
+    values = uniq[row // 2] + np.where(row % 2, -t_of, t_of) + 1.0
+    return values, (np.cumsum(used) - 1)[keys]
+
+
+def _racah_terms(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sum, lmax, has) of the Racah t-sum of each entry (column) of base.
+
+    sum is the compensated sum of sign * exp(log|term| - lmax) in t order, lmax
+    the largest log|term|, has whether any term is nonzero. t runs from tmin
+    (lifted by integer c-b+al, c-a-be) to tmax (a+b-c, cut by integer a-al,
+    b+be). Each term is (-1)^t / prod Gamma(arg); a pole in any argument zeroes
+    it (pole tolerance and sign rule as in specfun.gamma_sign_ln).
+    """
+    size = base.shape[1]
+    near = np.floor(base[1:] + 0.5)
+    exact = np.abs(base[1:] - near) < _INT_TOL
+    tmax = np.where(exact[:3], near[:3], np.inf).min(axis=0)
+    tmin = np.maximum(np.where(exact[3:], -near[3:], 0.0).max(axis=0), 0.0)
+    count = np.maximum(tmax - tmin + 1.0, 0.0).astype(np.int64)
+    if size > 1 and count.sum() > _MAX_TERMS:   # entries are independent: halve the work
+        parts = zip(_racah_terms(base[:, :size // 2]), _racah_terms(base[:, size // 2:]))
+        return tuple(np.concatenate(part) for part in parts)
+    # the terms of every entry, entry by entry, in t order
+    ent = np.repeat(np.arange(size), count)
+    t = np.arange(ent.size) - np.repeat(np.cumsum(count) - count - tmin.astype(np.int64), count)
+
+    arg, index = _term_arguments(base, ent, t)
+    pole = (arg <= 0.0) & (np.abs(arg - np.floor(arg + 0.5)) < 1e-12)
+    flip = (arg < 0.0) & (np.floor(arg) % 2.0 == 1.0)
+    lg = np.zeros(arg.size)
+    lg[~pole] = _libm(math.lgamma, arg[~pole])
+    keep = ~pole[index].any(axis=0)
+    index, ent, t = index[:, keep], ent[keep], t[keep]
+    kept = np.bincount(ent, minlength=size)
+    has = kept > 0
+    lmax = np.full(size, -np.inf)
+    if not ent.size:
+        return np.zeros(size), lmax, has
+    sgn = 1.0 - 2.0 * ((flip[index].sum(axis=0) + t) % 2)
+    logs = -np.add.accumulate(lg[index])[-1]   # the six lgammas summed in order
+    start = np.cumsum(kept) - kept
+    lmax[has] = np.maximum.reduceat(logs, start[has])
+    # step k of the compensated sum reads row k; each entry's terms end in the
+    # last row, after zeros that leave the sum and its compensation at zero
+    width = int(kept.max())
+    terms = np.zeros((width, size))
+    terms[np.arange(ent.size) - np.repeat(start, kept) + (width - kept)[ent], ent] = \
+        sgn * _libm(math.exp, logs - lmax[ent])
+    total = np.zeros(size)
+    comp = np.zeros(size)
+    for y_k in terms:
+        y = y_k - comp
         t_new = total + y
         comp = (t_new - total) - y
         total = t_new
-    return total * math.exp(lmax + 0.5 * lnpref), 0
+    return total, lmax, has
+
+
+def _refuse_entries(bad: np.ndarray, message) -> None:
+    """DomainError unless no entry of bad is set; message(i) words entry i, and
+    the error of an array call also names that index."""
+    if np.count_nonzero(bad):
+        i = tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
+        raise DomainError(message(i) + (f" at entry {i}" if i else ""))
+
+
+def _cg_values(a: np.ndarray, b: np.ndarray, al: np.ndarray, be: np.ndarray,
+               cc: np.ndarray) -> np.ndarray:
+    """Continued CG values for gamma = al + be over float arrays of one shape;
+    DomainError naming the first entry whose sum does not terminate."""
+    val, status = _cg_sum(a, b, al, be, cc)
+    _refuse_entries(status != 0, lambda i: (
+        "continued CG sum does not terminate for arguments "
+        f"{CgArgs(*(float(v[i]) for v in (a, b, al, be, cc)), gamma=float(al[i] + be[i]))}"))
+    return val
 
 
 def cg_continued(args: CgArgs) -> float:
@@ -166,29 +267,62 @@ def cg_continued(args: CgArgs) -> float:
     """
     if abs(args.gamma - (args.alpha + args.beta)) > _SELECTION_TOL:
         return 0.0
-    val, status = _cg_sum(float(args.a), float(args.b), float(args.alpha),
-                          float(args.beta), float(args.c))
-    if status != 0:
-        raise DomainError(
-            f"continued CG sum does not terminate for arguments {args}")
-    return val
+    return float(_cg_values(*(np.array(float(v)) for v in (
+        args.a, args.b, args.alpha, args.beta, args.c))))
+
+
+def _check_indices(**named) -> tuple[bool, list[np.ndarray]]:
+    """(is_array, values): the named indices as int64 arrays broadcast to one
+    shape, 0-d for a call whose indices are all scalars. DomainError names the
+    first index or entry that is not a nonnegative integer; a scalar is
+    checked by check_nonneg_int."""
+    if not any(np.ndim(v) for v in named.values()):
+        return False, [np.array(check_nonneg_int(v, k)) for k, v in named.items()]
+    out = []
+    for name, v in named.items():
+        arr = np.asarray(v)
+        if arr.dtype.kind in "iu":
+            ok = arr >= 0
+        elif arr.dtype.kind == "f":
+            with np.errstate(invalid="ignore"):
+                ok = (arr >= 0) & (arr == np.floor(arr)) & (arr < 2.0 ** 62)
+        else:
+            raise DomainError(f"{name} must be nonnegative integers, got dtype {arr.dtype}")
+        _refuse_entries(~ok, lambda i: f"{name} must be a nonnegative integer, got {arr[i].item()!r}")
+        out.append(arr.astype(np.int64))
+    zero = np.zeros(np.broadcast_shapes(*(arr.shape for arr in out)), dtype=np.int64)
+    return True, [arr + zero for arr in out]
+
+
+def _level_message(n, p, q) -> str:
+    return f"indices must satisfy 0 <= p, q <= n, got n={n}, p={p}, q={q}"
+
+
+def _level_indices(n, p, q) -> tuple[bool, list[np.ndarray]]:
+    """_check_indices of n, p, q, refusing the first entry outside 0 <= p, q <= n."""
+    is_array, (n, p, q) = _check_indices(n=n, p=p, q=q)
+    _refuse_entries((p > n) | (q > n), lambda i: _level_message(n[i], p[i], q[i]))
+    return is_array, [n, p, q]
 
 
 def _check_level_indices(n: int, p: int, q: int) -> tuple[int, int, int]:
     n, p, q = check_nonneg_int(n, "n"), check_nonneg_int(p, "p"), check_nonneg_int(q, "q")
     if p > n or q > n:
-        raise DomainError(f"indices must satisfy 0 <= p, q <= n, got n={n}, p={p}, q={q}")
+        raise DomainError(_level_message(n, p, q))
     return n, p, q
 
 
-def w_coefficient(n: int, p: int, q: int, params: SystemParams, branch: Branch) -> float:
+def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
+                  params: SystemParams, branch: Branch) -> float | np.ndarray:
     """Interbasis coefficient: Psi_cyl(n, p) = sum_q W_np^q Psi_sph(n, q).
 
     W_np^q = (-1)^(n-q) (a0 b0 alpha beta | c0 alpha+beta) with
     a0 = (n +- b)/2, b0 = (n + c)/2, c0 = q + (c +- b)/2,
     alpha = p - (n -+ b)/2, beta = (n + c)/2 - p. The 1x1 level gives +1.
+    n, p and q may be integer arrays that broadcast; the result is then an
+    array of their shape, else a float.
     """
-    n, p, q = _check_level_indices(n, p, q)
+    is_array, (n, p, q) = _level_indices(n, p, q)
     b, c, _ = require_admissible(params, branch)
     sb = branch.sign * b
     a0 = 0.5 * (n + sb)
@@ -196,9 +330,8 @@ def w_coefficient(n: int, p: int, q: int, params: SystemParams, branch: Branch) 
     c0 = q + 0.5 * (c + sb)
     alpha = p - 0.5 * (n - sb)
     beta = 0.5 * (n + c) - p
-    val = cg_continued(CgArgs(a=a0, b=b0, alpha=alpha, beta=beta,
-                              c=c0, gamma=alpha + beta))
-    return (-1.0) ** (n - q) * val
+    val = np.where((n - q) % 2, -1.0, 1.0) * _cg_values(a0, b0, alpha, beta, c0)
+    return val if is_array else float(val)
 
 
 @dataclass(frozen=True)
@@ -401,29 +534,31 @@ def w_integral_oracle(n: int, p: int, q: int, params: SystemParams, branch: Bran
     return float(_overlap_table(n, params, branch)[p, q])
 
 
-def ring_w(N: int, m: int, n3: int, l: int, delta: float) -> float:
+def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarray,
+           delta: float) -> float | np.ndarray:
     """Ring-regime (b = 1/2) coefficient W_{N m n3}^l(delta).
 
     Continued CG with a0 = (N+|m|)/4 + delta/2, b0 = (N-|m|-1)/4,
     c0 = (2l-1)/4 + delta/2, alpha = (N+|m|-2 n3)/4 + delta/2,
-    beta = (2 n3 - N + |m| - 1)/4; no extra sign factor.
+    beta = (2 n3 - N + |m| - 1)/4; no extra sign factor. N, n3 and l may be
+    integer arrays that broadcast (a level's table from an n3 column against
+    an l row); the result is then an array of their shape, else a float.
     """
-    N, n3, l = check_nonneg_int(N, "N"), check_nonneg_int(n3, "n3"), check_nonneg_int(l, "l")
+    is_array, (N, n3, l) = _check_indices(N=N, n3=n3, l=l)
     ma = check_abs_int(m, "m")
     if not 0.0 <= delta < math.inf:
         raise DomainError(f"delta must be nonnegative and finite, got {delta}")
-    if l < ma or l > N or (N - l) % 2:
-        raise DomainError(f"need |m| <= l <= N with N - l even, got N={N}, l={l}, m={m}")
-    if n3 > N - ma or (N - ma - n3) % 2:
-        raise DomainError(
-            f"need 0 <= n3 <= N - |m| with N - |m| - n3 even, got N={N}, n3={n3}, m={m}")
+    _refuse_entries((l < ma) | (l > N) | ((N - l) % 2 != 0), lambda i: (
+        f"need |m| <= l <= N with N - l even, got N={N[i]}, l={l[i]}, m={m}"))
+    _refuse_entries((n3 > N - ma) | ((N - ma - n3) % 2 != 0), lambda i: (
+        f"need 0 <= n3 <= N - |m| with N - |m| - n3 even, got N={N[i]}, n3={n3[i]}, m={m}"))
     a0 = 0.25 * (N + ma) + 0.5 * delta
     b0 = 0.25 * (N - ma - 1.0)
     c0 = 0.25 * (2.0 * l - 1.0) + 0.5 * delta
     alpha = 0.25 * (N + ma - 2.0 * n3) + 0.5 * delta
     beta = 0.25 * (2.0 * n3 - N + ma - 1.0)
-    return cg_continued(CgArgs(a=a0, b=b0, alpha=alpha, beta=beta,
-                               c=c0, gamma=alpha + beta))
+    val = _cg_values(a0, b0, alpha, beta, c0)
+    return val if is_array else float(val)
 
 
 def _require_operator(n: int) -> None:

@@ -217,14 +217,15 @@ def test_criterion_08_ring_and_isotropic_reductions():
                     assert abs(a_gen - ring_separation_constant(sph.l, sph.delta)) <= 1e-10
                     e_gen = energy_level(n, ring_params, branch)
                     assert abs(e_gen - ring_energy(sph.N, sph.delta, 1.0)) <= 1e-10
-                for p in range(n + 1):
-                    cyl = ring_relabel(CylindricalLabel(n - p, p, 1, branch),
-                                       ring_params)
-                    for q in range(n + 1):
-                        sph = ring_relabel(SphericalLabel(n - q, q, 1, branch),
-                                           ring_params)
-                        ring = ring_w(cyl.N, 1, cyl.n3, sph.l, sph.delta)
-                        assert abs(table[p, q] - ring) <= 1e-10
+                cyl = [ring_relabel(CylindricalLabel(n - p, p, 1, branch), ring_params)
+                       for p in range(n + 1)]
+                sph = [ring_relabel(SphericalLabel(n - q, q, 1, branch), ring_params)
+                       for q in range(n + 1)]
+                # the level's ring table from one call: (N, n3) down, l across
+                ring = ring_w(np.array([[c.N] for c in cyl]), 1,
+                              np.array([[c.n3] for c in cyl]),
+                              np.array([s.l for s in sph]), sph[0].delta)
+                assert np.abs(table - ring).max() <= 1e-10
         # isotropic point: fixed overall phase (-1)^max(m, 0) against the
         # Condon-Shortley convention, documented in the bases module
         grid = np.linspace(0.02, math.pi - 0.02, 50)

@@ -144,6 +144,196 @@ def test_cg_negative_gamma_arguments_against_mpmath():
             assert cg(*args) == pytest.approx(ref, rel=1e-12), args
 
 
+# ------------------------------------------- one vectorised Racah sum
+
+def racah_sum_scalar(a, b, al, be, cc):
+    """The one-entry Racah sum, as a loop over t: the reference that every entry
+    of interbasis._cg_sum must reproduce bit for bit. Returns (value, status)."""
+    def is_int(v):
+        return abs(v - math.floor(v + 0.5)) < 1e-9
+
+    g = al + be
+    abc = a + b - cc
+    if not is_int(abc):
+        return 0.0, 1
+    if abc < -0.5:
+        return 0.0, 0
+    two_c1 = 2.0 * cc + 1.0
+    if two_c1 <= 0.0:
+        return 0.0, 1
+    ama = a - al
+    bpb = b + be
+    cmg = cc - g
+
+    pref_args = (abc + 1.0, a - b + cc + 1.0, -a + b + cc + 1.0,
+                 a + al + 1.0, ama + 1.0, bpb + 1.0, b - be + 1.0,
+                 cc + g + 1.0, cmg + 1.0)
+    lnpref = math.log(two_c1)
+    for v in pref_args:
+        if v <= 0.0:
+            return 0.0, 0 if is_int(v) else 1
+        lnpref += math.lgamma(v)
+    pden = a + b + cc + 2.0
+    if pden <= 0.0:
+        return 0.0, 1
+    lnpref -= math.lgamma(pden)
+
+    big1 = cc - b + al
+    big2 = cc - a - be
+    tmin = 0
+    for big in (big1, big2):
+        if is_int(big) and -big > tmin:
+            tmin = int(math.floor(-big + 0.5))
+    tmax = int(math.floor(abc + 0.5))
+    for top in (ama, bpb):
+        if is_int(top):
+            tmax = min(tmax, int(math.floor(top + 0.5)))
+
+    signs, logs = [], []
+    for t in range(tmin, tmax + 1):
+        sgn = -1.0 if t % 2 else 1.0
+        logden = 0.0
+        for arg in (t + 1.0, abc - t + 1.0, ama - t + 1.0, bpb - t + 1.0,
+                    big1 + t + 1.0, big2 + t + 1.0):
+            if arg <= 0.0 and abs(arg - math.floor(arg + 0.5)) < 1e-12:
+                break
+            if arg < 0.0 and math.floor(arg) % 2:
+                sgn = -sgn
+            logden += math.lgamma(arg)
+        else:
+            signs.append(sgn)
+            logs.append(-logden)
+    if not logs:
+        return 0.0, 0
+    lmax = max(logs)
+    total = 0.0
+    comp = 0.0
+    for sgn, lg in zip(signs, logs):
+        y = sgn * math.exp(lg - lmax) - comp
+        t_new = total + y
+        comp = (t_new - total) - y
+        total = t_new
+    return total * math.exp(lmax + 0.5 * lnpref), 0
+
+
+def ring_level(n, params, branch):
+    """(N column, n3 column, l row, delta) of the ring table at level n."""
+    cyl = [ring_relabel(CylindricalLabel(n - p, p, params.m, branch), params)
+           for p in range(n + 1)]
+    sph = [ring_relabel(SphericalLabel(n - q, q, params.m, branch), params)
+           for q in range(n + 1)]
+    return (np.array([[c.N] for c in cyl]), np.array([[c.n3] for c in cyl]),
+            np.array([s.l for s in sph]), sph[0].delta)
+
+
+def ring_reference(N, m, n3, l, delta):
+    ma = abs(m)
+    return racah_sum_scalar(0.25 * (N + ma) + 0.5 * delta, 0.25 * (N - ma - 1.0),
+                            0.25 * (N + ma - 2.0 * n3) + 0.5 * delta,
+                            0.25 * (2.0 * n3 - N + ma - 1.0),
+                            0.25 * (2.0 * l - 1.0) + 0.5 * delta)[0]
+
+
+def ring_table_cases():
+    """Seeded ring levels up to 60: m 0-3 of either sign, both branches, Q = 0
+    and Q > 0, each pattern at small and large levels."""
+    rng = random.Random(20261018)
+    levels = [0, 1, 2, 3, 4, 5, 6, 7, 9, 11, 14, 18, 23, 30, 60]
+    levels += [rng.randint(0, 12) for _ in range(24)]
+    cases = []
+    for i, n in enumerate(levels):
+        q_strength = 0.0 if i % 3 == 0 else rng.uniform(0.05, 12.0)
+        m = (i % 4) * rng.choice((1, -1))
+        branch = (Branch.Plus, Branch.Minus)[(i // 4) % 2]
+        cases.append((n, SystemParams(omega=rng.uniform(0.3, 3.0), p_strength=0.0,
+                                      q_strength=q_strength, m=m), branch))
+    return cases
+
+
+def test_ring_tables_match_scalar_racah_sum_bit_for_bit():
+    for n, params, branch in ring_table_cases():
+        N, n3, l, delta = ring_level(n, params, branch)
+        table = ring_w(N, params.m, n3, l, delta)
+        ref = np.array([[ring_reference(int(N[p, 0]), params.m, int(n3[p, 0]), int(lq), delta)
+                         for lq in l] for p in range(n + 1)])
+        assert table.shape == (n + 1, n + 1)
+        assert table.tobytes() == ref.tobytes(), (n, params, branch)
+        if n <= 3:   # a scalar call reads its entry of the table
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    value = ring_w(int(N[p, 0]), params.m, int(n3[p, 0]), int(l[q]), delta)
+                    assert type(value) is float
+                    assert np.float64(value).tobytes() == table[p, q].tobytes()
+
+
+def test_racah_sum_in_parts_is_bit_identical(monkeypatch):
+    # a call with more terms than _MAX_TERMS is summed in halves of its entries
+    N, n3, l, delta = ring_level(30, RING, Branch.Plus)
+    whole = ring_w(N, RING.m, n3, l, delta)
+    k = np.arange(13)
+    w_whole = w_coefficient(12, k[:, None], k, STEEP, Branch.Plus)
+    monkeypatch.setattr(interbasis, "_MAX_TERMS", 40)
+    assert ring_w(N, RING.m, n3, l, delta).tobytes() == whole.tobytes()
+    assert w_coefficient(12, k[:, None], k, STEEP, Branch.Plus).tobytes() == w_whole.tobytes()
+
+
+def test_w_tables_match_scalar_racah_sum_bit_for_bit():
+    for params, branch in BRANCH_CASES:
+        b, c, _ = channel_constants(params)
+        sb = branch.sign * b
+        for n in range(21):
+            k = np.arange(n + 1)
+            table = w_coefficient(n, k[:, None], k, params, branch)
+            ref = np.array([[(-1.0) ** (n - q) * racah_sum_scalar(*w_args(n, p, q, c, sb))[0]
+                             for q in range(n + 1)] for p in range(n + 1)])
+            assert table.tobytes() == ref.tobytes(), (n, branch)
+            if n <= 3:
+                for p in range(n + 1):
+                    for q in range(n + 1):
+                        value = w_coefficient(n, p, q, params, branch)
+                        assert type(value) is float
+                        assert np.float64(value).tobytes() == table[p, q].tobytes()
+        # broadcast index arrays across levels give the same entries
+        levels = np.array([[3], [7]])
+        mixed = w_coefficient(levels, np.array([0, 2, 3]), np.array([[1], [3]]), params, branch)
+        assert mixed.tobytes() == np.array(
+            [[w_coefficient(3, p, 1, params, branch) for p in (0, 2, 3)],
+             [w_coefficient(7, p, 3, params, branch) for p in (0, 2, 3)]]).tobytes()
+
+
+# every refusal rule of the sum, live continued entries and entries whose
+# terms all hit poles, as (a, b, alpha, beta, c)
+CG_PATTERNS = [
+    (0.5, 0.5, 0.5, -0.5, 1.0), (1.5, 1.0, 0.5, -1.0, 2.5), (2.0, 1.5, -1.0, 0.5, 1.5),
+    (1.3, 2.1, 1.0, -0.6, 0.4), (1.3, 2.1, 0.7, -0.2, 1.4), (2.45, 1.8, 1.2, -0.9, 1.25),
+    (1.65, 2.0, -0.35, 1.0, 1.65), (2.15, 1.5, 0.65, 0.5, 2.65), (1.25, 2.0, 0.75, -1.0, 1.25),
+    (2.25, 0.75, 1.75, -0.25, 2.25),   # a+b-c not an integer: status 1
+    (0.5, 0.5, 0.5, 0.5, 2.0),         # a+b-c < 0: zero, status 0
+    (0.5, 0.5, 0.0, 0.0, -1.0),        # 2c+1 <= 0: status 1
+    (1.0, 0.5, 1.0, 0.5, 0.5),         # prefactor pole at an integer: zero, status 0
+    (1.25, 0.75, -2.75, 0.0, 2.0),     # prefactor argument -0.5: status 1
+    (2.0, 0.5, 0.0, 0.5, 0.5),
+]
+
+
+def test_cg_patterns_match_scalar_racah_sum_bit_for_bit():
+    cols = np.array(CG_PATTERNS).T
+    values, status = interbasis._cg_sum(*cols)
+    ref = [racah_sum_scalar(*args) for args in CG_PATTERNS]
+    assert values.tobytes() == np.array([v for v, _ in ref]).tobytes()
+    assert status.tolist() == [s for _, s in ref]
+    assert {s for _, s in ref} == {0, 1}
+    for args, (value, st) in zip(CG_PATTERNS, ref):
+        if st:
+            with pytest.raises(DomainError, match="does not terminate"):
+                cg(*args)
+        else:
+            assert np.float64(cg(*args)).tobytes() == np.float64(value).tobytes()
+    # an array call names the first entry that does not terminate
+    with pytest.raises(DomainError, match=r"does not terminate .* at entry \(9,\)"):
+        interbasis._cg_values(*cols)
+
+
 # ------------------------------------------------------------ W matrices
 
 def test_w_trivial_level_is_one():
@@ -163,9 +353,11 @@ def test_w_matrix_orthogonality():
 def test_w_matches_integral_oracle():
     for params, branch in BRANCH_CASES:
         for n in range(5):
+            k = np.arange(n + 1)
+            racah = w_coefficient(n, k[:, None], k, params, branch)
             for p in range(n + 1):
                 for q in range(n + 1):
-                    assert w_coefficient(n, p, q, params, branch) == pytest.approx(
+                    assert racah[p, q] == pytest.approx(
                         w_integral_oracle(n, p, q, params, branch), abs=1e-12), \
                         (n, p, q, branch)
     # one overlap route: each entry is the oracle table's, bit for bit
@@ -182,8 +374,8 @@ def test_w_recursion_matches_racah_sum():
     for params, branch in BRANCH_CASES:
         for n in range(21):
             ent = w_matrix(n, params, branch).entries
-            racah = np.array([[w_coefficient(n, p, q, params, branch)
-                               for q in range(n + 1)] for p in range(n + 1)])
+            k = np.arange(n + 1)
+            racah = w_coefficient(n, k[:, None], k, params, branch)
             np.testing.assert_allclose(ent, racah, rtol=0.0, atol=1e-12,
                                        err_msg=f"n={n} {branch}")
             assert np.all(ent[0] > 0.0), (n, branch)
@@ -306,17 +498,11 @@ def test_ring_w_reduces_general_route():
         _, _, delta = channel_constants(params)
         for branch in (Branch.Plus, Branch.Minus):
             for n in range(5):
-                for p in range(n + 1):
-                    for q in range(n + 1):
-                        sph = ring_relabel(
-                            SphericalLabel(n_r=n - q, q=q, m=params.m, branch=branch),
-                            params)
-                        cyl = ring_relabel(
-                            CylindricalLabel(n_rho=n - p, p=p, m=params.m, branch=branch),
-                            params)
-                        assert w_coefficient(n, p, q, params, branch) == pytest.approx(
-                            ring_w(cyl.N, params.m, cyl.n3, sph.l, delta),
-                            rel=1e-12, abs=1e-12), (params.m, branch, n, p, q)
+                k = np.arange(n + 1)
+                N, n3, l, _ = ring_level(n, params, branch)
+                assert w_coefficient(n, k[:, None], k, params, branch) == pytest.approx(
+                    ring_w(N, params.m, n3, l, delta), rel=1e-12, abs=1e-12), \
+                    (params.m, branch, n)
 
 
 def test_ring_w_validation():
@@ -340,6 +526,41 @@ def test_ring_w_validation():
             ring_w(3, 1, 2, 1, bad)
         with pytest.raises(DomainError, match="delta"):
             RingLabel(N=3, m=1, delta=bad, l=1)
+    # array calls keep every refusal; the first bad entry is named
+    # (N = 4, |m| = 1: n3 in {1, 3}, l in {2, 4})
+    n3, l = np.array([[1], [3]]), np.array([2, 4])
+    assert ring_w(4, 1, n3, l, 0.7).shape == (2, 2)
+    with pytest.raises(DomainError, match=r"N - l even, got N=4, l=3, m=1 at entry \(1, 0\)"):
+        ring_w(4, 1, np.array([1, 3]), np.array([[2], [3]]), 0.0)
+    with pytest.raises(DomainError, match=r"n3=2, m=1 at entry \(0, 1\)"):
+        ring_w(4, 1, np.array([[1, 2]]), l, 0.0)          # n3 parity
+    with pytest.raises(DomainError, match=r"l=0, m=2 at entry \(1,\)"):
+        ring_w(4, 2, 0, np.array([2, 0]), 0.0)            # l < |m|
+    with pytest.raises(DomainError, match=r"n3=5, m=1 at entry \(2,\)"):
+        ring_w(4, 1, np.array([1, 3, 5]), 2, 0.0)         # n3 > N - |m|
+    with pytest.raises(DomainError, match=r"l=6, m=1 at entry \(0, 1\)"):
+        ring_w(np.array([[4], [4]]), 1, 1, np.array([2, 6]), 0.0)   # l > N
+    with pytest.raises(DomainError, match=r"n3 must be a nonnegative integer, got 1\.5 at entry \(1,\)"):
+        ring_w(4, 1, np.array([1.0, 1.5]), 2, 0.0)
+    with pytest.raises(DomainError, match=r"l must be a nonnegative integer, got -2 at entry \(0,\)"):
+        ring_w(4, 1, 1, np.array([-2, 2]), 0.0)
+    with pytest.raises(DomainError, match=r"N must be a nonnegative integer, got nan"):
+        ring_w(np.array([4.0, math.nan]), 1, 1, 2, 0.0)
+    with pytest.raises(DomainError, match="dtype"):
+        ring_w(4, 1, np.array(["1", "3"]), 2, 0.0)
+    # the m and delta checks hold for array calls too
+    with pytest.raises(DomainError, match=r"\|m\| must be"):
+        ring_w(4, 1.5, n3, l, 0.2)
+    for bad in (-0.2, math.nan, math.inf):
+        with pytest.raises(DomainError, match="delta"):
+            ring_w(4, 1, n3, l, bad)
+    # integer-valued floats are indices; an empty array gives an empty table
+    assert ring_w(4.0, 1, n3.astype(float), l, 0.7).tobytes() == ring_w(4, 1, n3, l, 0.7).tobytes()
+    assert ring_w(4, 1, np.array([], dtype=int), 2, 0.7).shape == (0,)
+    with pytest.raises(DomainError, match=r"got n=2, p=3, q=0 at entry \(1,\)"):
+        w_coefficient(2, np.array([1, 3]), 0, BOTH, Branch.Plus)
+    with pytest.raises(DomainError, match=r"q must be a nonnegative integer, got -1"):
+        w_coefficient(2, 0, np.array([-1]), BOTH, Branch.Plus)
 
 
 @pytest.mark.parametrize("bad_m", [math.nan, math.inf, "1", 1.5])
