@@ -14,8 +14,8 @@ from n ~ 70. It is one sum over arrays of arguments (_cg_sum): w_coefficient
 and ring_w take index arrays that broadcast, so a level's table is one call,
 and cg_continued reads one entry. Each entry takes the float operations of a
 one-entry sum in the same order, so it does not depend on the array it is
-in. _overlap_table, the one overlap-integral route (read by
-w_integral_oracle and oracles.w_overlap_oracle), stops at n = 12. Also owns
+in. _overlap_table, the one overlap-integral route (an exact tensor Gauss rule
+read by w_integral_oracle and oracles.w_overlap_oracle), stops at n = 100. Also owns
 the two commuting tridiagonal operators of a level (M in the cylindrical
 basis, N in the spherical one) as O(n) bands, which the W recursion, the
 spheroidal systems and the perturbation series read; m_matrix_cyl and
@@ -30,10 +30,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import _angular
+from .bases import _angular, _axial, _radial_cyl, _radial_sph
 from .errors import DomainError, NumericError, _require_table, check_abs_int, check_nonneg_int
 from .model import Branch, SystemParams, _a_q, _e_n, require_admissible
-from .specfun import build_quadrature, ln_gamma
+from .specfun import build_quadrature
 
 __all__ = [
     "CgArgs",
@@ -49,9 +49,9 @@ __all__ = [
 ]
 
 _SELECTION_TOL = 1e-12
-# The overlap route refuses levels above this: its sums cancel more at each level, at
-# (omega, P, Q, m) = (1.3, 0.7, 1.1, 1) 4e-12 off w_matrix at n = 12, 6e-3 at n = 40.
-W_OVERLAP_MAX_LEVEL = 12
+# The overlap route refuses levels above this for time, not accuracy (5e-14 off w_matrix
+# at n = 100): time n^4, memory n^3, 0.12 s and 25 MB at n = 100 on one x86-64 core.
+W_OVERLAP_MAX_LEVEL = 100
 # Distance from an integer below which a continued CG argument counts as one.
 _INT_TOL = 1e-9
 # Past this many values (or Racah terms), finding the distinct ones before
@@ -493,43 +493,37 @@ def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
 
 
 def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
-    """Level n's W table as overlap integrals of the two bases (read-only).
-
-    Projecting the cylindrical state onto each angular factor and matching
-    the top power of r reduces every entry to a single Jacobi-Gauss sum over
-    the angular evaluator, with no Clebsch-Gordan machinery involved.
-    """
+    """Level n's W table as the paper's overlaps W_np^q = 2 int psi_cyl(n, p)
+    psi_sph(n, q) dV over z > 0 (read-only). In x = omega r^2, u = cos 2 theta the
+    integrand is x^(c+-b+1) e^-x (1-u)^c (1+u)^(+-b) times a polynomial of degree
+    <= 2n in each, so the (n+1)-point Laguerre x Jacobi(c, +-b) rule is exact."""
     n = check_nonneg_int(n, "level n")
     if n > W_OVERLAP_MAX_LEVEL:
         raise DomainError(f"overlap oracle supports levels up to "
                           f"{W_OVERLAP_MAX_LEVEL}, got {n}")
     b, c, _ = require_admissible(params, branch)
-    beta = branch.sign * b
-    rule = build_quadrature("jacobi", n + 2, alpha=c, beta=beta)
-    theta = 0.5 * np.arccos(rule.nodes)
-    s, ct = np.sin(theta), np.cos(theta)
-    # a scalar exponent per row: numpy squares, roots and inverts exactly only
-    # for those, and the sums cancel enough to turn 1 ulp here into 1e-13
-    shape = np.array([2.0 ** (-c - beta - 2.0) * s ** (2.0 * (n - p) - c)
-                      * ct ** (2.0 * p - beta - 0.5) for p in range(n + 1)])
-    integrands = shape[:, None] * _angular(range(n + 1), c, beta, theta)
+    beta, omega = branch.sign * b, params.omega
+    radial = build_quadrature("laguerre", n + 1, alpha=c + beta + 1.0)
+    angular = build_quadrature("jacobi", n + 1, alpha=c, beta=beta)
+    x, u = radial.nodes[:, None], angular.nodes   # x down the node grid, u across
+    r, theta = np.sqrt(x / omega), 0.5 * np.arccos(u)
+    ct = np.cos(theta)
+    # 2 r^2 dr sin(theta) dtheta = x^(1/2) dx du / (4 omega^(3/2) cos theta)
+    weight = (radial.scaled_weights[:, None] * np.sqrt(x) / (4.0 * omega ** 1.5)
+              * angular.weights / ((1.0 - u) ** c * (1.0 + u) ** beta * ct))
+    ks, down = range(n + 1), range(n, -1, -1)
+    cyl = _radial_cyl(down, c, omega, r * np.sin(theta)) * _axial(ks, beta, omega, r * ct) * weight
+    sph = _radial_sph(down, ks, c, beta, omega, r) * _angular(ks, c, beta, theta)[:, None]
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
-    integrals = np.einsum("k,pqk->pq", rule.weights, integrands)
-
-    lg = np.vectorize(ln_gamma, otypes=[float])
-    k = np.arange(n + 1.0)   # p down the rows, q across the columns
-    ln_row = -lg(n - k + 1.0) - lg(n - k + c + 1.0) - lg(k + 1.0) - lg(k + beta + 1.0)
-    ln_const = ln_row[:, None] + lg(n - k + 1.0) + lg(n + k + c + beta + 2.0)
-    # (-1)^(p+q): the axial (-1)^p prefactor cancels its Laguerre leading
-    # sign, the spherical side keeps (-1)^(n-q)
-    table = 2.0 * (-1.0) ** np.add.outer(k, k) * np.exp(0.5 * ln_const) * integrals
+    table = np.einsum("pij,qij->pq", cyl, sph)
     table.flags.writeable = False
     return table
 
 
 def w_integral_oracle(n: int, p: int, q: int, params: SystemParams, branch: Branch) -> float:
     """Same coefficient from the overlap-integral route: entry (p, q) of the
-    table w_overlap_oracle checks; DomainError past W_OVERLAP_MAX_LEVEL."""
+    table w_overlap_oracle checks; DomainError past W_OVERLAP_MAX_LEVEL. Each call
+    builds the whole O(n^4) level table: for many entries read w_overlap_oracle(n, ...)[0]."""
     n, p, q = _check_level_indices(n, p, q)
     return float(_overlap_table(n, params, branch)[p, q])
 

@@ -8,9 +8,9 @@ the public evaluators are their one-row views) and contracts once.
 Integrands are divided by the rule's weight function first, which leaves
 exact polynomials, so any residual measures implementation error rather than
 quadrature truncation.  The overlap table is interbasis._overlap_table, the
-one overlap route, capped at n = 12.  Results come back as CheckReport rows;
-run_verification_suite() executes the fixed table of named checks the CLI
-reports on.
+one overlap route (an exact tensor Gauss rule, capped at n = 100).  Results
+come back as CheckReport rows; run_verification_suite() executes the fixed
+table of named checks the CLI reports on.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from .bases import _angular, _axial, _radial_cyl, _radial_sph
 from .errors import DomainError, check_nonneg_int
-from .interbasis import W_OVERLAP_MAX_LEVEL, _overlap_table, w_matrix  # noqa: F401
+from .interbasis import _overlap_table, w_matrix
 from .model import Branch, SystemParams, admissible_branches, require_admissible
 from .morse import MorseParams, _wavefunctions, normalizable_levels
 from .specfun import build_quadrature, gamma_sign_ln, hyp2f1_unit, ln_gamma
@@ -42,7 +42,7 @@ __all__ = [
 ]
 
 _TOL_SMALL = 1e-10   # levels up to 6
-_TOL_LARGE = 1e-8    # levels 7..12
+_TOL_LARGE = 1e-8    # levels above 6
 
 
 @dataclass(frozen=True)

@@ -362,8 +362,9 @@ class QuadratureRule:
 
 
 def _jacobi_coeffs(n: int, alpha: float, beta: float):
-    """Monic three-term coefficients (a_k, b_k) with b_0 the weight integral."""
-    k = np.arange(n, dtype=np.float64)
+    """Monic three-term coefficients (a_k, b_k), k = 0..n, of an n-point rule (the
+    last ones give p_n at its nodes), with b_0 the weight integral."""
+    k = np.arange(n + 1, dtype=np.float64)
     ab = alpha + beta
     with np.errstate(invalid="ignore", divide="ignore"):
         a = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
@@ -372,8 +373,7 @@ def _jacobi_coeffs(n: int, alpha: float, beta: float):
     a[0] = (beta - alpha) / (ab + 2.0)
     ln_b0 = ((ab + 1.0) * math.log(2.0) + ln_gamma(alpha + 1.0)
              + ln_gamma(beta + 1.0) - ln_gamma(ab + 2.0))
-    if n > 1:
-        b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
     try:
         b[0] = math.exp(ln_b0)
     except OverflowError:
@@ -387,11 +387,12 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     """Golub-Welsch construction of an n-point Gaussian rule.
 
     Nodes are the eigenvalues of the symmetrized recurrence (Jacobi) matrix,
-    solved by LAPACK (numpy.linalg.eigvalsh, ascending); weights come from
-    the reciprocal Christoffel sums, so no eigenvectors are needed. A Laguerre
-    rule's sum is of orthonormal Laguerre functions (laguerre_functions), which
-    gives its scaled weights at any size; a Jacobi rule whose weight integral or
-    weights leave double range raises AccuracyError. Rules are cached and immutable.
+    solved by LAPACK (numpy.linalg.eigvalsh, ascending), a Jacobi rule's then
+    polished by one Newton step; weights come from the reciprocal Christoffel
+    sums, so no eigenvectors are needed. A Laguerre rule's sum is of orthonormal
+    Laguerre functions (laguerre_functions), which gives its scaled weights at any
+    size; a Jacobi rule whose weight integral or weights leave double range raises
+    AccuracyError. Rules are cached and immutable.
     """
     if kind not in _QUAD_KINDS:
         raise DomainError(f"unknown quadrature kind {kind!r}, expected one of {_QUAD_KINDS}")
@@ -411,8 +412,8 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
         if alpha <= -1.0 or beta <= -1.0:
             raise DomainError(f"jacobi rule requires alpha, beta > -1, got ({alpha}, {beta})")
         acoef, bcoef = _jacobi_coeffs(n, alpha, beta)
-        off = np.sqrt(bcoef[1:])
-    jacobi = np.diag(acoef)
+        off = np.sqrt(bcoef[1:n])
+    jacobi = np.diag(acoef[:n])
     jacobi.flat[n::n + 1] = off   # the subdiagonal: eigvalsh reads the lower triangle
     try:
         nodes = np.linalg.eigvalsh(jacobi)
@@ -425,14 +426,19 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
         weights = 1.0 / np.einsum("ki,ki->i", phi, phi)
     else:
         # Christoffel sums of the orthonormal polynomials at the nodes; where a
-        # sum overflows the true weight underflows double precision: 0, refused below
+        # sum overflows the true weight underflows double precision: 0, refused below.
+        # eigvalsh puts nodes near +-1 ulps off (61-point Jacobi(0, -1/2): end weight
+        # 5.7e-13 off); one Newton step polishes them, with p_n' = total / (sqrt(b_n)
+        # p_{n-1}) from Christoffel-Darboux
         sqb = np.sqrt(bcoef)
-        prev, cur = np.zeros_like(nodes), np.full_like(nodes, 1.0 / sqb[0])
-        total = cur * cur
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(n - 1):
-                prev, cur = cur, ((nodes - acoef[k]) * cur - sqb[k] * prev) / sqb[k + 1]
-                total = total + cur * cur
+            for polish in (True, False):
+                prev, cur, total = np.zeros_like(nodes), np.full_like(nodes, 1.0 / sqb[0]), 0.0
+                for k in range(n):
+                    total = total + cur * cur
+                    prev, cur = cur, ((nodes - acoef[k]) * cur - sqb[k] * prev) / sqb[k + 1]
+                if polish:
+                    nodes = nodes - sqb[n] * cur * prev / total
         weights = 1.0 / total
     if not np.all((weights > 0.0) & (weights < math.inf)):
         raise AccuracyError(f"quadrature weights leave double range for {kind}, n={n}")

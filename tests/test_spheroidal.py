@@ -28,10 +28,10 @@ SETS = [SystemParams(1.0, 0.05, 0.5, 1), SystemParams(1.0, 2.0, 3.0, 0),
 KINDS = (Kind.Prolate, Kind.Oblate)
 
 
-def branch_cases(n_max):
+def branch_cases(n_max, extra=()):
     for params in SETS:
         for branch in admissible_branches(params):
-            for n in range(n_max + 1):
+            for n in (*range(n_max + 1), *extra):
                 yield params, branch, n
 
 
@@ -129,11 +129,11 @@ def test_scalar_level_three_routes():
 
 
 def test_isospectrality_triple_route():
-    for params, branch, n in branch_cases(6):
+    for params, branch, n in branch_cases(6, (60, 150, 300)):
         a_q = np.diag([separation_constant_A(q, params, branch)
                        for q in range(n + 1)])
         n_mat = n_matrix_sph(n, params, branch)
-        for R in (0.1, 1.0, 10.0):
+        for R in (0.1, 1.0, 10.0, 60.0):
             for kind in KINDS:
                 lam_u = eigensolve(build_tridiag_u(n, params, branch, R, kind)).lam
                 lam_t = eigensolve(build_tridiag_t(n, params, branch, R, kind)).lam
@@ -198,11 +198,12 @@ def test_non_finite_eigenvalues_are_numeric_error():
 # ----------------------------------------------------- coefficient columns
 
 def test_pair_consistency_t_equals_wt_u():
-    for params, branch, n in branch_cases(4):
+    for params, branch, n in branch_cases(4, (60,)):
         ent = w_matrix(n, params, branch).entries
-        for R in (0.1, 1.0, 10.0):
+        for R in (0.1, 1.0, 10.0, 60.0):
             for kind in KINDS:
-                for k in range(n + 1):
+                # every column up to n = 4; at n = 60 both ends and three between
+                for k in range(0, n + 1, 1 if n <= 4 else 15):
                     u = u_coefficients(n, k, params, branch, R, kind)
                     t = t_coefficients(n, k, params, branch, R, kind)
                     np.testing.assert_allclose(ent.T @ u, t, atol=1e-12)
