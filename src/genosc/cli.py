@@ -119,8 +119,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise DomainError(f"R-grid must be start:stop:count, got {text!r}") from exc
-    if not (0.0 < start < stop) or count < 2:
-        raise DomainError(f"R-grid needs 0 < start < stop and count >= 2, got {text!r}")
+    if not (0.0 < start < stop < math.inf) or count < 2:
+        raise DomainError(f"R-grid needs finite 0 < start < stop and count >= 2, got {text!r}")
     return start, stop, count
 
 

@@ -41,7 +41,6 @@ __all__ = [
     "cg_continued",
     "w_coefficient",
     "w_matrix",
-    "w_column",
     "w_integral_oracle",
     "ring_w",
     "m_matrix_cyl",
@@ -442,10 +441,9 @@ def _recursion_columns(diag: np.ndarray, off: np.ndarray, lam: np.ndarray) -> np
     return vec
 
 
-def _w_columns(n: int, params: SystemParams, branch: Branch,
-               qs: np.ndarray | None = None) -> np.ndarray:
-    """Columns qs (default all, 0..n) of W by recursion, checked against the
-    eigen residual contract.
+def _w_columns(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
+    """Level n's W table (entry [p, q] is W_np^q) by recursion, one column
+    per q, checked against the eigen residual contract.
 
     Column q is the eigenvector of 2 M (bands from _m_bands) for A_q; its sign
     is the Racah sum's, since W_n0^q is a single Racah term with positive
@@ -457,18 +455,12 @@ def _w_columns(n: int, params: SystemParams, branch: Branch,
     # extreme parameters overflow the operator; the checks below refuse them
     with np.errstate(all="ignore"):
         diag, off = 2.0 * diag, 2.0 * off
-        lam = _a_q(np.arange(n + 1.0) if qs is None else qs, params, branch)
+        lam = _a_q(np.arange(n + 1.0), params, branch)
         vec = _recursion_columns(diag, off, lam)
     if not np.isfinite(vec).all():
         raise NumericError(f"interbasis recursion gave non-finite entries at n={n}")
     _check_residual(diag, off, vec, lam, f"interbasis table at n={n}")
     return vec
-
-
-def w_column(n: int, q: int, params: SystemParams, branch: Branch) -> np.ndarray:
-    """Column q of the W table (W_np^q for p = 0..n) in O(n), by recursion."""
-    n, _, q = _check_level_indices(n, 0, q)
-    return _w_columns(n, params, branch, np.array([float(q)]))[:, 0]
 
 
 def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:

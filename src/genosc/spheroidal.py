@@ -20,7 +20,7 @@ from .errors import (DomainError, NumericError, check_nonneg_int, check_positive
                      require_points)
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
 from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _dense, _m_bands,  # noqa: F401
-                         _n_bands, w_column)
+                         _n_bands, _w_columns)
 from .model import Branch, SystemParams, _a_q, _e_z, require_admissible
 
 _SIGN_PIVOT_TOL = 1e-12
@@ -174,6 +174,12 @@ def _solve(diag: np.ndarray, off: np.ndarray, what) -> tuple[np.ndarray, np.ndar
     return lam, vec
 
 
+def _pivot(col: np.ndarray, k: int) -> float:
+    """The component whose sign fixes column k's: component k, or the
+    largest-magnitude component when component k is numerically zero."""
+    return col[k] if abs(col[k]) >= _SIGN_PIVOT_TOL else col[np.argmax(np.abs(col))]
+
+
 def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
     """Eigenvalues and sign-fixed orthonormal eigenvectors of the system.
 
@@ -183,10 +189,7 @@ def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
     """
     lam, vec = _solve(system.diag, system.offdiag, f"n={system.n}")
     for k in range(system.n + 1):
-        pivot = vec[k, k]
-        if abs(pivot) < _SIGN_PIVOT_TOL:
-            pivot = vec[np.argmax(np.abs(vec[:, k])), k]
-        if pivot < 0.0:
+        if _pivot(vec[:, k], k) < 0.0:
             vec[:, k] = -vec[:, k]
     lam.flags.writeable = False
     vec.flags.writeable = False
@@ -197,26 +200,26 @@ def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
 @lru_cache(maxsize=256)
 def _pair_columns(n: int, k: int, params: SystemParams, branch: Branch, R: float,
                   kind: Kind) -> tuple[np.ndarray, np.ndarray]:
-    """Solve-once state: column k of both eigensolutions, read-only, with a
-    single consistent global sign; cached per (n, k, params, branch, R, kind).
+    """Solve-once state: columns (U, T) of state k, read-only, with one global
+    sign; cached per (n, k, params, branch, R, kind).
 
-    The per-system sign rule pins component k of each column independently,
-    which flips the two representations of the same state against each other
-    whenever the diagonal entries of W are negative. The pair rule keeps the
-    per-system sign on whichever column has the better-pinned component k
-    (the selecting component stays sharp toward that column's limit end) and
-    flips the other column when T != W^T U. Since T = +-W^T U, the sign shows
-    in the largest component q of T alone (|T^q| >= 1/sqrt(n+1)), so one
-    column of W, an O(n) recursion, is enough.
+    T is column k of the spherical-side eigensolve, and U = W T follows from
+    T = W^T U with W orthogonal. U is then held to the eigen residual contract
+    of the cylindrical-side system for the same eigenvalue, in O(n). The pair
+    takes the per-system sign rule of whichever column has the better-pinned
+    component k, since that component stays sharp toward its column's limit
+    end: T keeps eigensolve's sign unless |U^k| > |T^k|, when U's pivot sets it.
     """
-    u = eigensolve(build_tridiag_u(n, params, branch, R, kind)).vectors[:, k].copy()
-    t = eigensolve(build_tridiag_t(n, params, branch, R, kind)).vectors[:, k].copy()
-    q = int(np.argmax(np.abs(t)))
-    if t[q] * float(w_column(n, q, params, branch) @ u) < 0.0:
-        if abs(t[k]) >= abs(u[k]):
-            u = -u
-        else:
-            t = -t
+    sol = eigensolve(build_tridiag_t(n, params, branch, R, kind))
+    t = sol.vectors[:, k]
+    u = np.einsum("pq,q->p", _w_columns(n, params, branch), t)
+    system = build_tridiag_u(n, params, branch, R, kind)
+    _check_residual(system.diag, system.offdiag, u[:, None], sol.lam[k:k + 1],
+                    f"cylindrical coefficients at n={n}, k={k}")
+    if abs(u[k]) > abs(t[k]) and _pivot(u, k) < 0.0:
+        u, t = -u, -t
+    else:
+        t = t.copy()   # the cache holds the column, not the whole solution
     u.flags.writeable = False
     t.flags.writeable = False
     return u, t
@@ -233,8 +236,10 @@ def u_coefficients(n: int, k: int, params: SystemParams, branch: Branch, R: floa
                    kind: Kind) -> np.ndarray:
     """Column k of the cylindrical-side eigensolution: Psi_k = sum_p U^p Psi_cyl(p).
 
-    Sign-locked to the spherical partner so that T^q = sum_p U^p W_np^q holds
-    with matching global sign. The array is read-only and shared between calls.
+    Formed as U = W T from the state's one spherical-side solve, so that
+    T^q = sum_p U^p W_np^q holds with one global sign, and checked against
+    the cylindrical-side residual contract. The array is read-only and
+    shared between calls.
     """
     return _solved_pair(n, k, params, branch, R, kind)[0]
 
@@ -243,7 +248,9 @@ def t_coefficients(n: int, k: int, params: SystemParams, branch: Branch, R: floa
                    kind: Kind) -> np.ndarray:
     """Column k of the spherical-side eigensolution: Psi_k = sum_q T^q Psi_sph(q).
 
-    Sign-locked to the cylindrical partner; see u_coefficients.
+    Column k of eigensolve(build_tridiag_t(...)), up to the pair's global
+    sign (see _pair_columns); the one solve of the state, shared with
+    u_coefficients.
     """
     return _solved_pair(n, k, params, branch, R, kind)[1]
 

@@ -580,6 +580,19 @@ def test_spheroidal_grid_overflow_exits_4_without_warning():
         assert err.startswith("numeric failure"), grid
 
 
+def test_non_finite_r_grid_bound_exits_2_without_warning():
+    # np.linspace would warn from numpy itself, which the genosc-only
+    # warning filters do not catch
+    for grid in ("0.1:inf:3", "0.1:nan:3", "inf:inf:3", "-inf:1:3"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(["spheroidal", f"--R-grid={grid}"])
+        assert code == 2, grid
+        assert out == "", grid
+        assert err.startswith("invalid config"), grid
+        assert "finite 0 < start < stop" in err, grid
+
+
 def _refuse_constant(token):
     raise ValueError(f"non-strict JSON token {token}")
 

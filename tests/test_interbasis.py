@@ -12,15 +12,17 @@ from sympy import Rational
 from sympy.physics.quantum.cg import CG as sympy_cg
 
 import genosc.interbasis as interbasis
+from genosc import spheroidal
 from genosc.errors import DomainError, NumericError
 from genosc.interbasis import (CgArgs, cg_continued, m_matrix_cyl,
-                               n_matrix_sph, ring_w, w_coefficient, w_column,
+                               n_matrix_sph, ring_w, w_coefficient,
                                w_integral_oracle, w_matrix)
 from genosc.model import (Branch, CylindricalLabel, RingLabel, SphericalLabel,
                           SystemParams, admissible_branches, channel_constants,
                           energy_cylindrical_parts, ring_relabel,
                           separation_constant_A)
 from genosc.oracles import w_overlap_oracle
+from genosc.spheroidal import Kind, u_coefficients
 
 BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3, c=1
 STEEP = SystemParams(omega=2.0, p_strength=2.0, q_strength=1.5, m=2)    # b=1.5
@@ -381,21 +383,12 @@ def test_w_recursion_matches_racah_sum():
             assert np.all(ent[0] > 0.0), (n, branch)
 
 
-def test_w_column_is_w_matrix_column():
-    for params, branch in BRANCH_CASES:
-        ent = w_matrix(12, params, branch).entries
-        for q in range(13):
-            np.testing.assert_allclose(w_column(12, q, params, branch), ent[:, q],
-                                       rtol=0.0, atol=1e-15)
-    with pytest.raises(DomainError):
-        w_column(3, 4, BOTH, Branch.Plus)
-
-
 def test_w_column_rescales_past_overflow():
     # at n = 1200 both passes of the top columns would overflow unscaled;
-    # w_column checks each column's eigen residual itself
+    # _w_columns checks each column's eigen residual itself
+    ent = interbasis._w_columns(1200, BOTH, Branch.Plus)
     for q in (1144, 1200):
-        col = w_column(1200, q, BOTH, Branch.Plus)
+        col = ent[:, q]
         assert np.isfinite(col).all()
         assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-14)
 
@@ -437,8 +430,9 @@ def test_w_corrupted_operator_is_numeric_error(monkeypatch):
         monkeypatch.setattr(interbasis, "_m_bands", corrupt)
         with pytest.raises(NumericError):
             w_matrix(8, BOTH, Branch.Plus)
+        spheroidal._pair_columns.cache_clear()
         with pytest.raises(NumericError):
-            w_column(8, 3, BOTH, Branch.Plus)
+            u_coefficients(8, 3, BOTH, Branch.Plus, 1.3, Kind.Prolate)
 
 
 def test_w_matrix_transposed():

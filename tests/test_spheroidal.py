@@ -8,7 +8,7 @@ import pytest
 
 from genosc import interbasis, spheroidal
 from genosc.errors import DomainError, NumericError
-from genosc.interbasis import m_matrix_cyl, n_matrix_sph, w_column, w_matrix
+from genosc.interbasis import m_matrix_cyl, n_matrix_sph, w_matrix
 from genosc.model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                           admissible_branches, channel_constants,
                           energy_cylindrical_parts, energy_level, ring_energy,
@@ -198,15 +198,55 @@ def test_non_finite_eigenvalues_are_numeric_error():
 # ----------------------------------------------------- coefficient columns
 
 def test_pair_consistency_t_equals_wt_u():
-    for params, branch, n in branch_cases(4, (60,)):
+    for params, branch, n in branch_cases(12, (60, 300)):
         ent = w_matrix(n, params, branch).entries
-        for R in (0.1, 1.0, 10.0, 60.0):
+        # every column up to n = 12; at n = 60 both ends and three between,
+        # at n = 300 both ends and the middle
+        ks = range(0, n + 1, 1 if n <= 12 else 15 if n == 60 else 150)
+        for R in ((0.1, 1.0, 10.0, 60.0) if n < 300 else (1.0, 60.0)):
             for kind in KINDS:
-                # every column up to n = 4; at n = 60 both ends and three between
-                for k in range(0, n + 1, 1 if n <= 4 else 15):
+                for k in ks:
                     u = u_coefficients(n, k, params, branch, R, kind)
                     t = t_coefficients(n, k, params, branch, R, kind)
                     np.testing.assert_allclose(ent.T @ u, t, atol=1e-12)
+                    if n <= 12:
+                        # the pair's sign: the better-pinned component k is >= 0
+                        assert (u[k] if abs(u[k]) > abs(t[k]) else t[k]) >= 0.0
+
+
+def test_pair_solves_each_state_once(monkeypatch):
+    solve = spheroidal._solve
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(spheroidal, "_solve", counting)
+    for params, branch, n in branch_cases(5, (30,)):
+        for R in (0.1, 1.7, 40.0):
+            for kind in KINDS:
+                for k in {0, n // 2, n}:
+                    spheroidal._pair_columns.cache_clear()
+                    calls.clear()
+                    t = t_coefficients(n, k, params, branch, R, kind)
+                    u_coefficients(n, k, params, branch, R, kind)
+                    assert len(calls) == 1
+                    ref = eigensolve(build_tridiag_t(n, params, branch, R, kind)).vectors[:, k]
+                    assert t.tobytes() in (ref.tobytes(), (-ref).tobytes())
+
+
+def test_derived_u_meets_the_cylindrical_residual_contract(monkeypatch):
+    # U = W T with two columns of W swapped is no eigenvector of the U system
+    clean = interbasis._w_columns
+
+    def swapped(n, params, branch):
+        return clean(n, params, branch)[:, [1, 0, *range(2, n + 1)]]
+
+    monkeypatch.setattr(spheroidal, "_w_columns", swapped)
+    spheroidal._pair_columns.cache_clear()
+    with pytest.raises(NumericError, match="eigen residual"):
+        u_coefficients(4, 1, BOTH, Branch.Plus, 1.3, Kind.Prolate)
 
 
 def test_limit_endpoints():
@@ -335,8 +375,9 @@ def test_every_level_eigenproblem_meets_one_residual_contract(monkeypatch):
     monkeypatch.setattr(interbasis, "_RESIDUAL_FACTOR", 0.0)
     with pytest.raises(NumericError, match="eigen residual"):
         w_matrix(6, BOTH, Branch.Plus)
+    spheroidal._pair_columns.cache_clear()
     with pytest.raises(NumericError, match="eigen residual"):
-        w_column(6, 2, BOTH, Branch.Plus)
+        u_coefficients(6, 2, BOTH, Branch.Plus, 1.3, Kind.Prolate)
     with pytest.raises(NumericError, match="eigen residual"):
         eigensolve(build_tridiag_t(4, STEEP, Branch.Plus, 1.3, Kind.Prolate))
     with pytest.raises(NumericError, match=r"eigen residual .* n=4, R=0\.7"):
