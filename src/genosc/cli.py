@@ -29,7 +29,7 @@ from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams, _a_q
 from .morse import (MorseParams, _wavefunctions, bound_state_count, morse_norms,
                     morse_spectrum, normalizable_levels)
 from .oracles import SUITE_MANIFEST, run_verification_suite
-from .perturbation import large_r_series, small_r_series
+from .perturbation import SERIES_MAX_ORDER, _check_order, large_r_series, small_r_series
 from .spheroidal import (Kind, build_tridiag_t, eigensolve, lambda_grid,
                          t_coefficients, u_coefficients)
 
@@ -169,7 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_system(p)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--k", type=int, default=0)
-    p.add_argument("--order", type=int, default=2, help="truncation order J")
+    p.add_argument("--order", type=int, default=2,
+                   help=f"truncation order J in 1..{SERIES_MAX_ORDER}")
     add_output(p)
 
     p = sub.add_parser("morse", help="Morse levels, wavefunctions, norms")
@@ -199,12 +200,11 @@ def resolve_config(args: argparse.Namespace) -> JobConfig:
     check_nonneg_int(n, "level")
     if k != int(k) or not 0 <= k <= n:
         raise DomainError(f"index k must lie in 0..{n}, got {k}")
-    if order < 1:
-        raise DomainError(f"series order must be >= 1, got {order}")
+    order = _check_order(order)
     R = check_positive(getattr(args, "R", 1.0), "R")
     grid = _parse_grid(args.r_grid) if hasattr(args, "r_grid") else None
     return JobConfig(command=args.command, params=params, branch=branch,
-                     morse=morse, n=int(n), k=int(k), order=int(order),
+                     morse=morse, n=int(n), k=int(k), order=order,
                      R=R, r_grid=grid,
                      kind=_KINDS[getattr(args, "kind", "prolate")],
                      fmt=args.format, out=args.out,

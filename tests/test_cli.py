@@ -205,9 +205,11 @@ def test_perturb_reports_expected_orders():
 
 
 def test_perturb_overflow_exits_4_without_traceback_or_warning():
-    # the last two overflow an error and underflow x = omega R^2 to zero
-    for argv in (["perturb", "--n", "6", "--k", "1", "--order", "400"],
-                 ["perturb", "--n", "5", "--order", "400"],
+    # the first two overflow the large-R series below the order cap (at
+    # orders 104 and 114); the last two overflow an error and underflow
+    # x = omega R^2 to zero
+    for argv in (["perturb", "--n", "60", "--k", "1", "--order", "128"],
+                 ["perturb", "--n", "40", "--order", "128"],
                  ["perturb", "--omega=1e-300", "--n", "3", "--k", "1"],
                  ["perturb", "--omega=5e-324", "--Q=1e150", "--n", "1", "--k", "1"]):
         with warnings.catch_warnings(record=True) as caught:
@@ -218,6 +220,19 @@ def test_perturb_overflow_exits_4_without_traceback_or_warning():
         assert len(err.splitlines()) == 1, err
         assert err.startswith("numeric failure"), err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+
+
+def test_perturb_order_past_the_cap_exits_2():
+    for argv in (["perturb", "--order", "400"],
+                 ["perturb", "--order", "129"],
+                 ["perturb", "--n", "0", "--order", "20000"]):
+        code, out, err = run_cli(argv)
+        assert code == 2, argv
+        assert out == "", argv
+        assert err.startswith("invalid config: series order must lie in 1..128"), err
+    code, out, _ = run_cli(["perturb", "--n", "1", "--order", "128"])
+    assert code == 0
+    assert out
 
 
 def test_perturb_trivial_level_is_exact():
@@ -561,7 +576,7 @@ def test_non_finite_system_input_exits_2():
 
 
 def test_overflow_exits_4():
-    for argv in (["perturb", "--order", "400"],
+    for argv in (["perturb", "--n", "40", "--order", "128"],
                  ["morse", "--V0", "1e300", "--a", "1e-300"],
                  ["interbasis", "--n", "1", "--P=1e300", "--Q=1.7976931348623157e+308"]):
         code, out, err = run_cli(argv)

@@ -10,8 +10,9 @@ from genosc.errors import DomainError, NumericError
 from genosc.interbasis import m_matrix_cyl, n_matrix_sph
 from genosc.model import (Branch, SystemParams, admissible_branches,
                           channel_constants, separation_constant_A)
-from genosc.perturbation import (Regime, large_r_series, small_r_series,
-                                 wavefunction_correction)
+from genosc import perturbation
+from genosc.perturbation import (SERIES_MAX_ORDER, Regime, large_r_series,
+                                 small_r_series, wavefunction_correction)
 from genosc.spheroidal import Kind, build_tridiag_t, build_tridiag_u, eigensolve
 
 BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)
@@ -311,8 +312,23 @@ def test_banded_recursion_matches_dense_reference_bit_for_bit():
 
 
 def test_series_overflow_raises_numeric_error():
+    # below the cap: this system's large-R coefficients overflow at order 112
     with pytest.raises(NumericError, match="large-R series at order"):
-        large_r_series(6, 1, SystemParams(1.0, 0.0, 0.0, 0), Branch.Plus, order=400)
+        large_r_series(40, 1, SystemParams(1.0, 0.0, 0.0, 0), Branch.Plus,
+                       order=SERIES_MAX_ORDER)
+
+
+def test_order_cap_is_checked_before_any_table(monkeypatch):
+    def no_bands(*args):
+        raise AssertionError("bands built for a refused order")
+
+    monkeypatch.setattr(perturbation, "_n_bands", no_bands)
+    monkeypatch.setattr(perturbation, "_m_bands", no_bands)
+    refusal = rf"series order must lie in 1\.\.{SERIES_MAX_ORDER}, got"
+    for maker in (small_r_series, large_r_series):
+        for order in (SERIES_MAX_ORDER + 1, 20000):
+            with pytest.raises(DomainError, match=refusal):
+                maker(2, 0, BOTH, Branch.Plus, order=order)
 
 
 # ------------------------------------------------------------ validation
