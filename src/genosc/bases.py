@@ -7,10 +7,13 @@ exponents 1/2 - b and c can put a one-sided divergence at the excluded
 endpoints, so no limit evaluation is attempted. Coordinates must be finite.
 
 Each radial and axial factor is a constant times one orthonormal Laguerre
-function of x = omega u^2 (specfun.laguerre_functions). Each factor is
-evaluated for one label, or for every term of an oscillator level at once
-(spherical_level, cylindrical_level), where one recurrence per family gives
-every degree; both read the same per-family helper below. In the far tail
+function of x = omega u^2. Each factor is evaluated for one label, or for every
+term of an oscillator level at once (spherical_level, cylindrical_level), where
+one recurrence per family gives every degree; both read the same per-family
+helpers below. The cylindrical and axial factors, and the spherical radial
+factors of one q, keep one Laguerre order (specfun.laguerre_functions); the
+spherical radial terms R_{n-q,q} of a level, whose order 2q + c +- b + 1 falls
+by two per degree n - q, run in specfun.laguerre_diagonal. In the far tail
 every factor is exactly 0, never inf * 0.
 """
 
@@ -23,7 +26,7 @@ import numpy as np
 from .errors import DomainError, check_abs_int, check_nonneg_int, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     require_admissible)
-from .specfun import gegenbauer, jacobi_rows, laguerre_functions, ln_gamma
+from .specfun import gegenbauer, jacobi_rows, laguerre_diagonal, laguerre_functions, ln_gamma
 
 __all__ = [
     "theta_angular",
@@ -75,10 +78,17 @@ def _angular(qs, c: float, beta: float, t):
     return norm * point * np.array([rows[q] for q in qs])
 
 
-def _radial_sph(degrees, qs, c: float, beta: float, omega: float, r):
-    """R_{n_r q} = sqrt(2) omega^(3/4) x^(-1/4) phi_{n_r}^(2q+c+beta+1)(x), (n_r, q) in zip."""
-    return laguerre_functions(degrees, [2.0 * q + c + beta + 1.0 for q in qs], _log_x(omega, r),
+def _radial_sph(degrees, q: int, c: float, beta: float, omega: float, r):
+    """R_{n_r q} = sqrt(2) omega^(3/4) x^(-1/4) phi_{n_r}^(2q+c+beta+1)(x), n_r in degrees."""
+    return laguerre_functions(degrees, 2.0 * q + c + beta + 1.0, _log_x(omega, r),
                               -0.25, 0.5 * math.log(2.0) + 0.75 * math.log(omega))
+
+
+def _radial_level(n: int, qs, c: float, beta: float, omega: float, r):
+    """R_{n-q, q} for each q in qs: the terms of level n, whose Laguerre order
+    2q + c + beta + 1 = (2n + c + beta + 1) - 2(n - q) falls by two per degree n - q."""
+    return laguerre_diagonal([n - q for q in qs], 2.0 * n + c + beta + 1.0, _log_x(omega, r),
+                             -0.25, 0.5 * math.log(2.0) + 0.75 * math.log(omega))
 
 
 def _radial_cyl(degrees, c: float, omega: float, rho):
@@ -108,7 +118,7 @@ def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
     n_r = check_nonneg_int(n_r, "n_r")
     q = check_nonneg_int(q, "q")
     b, c, _ = require_admissible(params, branch)
-    out = _radial_sph((n_r,), (q,), c, branch.sign * b, params.omega, _checked(r, "r"))
+    out = _radial_sph((n_r,), q, c, branch.sign * b, params.omega, _checked(r, "r"))
     return _shaped(out[0], r)
 
 
@@ -160,8 +170,9 @@ def spherical_level(n: int, params: SystemParams, branch: Branch, r, theta) -> n
     """Every term R_{n-q,q}(r) Theta_q(theta), q = 0..n, of level n at once.
 
     r and theta are equal-shape arrays of points, or scalars. The radial
-    factors come from one Laguerre-function recurrence that carries the order
-    2q + c +- b + 1 of every term, the angular ones from one Jacobi recurrence.
+    factors come from one Laguerre-function recurrence whose order
+    2q + c +- b + 1 falls by two per degree n - q, the angular ones from one
+    Jacobi recurrence.
     """
     n = check_nonneg_int(n, "n")
     b, c, _ = require_admissible(params, branch)
@@ -169,8 +180,7 @@ def spherical_level(n: int, params: SystemParams, branch: Branch, r, theta) -> n
     rr = _checked(r, "r")
     t = _checked(theta, "theta", upper=0.5 * math.pi)
     qs = range(n + 1)
-    return (_radial_sph([n - q for q in qs], qs, c, beta, params.omega, rr)
-            * _angular(qs, c, beta, t))
+    return _radial_level(n, qs, c, beta, params.omega, rr) * _angular(qs, c, beta, t)
 
 
 def cylindrical_level(n: int, params: SystemParams, branch: Branch, rho, z) -> np.ndarray:

@@ -46,8 +46,9 @@ _LARGE_PROBES = (20.0, 40.0)
 _MORSE_GRID_POINTS = 101
 # |norm - 1| contract; morse_norms stays near 1e-12 up to lambda = 400 and within 7e-12 at 1000
 _MORSE_NORM_TOL = 1e-10
-# More levels are refused before listing: the norms cost O(lambda^3), and 1000
-# levels took 5.2-6.4 s (144-155 MB peak) on a 2-core Xeon with one BLAS thread
+# More levels are refused before listing, which bounds the written table and the norm
+# check: the norm table costs O(lambda^2), and 1000 levels take about 0.35 s in-process
+# (56 MB peak) on a 2-core Xeon with one BLAS thread
 _MORSE_MAX_LEVELS = 1000
 
 # Peak memory per cell of a row table held as Python tuples and rendered as JSON,

@@ -30,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .bases import _angular, _axial, _radial_cyl, _radial_sph
+from .bases import _angular, _axial, _radial_cyl, _radial_level
 from .errors import DomainError, NumericError, _require_table, check_abs_int, check_nonneg_int
 from .model import Branch, SystemParams, _a_q, _e_n, require_admissible
 from .specfun import build_quadrature
@@ -505,7 +505,7 @@ def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
               * angular.weights / ((1.0 - u) ** c * (1.0 + u) ** beta * ct))
     ks, down = range(n + 1), range(n, -1, -1)
     cyl = _radial_cyl(down, c, omega, r * np.sin(theta)) * _axial(ks, beta, omega, r * ct) * weight
-    sph = _radial_sph(down, ks, c, beta, omega, r) * _angular(ks, c, beta, theta)[:, None]
+    sph = _radial_level(n, ks, c, beta, omega, r) * _angular(ks, c, beta, theta)[:, None]
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
     table = np.einsum("pij,qij->pq", cyl, sph)
     table.flags.writeable = False

@@ -8,7 +8,11 @@ the source material does not square-integrate to one; the constant used
 here does, as morse_norms measures: with N the top normalizable level, every
 psi_p^2 dx is w^alpha0 e^{-w} dw (alpha0 = 2 lambda - 2N - 2, in (-1, 1]) times a
 polynomial of degree <= 2N, so one (N+1)-point Gauss-Laguerre rule, whose
-scaled weights hold at any depth, integrates every norm exactly.
+scaled weights hold at any depth, integrates every norm exactly. Level p is the
+orthonormal Laguerre function of order alpha_p = 2 lambda - 1 - 2p, which falls
+by two per level: every level at a point comes from one
+specfun.laguerre_diagonal recurrence, one step per level, so a whole well's
+norm table costs O(N^2).
 """
 
 import logging
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, check_nonneg_int, check_positive
-from .specfun import build_quadrature, laguerre_functions
+from .specfun import build_quadrature, laguerre_diagonal
 
 _logger = logging.getLogger(__name__)
 
@@ -115,13 +119,15 @@ def normalizable_levels(params: MorseParams) -> range:
 
 def _wavefunctions(ps, params: MorseParams, x) -> np.ndarray:
     """psi_p(x) = (-1)^p sqrt(a alpha_p) phi_p^alpha_p(w), a row per normalizable p in ps,
-    from one Laguerre-function recurrence: alpha_p = 2 lambda - 2p - 1, and w =
-    2 lambda e^{-a x} is taken through log w = log(2 lambda) - a x (no log(0))."""
-    alphas = [2.0 * params.lam - 2.0 * p - 1.0 for p in ps]
+    from one Laguerre-function recurrence whose order alpha_p = 2 lambda - 1 - 2p falls by
+    two per level; w = 2 lambda e^{-a x} is taken through log w = log(2 lambda) - a x
+    (no log(0))."""
+    beta = 2.0 * params.lam - 1.0
     log_w = math.log(2.0 * params.lam) - params.a * np.asarray(x, dtype=np.float64)
-    sign = np.reshape([(-1.0) ** p for p in ps], (-1,) + (1,) * log_w.ndim)
-    return sign * laguerre_functions(ps, alphas, log_w, 0.0,
-                                     [0.5 * math.log(params.a * alpha) for alpha in alphas])
+    psi = laguerre_diagonal(ps, beta, log_w)
+    psi *= np.reshape([(-1.0) ** p * math.sqrt(params.a * (beta - 2.0 * p)) for p in ps],
+                      (-1,) + (1,) * log_w.ndim)
+    return psi
 
 
 def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:

@@ -3,8 +3,9 @@
 Every oracle here recomputes a quantity through Gauss quadrature against the
 pointwise basis functions, never through the coefficient formulas under
 test.  Each reads every degree it needs from one call of the family's level
-helper (bases._angular, _radial_sph, _radial_cyl, _axial, morse._wavefunctions;
-the public evaluators are their one-row views) and contracts once.
+helper (bases._angular, _radial_sph, _radial_level, _radial_cyl, _axial,
+morse._wavefunctions; the public evaluators are their one-row views) and
+contracts once.
 Integrands are divided by the rule's weight function first, which leaves
 exact polynomials, so any residual measures implementation error rather than
 quadrature truncation.  The overlap table is interbasis._overlap_table, the
@@ -22,7 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bases import _angular, _axial, _radial_cyl, _radial_sph
+from .bases import _angular, _axial, _radial_cyl, _radial_level, _radial_sph
 from .errors import DomainError, check_nonneg_int
 from .interbasis import _overlap_table, w_matrix
 from .model import Branch, SystemParams, admissible_branches, require_admissible
@@ -131,9 +132,9 @@ def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
     # admissible labels keep the combined exponent integrable
     assert shared > -1.0
     rule = build_quadrature("laguerre", n + 2, alpha=shared)
-    # one recurrence for both labels; its degrees n - q must be distinct
+    # one recurrence of the level for both labels; its degrees n - q must be distinct
     qs = [q] if q == q_prime else [q, q_prime]
-    vals = _radial_sph([n - qi for qi in qs], qs, c, beta, omega, np.sqrt(rule.nodes / omega))
+    vals = _radial_level(n, qs, c, beta, omega, np.sqrt(rule.nodes / omega))
     # t^(shared + 1/2) e^-t times a polynomial: the scaled weights carry all but t^(1/2)
     measured = float(np.einsum("i,i,i->", rule.scaled_weights / np.sqrt(rule.nodes),
                                vals[0], vals[-1])) / (2.0 * math.sqrt(omega))
@@ -192,7 +193,7 @@ def _gram_radial_sph(n_max, params, branch):
     beta, omega = branch.sign * b, params.omega
     alpha0 = c + beta + 1.0
     return (("laguerre", alpha0, 0.0, 0.5 * alpha0 - 0.25, 0.5 * omega ** -1.5),
-            lambda x: _radial_sph(range(n_max + 1), (0,), c, beta, omega, np.sqrt(x / omega)))
+            lambda x: _radial_sph(range(n_max + 1), 0, c, beta, omega, np.sqrt(x / omega)))
 
 
 def _gram_radial_cyl(n_max, params, branch):

@@ -5,8 +5,12 @@ integrals) is built on these primitives. Normalization-sized quantities are
 handled in log space via ln_gamma; polynomial values come from forward
 three-term recurrences.
 
-laguerre_functions runs the orthonormal Laguerre functions on scaled rows with
-a log scale per point: no overflow at any degree, exactly 0 in the far tail.
+The orthonormal Laguerre functions run in one of two recurrence shapes, each on
+scaled rows with a log scale per point (no overflow at any degree, exactly 0 in
+the far tail): laguerre_functions for every degree of one order, and
+laguerre_diagonal for an order that falls by two per degree, phi_p^(beta-2p)
+(the radial terms of one spherical level, the Morse levels), one step per point
+and degree.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ __all__ = [
     "jacobi_rows",
     "gen_laguerre",
     "laguerre_functions",
+    "laguerre_diagonal",
     "gegenbauer",
     "hermite",
     "assoc_legendre",
@@ -162,68 +167,73 @@ def _ln_gamma_sum(y: float) -> float:
     return math.lgamma(y - m) + math.fsum(np.log(y - np.arange(1.0, m + 1.0)).tolist())
 
 
-def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
+# ln 2 for Cody-Waite reduction: the head has 15 bits, so j * head is exact for
+# |j| < 2^38, which flooring a log at -1e11 keeps even -inf within
+_LN2_HI, _LN2_LO = 0.693145751953125, 1.4286068203094172321e-6
+
+
+def _split_ln2(ln):
+    """(r, j), ln = r + j ln 2 split exactly, j integral: e^ln as e^r 2^j for any finite
+    ln. Rounding ln + k ln 2 instead would cost ulps that follow which steps renormalised
+    a row."""
+    j = np.rint(ln / math.log(2.0))
+    return (ln - j * _LN2_HI) - j * _LN2_LO, j
+
+
+def _x_tail(n: int, hi: float) -> float:
+    """|phi_k^a(x)| <= e^(m ln(x + c) - x/2 + 1/16) for k <= n, -1 < a <= hi and x >= 1
+    (m = hi+/2 + n, c = 3n + 1.5 hi+ + 1): below e^-1500 past this x."""
+    return 3002.0 + (2.0 * max(hi, 0.0) + 4.0 * n) * math.log(3004.0 + 5.0 * n + 2.5 * hi)
+
+
+def _degree_rows(degrees, what: str) -> dict:
+    """{degree: row} of distinct nonnegative degrees, at least one."""
+    wanted = {k if type(k) is int and k >= 0 else _check_degree(k): i
+              for i, k in enumerate(degrees)}
+    if not wanted or len(wanted) < len(degrees):
+        raise DomainError(f"{what} needs distinct degrees, got {list(degrees)}")
+    return wanted
+
+
+def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
                        ln_const: float = 0.0) -> np.ndarray:
     """e^ln_const x^power phi_k^alpha(x) at x = exp(log_x), a row per k in degrees.
 
-    phi_k^alpha(x) = sqrt(k!/Gamma(k+alpha+1)) x^(alpha/2) e^(-x/2) L_k^alpha(x),
-    alpha > -1, from sqrt((k+1)(k+alpha+1)) phi_{k+1} = (k+alpha+1) phi_k - x chi_k and
+    phi_k^alpha(x) = sqrt(k!/Gamma(k+alpha+1)) x^(alpha/2) e^(-x/2) L_k^alpha(x) for one
+    order alpha > -1, from sqrt((k+1)(k+alpha+1)) phi_{k+1} = (k+alpha+1) phi_k - x chi_k and
     chi_{k+1} = sqrt((k+1)/(k+alpha+1)) chi_k + phi_{k+1}, chi_k being phi_k with L_k^(alpha+1)
     (DLMF 18.9.13-14; x is a factor, so small x keeps its digits at high degree), on rows
     renormalised by exact powers of two beside each point's log scale ln phi_0 + ln_const
-    + power ln x. alpha is one order, or one per (distinct) degree, and ln_const one value
-    or one per order; log_x is finite, or -inf if alpha > 0 = power. Points do not affect
-    each other (a lone one runs as a cheaper numpy scalar), nor, to 2 ulp, do rows. A point
-    where every requested phi is below e^-1500 gives exactly 0 (for ln_const < 700, |power| <= 1).
+    + power ln x. alpha and ln_const are one value each (an order that falls by two per
+    degree runs in laguerre_diagonal); log_x is finite, or -inf if alpha > 0 = power.
+    Points do not affect each other (a lone one runs as a cheaper numpy scalar), nor, to
+    2 ulp, do rows. A point where every requested phi is below e^-1500 gives exactly 0
+    (for ln_const < 700, |power| <= 1).
     """
-    degrees = [k if type(k) is int and k >= 0 else _check_degree(k) for k in degrees]
-    orders = [float(alpha)] if np.isscalar(alpha) else [float(a) for a in alpha]
-    consts = [float(ln_const)] if np.isscalar(ln_const) else [float(c) for c in ln_const]
-    wanted = {deg: i for i, deg in enumerate(degrees)}
-    if (not degrees or len(wanted) < len(degrees) or len(orders) not in (1, len(degrees))
-            or len(consts) not in (1, len(orders)) or not all(a > -1.0 for a in orders)):
-        raise DomainError(f"laguerre_functions needs distinct degrees, alpha > -1 and one order "
-                          f"or one per degree, ln_const likewise; got alpha={alpha}, "
-                          f"ln_const={ln_const}, degrees {degrees}")
-    n, lo, hi = max(degrees), min(orders), max(orders)
-    # |phi_k| <= e^(m ln(x + c) - x/2 + 1/16), k <= n, x >= 1 (m = hi+/2 + n, c = 3n + 1.5 hi+
-    # + 1): below e^-1500 past x_tail, where points move to give 0. Below it a step grows
-    # max(|phi_k|, |chi_k|) at most 2 x_tail / sqrt(lo + 1) times; rows checked for 2^332
-    # every `every` steps stay below 2^1000.
-    x_tail = 3002.0 + (2.0 * max(hi, 0.0) + 4.0 * n) * math.log(3004.0 + 5.0 * n + 2.5 * hi)
+    if not (np.isscalar(alpha) and np.isscalar(ln_const)):
+        raise DomainError(f"laguerre_functions takes one order and one ln_const, got "
+                          f"alpha={alpha}, ln_const={ln_const}")
+    wanted = _degree_rows(degrees, "laguerre_functions")
+    alpha, n = float(alpha), max(wanted)
+    if not alpha > -1.0:
+        raise DomainError(f"laguerre_functions requires alpha > -1, got {alpha}")
+    # below x_tail a step grows max(|phi_k|, |chi_k|) at most 2 x_tail / sqrt(alpha + 1)
+    # times; rows checked for 2^332 every `every` steps stay below 2^1000
+    x_tail = _x_tail(n, alpha)
     every = max(1, int((668.0 * math.log(2.0) - math.log(2.0 * x_tail))
-                       / math.log(2.0 * x_tail / math.sqrt(lo + 1.0))))
+                       / math.log(2.0 * x_tail / math.sqrt(alpha + 1.0))))
     pts = np.minimum(np.asarray(log_x, dtype=np.float64), math.log(x_tail))
     x = np.exp(pts)
-    if len(orders) == 1:   # one order runs on the points
-        col, ln_gamma, phi, const = lo, _ln_gamma_sum(lo + 1.0), 1.0, consts[0]
-        steps = [(k + lo, math.sqrt(k * (k + lo)), math.sqrt(k / (k + lo)))
-                 for k in range(1, n + 1)]
-    else:   # one order per row, on a (rows,) + points grid in degree order
-        by_degree = [wanted[deg] for deg in sorted(wanted)]
-        orders = [orders[i] for i in by_degree]
-        consts = consts if len(consts) == 1 else [consts[i] for i in by_degree]
-        col = np.array(orders).reshape((-1,) + (1,) * pts.ndim)
-        k = np.arange(1, n + 1, dtype=np.float64).reshape((-1, 1) + (1,) * pts.ndim)
-        steps = list(zip(k + col, np.sqrt(k * (k + col)), np.sqrt(k / (k + col))))
-        ln_gamma = np.array([_ln_gamma_sum(a + 1.0) for a in orders]).reshape(col.shape)
-        const = np.reshape(consts, (-1,) + (1,) * pts.ndim)
-        phi = np.ones(np.broadcast_shapes(col.shape, pts.shape))
-    ln0 = (0.5 * col + power) * pts - 0.5 * x + (const - 0.5 * ln_gamma)
-    rows = [None] * len(degrees)
-    chi, exp2, scale = phi, 0, np.exp(ln0)   # phi, chi: scaled phi_k, chi_k (chi_0 = phi_0)
-    read = 0   # rows read and still on the grid, cut in batches of a quarter of it, 16 or more
+    steps = [(k + alpha, math.sqrt(k * (k + alpha)), math.sqrt(k / (k + alpha)))
+             for k in range(1, n + 1)]
+    ln0 = (0.5 * alpha + power) * pts - 0.5 * x + (float(ln_const)
+                                                   - 0.5 * _ln_gamma_sum(alpha + 1.0))
+    out = np.empty((len(wanted),) + np.shape(pts))
+    phi = chi = 1.0   # scaled phi_k, chi_k (chi_0 = phi_0)
+    exp2, scale = 0, np.exp(ln0)
     for k in range(n + 1):
-        if k in wanted and len(orders) == 1:
-            rows[wanted[k]] = phi * scale
-        elif k in wanted:
-            rows[wanted[k]] = phi[read] * scale[read]
-            read += 1
-            if read >= max(16, len(phi) / 4):
-                phi, chi, scale, ln0 = phi[read:], chi[read:], scale[read:], ln0[read:]
-                exp2 = exp2[read:] if isinstance(exp2, np.ndarray) else exp2
-                steps[k:] = [(c[read:], d[read:], g[read:]) for c, d, g in steps[k:]]
-                read = 0
+        if k in wanted:
+            out[wanted[k]] = phi * scale
         if k == n:
             break
         if k and k % every == 0:
@@ -231,16 +241,155 @@ def laguerre_functions(degrees, alpha, log_x, power: float = 0.0,
             if big.max() > 2.0 ** 332:
                 e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
                 phi, chi, exp2 = np.ldexp(phi, -e), np.ldexp(chi, -e), exp2 + e
-                # e^ln0 2^exp2 as e^r 2^(j + exp2), ln0 = r + j ln 2 split exactly (ln 2's
-                # head has 15 bits, |j| < 2^38 past the floor that keeps -inf off the cast):
-                # rounding ln0 + exp2 ln 2 costs ulps that follow which steps renormalised a row
-                j = np.rint(np.maximum(ln0, -1e11) / math.log(2.0))
-                r = (ln0 - j * 0.693145751953125) - j * 1.4286068203094172321e-6
+                r, j = _split_ln2(np.maximum(ln0, -1e11))
                 scale = np.where(e > 0, np.ldexp(np.exp(r), j.astype(np.int64) + exp2), scale)
         c, d, g = steps[k]
         phi = (c * phi - x * chi) / d
         chi = g * chi + phi
-    return np.array(rows) if len(rows) > 1 else rows[0][None]
+    return out
+
+
+# laguerre_diagonal's closed-form region: x below 2^-600
+_LOG_X_SMALL = -600.0 * math.log(2.0)
+
+
+def _power_frexp(x, n: int):
+    """(m, e), x^n = m 2^e for x > 0 and n >= 0, rounded a few times, not scaled
+    through a log: x = f 2^k with f in [1/2, 1) has f^1000 >= 2^-1000 in range."""
+    f, k = np.frexp(x)
+    m, e = np.power(f, min(n, 1000)), k * n
+    for done in range(1000, n, 1000):
+        m, de = np.frexp(m)
+        m, e = m * np.power(f, min(1000, n - done)), e + de
+    return m, e
+
+
+def _ln_norm0(beta: float) -> tuple[float, int]:
+    """(r, j) with 1/sqrt(Gamma(beta + 1)) = e^r 2^j, beta > -1. Below beta = 1e4 from
+    the product Gamma(f) f (f+1) ... beta, f in (0, 2), renormalised by powers of two (an
+    ulp a factor, where ln Gamma rounded to a double is off by an ulp of a number up to
+    1e5); lgamma past it."""
+    y = beta + 1.0
+    if y < 1e4:
+        k = max(int(y) - 1, 0)
+        f = y - k
+        m, e = math.frexp(math.gamma(f))
+        for i in range(k):
+            m, de = math.frexp(m * (f + i))
+            e += de
+    else:
+        ln = math.lgamma(y)
+        e = int(ln / math.log(2.0))
+        m = math.exp((ln - e * _LN2_HI) - e * _LN2_LO)
+    if e % 2:
+        m, e = 2.0 * m, e - 1
+    return -0.5 * math.log(m), -e // 2
+
+
+def _diagonal_steps(beta: float, n: int):
+    """laguerre_diagonal's steps (u_p, v_p, w_p), p < n, their largest magnitudes,
+    _ln_norm0(beta) and ln x_tail. With a = alpha_p = beta - 2p > 1 and
+    s = sqrt((p+1)(beta-p)), the orthonormal form of a0, a1 and b2 is u = (a-1) a / s,
+    v = -(beta+1) a / ((a+1) s) and w = -(a-1) sqrt(p (beta-p+1)) / ((a+1) s)."""
+    steps = []
+    for p in range(n):
+        a, s = beta - 2.0 * p, math.sqrt((p + 1.0) * (beta - p))
+        t = (a + 1.0) * s
+        steps.append(((a - 1.0) * a / s, -(beta + 1.0) * a / t,
+                      -(a - 1.0) * math.sqrt(p * (beta - p + 1.0)) / t))
+    bound = tuple(max((abs(step[i]) for step in steps), default=0.0) for i in range(3))
+    # each phi_p^(beta-2p), p <= n, meets the one-order bound of degree 0 and order beta + 1
+    return steps, bound, _ln_norm0(beta), math.log(_x_tail(0, beta + 1.0))
+
+
+def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
+                      ln_const: float = 0.0) -> np.ndarray:
+    """e^ln_const x^power phi_p^(beta-2p)(x) at x = exp(log_x), a row per p in degrees.
+
+    The order alpha_p = beta - 2p falls by two per degree (the spherical radial terms of
+    one oscillator level, the Morse levels); every alpha_p > -1. Each point and degree
+    costs one step of the orthonormal form of the contiguous relation of Kummer's M
+    (DLMF 13.3) L_{p+1}^(alpha_p-2) = (a0 + a1 x) L_p^(alpha_p) + b2 x^2 L_{p-1}^(alpha_p+2),
+    phi_{p+1} = (u_p / x + v_p) phi_p + w_p phi_{p-1}, on rows renormalised by exact powers
+    of two beside each point's log scale ln phi_0 + ln_const + power ln x; every value is
+    rounded once, from its own mantissa, so points do not affect each other. Below
+    x = 2^-600 a point takes the leading term N_p C(p + alpha_p, p) x^(alpha_p/2) e^(-x/2),
+    exact there to O(p x), so the u/x step never sees a tiny x. ln_const is one value, in
+    the log scale; log_x is finite, or -inf if every alpha_p > 0 = power. A point where
+    every requested phi is below e^-1500 gives exactly 0 (for ln_const < 700, |power| <= 1).
+    """
+    wanted = _degree_rows(degrees, "laguerre_diagonal")
+    beta, n = float(beta), max(wanted)
+    if not (np.isscalar(ln_const) and beta - 2.0 * n > -1.0):
+        raise DomainError(f"laguerre_diagonal needs beta - 2 max(degrees) > -1 and one "
+                          f"ln_const; got beta={beta}, degrees up to {n}, ln_const={ln_const}")
+    pts = np.asarray(log_x, dtype=np.float64)[()]   # a lone point runs as a numpy scalar
+    if pts.size == 0:
+        return np.empty((len(wanted),) + pts.shape)
+    steps, bound, (r0, j0), log_tail = _diagonal_steps(beta, n)
+    lo, hi = float(pts.min()), float(pts.max())
+    if hi > log_tail:
+        pts, hi = np.minimum(pts, log_tail), log_tail
+    small = pts < _LOG_X_SMALL if lo < _LOG_X_SMALL else None
+    if small is not None:
+        log_pts, pts = pts, np.where(small, 0.0, pts)   # x = 1 stands in
+        lo, hi = float(pts.min()), float(pts.max())
+    x = np.exp(pts)
+    # a step grows max(|phi_p|, |phi_{p-1}|) at most `grow` times on these points; rows
+    # checked for 2^332 every `every` steps stay below 2^1000
+    grow = bound[0] * math.exp(-lo) + bound[1] * math.exp(hi) + bound[2]
+    every = max(1, int(668.0 * math.log(2.0) / math.log(max(grow, 2.0))))
+    out, exps = np.empty((len(wanted),) + np.shape(pts)), [0] * len(wanted)
+    prev, cur, exp2 = 0.0, 1.0, 0
+    for k, (uk, vk, wk) in enumerate(steps):
+        if k in wanted:
+            out[wanted[k]], exps[wanted[k]] = cur, exp2
+        if k and k % every == 0:
+            big = np.maximum(np.abs(cur), np.abs(prev))
+            if big.max() > 2.0 ** 332:
+                e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
+                prev, cur, exp2 = np.ldexp(prev, -e), np.ldexp(cur, -e), exp2 + e
+        step = uk / x
+        step += vk
+        step *= cur
+        step += wk * prev
+        prev, cur = cur, step
+    if n in wanted:
+        out[wanted[n]], exps[wanted[n]] = cur, exp2
+    # The scale x^(beta/2 + power) e^(-x/2) N_0 e^ln_const is large where the rows are.
+    # Its x^floor(beta/2) comes from the x the rows divide by (ln x and x = exp(ln x)
+    # differ by an ulp, which x^(beta/2) would carry beta/2 times), the rest from log_x;
+    # each large log goes to e^r 2^j on its own
+    rc = r0 + float(ln_const)
+    jc = round(rc / math.log(2.0))
+    rc, jc = (rc - jc * _LN2_HI) - jc * _LN2_LO, jc + j0
+    half = max(int(0.5 * beta), 0)
+    pow_m, pow_e = _power_frexp(x, half)
+    r, j = _split_ln2((0.5 * beta - half + power) * pts)
+    r_x, j_x = _split_ln2(-0.5 * x)
+    out *= pow_m * np.exp(r + (r_x + rc))
+    j = (j + j_x).astype(np.int64) + (pow_e + jc)
+    if not isinstance(exp2, int):   # some row was renormalised
+        j = np.array(np.broadcast_arrays(*exps)) + j
+    np.ldexp(out, j, out=out)
+    if small is not None:
+        # C_{p+1} = u_p C_p from C_0 = 1, held as m 2^e: the leading term over N_0 x^(beta/2)
+        lead, m, e2 = [None] * len(wanted), 1.0, 0
+        for k in range(n + 1):
+            if k in wanted:
+                lead[wanted[k]] = (m, e2)
+            if k < n:
+                m, de = math.frexp(m * steps[k][0])
+                e2 += de
+        at = np.flatnonzero(small)
+        lx = np.ravel(log_pts)[at]
+        alpha = beta - 2.0 * np.array(list(wanted), dtype=np.float64)[:, None]
+        ln = (0.5 * alpha + power) * lx - 0.5 * np.exp(lx) + rc
+        r, j = _split_ln2(np.maximum(ln, -1e11))
+        m, e2 = np.array(lead).T
+        out.reshape(len(wanted), -1)[:, at] = np.ldexp(
+            m[:, None] * np.exp(r), e2.astype(np.int64)[:, None] + j.astype(np.int64) + jc)
+    return out
 
 
 def gegenbauer(n: int, lam: float, x):

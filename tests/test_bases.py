@@ -421,6 +421,10 @@ def test_level_terms_match_per_label_products():
 
 
 def test_level_evaluators_validate_like_per_label():
+    # no points give an empty table of the level's rows, as at one label
+    for n in (0, 3, 20):
+        assert spherical_level(n, BOTH, Branch.Plus, [], []).shape == (n + 1, 0)
+        assert cylindrical_level(n, BOTH, Branch.Plus, [], []).shape == (n + 1, 0)
     with pytest.raises(DomainError, match="theta must lie .* at point 1"):
         spherical_level(2, BOTH, Branch.Plus, [1.0, 1.0], [0.3, math.pi / 2])
     with pytest.raises(DomainError, match="z must lie .* at point 2"):

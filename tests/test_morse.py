@@ -112,6 +112,7 @@ def test_wavefunction_scalar_and_array_forms():
     assert isinstance(morse_wavefunction(0, params, 0.0), float)
     for x, v in zip(xs, vec):
         assert morse_wavefunction(0, params, float(x)) == v
+    assert morse_wavefunction(0, params, np.array([])).shape == (0,)
     # deep wells (lambda ~ 316 and 400), where L_p^alpha overflows: within
     # 1e-12 of the largest |psi| on the grid of 40-digit mpmath values of
     # (-1)^p sqrt(a alpha) phi_p^alpha(w), and a point alone as in the batch

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import warnings
 from decimal import Decimal
 
 import mpmath
@@ -199,12 +200,34 @@ def test_polynomial_domain_errors():
         sf.gen_laguerre(2, -1.2, 0.5)
     with pytest.raises(DomainError):
         sf.gen_laguerre(2, math.nan, 0.5)
-    with pytest.raises(DomainError):
-        sf.laguerre_functions([2, 1], [0.5, -1.5], np.zeros(3))
+    with pytest.raises(DomainError, match="alpha > -1"):
+        sf.laguerre_functions([2, 1], -1.5, np.zeros(3))
+    with pytest.raises(DomainError, match="alpha > -1"):
+        sf.laguerre_functions([2, 1], math.nan, np.zeros(3))
     with pytest.raises(DomainError):
         sf.laguerre_functions([2, 1, 0], [0.5, 1.5], np.zeros(3))
     with pytest.raises(DomainError):
         sf.laguerre_functions([], 0.5, np.zeros(3))
+    # one order per call: a list of orders (one per degree) is refused, even a
+    # valid one, as is a list of ln_const
+    with pytest.raises(DomainError, match="one order"):
+        sf.laguerre_functions([2, 1], [0.5, 1.5], np.zeros(3))
+    with pytest.raises(DomainError, match="one order"):
+        sf.laguerre_functions([2], [0.5], np.zeros(3))
+    with pytest.raises(DomainError, match="one order"):
+        sf.laguerre_functions([2, 1], 0.5, np.zeros(3), 0.0, [0.0, 0.0])
+    # the diagonal family needs every order beta - 2p > -1, distinct degrees and
+    # one ln_const
+    with pytest.raises(DomainError):
+        sf.laguerre_diagonal([0, 3], 5.0, np.zeros(3))
+    with pytest.raises(DomainError):
+        sf.laguerre_diagonal([1, 1], 9.0, np.zeros(3))
+    with pytest.raises(DomainError):
+        sf.laguerre_diagonal([], 9.0, np.zeros(3))
+    with pytest.raises(DomainError):
+        sf.laguerre_diagonal([0, 3], 9.0, np.zeros(3), 0.0, [0.0, 0.0])
+    with pytest.raises(DomainError):
+        sf.laguerre_diagonal([0], math.nan, np.zeros(3))
     with pytest.raises(DomainError):
         sf.gegenbauer(2, 0.0, 0.5)
     with pytest.raises(DomainError):
@@ -218,6 +241,7 @@ def test_polynomial_domain_errors():
                      lambda n: sf.hermite(n, 0.2),
                      lambda n: sf.assoc_legendre(n, 0, 0.2),
                      lambda n: sf.laguerre_functions([n], 0.5, 0.0),
+                     lambda n: sf.laguerre_diagonal([n], 20.0, 0.0),
                      lambda n: sf.jacobi_rows(n, 0.5, 0.5, 0.2)):
             with pytest.raises(DomainError, match="polynomial degree"):
                 call(bad)
@@ -318,11 +342,12 @@ def test_rows_give_every_degree_of_one_recurrence():
     assert phi.shape == (n + 1, w.size)
     for row, j in zip(phi, degrees):
         assert close(row, ref_phi(j, 2.7))
-    # one order per row: row q is phi_{n-q}^{alpha_q}
-    alpha = rng.uniform(-0.5, 30.0, 6)
-    phi = sf.laguerre_functions([n - q for q in range(alpha.size)], alpha, np.log(w))
-    for q, (row, a) in enumerate(zip(phi, alpha)):
-        assert close(row, ref_phi(n - q, a))
+    # an order falling by two per degree (laguerre_diagonal): row q is
+    # phi_{n-q}^{beta-2(n-q)}, whose order beta - 2n + 2q starts in (-0.5, 30)
+    for beta in 2.0 * n + rng.uniform(-0.5, 30.0, 6):
+        phi = sf.laguerre_diagonal([n - q for q in range(6)], beta, np.log(w))
+        for q, row in enumerate(phi):
+            assert close(row, ref_phi(n - q, beta - 2.0 * (n - q))), (beta, q)
     # a point alone gives the bits it gets in the batch; x = 0 at order > 0
     assert np.array_equal(sf.laguerre_functions([7], 2.7, math.log(w[3]))[0],
                           sf.laguerre_functions([7], 2.7, np.log(w))[0, 3])
@@ -342,12 +367,59 @@ def test_rows_give_every_degree_of_one_recurrence():
             return float(ctx.exp(Decimal(-0.5 * x) + exp2 * ctx.ln(Decimal(2))) * Decimal(p1))
 
     deep = np.array([20000.0, 23000.0, 23500.0, 24000.0])
-    for alpha in (0.0, [0.0, 0.0]):
-        phi = sf.laguerre_functions([6000, 5999], alpha, np.log(deep))
-        for row, j in zip(phi, (6000, 5999)):
-            want = np.array([ref_deep(j, x) for x in np.exp(np.log(deep)).tolist()])
-            assert np.abs(want).max() > 1e-3
-            assert close(row, want), (alpha, j)
+    phi = sf.laguerre_functions([6000, 5999], 0.0, np.log(deep))
+    for row, j in zip(phi, (6000, 5999)):
+        want = np.array([ref_deep(j, x) for x in np.exp(np.log(deep)).tolist()])
+        assert np.abs(want).max() > 1e-3
+        assert close(row, want), j
+
+
+def _ref_laguerre_function(p, alpha, log_x, power, ln_const):
+    """e^ln_const x^power phi_p^alpha(x) at x = e^log_x in 40 digits."""
+    if log_x == -math.inf:
+        return 0.0
+    with mpmath.workdps(40):
+        x = mpmath.exp(mpmath.mpf(log_x))
+        ln_c = (mpmath.loggamma(p + 1) - mpmath.loggamma(p + alpha + 1)) / 2
+        return float(mpmath.laguerre(p, alpha, x) * mpmath.exp(
+            ln_const + ln_c + (alpha / 2 + power) * mpmath.log(x) - x / 2))
+
+
+def test_laguerre_diagonal_matches_mpmath():
+    # phi_p^(beta-2p) for the Morse levels (beta = 2 lambda - 1) and the radial terms
+    # of a spherical level (beta = 2n + c +- b + 1, with the radial power -1/4 and
+    # constant), within 1e-12 of each row's largest value, at points spread over
+    # each family's support, below 2^-600 (the closed-form region), at x = 0
+    # where every order is positive and power 0, and past the far tail
+    from genosc.model import Branch, SystemParams, require_admissible
+
+    rng = np.random.default_rng(2021)
+    both = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b = 0.3, c = 1
+    steep = SystemParams(omega=2.0, p_strength=2.0, q_strength=1.5, m=2)
+    # lambda = 400.51 leaves the top level the order 0.02, whose x^0.01 is still
+    # e^-14 at x = e^-1400: a check of the closed-form region's digits
+    cases = [(2.0 * lam - 1.0, math.ceil(lam) - 1, 0.0, 0.0) for lam in (30, 120, 400, 400.51)]
+    for n, params, branch in ((12, steep, Branch.Plus), (60, both, Branch.Minus),
+                              (100, steep, Branch.Plus)):
+        b, c, _ = require_admissible(params, branch)
+        cases.append((2.0 * n + c + branch.sign * b + 1.0, n, -0.25,
+                      0.5 * math.log(2.0) + 0.75 * math.log(params.omega)))
+    for beta, n, power, ln_const in cases:
+        x_tail = sf._x_tail(0, beta + 1.0)   # every phi_p^(beta-2p) is below e^-1500 past it
+        log_x = np.concatenate([np.log(rng.uniform(0.01, 2.5 * beta + 10.0, 10)),
+                                [-450.0, -700.0, -1400.0, math.log(x_tail) + 1.0, 800.0]
+                                + ([-math.inf] if power == 0.0 else [])])
+        degrees = sorted({0, n, *rng.integers(0, n + 1, 4).tolist()})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sf.laguerre_diagonal(degrees, beta, log_x, power, ln_const)
+        assert got.shape == (len(degrees), log_x.size) and np.all(np.isfinite(got))
+        assert np.all(got[:, log_x > math.log(x_tail)] == 0.0)
+        for row, p in zip(got, degrees):
+            want = np.array([_ref_laguerre_function(p, beta - 2.0 * p, v, power, ln_const)
+                             for v in log_x.tolist()])
+            assert np.abs(want).max() > 0.0
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max(), (beta, p)
 
 
 # ------------------------------------------------------- connecting formulas
