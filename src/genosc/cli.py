@@ -5,9 +5,12 @@ data sections.  Data sections are pure functions of the configuration, carry
 no timestamps, and therefore come out byte-identical across runs.  CSV cells
 use 17-significant-digit decimals so every float round-trips exactly.
 
-Both renderers write the fixed schema directly: JSON reproduces the bytes of
-json.dumps(sort_keys=True, indent=2) with each row through the C encoder,
-and CSV formats a row with one %-string per row type signature.
+Both renderers write the fixed schema directly, with one encoder call per
+output section rather than per row: JSON reproduces the bytes of
+json.dumps(sort_keys=True, indent=2) with a section's rows through the C
+encoder together (in pieces of about 256 cells), and CSV formats a section
+whose rows share one numeric type signature with one %-template (other
+sections cell by cell).
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -183,7 +187,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance-profile", choices=("default", "strict"),
                    default="default", dest="tolerance_profile")
     add_output(p)
+    parser.commands = sub.choices   # command name -> its own parser, for _parse_args
     return parser
+
+
+def _parse_args(argv=None) -> argparse.Namespace:
+    """build_parser().parse_args(argv), with a command's flags read by that command's
+    parser alone instead of being classified by the top parser first. Namespace, exit
+    code, stdout and stderr are those of the top parser: leftover flags are refused by
+    it, with its own message, and an argv that does not start with a command goes to it."""
+    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        parser.error("unrecognized arguments: %s" % " ".join(extras))
+    return args
 
 
 def resolve_config(args: argparse.Namespace) -> JobConfig:
@@ -382,7 +403,7 @@ def _csv_quote(text: str) -> str:
 
 def _csv_format(types: tuple[type, ...]) -> str | None:
     """One %-string for a numeric row signature, matching _cell per value;
-    None when a cell is not a number (it goes through _cell/_csv_quote)."""
+    None when a cell is not a number."""
     codes = []
     for kind in types:
         if issubclass(kind, (int, np.integer)):   # bool too: True -> 1
@@ -394,23 +415,33 @@ def _csv_format(types: tuple[type, ...]) -> str | None:
     return ",".join(codes) + "\n"
 
 
+def _csv_section(rows: tuple[tuple, ...]) -> str | None:
+    """Every row through one %-template when all rows share one numeric type
+    signature, else None (the rows go cell by cell through _cell/_csv_quote)."""
+    if len(set(map(len, rows))) > 1:
+        return None
+    types = []
+    for column in zip(*rows):
+        kinds = set(map(type, column))
+        if len(kinds) > 1:
+            return None
+        types += kinds
+    fmt = _csv_format(tuple(types))
+    return None if fmt is None else (fmt * len(rows)) % tuple(chain.from_iterable(rows))
+
+
 def render_csv(cfg: JobConfig, sections: list[Section]) -> str:
     echo = cfg.echo()
     out = [f"# {key} = {echo[key]}\n" for key in sorted(echo)]
-    formats: dict[tuple[type, ...], str | None] = {}
     for section in sections:
         out.append(f"## {section.name}\n")
         out.append(",".join(section.columns) + "\n")
-        for row in section.rows:
-            types = tuple(map(type, row))
-            if types not in formats:
-                formats[types] = _csv_format(types)
-            fmt = formats[types]
-            line = fmt % tuple(row) if fmt is not None else None
-            # %.17g writes inf/nan, the only cells with an "n"; _cell refuses them
-            if line is None or "n" in line:
-                line = ",".join(_csv_quote(_cell(v)) for v in row) + "\n"
-            out.append(line)
+        text = _csv_section(section.rows)
+        # %.17g writes inf/nan, the only cells with an "n"; _cell refuses them
+        if text is None or "n" in text:
+            text = "".join(",".join(_csv_quote(_cell(v)) for v in row) + "\n"
+                           for row in section.rows)
+        out.append(text)
     return "".join(out)
 
 
@@ -422,13 +453,23 @@ def _plain_number(value):
     raise TypeError(f"cannot write {type(value).__name__} to JSON")
 
 
-# Row values sit 10 spaces deep (data > section > rows > row) in the
-# json.dumps(indent=2) layout. The C encoder runs only without indent, so the
-# row layout comes from the item separator and the row brackets are written
-# by hand.
+# Row values sit 10 spaces deep (data > section > rows > row) and column
+# names 8 deep in the json.dumps(indent=2) layout. The C encoder runs only
+# without indent, so the layout comes from the item separator: a section's rows
+# are encoded together, and each break between rows, the only "],\n" + 10
+# spaces + "[" in the text (a JSON string holds no raw newline), is then
+# widened to the row layout.
 _ROW_INDENT = " " * 10
-_JSON_ROW = json.JSONEncoder(allow_nan=False, default=_plain_number,
-                             separators=(",\n" + _ROW_INDENT, ": "))
+_JSON_ROWS = json.JSONEncoder(allow_nan=False, default=_plain_number,
+                              separators=(",\n" + _ROW_INDENT, ": "))
+_JSON_COLUMNS = json.JSONEncoder(separators=(",\n" + " " * 8, ": "))
+# The encoder holds the text of every cell of a call until it joins them, so a
+# section goes to it in pieces of about this many cells; from 256 to 4096 cells
+# the render time is the same.
+_JSON_PIECE_CELLS = 256
+_ROW_BREAK = "],\n" + _ROW_INDENT + "["
+_ROW_BREAK_LAID = "\n        ],\n        [\n" + _ROW_INDENT
+_EMPTY_ROW_LAID = "[\n" + _ROW_INDENT + "\n        ]"
 
 
 def _json_block(items: list[str], indent: str, brackets: str) -> str:
@@ -439,15 +480,22 @@ def _json_block(items: list[str], indent: str, brackets: str) -> str:
             + "\n" + indent[:-2] + brackets[1])
 
 
-def _json_row(row) -> str:
-    inner = _JSON_ROW.encode(row)[1:-1]
-    return f"[\n{_ROW_INDENT}{inner}\n        ]" if inner else "[]"
+def _json_rows(rows: tuple[tuple, ...]) -> str:
+    if not rows:
+        return "[]"
+    step = max(1, _JSON_PIECE_CELLS // (len(rows[0]) + 1))
+    inner = _ROW_BREAK_LAID.join(
+        _JSON_ROWS.encode(rows[i:i + step])[2:-2].replace(_ROW_BREAK, _ROW_BREAK_LAID)
+        for i in range(0, len(rows), step))
+    text = f"[\n        [\n{_ROW_INDENT}{inner}\n        ]\n      ]"
+    return text if all(rows) else text.replace(_EMPTY_ROW_LAID, "[]")
 
 
 def _json_section(section: Section) -> str:
-    columns = _json_block([json.dumps(c) for c in section.columns], " " * 8, "[]")
-    rows = _json_block([_json_row(row) for row in section.rows], " " * 8, "[]")
-    return _json_block([f'"columns": {columns}', f'"rows": {rows}'], " " * 6, "{}")
+    columns = _JSON_COLUMNS.encode(section.columns)[1:-1]
+    columns = f"[\n        {columns}\n      ]" if section.columns else "[]"
+    return _json_block([f'"columns": {columns}', f'"rows": {_json_rows(section.rows)}'],
+                       " " * 6, "{}")
 
 
 def render_json(cfg: JobConfig, sections: list[Section]) -> str:
@@ -464,7 +512,7 @@ def render_json(cfg: JobConfig, sections: list[Section]) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(argv)
     try:
         cfg = resolve_config(args)
         sections, code = _COMMANDS[cfg.command](cfg)

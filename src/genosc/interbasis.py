@@ -67,6 +67,9 @@ _RESIDUAL_FACTOR = 1e-12
 # A recursion column is rescaled once a value passes this magnitude, far
 # below overflow.
 _RESCALE_AT = 2.0 ** 256
+# Bits a recursion state may grow by between two rescale checks: from below
+# _RESCALE_AT it stays below 2^1020.
+_GROWTH_BITS = 1020.0 - 256.0
 
 
 @dataclass(frozen=True)
@@ -395,44 +398,73 @@ def _recursion_columns(diag: np.ndarray, off: np.ndarray, lam: np.ndarray) -> np
     known eigenvalues lam, one column each, first component positive (or
     underflowed to zero).
 
-    Two-sided three-term recursion: a downward pass from x_n = 1 runs while
-    |x| grows, i.e. through the forbidden region at the top end up to its
-    turning point, where the downward direction is the stable one; an upward
-    pass from x_0 = +1 runs to that turning point. The downward part is scaled
-    to agree with the upward one there, and the column normalized. Both
-    passes rescale a column whose values pass _RESCALE_AT.
+    Two-sided three-term recursion in one stacked pass: the upward recursion
+    from x_0 = +1 and the downward one from x_n = 1 advance together as one
+    (2, columns) state over the whole level, with no per-step masks. Each
+    column's turning point is read afterwards from the stored downward rows:
+    the first p from the top where |x| stops growing, i.e. the end of the
+    forbidden region at the top, through which the downward direction is the
+    stable one. The column takes the upward values up to that point and the
+    downward ones from it, scaled to agree there, and is normalized. The state
+    is checked for values past _RESCALE_AT as often as a bound on its growth
+    per step requires; a column of a pass that passed it is scaled by an exact
+    power of two, undone when the column is assembled, so the table is that of
+    the unscaled recursion wherever no value underflows.
     """
     size, count = diag.size, lam.size
-    down = np.zeros((size, count))
-    down[-1] = 1.0
-    growing = np.ones(count, dtype=bool)
+    n = size - 1
+    if not n:
+        return np.ones((1, count))
+    # row j of each pass: x_j of the upward one, x_(n-j) of the downward one
+    rows = np.empty((2, size, count))
+    rows[:, 0] = 1.0
+    rescales = []   # (row r, exponents): rows r on were scaled by 2^-exponents
     with np.errstate(all="ignore"):   # a corrupted matrix shows as non-finite output
-        shift = diag[:, None] - lam
-        for p in range(size - 1, 0, -1):
-            acc = shift[p] * down[p]
-            if p + 1 < size:
-                acc += off[p] * down[p + 1]
-            new = -acc / off[p - 1]
-            growing &= np.abs(new) > np.abs(down[p])
-            if not growing.any():
-                break
-            down[p - 1] = np.where(growing, new, 0.0)
-            big = np.abs(down[p - 1]) > _RESCALE_AT
-            if big.any():
-                down[p - 1:, big] /= np.abs(down[p - 1, big])
-        # every value of a growing run is nonzero, so the turning point is the
-        # first nonzero entry of each column
-        turn = np.argmax(down != 0.0, axis=0)
-        up = np.zeros((size, count))
-        up[0] = 1.0
-        for p in range(int(turn.max())):
-            acc = shift[p] * up[p]
-            if p:
-                acc += off[p - 1] * up[p - 1]
-            up[p + 1] = np.where(p < turn, -acc / off[p], 0.0)
-            big = np.abs(up[p + 1]) > _RESCALE_AT
-            if big.any():
-                up[:p + 2, big] /= np.abs(up[p + 1, big])
+        shift = np.empty((2, size, count))
+        np.subtract(diag[:, None], lam, out=shift[0])
+        shift[1] = shift[0, ::-1]
+        couple = np.array((off, off[::-1])).T[:, :, None]
+        # a step grows the larger of its two rows at most `grow` times (|shift| and
+        # |off| are at most 2 and 1 times the largest |diag|, |lam|, |off|), so rows
+        # checked for _RESCALE_AT every `every` steps stay below 2^1020
+        scale = np.abs(np.concatenate((off, diag, lam)))
+        grow = 3.0 * scale.max() / min(scale[:n].min(), 1.0)
+        steps = _GROWTH_BITS / np.log2(max(grow, 2.0))
+        every = int(steps) if steps >= 1.0 else 1
+        np.divide(np.negative(shift[:, 0] * rows[:, 0]), couple[0], out=rows[:, 1])
+        for j in range(1, n):
+            if j % every == 0:
+                pair = rows[:, j - 1:j + 1]
+                big = np.abs(pair).max(axis=1)
+                if big.max() > _RESCALE_AT:
+                    exp = np.where(big > _RESCALE_AT, np.frexp(big)[1], 0)
+                    np.ldexp(pair, -exp[:, None], out=pair)
+                    rescales.append((j - 1, exp[:, None]))
+            acc = shift[:, j] * rows[:, j]
+            acc += couple[j - 1] * rows[:, j - 1]
+            np.divide(np.negative(acc, out=acc), couple[j], out=rows[:, j + 1])
+        del shift   # freed before the assembly's temporaries
+        # the downward run grows from the top down to the turning point: the first
+        # row (from the top) that did not grow, the stored false row if all did
+        mag = np.abs(rows[1])
+        grew = np.zeros((size, count), dtype=bool)
+        np.greater(mag[1:], mag[:-1], out=grew[:-1])
+        for r, exp in rescales:
+            if r:
+                grew[r - 1] = np.ldexp(mag[r], exp[1, 0]) > mag[r - 1]
+        turn = n - grew.argmin(axis=0)
+        if rescales:
+            # each row in the units of its pass's turning-point row: times 2^-e for
+            # every later rescale e at or before that row
+            last = np.array((turn, n - turn))[:, None]
+            factor, end = 1.0, size
+            for r, exp in reversed(rescales):
+                if end < size:
+                    rows[:, r:end] *= factor
+                factor = factor * np.where(r <= last, np.ldexp(1.0, -exp), 1.0)
+                end = r
+            rows[:, :end] *= factor
+        up, down = rows[0], rows[1, ::-1]
         cols = np.arange(count)
         match = up[turn, cols] / down[turn, cols]
         vec = np.where(np.arange(size)[:, None] <= turn, up, down * match)

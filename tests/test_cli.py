@@ -417,6 +417,40 @@ def test_unknown_flags_exit_2():
     assert info.value.code == 2
 
 
+BAD_ARGV = [
+    [], ["-h"], ["--help"], ["bogus"], ["--n", "3"],
+    ["spectrum", "--foo"], ["spectrum", "--"], ["spectrum", "--", "--n", "3"],
+    ["spectrum", "-n", "2"], ["interbasis", "--n"], ["spectrum", "--format", "xml"],
+    ["spectrum", "--n", "x"], ["spectrum", "--n", "2", "--n", "3"],
+    ["spectrum", "--n", "2", "extra"], ["spectrum", "-h"], ["verify", "--n", "2"],
+    ["verify", "--tolerance-profile", "lax"], ["morse", "--V0"], ["spectrum", "--n=4"],
+    ["spectrum", "--form", "csv"], ["spheroidal", "--R-grid", "-1:2:3", "--kind"],
+    ["perturb", "--order", "2.5"], ["interbasis", "--P", "-0.1", "--branch", "up"],
+]
+
+
+def _parse_outcome(parse, argv):
+    """(exit code or None, stdout, stderr, namespace dict or None) of one parse."""
+    out, err = io.StringIO(), io.StringIO()
+    code, args = None, None
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            args = vars(parse(argv))
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue(), args
+
+
+@pytest.mark.parametrize("argv", BAD_ARGV, ids=lambda argv: " ".join(argv) or "no-args")
+def test_command_parsers_match_top_parser(argv):
+    # each command's flags go to its own parser; exit code, stdout, stderr and
+    # namespace stay those of the top parser
+    want = _parse_outcome(cli.build_parser().parse_args, argv)
+    assert _parse_outcome(cli._parse_args, argv) == want
+    if want[0] is not None:
+        assert _parse_outcome(main, argv)[:3] == want[:3]
+
+
 def test_unwritable_out_exits_2(tmp_path):
     for target in (tmp_path / "missing" / "x.json", tmp_path):
         code, out, err = run_cli(["spectrum", "--out", str(target)])

@@ -130,7 +130,11 @@ _CELLS = st.one_of(
     _FINITE.map(np.float64),
     st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
     # text that needs CSV quoting, and non-ASCII that JSON escapes
-    st.text(st.sampled_from(list('ab ,"\n\\é☃')), max_size=6))
+    st.text(st.sampled_from(list('ab ,"\n\\é☃')), max_size=6),
+    # brackets and commas, and the row-break and empty-row text that the JSON
+    # renderer rewrites between rows (escaped inside a string)
+    st.text(st.sampled_from(list("[], \n")), max_size=8),
+    st.sampled_from(["],\n" + " " * 10 + "[", "[\n" + " " * 10 + "\n        ]", "[]", "],["]))
 _SECTIONS = st.lists(st.builds(
     cli.Section,
     name=st.sampled_from(["levels", "states", "b", "a b"]),
@@ -162,3 +166,22 @@ def test_non_finite_cells_raise_numeric_error(fmt, bad):
             render(cfg, [section])
         with pytest.raises(NumericError):
             REFERENCE[fmt](cfg, [section])
+
+
+@pytest.mark.parametrize("piece", [1, 7, cli._JSON_PIECE_CELLS])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_large_numeric_and_empty_row_sections_match_reference(monkeypatch, fmt, piece):
+    # JSON rows go to the encoder in pieces of about `piece` cells
+    monkeypatch.setattr(cli, "_JSON_PIECE_CELLS", piece)
+    cfg = config(fmt)
+    render = cli.render_json if fmt == "json" else cli.render_csv
+    rng = np.random.default_rng(2000)
+    values = (rng.standard_normal((2000, 3)) * 10.0 ** rng.integers(-300, 300, (2000, 3))).tolist()
+    numeric = cli.Section("states", ("n", "a", "b", "c"),
+                          tuple((i, *row) for i, row in enumerate(values)))
+    empty = cli.Section("levels", ("x",), ((), (1, 2.5), (), (), ("a", 0.5), ()))
+    only_empty = cli.Section("b", (), ((), ()))
+    text = cli.Section("a b", ("t",), (("],\n" + " " * 10 + "[",), (), ("[]",), ("",), ()))
+    for sections in ([numeric], [empty], [only_empty], [text],
+                     [numeric, empty, only_empty, text]):
+        assert render(cfg, sections) == REFERENCE[fmt](cfg, sections)
