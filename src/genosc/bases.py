@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, check_abs_int, check_nonneg_int, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                    require_admissible)
+                    require_admissible, require_label_m)
 from .specfun import gegenbauer, jacobi_rows, laguerre_diagonal, laguerre_functions, ln_gamma
 
 __all__ = [
@@ -124,8 +124,7 @@ def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
 
 def psi_spherical(label: SphericalLabel, params: SystemParams, point):
     """Full wavefunction R(r) Theta(theta) e^{i m phi} / sqrt(2 pi) at (r, theta, phi)."""
-    if label.m != params.m:
-        raise DomainError(f"label m = {label.m} does not match params m = {params.m}")
+    require_label_m(label.m, params)
     r, theta, phi = point
     rad = radial_spherical(label.n_r, label.q, params, label.branch, r)
     ang = theta_angular(label.q, params, label.branch, theta)
@@ -154,8 +153,7 @@ def z_axial(p: int, params: SystemParams, branch: Branch, z):
 
 def psi_cylindrical(label: CylindricalLabel, params: SystemParams, point):
     """Full wavefunction R(rho) e^{i m phi} / sqrt(2 pi) Z(z) at (rho, phi, z), z > 0."""
-    if label.m != params.m:
-        raise DomainError(f"label m = {label.m} does not match params m = {params.m}")
+    require_label_m(label.m, params)
     rho, phi, z = point
     rad = radial_cylindrical(label.n_rho, params, rho)
     ax = z_axial(label.p, params, label.branch, z)

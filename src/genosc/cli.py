@@ -25,7 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import (DomainError, NumericError, _require_table, check_nonneg_int,
+from .errors import (DomainError, NumericError, _require_table, check_level_index,
                      check_positive)
 from .interbasis import _require_operator, ring_w, w_matrix
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams, _a_q, _e_n,
@@ -216,17 +216,12 @@ def resolve_config(args: argparse.Namespace) -> JobConfig:
                               q_strength=args.Q, m=args.m)
         require_admissible(params, branch)
     morse = MorseParams(v0=args.v0, a=args.a) if hasattr(args, "v0") else None
-    n = getattr(args, "n", 0)
-    k = getattr(args, "k", 0)
-    order = getattr(args, "order", 2)
-    check_nonneg_int(n, "level")
-    if k != int(k) or not 0 <= k <= n:
-        raise DomainError(f"index k must lie in 0..{n}, got {k}")
-    order = _check_order(order)
+    n, k = check_level_index(getattr(args, "n", 0), getattr(args, "k", 0))
+    order = _check_order(getattr(args, "order", 2))
     R = check_positive(getattr(args, "R", 1.0), "R")
     grid = _parse_grid(args.r_grid) if hasattr(args, "r_grid") else None
     return JobConfig(command=args.command, params=params, branch=branch,
-                     morse=morse, n=int(n), k=int(k), order=order,
+                     morse=morse, n=n, k=k, order=order,
                      R=R, r_grid=grid,
                      kind=_KINDS[getattr(args, "kind", "prolate")],
                      fmt=args.format, out=args.out,

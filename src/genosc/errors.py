@@ -35,6 +35,21 @@ def check_nonneg_int(value, name: str) -> int:
     return int(value)
 
 
+def _level_index_message(n, **indices) -> str:
+    """The refusal of indices past level n: "need 0 <= k <= n, got n=2, k=5"."""
+    got = "".join(f", {name}={value}" for name, value in indices.items())
+    return f"need 0 <= {', '.join(indices)} <= n, got n={n}{got}"
+
+
+def check_level_index(n, k, name: str = "k") -> tuple[int, int]:
+    """(n, k) as ints; DomainError unless level n and its index k (named name,
+    e.g. p, q or q') are nonnegative integers with k <= n."""
+    n, k = check_nonneg_int(n, "level n"), check_nonneg_int(k, name)
+    if k > n:
+        raise DomainError(_level_index_message(n, **{name: k}))
+    return n, k
+
+
 def check_abs_int(value, name: str) -> int:
     """|value| as an int; DomainError unless value is a finite integer of either sign."""
     finite = isinstance(value, numbers.Real) and math.isfinite(value)

@@ -31,7 +31,8 @@ from functools import cached_property
 import numpy as np
 
 from .bases import _angular, _axial, _radial_cyl, _radial_level
-from .errors import DomainError, NumericError, _require_table, check_abs_int, check_nonneg_int
+from .errors import (DomainError, NumericError, _level_index_message, _require_table,
+                     check_abs_int, check_level_index, check_nonneg_int)
 from .model import Branch, SystemParams, _a_q, _e_n, require_admissible
 from .specfun import build_quadrature
 
@@ -296,22 +297,12 @@ def _check_indices(**named) -> tuple[bool, list[np.ndarray]]:
     return True, [arr + zero for arr in out]
 
 
-def _level_message(n, p, q) -> str:
-    return f"indices must satisfy 0 <= p, q <= n, got n={n}, p={p}, q={q}"
-
-
 def _level_indices(n, p, q) -> tuple[bool, list[np.ndarray]]:
     """_check_indices of n, p, q, refusing the first entry outside 0 <= p, q <= n."""
-    is_array, (n, p, q) = _check_indices(n=n, p=p, q=q)
-    _refuse_entries((p > n) | (q > n), lambda i: _level_message(n[i], p[i], q[i]))
+    is_array, (n, p, q) = _check_indices(**{"level n": n, "p": p, "q": q})
+    _refuse_entries((p > n) | (q > n),
+                    lambda i: _level_index_message(n[i], p=p[i], q=q[i]))
     return is_array, [n, p, q]
-
-
-def _check_level_indices(n: int, p: int, q: int) -> tuple[int, int, int]:
-    n, p, q = check_nonneg_int(n, "n"), check_nonneg_int(p, "p"), check_nonneg_int(q, "q")
-    if p > n or q > n:
-        raise DomainError(_level_message(n, p, q))
-    return n, p, q
 
 
 def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
@@ -504,7 +495,7 @@ def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     within _RESIDUAL_FACTOR (n+1), max|2M W - W diag(A)| within the eigen
     residual bound.
     """
-    n, _, _ = _check_level_indices(n, 0, 0)
+    n, _ = check_level_index(n, 0)
     ent = _w_columns(n, params, branch)
     ent.flags.writeable = False
     mat = CoefficientMatrix(n=n, branch=branch, orientation="cylindrical_to_spherical",
@@ -548,7 +539,8 @@ def w_integral_oracle(n: int, p: int, q: int, params: SystemParams, branch: Bran
     """Same coefficient from the overlap-integral route: entry (p, q) of the
     table w_overlap_oracle checks; DomainError past W_OVERLAP_MAX_LEVEL. Each call
     builds the whole O(n^4) level table: for many entries read w_overlap_oracle(n, ...)[0]."""
-    n, p, q = _check_level_indices(n, p, q)
+    n, p = check_level_index(n, p, "p")
+    q = check_level_index(n, q, "q")[1]
     return float(_overlap_table(n, params, branch)[p, q])
 
 
@@ -634,7 +626,7 @@ def m_matrix_cyl(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     Symmetric tridiagonal over p = 0..n; twice this matrix is similar to
     diag(A_q) through the W matrix. A dense view of its bands.
     """
-    n, _, _ = _check_level_indices(n, 0, 0)
+    n, _ = check_level_index(n, 0)
     return _dense(*_m_bands(n, params, branch))
 
 
@@ -644,5 +636,5 @@ def n_matrix_sph(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     Symmetric tridiagonal over q = 0..n with eigenvalues E_z(p). A dense
     view of its bands.
     """
-    n, _, _ = _check_level_indices(n, 0, 0)
+    n, _ = check_level_index(n, 0)
     return _dense(*_n_bands(n, params, branch))

@@ -24,6 +24,7 @@ __all__ = [
     "channel_constants",
     "admissible_branches",
     "require_admissible",
+    "require_label_m",
     "separation_constant_A",
     "energy_level",
     "energy_cylindrical_parts",
@@ -91,6 +92,12 @@ def require_admissible(params: SystemParams, branch: Branch) -> tuple[float, flo
         raise DomainError(
             f"Minus branch is inadmissible for b = {b} > 1/2 (p_strength = {params.p_strength})")
     return b, c, delta
+
+
+def require_label_m(m, params: SystemParams) -> None:
+    """DomainError unless a state label's m is the system's m."""
+    if m != params.m:
+        raise DomainError(f"label m = {m} does not match params m = {params.m}")
 
 
 @dataclass(frozen=True)
@@ -232,8 +239,7 @@ def ring_relabel(label, params: SystemParams) -> RingLabel:
     b, _, delta = channel_constants(params)
     if b != 0.5:
         raise DomainError(f"ring relabeling requires b = 1/2 exactly (P = 0), got b = {b}")
-    if label.m != params.m:
-        raise DomainError(f"label m = {label.m} does not match params m = {params.m}")
+    require_label_m(label.m, params)
     odd = 1 if label.branch is Branch.Plus else 0
     if isinstance(label, SphericalLabel):
         l = abs(label.m) + 2 * label.q + odd

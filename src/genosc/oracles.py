@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .bases import _angular, _axial, _radial_cyl, _radial_level, _radial_sph
-from .errors import DomainError, check_nonneg_int
+from .errors import DomainError, check_level_index, check_nonneg_int
 from .interbasis import _overlap_table, w_matrix
 from .model import Branch, SystemParams, admissible_branches, require_admissible
 from .morse import MorseParams, _wavefunctions, normalizable_levels
@@ -96,13 +96,8 @@ def reciprocal_gamma(x: float) -> float:
 
 
 def _bi_indices(n, q, q_prime) -> tuple[int, int, int]:
-    n = check_nonneg_int(n, "level n")
-    q = check_nonneg_int(q, "q")
-    q_prime = check_nonneg_int(q_prime, "q'")
-    if q > n or q_prime > n:
-        raise DomainError(f"angular indices must stay <= level, got q={q}, "
-                          f"q'={q_prime} at n={n}")
-    return n, q, q_prime
+    n, q = check_level_index(n, q, "q")
+    return n, q, check_level_index(n, q_prime, "q'")[1]
 
 
 def _bi_expected(q: int, q_prime: int, params: SystemParams, branch: Branch) -> float:

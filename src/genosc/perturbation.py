@@ -14,9 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError, check_nonneg_int, check_positive
+from .errors import (DomainError, NumericError, check_level_index, check_nonneg_int,
+                     check_positive)
 from .interbasis import _m_bands, _n_bands
-from .model import SystemParams, Branch, _a_q, _e_z, require_admissible
+from .model import SystemParams, Branch, _a_q, _e_z, require_admissible, require_label_m
 
 _RESONANCE_TOL = 1e-12
 # Series orders above this are refused before any table is built.  The large-R
@@ -44,31 +45,29 @@ class SeriesExpansion:
     lambda_coeffs: tuple[float, ...]
     vector_coeffs: np.ndarray
 
+    def _powers(self, R: float, exponents) -> tuple[float, list[float]]:
+        """omega R^2 and its powers at the exponents (negated for large R);
+        NumericError naming the regime when a power overflows a double."""
+        R = check_positive(R, "R")
+        x = R ** 2 * self.omega
+        sign = 1 if self.regime is Regime.SmallR else -1
+        try:
+            return x, [x ** (sign * j) for j in exponents]
+        except OverflowError as exc:
+            raise NumericError(f"the {self.regime.value}-R series overflows at R={R:g} "
+                               f"(omega R^2 = {x:g})") from exc
+
     def eigenvalue(self, R: float) -> float:
         """Series value at interfocus half-distance parameter R."""
-        x = check_positive(R, "R") ** 2 * self.omega
         if self.regime is Regime.SmallR:
-            tail = math.fsum(c * x ** (j + 1)
-                             for j, c in enumerate(self.lambda_coeffs))
-            return self.leading + tail
-        tail = math.fsum(c * x ** (-j)
-                         for j, c in enumerate(self.lambda_coeffs))
-        return x * self.leading + tail
+            _, powers = self._powers(R, range(1, self.order + 1))
+            return self.leading + math.fsum(c * p for c, p in zip(self.lambda_coeffs, powers))
+        x, powers = self._powers(R, range(self.order))
+        return x * self.leading + math.fsum(c * p for c, p in zip(self.lambda_coeffs, powers))
 
     def vector(self, R: float) -> np.ndarray:
         """Series eigenvector at R, normalized to component k = 1."""
-        x = check_positive(R, "R") ** 2 * self.omega
-        sign = 1 if self.regime is Regime.SmallR else -1
-        powers = np.array([x ** (sign * j) for j in range(self.order + 1)])
-        return powers @ self.vector_coeffs
-
-
-def _check_indices(n: int, k: int) -> tuple[int, int]:
-    n = check_nonneg_int(n, "level n")
-    k = check_nonneg_int(k, "channel index k")
-    if k > n:
-        raise DomainError(f"channel index k must lie in 0..{n}, got {k!r}")
-    return n, k
+        return np.array(self._powers(R, range(self.order + 1))[1]) @ self.vector_coeffs
 
 
 def _check_order(order: int) -> int:
@@ -135,7 +134,7 @@ def _recursion_tables(diag: np.ndarray, off: np.ndarray, denom: np.ndarray, k: i
 def small_r_series(n: int, k: int, params: SystemParams, branch: Branch,
                    order: int = 6) -> SeriesExpansion:
     """Expand lambda_k(R) = A_k + sum_j lambda^{(j)} (omega R^2)^j."""
-    n, k = _check_indices(n, k)
+    n, k = check_level_index(n, k)
     order = _check_order(order)
     b, c, _ = require_admissible(params, branch)
     gamma = c + branch.sign * b
@@ -152,7 +151,7 @@ def small_r_series(n: int, k: int, params: SystemParams, branch: Branch,
 def large_r_series(n: int, k: int, params: SystemParams, branch: Branch,
                    order: int = 6) -> SeriesExpansion:
     """Expand lambda_k(R)/(omega R^2) = E_z(k)/(2 omega) + sum_j lambda^{(j)} (omega R^2)^{-j}."""
-    n, k = _check_indices(n, k)
+    n, k = check_level_index(n, k)
     order = _check_order(order)
     diag, off = _m_bands(n, params, branch)
     with np.errstate(over="ignore"):
@@ -174,8 +173,7 @@ def wavefunction_correction(n: int, k: int, m: int, params: SystemParams,
     c_center is exactly 1 in this normalization and the edge terms vanish
     at k = 0 and k = n.
     """
-    if m != params.m:
-        raise DomainError(f"m mismatch: label has {m}, system has {params.m}")
+    require_label_m(m, params)
     if not isinstance(regime, Regime):
         raise DomainError(f"regime must be a Regime member, got {regime!r}")
     x = check_positive(R, "R") ** 2 * params.omega

@@ -16,12 +16,12 @@ from functools import lru_cache
 import numpy as np
 
 from .bases import _with_phase, cylindrical_level, spherical_level
-from .errors import (DomainError, NumericError, check_nonneg_int, check_positive,
+from .errors import (DomainError, NumericError, check_level_index, check_positive,
                      require_points)
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
 from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _dense, _m_bands,  # noqa: F401
                          _n_bands, _w_columns)
-from .model import Branch, SystemParams, _a_q, _e_z, require_admissible
+from .model import Branch, SystemParams, _a_q, _e_z, require_admissible, require_label_m
 
 _SIGN_PIVOT_TOL = 1e-12
 
@@ -108,28 +108,14 @@ class SpheroidalSolution:
     vectors: np.ndarray
 
 
-def _check_level_index(n: int, k: int) -> tuple[int, int]:
-    n, k = check_nonneg_int(n, "n"), check_nonneg_int(k, "k")
-    if k > n:
-        raise DomainError(f"need 0 <= k <= n, got n={n}, k={k}")
-    return n, k
-
-
-def build_tridiag_u(n: int, params: SystemParams, branch: Branch, R: float,
-                    kind: Kind) -> TridiagonalSystem:
-    """Cylindrical-side system 2 m_matrix_cyl + sign (R^2/2) diag(E_z(p))."""
-    n, _ = _check_level_index(n, 0)
-    require_admissible(params, branch)
-    R = check_positive(R, "R")
+def _u_bands(n: int, params: SystemParams, branch: Branch, kind: Kind,
+             R: float) -> tuple[np.ndarray, np.ndarray]:
+    """Bands of 2 m_matrix_cyl + sign (R^2/2) diag(E_z(p)) at one R; an
+    overflowed entry is left to fail the eigensolve."""
     diag, offdiag = _m_bands(n, params, branch)
-    with np.errstate(over="ignore"):   # an overflowed entry fails the eigensolve
+    with np.errstate(over="ignore"):
         e_z = _e_z(np.arange(n + 1.0), params, branch)
-        diag = 2.0 * diag + kind.sign * 0.5 * R * R * e_z
-        offdiag = 2.0 * offdiag
-    diag.flags.writeable = False
-    offdiag.flags.writeable = False
-    return TridiagonalSystem(diag=diag, offdiag=offdiag, basis="cylindrical",
-                             kind=kind, R=R)
+        return 2.0 * diag + kind.sign * 0.5 * R * R * e_z, 2.0 * offdiag
 
 
 def _t_bands(n: int, params: SystemParams, branch: Branch, kind: Kind,
@@ -143,17 +129,29 @@ def _t_bands(n: int, params: SystemParams, branch: Branch, kind: Kind,
         return a_q + scale * n_diag, scale * n_off
 
 
+def _system(bands, basis: str, n: int, params: SystemParams, branch: Branch, R: float,
+            kind: Kind) -> TridiagonalSystem:
+    """Validate the arguments, then wrap bands(n, params, branch, kind, R) as a
+    read-only system."""
+    n, _ = check_level_index(n, 0)
+    require_admissible(params, branch)
+    R = check_positive(R, "R")
+    diag, offdiag = bands(n, params, branch, kind, R)
+    diag.flags.writeable = False
+    offdiag.flags.writeable = False
+    return TridiagonalSystem(diag=diag, offdiag=offdiag, basis=basis, kind=kind, R=R)
+
+
+def build_tridiag_u(n: int, params: SystemParams, branch: Branch, R: float,
+                    kind: Kind) -> TridiagonalSystem:
+    """Cylindrical-side system 2 m_matrix_cyl + sign (R^2/2) diag(E_z(p))."""
+    return _system(_u_bands, "cylindrical", n, params, branch, R, kind)
+
+
 def build_tridiag_t(n: int, params: SystemParams, branch: Branch, R: float,
                     kind: Kind) -> TridiagonalSystem:
     """Spherical-side system diag(A_q) + sign (R^2/2) n_matrix_sph."""
-    n, _ = _check_level_index(n, 0)
-    require_admissible(params, branch)
-    R = check_positive(R, "R")
-    diag, offdiag = _t_bands(n, params, branch, kind, R)
-    diag.flags.writeable = False
-    offdiag.flags.writeable = False
-    return TridiagonalSystem(diag=diag, offdiag=offdiag, basis="spherical",
-                             kind=kind, R=R)
+    return _system(_t_bands, "spherical", n, params, branch, R, kind)
 
 
 def _solve(diag: np.ndarray, off: np.ndarray, what) -> tuple[np.ndarray, np.ndarray]:
@@ -201,22 +199,20 @@ def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
 def _pair_columns(n: int, k: int, params: SystemParams, branch: Branch, R: float,
                   kind: Kind) -> tuple[np.ndarray, np.ndarray]:
     """Solve-once state: columns (U, T) of state k, read-only, with one global
-    sign; cached per (n, k, params, branch, R, kind).
+    sign; cached per (n, k, params, branch, R, kind), n, k and R validated.
 
-    T is column k of the spherical-side eigensolve, and U = W T follows from
-    T = W^T U with W orthogonal. U is then held to the eigen residual contract
-    of the cylindrical-side system for the same eigenvalue, in O(n). The pair
-    takes the per-system sign rule of whichever column has the better-pinned
-    component k, since that component stays sharp toward its column's limit
-    end: T keeps eigensolve's sign unless |U^k| > |T^k|, when U's pivot sets it.
+    T is column k of one _solve of the bands build_tridiag_t reads; U = W T
+    (from T = W^T U, W orthogonal) is held to the eigen residual contract of
+    the bands build_tridiag_u reads, in O(n). The sign is decided once, for
+    the pair: eigensolve's _pivot rule on whichever column has the larger
+    |component k|, which stays sharp toward its column's limit end.
     """
-    sol = eigensolve(build_tridiag_t(n, params, branch, R, kind))
-    t = sol.vectors[:, k]
+    lam, vec = _solve(*_t_bands(n, params, branch, kind, R), f"n={n}")
+    t = vec[:, k]
     u = np.einsum("pq,q->p", _w_columns(n, params, branch), t)
-    system = build_tridiag_u(n, params, branch, R, kind)
-    _check_residual(system.diag, system.offdiag, u[:, None], sol.lam[k:k + 1],
+    _check_residual(*_u_bands(n, params, branch, kind, R), u[:, None], lam[k:k + 1],
                     f"cylindrical coefficients at n={n}, k={k}")
-    if abs(u[k]) > abs(t[k]) and _pivot(u, k) < 0.0:
+    if _pivot(u if abs(u[k]) > abs(t[k]) else t, k) < 0.0:
         u, t = -u, -t
     else:
         t = t.copy()   # the cache holds the column, not the whole solution
@@ -228,7 +224,7 @@ def _pair_columns(n: int, k: int, params: SystemParams, branch: Branch, R: float
 def _solved_pair(n: int, k: int, params: SystemParams, branch: Branch, R: float,
                  kind: Kind) -> tuple[np.ndarray, np.ndarray]:
     """Validate the arguments into a canonical cache key, then read the state."""
-    n, k = _check_level_index(n, k)
+    n, k = check_level_index(n, k)
     return _pair_columns(n, k, params, branch, check_positive(R, "R"), kind)
 
 
@@ -248,9 +244,8 @@ def t_coefficients(n: int, k: int, params: SystemParams, branch: Branch, R: floa
                    kind: Kind) -> np.ndarray:
     """Column k of the spherical-side eigensolution: Psi_k = sum_q T^q Psi_sph(q).
 
-    Column k of eigensolve(build_tridiag_t(...)), up to the pair's global
-    sign (see _pair_columns); the one solve of the state, shared with
-    u_coefficients.
+    Column k of the state's one solve of the bands build_tridiag_t reads,
+    with the pair's sign (see _pair_columns); shared with u_coefficients.
     """
     return _solved_pair(n, k, params, branch, R, kind)[1]
 
@@ -283,7 +278,7 @@ def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
     built once per level) and the same solve as eigensolve, in stacked
     LAPACK calls.
     """
-    n, _ = _check_level_index(n, 0)
+    n, _ = check_level_index(n, 0)
     grid = _radius_grid(R_grid)
     diag, off = _t_bands(n, params, branch, kind, grid)
     chunk = max(1, _GRID_CHUNK_ENTRIES // ((n + 1) * (n + 1)))
@@ -300,7 +295,7 @@ def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
 def lambda_curve(n: int, k: int, params: SystemParams, branch: Branch, kind: Kind,
                  R_grid) -> list[tuple[float, float]]:
     """Separation constant lambda_k sampled on an ascending positive R grid."""
-    n, k = _check_level_index(n, k)
+    n, k = check_level_index(n, k)
     grid = _radius_grid(R_grid)
     if not np.all(np.diff(grid) > 0.0):
         raise DomainError("R grid must be strictly ascending")
@@ -356,9 +351,8 @@ def psi_spheroidal(n: int, k: int, m: int, params: SystemParams, branch: Branch,
     raises DomainError on either route; past the far tail of the Gaussians a
     term is exactly 0.
     """
-    n, k = _check_level_index(n, k)
-    if m != params.m:
-        raise DomainError(f"label m={m} differs from params m={params.m}")
+    n, k = check_level_index(n, k)
+    require_label_m(m, params)
     if not isinstance(route, Route):
         raise DomainError(f"unknown synthesis route {route!r}")
     rho, phi, z, r = _image(point, R, kind)

@@ -222,6 +222,14 @@ def test_perturb_overflow_exits_4_without_traceback_or_warning():
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
 
 
+def test_perturb_series_power_overflow_exits_4_naming_the_series():
+    for argv, x in ((["perturb", "--omega", "1e300"], "2.5e+297"),
+                    (["perturb", "--omega", "1e150", "--order", "3"], "2.5e+147")):
+        code, out, err = run_cli(argv)
+        assert (code, out) == (4, ""), argv
+        assert err == f"numeric failure: the small-R series overflows at R=0.05 (omega R^2 = {x})\n"
+
+
 def test_perturb_order_past_the_cap_exits_2():
     for argv in (["perturb", "--order", "400"],
                  ["perturb", "--order", "129"],

@@ -318,6 +318,18 @@ def test_series_overflow_raises_numeric_error():
                        order=SERIES_MAX_ORDER)
 
 
+def test_series_power_overflow_raises_numeric_error():
+    # (omega R^2)^j past a double: a NumericError naming the regime, never OverflowError
+    small = small_r_series(2, 0, SystemParams(1e300, 0.0, 0.0, 0), Branch.Plus, order=2)
+    large = large_r_series(2, 1, SystemParams(1e-300, 0.0, 0.0, 0), Branch.Plus, order=6)
+    for series, message in (
+            (small, r"^the small-R series overflows at R=0\.05 \(omega R\^2 = 2\.5e\+297\)$"),
+            (large, r"^the large-R series overflows at R=0\.05 \(omega R\^2 = 2\.5e-303\)$")):
+        for evaluate in (series.eigenvalue, series.vector):
+            with pytest.raises(NumericError, match=message):
+                evaluate(0.05)
+
+
 def test_order_cap_is_checked_before_any_table(monkeypatch):
     def no_bands(*args):
         raise AssertionError("bands built for a refused order")
@@ -341,7 +353,7 @@ def test_argument_validation():
     for bad in (math.inf, -math.inf, math.nan):
         with pytest.raises(DomainError, match="level n"):
             small_r_series(bad, 0, BOTH, Branch.Plus)
-        with pytest.raises(DomainError, match="channel index k"):
+        with pytest.raises(DomainError, match="k must be a nonnegative integer"):
             large_r_series(2, bad, BOTH, Branch.Plus)
         with pytest.raises(DomainError, match="series order"):
             small_r_series(2, 1, BOTH, Branch.Plus, order=bad)

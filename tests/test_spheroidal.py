@@ -214,6 +214,18 @@ def test_pair_consistency_t_equals_wt_u():
                         assert (u[k] if abs(u[k]) > abs(t[k]) else t[k]) >= 0.0
 
 
+def pair_columns_via_eigensolve(n, k, params, branch, R, kind):
+    """The pair as built before the state solved its own bands: eigensolve's sign
+    pass over every spherical-side column, then the pair rule's override where
+    |U^k| > |T^k|. Kept as the bit-for-bit reference of _pair_columns."""
+    sol = eigensolve(build_tridiag_t(n, params, branch, R, kind))
+    t = sol.vectors[:, k]
+    u = np.einsum("pq,q->p", interbasis._w_columns(n, params, branch), t)
+    if abs(u[k]) > abs(t[k]) and spheroidal._pivot(u, k) < 0.0:
+        u, t = -u, -t
+    return u, t
+
+
 def test_pair_solves_each_state_once(monkeypatch):
     solve = spheroidal._solve
     calls = []
@@ -222,7 +234,12 @@ def test_pair_solves_each_state_once(monkeypatch):
         calls.append(args)
         return solve(*args)
 
+    def refused(*args, **kwargs):
+        raise AssertionError("the pair solves its own bands")
+
     monkeypatch.setattr(spheroidal, "_solve", counting)
+    for name in ("eigensolve", "build_tridiag_t", "build_tridiag_u"):
+        monkeypatch.setattr(spheroidal, name, refused)
     for params, branch, n in branch_cases(5, (30,)):
         for R in (0.1, 1.7, 40.0):
             for kind in KINDS:
@@ -230,10 +247,36 @@ def test_pair_solves_each_state_once(monkeypatch):
                     spheroidal._pair_columns.cache_clear()
                     calls.clear()
                     t = t_coefficients(n, k, params, branch, R, kind)
-                    u_coefficients(n, k, params, branch, R, kind)
+                    u = u_coefficients(n, k, params, branch, R, kind)
                     assert len(calls) == 1
-                    ref = eigensolve(build_tridiag_t(n, params, branch, R, kind)).vectors[:, k]
-                    assert t.tobytes() in (ref.tobytes(), (-ref).tobytes())
+                    ref_u, ref_t = pair_columns_via_eigensolve(n, k, params, branch, R, kind)
+                    assert (u.tobytes(), t.tobytes()) == (ref_u.tobytes(), ref_t.tobytes())
+
+
+def test_pair_matches_eigensolve_construction_bit_for_bit():
+    # seeded sweep: n <= 40 plus n = 300, both kinds, both branches (Minus at P <= 0)
+    rng = np.random.default_rng(2417)
+    cases = []
+    for i in range(48):
+        p_strength = float(rng.uniform(-0.24, 0.0) if i % 2 else rng.uniform(-0.24, 3.0))
+        params = SystemParams(omega=float(np.exp(rng.uniform(-1.0, 1.0))),
+                              p_strength=p_strength, q_strength=float(rng.uniform(0.0, 2.0)),
+                              m=int(rng.integers(-2, 3)))
+        branches = admissible_branches(params)
+        n = int(rng.integers(0, 41))
+        cases.append((n, int(rng.integers(0, n + 1)), params, branches[i % len(branches)],
+                      float(np.exp(rng.uniform(math.log(1e-2), math.log(60.0)))), KINDS[i % 2]))
+    for kind in KINDS:
+        cases.append((300, 150, BOTH, Branch.Minus, 60.0, kind))
+        cases.append((300, 7, SETS[1], Branch.Plus, 0.01, kind))
+    assert {c[3] for c in cases} == {Branch.Plus, Branch.Minus}
+    spheroidal._pair_columns.cache_clear()
+    for n, k, params, branch, R, kind in cases:
+        u = u_coefficients(n, k, params, branch, R, kind)
+        t = t_coefficients(n, k, params, branch, R, kind)
+        ref_u, ref_t = pair_columns_via_eigensolve(n, k, params, branch, R, kind)
+        assert u.tobytes() == ref_u.tobytes(), (n, k, params, branch, R, kind)
+        assert t.tobytes() == ref_t.tobytes(), (n, k, params, branch, R, kind)
 
 
 def test_derived_u_meets_the_cylindrical_residual_contract(monkeypatch):
