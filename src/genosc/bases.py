@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, check_abs_int, check_nonneg_int, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                    require_admissible, require_label_m)
+                    _exponents, require_label_m)
 from .specfun import gegenbauer, jacobi_rows, laguerre_diagonal, laguerre_functions, ln_gamma
 
 __all__ = [
@@ -108,17 +108,17 @@ def theta_angular(q: int, params: SystemParams, branch: Branch, theta):
     Normalized to integral Theta^2 sin(t) dt = 1/2 over (0, pi/2), N_q > 0.
     """
     q = check_nonneg_int(q, "q")
-    b, c, _ = require_admissible(params, branch)
+    beta, c = _exponents(params, branch)
     t = _checked(theta, "theta", upper=0.5 * math.pi)
-    return _shaped(_angular((q,), c, branch.sign * b, t)[0], theta)
+    return _shaped(_angular((q,), c, beta, t)[0], theta)
 
 
 def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
     """Radial factor R_{n_r q} with unit norm against r^2 dr on (0, inf)."""
     n_r = check_nonneg_int(n_r, "n_r")
     q = check_nonneg_int(q, "q")
-    b, c, _ = require_admissible(params, branch)
-    out = _radial_sph((n_r,), q, c, branch.sign * b, params.omega, _checked(r, "r"))
+    beta, c = _exponents(params, branch)
+    out = _radial_sph((n_r,), q, c, beta, params.omega, _checked(r, "r"))
     return _shaped(out[0], r)
 
 
@@ -134,7 +134,7 @@ def psi_spherical(label: SphericalLabel, params: SystemParams, point):
 def radial_cylindrical(n_rho: int, params: SystemParams, rho):
     """Radial factor R_{n_rho}(rho; c) with unit norm against rho d rho."""
     n_rho = check_nonneg_int(n_rho, "n_rho")
-    _, c, _ = require_admissible(params, Branch.Plus)
+    _, c = _exponents(params, Branch.Plus)
     rr = _checked(rho, "rho")
     return _shaped(_radial_cyl((n_rho,), c, params.omega, rr)[0], rho)
 
@@ -146,9 +146,9 @@ def z_axial(p: int, params: SystemParams, branch: Branch, z):
     against exactly this convention.
     """
     p = check_nonneg_int(p, "p")
-    b, _, _ = require_admissible(params, branch)
+    beta, _ = _exponents(params, branch)
     zz = _checked(z, "z")
-    return _shaped(_axial((p,), branch.sign * b, params.omega, zz)[0], z)
+    return _shaped(_axial((p,), beta, params.omega, zz)[0], z)
 
 
 def psi_cylindrical(label: CylindricalLabel, params: SystemParams, point):
@@ -173,8 +173,7 @@ def spherical_level(n: int, params: SystemParams, branch: Branch, r, theta) -> n
     Jacobi recurrence.
     """
     n = check_nonneg_int(n, "n")
-    b, c, _ = require_admissible(params, branch)
-    beta = branch.sign * b
+    beta, c = _exponents(params, branch)
     rr = _checked(r, "r")
     t = _checked(theta, "theta", upper=0.5 * math.pi)
     qs = range(n + 1)
@@ -189,10 +188,10 @@ def cylindrical_level(n: int, params: SystemParams, branch: Branch, rho, z) -> n
     degrees.
     """
     n = check_nonneg_int(n, "n")
-    b, c, _ = require_admissible(params, branch)
+    beta, c = _exponents(params, branch)
     ps = range(n + 1)
     return (_radial_cyl([n - p for p in ps], c, params.omega, _checked(rho, "rho"))
-            * _axial(ps, branch.sign * b, params.omega, _checked(z, "z")))
+            * _axial(ps, beta, params.omega, _checked(z, "z")))
 
 
 def theta_ring(l: int, m: int, delta: float, theta):

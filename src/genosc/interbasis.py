@@ -33,7 +33,7 @@ import numpy as np
 from .bases import _angular, _axial, _radial_cyl, _radial_level
 from .errors import (DomainError, NumericError, _level_index_message, _require_table,
                      check_abs_int, check_level_index, check_nonneg_int)
-from .model import Branch, SystemParams, _a_q, _e_n, require_admissible
+from .model import Branch, SystemParams, _a_q, _e_n, _exponents
 from .specfun import build_quadrature
 
 __all__ = [
@@ -316,8 +316,7 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     array of their shape, else a float.
     """
     is_array, (n, p, q) = _level_indices(n, p, q)
-    b, c, _ = require_admissible(params, branch)
-    sb = branch.sign * b
+    sb, c = _exponents(params, branch)
     a0 = 0.5 * (n + sb)
     b0 = 0.5 * (n + c)
     c0 = q + 0.5 * (c + sb)
@@ -516,8 +515,8 @@ def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     if n > W_OVERLAP_MAX_LEVEL:
         raise DomainError(f"overlap oracle supports levels up to "
                           f"{W_OVERLAP_MAX_LEVEL}, got {n}")
-    b, c, _ = require_admissible(params, branch)
-    beta, omega = branch.sign * b, params.omega
+    beta, c = _exponents(params, branch)
+    omega = params.omega
     radial = build_quadrature("laguerre", n + 1, alpha=c + beta + 1.0)
     angular = build_quadrature("jacobi", n + 1, alpha=c, beta=beta)
     x, u = radial.nodes[:, None], angular.nodes   # x down the node grid, u across
@@ -578,9 +577,8 @@ def _require_operator(n: int) -> None:
 
 def _m_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, np.ndarray]:
     """Bands (diag, off) of m_matrix_cyl at validated level n, in O(n), for every consumer of M."""
-    b, c, _ = require_admissible(params, branch)
+    sb, c = _exponents(params, branch)
     _require_operator(n)
-    sb = branch.sign * b
     d0 = 0.5 * (c - sb + 0.5) * (c - sb + 1.5)
     diag = np.array([d0 + 2.0 * (p + 1.0) * (n - p) + 2.0 * (p + sb) * (n + c - p + 1.0)
                      for p in range(n + 1)])
@@ -595,9 +593,8 @@ def _n_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, 
     The q = 0 diagonal uses the factored form because c + sb can vanish (c = b on
     the Minus branch).
     """
-    b, c, _ = require_admissible(params, branch)
+    sb, c = _exponents(params, branch)
     _require_operator(n)
-    sb = branch.sign * b
     e_n = _e_n(n, params, branch)
     diag, off = [e_n * (sb + 1.0) / (c + sb + 2.0)], []
     for q in range(1, n + 1):

@@ -4,7 +4,8 @@ Scalar backbone shared by every other module. Units: hbar = mass = 1, so the
 oscillator frequency omega carries all dimensions. The barrier constants feed
 in only through b = sqrt(P + 1/4) and c = sqrt(Q + m^2); the axial channel
 splits into a Plus/Minus branch pair (the sign in front of b), with Minus
-admissible only while b <= 1/2.
+admissible only while b <= 1/2. The signed exponent beta = +-b of a branch is
+formed in one place, _exponents, which every module reads it from.
 """
 
 from __future__ import annotations
@@ -94,6 +95,13 @@ def require_admissible(params: SystemParams, branch: Branch) -> tuple[float, flo
     return b, c, delta
 
 
+def _exponents(params: SystemParams, branch: Branch) -> tuple[float, float]:
+    """(beta, c) of an admissible branch, beta = +-b the signed axial exponent: the
+    one place the branch sign multiplies b."""
+    b, c, _ = require_admissible(params, branch)
+    return branch.sign * b, c
+
+
 def require_label_m(m, params: SystemParams) -> None:
     """DomainError unless a state label's m is the system's m."""
     if m != params.m:
@@ -174,27 +182,27 @@ class RingLabel:
 
 def _a_q(q, params: SystemParams, branch: Branch):
     """A_q = (2q + c +- b + 1/2)(2q + c +- b + 3/2)."""
-    b, c, _ = require_admissible(params, branch)
-    base = 2.0 * q + c + branch.sign * b
+    beta, c = _exponents(params, branch)
+    base = 2.0 * q + c + beta
     return (base + 0.5) * (base + 1.5)
 
 
 def _e_n(n, params: SystemParams, branch: Branch):
     """E_n = omega (2n + c +- b + 2)."""
-    b, c, _ = require_admissible(params, branch)
-    return params.omega * (2.0 * n + c + branch.sign * b + 2.0)
+    beta, c = _exponents(params, branch)
+    return params.omega * (2.0 * n + c + beta + 2.0)
 
 
 def _e_rho(n_rho, params: SystemParams, branch: Branch):
     """E_rho = omega (2 n_rho + c + 1)."""
-    _, c, _ = require_admissible(params, branch)
+    _, c = _exponents(params, branch)
     return params.omega * (2.0 * n_rho + c + 1.0)
 
 
 def _e_z(p, params: SystemParams, branch: Branch):
     """E_z = omega (2p +- b + 1)."""
-    b, _, _ = require_admissible(params, branch)
-    return params.omega * (2.0 * p + branch.sign * b + 1.0)
+    beta, _ = _exponents(params, branch)
+    return params.omega * (2.0 * p + beta + 1.0)
 
 
 def separation_constant_A(q: int, params: SystemParams, branch: Branch) -> float:

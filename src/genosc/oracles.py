@@ -26,7 +26,7 @@ import numpy as np
 from .bases import _angular, _axial, _radial_cyl, _radial_level, _radial_sph
 from .errors import DomainError, check_level_index, check_nonneg_int
 from .interbasis import _overlap_table, w_matrix
-from .model import Branch, SystemParams, admissible_branches, require_admissible
+from .model import Branch, SystemParams, _exponents, admissible_branches
 from .morse import MorseParams, _wavefunctions, normalizable_levels
 from .specfun import build_quadrature, gamma_sign_ln, hyp2f1_unit, ln_gamma
 
@@ -102,8 +102,8 @@ def _bi_indices(n, q, q_prime) -> tuple[int, int, int]:
 
 def _bi_expected(q: int, q_prime: int, params: SystemParams, branch: Branch) -> float:
     """Closed-form J_{q q'}: omega / (2q + c +- b + 1) on the diagonal, else 0."""
-    b, c, _ = require_admissible(params, branch)
-    return params.omega / (2 * q + c + branch.sign * b + 1.0) if q == q_prime else 0.0
+    beta, c = _exponents(params, branch)
+    return params.omega / (2 * q + c + beta + 1.0) if q == q_prime else 0.0
 
 
 def _bi_name(route: str, n: int, q: int, q_prime: int, params, branch: Branch) -> str:
@@ -121,8 +121,8 @@ def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
     weight t^(q + q' + c +- b) e^{-t}; the closed form is the expectation.
     """
     n, q, q_prime = _bi_indices(n, q, q_prime)
-    b, c, _ = require_admissible(params, branch)
-    beta, omega = branch.sign * b, params.omega
+    beta, c = _exponents(params, branch)
+    omega = params.omega
     shared = q + q_prime + c + beta
     # admissible labels keep the combined exponent integrable
     assert shared > -1.0
@@ -146,8 +146,8 @@ def bi_orthogonality_hypergeometric(n: int, q: int, q_prime: int,
     so only q = q' survives with omega / (2q + c +- b + 1).
     """
     n, q, q_prime = _bi_indices(n, q, q_prime)
-    b, c, _ = require_admissible(params, branch)
-    gamma_sum = c + branch.sign * b
+    beta, c = _exponents(params, branch)
+    gamma_sum = c + beta
     ln_pref = ln_gamma(q + q_prime + gamma_sum + 1.0) - ln_gamma(2 * q_prime + gamma_sum + 2.0)
     ln_ratio = 0.5 * (ln_gamma(n - q_prime + 1.0) + ln_gamma(n + q_prime + gamma_sum + 2.0)
                       - ln_gamma(n - q + 1.0) - ln_gamma(n + q + gamma_sum + 2.0))
@@ -175,8 +175,7 @@ class GramFamily(enum.Enum):
 
 def _gram_theta(n_max, params, branch):
     # x = cos 2 theta: sin theta dtheta carries the extra cos^(1/2) per row
-    b, c, _ = require_admissible(params, branch)
-    beta = branch.sign * b
+    beta, c = _exponents(params, branch)
     return (("jacobi", c, beta, 0.25 + 0.5 * beta, 2.0 ** (-c - beta - 2.0)),
             lambda x: _angular(range(n_max + 1), c, beta, 0.5 * np.arccos(x)))
 
@@ -184,23 +183,23 @@ def _gram_theta(n_max, params, branch):
 def _gram_radial_sph(n_max, params, branch):
     # q = 0, one order for every row: one Gauss rule covers the family, and
     # bi_orthogonality exercises the q > 0 normalizations
-    b, c, _ = require_admissible(params, branch)
-    beta, omega = branch.sign * b, params.omega
+    beta, c = _exponents(params, branch)
+    omega = params.omega
     alpha0 = c + beta + 1.0
     return (("laguerre", alpha0, 0.0, 0.5 * alpha0 - 0.25, 0.5 * omega ** -1.5),
             lambda x: _radial_sph(range(n_max + 1), 0, c, beta, omega, np.sqrt(x / omega)))
 
 
 def _gram_radial_cyl(n_max, params, branch):
-    _, c, _ = require_admissible(params, branch)
+    _, c = _exponents(params, branch)
     omega = params.omega
     return (("laguerre", c, 0.0, 0.5 * c, 0.5 / omega),
             lambda x: _radial_cyl(range(n_max + 1), c, omega, np.sqrt(x / omega)))
 
 
 def _gram_axial(n_max, params, branch):
-    b, _, _ = require_admissible(params, branch)
-    beta, omega = branch.sign * b, params.omega
+    beta, _ = _exponents(params, branch)
+    omega = params.omega
     return (("laguerre", beta, 0.0, 0.25 + 0.5 * beta, 0.5 / math.sqrt(omega)),
             lambda x: _axial(range(n_max + 1), beta, omega, np.sqrt(x / omega)))
 

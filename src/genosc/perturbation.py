@@ -1,11 +1,11 @@
 """Perturbation series for the spheroidal separation constant in omega R^2.
 
-Both regimes reduce to the same order-by-order recursion: an unperturbed
-diagonal plus a tridiagonal coupling read off the interbasis operator bands.
-Small R expands around the spherical constants A_k in powers of omega R^2,
-large R around the half z-energies in inverse powers.  The eigenvector
-tables keep component k pinned (T_kk^{(j)} = delta_{j0}), so the series
-vector is not unit-normalized.
+Both regimes reduce to the same order-by-order recursion, which one builder
+(_series) sets up: an unperturbed diagonal plus a tridiagonal coupling read
+off the interbasis operator bands. Small R expands around the spherical
+constants A_k in powers of omega R^2, large R around the half z-energies in
+inverse powers.  The eigenvector tables keep component k pinned
+(T_kk^{(j)} = delta_{j0}), so the series vector is not unit-normalized.
 """
 
 import enum
@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (DomainError, NumericError, check_level_index, check_nonneg_int,
                      check_positive)
 from .interbasis import _m_bands, _n_bands
-from .model import SystemParams, Branch, _a_q, _e_z, require_admissible, require_label_m
+from .model import SystemParams, Branch, _a_q, _e_z, _exponents, require_label_m
 
 _RESONANCE_TOL = 1e-12
 # Series orders above this are refused before any table is built.  The large-R
@@ -45,29 +45,38 @@ class SeriesExpansion:
     lambda_coeffs: tuple[float, ...]
     vector_coeffs: np.ndarray
 
-    def _powers(self, R: float, exponents) -> tuple[float, list[float]]:
-        """omega R^2 and its powers at the exponents (negated for large R);
-        NumericError naming the regime when a power overflows a double."""
+    def _evaluate(self, R: float, exponents, combine):
+        """combine(omega R^2, its powers at the exponents (negated for large R));
+        NumericError naming the regime when a power, or what combine forms from
+        them, leaves double range."""
         R = check_positive(R, "R")
         x = R ** 2 * self.omega
         sign = 1 if self.regime is Regime.SmallR else -1
         try:
-            return x, [x ** (sign * j) for j in exponents]
-        except OverflowError as exc:
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = combine(x, [x ** (sign * j) for j in exponents])
+        except (OverflowError, ZeroDivisionError):   # ZeroDivisionError: 0.0 ** -j
+            out = math.inf
+        if not np.isfinite(out).all():
             raise NumericError(f"the {self.regime.value}-R series overflows at R={R:g} "
-                               f"(omega R^2 = {x:g})") from exc
+                               f"(omega R^2 = {x:g})")
+        return out
 
     def eigenvalue(self, R: float) -> float:
         """Series value at interfocus half-distance parameter R."""
-        if self.regime is Regime.SmallR:
-            _, powers = self._powers(R, range(1, self.order + 1))
-            return self.leading + math.fsum(c * p for c, p in zip(self.lambda_coeffs, powers))
-        x, powers = self._powers(R, range(self.order))
-        return x * self.leading + math.fsum(c * p for c, p in zip(self.lambda_coeffs, powers))
+        small = self.regime is Regime.SmallR
+
+        def value(x, powers):
+            products = [c * p for c, p in zip(self.lambda_coeffs, powers)]
+            if not all(map(math.isfinite, products)):   # fsum refuses +inf beside -inf
+                return math.inf
+            return (self.leading if small else x * self.leading) + math.fsum(products)
+        return self._evaluate(R, range(1, self.order + 1) if small else range(self.order), value)
 
     def vector(self, R: float) -> np.ndarray:
         """Series eigenvector at R, normalized to component k = 1."""
-        return np.array(self._powers(R, range(self.order + 1))[1]) @ self.vector_coeffs
+        return self._evaluate(R, range(self.order + 1),
+                              lambda _, powers: np.array(powers) @ self.vector_coeffs)
 
 
 def _check_order(order: int) -> int:
@@ -131,36 +140,42 @@ def _recursion_tables(diag: np.ndarray, off: np.ndarray, denom: np.ndarray, k: i
     return tuple(lams.tolist()), table
 
 
+def _series(regime: Regime, n: int, k: int, params: SystemParams, branch: Branch,
+            order: int) -> SeriesExpansion:
+    """Either regime's expansion: the operator bands (N / (2 omega) about the spherical
+    constants, 2 M about the half z-energies), the unperturbed diagonal's denominators
+    and the leading term, fed to one recursion. The bands come first, so that a level
+    whose operator table cannot exist is refused before any O(n) array."""
+    n, k = check_level_index(n, k)
+    order = _check_order(order)
+    beta, c = _exponents(params, branch)
+    if regime is Regime.SmallR:
+        diag, off = _n_bands(n, params, branch)
+        q, gamma = np.arange(n + 1), c + beta
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag, off = diag / (2.0 * params.omega), off / (2.0 * params.omega)
+            denom = 4.0 * (k - q) * (k + q + gamma + 1.0)
+        leading = _a_q(k, params, branch)
+    else:
+        diag, off = _m_bands(n, params, branch)
+        with np.errstate(over="ignore"):
+            diag, off = 2.0 * diag, 2.0 * off
+        denom = k - np.arange(n + 1.0)
+        leading = _e_z(k, params, branch) / (2.0 * params.omega)
+    lams, table = _recursion_tables(diag, off, denom, k, order, regime)
+    return SeriesExpansion(regime, n, k, order, leading, params.omega, lams, table)
+
+
 def small_r_series(n: int, k: int, params: SystemParams, branch: Branch,
                    order: int = 6) -> SeriesExpansion:
     """Expand lambda_k(R) = A_k + sum_j lambda^{(j)} (omega R^2)^j."""
-    n, k = check_level_index(n, k)
-    order = _check_order(order)
-    b, c, _ = require_admissible(params, branch)
-    gamma = c + branch.sign * b
-    diag, off = _n_bands(n, params, branch)
-    q = np.arange(n + 1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        diag, off = diag / (2.0 * params.omega), off / (2.0 * params.omega)
-        denom = 4.0 * (k - q) * (k + q + gamma + 1.0)
-    lams, table = _recursion_tables(diag, off, denom, k, order, Regime.SmallR)
-    return SeriesExpansion(Regime.SmallR, n, k, order, _a_q(k, params, branch),
-                           params.omega, lams, table)
+    return _series(Regime.SmallR, n, k, params, branch, order)
 
 
 def large_r_series(n: int, k: int, params: SystemParams, branch: Branch,
                    order: int = 6) -> SeriesExpansion:
     """Expand lambda_k(R)/(omega R^2) = E_z(k)/(2 omega) + sum_j lambda^{(j)} (omega R^2)^{-j}."""
-    n, k = check_level_index(n, k)
-    order = _check_order(order)
-    diag, off = _m_bands(n, params, branch)
-    with np.errstate(over="ignore"):
-        diag, off = 2.0 * diag, 2.0 * off
-    lams, table = _recursion_tables(diag, off, k - np.arange(n + 1.0), k, order,
-                                    Regime.LargeR)
-    return SeriesExpansion(Regime.LargeR, n, k, order,
-                           _e_z(k, params, branch) / (2.0 * params.omega),
-                           params.omega, lams, table)
+    return _series(Regime.LargeR, n, k, params, branch, order)
 
 
 def wavefunction_correction(n: int, k: int, m: int, params: SystemParams,
@@ -177,13 +192,8 @@ def wavefunction_correction(n: int, k: int, m: int, params: SystemParams,
     if not isinstance(regime, Regime):
         raise DomainError(f"regime must be a Regime member, got {regime!r}")
     x = check_positive(R, "R") ** 2 * params.omega
-    if regime is Regime.SmallR:
-        series = small_r_series(n, k, params, branch, order=1)
-        scale = x
-    else:
-        series = large_r_series(n, k, params, branch, order=1)
-        scale = 1.0 / x
-    first = series.vector_coeffs[1]
+    first = _series(regime, n, k, params, branch, 1).vector_coeffs[1]
+    scale = x if regime is Regime.SmallR else 1.0 / x
     lo = scale * first[k - 1] if k > 0 else 0.0
     hi = scale * first[k + 1] if k < n else 0.0
     return lo, 1.0, hi

@@ -2,8 +2,9 @@
 
 Everything downstream (basis evaluation, overlap coefficients, oracle
 integrals) is built on these primitives. Normalization-sized quantities are
-handled in log space via ln_gamma; polynomial values come from forward
-three-term recurrences.
+handled in log space via ln_gamma. The Jacobi, Laguerre, Gegenbauer and
+Hermite polynomials are four step functions of one forward three-term
+recurrence (_three_term), which yields every degree in turn.
 
 The orthonormal Laguerre functions run in one of two recurrence shapes, each on
 scaled rows with a log scale per point (no overflow at any degree, exactly 0 in
@@ -63,61 +64,43 @@ def gamma_sign_ln(x: float) -> tuple[float, float]:
     return sign, math.lgamma(x)
 
 
-# The recurrences yield their values at degrees 0, 1, ..., n in turn, each one
-# row over the points, and keep only the last two rows. A yielded row is the
-# recurrence's own state: read it, do not write to it.
-
-def _jacobi(n, alpha, beta, x):
+def _three_term(n, x, p1, step):
+    """P_0 = 1, P_1 = p1, ..., P_n over the points x from P_k = step(k, P_{k-1}, P_{k-2}),
+    yielded in turn, only the last two rows held. A yielded row is the recurrence's own
+    state: read it, do not write to it."""
     p0 = np.ones_like(x)
     yield p0
     if n == 0:
         return
-    p1 = 0.5 * (alpha - beta + (alpha + beta + 2.0) * x)
     yield p1
     for k in range(2, n + 1):
+        p0, p1 = p1, step(k, p1, p0)
+        yield p1
+
+
+def _jacobi(n, alpha, beta, x):
+    def step(k, p1, p0):
         k2ab = 2.0 * k + alpha + beta
         c1 = 2.0 * k * (k + alpha + beta) * (k2ab - 2.0)
         c2 = (k2ab - 1.0) * (alpha * alpha - beta * beta)
         c3 = (k2ab - 2.0) * (k2ab - 1.0) * k2ab
         c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * k2ab
-        p0, p1 = p1, ((c2 + c3 * x) * p1 - c4 * p0) / c1
-        yield p1
+        return ((c2 + c3 * x) * p1 - c4 * p0) / c1
+    return _three_term(n, x, 0.5 * (alpha - beta + (alpha + beta + 2.0) * x), step)
 
 
 def _laguerre(n, alpha, x):
-    p0 = np.ones_like(x)
-    yield p0
-    if n == 0:
-        return
-    p1 = 1.0 + alpha - x
-    yield p1
-    for k in range(2, n + 1):
-        p0, p1 = p1, ((2.0 * k - 1.0 + alpha - x) * p1 - (k - 1.0 + alpha) * p0) / k
-        yield p1
+    return _three_term(n, x, 1.0 + alpha - x, lambda k, p1, p0: (
+        (2.0 * k - 1.0 + alpha - x) * p1 - (k - 1.0 + alpha) * p0) / k)
 
 
 def _gegenbauer(n, lam, x):
-    p0 = np.ones_like(x)
-    yield p0
-    if n == 0:
-        return
-    p1 = 2.0 * lam * x
-    yield p1
-    for k in range(2, n + 1):
-        p0, p1 = p1, (2.0 * (k + lam - 1.0) * x * p1 - (k + 2.0 * lam - 2.0) * p0) / k
-        yield p1
+    return _three_term(n, x, 2.0 * lam * x, lambda k, p1, p0: (
+        2.0 * (k + lam - 1.0) * x * p1 - (k + 2.0 * lam - 2.0) * p0) / k)
 
 
 def _hermite(n, x):
-    p0 = np.ones_like(x)
-    yield p0
-    if n == 0:
-        return
-    p1 = 2.0 * x
-    yield p1
-    for k in range(2, n + 1):
-        p0, p1 = p1, 2.0 * x * p1 - 2.0 * (k - 1.0) * p0
-        yield p1
+    return _three_term(n, x, 2.0 * x, lambda k, p1, p0: 2.0 * x * p1 - 2.0 * (k - 1.0) * p0)
 
 
 def _poly_eval(recurrence, args, x):

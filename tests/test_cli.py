@@ -228,6 +228,11 @@ def test_perturb_series_power_overflow_exits_4_naming_the_series():
         code, out, err = run_cli(argv)
         assert (code, out) == (4, ""), argv
         assert err == f"numeric failure: the small-R series overflows at R=0.05 (omega R^2 = {x})\n"
+    # a product c (omega R^2)^-j past a double, every power in range
+    code, out, err = run_cli(["perturb", "--omega", "1e-155", "--P", "0.3", "--Q", "0.5",
+                              "--m", "1", "--n", "3", "--k", "1", "--order", "3"])
+    assert (code, out) == (4, "")
+    assert err == "numeric failure: the large-R series overflows at R=20 (omega R^2 = 4e-153)\n"
 
 
 def test_perturb_order_past_the_cap_exits_2():

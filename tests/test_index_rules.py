@@ -1,5 +1,5 @@
-"""The level-index rule (0 <= k <= n) and the label-m rule, one wording each at
-every entry point."""
+"""The level-index rule (0 <= k <= n), the label-m rule and the branch rule (Minus
+only while b <= 1/2), one wording each at every entry point."""
 
 import io
 import math
@@ -8,13 +8,17 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from genosc.bases import psi_cylindrical, psi_spherical
+from genosc.bases import (cylindrical_level, psi_cylindrical, psi_spherical, radial_spherical,
+                          spherical_level, theta_angular, z_axial)
 from genosc.cli import main
 from genosc.errors import DomainError
-from genosc.interbasis import w_integral_oracle
+from genosc.interbasis import (m_matrix_cyl, n_matrix_sph, w_coefficient, w_integral_oracle,
+                               w_matrix)
 from genosc.model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                          ring_relabel)
-from genosc.oracles import bi_orthogonality, bi_orthogonality_hypergeometric
+                          energy_cylindrical_parts, energy_level, ring_relabel,
+                          separation_constant_A)
+from genosc.oracles import (GramFamily, bi_orthogonality, bi_orthogonality_hypergeometric,
+                            gram_matrix)
 from genosc.perturbation import Regime, large_r_series, small_r_series, wavefunction_correction
 from genosc.spheroidal import (Kind, Route, SpheroidalPoint, lambda_curve, psi_spheroidal,
                                t_coefficients, u_coefficients)
@@ -87,4 +91,40 @@ LABEL_M_CALLERS = [
 @pytest.mark.parametrize("call", LABEL_M_CALLERS)
 def test_label_m_rule_has_one_wording(call):
     with pytest.raises(DomainError, match=r"^label m = 2 does not match params m = 1$"):
+        call()
+
+
+# every reader of a branch's signed exponent, given the Minus branch at P = 2 (b = 3/2)
+STEEP, MINUS = SystemParams(omega=1.0, p_strength=2.0, q_strength=0.5, m=1), Branch.Minus
+BRANCH_CONSUMERS = {
+    "theta_angular": lambda: theta_angular(1, STEEP, MINUS, 0.5),
+    "radial_spherical": lambda: radial_spherical(1, 1, STEEP, MINUS, 1.0),
+    "z_axial": lambda: z_axial(1, STEEP, MINUS, 1.0),
+    "spherical_level": lambda: spherical_level(2, STEEP, MINUS, 1.0, 0.5),
+    "cylindrical_level": lambda: cylindrical_level(2, STEEP, MINUS, 1.0, 0.5),
+    "w_coefficient": lambda: w_coefficient(2, 1, 1, STEEP, MINUS),
+    "w_matrix": lambda: w_matrix(2, STEEP, MINUS),
+    "m_matrix_cyl": lambda: m_matrix_cyl(2, STEEP, MINUS),
+    "n_matrix_sph": lambda: n_matrix_sph(2, STEEP, MINUS),
+    "w_integral_oracle": lambda: w_integral_oracle(2, 1, 1, STEEP, MINUS),
+    "small_r_series": lambda: small_r_series(2, 1, STEEP, MINUS),
+    "large_r_series": lambda: large_r_series(2, 1, STEEP, MINUS),
+    "wavefunction_correction": lambda: wavefunction_correction(2, 1, 1, STEEP, MINUS, 1.0,
+                                                               Regime.LargeR),
+    "bi_orthogonality": lambda: bi_orthogonality(2, 1, 1, STEEP, MINUS),
+    "bi_orthogonality_hypergeometric":
+        lambda: bi_orthogonality_hypergeometric(2, 1, 1, STEEP, MINUS),
+    "gram_theta": lambda: gram_matrix(GramFamily.Theta, 2, STEEP, MINUS),
+    "gram_radial": lambda: gram_matrix(GramFamily.RadialSph, 2, STEEP, MINUS),
+    "gram_axial": lambda: gram_matrix(GramFamily.Axial, 2, STEEP, MINUS),
+    "separation_constant_A": lambda: separation_constant_A(1, STEEP, MINUS),
+    "energy_level": lambda: energy_level(2, STEEP, MINUS),
+    "energy_cylindrical_parts": lambda: energy_cylindrical_parts(1, 1, STEEP, MINUS),
+}
+
+
+@pytest.mark.parametrize("call", BRANCH_CONSUMERS.values(), ids=BRANCH_CONSUMERS.keys())
+def test_inadmissible_branch_is_refused_with_one_wording(call):
+    message = "Minus branch is inadmissible for b = 1.5 > 1/2 (p_strength = 2.0)"
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
         call()

@@ -328,6 +328,23 @@ def test_series_power_overflow_raises_numeric_error():
         for evaluate in (series.eigenvalue, series.vector):
             with pytest.raises(NumericError, match=message):
                 evaluate(0.05)
+    # every power in range, but a product c (omega R^2)^-j past a double: at order 3,
+    # R = 20 the value's products overflow (it was -inf); at order 2, R = 10 only the
+    # vector's entries do
+    tiny = SystemParams(1e-155, 0.3, 0.5, 1)
+    third = large_r_series(3, 1, tiny, Branch.Plus, order=3)
+    second = large_r_series(3, 1, tiny, Branch.Plus, order=2)
+    for evaluate, R, x in ((third.eigenvalue, 20.0, "4e-153"), (third.vector, 20.0, "4e-153"),
+                           (second.vector, 10.0, "1e-153")):
+        message = rf"^the large-R series overflows at R={R:g} \(omega R\^2 = {x}\)$"
+        with pytest.raises(NumericError, match=message):
+            evaluate(R)
+    assert math.isfinite(second.eigenvalue(10.0))
+    # omega R^2 underflowing to 0, whose inverse powers are infinite
+    for evaluate in (second.eigenvalue, second.vector):
+        with pytest.raises(NumericError, match=r"^the large-R series overflows at R=1e-200 "
+                                               r"\(omega R\^2 = 0\)$"):
+            evaluate(1e-200)
 
 
 def test_order_cap_is_checked_before_any_table(monkeypatch):

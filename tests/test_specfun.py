@@ -326,6 +326,14 @@ def test_rows_give_every_degree_of_one_recurrence():
     assert len(rows) == n + 1
     for j, row in enumerate(rows):
         assert np.array_equal(row, _ref_jacobi(j, 1.3, -0.4, x))
+    # the other three families' generators, every degree row bit for bit
+    for gen, ref in ((sf._laguerre(n, 2.7, w), lambda j: _ref_laguerre(j, 2.7, w)),
+                     (sf._gegenbauer(n, 1.6, x), lambda j: _ref_gegenbauer(j, 1.6, x)),
+                     (sf._hermite(n, 3.0 * x), lambda j: _ref_hermite(j, 3.0 * x))):
+        rows = list(gen)
+        assert len(rows) == n + 1
+        for j, row in enumerate(rows):
+            assert np.array_equal(row, ref(j)), j
 
     # the orthonormal Laguerre functions against the polynomial recurrence,
     # within 1e-12 of the largest |phi| over the points
