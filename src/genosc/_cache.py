@@ -1,0 +1,188 @@
+"""Tables built once per key: LRU caches bounded by the bytes they hold.
+
+A table that depends only on its arguments is built on the first call and read
+back on every later one. Two caches hold them:
+
+- SETUPS: the per-(order, degree) set-ups of the recurrences behind the bases
+  (specfun's Laguerre and diagonal steps, the Jacobi coefficients, bases'
+  angular normalisers);
+- LEVELS: the tables of one oscillator level (interbasis' operator bands and W
+  tables, spheroidal's solve of one R and its solved states); it also bounds
+  its number of entries.
+
+A key is the function and its arguments, with every float taken by its sign as
+well as its value and every other number by its type, so arguments that compare
+equal but compute different bits (0.0 and -0.0, 1 and 1.0) never share an
+entry. Each cache drops its least recently used entries while it is past a
+bound: an entry counts its arrays' data and rows of floats plus a fixed
+allowance for its key and Python objects (_ENTRY_BYTES). A value larger than
+the budget is returned but not kept. Arrays in a value are made read-only
+before it is returned, cached or not.
+"""
+
+from __future__ import annotations
+
+import enum
+import math
+import numbers
+import sys
+import threading
+from collections import OrderedDict, namedtuple
+from functools import wraps
+
+import numpy as np
+
+CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
+
+# An entry counts the bytes of its arrays' data, _ARRAY_BYTES for each array's
+# header and _ENTRY_BYTES for the key, the Python objects around the arrays and
+# the map's own bookkeeping: above what they hold for every table cached here.
+_ARRAY_BYTES = 128
+_FLOAT_BYTES = 24
+_ENTRY_BYTES = 1024
+# where a frozen dataclass instance keeps its key part after its first use
+_KEY_ATTR = "_cache_key"
+_ENUM_TYPE = type(enum.Enum)
+
+
+class ByteLRU:
+    """LRU map whose entries hold at most `budget` bytes together, and number at
+    most `max_entries` when that is given."""
+
+    def __init__(self, budget: int, max_entries: int | None = None):
+        self.budget, self.max_entries = budget, max_entries
+        self.nbytes = 0
+        self.entries: OrderedDict = OrderedDict()   # key -> (value, bytes)
+        self.lock = threading.Lock()
+
+    def store(self, key, value, size: int) -> None:
+        """Hold value under key as size bytes unless that alone passes the budget,
+        then drop the least recently used entries until the cache is within its bounds."""
+        if size > self.budget:
+            return
+        entries = self.entries
+        with self.lock:
+            if key in entries:   # stored by another thread meanwhile
+                return
+            entries[key] = (value, size)
+            self.nbytes += size
+            most = self.max_entries or len(entries)
+            while self.nbytes > self.budget or len(entries) > most:
+                self.nbytes -= entries.popitem(last=False)[1][1]
+
+    def discard(self, owner) -> None:
+        """Drop the entries whose key starts with owner."""
+        with self.lock:
+            for key in [k for k in self.entries if k[0] is owner]:
+                self.nbytes -= self.entries.pop(key)[1]
+
+
+# Budgets. SETUPS keeps verify's 75 set-ups (150 kB) resident beside the churn
+# of fresh orders. LEVELS holds an n = 300 level's solve and W table (0.7 MB each)
+# beside some of its states; its entry bound keeps what levels of fresh parameters
+# leave resident, a few kB each, to some 64 of them.
+SETUPS = ByteLRU(256 * 1024)
+LEVELS = ByteLRU(2 * 1024 * 1024, max_entries=64)
+CACHES = {"setups": SETUPS, "levels": LEVELS}
+_TABLES = []   # every cached function
+
+
+def clear() -> None:
+    """Empty every cache and reset every cached function's counts."""
+    for table in _TABLES:
+        table.cache_clear()
+
+
+def _exact(value):
+    """value as a key part: floats tagged with their sign, other numbers with their
+    type (a plain int as itself), tuples and dataclasses field by field (a frozen
+    instance's part formed once), enum members by class and name; anything else
+    (ranges, strings) as itself."""
+    kind = type(value)
+    if kind is float:
+        return float, value, math.copysign(1.0, value)
+    if kind is int or kind is range or kind is str:
+        return value
+    if isinstance(kind, _ENUM_TYPE):   # by name: an Enum hashes in Python, a str in C
+        return kind, value._name_
+    if isinstance(value, float):   # numpy floats hold the same bits as a float
+        return float, float(value), math.copysign(1.0, value)
+    if kind is tuple:
+        return tuple(map(_exact, value))
+    fields = getattr(kind, "__dataclass_fields__", None)
+    if fields is not None:
+        held = value.__dict__
+        key = held.get(_KEY_ATTR)
+        if key is None:
+            key = (kind, *map(_exact, map(value.__getattribute__, fields)))
+            if kind.__dataclass_params__.frozen:   # its fields never change: keep the key
+                held[_KEY_ATTR] = key
+        return key
+    if isinstance(value, numbers.Number):
+        return kind, value
+    return value
+
+
+def _seal(value) -> int:
+    """Make every array in value (a tuple or dataclass is searched) read-only;
+    return the bytes those arrays hold, each with the data of the array it views,
+    plus those of any rows of floats (see below)."""
+    kind = type(value)
+    if kind is np.ndarray:
+        value.setflags(write=False)
+        base = value
+        while isinstance(base.base, np.ndarray):
+            base = base.base
+        return _ARRAY_BYTES + base.nbytes
+    if kind is tuple:
+        row = value[0] if value else None
+        if type(row) is tuple and row and type(row[0]) is float:
+            # a set-up's steps: rows of floats, all alike, counted from the first
+            return sys.getsizeof(value) + len(value) * (sys.getsizeof(row)
+                                                         + len(row) * _FLOAT_BYTES)
+        return sum(map(_seal, value))
+    if kind is float or kind is int:
+        return 0
+    if hasattr(kind, "__dataclass_fields__"):
+        return sum(map(_seal, vars(value).values()))
+    return 0
+
+
+def cached(cache: ByteLRU):
+    """Decorator: call fn(*args) once per exact key (see _exact) and keep the result
+    in cache. The wrapper's cache_info() and cache_clear() cover fn's entries."""
+    entries, lock = cache.entries, cache.lock
+
+    def decorate(fn):
+        counts = [0, 0]   # hits, misses
+
+        @wraps(fn)
+        def wrapper(*args):
+            key = (fn, *map(_exact, args))
+            # a key hashes and compares in C (see _exact), so each dict call is atomic
+            entry = entries.get(key)
+            if entry is not None:
+                try:
+                    entries.move_to_end(key)
+                except KeyError:   # dropped by another thread meanwhile
+                    pass
+                counts[0] += 1
+                return entry[0]
+            counts[1] += 1
+            value = fn(*args)
+            cache.store(key, value, _ENTRY_BYTES + _seal(value))
+            return value
+
+        def cache_info() -> CacheInfo:
+            with lock:
+                held = sum(key[0] is fn for key in entries)
+            return CacheInfo(counts[0], counts[1], held)
+
+        def cache_clear() -> None:
+            cache.discard(fn)
+            counts[:] = [0, 0]
+
+        wrapper.cache_info, wrapper.cache_clear = cache_info, cache_clear
+        _TABLES.append(wrapper)
+        return wrapper
+    return decorate

@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+from ._cache import SETUPS, cached
 from .errors import DomainError, check_abs_int, check_nonneg_int, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     _exponents, require_label_m)
@@ -65,14 +66,20 @@ def _log_x(omega: float, u):   # ln(omega u^2), finite where omega u^2 is not
     return math.log(omega) + 2.0 * np.log(u)
 
 
-def _angular(qs, c: float, beta: float, t):
-    """Theta_q(t) = N_q (sin t)^c (cos t)^(1/2 + beta) P_q^(c, beta)(cos 2t), q in qs."""
-    rows = list(jacobi_rows(max(qs), c, beta, np.cos(2.0 * t)))
+@cached(SETUPS)
+def _angular_norms(qs, c: float, beta: float) -> np.ndarray:
+    """N_q of Theta_q for q in qs."""
     # ln N_q^2; every Gamma argument is at least 1/2 (c >= 0, beta >= -1/2)
     ln_norm2 = [math.log(2.0 * q + c + beta + 1.0) + math.lgamma(q + 1.0)
                 + math.lgamma(q + c + beta + 1.0) - math.lgamma(q + c + 1.0)
                 - math.lgamma(q + beta + 1.0) for q in qs]
-    norm = np.exp(0.5 * np.array(ln_norm2)).reshape((-1,) + (1,) * np.ndim(t))
+    return np.exp(0.5 * np.array(ln_norm2))
+
+
+def _angular(qs, c: float, beta: float, t):
+    """Theta_q(t) = N_q (sin t)^c (cos t)^(1/2 + beta) P_q^(c, beta)(cos 2t), q in qs."""
+    rows = list(jacobi_rows(max(qs), c, beta, np.cos(2.0 * t)))
+    norm = _angular_norms(qs, c, beta).reshape((-1,) + (1,) * np.ndim(t))
     # np.power, never **: on a lone point's numpy scalar ** runs libm pow
     point = np.power(np.sin(t), c) * np.power(np.cos(t), 0.5 + beta)
     return norm * point * np.array([rows[q] for q in qs])

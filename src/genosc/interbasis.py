@@ -30,6 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
+from ._cache import LEVELS, cached
 from .bases import _angular, _axial, _radial_cyl, _radial_level
 from .errors import (DomainError, NumericError, _level_index_message, _require_table,
                      check_abs_int, check_level_index, check_nonneg_int)
@@ -463,9 +464,10 @@ def _recursion_columns(diag: np.ndarray, off: np.ndarray, lam: np.ndarray) -> np
     return vec
 
 
+@cached(LEVELS)
 def _w_columns(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     """Level n's W table (entry [p, q] is W_np^q) by recursion, one column
-    per q, checked against the eigen residual contract.
+    per q, checked against the eigen residual contract; built once per key.
 
     Column q is the eigenvector of 2 M (bands from _m_bands) for A_q; its sign
     is the Racah sum's, since W_n0^q is a single Racah term with positive
@@ -492,13 +494,19 @@ def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     w_coefficient where the Racah sum is accurate. Raises NumericError when
     an entry is non-finite or the table misses its contract: max|W W^T - I|
     within _RESIDUAL_FACTOR (n+1), max|2M W - W diag(A)| within the eigen
-    residual bound.
+    residual bound. The table is built once per (n, params, branch) and shared
+    between calls.
     """
     n, _ = check_level_index(n, 0)
-    ent = _w_columns(n, params, branch)
-    ent.flags.writeable = False
+    return _w_table(n, params, branch)
+
+
+@cached(LEVELS)
+def _w_table(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
+    """w_matrix at validated level n, its orthogonality formed and checked; it holds
+    its own recursion table, built here, not read through _w_columns' cache."""
     mat = CoefficientMatrix(n=n, branch=branch, orientation="cylindrical_to_spherical",
-                            entries=ent)
+                            entries=_w_columns.__wrapped__(n, params, branch))
     ortho = mat.ortho_dev.max()
     if not ortho <= _RESIDUAL_FACTOR * (n + 1):
         raise NumericError(f"interbasis table orthogonality {ortho:.3e} above contract "
@@ -575,8 +583,10 @@ def _require_operator(n: int) -> None:
     _require_table((n + 1, n + 1), f"level n={n} operator")
 
 
+@cached(LEVELS)
 def _m_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, np.ndarray]:
-    """Bands (diag, off) of m_matrix_cyl at validated level n, in O(n), for every consumer of M."""
+    """Bands (diag, off) of m_matrix_cyl at validated level n, in O(n), for every consumer of M;
+    built once per key."""
     sb, c = _exponents(params, branch)
     _require_operator(n)
     d0 = 0.5 * (c - sb + 0.5) * (c - sb + 1.5)
@@ -587,8 +597,10 @@ def _m_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, 
     return diag, off
 
 
+@cached(LEVELS)
 def _n_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, np.ndarray]:
-    """Bands (diag, off) of n_matrix_sph at validated level n, in O(n), for every consumer of N.
+    """Bands (diag, off) of n_matrix_sph at validated level n, in O(n), for every consumer of N;
+    built once per key.
 
     The q = 0 diagonal uses the factored form because c + sb can vanish (c = b on
     the Minus branch).

@@ -19,7 +19,7 @@ from __future__ import annotations
 import enum
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,17 +62,22 @@ class CheckReport:
 
     def passes(self, tolerance: float) -> bool:
         """|measured - expected| <= tolerance, relative to |expected| when ``relative``."""
-        gap = abs(self.measured - self.expected)
-        if self.relative:
-            gap /= abs(self.expected)
-        return bool(gap <= tolerance)
+        return _within(self.measured, self.expected, tolerance, self.relative)
+
+
+def _within(measured: float, expected: float, tolerance: float, relative: bool) -> bool:
+    gap = abs(measured - expected)
+    if relative:
+        gap /= abs(expected)
+    return bool(gap <= tolerance)
 
 
 def _report(name: str, measured: float, expected: float, tolerance: float,
             relative: bool = False) -> CheckReport:
-    report = CheckReport(name=name, measured=float(measured), expected=float(expected),
-                         tolerance=float(tolerance), passed=False, relative=relative)
-    return replace(report, passed=report.passes(report.tolerance))
+    measured, expected, tolerance = float(measured), float(expected), float(tolerance)
+    return CheckReport(name=name, measured=measured, expected=expected, tolerance=tolerance,
+                       passed=_within(measured, expected, tolerance, relative),
+                       relative=relative)
 
 
 def _tolerance(level: int) -> float:

@@ -50,12 +50,15 @@ class SeriesExpansion:
         NumericError naming the regime when a power, or what combine forms from
         them, leaves double range."""
         R = check_positive(R, "R")
-        x = R ** 2 * self.omega
+        try:
+            x = R ** 2 * self.omega
+        except OverflowError:   # R^2 past a double
+            x = math.inf
         sign = 1 if self.regime is Regime.SmallR else -1
         try:
             with np.errstate(over="ignore", invalid="ignore"):
                 out = combine(x, [x ** (sign * j) for j in exponents])
-        except (OverflowError, ZeroDivisionError):   # ZeroDivisionError: 0.0 ** -j
+        except (OverflowError, ZeroDivisionError):   # ZeroDivisionError: 0.0 ** -j or 1 / 0.0
             out = math.inf
         if not np.isfinite(out).all():
             raise NumericError(f"the {self.regime.value}-R series overflows at R={R:g} "
@@ -191,9 +194,12 @@ def wavefunction_correction(n: int, k: int, m: int, params: SystemParams,
     require_label_m(m, params)
     if not isinstance(regime, Regime):
         raise DomainError(f"regime must be a Regime member, got {regime!r}")
-    x = check_positive(R, "R") ** 2 * params.omega
-    first = _series(regime, n, k, params, branch, 1).vector_coeffs[1]
-    scale = x if regime is Regime.SmallR else 1.0 / x
-    lo = scale * first[k - 1] if k > 0 else 0.0
-    hi = scale * first[k + 1] if k < n else 0.0
-    return lo, 1.0, hi
+    series = _series(regime, n, k, params, branch, 1)
+    first = series.vector_coeffs[1]
+
+    def amplitudes(x, _):
+        scale = x if regime is Regime.SmallR else 1.0 / x
+        lo = scale * first[k - 1] if k > 0 else 0.0
+        hi = scale * first[k + 1] if k < n else 0.0
+        return lo, 1.0, hi
+    return series._evaluate(R, (), amplitudes)

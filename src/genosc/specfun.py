@@ -23,6 +23,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._cache import SETUPS, cached
 from .errors import AccuracyError, DomainError, NumericError, check_nonneg_int
 
 __all__ = [
@@ -78,13 +79,24 @@ def _three_term(n, x, p1, step):
         yield p1
 
 
-def _jacobi(n, alpha, beta, x):
-    def step(k, p1, p0):
+@cached(SETUPS)
+def _jacobi_steps(n, alpha, beta) -> tuple:
+    """_jacobi's coefficients (c1, c2, c3, c4) of steps k = 2..n, a row each."""
+    rows = []
+    for k in range(2, n + 1):
         k2ab = 2.0 * k + alpha + beta
-        c1 = 2.0 * k * (k + alpha + beta) * (k2ab - 2.0)
-        c2 = (k2ab - 1.0) * (alpha * alpha - beta * beta)
-        c3 = (k2ab - 2.0) * (k2ab - 1.0) * k2ab
-        c4 = 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * k2ab
+        rows.append((2.0 * k * (k + alpha + beta) * (k2ab - 2.0),
+                     (k2ab - 1.0) * (alpha * alpha - beta * beta),
+                     (k2ab - 2.0) * (k2ab - 1.0) * k2ab,
+                     2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * k2ab))
+    return tuple(rows)
+
+
+def _jacobi(n, alpha, beta, x):
+    coeffs = _jacobi_steps(n, alpha, beta)
+
+    def step(k, p1, p0):
+        c1, c2, c3, c4 = coeffs[k - 2]
         return ((c2 + c3 * x) * p1 - c4 * p0) / c1
     return _three_term(n, x, 0.5 * (alpha - beta + (alpha + beta + 2.0) * x), step)
 
@@ -143,10 +155,11 @@ def gen_laguerre(n: int, alpha: float, x):
     return _poly_eval(_laguerre, (n, float(alpha)), x)
 
 
-@lru_cache(maxsize=1024)
 def _ln_gamma_sum(y: float) -> float:
     """lnGamma(y), y > 0, on [100, 1e4) from an exact sum of ln(y - j): lgamma is 1e-12 off."""
     m = int(y) - 1 if 100.0 <= y < 1e4 else 0
+    if not m:   # the sum below over no terms: lgamma(y) + 0.0
+        return math.lgamma(y) + 0.0
     return math.lgamma(y - m) + math.fsum(np.log(y - np.arange(1.0, m + 1.0)).tolist())
 
 
@@ -178,6 +191,20 @@ def _degree_rows(degrees, what: str) -> dict:
     return wanted
 
 
+# laguerre_functions' steps are built to a multiple of this many degrees, so that a
+# Gauss-Laguerre rule's set-up of n - 1 degrees also serves its functions to n - 2
+_STEP_BLOCK = 8
+
+
+@cached(SETUPS)
+def _laguerre_steps(alpha: float, size: int):
+    """laguerre_functions' set-up of order alpha: lnGamma(alpha + 1) / 2 and the
+    steps (k + alpha, sqrt(k (k + alpha)), sqrt(k / (k + alpha))), k = 1..size, a row each."""
+    return 0.5 * _ln_gamma_sum(alpha + 1.0), tuple([
+        (k + alpha, math.sqrt(k * (k + alpha)), math.sqrt(k / (k + alpha)))
+        for k in range(1, size + 1)])
+
+
 def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
                        ln_const: float = 0.0) -> np.ndarray:
     """e^ln_const x^power phi_k^alpha(x) at x = exp(log_x), a row per k in degrees.
@@ -205,12 +232,10 @@ def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
     x_tail = _x_tail(n, alpha)
     every = max(1, int((668.0 * math.log(2.0) - math.log(2.0 * x_tail))
                        / math.log(2.0 * x_tail / math.sqrt(alpha + 1.0))))
+    half_ln_gamma, steps = _laguerre_steps(alpha, -(-n // _STEP_BLOCK) * _STEP_BLOCK)
     pts = np.minimum(np.asarray(log_x, dtype=np.float64), math.log(x_tail))
     x = np.exp(pts)
-    steps = [(k + alpha, math.sqrt(k * (k + alpha)), math.sqrt(k / (k + alpha)))
-             for k in range(1, n + 1)]
-    ln0 = (0.5 * alpha + power) * pts - 0.5 * x + (float(ln_const)
-                                                   - 0.5 * _ln_gamma_sum(alpha + 1.0))
+    ln0 = (0.5 * alpha + power) * pts - 0.5 * x + (float(ln_const) - half_ln_gamma)
     out = np.empty((len(wanted),) + np.shape(pts))
     phi = chi = 1.0   # scaled phi_k, chi_k (chi_0 = phi_0)
     exp2, scale = 0, np.exp(ln0)
@@ -269,6 +294,7 @@ def _ln_norm0(beta: float) -> tuple[float, int]:
     return -0.5 * math.log(m), -e // 2
 
 
+@cached(SETUPS)
 def _diagonal_steps(beta: float, n: int):
     """laguerre_diagonal's steps (u_p, v_p, w_p), p < n, their largest magnitudes,
     _ln_norm0(beta) and ln x_tail. With a = alpha_p = beta - 2p > 1 and
@@ -282,7 +308,7 @@ def _diagonal_steps(beta: float, n: int):
                       -(a - 1.0) * math.sqrt(p * (beta - p + 1.0)) / t))
     bound = tuple(max((abs(step[i]) for step in steps), default=0.0) for i in range(3))
     # each phi_p^(beta-2p), p <= n, meets the one-order bound of degree 0 and order beta + 1
-    return steps, bound, _ln_norm0(beta), math.log(_x_tail(0, beta + 1.0))
+    return tuple(steps), bound, _ln_norm0(beta), math.log(_x_tail(0, beta + 1.0))
 
 
 def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,

@@ -11,10 +11,10 @@ and T (spherical) of the spheroidal states.
 import enum
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
+from ._cache import LEVELS, cached
 from .bases import _with_phase, cylindrical_level, spherical_level
 from .errors import (DomainError, NumericError, check_level_index, check_positive,
                      require_points)
@@ -186,39 +186,47 @@ def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
     largest-magnitude component when component k is numerically zero.
     """
     lam, vec = _solve(system.diag, system.offdiag, f"n={system.n}")
-    for k in range(system.n + 1):
-        if _pivot(vec[:, k], k) < 0.0:
-            vec[:, k] = -vec[:, k]
+    # the _pivot rule on every column at once
+    pivot = vec.diagonal()
+    flip = pivot < 0.0
+    weak = np.flatnonzero(np.abs(pivot) < _SIGN_PIVOT_TOL)
+    if weak.size:
+        flip[weak] = vec[np.abs(vec[:, weak]).argmax(axis=0), weak] < 0.0
+    np.negative(vec, out=vec, where=flip)
     lam.flags.writeable = False
     vec.flags.writeable = False
     return SpheroidalSolution(n=system.n, basis=system.basis, kind=system.kind,
                               R=system.R, lam=lam, vectors=vec)
 
 
-@lru_cache(maxsize=256)
+@cached(LEVELS)
+def _level_solve(n: int, params: SystemParams, branch: Branch, R: float,
+                 kind: Kind) -> tuple[np.ndarray, np.ndarray]:
+    """One _solve of the bands build_tridiag_t reads at validated n and R, shared
+    by every state k of the level; built once per (n, params, branch, R, kind)."""
+    return _solve(*_t_bands(n, params, branch, kind, R), f"n={n}")
+
+
+@cached(LEVELS)
 def _pair_columns(n: int, k: int, params: SystemParams, branch: Branch, R: float,
                   kind: Kind) -> tuple[np.ndarray, np.ndarray]:
     """Solve-once state: columns (U, T) of state k, read-only, with one global
     sign; cached per (n, k, params, branch, R, kind), n, k and R validated.
 
-    T is column k of one _solve of the bands build_tridiag_t reads; U = W T
-    (from T = W^T U, W orthogonal) is held to the eigen residual contract of
-    the bands build_tridiag_u reads, in O(n). The sign is decided once, for
-    the pair: eigensolve's _pivot rule on whichever column has the larger
+    T is column k of the level's one solve (_level_solve); U = W T (from
+    T = W^T U, W orthogonal) is held to the eigen residual contract of the
+    bands build_tridiag_u reads, in O(n). The sign is decided once, for the
+    pair: eigensolve's _pivot rule on whichever column has the larger
     |component k|, which stays sharp toward its column's limit end.
     """
-    lam, vec = _solve(*_t_bands(n, params, branch, kind, R), f"n={n}")
+    lam, vec = _level_solve(n, params, branch, R, kind)
     t = vec[:, k]
     u = np.einsum("pq,q->p", _w_columns(n, params, branch), t)
     _check_residual(*_u_bands(n, params, branch, kind, R), u[:, None], lam[k:k + 1],
                     f"cylindrical coefficients at n={n}, k={k}")
     if _pivot(u if abs(u[k]) > abs(t[k]) else t, k) < 0.0:
-        u, t = -u, -t
-    else:
-        t = t.copy()   # the cache holds the column, not the whole solution
-    u.flags.writeable = False
-    t.flags.writeable = False
-    return u, t
+        return -u, -t
+    return u, t.copy()   # the cache holds the column, not the whole solution
 
 
 def _solved_pair(n: int, k: int, params: SystemParams, branch: Branch, R: float,

@@ -1,0 +1,230 @@
+"""Tables built once per key: the byte-bounded caches of genosc._cache."""
+
+import contextlib
+import io
+import random
+import struct
+import sys
+
+import numpy as np
+import pytest
+
+from genosc import _cache, bases, cli, interbasis, specfun, spheroidal
+from genosc.model import Branch, SystemParams, admissible_branches
+from genosc.morse import MorseParams
+from genosc.oracles import GramFamily, gram_matrix, run_verification_suite
+from genosc.spheroidal import (Kind, Route, SpheroidalPoint, psi_spheroidal, t_coefficients,
+                               u_coefficients)
+
+BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3, c=1
+SETS = [SystemParams(1.0, 0.05, 0.5, 1), SystemParams(1.0, 2.0, 3.0, 0),
+        SystemParams(2.0, 0.1, 0.0, 2), BOTH]
+
+SETUP_TABLES = (specfun._laguerre_steps, specfun._diagonal_steps, specfun._jacobi_steps,
+                bases._angular_norms)
+LEVEL_TABLES = (interbasis._m_bands, interbasis._n_bands, interbasis._w_columns,
+                interbasis._w_table, spheroidal._level_solve, spheroidal._pair_columns)
+
+
+def _arrays(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _arrays(item)
+    elif hasattr(value, "__dataclass_fields__"):
+        for item in vars(value).values():
+            yield from _arrays(item)
+
+
+def _deep_bytes(value, seen) -> int:
+    """Bytes value holds, each object counted once: a reference for the caches' count."""
+    if id(value) in seen or isinstance(value, (type, Branch, Kind)) or callable(value):
+        return 0
+    seen.add(id(value))
+    size = sys.getsizeof(value)
+    if isinstance(value, np.ndarray) and value.base is not None:
+        size += _deep_bytes(value.base, seen)
+    elif isinstance(value, (tuple, list)):
+        size += sum(_deep_bytes(item, seen) for item in value)
+    elif hasattr(value, "__dataclass_fields__"):
+        size += _deep_bytes(vars(value), seen)
+    elif isinstance(value, dict):   # an instance's attributes; their names are shared
+        size += sum(_deep_bytes(v, seen) for v in value.values())
+    return size
+
+
+def _bits(values) -> bytes:
+    return b"".join(struct.pack("<d", v) for v in values)
+
+
+def _states():
+    for params in SETS:
+        for branch in admissible_branches(params):
+            for n in (0, 3, 9):
+                for R in (0.3, 2.5):
+                    for kind in (Kind.Prolate, Kind.Oblate):
+                        yield n, params, branch, R, kind
+
+
+def test_one_level_table_per_key_for_every_state_kind_and_command(monkeypatch, fresh_tables):
+    # every k at one R reads one solve; both kinds and every R read one W table and one
+    # set of M bands; perturb builds its level's N bands once (its series and four
+    # eigensolves all read them)
+    solve, recursion = spheroidal._solve, interbasis._recursion_columns
+    solves, recursions = [], []
+    monkeypatch.setattr(spheroidal, "_solve", lambda *a: solves.append(a) or solve(*a))
+    monkeypatch.setattr(interbasis, "_recursion_columns",
+                        lambda *a: recursions.append(a) or recursion(*a))
+    n = 7
+    for R in (0.4, 3.0):
+        for kind in (Kind.Prolate, Kind.Oblate):
+            solves.clear()
+            for k in range(n + 1):
+                u_coefficients(n, k, BOTH, Branch.Minus, R, kind)
+                t_coefficients(n, k, BOTH, Branch.Minus, R, kind)
+            assert len(solves) == 1
+    assert len(recursions) == 1
+    assert interbasis._m_bands.cache_info().misses == 1
+    # an n = 300 level's solve and W table (0.7 MB each) stay resident together
+    solves.clear()
+    recursions.clear()
+    for k in range(301):
+        u_coefficients(300, k, BOTH, Branch.Plus, 2.0, Kind.Oblate)
+    assert (len(solves), len(recursions)) == (1, 1)
+    interbasis._n_bands.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["perturb", "--P", "0.3", "--Q", "0.5", "--m", "1", "--n", "6",
+                         "--k", "2", "--order", "4"]) == 0
+    assert interbasis._n_bands.cache_info() == (4, 1, 1)
+
+
+def test_tables_are_bit_identical_cold_and_warm():
+    # cold: every table rebuilt for every value; warm: one pass in reverse order that
+    # shares every level, solve and set-up it can
+    point = SpheroidalPoint(np.array([1.3, 2.2, 1.05]), np.array([0.2, 0.7, 0.95]),
+                            np.array([0.1, 2.0, 5.0]))
+
+    def values(n, params, branch, R, kind):
+        table = interbasis.w_matrix(n, params, branch)
+        out = [table.entries, table.ortho_dev]
+        for k in {0, n // 2, n}:
+            out += [u_coefficients(n, k, params, branch, R, kind),
+                    t_coefficients(n, k, params, branch, R, kind)]
+            out += [np.array(psi_spheroidal(n, k, params.m, params, branch, R, kind, point,
+                                            route)) for route in Route]
+        return [value.tobytes() for value in out]
+
+    cases = list(_states())
+    cold = []
+    for case in cases:
+        _cache.clear()
+        cold.append(values(*case))
+    _cache.clear()
+    cold_suite = [(rep.name, _bits((rep.measured, rep.expected, rep.tolerance)), rep.passed)
+                  for rep in run_verification_suite()]
+    warm = [values(*case) for case in reversed(cases)][::-1]
+    assert cold == warm
+    for _ in range(2):
+        assert cold_suite == [(rep.name, _bits((rep.measured, rep.expected, rep.tolerance)),
+                               rep.passed) for rep in run_verification_suite()]
+
+
+def test_cached_arrays_are_read_only():
+    u_coefficients(5, 2, BOTH, Branch.Plus, 1.1, Kind.Oblate)
+    interbasis.w_matrix(5, BOTH, Branch.Plus)
+    interbasis.n_matrix_sph(5, BOTH, Branch.Plus)
+    run_verification_suite()
+    for table in SETUP_TABLES + LEVEL_TABLES:
+        assert table.cache_info().currsize, table.__name__
+    arrays = [array for cache in _cache.CACHES.values() for value, _ in cache.entries.values()
+              for array in _arrays(value)]
+    assert len(arrays) > 20
+    for array in arrays:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[(0,) * array.ndim] = 1.0
+    # rows of floats are tuples, so they cannot be written either
+    rows = specfun._laguerre_steps(0.5, 8)[1]
+    assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
+
+
+def test_caches_stay_within_their_budgets_at_fresh_orders_and_levels():
+    rng = random.Random(26)
+    x = np.linspace(0.05, 3.0, 7)
+    peak = dict.fromkeys(_cache.CACHES, (0, 0))
+    for i in range(2000):
+        alpha = rng.uniform(-0.9, 40.0)
+        n = rng.randint(0, 60 if i % 50 else 400)
+        step = i % 5
+        if step == 0:
+            specfun.laguerre_functions(range(n + 1), alpha, np.log(x))
+        elif step == 1:
+            specfun.laguerre_diagonal(range(n + 1), 2.0 * n + alpha, np.log(x))
+        elif step == 2:
+            bases._angular(range(n + 1), abs(alpha), rng.uniform(-0.5, 3.0), x / 6.0)
+        elif step == 3:
+            params = SystemParams(rng.uniform(0.5, 2.0), rng.uniform(0.0, 2.0),
+                                  rng.uniform(0.0, 2.0), rng.randint(-2, 2))
+            level = rng.randint(0, 40 if i % 100 else 120)
+            u_coefficients(level, rng.randint(0, level), params, Branch.Plus,
+                           rng.uniform(0.1, 5.0), Kind.Prolate)
+        else:
+            gram_matrix(GramFamily.Morse, rng.randint(1, 8),
+                        MorseParams(v0=0.5 * rng.uniform(12.0, 60.0) ** 2, a=1.0))
+        for name, cache in _cache.CACHES.items():
+            assert cache.nbytes <= cache.budget, (name, i)
+            assert len(cache.entries) <= (cache.max_entries or len(cache.entries)), (name, i)
+            peak[name] = max(peak[name], (cache.nbytes, len(cache.entries)))
+    for name, cache in _cache.CACHES.items():
+        # the loop did fill each cache to one of its bounds
+        assert peak[name][0] > 0.8 * cache.budget or peak[name][1] == cache.max_entries, name
+        sizes = [size for _, size in cache.entries.values()]
+        assert cache.nbytes == sum(sizes)
+        # each entry's count covers what its key and value hold
+        for key, (value, size) in cache.entries.items():
+            assert _deep_bytes((key, value), set()) <= size, (name, key[0].__name__)
+
+
+def test_lru_order_and_oversized_values():
+    cache = _cache.ByteLRU(3 * (_cache._ENTRY_BYTES + _cache._ARRAY_BYTES + 80))
+    built = []
+
+    @_cache.cached(cache)
+    def table(i, size=10):
+        built.append(i)
+        return np.zeros(size)
+
+    for i in (0, 1, 2, 0, 3):   # 0 is used again before 3 arrives: 1 is dropped
+        table(i)
+    assert built == [0, 1, 2, 3]
+    table(0), table(2), table(3)
+    assert built == [0, 1, 2, 3]
+    table(1)
+    assert built == [0, 1, 2, 3, 1]
+    big = table(9, 10 ** 4)   # alone past the budget: returned read-only, not kept
+    assert not big.flags.writeable and len(cache.entries) == 3
+    assert table.cache_info().currsize == 3 and cache.nbytes <= cache.budget
+    table.cache_clear()
+    assert not cache.entries and cache.nbytes == 0 and table.cache_info() == (0, 0, 0)
+
+
+def test_equal_keys_of_different_bits_never_share_an_entry():
+    cache = _cache.ByteLRU(1 << 20)
+
+    @_cache.cached(cache)
+    def echo(*args):
+        return tuple(repr(arg) for arg in args)
+
+    got = [echo(arg) for arg in (0.0, -0.0, 1, 1.0, True, np.float64(-0.0))]
+    # np.float64(-0.0) has the bits of -0.0 and reads its entry; the rest are five entries
+    assert got == [("0.0",), ("-0.0",), ("1",), ("1.0",), ("True",), ("-0.0",)]
+    assert echo.cache_info() == (1, 5, 5)
+    plus = SystemParams(1.0, 0.0, 0.0, 0)
+    minus = SystemParams(1.0, -0.0, -0.0, 0)
+    assert plus == minus and hash(plus) == hash(minus)
+    assert _cache._exact(plus) != _cache._exact(minus)
+    interbasis._m_bands.cache_clear()
+    interbasis._m_bands(3, plus, Branch.Plus)
+    interbasis._m_bands(3, minus, Branch.Plus)
+    assert interbasis._m_bands.cache_info() == (0, 2, 2)

@@ -153,12 +153,12 @@ def test_interbasis_high_level_stays_orthogonal():
         assert max(row[-1] for row in rows) <= 1e-12, branch
 
 
-def test_interbasis_contract_miss_exits_4(monkeypatch):
-    # every consumer of M reads its bands from interbasis._m_bands
+def test_interbasis_contract_miss_exits_4(monkeypatch, fresh_tables):
+    # every consumer of M reads its bands from interbasis._m_bands (read-only, shared)
     clean = interbasis._m_bands
 
     def corrupted(n, params, branch):
-        diag, off = clean(n, params, branch)
+        diag, off = (band.copy() for band in clean(n, params, branch))
         diag[0] += 1e-3
         return diag, off
 

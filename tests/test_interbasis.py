@@ -412,17 +412,17 @@ def test_w_high_levels_meet_contract_and_match_eigh(n):
         assert np.abs(vec - ent).max() <= 1e-12, (n, branch)
 
 
-def test_w_corrupted_operator_is_numeric_error(monkeypatch):
-    # every consumer of M reads its bands from interbasis._m_bands
+def test_w_corrupted_operator_is_numeric_error(monkeypatch, fresh_tables):
+    # every consumer of M reads its bands from interbasis._m_bands (read-only, shared)
     clean = interbasis._m_bands
 
     def shifted(n, params, branch):
-        diag, off = clean(n, params, branch)
+        diag, off = (band.copy() for band in clean(n, params, branch))
         diag[n // 2] += 1e-3
         return diag, off
 
     def poisoned(n, params, branch):
-        diag, off = clean(n, params, branch)
+        diag, off = (band.copy() for band in clean(n, params, branch))
         diag[n // 2] = float("nan")
         return diag, off
 
@@ -517,7 +517,7 @@ def test_stacked_recursion_within_4e15_of_two_pass_at_high_levels(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 8, 40])
-def test_non_finite_bands_raise_numeric_error(monkeypatch, n):
+def test_non_finite_bands_raise_numeric_error(monkeypatch, fresh_tables, n):
     clean = interbasis._m_bands
 
     def off_nan(diag, off):
@@ -531,7 +531,7 @@ def test_non_finite_bands_raise_numeric_error(monkeypatch, n):
 
     for corrupt in (off_nan, diag_nan, diag_inf):
         def bands(level, params, branch):
-            diag, off = clean(level, params, branch)
+            diag, off = (band.copy() for band in clean(level, params, branch))
             corrupt(diag, off)
             return diag, off
         monkeypatch.setattr(interbasis, "_m_bands", bands)

@@ -11,7 +11,7 @@ from genosc.errors import DomainError
 from genosc.interbasis import W_OVERLAP_MAX_LEVEL, w_integral_oracle, w_matrix
 from genosc.model import Branch, SystemParams, admissible_branches
 from genosc.morse import MorseParams, bound_state_count, morse_wavefunction
-from genosc.oracles import (SUITE_MANIFEST, CheckReport, GramFamily,
+from genosc.oracles import (SUITE_MANIFEST, CheckReport, GramFamily, _report,
                             bi_orthogonality, bi_orthogonality_hypergeometric,
                             gram_matrix, reciprocal_gamma,
                             run_verification_suite, w_overlap_oracle)
@@ -335,6 +335,14 @@ def test_report_pass_logic():
     assert ok.passed and not ok.relative
     rel = CheckReport("y", 1.1, 1.0, 0.2, True, relative=True)
     assert rel.passes(0.11) and not rel.passes(0.09)
+    # a report is built with passes(tolerance)'s verdict, relative or not
+    for measured, expected, tolerance in ((1.1, 1.0, 0.11), (1.1, 1.0, 0.09), (3.0, -2.0, 2.4),
+                                          (3.0, -2.0, 2.6), (1e-9, 0.0, 1e-10)):
+        for relative in (False, True) if expected else (False,):
+            rep = _report("z", measured, expected, tolerance, relative)
+            assert rep.passed is rep.passes(tolerance)
+            assert rep.passed == (abs(measured - expected) / (abs(expected) if relative else 1.0)
+                                  <= tolerance)
     rep = bi_orthogonality(1, 0, 1, BOTH, Branch.Plus)
     assert rep.expected == 0.0
     assert rep.tolerance == 1e-10

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -345,6 +346,21 @@ def test_series_power_overflow_raises_numeric_error():
         with pytest.raises(NumericError, match=r"^the large-R series overflows at R=1e-200 "
                                                r"\(omega R\^2 = 0\)$"):
             evaluate(1e-200)
+
+
+def test_power_past_a_double_raises_numeric_error_naming_the_series():
+    # R^2 past a double in the small-R regime, omega R^2 underflowing to 0 (whose
+    # inverse is the first-order scale) in the large-R one: the series' own refusal
+    params = SystemParams(1.0, 0.05, 0.5, 1)
+    for regime, R, x in ((Regime.SmallR, 1e200, "inf"), (Regime.LargeR, 1e-200, "0")):
+        message = re.escape(f"the {regime.value}-R series overflows at R={R:g} "
+                            f"(omega R^2 = {x})")
+        with pytest.raises(NumericError, match=f"^{message}$"):
+            wavefunction_correction(2, 1, 1, params, Branch.Plus, R, regime)
+    small = small_r_series(2, 1, params, Branch.Plus, order=1)
+    for evaluate in (small.eigenvalue, small.vector):
+        with pytest.raises(NumericError, match=r"^the small-R series overflows at R=1e\+200 "):
+            evaluate(1e200)
 
 
 def test_order_cap_is_checked_before_any_table(monkeypatch):

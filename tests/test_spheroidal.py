@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from genosc import interbasis, spheroidal
+from genosc import _cache, interbasis, spheroidal
 from genosc.errors import DomainError, NumericError
 from genosc.interbasis import m_matrix_cyl, n_matrix_sph, w_matrix
 from genosc.model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
@@ -167,6 +167,24 @@ def test_eigensolve_sign_rule():
                     assert sol.vectors[np.argmax(np.abs(sol.vectors[:, k])), k] > 0.0
 
 
+def test_eigensolve_sign_pass_matches_column_loop_bit_for_bit():
+    # the vectorised sign pass against the per-column _pivot loop it replaced, on
+    # random bands, diagonal ones (whose columns are unit vectors: the fallback pivot)
+    # and nearly diagonal ones
+    rng = np.random.default_rng(26)
+    for i in range(400):
+        n = int(rng.integers(0, 25))
+        diag = rng.normal(size=n + 1) * 10.0 ** rng.uniform(-3, 3)
+        off = (rng.normal(size=n) * 10.0 ** rng.uniform(-3, 3), np.zeros(n),
+               np.full(n, 1e-14))[i % 3]
+        system = spheroidal.TridiagonalSystem(diag, off, "spherical", Kind.Prolate, 1.0)
+        _, vec = spheroidal._solve(diag, off, "reference")
+        for k in range(n + 1):
+            if spheroidal._pivot(vec[:, k], k) < 0.0:
+                vec[:, k] = -vec[:, k]
+        assert eigensolve(system).vectors.tobytes() == vec.tobytes(), i
+
+
 def test_eigensolve_large_level():
     sol = eigensolve(build_tridiag_t(80, BOTH, Branch.Plus, 1.0, Kind.Prolate))
     assert np.all(np.diff(sol.lam) > 0.0)
@@ -226,31 +244,41 @@ def pair_columns_via_eigensolve(n, k, params, branch, R, kind):
     return u, t
 
 
-def test_pair_solves_each_state_once(monkeypatch):
-    solve = spheroidal._solve
-    calls = []
+def test_pair_solves_each_state_once(monkeypatch, fresh_tables):
+    # one _solve per level and R, read by every k, and one W recursion per level,
+    # read at every R by both kinds
+    solve, recursion = spheroidal._solve, interbasis._recursion_columns
+    solves, recursions = [], []
 
-    def counting(*args):
-        calls.append(args)
+    def counting_solve(*args):
+        solves.append(args)
         return solve(*args)
+
+    def counting_recursion(*args):
+        recursions.append(args)
+        return recursion(*args)
 
     def refused(*args, **kwargs):
         raise AssertionError("the pair solves its own bands")
 
-    monkeypatch.setattr(spheroidal, "_solve", counting)
+    monkeypatch.setattr(spheroidal, "_solve", counting_solve)
+    monkeypatch.setattr(interbasis, "_recursion_columns", counting_recursion)
     for name in ("eigensolve", "build_tridiag_t", "build_tridiag_u"):
         monkeypatch.setattr(spheroidal, name, refused)
     for params, branch, n in branch_cases(5, (30,)):
+        _cache.clear()
+        recursions.clear()
         for R in (0.1, 1.7, 40.0):
             for kind in KINDS:
+                solves.clear()
+                pairs = [(u_coefficients(n, k, params, branch, R, kind),
+                          t_coefficients(n, k, params, branch, R, kind)) for k in range(n + 1)]
+                assert len(solves) == 1
                 for k in {0, n // 2, n}:
-                    spheroidal._pair_columns.cache_clear()
-                    calls.clear()
-                    t = t_coefficients(n, k, params, branch, R, kind)
-                    u = u_coefficients(n, k, params, branch, R, kind)
-                    assert len(calls) == 1
                     ref_u, ref_t = pair_columns_via_eigensolve(n, k, params, branch, R, kind)
+                    u, t = pairs[k]
                     assert (u.tobytes(), t.tobytes()) == (ref_u.tobytes(), ref_t.tobytes())
+        assert len(recursions) == 1
 
 
 def test_pair_matches_eigensolve_construction_bit_for_bit():
