@@ -1,23 +1,24 @@
 """Tables built once per key: LRU caches bounded by the bytes they hold.
 
 A table that depends only on its arguments is built on the first call and read
-back on every later one. Two caches hold them:
+back on every later one. This is the package's one memo; two caches hold them:
 
 - SETUPS: the per-(order, degree) set-ups of the recurrences behind the bases
   (specfun's Laguerre and diagonal steps, the Jacobi coefficients, bases'
-  angular normalisers);
-- LEVELS: the tables of one oscillator level (interbasis' operator bands and W
-  tables, spheroidal's solve of one R and its solved states); it also bounds
-  its number of entries.
+  angular normalisers) and specfun's Gauss rules;
+- LEVELS: the tables of one oscillator level (interbasis' operator bands, W and
+  overlap tables, spheroidal's solve of one R and its solved states); it also
+  bounds its number of entries.
 
-A key is the function and its arguments, with every float taken by its sign as
-well as its value and every other number by its type, so arguments that compare
-equal but compute different bits (0.0 and -0.0, 1 and 1.0) never share an
-entry. Each cache drops its least recently used entries while it is past a
-bound: an entry counts its arrays' data and rows of floats plus a fixed
-allowance for its key and Python objects (_ENTRY_BYTES). A value larger than
-the budget is returned but not kept. Arrays in a value are made read-only
-before it is returned, cached or not.
+A key is the function and its arguments, keywords included, with every float
+taken by its sign as well as its value and every other number by its type, so
+arguments that compare equal but compute different bits (0.0 and -0.0, 1 and 1.0)
+never share an entry. Each cache drops its least recently used entries while it
+is past a bound: an entry counts its arrays' data and rows of floats, room in a
+dataclass for one cached_property formed later (ortho_dev, weights), and a fixed
+allowance for its key and Python objects (_ENTRY_BYTES). A value larger than the
+budget is returned but not kept. Arrays in a value are made read-only before it
+is returned, cached or not.
 """
 
 from __future__ import annotations
@@ -77,11 +78,11 @@ class ByteLRU:
                 self.nbytes -= self.entries.pop(key)[1]
 
 
-# Budgets. SETUPS keeps verify's 75 set-ups (150 kB) resident beside the churn
-# of fresh orders. LEVELS holds an n = 300 level's solve and W table (0.7 MB each)
-# beside some of its states; its entry bound keeps what levels of fresh parameters
-# leave resident, a few kB each, to some 64 of them.
-SETUPS = ByteLRU(256 * 1024)
+# Budgets. SETUPS keeps verify's 49 set-ups and 33 Gauss rules (134 kB) resident beside
+# the churn of fresh orders: 256 kB for set-ups and 256 small rules' 1.5 kB each. LEVELS
+# holds an n = 300 level's solve and W table (0.7 MB each) beside some of its states; its
+# entry bound keeps what levels of fresh parameters leave resident, a few kB each, to 64.
+SETUPS = ByteLRU(640 * 1024)
 LEVELS = ByteLRU(2 * 1024 * 1024, max_entries=64)
 CACHES = {"setups": SETUPS, "levels": LEVELS}
 _TABLES = []   # every cached function
@@ -141,24 +142,29 @@ def _seal(value) -> int:
             return sys.getsizeof(value) + len(value) * (sys.getsizeof(row)
                                                          + len(row) * _FLOAT_BYTES)
         return sum(map(_seal, value))
-    if kind is float or kind is int:
+    if kind is float or kind is int or kind is str:
         return 0
     if hasattr(kind, "__dataclass_fields__"):
-        return sum(map(_seal, vars(value).values()))
+        held = vars(value).values()
+        # room for a cached_property formed later: a float per row of the largest array
+        rows = max([len(v) for v in held if type(v) is np.ndarray and v.ndim], default=0)
+        return sum(map(_seal, held)) + _ARRAY_BYTES + 8 * rows
     return 0
 
 
 def cached(cache: ByteLRU):
-    """Decorator: call fn(*args) once per exact key (see _exact) and keep the result
-    in cache. The wrapper's cache_info() and cache_clear() cover fn's entries."""
+    """Decorator: call fn(*args, **kwargs) once per exact key (see _exact) and keep the
+    result in cache. The wrapper's cache_info() and cache_clear() cover fn's entries."""
     entries, lock = cache.entries, cache.lock
 
     def decorate(fn):
         counts = [0, 0]   # hits, misses
 
         @wraps(fn)
-        def wrapper(*args):
+        def wrapper(*args, **kwargs):
             key = (fn, *map(_exact, args))
+            if kwargs:   # after the marker dict: no keyword reads as a positional argument
+                key += (dict, *kwargs, *map(_exact, kwargs.values()))
             # a key hashes and compares in C (see _exact), so each dict call is atomic
             entry = entries.get(key)
             if entry is not None:
@@ -169,7 +175,7 @@ def cached(cache: ByteLRU):
                 counts[0] += 1
                 return entry[0]
             counts[1] += 1
-            value = fn(*args)
+            value = fn(*args, **kwargs)
             cache.store(key, value, _ENTRY_BYTES + _seal(value))
             return value
 

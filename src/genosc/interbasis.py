@@ -465,9 +465,10 @@ def _recursion_columns(diag: np.ndarray, off: np.ndarray, lam: np.ndarray) -> np
 
 
 @cached(LEVELS)
-def _w_columns(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
+def _w_table(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     """Level n's W table (entry [p, q] is W_np^q) by recursion, one column
-    per q, checked against the eigen residual contract; built once per key.
+    per q, checked against the eigen residual contract (its orthogonality is
+    w_matrix's check); built once per key for w_matrix and every spheroidal state.
 
     Column q is the eigenvector of 2 M (bands from _m_bands) for A_q; its sign
     is the Racah sum's, since W_n0^q is a single Racah term with positive
@@ -484,7 +485,8 @@ def _w_columns(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     if not np.isfinite(vec).all():
         raise NumericError(f"interbasis recursion gave non-finite entries at n={n}")
     _check_residual(diag, off, vec, lam, f"interbasis table at n={n}")
-    return vec
+    return CoefficientMatrix(n=n, branch=branch, orientation="cylindrical_to_spherical",
+                             entries=vec)
 
 
 def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
@@ -495,18 +497,10 @@ def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     an entry is non-finite or the table misses its contract: max|W W^T - I|
     within _RESIDUAL_FACTOR (n+1), max|2M W - W diag(A)| within the eigen
     residual bound. The table is built once per (n, params, branch) and shared
-    between calls.
+    between calls and with the spheroidal states of the level.
     """
     n, _ = check_level_index(n, 0)
-    return _w_table(n, params, branch)
-
-
-@cached(LEVELS)
-def _w_table(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
-    """w_matrix at validated level n, its orthogonality formed and checked; it holds
-    its own recursion table, built here, not read through _w_columns' cache."""
-    mat = CoefficientMatrix(n=n, branch=branch, orientation="cylindrical_to_spherical",
-                            entries=_w_columns.__wrapped__(n, params, branch))
+    mat = _w_table(n, params, branch)
     ortho = mat.ortho_dev.max()
     if not ortho <= _RESIDUAL_FACTOR * (n + 1):
         raise NumericError(f"interbasis table orthogonality {ortho:.3e} above contract "
@@ -514,12 +508,13 @@ def _w_table(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     return mat
 
 
+@cached(LEVELS)
 def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     """Level n's W table as the paper's overlaps W_np^q = 2 int psi_cyl(n, p)
-    psi_sph(n, q) dV over z > 0 (read-only). In x = omega r^2, u = cos 2 theta the
-    integrand is x^(c+-b+1) e^-x (1-u)^c (1+u)^(+-b) times a polynomial of degree
-    <= 2n in each, so the (n+1)-point Laguerre x Jacobi(c, +-b) rule is exact."""
-    n = check_nonneg_int(n, "level n")
+    psi_sph(n, q) dV over z > 0 at validated n, built once per key. In x = omega r^2,
+    u = cos 2 theta the integrand is x^(c+-b+1) e^-x (1-u)^c (1+u)^(+-b) times a
+    polynomial of degree <= 2n in each, so the (n+1)-point Laguerre x Jacobi(c, +-b)
+    rule is exact."""
     if n > W_OVERLAP_MAX_LEVEL:
         raise DomainError(f"overlap oracle supports levels up to "
                           f"{W_OVERLAP_MAX_LEVEL}, got {n}")
@@ -537,15 +532,14 @@ def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     cyl = _radial_cyl(down, c, omega, r * np.sin(theta)) * _axial(ks, beta, omega, r * ct) * weight
     sph = _radial_level(n, ks, c, beta, omega, r) * _angular(ks, c, beta, theta)[:, None]
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
-    table = np.einsum("pij,qij->pq", cyl, sph)
-    table.flags.writeable = False
-    return table
+    return np.einsum("pij,qij->pq", cyl, sph)
 
 
 def w_integral_oracle(n: int, p: int, q: int, params: SystemParams, branch: Branch) -> float:
     """Same coefficient from the overlap-integral route: entry (p, q) of the
-    table w_overlap_oracle checks; DomainError past W_OVERLAP_MAX_LEVEL. Each call
-    builds the whole O(n^4) level table: for many entries read w_overlap_oracle(n, ...)[0]."""
+    table w_overlap_oracle checks; DomainError past W_OVERLAP_MAX_LEVEL. The O(n^4)
+    level table is built on the first call and shared by every entry of the level
+    (and by w_overlap_oracle) while it stays cached."""
     n, p = check_level_index(n, p, "p")
     q = check_level_index(n, q, "q")[1]
     return float(_overlap_table(n, params, branch)[p, q])

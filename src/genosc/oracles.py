@@ -92,9 +92,10 @@ def _params_tag(params) -> str:
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x) for any real x, exactly zero at the poles."""
+    """1/Gamma(x) for any real x or +inf, exactly zero at the poles; NaN and -inf
+    raise DomainError (from gamma_sign_ln)."""
     x = float(x)
-    if x <= 0.0 and x == math.floor(x):
+    if x <= 0.0 and x.is_integer():
         return 0.0
     sign, ln_abs = gamma_sign_ln(x)
     return sign * math.exp(-ln_abs)
@@ -281,7 +282,7 @@ def w_overlap_oracle(n: int, params: SystemParams,
     entries), refused past W_OVERLAP_MAX_LEVEL. The report compares it
     entrywise against w_matrix().
     """
-    table = _overlap_table(n, params, branch)
+    table = _overlap_table(check_nonneg_int(n, "level n"), params, branch)
     closed = w_matrix(n, params, branch).entries
     deviation = float(np.max(np.abs(table - closed)))
     report = _report(_overlap_name(n, params, branch), deviation, 0.0, _tolerance(n))

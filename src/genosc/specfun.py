@@ -19,12 +19,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
 from ._cache import SETUPS, cached
-from .errors import AccuracyError, DomainError, NumericError, check_nonneg_int
+from .errors import AccuracyError, DomainError, NumericError, _require_table, check_nonneg_int
 
 __all__ = [
     "QuadratureRule",
@@ -53,12 +53,15 @@ def ln_gamma(x: float) -> float:
 
 
 def gamma_sign_ln(x: float) -> tuple[float, float]:
-    """(sign, ln|Gamma(x)|) for any real x; sign 0.0 at the poles.
+    """(sign, ln|Gamma(x)|) for any real x or +inf; sign 0.0 at the poles.
 
     A point within 1e-12 of a nonpositive integer counts as a pole. Off the
-    poles Gamma(x) < 0 exactly where x < 0 and floor(x) is odd.
+    poles Gamma(x) < 0 exactly where x < 0 and floor(x) is odd. NaN and -inf
+    raise DomainError.
     """
     x = float(x)
+    if not x > -math.inf:
+        raise DomainError(f"gamma_sign_ln requires a real x or +inf, got {x}")
     if x <= 0.0 and abs(x - math.floor(x + 0.5)) < 1e-12:
         return 0.0, math.inf
     sign = -1.0 if x < 0.0 and math.floor(x) % 2 else 1.0
@@ -404,8 +407,8 @@ def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
 def gegenbauer(n: int, lam: float, x):
     """Gegenbauer polynomial C_n^lam(x), lam > -1/2 and lam != 0."""
     n = _check_degree(n)
-    if lam <= -0.5 or lam == 0.0:
-        raise DomainError(f"gegenbauer requires lam > -1/2, lam != 0, got {lam}")
+    if not (-0.5 < lam < math.inf and lam != 0.0):
+        raise DomainError(f"gegenbauer requires a finite lam > -1/2, lam != 0, got {lam}")
     return _poly_eval(_gegenbauer, (n, float(lam)), x)
 
 
@@ -427,7 +430,7 @@ def assoc_legendre(l: int, m: int, x):
     if m > l:
         raise DomainError(f"assoc_legendre requires m <= l, got l={l}, m={m}")
     xa = np.asarray(x, dtype=np.float64)
-    if np.any(np.abs(xa) > 1.0 + 1e-14):
+    if not np.all(np.abs(xa) <= 1.0 + 1e-14):   # NaN fails it too
         raise DomainError("assoc_legendre requires |x| <= 1")
     cval = gegenbauer(l - m, m + 0.5, x)
     if m == 0:
@@ -449,6 +452,8 @@ def hyp2f1_unit(a: float, b: float, c: float) -> float:
     taken as zero, so the value vanishes when c - a or c - b is one.
     """
     a, b, c = float(a), float(b), float(c)
+    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
+        raise DomainError(f"hyp2f1_unit requires finite a, b, c, got ({a}, {b}, {c})")
 
     def _nonpos_int(v: float) -> bool:
         return v <= 1e-9 and abs(v - round(v)) < 1e-9
@@ -540,7 +545,7 @@ def _jacobi_coeffs(n: int, alpha: float, beta: float):
     return a, b
 
 
-@lru_cache(maxsize=256)
+@cached(SETUPS)
 def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -> QuadratureRule:
     """Golub-Welsch construction of an n-point Gaussian rule.
 
@@ -550,7 +555,9 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     sums, so no eigenvectors are needed. A Laguerre rule's sum is of orthonormal
     Laguerre functions (laguerre_functions), which gives its scaled weights at any
     size; a Jacobi rule whose weight integral or weights leave double range raises
-    AccuracyError. Rules are cached and immutable.
+    AccuracyError. A size whose n x n Jacobi matrix cannot be allocated raises
+    NumericError before any array is built. Rules are immutable and built once per
+    key (genosc._cache).
     """
     if kind not in _QUAD_KINDS:
         raise DomainError(f"unknown quadrature kind {kind!r}, expected one of {_QUAD_KINDS}")
@@ -560,15 +567,17 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     alpha = float(alpha)
     beta = float(beta)
     if kind == "laguerre":
-        if alpha <= -1.0 or beta != 0.0:
+        if not (alpha > -1.0 and beta == 0.0):
             raise DomainError(f"laguerre rule needs alpha > -1, beta = 0, got ({alpha}, {beta})")
+    elif kind == "legendre" and (alpha != 0.0 or beta != 0.0):
+        raise DomainError("legendre rule takes no exponents")
+    elif not (alpha > -1.0 and beta > -1.0):
+        raise DomainError(f"jacobi rule requires alpha, beta > -1, got ({alpha}, {beta})")
+    _require_table((n, n), f"{kind} rule's Jacobi matrix at n={n}")
+    if kind == "laguerre":
         k = np.arange(n, dtype=np.float64)
         acoef, off = 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
     else:
-        if kind == "legendre" and (alpha != 0.0 or beta != 0.0):
-            raise DomainError("legendre rule takes no exponents")
-        if alpha <= -1.0 or beta <= -1.0:
-            raise DomainError(f"jacobi rule requires alpha, beta > -1, got ({alpha}, {beta})")
         acoef, bcoef = _jacobi_coeffs(n, alpha, beta)
         off = np.sqrt(bcoef[1:n])
     jacobi = np.diag(acoef[:n])
@@ -600,7 +609,5 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
         weights = 1.0 / total
     if not np.all((weights > 0.0) & (weights < math.inf)):
         raise AccuracyError(f"quadrature weights leave double range for {kind}, n={n}")
-    nodes.flags.writeable = False
-    weights.flags.writeable = False
     return QuadratureRule(kind=kind, npoints=n, alpha=alpha, beta=beta,
                           nodes=nodes, scaled_weights=weights)

@@ -20,7 +20,7 @@ from .errors import (DomainError, NumericError, check_level_index, check_positiv
                      require_points)
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
 from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _dense, _m_bands,  # noqa: F401
-                         _n_bands, _w_columns)
+                         _n_bands, _w_table)
 from .model import Branch, SystemParams, _a_q, _e_z, require_admissible, require_label_m
 
 _SIGN_PIVOT_TOL = 1e-12
@@ -172,10 +172,18 @@ def _solve(diag: np.ndarray, off: np.ndarray, what) -> tuple[np.ndarray, np.ndar
     return lam, vec
 
 
-def _pivot(col: np.ndarray, k: int) -> float:
-    """The component whose sign fixes column k's: component k, or the
-    largest-magnitude component when component k is numerically zero."""
-    return col[k] if abs(col[k]) >= _SIGN_PIVOT_TOL else col[np.argmax(np.abs(col))]
+def _pivot(vec: np.ndarray, k):
+    """The component whose sign fixes a column's: component k, or the
+    largest-magnitude component when component k is numerically zero. vec is one
+    column and k an int, or vec holds columns and k is one index per column, which
+    gives an array of pivots."""
+    cols = vec.reshape(len(vec), -1)
+    at = np.arange(cols.shape[1])
+    pivot = cols[k, at]
+    weak = np.flatnonzero(np.abs(pivot) < _SIGN_PIVOT_TOL)
+    if weak.size:
+        pivot[weak] = cols[np.abs(cols[:, weak]).argmax(axis=0), weak]
+    return pivot if vec.ndim == 2 else pivot[0]
 
 
 def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
@@ -186,13 +194,7 @@ def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
     largest-magnitude component when component k is numerically zero.
     """
     lam, vec = _solve(system.diag, system.offdiag, f"n={system.n}")
-    # the _pivot rule on every column at once
-    pivot = vec.diagonal()
-    flip = pivot < 0.0
-    weak = np.flatnonzero(np.abs(pivot) < _SIGN_PIVOT_TOL)
-    if weak.size:
-        flip[weak] = vec[np.abs(vec[:, weak]).argmax(axis=0), weak] < 0.0
-    np.negative(vec, out=vec, where=flip)
+    np.negative(vec, out=vec, where=_pivot(vec, np.arange(system.n + 1)) < 0.0)
     lam.flags.writeable = False
     vec.flags.writeable = False
     return SpheroidalSolution(n=system.n, basis=system.basis, kind=system.kind,
@@ -221,7 +223,7 @@ def _pair_columns(n: int, k: int, params: SystemParams, branch: Branch, R: float
     """
     lam, vec = _level_solve(n, params, branch, R, kind)
     t = vec[:, k]
-    u = np.einsum("pq,q->p", _w_columns(n, params, branch), t)
+    u = np.einsum("pq,q->p", _w_table(n, params, branch).entries, t)
     _check_residual(*_u_bands(n, params, branch, kind, R), u[:, None], lam[k:k + 1],
                     f"cylindrical coefficients at n={n}, k={k}")
     if _pivot(u if abs(u[k]) > abs(t[k]) else t, k) < 0.0:

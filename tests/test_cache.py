@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from genosc import _cache, bases, cli, interbasis, specfun, spheroidal
+from genosc import _cache, bases, cli, interbasis, oracles, specfun, spheroidal
 from genosc.model import Branch, SystemParams, admissible_branches
 from genosc.morse import MorseParams
 from genosc.oracles import GramFamily, gram_matrix, run_verification_suite
@@ -21,9 +21,9 @@ SETS = [SystemParams(1.0, 0.05, 0.5, 1), SystemParams(1.0, 2.0, 3.0, 0),
         SystemParams(2.0, 0.1, 0.0, 2), BOTH]
 
 SETUP_TABLES = (specfun._laguerre_steps, specfun._diagonal_steps, specfun._jacobi_steps,
-                bases._angular_norms)
-LEVEL_TABLES = (interbasis._m_bands, interbasis._n_bands, interbasis._w_columns,
-                interbasis._w_table, spheroidal._level_solve, spheroidal._pair_columns)
+                bases._angular_norms, specfun.build_quadrature)
+LEVEL_TABLES = (interbasis._m_bands, interbasis._n_bands, interbasis._w_table,
+                interbasis._overlap_table, spheroidal._level_solve, spheroidal._pair_columns)
 
 
 def _arrays(value):
@@ -99,6 +99,64 @@ def test_one_level_table_per_key_for_every_state_kind_and_command(monkeypatch, f
     assert interbasis._n_bands.cache_info() == (4, 1, 1)
 
 
+def _counting(monkeypatch, module, name):
+    """Calls of module.name from here on, one list item each."""
+    calls, fn = [], getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
+def test_w_matrix_and_every_state_of_a_level_read_one_w_table(monkeypatch, fresh_tables):
+    # one recursion for w_matrix and every state of the level at two R and both kinds,
+    # whichever comes first; the states never form the table's O(n^3) orthogonality
+    recursions = _counting(monkeypatch, interbasis, "_recursion_columns")
+    n = 9
+    for R in (0.4, 3.0):
+        for kind in Kind:
+            for k in range(n + 1):
+                u_coefficients(n, k, BOTH, Branch.Plus, R, kind)
+    assert "ortho_dev" not in vars(interbasis._w_table(n, BOTH, Branch.Plus))
+    table = interbasis.w_matrix(n, BOTH, Branch.Plus)
+    assert interbasis.w_matrix(n, BOTH, Branch.Plus) is table
+    for k in range(n + 1):
+        t_coefficients(n, k, BOTH, Branch.Plus, 1.1, Kind.Prolate)
+    assert len(recursions) == 1
+
+
+def test_an_n300_level_keeps_one_w_table_and_one_solve(monkeypatch, fresh_tables):
+    # two rounds of w_matrix(300) and all 301 states at one R: the one W table (0.7 MB)
+    # and the one solve (0.7 MB) stay resident beside the states
+    recursions = _counting(monkeypatch, interbasis, "_recursion_columns")
+    solves = _counting(monkeypatch, spheroidal, "_solve")
+    for _ in range(2):
+        interbasis.w_matrix(300, BOTH, Branch.Plus)
+        for k in range(301):
+            u_coefficients(300, k, BOTH, Branch.Plus, 2.0, Kind.Oblate)
+    assert (len(recursions), len(solves)) == (1, 1)
+
+
+def test_one_overlap_table_per_level_for_every_entry(fresh_tables):
+    # every entry of level 12 through w_integral_oracle, then the oracle's table: one
+    # O(n^4) build per system, and the entries are the table's own
+    n = 12
+    for branch in (Branch.Plus, Branch.Minus):
+        entries = [[interbasis.w_integral_oracle(n, p, q, BOTH, branch) for q in range(n + 1)]
+                   for p in range(n + 1)]
+        table, report = oracles.w_overlap_oracle(n, BOTH, branch)
+        assert np.array(entries).tobytes() == table.tobytes() and report.passed
+    assert interbasis._overlap_table.cache_info() == (2 * (n + 1) ** 2, 2, 2)
+
+
+def test_clear_empties_the_gauss_rules():
+    rule = specfun.build_quadrature("laguerre", 9, alpha=0.5)
+    assert specfun.build_quadrature("laguerre", 9, alpha=0.5) is rule
+    assert specfun.build_quadrature.cache_info().currsize
+    _cache.clear()
+    assert specfun.build_quadrature.cache_info() == (0, 0, 0)
+    fresh = specfun.build_quadrature("laguerre", 9, alpha=0.5)
+    assert fresh is not rule and fresh.nodes.tobytes() == rule.nodes.tobytes()
+
+
 def test_tables_are_bit_identical_cold_and_warm():
     # cold: every table rebuilt for every value; warm: one pass in reverse order that
     # shares every level, solve and set-up it can
@@ -169,9 +227,14 @@ def test_caches_stay_within_their_budgets_at_fresh_orders_and_levels():
             level = rng.randint(0, 40 if i % 100 else 120)
             u_coefficients(level, rng.randint(0, level), params, Branch.Plus,
                            rng.uniform(0.1, 5.0), Kind.Prolate)
+            # forms the cached table's ortho_dev after the table was stored
+            interbasis.w_matrix(level, params, Branch.Plus)
         else:
             gram_matrix(GramFamily.Morse, rng.randint(1, 8),
                         MorseParams(v0=0.5 * rng.uniform(12.0, 60.0) ** 2, a=1.0))
+            # forms the cached rule's weights after the rule was stored
+            specfun.build_quadrature("laguerre", rng.randint(1, 120),
+                                     alpha=rng.uniform(-0.9, 40.0)).weights
         for name, cache in _cache.CACHES.items():
             assert cache.nbytes <= cache.budget, (name, i)
             assert len(cache.entries) <= (cache.max_entries or len(cache.entries)), (name, i)
@@ -228,3 +291,17 @@ def test_equal_keys_of_different_bits_never_share_an_entry():
     interbasis._m_bands(3, plus, Branch.Plus)
     interbasis._m_bands(3, minus, Branch.Plus)
     assert interbasis._m_bands.cache_info() == (0, 2, 2)
+
+
+def test_keyword_arguments_are_part_of_the_key():
+    cache = _cache.ByteLRU(1 << 20)
+
+    @_cache.cached(cache)
+    def echo(*args, **kwargs):
+        return repr((args, sorted(kwargs.items())))
+
+    # a keyword never reads as a positional argument of the same value, nor 1 as 1.0
+    got = [echo(1.0, ("alpha", 2.0)), echo(1.0, alpha=2.0), echo(1.0, alpha=2),
+           echo(1.0, alpha=2.0)]
+    assert got[1] == got[3] and len(set(got)) == 3
+    assert echo.cache_info() == (1, 3, 3)

@@ -385,8 +385,8 @@ def test_w_recursion_matches_racah_sum():
 
 def test_w_column_rescales_past_overflow():
     # at n = 1200 both passes of the top columns would overflow unscaled;
-    # _w_columns checks each column's eigen residual itself
-    ent = interbasis._w_columns(1200, BOTH, Branch.Plus)
+    # _w_table checks each column's eigen residual itself
+    ent = interbasis._w_table(1200, BOTH, Branch.Plus).entries
     for q in (1144, 1200):
         col = ent[:, q]
         assert np.isfinite(col).all()
@@ -479,7 +479,7 @@ def recursion_columns_two_pass(diag, off, lam):
 
 
 def _recursion_inputs(n, params, branch):
-    """The bands and eigenvalues _w_columns hands the recursion at level n."""
+    """The bands and eigenvalues _w_table hands the recursion at level n."""
     diag, off = interbasis._m_bands(n, params, branch)
     lam = np.array([separation_constant_A(q, params, branch) for q in range(n + 1)])
     return 2.0 * diag, 2.0 * off, lam

@@ -14,6 +14,8 @@ from scipy.special import roots_genlaguerre, roots_jacobi
 
 from genosc import specfun as sf
 from genosc.errors import AccuracyError, DomainError, NumericError
+from genosc.model import SystemParams
+from genosc.oracles import GramFamily, gram_matrix, reciprocal_gamma
 
 mpmath.mp.dps = 35
 
@@ -659,3 +661,30 @@ def test_quadrature_domain_errors():
     # underflow double precision, so the rule is refused
     with pytest.raises(AccuracyError):
         sf.build_quadrature("jacobi", 600, 500.0, 0.0)
+
+
+def test_quadrature_refuses_a_size_it_cannot_tabulate():
+    # the n x n Jacobi matrix of a million points (8 TB) is refused before any array,
+    # by a rule of its own and by a Gram check that asks for one
+    with pytest.raises(NumericError, match=r"laguerre rule.* n=1000000 "):
+        sf.build_quadrature("laguerre", 10 ** 6)
+    with pytest.raises(NumericError, match=r"jacobi rule.* n=1000002 "):
+        gram_matrix(GramFamily.Theta, 10 ** 6, SystemParams(1.0, 0.05, 0.5, 1))
+
+
+def test_non_finite_arguments_are_domain_errors():
+    for call in (lambda: sf.gamma_sign_ln(-math.inf), lambda: sf.gamma_sign_ln(math.nan),
+                 lambda: reciprocal_gamma(-math.inf), lambda: reciprocal_gamma(math.nan),
+                 lambda: sf.hyp2f1_unit(math.nan, 1.0, 3.0),
+                 lambda: sf.hyp2f1_unit(-math.inf, 1.0, 3.0),
+                 lambda: sf.assoc_legendre(2, 1, math.nan),
+                 lambda: sf.assoc_legendre(2, 1, np.array([0.5, math.nan])),
+                 lambda: sf.gegenbauer(2, math.nan, 0.3),
+                 lambda: sf.gegenbauer(2, math.inf, 0.3),
+                 lambda: sf.build_quadrature("jacobi", 5, math.nan, 0.0),
+                 lambda: sf.build_quadrature("laguerre", 5, math.nan)):
+        with pytest.raises(DomainError):
+            call()
+    # +inf stays the limit: Gamma(+inf) = +inf, 1/Gamma(+inf) = 0
+    assert sf.gamma_sign_ln(math.inf) == (1.0, math.inf)
+    assert reciprocal_gamma(math.inf) == 0.0 and reciprocal_gamma(-3.0) == 0.0

@@ -1,5 +1,6 @@
 """Spheroidal systems: triple-route eigenvalues, limits, synthesis, mapping."""
 
+import dataclasses
 import math
 import warnings
 
@@ -238,7 +239,7 @@ def pair_columns_via_eigensolve(n, k, params, branch, R, kind):
     |U^k| > |T^k|. Kept as the bit-for-bit reference of _pair_columns."""
     sol = eigensolve(build_tridiag_t(n, params, branch, R, kind))
     t = sol.vectors[:, k]
-    u = np.einsum("pq,q->p", interbasis._w_columns(n, params, branch), t)
+    u = np.einsum("pq,q->p", interbasis._w_table(n, params, branch).entries, t)
     if abs(u[k]) > abs(t[k]) and spheroidal._pivot(u, k) < 0.0:
         u, t = -u, -t
     return u, t
@@ -309,12 +310,13 @@ def test_pair_matches_eigensolve_construction_bit_for_bit():
 
 def test_derived_u_meets_the_cylindrical_residual_contract(monkeypatch):
     # U = W T with two columns of W swapped is no eigenvector of the U system
-    clean = interbasis._w_columns
+    clean = interbasis._w_table
 
     def swapped(n, params, branch):
-        return clean(n, params, branch)[:, [1, 0, *range(2, n + 1)]]
+        table = clean(n, params, branch)
+        return dataclasses.replace(table, entries=table.entries[:, [1, 0, *range(2, n + 1)]])
 
-    monkeypatch.setattr(spheroidal, "_w_columns", swapped)
+    monkeypatch.setattr(spheroidal, "_w_table", swapped)
     spheroidal._pair_columns.cache_clear()
     with pytest.raises(NumericError, match="eigen residual"):
         u_coefficients(4, 1, BOTH, Branch.Plus, 1.3, Kind.Prolate)
