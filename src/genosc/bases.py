@@ -27,7 +27,8 @@ from ._cache import SETUPS, cached
 from .errors import DomainError, check_abs_int, check_nonneg_int, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     _exponents, require_label_m)
-from .specfun import gegenbauer, jacobi_rows, laguerre_diagonal, laguerre_functions, ln_gamma
+from .specfun import (_gamma_ratio, gegenbauer, jacobi_rows, laguerre_diagonal,
+                      laguerre_functions, ln_gamma)
 
 __all__ = [
     "theta_angular",
@@ -68,12 +69,15 @@ def _log_x(omega: float, u):   # ln(omega u^2), finite where omega u^2 is not
 
 @cached(SETUPS)
 def _angular_norms(qs, c: float, beta: float) -> np.ndarray:
-    """N_q of Theta_q for q in qs."""
-    # ln N_q^2; every Gamma argument is at least 1/2 (c >= 0, beta >= -1/2)
-    ln_norm2 = [math.log(2.0 * q + c + beta + 1.0) + math.lgamma(q + 1.0)
-                + math.lgamma(q + c + beta + 1.0) - math.lgamma(q + c + 1.0)
-                - math.lgamma(q + beta + 1.0) for q in qs]
-    return np.exp(0.5 * np.array(ln_norm2))
+    """N_q of Theta_q, q in qs (c >= 0, beta >= -1/2): N_0 = 2^(-e/2) / sqrt(m) from
+    _gamma_ratio's m 2^e = 1/N_0^2, then N_q^2 / N_{q-1}^2 = (2q+s+1) q (q+s) /
+    ((2q+s-1)(q+c)(q+beta)), s = c + beta; no Gamma or power of two leaves double range."""
+    s, ratio, ratios = c + beta, 1.0, [1.0]   # N_q^2 / N_0^2, q = 0, 1, ...
+    for q in range(1, max(qs) + 1):
+        ratio *= (2.0 * q + s + 1.0) * q * (q + s) / ((2.0 * q + s - 1.0) * (q + c) * (q + beta))
+        ratios.append(ratio)
+    m, e = _gamma_ratio(c, beta)
+    return math.ldexp(1.0 / math.sqrt(m), -e // 2) * np.sqrt([ratios[q] for q in qs])
 
 
 def _angular(qs, c: float, beta: float, t):

@@ -1,10 +1,10 @@
 """Scalar special functions and Gaussian quadrature rules.
 
 Everything downstream (basis evaluation, overlap coefficients, oracle
-integrals) is built on these primitives. Normalization-sized quantities are
-handled in log space via ln_gamma. The Jacobi, Laguerre, Gegenbauer and
-Hermite polynomials are four step functions of one forward three-term
-recurrence (_three_term), which yields every degree in turn.
+integrals) is built on these primitives. The Gamma normalisers of the Laguerre
+functions, the Jacobi rules and bases' angular factors come from one exact
+product (_ln_norm0). The Jacobi, Laguerre, Gegenbauer and Hermite polynomials
+are step functions of one forward three-term recurrence (_three_term).
 
 The orthonormal Laguerre functions run in one of two recurrence shapes, each on
 scaled rows with a log scale per point (no overflow at any degree, exactly 0 in
@@ -158,14 +158,6 @@ def gen_laguerre(n: int, alpha: float, x):
     return _poly_eval(_laguerre, (n, float(alpha)), x)
 
 
-def _ln_gamma_sum(y: float) -> float:
-    """lnGamma(y), y > 0, on [100, 1e4) from an exact sum of ln(y - j): lgamma is 1e-12 off."""
-    m = int(y) - 1 if 100.0 <= y < 1e4 else 0
-    if not m:   # the sum below over no terms: lgamma(y) + 0.0
-        return math.lgamma(y) + 0.0
-    return math.lgamma(y - m) + math.fsum(np.log(y - np.arange(1.0, m + 1.0)).tolist())
-
-
 # ln 2 for Cody-Waite reduction: the head has 15 bits, so j * head is exact for
 # |j| < 2^38, which flooring a log at -1e11 keeps even -inf within
 _LN2_HI, _LN2_LO = 0.693145751953125, 1.4286068203094172321e-6
@@ -177,6 +169,32 @@ def _split_ln2(ln):
     a row."""
     j = np.rint(ln / math.log(2.0))
     return (ln - j * _LN2_HI) - j * _LN2_LO, j
+
+
+def _ln_norm0(beta: float) -> tuple[float, int]:
+    """(r, j) with 1/sqrt(Gamma(beta + 1)) = e^r 2^j, beta > -1: the package's one Gamma
+    routine for normalisers. Below beta = 9999, Gamma(beta - k + 1) times the k = int(beta)
+    factors beta - t, t < k, each an int over one power of two, multiplied as ints kept to
+    96 bits and rounded once (a product of doubles gathers an ulp a factor); lgamma past it."""
+    if not beta < 9999.0:
+        r, j = _split_ln2(-0.5 * math.lgamma(beta + 1.0))
+        return float(r), int(j)
+    k, (num, den) = int(beta), beta.as_integer_ratio()
+    factors, prod, e = range(num - (k - 1) * den, num + 1, den), 1, 0   # (beta - t) den
+    for i in range(0, k, 16):
+        prod *= math.prod(factors[i:i + 16])
+        drop = max(prod.bit_length() - 96, 0)
+        prod, e = prod >> drop, e + drop
+    m, de = math.frexp(float(prod) * math.gamma((beta - k) + 1.0))
+    e += de - k * (den.bit_length() - 1)
+    return -0.5 * math.log(m * 2.0 ** (e % 2)), -(e // 2)
+
+
+def _gamma_ratio(alpha: float, beta: float) -> tuple[float, int]:
+    """(m, e), e even, with Gamma(alpha + 1) Gamma(beta + 1) / Gamma(alpha + beta + 2) = m 2^e,
+    alpha, beta > -1, from three _ln_norm0 products (the Jacobi b_0, the angular N_0)."""
+    (ra, ja), (rb, jb), (rs, js) = _ln_norm0(alpha), _ln_norm0(beta), _ln_norm0(alpha + beta + 1.0)
+    return math.exp(2.0 * (rs - ra - rb)), 2 * (js - ja - jb)
 
 
 def _x_tail(n: int, hi: float) -> float:
@@ -201,9 +219,10 @@ _STEP_BLOCK = 8
 
 @cached(SETUPS)
 def _laguerre_steps(alpha: float, size: int):
-    """laguerre_functions' set-up of order alpha: lnGamma(alpha + 1) / 2 and the
-    steps (k + alpha, sqrt(k (k + alpha)), sqrt(k / (k + alpha))), k = 1..size, a row each."""
-    return 0.5 * _ln_gamma_sum(alpha + 1.0), tuple([
+    """laguerre_functions' set-up of order alpha: lnGamma(alpha + 1) / 2 (one float, from
+    _ln_norm0) and the steps (k + alpha, sqrt(k (k + alpha)), sqrt(k / (k + alpha))), k <= size."""
+    r, j = _ln_norm0(alpha)
+    return -((j * _LN2_HI + r) + j * _LN2_LO), tuple([
         (k + alpha, math.sqrt(k * (k + alpha)), math.sqrt(k / (k + alpha)))
         for k in range(1, size + 1)])
 
@@ -273,28 +292,6 @@ def _power_frexp(x, n: int):
         m, de = np.frexp(m)
         m, e = m * np.power(f, min(1000, n - done)), e + de
     return m, e
-
-
-def _ln_norm0(beta: float) -> tuple[float, int]:
-    """(r, j) with 1/sqrt(Gamma(beta + 1)) = e^r 2^j, beta > -1. Below beta = 1e4 from
-    the product Gamma(f) f (f+1) ... beta, f in (0, 2), renormalised by powers of two (an
-    ulp a factor, where ln Gamma rounded to a double is off by an ulp of a number up to
-    1e5); lgamma past it."""
-    y = beta + 1.0
-    if y < 1e4:
-        k = max(int(y) - 1, 0)
-        f = y - k
-        m, e = math.frexp(math.gamma(f))
-        for i in range(k):
-            m, de = math.frexp(m * (f + i))
-            e += de
-    else:
-        ln = math.lgamma(y)
-        e = int(ln / math.log(2.0))
-        m = math.exp((ln - e * _LN2_HI) - e * _LN2_LO)
-    if e % 2:
-        m, e = 2.0 * m, e - 1
-    return -0.5 * math.log(m), -e // 2
 
 
 @cached(SETUPS)
@@ -534,14 +531,13 @@ def _jacobi_coeffs(n: int, alpha: float, beta: float):
         b = (4.0 * k * (k + alpha) * (k + beta) * (k + ab)
              / ((2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)))
     a[0] = (beta - alpha) / (ab + 2.0)
-    ln_b0 = ((ab + 1.0) * math.log(2.0) + ln_gamma(alpha + 1.0)
-             + ln_gamma(beta + 1.0) - ln_gamma(ab + 2.0))
     b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    try:
-        b[0] = math.exp(ln_b0)
+    try:   # b_0 = 2^(alpha + beta + 1) m 2^e, the power's integral part joining e exactly
+        m, e = _gamma_ratio(alpha, beta)
+        b[0] = math.ldexp(m * 2.0 ** ((ab + 1.0) % 1.0), e + math.floor(ab + 1.0))
     except OverflowError:
-        raise AccuracyError(f"jacobi rule weight integral e^{ln_b0:.6g} leaves double "
-                            f"range for n={n}, alpha={alpha}, beta={beta}") from None
+        raise AccuracyError(f"jacobi rule weight integral leaves double range for n={n}, "
+                            f"alpha={alpha}, beta={beta}") from None
     return a, b
 
 

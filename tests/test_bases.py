@@ -3,10 +3,12 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 
+from genosc import bases
 from genosc.bases import (cylindrical_level, psi_cylindrical, psi_spherical,
                           radial_cylindrical, radial_spherical,
                           spherical_harmonic_limit, spherical_level,
@@ -52,6 +54,42 @@ def test_theta_minus_branch_norm():
     val = quad(lambda t: theta_angular(2, BOTH, Branch.Minus, t) ** 2 * math.sin(t),
                0.0, math.pi / 2)
     assert val == pytest.approx(0.5, abs=1e-11)
+
+
+def _angular_norm_errors(qs, c, beta):
+    """Relative errors of N_q, q in qs, against the Gamma ratio in 40 digits."""
+    got = bases._angular_norms(qs, c, beta)
+    with mpmath.workdps(40):
+        c, beta = mpmath.mpf(c), mpmath.mpf(beta)
+        want = [mpmath.sqrt((2 * q + c + beta + 1) * mpmath.gamma(q + 1)
+                            * mpmath.gamma(q + c + beta + 1)
+                            / (mpmath.gamma(q + c + 1) * mpmath.gamma(q + beta + 1))) for q in qs]
+        return [float(abs(g / w - 1)) for g, w in zip(got.tolist(), want)]
+
+
+def test_theta_norms_match_mpmath():
+    # lgamma differences put N_q up to 1.1e-14 off for q <= 12 on these pairs
+    rng = np.random.default_rng(28)
+    for c, beta in zip(rng.uniform(0.0, 4.0, 40).tolist(), rng.uniform(-0.5, 2.0, 40).tolist()):
+        assert max(_angular_norm_errors(range(13), c, beta)) <= 5e-15, (c, beta)
+
+
+def test_theta_norms_match_mpmath_to_level_300():
+    # lgamma differences put N_q 3.6e-13 and 3.3e-13 off for q <= 300 on these pairs
+    for c, beta in ((1.0, 0.3), (3.3, 1.9)):
+        assert max(_angular_norm_errors(range(301), c, beta)) <= 2e-13, (c, beta)
+
+
+def test_theta_stays_finite_at_large_c():
+    # Q = 4e6 gives c = 2000: 2^(c + beta + 1) alone leaves double range, N_0 does not.
+    # N_0 is within the rounding of c + beta + 1: half an ulp of 2002 (1.1e-13) times
+    # psi(2002) / 2, 4.3e-13
+    params = SystemParams(omega=1.0, p_strength=0.3, q_strength=4e6, m=0)
+    beta, c, _ = channel_constants(params)   # the Plus branch: beta = b
+    t = np.linspace(0.05, 1.55, 31)
+    for q in (0, 3, 40):
+        assert np.all(np.isfinite(theta_angular(q, params, Branch.Plus, t)))
+    assert max(_angular_norm_errors((0, 3, 40), c, beta)) <= 5e-13
 
 
 def test_theta_q0_positive_interior():

@@ -203,7 +203,9 @@ def test_cached_arrays_are_read_only():
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
     # rows of floats are tuples, so they cannot be written either
-    rows = specfun._laguerre_steps(0.5, 8)[1]
+    # (the ln Gamma term is one float, not an (r, j) pair counted as a row)
+    ln_gamma, rows = specfun._laguerre_steps(0.5, 8)
+    assert type(ln_gamma) is float
     assert isinstance(rows, tuple) and all(isinstance(row, tuple) for row in rows)
 
 

@@ -100,6 +100,35 @@ def test_ln_gamma_domain():
         sf.ln_gamma(-3.2)
 
 
+def _norm0_error(beta):
+    """Relative error of _ln_norm0's e^r 2^j against 1/sqrt(Gamma(beta + 1)) in 40 digits."""
+    r, j = sf._ln_norm0(beta)
+    with mpmath.workdps(40):
+        want = mpmath.rgamma(mpmath.mpf(beta) + 1) ** 0.5
+        return float(abs(mpmath.exp(r) * mpmath.ldexp(1, j) / want - 1))
+
+
+def test_ln_norm0_keeps_its_digits_where_beta_plus_one_rounds():
+    # beta + 1 rounds for beta in [2^k - 1, 2^k) with its low bits set; a product
+    # started from it was 3.9e-13 off at beta = 1023.4
+    assert _norm0_error(1023.4) <= 2e-15
+    rng = np.random.default_rng(28)
+    for k in range(6, 11):
+        for beta in rng.uniform(2.0 ** k - 1.0, 2.0 ** k, 8).tolist():
+            assert _norm0_error(beta) <= 2e-15, beta
+
+
+def test_jacobi_weight_integral_matches_mpmath():
+    # b_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2); lgamma differences put it
+    # 1.1e-14, 9.2e-14 and 5.1e-13 off at these
+    for a, b in ((50.25, 0.5), (200.75, 1.5), (800.25, 0.5)):
+        got = sf._jacobi_coeffs(3, a, b)[1][0]
+        with mpmath.workdps(40):
+            ma, mb = mpmath.mpf(a), mpmath.mpf(b)
+            want = 2 ** (ma + mb + 1) * mpmath.beta(ma + 1, mb + 1)
+            assert float(abs(got / want - 1)) <= 1e-15, (a, b)
+
+
 def test_gamma_sign_ln_negative_axis():
     for x in (-0.5, -1.5, -2.3, -7.8, 4.2):
         s, lg = sf.gamma_sign_ln(x)
