@@ -4,8 +4,9 @@ A table that depends only on its arguments is built on the first call and read
 back on every later one. This is the package's one memo; two caches hold them:
 
 - SETUPS: the per-(order, degree) set-ups of the recurrences behind the bases
-  (specfun's Laguerre and diagonal steps, the Jacobi coefficients, bases'
-  angular normalisers) and specfun's Gauss rules;
+  (specfun's Laguerre and diagonal steps, the Jacobi coefficients, the Gamma
+  ratio that the Jacobi rules and bases' angular normalisers share, those
+  normalisers) and specfun's Gauss rules;
 - LEVELS: the tables of one oscillator level (interbasis' operator bands, W and
   overlap tables, spheroidal's solve of one R and its solved states); it also
   bounds its number of entries.

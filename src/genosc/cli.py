@@ -396,33 +396,35 @@ def _csv_quote(text: str) -> str:
     return text
 
 
-def _csv_format(types: tuple[type, ...]) -> str | None:
-    """One %-string for a numeric row signature, matching _cell per value;
-    None when a cell is not a number."""
-    codes = []
-    for kind in types:
-        if issubclass(kind, (int, np.integer)):   # bool too: True -> 1
-            codes.append("%d")
-        elif issubclass(kind, (float, np.floating)):
-            codes.append("%.17g")
-        else:
-            return None
-    return ",".join(codes) + "\n"
-
-
 def _csv_section(rows: tuple[tuple, ...]) -> str | None:
-    """Every row through one %-template when all rows share one numeric type
-    signature, else None (the rows go cell by cell through _cell/_csv_quote)."""
+    """Every row through one %-template when each column holds one type (an int,
+    a finite float or a string, quoted once), matching _cell and _csv_quote per
+    value; else None, and the rows go cell by cell (a non-finite float is
+    refused there)."""
     if len(set(map(len, rows))) > 1:
         return None
-    types = []
+    codes, columns, quoted = [], [], False
     for column in zip(*rows):
         kinds = set(map(type, column))
         if len(kinds) > 1:
             return None
-        types += kinds
-    fmt = _csv_format(tuple(types))
-    return None if fmt is None else (fmt * len(rows)) % tuple(chain.from_iterable(rows))
+        kind = kinds.pop()
+        if issubclass(kind, (int, np.integer)):   # bool too: True -> 1
+            codes.append("%d")
+        elif issubclass(kind, (float, np.floating)):
+            # the sum is non-finite if a cell is; one that overflows only costs
+            # the cell-by-cell path
+            if not math.isfinite(sum(column)):
+                return None
+            codes.append("%.17g")
+        elif issubclass(kind, str):
+            codes.append("%s")
+            column, quoted = tuple(map(_csv_quote, column)), True
+        else:
+            return None
+        columns.append(column)
+    cells = chain.from_iterable(zip(*columns) if quoted else rows)
+    return ((",".join(codes) + "\n") * len(rows)) % tuple(cells)
 
 
 def render_csv(cfg: JobConfig, sections: list[Section]) -> str:
@@ -432,8 +434,7 @@ def render_csv(cfg: JobConfig, sections: list[Section]) -> str:
         out.append(f"## {section.name}\n")
         out.append(",".join(section.columns) + "\n")
         text = _csv_section(section.rows)
-        # %.17g writes inf/nan, the only cells with an "n"; _cell refuses them
-        if text is None or "n" in text:
+        if text is None:
             text = "".join(",".join(_csv_quote(_cell(v)) for v in row) + "\n"
                            for row in section.rows)
         out.append(text)

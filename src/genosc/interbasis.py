@@ -367,21 +367,18 @@ def _residual_bound(size: int, diag: np.ndarray, offdiag: np.ndarray) -> np.ndar
 
 
 def _check_residual(diag: np.ndarray, off: np.ndarray, vec: np.ndarray, lam: np.ndarray,
-                    what) -> None:
-    """Eigen residual contract: NumericError unless max|T vec - vec diag(lam)| of the
-    symmetric tridiagonal T with bands diag/off is within _residual_bound. Formed on
-    the bands in O(n^2) without BLAS, stacked (one bound per matrix) and NaN-safe;
-    `what` names the problem, or for a stack maps the failing index to its name."""
+                    label: str) -> None:
+    """Eigen residual contract: NumericError naming label unless max|T vec - vec
+    diag(lam)| of the symmetric tridiagonal T with bands diag/off is within
+    _residual_bound. Formed on the bands in O(n^2) without BLAS, and NaN-safe."""
     with np.errstate(all="ignore"):
-        res = (diag[..., None] - lam[..., None, :]) * vec
-        res[..., :-1, :] += off[..., None] * vec[..., 1:, :]
-        res[..., 1:, :] += off[..., None] * vec[..., :-1, :]
-        residual = np.abs(res).max(axis=(-2, -1))
-        within = residual <= _residual_bound(diag.shape[-1], diag, off)
-    if not within.all():
-        bad = int(np.argmin(within))
-        label = what if isinstance(what, str) else what(bad)
-        raise NumericError(f"eigen residual {residual.flat[bad]:.3e} above contract for {label}")
+        res = (diag[:, None] - lam) * vec
+        res[:-1] += off[:, None] * vec[1:]
+        res[1:] += off[:, None] * vec[:-1]
+        residual = np.abs(res).max()
+        within = residual <= _residual_bound(diag.size, diag, off)
+    if not within:
+        raise NumericError(f"eigen residual {residual:.3e} above contract for {label}")
 
 
 def _recursion_columns(diag: np.ndarray, off: np.ndarray, lam: np.ndarray) -> np.ndarray:
@@ -615,11 +612,14 @@ def _n_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, 
 
 
 def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Symmetric tridiagonal matrix, or stack of them, from its bands."""
-    idx = np.arange(diag.shape[-1])
-    mat = np.zeros(diag.shape + idx.shape)
-    mat[..., idx, idx] = diag
-    mat[..., idx[:-1], idx[1:]] = mat[..., idx[1:], idx[:-1]] = off
+    """Symmetric tridiagonal matrix, or stack of them, from its bands: written
+    through strided views of each flattened matrix, whose diagonals are steps of
+    size + 1."""
+    size = diag.shape[-1]
+    mat = np.zeros(diag.shape + (size,))
+    flat = mat.reshape(diag.shape[:-1] + (size * size,))
+    flat[..., ::size + 1] = diag
+    flat[..., 1::size + 1] = flat[..., size::size + 1] = off
     return mat
 
 

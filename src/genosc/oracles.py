@@ -127,6 +127,13 @@ def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
     weight t^(q + q' + c +- b) e^{-t}; the closed form is the expectation.
     """
     n, q, q_prime = _bi_indices(n, q, q_prime)
+    return _bi_quad(_bi_name("quad", n, q, q_prime, params, branch), n, q, q_prime,
+                    params, branch)
+
+
+def _bi_quad(name: str, n: int, q: int, q_prime: int, params: SystemParams,
+             branch: Branch) -> CheckReport:
+    """bi_orthogonality at validated indices, reported under name."""
     beta, c = _exponents(params, branch)
     omega = params.omega
     shared = q + q_prime + c + beta
@@ -139,8 +146,7 @@ def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
     # t^(shared + 1/2) e^-t times a polynomial: the scaled weights carry all but t^(1/2)
     measured = float(np.einsum("i,i,i->", rule.scaled_weights / np.sqrt(rule.nodes),
                                vals[0], vals[-1])) / (2.0 * math.sqrt(omega))
-    return _report(_bi_name("quad", n, q, q_prime, params, branch), measured,
-                   _bi_expected(q, q_prime, params, branch), _tolerance(n))
+    return _report(name, measured, _bi_expected(q, q_prime, params, branch), _tolerance(n))
 
 
 def bi_orthogonality_hypergeometric(n: int, q: int, q_prime: int,
@@ -249,10 +255,17 @@ def gram_matrix(family: GramFamily, n_max: int, params,
     if not isinstance(family, GramFamily):
         raise DomainError(f"family must be a GramFamily member, got {family!r}")
     n_max = check_nonneg_int(n_max, "n_max")
-    params_type, target, family_rule = _GRAM[family]
+    params_type = _GRAM[family][0]
     if not isinstance(params, params_type):
         raise DomainError(f"{family.value} Gram checks need "
                           f"{params_type.__name__}, got {type(params).__name__}")
+    return _gram(_gram_name(family, n_max, params, branch), family, n_max, params, branch)
+
+
+def _gram(name: str, family: GramFamily, n_max: int, params,
+          branch: Branch) -> tuple[np.ndarray, CheckReport]:
+    """gram_matrix at validated arguments, reported under name."""
+    _, target, family_rule = _GRAM[family]
     (kind, alpha, beta, power, scale), rows = family_rule(n_max, params, branch)
     rule = build_quadrature(kind, n_max + 2, alpha=alpha, beta=beta)
     x = rule.nodes
@@ -264,8 +277,7 @@ def gram_matrix(family: GramFamily, n_max: int, params,
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
     gram = scale * np.einsum("ip,p,jp->ij", reduced, rule.scaled_weights, reduced)
     deviation = float(np.max(np.abs(gram - target * np.eye(n_max + 1))))
-    report = _report(_gram_name(family, n_max, params, branch), deviation, 0.0,
-                     _tolerance(n_max))
+    report = _report(name, deviation, 0.0, _tolerance(n_max))
     gram.flags.writeable = False
     return gram, report
 
@@ -282,11 +294,16 @@ def w_overlap_oracle(n: int, params: SystemParams,
     entries), refused past W_OVERLAP_MAX_LEVEL. The report compares it
     entrywise against w_matrix().
     """
-    table = _overlap_table(check_nonneg_int(n, "level n"), params, branch)
-    closed = w_matrix(n, params, branch).entries
-    deviation = float(np.max(np.abs(table - closed)))
-    report = _report(_overlap_name(n, params, branch), deviation, 0.0, _tolerance(n))
-    return table, report
+    n = check_nonneg_int(n, "level n")
+    return _overlap(_overlap_name(n, params, branch), n, params, branch)
+
+
+def _overlap(name: str, n: int, params: SystemParams,
+             branch: Branch) -> tuple[np.ndarray, CheckReport]:
+    """w_overlap_oracle at a validated level, reported under name."""
+    table = _overlap_table(n, params, branch)
+    deviation = float(np.max(np.abs(table - w_matrix(n, params, branch).entries)))
+    return table, _report(name, deviation, 0.0, _tolerance(n))
 
 
 _SUITE_SETS = (
@@ -323,24 +340,25 @@ _MORSE_CASES = (
 def _suite() -> tuple[tuple[str, Callable[[], CheckReport]], ...]:
     """The verification suite as (name, check) rows, in report order.
 
-    Each check returns the CheckReport of its row, named as the row is; the
-    checks look the oracles up by module name when they run.
+    Each check returns the CheckReport of its row under the row's name, formed
+    once here; the checks run the oracles' bodies on the suite's fixed, valid
+    arguments.
     """
     def gram(family, n_max, params, branch=Branch.Plus):
-        return (_gram_name(family, n_max, params, branch),
-                lambda: gram_matrix(family, n_max, params, branch)[1])
+        name = _gram_name(family, n_max, params, branch)
+        return name, lambda: _gram(name, family, n_max, params, branch)[1]
 
     def bi(route, n, q, qp, params, branch):
         name = _bi_name(route, n, q, qp, params, branch)
         if route == "quad":
-            return name, lambda: bi_orthogonality(n, q, qp, params, branch)
+            return name, lambda: _bi_quad(name, n, q, qp, params, branch)
         return name, lambda: _report(
             name, bi_orthogonality_hypergeometric(n, q, qp, params, branch),
             _bi_expected(q, qp, params, branch), _tolerance(n))
 
     def overlap(n, params, branch):
-        return (_overlap_name(n, params, branch),
-                lambda: w_overlap_oracle(n, params, branch)[1])
+        name = _overlap_name(n, params, branch)
+        return name, lambda: _overlap(name, n, params, branch)[1]
 
     families = (GramFamily.Theta, GramFamily.RadialSph, GramFamily.RadialCyl, GramFamily.Axial)
     return (*(gram(family, _GRAM_LEVEL, params, branch) for params in _SUITE_SETS

@@ -190,9 +190,11 @@ def _ln_norm0(beta: float) -> tuple[float, int]:
     return -0.5 * math.log(m * 2.0 ** (e % 2)), -(e // 2)
 
 
+@cached(SETUPS)
 def _gamma_ratio(alpha: float, beta: float) -> tuple[float, int]:
     """(m, e), e even, with Gamma(alpha + 1) Gamma(beta + 1) / Gamma(alpha + beta + 2) = m 2^e,
-    alpha, beta > -1, from three _ln_norm0 products (the Jacobi b_0, the angular N_0)."""
+    alpha, beta > -1, from three _ln_norm0 products; built once per (alpha, beta) for the
+    Jacobi b_0 and the angular N_0 alike."""
     (ra, ja), (rb, jb), (rs, js) = _ln_norm0(alpha), _ln_norm0(beta), _ln_norm0(alpha + beta + 1.0)
     return math.exp(2.0 * (rs - ra - rb)), 2 * (js - ja - jb)
 

@@ -20,7 +20,7 @@ from .errors import (DomainError, NumericError, check_level_index, check_positiv
                      require_points)
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
 from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _dense, _m_bands,  # noqa: F401
-                         _n_bands, _w_table)
+                         _n_bands, _residual_bound, _w_table)
 from .model import Branch, SystemParams, _a_q, _e_z, require_admissible, require_label_m
 
 _SIGN_PIVOT_TOL = 1e-12
@@ -154,21 +154,26 @@ def build_tridiag_t(n: int, params: SystemParams, branch: Branch, R: float,
     return _system(_t_bands, "spherical", n, params, branch, R, kind)
 
 
-def _solve(diag: np.ndarray, off: np.ndarray, what) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK eigenpairs (ascending) of the symmetric tridiagonal matrix with
-    bands diag/off, or of a stack of them, under the eigen residual contract.
-
-    LAPACK can return NaN instead of failing on a non-finite entry; that fails
-    too. `what` names the problem as in _check_residual, what(None) a stack.
-    """
-    label = what if isinstance(what, str) else what(None)
+def _lapack(solver, diag: np.ndarray, off: np.ndarray, label: str) -> np.ndarray:
+    """solver (np.linalg.eigh or eigvalsh) on the dense symmetric tridiagonal
+    matrix with bands diag/off, or on a stack of them. A LAPACK failure raises
+    NumericError, and so do non-finite eigenvalues, which LAPACK can return
+    instead of failing on a non-finite entry; label names the problem."""
     try:
-        lam, vec = np.linalg.eigh(_dense(diag, off))
+        out = solver(_dense(diag, off))
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolve failed for {label}: {exc}") from exc
-    if not np.isfinite(lam).all():
+    # eigh gives (eigenvalues, eigenvectors), eigvalsh the eigenvalues
+    if not np.isfinite(out[0] if isinstance(out, tuple) else out).all():
         raise NumericError(f"eigensolve gave non-finite eigenvalues for {label}")
-    _check_residual(diag, off, vec, lam, what)
+    return out
+
+
+def _solve(diag: np.ndarray, off: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK eigenpairs (ascending) of the symmetric tridiagonal matrix with
+    bands diag/off under the eigen residual contract; label names the problem."""
+    lam, vec = _lapack(np.linalg.eigh, diag, off, label)
+    _check_residual(diag, off, vec, lam, label)
     return lam, vec
 
 
@@ -263,6 +268,10 @@ def t_coefficients(n: int, k: int, params: SystemParams, branch: Branch, R: floa
 # Entries per stacked LAPACK call in lambda_grid (8 MB of matrices), so that
 # any grid the CLI accepts is solved in bounded memory.
 _GRID_CHUNK_ENTRIES = 1 << 20
+# Smallest LDL^T pivot magnitude in a Sturm count, times max(1, max e^2), as in
+# LAPACK dstebz; bands with an off-diagonal entry past 2^500 are scaled first.
+_PIVMIN = np.finfo(float).tiny
+_COUNT_SCALE_AT = 2.0 ** 500
 
 
 def _radius_grid(R_grid) -> np.ndarray:
@@ -279,14 +288,70 @@ def _radius_grid(R_grid) -> np.ndarray:
     return grid.astype(float, copy=False)
 
 
+def _sturm_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
+    """Eigenvalues below each shift x of the symmetric tridiagonal matrices with
+    bands diag (rows, n+1) and off (rows, n), shifts (rows, s): the number of
+    negative pivots of the LDL^T factorisation of T - x I (Sylvester inertia;
+    Barth, Martin and Wilkinson 1967), formed as in LAPACK dstebz: pivot_j =
+    (d_j - e_{j-1}^2 / pivot_{j-1}) - x, and a pivot of magnitude at most pivmin =
+    tiny max(1, max e^2) (here over the whole stack) becomes -pivmin, so no step
+    divides by zero. Bands past _COUNT_SCALE_AT (large R), whose e^2 could
+    overflow, are first scaled with their shifts by a power of two per matrix to
+    a largest entry below 1, which keeps every pivot's sign."""
+    if np.abs(off).max(initial=0.0) > _COUNT_SCALE_AT:
+        top = np.maximum(np.abs(diag).max(axis=-1), np.abs(off).max(axis=-1))
+        unit = np.ldexp(1.0, -np.frexp(top)[1])[:, None]
+        diag, off, shifts = diag * unit, off * unit, shifts * unit
+    e2 = off * off
+    pivmin = _PIVMIN * max(1.0, e2.max(initial=0.0))
+    d_cols, e2_cols = diag.T[:, :, None], e2.T[:, :, None]   # column j: (rows, 1)
+    pivot = d_cols[0] - shifts
+    magnitude = np.empty_like(shifts)
+    negative = np.empty((diag.shape[-1],) + shifts.shape, dtype=bool)
+    for j in range(diag.shape[-1]):
+        if j:
+            np.divide(e2_cols[j - 1], pivot, out=pivot)
+            np.subtract(d_cols[j], pivot, out=pivot)
+            np.subtract(pivot, shifts, out=pivot)
+        if np.minimum.reduce(np.abs(pivot, out=magnitude), axis=None) <= pivmin:
+            pivot[magnitude <= pivmin] = -pivmin
+        np.signbit(pivot, out=negative[j])
+    return np.count_nonzero(negative, axis=0)
+
+
+def _certified(diag: np.ndarray, off: np.ndarray, what) -> np.ndarray:
+    """Ascending eigenvalues of stacked symmetric tridiagonal bands by LAPACK
+    (numpy.linalg.eigvalsh), each certified by Sturm counts: with delta the eigen
+    residual contract's bound for its matrix (interbasis._residual_bound), lambda_k
+    must have at most k eigenvalues below lambda_k - delta and at least k + 1 below
+    lambda_k + delta, so the k-th eigenvalue lies within delta of it. A miss raises
+    NumericError naming what(i) for the failing row i; what(None) names the stack."""
+    lam = _lapack(np.linalg.eigvalsh, diag, off, what(None))
+    size = diag.shape[-1]
+    delta = _residual_bound(size, diag, off)[:, None]
+    counts = _sturm_counts(diag, off, np.concatenate((lam - delta, lam + delta), axis=-1))
+    k = np.arange(size)
+    bracketed = (counts[:, :size] <= k) & (counts[:, size:] > k)
+    if not bracketed.all():
+        row, k = np.unravel_index(np.argmin(bracketed), bracketed.shape)
+        raise NumericError(f"Sturm count does not bracket lambda_{k} within "
+                           f"{delta[row, 0]:.3e} for {what(row)}")
+    return lam
+
+
 def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
                 R_grid) -> np.ndarray:
     """All separation constants lambda_0..lambda_n at every R of a grid.
 
     Row i holds the ascending eigenvalues of build_tridiag_t(n, ..., R_grid[i],
     kind) = diag(A_q) + sign (R^2/2) n_matrix_sph, from the same bands (N's
-    built once per level) and the same solve as eigensolve, in stacked
-    LAPACK calls.
+    built once per level), by stacked LAPACK eigenvalue-only calls
+    (numpy.linalg.eigvalsh): row i equals np.linalg.eigvalsh of that system's
+    dense matrix bit for bit. No eigenvectors are formed. Instead every value is
+    certified by Sturm counts on the bands: lambda_k is the k-th eigenvalue to
+    within delta = _RESIDUAL_FACTOR (n+1) max(max|d|, max|e|, 1), the eigen
+    residual contract's bound for that R; a miss raises NumericError naming n
+    and R.
     """
     n, _ = check_level_index(n, 0)
     grid = _radius_grid(R_grid)
@@ -298,13 +363,17 @@ def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
         return f"lambda grid at n={n}" + ("" if i is None else f", R={grid[lo + i]:g}")
 
     for lo in range(0, grid.size, chunk):
-        lam[lo:lo + chunk] = _solve(diag[lo:lo + chunk], off[lo:lo + chunk], what)[0]
+        lam[lo:lo + chunk] = _certified(diag[lo:lo + chunk], off[lo:lo + chunk], what)
     return lam
 
 
 def lambda_curve(n: int, k: int, params: SystemParams, branch: Branch, kind: Kind,
                  R_grid) -> list[tuple[float, float]]:
-    """Separation constant lambda_k sampled on an ascending positive R grid."""
+    """Separation constant lambda_k sampled on an ascending positive R grid.
+
+    Column k of lambda_grid: each value is certified by its Sturm counts to be
+    the k-th eigenvalue of its R's system within that R's delta (see lambda_grid).
+    """
     n, k = check_level_index(n, k)
     grid = _radius_grid(R_grid)
     if not np.all(np.diff(grid) > 0.0):

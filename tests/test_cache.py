@@ -21,7 +21,7 @@ SETS = [SystemParams(1.0, 0.05, 0.5, 1), SystemParams(1.0, 2.0, 3.0, 0),
         SystemParams(2.0, 0.1, 0.0, 2), BOTH]
 
 SETUP_TABLES = (specfun._laguerre_steps, specfun._diagonal_steps, specfun._jacobi_steps,
-                bases._angular_norms, specfun.build_quadrature)
+                specfun._gamma_ratio, bases._angular_norms, specfun.build_quadrature)
 LEVEL_TABLES = (interbasis._m_bands, interbasis._n_bands, interbasis._w_table,
                 interbasis._overlap_table, spheroidal._level_solve, spheroidal._pair_columns)
 
@@ -145,6 +145,19 @@ def test_one_overlap_table_per_level_for_every_entry(fresh_tables):
         table, report = oracles.w_overlap_oracle(n, BOTH, branch)
         assert np.array(entries).tobytes() == table.tobytes() and report.passed
     assert interbasis._overlap_table.cache_info() == (2 * (n + 1) ** 2, 2, 2)
+
+
+def test_one_gamma_ratio_per_theta_gram(monkeypatch, fresh_tables):
+    # the Jacobi rule's b_0 and the angular N_0 read one Gamma ratio: three
+    # _ln_norm0 products per fresh (c, beta), and the Gram keeps its bits
+    params = SystemParams(1.3, 0.7, 1.1, 1)
+    reference = gram_matrix(GramFamily.Theta, 6, params)[0].tobytes()
+    _cache.clear()
+    calls, ln_norm0 = [], specfun._ln_norm0
+    monkeypatch.setattr(specfun, "_ln_norm0", lambda beta: calls.append(beta) or ln_norm0(beta))
+    assert gram_matrix(GramFamily.Theta, 6, params)[0].tobytes() == reference
+    assert len(calls) == 3
+    assert specfun._gamma_ratio.cache_info() == (1, 1, 1)
 
 
 def test_clear_empties_the_gauss_rules():

@@ -603,6 +603,25 @@ def test_lapack_failure_exits_4(monkeypatch):
     assert "numeric failure" in err
 
 
+def test_uncertified_lambda_grid_exits_4_naming_n_and_r(monkeypatch):
+    # LAPACK is handed a matrix whose d_0 differs from the bands' by 1e-6 at the
+    # third R; the Sturm counts on the bands refuse that value
+    dense = spheroidal._dense
+
+    def perturbed(diag, off):
+        mat = dense(diag, off)
+        if diag.ndim == 2:
+            mat[2, 0, 0] += 1e-6 * max(1.0, abs(mat[2, 0, 0]))
+        return mat
+
+    monkeypatch.setattr(spheroidal, "_dense", perturbed)
+    code, out, err = run_cli(["spheroidal", "--n", "4", "--R-grid", "0.1:2.0:5"])
+    assert code == 4
+    assert out == ""
+    assert err.startswith("numeric failure: Sturm count does not bracket lambda_")
+    assert "lambda grid at n=4, R=1.05" in err
+
+
 def test_non_finite_spheroidal_input_writes_no_numbers():
     for argv in (["spheroidal", "--omega", "inf"],
                  ["spheroidal", "--P", "inf", "--n", "1"]):

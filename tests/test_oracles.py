@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from genosc import oracles
 from genosc.bases import radial_cylindrical, radial_spherical, theta_angular, z_axial
 from genosc.errors import DomainError
 from genosc.interbasis import W_OVERLAP_MAX_LEVEL, w_integral_oracle, w_matrix
@@ -328,6 +329,24 @@ def test_suite_manifest_is_deterministic():
     first = [r.name for r in run_verification_suite()]
     second = [r.name for r in run_verification_suite()]
     assert first == second == list(SUITE_MANIFEST)
+
+
+def test_suite_checks_reuse_their_row_names(monkeypatch):
+    # a row's name is formed once, with the suite table; its check reports under
+    # it, as the public oracle of the same arguments would
+    reference = run_verification_suite()
+    params = SystemParams(omega=1.0, p_strength=0.05, q_strength=0.5, m=1)
+    for report in (gram_matrix(GramFamily.Theta, 4, params)[1],
+                   bi_orthogonality(4, 1, 3, params, Branch.Plus),
+                   w_overlap_oracle(2, BOTH, Branch.Minus)[1]):
+        assert report in reference
+
+    def no_name(*args):
+        raise AssertionError("a suite check formed a name")
+
+    for helper in ("_params_tag", "_gram_name", "_bi_name", "_overlap_name"):
+        monkeypatch.setattr(oracles, helper, no_name)
+    assert run_verification_suite() == reference
 
 
 def test_report_pass_logic():

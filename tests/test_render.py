@@ -168,6 +168,34 @@ def test_non_finite_cells_raise_numeric_error(fmt, bad):
             REFERENCE[fmt](cfg, [section])
 
 
+# floats whose column sums stay finite: a sum that overflows sends the section
+# cell by cell, which the mixed-row property above covers
+_ONE_TYPE_COLUMNS = (st.integers(), st.booleans(), st.floats(-1e300, 1e300),
+                     st.text(st.sampled_from(list('ab n,"\n')), max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_one_type_columns_go_through_one_template(data):
+    # verify's reports and perturb's comparison: each column holds one type,
+    # strings included, and the section is written by one %-template
+    kinds = data.draw(st.lists(st.sampled_from(_ONE_TYPE_COLUMNS), max_size=5))
+    rows = tuple(data.draw(st.lists(st.tuples(*kinds), max_size=5)))
+    section = cli.Section("reports", tuple(f"c{i}" for i in range(len(kinds))), rows)
+    assert cli._csv_section(rows) is not None
+    assert cli.render_csv(config("csv"), [section]) == reference_render_csv(config("csv"),
+                                                                            [section])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64("nan")])
+def test_one_type_columns_with_text_refuse_a_non_finite_float(bad):
+    # the string cells hold an "n", so only the float itself can tell
+    rows = (("gram n<=4", 1e-16, "pass"), ("bi n=3", bad, "FAIL"))
+    with pytest.raises(NumericError):
+        cli.render_csv(config("csv"), [cli.Section("reports", ("name", "measured", "status"),
+                                                   rows)])
+
+
 @pytest.mark.parametrize("piece", [1, 7, cli._JSON_PIECE_CELLS])
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_large_numeric_and_empty_row_sections_match_reference(monkeypatch, fmt, piece):

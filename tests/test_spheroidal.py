@@ -201,6 +201,8 @@ def test_lapack_failure_is_numeric_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", _raise_linalg_error)
     with pytest.raises(NumericError):
         eigensolve(system)
+    # the grid solves for eigenvalues only
+    monkeypatch.setattr(np.linalg, "eigvalsh", _raise_linalg_error)
     with pytest.raises(NumericError):
         lambda_grid(3, BOTH, Branch.Plus, Kind.Prolate, [0.5, 1.0])
 
@@ -424,14 +426,93 @@ def test_lambda_curve_grid_validation():
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("n", [0, 1, 5, 20, 40])
 def test_lambda_grid_matches_per_r_eigensolve(n, kind):
+    # rows are LAPACK's eigenvalue-only solve of each R's dense matrix, bit for
+    # bit (the reference perfbench/refcheck.py uses), and within the
+    # certificate's delta of eigensolve's values, which come with eigenvectors
     grid = np.linspace(0.05, 12.0, 25)
     lam = lambda_grid(n, STEEP, Branch.Plus, kind, grid)
     assert lam.shape == (grid.size, n + 1)
     for row, radius in zip(lam, grid):
-        ref = eigensolve(build_tridiag_t(n, STEEP, Branch.Plus, float(radius), kind)).lam
-        np.testing.assert_array_equal(row, ref)
+        system = build_tridiag_t(n, STEEP, Branch.Plus, float(radius), kind)
+        np.testing.assert_array_equal(row, np.linalg.eigvalsh(system.dense()))
+        delta = interbasis._residual_bound(n + 1, system.diag, system.offdiag)
+        assert np.abs(row - eigensolve(system).lam).max() <= delta
     curve = lambda_curve(n, n // 2, STEEP, Branch.Plus, kind, grid)
     assert [point[1] for point in curve] == list(lam[:, n // 2])
+
+
+def _brackets(n, params, branch, kind, grid, lam):
+    """Whether each lam[:, k] has at most k eigenvalues of its R's system below
+    lam_k - delta and at least k + 1 below lam_k + delta."""
+    diag, off = spheroidal._t_bands(n, params, branch, kind, grid)
+    delta = interbasis._residual_bound(n + 1, diag, off)[:, None]
+    counts = spheroidal._sturm_counts(diag, off, np.concatenate((lam - delta, lam + delta), 1))
+    k = np.arange(n + 1)
+    return (counts[:, :n + 1] <= k) & (counts[:, n + 1:] >= k + 1)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("params", [BOTH, SETS[2], STEEP], ids=["P<0,Q=0", "Q=0", "Q>0"])
+def test_lambda_grid_counts_bracket_every_index(params, kind):
+    grid = np.linspace(0.05, 12.0, 200)
+    for branch in admissible_branches(params):
+        for n in (0, 1, 12, 40, 100):
+            lam = lambda_grid(n, params, branch, kind, grid)
+            assert _brackets(n, params, branch, kind, grid, lam).all(), (n, branch)
+            if n:   # the counts tell the indices apart: descending values fail
+                assert not _brackets(n, params, branch, kind, grid, lam[:, ::-1]).all()
+
+
+def test_lambda_grid_certifies_bands_past_the_square_root_of_overflow():
+    # at R = 1e150 the bands reach 1e300, whose squares overflow unscaled
+    grid = np.array([1e100, 1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lam = lambda_grid(3, BOTH, Branch.Plus, Kind.Prolate, grid)
+    assert np.isfinite(lam).all()
+    assert _brackets(3, BOTH, Branch.Plus, Kind.Prolate, grid, lam).all()
+
+
+def test_sturm_counts_treat_a_zero_pivot_as_negative():
+    # T = [[1, 1], [1, 1]] has eigenvalues 0 and 2. At x = 1 the first pivot is
+    # exactly zero, replaced by -pivmin as in LAPACK dstebz, and the second,
+    # (1 - 1 / -pivmin) - 1, is huge and positive: one eigenvalue below 1. At
+    # x = 0 and x = 2 the last pivot is zero, so the eigenvalue at x counts.
+    diag, off = np.array([[1.0, 1.0]]), np.array([[1.0]])
+    counts = spheroidal._sturm_counts(diag, off, np.array([[-0.5, 0.0, 1.0, 2.0, 2.5]]))
+    assert counts.tolist() == [[0, 1, 1, 2, 2]]
+    # a decoupled matrix: the zero off-diagonal leaves no 0/0
+    counts = spheroidal._sturm_counts(np.array([[1.0, 1.0]]), np.array([[0.0]]),
+                                      np.array([[0.5, 1.0, 1.5]]))
+    assert counts.tolist() == [[0, 2, 2]]
+
+
+def _perturbed_dense(monkeypatch, stack, row, by=1e-6):
+    """Make the dense matrices LAPACK sees for call `stack` of stacked bands (0 the
+    first) carry `by` more in d_0 of matrix `row`; the Sturm counts read the bands."""
+    dense, calls = interbasis._dense, []
+
+    def perturbed(diag, off):
+        mat = dense(diag, off)
+        if diag.ndim == 2:
+            if len(calls) == stack:
+                mat[row, 0, 0] += by * max(1.0, abs(mat[row, 0, 0]))
+            calls.append(None)
+        return mat
+
+    monkeypatch.setattr(spheroidal, "_dense", perturbed)
+
+
+def test_lambda_grid_refuses_a_value_its_counts_do_not_bracket(monkeypatch):
+    grid = np.linspace(0.1, 2.0, 5)
+    _perturbed_dense(monkeypatch, 0, 2)
+    with pytest.raises(NumericError, match=r"Sturm count .* n=4, R=1\.05"):
+        lambda_grid(4, STEEP, Branch.Plus, Kind.Prolate, grid)
+    # in a later chunk the message names that chunk's R
+    monkeypatch.setattr(spheroidal, "_GRID_CHUNK_ENTRIES", 2 * 25)
+    _perturbed_dense(monkeypatch, 1, 1)
+    with pytest.raises(NumericError, match=r"Sturm count .* n=4, R=1\.525"):
+        lambda_grid(4, STEEP, Branch.Plus, Kind.Prolate, grid)
 
 
 def test_lambda_grid_chunks_agree_with_one_stack(monkeypatch):
@@ -453,7 +534,8 @@ def test_every_level_eigenproblem_meets_one_residual_contract(monkeypatch):
         u_coefficients(6, 2, BOTH, Branch.Plus, 1.3, Kind.Prolate)
     with pytest.raises(NumericError, match="eigen residual"):
         eigensolve(build_tridiag_t(4, STEEP, Branch.Plus, 1.3, Kind.Prolate))
-    with pytest.raises(NumericError, match=r"eigen residual .* n=4, R=0\.7"):
+    # the grid forms no eigenvectors: with delta = 0 no Sturm count can bracket
+    with pytest.raises(NumericError, match=r"Sturm count .* n=4, R=0\.7"):
         lambda_grid(4, STEEP, Branch.Plus, Kind.Oblate, [0.7, 1.1, 2.5])
 
 
