@@ -11,22 +11,22 @@ back on every later one. This is the package's one memo; two caches hold them:
   overlap tables, spheroidal's solve of one R and its solved states); it also
   bounds its number of entries.
 
-A key is the function and its arguments, keywords included, with every float
-taken by its sign as well as its value and every other number by its type, so
-arguments that compare equal but compute different bits (0.0 and -0.0, 1 and 1.0)
-never share an entry. Each cache drops its least recently used entries while it
-is past a bound: an entry counts its arrays' data and rows of floats, room in a
-dataclass for one cached_property formed later (ortho_dev, weights), and a fixed
-allowance for its key and Python objects (_ENTRY_BYTES). A value larger than the
-budget is returned but not kept. Arrays in a value are made read-only before it
-is returned, cached or not.
+A cached function is private and takes positional arguments only, from one
+validating caller that hands it canonical values: ints as int, floats as float
+(with -0.0 as 0.0 wherever the two would compute different bits), SystemParams
+(whose fields are stored as floats and an int) and enum members. Its key is the
+function and those arguments themselves, so equal arguments share an entry.
+
+Each cache drops its least recently used entries while it is past a bound: an
+entry counts its arrays' data and rows of floats, room in a dataclass for one
+cached_property formed later (ortho_dev, weights), and a fixed allowance for its
+key and Python objects (_ENTRY_BYTES). A value larger than the budget is
+returned but not kept. Arrays in a value are made read-only before it is
+returned, cached or not.
 """
 
 from __future__ import annotations
 
-import enum
-import math
-import numbers
 import sys
 import threading
 from collections import OrderedDict, namedtuple
@@ -42,9 +42,6 @@ CacheInfo = namedtuple("CacheInfo", "hits misses currsize")
 _ARRAY_BYTES = 128
 _FLOAT_BYTES = 24
 _ENTRY_BYTES = 1024
-# where a frozen dataclass instance keeps its key part after its first use
-_KEY_ATTR = "_cache_key"
-_ENUM_TYPE = type(enum.Enum)
 
 
 class ByteLRU:
@@ -79,7 +76,7 @@ class ByteLRU:
                 self.nbytes -= self.entries.pop(key)[1]
 
 
-# Budgets. SETUPS keeps verify's 49 set-ups and 33 Gauss rules (134 kB) resident beside
+# Budgets. SETUPS keeps verify's 54 set-ups and 33 Gauss rules (139 kB) resident beside
 # the churn of fresh orders: 256 kB for set-ups and 256 small rules' 1.5 kB each. LEVELS
 # holds an n = 300 level's solve and W table (0.7 MB each) beside some of its states; its
 # entry bound keeps what levels of fresh parameters leave resident, a few kB each, to 64.
@@ -93,36 +90,6 @@ def clear() -> None:
     """Empty every cache and reset every cached function's counts."""
     for table in _TABLES:
         table.cache_clear()
-
-
-def _exact(value):
-    """value as a key part: floats tagged with their sign, other numbers with their
-    type (a plain int as itself), tuples and dataclasses field by field (a frozen
-    instance's part formed once), enum members by class and name; anything else
-    (ranges, strings) as itself."""
-    kind = type(value)
-    if kind is float:
-        return float, value, math.copysign(1.0, value)
-    if kind is int or kind is range or kind is str:
-        return value
-    if isinstance(kind, _ENUM_TYPE):   # by name: an Enum hashes in Python, a str in C
-        return kind, value._name_
-    if isinstance(value, float):   # numpy floats hold the same bits as a float
-        return float, float(value), math.copysign(1.0, value)
-    if kind is tuple:
-        return tuple(map(_exact, value))
-    fields = getattr(kind, "__dataclass_fields__", None)
-    if fields is not None:
-        held = value.__dict__
-        key = held.get(_KEY_ATTR)
-        if key is None:
-            key = (kind, *map(_exact, map(value.__getattribute__, fields)))
-            if kind.__dataclass_params__.frozen:   # its fields never change: keep the key
-                held[_KEY_ATTR] = key
-        return key
-    if isinstance(value, numbers.Number):
-        return kind, value
-    return value
 
 
 def _seal(value) -> int:
@@ -154,29 +121,27 @@ def _seal(value) -> int:
 
 
 def cached(cache: ByteLRU):
-    """Decorator: call fn(*args, **kwargs) once per exact key (see _exact) and keep the
-    result in cache. The wrapper's cache_info() and cache_clear() cover fn's entries."""
+    """Decorator: call fn(*args) once per key (fn, *args) and keep the result in cache.
+    The wrapper's cache_info() and cache_clear() cover fn's entries."""
     entries, lock = cache.entries, cache.lock
 
     def decorate(fn):
         counts = [0, 0]   # hits, misses
 
         @wraps(fn)
-        def wrapper(*args, **kwargs):
-            key = (fn, *map(_exact, args))
-            if kwargs:   # after the marker dict: no keyword reads as a positional argument
-                key += (dict, *kwargs, *map(_exact, kwargs.values()))
-            # a key hashes and compares in C (see _exact), so each dict call is atomic
-            entry = entries.get(key)
-            if entry is not None:
-                try:
+        def wrapper(*args):
+            key = (fn, *args)
+            # every use of entries holds the lock: a key hashes and compares in Python
+            # (SystemParams, enum members), so another thread can run in the middle of a
+            # lookup, and OrderedDict's move_to_end is not safe against a change meanwhile
+            with lock:
+                entry = entries.get(key)
+                if entry is not None:
                     entries.move_to_end(key)
-                except KeyError:   # dropped by another thread meanwhile
-                    pass
-                counts[0] += 1
+                counts[entry is None] += 1
+            if entry is not None:
                 return entry[0]
-            counts[1] += 1
-            value = fn(*args, **kwargs)
+            value = fn(*args)
             cache.store(key, value, _ENTRY_BYTES + _seal(value))
             return value
 

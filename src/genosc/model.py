@@ -49,7 +49,10 @@ class Branch(enum.Enum):
 
 @dataclass(frozen=True)
 class SystemParams:
-    """Potential parameters: (omega^2/2) r^2 + P/(2 z^2) + Q/(2 rho^2), plus m."""
+    """Potential parameters: (omega^2/2) r^2 + P/(2 z^2) + Q/(2 rho^2), plus m.
+
+    Stored as floats and an int m: one table-cache key per value (genosc._cache). P and Q
+    reach every table as P + 1/4 and Q + m^2, the same bits for -0.0 as for 0.0."""
 
     omega: float
     p_strength: float
@@ -58,8 +61,10 @@ class SystemParams:
 
     def __post_init__(self):
         for name in ("omega", "p_strength", "q_strength"):
-            if not math.isfinite(getattr(self, name)):
-                raise DomainError(f"{name} must be finite, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value}")
+            object.__setattr__(self, name, float(value))
         if not self.omega > 0.0:
             raise DomainError(f"omega must be positive, got {self.omega}")
         if not self.p_strength > -0.25:

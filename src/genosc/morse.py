@@ -98,6 +98,8 @@ def sw_to_morse(params: MorseParams, energy: float) -> EffectiveChannel:
 
 def _check_level(p: int, params: MorseParams) -> int:
     count = bound_state_count(params)
+    if count == 0:   # the refusal sw_to_morse gives
+        raise DomainError(f"no discrete spectrum: sqrt(2 V0)/a = {params.lam:.6g} <= 1/2")
     try:
         level = check_nonneg_int(p, "level p")
     except DomainError:

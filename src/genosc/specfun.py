@@ -543,7 +543,6 @@ def _jacobi_coeffs(n: int, alpha: float, beta: float):
     return a, b
 
 
-@cached(SETUPS)
 def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -> QuadratureRule:
     """Golub-Welsch construction of an n-point Gaussian rule.
 
@@ -555,13 +554,12 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     size; a Jacobi rule whose weight integral or weights leave double range raises
     AccuracyError. A size whose n x n Jacobi matrix cannot be allocated raises
     NumericError before any array is built. Rules are immutable and built once per
-    key (genosc._cache).
+    validated (kind, int n, float alpha, beta), -0.0 as 0.0 (genosc._cache).
     """
     if kind not in _QUAD_KINDS:
         raise DomainError(f"unknown quadrature kind {kind!r}, expected one of {_QUAD_KINDS}")
     if check_nonneg_int(n, "quadrature size") < 1:
         raise DomainError(f"quadrature size must be a positive integer, got {n}")
-    n = int(n)
     alpha = float(alpha)
     beta = float(beta)
     if kind == "laguerre":
@@ -571,6 +569,12 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
         raise DomainError("legendre rule takes no exponents")
     elif not (alpha > -1.0 and beta > -1.0):
         raise DomainError(f"jacobi rule requires alpha, beta > -1, got ({alpha}, {beta})")
+    return _gauss_rule(kind, int(n), alpha + 0.0, beta + 0.0)   # + 0.0: -0.0 as 0.0
+
+
+@cached(SETUPS)
+def _gauss_rule(kind: str, n: int, alpha: float, beta: float) -> QuadratureRule:
+    """build_quadrature's rule at validated, canonical arguments."""
     _require_table((n, n), f"{kind} rule's Jacobi matrix at n={n}")
     if kind == "laguerre":
         k = np.arange(n, dtype=np.float64)
@@ -609,3 +613,7 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
         raise AccuracyError(f"quadrature weights leave double range for {kind}, n={n}")
     return QuadratureRule(kind=kind, npoints=n, alpha=alpha, beta=beta,
                           nodes=nodes, scaled_weights=weights)
+
+
+build_quadrature.cache_info = _gauss_rule.cache_info
+build_quadrature.cache_clear = _gauss_rule.cache_clear

@@ -2,9 +2,11 @@
 
 import contextlib
 import io
+import math
 import random
 import struct
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ SETS = [SystemParams(1.0, 0.05, 0.5, 1), SystemParams(1.0, 2.0, 3.0, 0),
         SystemParams(2.0, 0.1, 0.0, 2), BOTH]
 
 SETUP_TABLES = (specfun._laguerre_steps, specfun._diagonal_steps, specfun._jacobi_steps,
-                specfun._gamma_ratio, bases._angular_norms, specfun.build_quadrature)
+                specfun._gamma_ratio, bases._angular_norms, specfun._gauss_rule)
 LEVEL_TABLES = (interbasis._m_bands, interbasis._n_bands, interbasis._w_table,
                 interbasis._overlap_table, spheroidal._level_solve, spheroidal._pair_columns)
 
@@ -287,36 +289,151 @@ def test_lru_order_and_oversized_values():
     assert not cache.entries and cache.nbytes == 0 and table.cache_info() == (0, 0, 0)
 
 
-def test_equal_keys_of_different_bits_never_share_an_entry():
-    cache = _cache.ByteLRU(1 << 20)
-
-    @_cache.cached(cache)
-    def echo(*args):
-        return tuple(repr(arg) for arg in args)
-
-    got = [echo(arg) for arg in (0.0, -0.0, 1, 1.0, True, np.float64(-0.0))]
-    # np.float64(-0.0) has the bits of -0.0 and reads its entry; the rest are five entries
-    assert got == [("0.0",), ("-0.0",), ("1",), ("1.0",), ("True",), ("-0.0",)]
-    assert echo.cache_info() == (1, 5, 5)
-    plus = SystemParams(1.0, 0.0, 0.0, 0)
-    minus = SystemParams(1.0, -0.0, -0.0, 0)
-    assert plus == minus and hash(plus) == hash(minus)
-    assert _cache._exact(plus) != _cache._exact(minus)
-    interbasis._m_bands.cache_clear()
-    interbasis._m_bands(3, plus, Branch.Plus)
-    interbasis._m_bands(3, minus, Branch.Plus)
-    assert interbasis._m_bands.cache_info() == (0, 2, 2)
+# Twin arguments: equal values of another type or sign, n as a float, an omitted default.
+TWIN_PARAMS = [(SystemParams(1, 0, 0, 0), SystemParams(1.0, -0.0, -0.0, 0)),
+               (SystemParams(2, 1, 3, 1), SystemParams(2.0, 1.0, 3.0, 1.0))]
+LOG_X = np.log([0.02, 0.7, 3.0, 11.0])
+THETA = np.array([0.1, 0.6, 1.2])
 
 
-def test_keyword_arguments_are_part_of_the_key():
-    cache = _cache.ByteLRU(1 << 20)
+def _rule_arrays(*args):
+    rule = specfun.build_quadrature(*args)
+    return rule.nodes, rule.scaled_weights, rule.weights
 
-    @_cache.cached(cache)
-    def echo(*args, **kwargs):
-        return repr((args, sorted(kwargs.items())))
 
-    # a keyword never reads as a positional argument of the same value, nor 1 as 1.0
-    got = [echo(1.0, ("alpha", 2.0)), echo(1.0, alpha=2.0), echo(1.0, alpha=2),
-           echo(1.0, alpha=2.0)]
-    assert got[1] == got[3] and len(set(got)) == 3
-    assert echo.cache_info() == (1, 3, 3)
+def _w_arrays(*args):
+    table = interbasis.w_matrix(*args)
+    return table.entries, table.ortho_dev
+
+
+def _overlap_entries(*args):
+    return oracles.w_overlap_oracle(*args)[0]
+
+
+def _twin_cases():
+    """(table, public call, first twin's arguments, second twin's): each call reaches the
+    table through its one validating caller."""
+    for a, b in ((1, 1.0), (0.0, -0.0)):
+        yield (specfun._laguerre_steps, specfun.laguerre_functions,
+               (range(7), a, LOG_X), (range(7), b, LOG_X))
+        yield specfun._jacobi_steps, specfun.jacobi_p, (6, a, 0.5, THETA), (6.0, b, 0.5, THETA)
+        yield specfun._gamma_ratio, _rule_arrays, ("jacobi", 6, a, 0.5), ("jacobi", 6.0, b, 0.5)
+    for beta, twin, degrees in ((7, 7.0, range(3)), (0.0, -0.0, range(1))):
+        yield (specfun._diagonal_steps, specfun.laguerre_diagonal,
+               (degrees, beta, LOG_X), (degrees, twin, LOG_X))
+    for args in (("laguerre", 6), ("laguerre", 6, 0.0), ("laguerre", 6.0, -0.0),
+                 ("legendre", 6, -0.0, 0)):
+        yield (specfun._gauss_rule, _rule_arrays, args,
+               ("laguerre", 6.0, 0) if args[0] == "laguerre" else ("legendre", 6))
+    for one, other in TWIN_PARAMS:
+        for branch in admissible_branches(one):
+            yield (bases._angular_norms, bases.theta_angular,
+                   (6, one, branch, THETA), (6.0, other, branch, THETA))
+            for table, call in ((interbasis._m_bands, interbasis.m_matrix_cyl),
+                                (interbasis._n_bands, interbasis.n_matrix_sph),
+                                (interbasis._w_table, _w_arrays),
+                                (interbasis._overlap_table, _overlap_entries)):
+                yield table, call, (6, one, branch), (6.0, other, branch)
+            for table, call in ((spheroidal._level_solve, t_coefficients),
+                                (spheroidal._pair_columns, u_coefficients)):
+                yield (table, call, (6, 2, one, branch, 2, Kind.Oblate),
+                       (6.0, 2.0, other, branch, 2.0, Kind.Oblate))
+
+
+def _value_bytes(value) -> bytes:
+    return b"".join(np.asarray(array).tobytes() for array in _arrays(value))
+
+
+def test_twin_arguments_read_one_entry_bit_identical_to_a_cold_build():
+    # a cached value never differs from a cold build: build through one twin, empty
+    # every other table, read through the other twin (a hit on the first one's entry)
+    # and compare with the second twin built cold
+    covered = set()
+    for table, call, first, second in _twin_cases():
+        _cache.clear()
+        cold = _value_bytes(call(*second))
+        assert cold, table.__name__
+        _cache.clear()
+        call(*first)
+        for other in _cache._TABLES:
+            if other is not table:
+                other.cache_clear()
+        hits = table.cache_info().hits
+        assert _value_bytes(call(*second)) == cold, (table.__name__, first, second)
+        assert table.cache_info().hits > hits, (table.__name__, first, second)
+        covered.add(table)
+    assert covered == set(SETUP_TABLES + LEVEL_TABLES)
+
+
+def test_twin_rules_and_systems_are_one_entry(fresh_tables):
+    # the rule is built at its canonical arguments whichever form comes first
+    build = specfun.build_quadrature
+    rules = [build("laguerre", 6.0, alpha=-0.0), build("laguerre", 6),
+             build("laguerre", 6, alpha=0.0)]
+    assert rules[0] is rules[1] is rules[2]
+    assert build.cache_info() == (2, 1, 1)
+    assert type(rules[0].npoints) is int and math.copysign(1.0, rules[0].alpha) == 1.0
+    plus, minus = SystemParams(1, 0, 0, 0), SystemParams(1.0, -0.0, -0.0, 0)
+    interbasis.m_matrix_cyl(3, plus, Branch.Plus)
+    interbasis.m_matrix_cyl(3, minus, Branch.Plus)
+    assert interbasis._m_bands.cache_info() == (1, 1, 1)
+    # the key is the instance itself: no cached call stores anything on it
+    interbasis.w_matrix(3, minus, Branch.Minus)
+    u_coefficients(3, 1, plus, Branch.Plus, 1.5, Kind.Prolate)
+    for params in (plus, minus):
+        assert list(vars(params)) == ["omega", "p_strength", "q_strength", "m"]
+        assert [type(v) for v in vars(params).values()] == [float, float, float, int]
+
+
+def test_cached_lookups_from_threads_match_single_thread_references():
+    # 4 threads, 400 rounds each, of keys every thread shares and keys of one thread
+    # and round only, through w_matrix, u_coefficients and build_quadrature, with
+    # frequent thread switches; each cache's bounds hold under its lock throughout
+    shared = [SystemParams(1.0, 0.3, 0.5, 1), SystemParams(1.5, 0.0, 1.0, 0),
+              SystemParams(0.8, -0.16, 0.0, 2), SystemParams(1.2, 2.0, 0.2, -1)]
+
+    def round_bytes(thread, i):
+        if i % 2:
+            params, n = shared[i % 4], 3 + i % 8
+        else:
+            params, n = SystemParams(1.0 + thread / 8 + i / 8192, 0.3, 0.5, 1), 2 + i % 7
+        R = 0.5 + (i % 5) * 0.75
+        alpha = 0.5 + i % 3 if i % 2 else thread + i / 1024
+        table = interbasis.w_matrix(n, params, Branch.Plus)
+        rule = specfun.build_quadrature("laguerre", 4 + i % 9, alpha=alpha)
+        return b"".join(array.tobytes() for array in (
+            table.entries, table.ortho_dev, rule.nodes, rule.scaled_weights,
+            u_coefficients(n, n // 2, params, Branch.Plus, R, Kind.Prolate)))
+
+    threads, rounds = 4, 400
+    _cache.clear()
+    reference = [[round_bytes(t, i) for i in range(rounds)] for t in range(threads)]
+    _cache.clear()
+    got, failures = [[] for _ in range(threads)], []
+
+    def run(t):
+        try:
+            for i in range(rounds):
+                got[t].append(round_bytes(t, i))
+                for name, cache in _cache.CACHES.items():
+                    with cache.lock:
+                        within = (cache.nbytes <= cache.budget and len(cache.entries)
+                                  <= (cache.max_entries or len(cache.entries)))
+                    if not within:
+                        failures.append((name, t, i))
+        except Exception as exc:   # reported below, with the thread and round
+            failures.append((t, len(got[t]), repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=run, args=(t,)) for t in range(threads)]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    assert failures == []
+    assert got == reference

@@ -43,6 +43,16 @@ def test_below_threshold_is_empty_with_diagnostic(caplog):
     assert "no discrete" in caplog.text
 
 
+def test_level_of_a_well_without_levels_is_refused_as_an_empty_spectrum():
+    # not "level p must lie in 0..-1": the refusal names the well, as sw_to_morse's does
+    params = MorseParams(0.05, 1.0)   # lam = sqrt(0.1)
+    message = r"^no discrete spectrum: sqrt\(2 V0\)/a = 0\.316228 <= 1/2$"
+    for call in (lambda: morse_wavefunction(0, params, 0.0), lambda: quadrature_norm(0, params),
+                 lambda: sw_to_morse(params, -1.0)):
+        with pytest.raises(DomainError, match=message):
+            call()
+
+
 def test_spectrum_bracket_and_ordering():
     for lam in (0.6, 1.0, 2.0, 7.3):
         params = params_for(lam, a=1.7)
