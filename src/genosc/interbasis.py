@@ -6,20 +6,18 @@ Column q of W is the eigenvector of the tridiagonal operator 2 M (M from
 m_matrix_cyl) for the closed-form eigenvalue A_q, so w_matrix builds it by
 the two-sided three-term recursion of Schulten and Gordon (J. Math. Phys.
 16, 1961 (1975)) in O(n^2) per table, stable at every level. The continued
-Racah sum (w_coefficient, cg_continued, ring_w) is kept as the small-level
-oracle: it terminates because a+b-c stays a nonnegative integer for every
-argument pattern generated here, with 1/Gamma at nonpositive integers zero
-throughout, but its alternating terms cancel and it loses orthogonality
-from n ~ 70. It is one sum over arrays of arguments (_cg_sum): w_coefficient
-and ring_w take index arrays that broadcast, so a level's table is one call,
-and cg_continued reads one entry. Each entry takes the float operations of a
-one-entry sum in the same order, so it does not depend on the array it is
-in. _overlap_table, the one overlap-integral route (an exact tensor Gauss rule
-read by w_integral_oracle and oracles.w_overlap_oracle), stops at n = 100. Also owns
-the two commuting tridiagonal operators of a level (M in the cylindrical
-basis, N in the spherical one) as O(n) bands, which the W recursion, the
-spheroidal systems and the perturbation series read; m_matrix_cyl and
-n_matrix_sph are their dense views.
+Racah sum (w_coefficient, cg_continued, ring_w) is the closed-form route: it
+terminates because a+b-c stays a nonnegative integer for every argument pattern
+generated here (1/Gamma at nonpositive integers is zero). Its alternating t-sum
+over exact arguments is summed in integers (_cg_sum, specfun._ratio_sum) and only
+the Gamma prefactor rounds, so an entry is a few lgamma ulps off at any level and
+independent of its array; w_coefficient and ring_w take index arrays that
+broadcast, and cg_continued reads one entry. _overlap_table, the one
+overlap-integral route (an exact tensor Gauss rule read by w_integral_oracle and
+oracles.w_overlap_oracle), stops at n = 100. Also owns the two commuting
+tridiagonal operators of a level (M in the cylindrical basis, N in the spherical
+one) as O(n) bands, which the W recursion, the spheroidal systems and the
+perturbation series read; m_matrix_cyl and n_matrix_sph are their dense views.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from .bases import _angular, _axial, _radial_cyl, _radial_level
 from .errors import (DomainError, NumericError, _level_index_message, _require_table,
                      check_abs_int, check_level_index, check_nonneg_int)
 from .model import Branch, SystemParams, _a_q, _e_n, _exponents
-from .specfun import build_quadrature
+from .specfun import _INT_TOL, _dyadic, _ratio_sum, build_quadrature
 
 __all__ = [
     "CgArgs",
@@ -53,16 +51,6 @@ _SELECTION_TOL = 1e-12
 # The overlap route refuses levels above this for time, not accuracy (5e-14 off w_matrix
 # at n = 100): time n^4, memory n^3, 0.12 s and 25 MB at n = 100 on one x86-64 core.
 W_OVERLAP_MAX_LEVEL = 100
-# Distance from an integer below which a continued CG argument counts as one.
-_INT_TOL = 1e-9
-# Past this many values (or Racah terms), finding the distinct ones before
-# calling libm saves more than it costs.
-_DISTINCT_FROM = 512
-# Racah terms held at once (about 0.2 kB each); an array call with more is
-# summed in parts, so its memory does not grow with the table.
-_MAX_TERMS = 2 ** 16
-# Rows of a Racah term's six Gamma arguments that hold -t, not +t (see _racah_terms).
-_TERM_NEG = np.array([[0], [1], [1], [1], [0], [0]])
 # Eigen residual contract, shared with the spheroidal eigensolves: a residual
 # may reach this factor times the matrix size and scale.
 _RESIDUAL_FACTOR = 1e-12
@@ -91,156 +79,69 @@ class CgArgs:
     gamma: float
 
 
-def _is_int(v: np.ndarray) -> np.ndarray:
-    return np.abs(v - np.floor(v + 0.5)) < _INT_TOL
+class _LnGamma(dict):
+    """lgamma((v + scale) / scale) by numerator v, once per call's Racah sums."""
+
+    def __init__(self, scale: int):
+        super().__init__()
+        self.scale = scale
+
+    def __missing__(self, v: int) -> float:
+        value = self[v] = math.lgamma((v + self.scale) / self.scale)
+        return value
 
 
-def _libm(fn, x: np.ndarray, repeats: bool = False) -> np.ndarray:
-    """fn (math.lgamma, math.log or math.exp) at every entry of the 1-D array x:
-    libm's value bit for bit, where numpy's own exp and log differ from it by
-    an ulp on some inputs. With repeats, fn runs once per distinct value."""
-    if repeats and x.size > _DISTINCT_FROM:
-        values, index = np.unique(x, return_inverse=True)
-        return _libm(fn, values)[index]
-    return np.fromiter(map(fn, x.tolist()), float, x.size)
-
-
-def _cg_sum(a: np.ndarray, b: np.ndarray, al: np.ndarray, be: np.ndarray,
-            cc: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Racah single-sum Clebsch-Gordan values for gamma = al + be, entry by
-    entry over float arrays of one shape; returns (values, status) of it.
-
-    Valid for analytically continued real arguments provided a+b-c is a
-    nonnegative integer, which truncates the t-sum; integer a-al or b+be
-    tighten the upper bound further and integer c-b+al / c-a-be lift the
-    lower one. Reciprocals of Gamma at nonpositive integers are taken as
-    zero. Status 1 flags arguments outside the continued pattern
-    (non-terminating sum or a negative square-root argument that has no
-    principal continuation). Each entry gets the float operations of a sum
-    over that entry alone, in the same order (libm's lgamma, log and exp;
-    the compensated sum stepped in t order), so no entry depends on another.
-    """
-    shape = a.shape
-    a, b, al, be, cc = (v.ravel() for v in (a, b, al, be, cc))
-    value = np.zeros(a.size)
-    with np.errstate(all="ignore"):   # a non-finite argument ends with status 1
-        ab = a + b
-        abc = ab - cc
-        two_c1 = 2.0 * cc + 1.0
-        ama = a - al
-        bpb = b + be
-        g = al + be
-        # the nine prefactor Gamma arguments, then the denominator's a+b+c+2
-        pref = np.array((abc, a - b, -a + b, a + al, ama, bpb, b - be, cc + g, cc - g,
-                         ab + cc))
-        pref[1:3] += cc
-        pref[:9] += 1.0
-        pref[9] += 2.0
-        # an entry stops at its first refusal in this order, with status 1 but
-        # where noted: a+b-c not an integer; a+b-c < 0 (status 0); 2c+1 <= 0; a
-        # prefactor argument <= 0 (status 0 at an integer); a+b+c+2 <= 0
-        stop = np.empty((13, a.size), dtype=bool)
-        stop[0] = ~_is_int(abc)
-        stop[1] = abc < -0.5
-        stop[2] = two_c1 <= 0.0
-        np.less_equal(pref, 0.0, out=stop[3:])
-        stopped = stop.any(axis=0)
-        status = np.zeros(a.size, dtype=np.int8)
-        if np.count_nonzero(stopped):
-            code = np.ones(stop.shape, dtype=np.int8)
-            code[1] = 0
-            code[3:12] = ~_is_int(pref[:9])
-            cols = np.arange(a.size)
-            status = np.where(stopped, code[stop.argmax(axis=0), cols], np.int8(0))
-        live = np.flatnonzero(~stopped)
-
-        # log(2c+1), plus each prefactor lgamma, minus lgamma(a+b+c+2), in this order
-        logs = np.empty((11, live.size))
-        logs[0] = _libm(math.log, two_c1[live], repeats=True)
-        logs[1:] = _libm(math.lgamma, pref[:, live].ravel(), repeats=True).reshape(10, -1)
-        logs[10] *= -1.0
-        lnpref = np.add.accumulate(logs)[-1]
-        # a term's Gamma arguments are base[k] +- t + 1 (see _TERM_NEG)
-        base = np.array((np.zeros(a.size), abc, ama, bpb, cc - b + al, cc - a - be))[:, live]
-        total, lmax, has = _racah_terms(base)
-        value[live[has]] = total[has] * _libm(math.exp, lmax[has] + 0.5 * lnpref[has])
-    return value.reshape(shape), status.reshape(shape)
-
-
-def _term_arguments(base: np.ndarray, ent: np.ndarray, t: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """(values, index): values[index] are the six Gamma arguments
-    base[k, ent] +- t + 1 (sign from _TERM_NEG) of every term, shape (6, terms).
-
-    Many terms share few arguments, so past _DISTINCT_FROM terms values holds
-    each distinct one once, found by the integer key (base value, sign, t)
-    without sorting the arguments; below, values holds every term's own.
-    """
-    if ent.size <= _DISTINCT_FROM:
-        args = base[:, ent] + np.where(_TERM_NEG, -t, t) + 1.0
-        return args.ravel(), np.arange(args.size).reshape(args.shape)
-    span = int(t.max()) + 1
-    uniq, which = np.unique(base.ravel(), return_inverse=True)
-    keys = (which.reshape(base.shape) * 2 + _TERM_NEG)[:, ent] * span + t
-    used = np.zeros(uniq.size * 2 * span, dtype=bool)
-    used[keys] = True
-    row, t_of = np.divmod(used.nonzero()[0], span)
-    values = uniq[row // 2] + np.where(row % 2, -t_of, t_of) + 1.0
-    return values, (np.cumsum(used) - 1)[keys]
-
-
-def _racah_terms(base: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sum, lmax, has) of the Racah t-sum of each entry (column) of base.
-
-    sum is the compensated sum of sign * exp(log|term| - lmax) in t order, lmax
-    the largest log|term|, has whether any term is nonzero. t runs from tmin
-    (lifted by integer c-b+al, c-a-be) to tmax (a+b-c, cut by integer a-al,
-    b+be). Each term is (-1)^t / prod Gamma(arg); a pole in any argument zeroes
-    it (pole tolerance and sign rule as in specfun.gamma_sign_ln).
-    """
-    size = base.shape[1]
-    near = np.floor(base[1:] + 0.5)
-    exact = np.abs(base[1:] - near) < _INT_TOL
-    tmax = np.where(exact[:3], near[:3], np.inf).min(axis=0)
-    tmin = np.maximum(np.where(exact[3:], -near[3:], 0.0).max(axis=0), 0.0)
-    count = np.maximum(tmax - tmin + 1.0, 0.0).astype(np.int64)
-    if size > 1 and count.sum() > _MAX_TERMS:   # entries are independent: halve the work
-        parts = zip(_racah_terms(base[:, :size // 2]), _racah_terms(base[:, size // 2:]))
-        return tuple(np.concatenate(part) for part in parts)
-    # the terms of every entry, entry by entry, in t order
-    ent = np.repeat(np.arange(size), count)
-    t = np.arange(ent.size) - np.repeat(np.cumsum(count) - count - tmin.astype(np.int64), count)
-
-    arg, index = _term_arguments(base, ent, t)
-    pole = (arg <= 0.0) & (np.abs(arg - np.floor(arg + 0.5)) < 1e-12)
-    flip = (arg < 0.0) & (np.floor(arg) % 2.0 == 1.0)
-    lg = np.zeros(arg.size)
-    lg[~pole] = _libm(math.lgamma, arg[~pole])
-    keep = ~pole[index].any(axis=0)
-    index, ent, t = index[:, keep], ent[keep], t[keep]
-    kept = np.bincount(ent, minlength=size)
-    has = kept > 0
-    lmax = np.full(size, -np.inf)
-    if not ent.size:
-        return np.zeros(size), lmax, has
-    sgn = 1.0 - 2.0 * ((flip[index].sum(axis=0) + t) % 2)
-    logs = -np.add.accumulate(lg[index])[-1]   # the six lgammas summed in order
-    start = np.cumsum(kept) - kept
-    lmax[has] = np.maximum.reduceat(logs, start[has])
-    # step k of the compensated sum reads row k; each entry's terms end in the
-    # last row, after zeros that leave the sum and its compensation at zero
-    width = int(kept.max())
-    terms = np.zeros((width, size))
-    terms[np.arange(ent.size) - np.repeat(start, kept) + (width - kept)[ent], ent] = \
-        sgn * _libm(math.exp, logs - lmax[ent])
-    total = np.zeros(size)
-    comp = np.zeros(size)
-    for y_k in terms:
-        y = y_k - comp
-        t_new = total + y
-        comp = (t_new - total) - y
-        total = t_new
-    return total, lmax, has
+def _cg_sum(abc: int, ama: int, bpb: int, l1: int, l2: int, lg: _LnGamma,
+            exact: list[int] | None = None) -> float | None:
+    """Racah single-sum CG value for gamma = alpha + beta from the differences
+    abc = a+b-c, ama = a-alpha, bpb = b+beta, l1 = c-b+alpha, l2 = c-a-beta (so
+    2c = ama+bpb+l1+l2), ints over lg.scale; None for a pattern with no continuation
+    (non-integer a+b-c, 2c+1 or a+b+c+2 <= 0, a prefactor Gamma at a negative
+    non-integer). 1/Gamma at nonpositive integers is zero. Only the prefactor and
+    the first term are floats: the term ratios (t-abc)(t-ama)(t-bpb) /
+    ((t+1)(l1+t+1)(l2+t+1)) are summed exactly (_ratio_sum). Given exact, the value
+    reads those differences instead; the five given still decide pattern and t-range."""
+    scale = lg.scale
+    if abc % scale:
+        return None
+    if abc < 0:
+        return 0.0
+    two_c = ama + bpb + l1 + l2
+    if two_c <= -scale:
+        return None
+    # the prefactor Gamma arguments less one: a+b-c, a-b+c, -a+b+c, a+alpha,
+    # a-alpha, b+beta, b-beta, c+gamma, c-gamma
+    pref = (abc, l1 + ama, l2 + bpb, abc + l1, ama, bpb, abc + l2, l1 + bpb, l2 + ama)
+    for v in pref:
+        if v <= -scale:
+            return None if v % scale else 0.0
+    if abc + two_c <= -2 * scale:   # a+b+c+2 <= 0
+        return None
+    tmin, tmax = 0, abc // scale
+    for v in (l1, l2):
+        if not v % scale:
+            tmin = max(tmin, -v // scale)
+    for v in (ama, bpb):
+        if not v % scale:
+            tmax = min(tmax, v // scale)
+    if tmax < tmin:
+        return 0.0
+    if exact is not None:
+        abc, ama, bpb, l1, l2 = exact
+        two_c = ama + bpb + l1 + l2
+        pref = (abc, l1 + ama, l2 + bpb, abc + l1, ama, bpb, abc + l2, l1 + bpb, l2 + ama)
+    t = tmin * scale
+    first = (t, abc - t, ama - t, bpb - t, l1 + t, l2 + t)   # the first term's, less one
+    sign = -1.0 if tmin % 2 else 1.0
+    for v in first:   # Gamma(x) < 0 where x < 0 and floor(x) is odd
+        if v < -scale and v // scale % 2 == 0:
+            sign = -sign
+    ln = (0.5 * (math.log((two_c + scale) / scale) + sum(map(lg.__getitem__, pref))
+                 - lg[abc + two_c + scale])
+          - sum(map(lg.__getitem__, first)))
+    value = _ratio_sum((t - abc, t - ama, t - bpb), (t + scale, l1 + t + scale, l2 + t + scale),
+                       tmax - tmin + 1, scale, ln)
+    return sign * value if value else 0.0   # terms that cancel exactly give +0.0
 
 
 def _refuse_entries(bad: np.ndarray, message) -> None:
@@ -251,28 +152,28 @@ def _refuse_entries(bad: np.ndarray, message) -> None:
         raise DomainError(message(i) + (f" at entry {i}" if i else ""))
 
 
-def _cg_values(a: np.ndarray, b: np.ndarray, al: np.ndarray, be: np.ndarray,
-               cc: np.ndarray) -> np.ndarray:
-    """Continued CG values for gamma = al + be over float arrays of one shape;
-    DomainError naming the first entry whose sum does not terminate."""
-    val, status = _cg_sum(a, b, al, be, cc)
-    _refuse_entries(status != 0, lambda i: (
-        "continued CG sum does not terminate for arguments "
-        f"{CgArgs(*(float(v[i]) for v in (a, b, al, be, cc)), gamma=float(al[i] + be[i]))}"))
-    return val
-
-
 def cg_continued(args: CgArgs) -> float:
     """Continued SU(2) Clebsch-Gordan coefficient via the terminating Racah sum.
 
-    Reduces to the standard coefficient at (half-)integer arguments. Raises
-    DomainError when the argument pattern does not terminate (non-integer
-    a+b-c) or would need a square root of a negative Gamma value.
+    Reduces to the standard coefficient at (half-)integer arguments. The differences
+    a+b-c, a-alpha, b+beta, c-b+alpha, c-a-beta are formed in floating point, read as
+    integers within _INT_TOL where they decide the pattern and the range of the sum,
+    and exactly in the value. Accuracy: the sum is exact, so the value is within a few
+    lgamma ulps of its prefactor (1e-13 of mpmath on every live pattern tested).
+    DomainError when the pattern does not terminate (non-integer a+b-c) or would need
+    a square root of a negative Gamma value.
     """
     if abs(args.gamma - (args.alpha + args.beta)) > _SELECTION_TOL:
         return 0.0
-    return float(_cg_values(*(np.array(float(v)) for v in (
-        args.a, args.b, args.alpha, args.beta, args.c))))
+    a, b, al, be, c = (float(v) for v in (args.a, args.b, args.alpha, args.beta, args.c))
+    diffs = (a + b - c, a - al, b + be, c - b + al, c - a - be)
+    if all(map(math.isfinite, diffs)):
+        scale, nums = _dyadic(*diffs, *(float(round(v)) if abs(v - round(v)) < _INT_TOL
+                                        else v for v in diffs))
+        value = _cg_sum(*nums[5:], _LnGamma(scale), exact=nums[:5])
+        if value is not None:
+            return value
+    raise DomainError(f"continued CG sum does not terminate for arguments {args}")
 
 
 def _check_indices(**named) -> tuple[bool, list[np.ndarray]]:
@@ -314,16 +215,18 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     a0 = (n +- b)/2, b0 = (n + c)/2, c0 = q + (c +- b)/2,
     alpha = p - (n -+ b)/2, beta = (n + c)/2 - p. The 1x1 level gives +1.
     n, p and q may be integer arrays that broadcast; the result is then an
-    array of their shape, else a float.
+    array of their shape, else a float. Accuracy: only the lgamma prefactor of the
+    exact sum rounds, so a table is within 1e-13 of w_matrix at n = 60 and 1e-12
+    at n = 200, on both branches; time is a Python loop of about n/3 steps an entry.
     """
     is_array, (n, p, q) = _level_indices(n, p, q)
-    sb, c = _exponents(params, branch)
-    a0 = 0.5 * (n + sb)
-    b0 = 0.5 * (n + c)
-    c0 = q + 0.5 * (c + sb)
-    alpha = p - 0.5 * (n - sb)
-    beta = 0.5 * (n + c) - p
-    val = np.where((n - q) % 2, -1.0, 1.0) * _cg_values(a0, b0, alpha, beta, c0)
+    scale, (sb, c) = _dyadic(*_exponents(params, branch))
+    lg = _LnGamma(scale)
+    # a0+b0-c0 = n-q, a0-alpha = n-p, b0+beta = n+c-p, c0-b0+alpha = p+q-n+-b, c0-a0-beta = p+q-n
+    val = np.array([(-1.0 if (nk - qk) % 2 else 1.0) * _cg_sum(
+        (nk - qk) * scale, (nk - pk) * scale, (nk - pk) * scale + c,
+        (pk + qk - nk) * scale + sb, (pk + qk - nk) * scale, lg)
+        for nk, pk, qk in zip(*(v.ravel().tolist() for v in (n, p, q)))]).reshape(n.shape)
     return val if is_array else float(val)
 
 
@@ -490,7 +393,7 @@ def w_matrix(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     """All W_np^q at level n as a CoefficientMatrix (cylindrical to spherical).
 
     Built by recursion (see _recursion_columns) in O(n^2); agrees with
-    w_coefficient where the Racah sum is accurate. Raises NumericError when
+    w_coefficient to its accuracy contract. Raises NumericError when
     an entry is non-finite or the table misses its contract: max|W W^T - I|
     within _RESIDUAL_FACTOR (n+1), max|2M W - W diag(A)| within the eigen
     residual bound. The table is built once per (n, params, branch) and shared
@@ -551,6 +454,7 @@ def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarra
     beta = (2 n3 - N + |m| - 1)/4; no extra sign factor. N, n3 and l may be
     integer arrays that broadcast (a level's table from an n3 column against
     an l row); the result is then an array of their shape, else a float.
+    Accuracy as w_coefficient's (a table within 1e-13 of w_matrix at n = 60).
     """
     is_array, (N, n3, l) = _check_indices(N=N, n3=n3, l=l)
     ma = check_abs_int(m, "m")
@@ -560,12 +464,14 @@ def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarra
         f"need |m| <= l <= N with N - l even, got N={N[i]}, l={l[i]}, m={m}"))
     _refuse_entries((n3 > N - ma) | ((N - ma - n3) % 2 != 0), lambda i: (
         f"need 0 <= n3 <= N - |m| with N - |m| - n3 even, got N={N[i]}, n3={n3[i]}, m={m}"))
-    a0 = 0.25 * (N + ma) + 0.5 * delta
-    b0 = 0.25 * (N - ma - 1.0)
-    c0 = 0.25 * (2.0 * l - 1.0) + 0.5 * delta
-    alpha = 0.25 * (N + ma - 2.0 * n3) + 0.5 * delta
-    beta = 0.25 * (2.0 * n3 - N + ma - 1.0)
-    val = _cg_values(a0, b0, alpha, beta, c0)
+    scale, (delta,) = _dyadic(delta)
+    lg = _LnGamma(2 * scale)
+    # over 2 scale: a0+b0-c0 = (N-l)/2, a0-alpha = n3/2, b0+beta = (n3-1)/2,
+    # c0-b0+alpha = (l+|m|-n3)/2 + delta, c0-a0-beta = (l-|m|-n3)/2
+    val = np.array([_cg_sum(
+        (Nk - lk) * scale, n3k * scale, (n3k - 1) * scale,
+        (lk + ma - n3k) * scale + 2 * delta, (lk - ma - n3k) * scale, lg)
+        for Nk, n3k, lk in zip(*(v.ravel().tolist() for v in (N, n3, l)))]).reshape(N.shape)
     return val if is_array else float(val)
 
 

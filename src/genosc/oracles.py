@@ -28,7 +28,7 @@ from .errors import DomainError, check_level_index, check_nonneg_int
 from .interbasis import _overlap_table, w_matrix
 from .model import Branch, SystemParams, _exponents, admissible_branches
 from .morse import MorseParams, _wavefunctions, normalizable_levels
-from .specfun import build_quadrature, gamma_sign_ln, hyp2f1_unit, ln_gamma
+from .specfun import _dyadic, _ratio_sum, build_quadrature, gamma_sign_ln, ln_gamma
 
 __all__ = [
     "CheckReport",
@@ -155,18 +155,25 @@ def bi_orthogonality_hypergeometric(n: int, q: int, q_prime: int,
 
     The value collapses to the same diagonal as bi_orthogonality: the
     terminating 2F1 vanishes for q > q' and the 1/Gamma factor for q < q',
-    so only q = q' survives with omega / (2q + c +- b + 1).
+    so only q = q' survives with omega / (2q + c +- b + 1). The 2F1 is summed exactly
+    at the exact gamma = c +- b: 0.0 off the diagonal at every level, a few ulps on it.
     """
     n, q, q_prime = _bi_indices(n, q, q_prime)
-    beta, c = _exponents(params, branch)
-    gamma_sum = c + beta
+    if q < q_prime:
+        return 0.0   # 1/Gamma(q - q' + 1) at a nonpositive integer
+    scale, (beta, c) = _dyadic(*_exponents(params, branch))
+    g = beta + c   # gamma = c +- b, over scale
+    # 2F1(q' - q, q + q' + gamma + 1; 2q' + gamma + 2; 1), 0 for q > q' (Chu-Vandermonde)
+    hyp = _ratio_sum(((q_prime - q) * scale, (q + q_prime + 1) * scale + g),
+                     ((2 * q_prime + 2) * scale + g, scale), q - q_prime + 1, scale)
+    if not hyp:
+        return 0.0
+    gamma_sum = g / scale
     ln_pref = ln_gamma(q + q_prime + gamma_sum + 1.0) - ln_gamma(2 * q_prime + gamma_sum + 2.0)
     ln_ratio = 0.5 * (ln_gamma(n - q_prime + 1.0) + ln_gamma(n + q_prime + gamma_sum + 2.0)
                       - ln_gamma(n - q + 1.0) - ln_gamma(n + q + gamma_sum + 2.0))
     return (params.omega * math.exp(ln_pref + ln_ratio)
-            * reciprocal_gamma(q - q_prime + 1.0)
-            * hyp2f1_unit(q_prime - q, q + q_prime + gamma_sum + 1.0,
-                          2 * q_prime + gamma_sum + 2.0))
+            * reciprocal_gamma(q - q_prime + 1.0) * hyp)
 
 
 class GramFamily(enum.Enum):

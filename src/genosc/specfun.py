@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _QUAD_KINDS = ("legendre", "jacobi", "laguerre")
+# A float argument of a terminating sum this near an integer counts as one (hyp2f1_unit,
+# interbasis.cg_continued: the two public float boundaries of the exact sums).
+_INT_TOL = 1e-9
 
 
 def ln_gamma(x: float) -> float:
@@ -442,34 +445,63 @@ def assoc_legendre(l: int, m: int, x):
     return out
 
 
+def _dyadic(*values: float) -> tuple[int, list[int]]:
+    """(scale, nums): finite floats as exact Python ints over one power of two,
+    values[i] = nums[i] / scale."""
+    ratios = [float(v).as_integer_ratio() for v in values]
+    scale = max(den for _, den in ratios)
+    return scale, [num * (scale // den) for num, den in ratios]
+
+
+def _ratio_sum(upper, lower, terms: int, scale: int, ln: float = 0.0) -> float:
+    """e^ln sum_{k < terms} prod_{s < k} prod_i (u_i + s scale) / prod_j (v_j + s scale): the
+    terminating hypergeometric sum with Pochhammer bases u_i / scale over v_j / scale, for as
+    many ints u_i as v_j, terms >= 1 and no zero denominator factor. Summed by Horner in
+    integers and rounded once (correctly at ln = 0); e^ln is applied as e^r 2^j, so a sum
+    past a double may meet a small factor. NumericError when the result passes a double."""
+    num = den = 1
+    for s in range(terms - 2, -1, -1):
+        step = s * scale
+        top = bottom = 1
+        for u in upper:
+            top *= u + step
+        for v in lower:
+            bottom *= v + step
+        den *= bottom
+        num = den + top * num
+    e = num.bit_length() - den.bit_length()   # |num/den| / 2^e in (1/2, 2)
+    mantissa = num / (den << e) if e > 0 else (num << -e) / den
+    r, j = _split_ln2(ln)
+    try:
+        return math.ldexp(mantissa * math.exp(r), e + int(j))
+    except OverflowError:
+        raise NumericError("terminating hypergeometric sum past a double") from None
+
+
 def hyp2f1_unit(a: float, b: float, c: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; 1).
 
-    Terminating case when a or b is a nonpositive integer; otherwise the
-    Gauss summation value Gamma(c)Gamma(c-a-b) / [Gamma(c-a)Gamma(c-b)],
-    requiring c - a - b > 0. Reciprocal Gamma at a nonpositive integer is
-    taken as zero, so the value vanishes when c - a or c - b is one.
+    Terminating case when a or b is a nonpositive integer (within _INT_TOL): the
+    exact sum at the floats b and c, correctly rounded (NumericError past a double).
+    Otherwise the Gauss summation value Gamma(c)Gamma(c-a-b) / [Gamma(c-a)Gamma(c-b)],
+    requiring c - a - b > 0, to a few ulps of its lgamma terms. Reciprocal Gamma at a
+    nonpositive integer is taken as zero, so the value vanishes when c - a or c - b is one.
     """
     a, b, c = float(a), float(b), float(c)
     if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
         raise DomainError(f"hyp2f1_unit requires finite a, b, c, got ({a}, {b}, {c})")
 
     def _nonpos_int(v: float) -> bool:
-        return v <= 1e-9 and abs(v - round(v)) < 1e-9
+        return v <= _INT_TOL and abs(v - round(v)) < _INT_TOL
 
     if _nonpos_int(a) or _nonpos_int(b):
         if _nonpos_int(b) and (not _nonpos_int(a) or round(b) > round(a)):
             a, b = b, a
-        k_top = int(-round(a))
-        total = 1.0
-        term = 1.0
-        for k in range(k_top):
-            den = (c + k) * (k + 1.0)
-            if den == 0.0:
-                raise DomainError(f"hyp2f1_unit undefined: c hits a nonpositive integer, c={c}")
-            term *= (a + k) * (b + k) / den
-            total += term
-        return total
+        top = -round(a)
+        if c.is_integer() and -top < c <= 0.0:
+            raise DomainError(f"hyp2f1_unit undefined: c hits a nonpositive integer, c={c}")
+        scale, (b, c) = _dyadic(b, c)
+        return _ratio_sum((-top * scale, b), (c, scale), top + 1, scale)
     if c - a - b <= 0.0:
         raise DomainError(f"hyp2f1_unit diverges at unit argument for c-a-b={c - a - b}")
     sc, lc = gamma_sign_ln(c)

@@ -107,6 +107,17 @@ def test_cg_three_term_recursion_at_continued_arguments(n, p, q, cc, sb):
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
+def test_cg_is_continuous_at_near_integer_arguments():
+    # c-b+alpha is -1 + sb here: read as an integer for the range of the sum, but the
+    # value must follow the arguments, not jump to the sb = 0 value (O(sb) off)
+    for sb in (7.683401877014908e-10, -5e-10, 1e-12):
+        a, b, alpha, beta, c = w_args(1, 0, 0, 1.0, sb)
+        for shift in (0, 1):
+            args = (a, b, alpha + shift, beta - shift, c)
+            assert cg(*args) == pytest.approx(float(racah_sum_mpmath(*args)),
+                                              rel=1e-13, abs=1e-15), (sb, shift)
+
+
 def test_cg_symmetries_at_continued_arguments():
     for args in [(1.65, 2.0, -0.35, 1.0, 1.65), (2.15, 1.5, 0.65, 0.5, 2.65),
                  (1.25, 2.0, 0.75, -1.0, 1.25)]:
@@ -146,77 +157,7 @@ def test_cg_negative_gamma_arguments_against_mpmath():
             assert cg(*args) == pytest.approx(ref, rel=1e-12), args
 
 
-# ------------------------------------------- one vectorised Racah sum
-
-def racah_sum_scalar(a, b, al, be, cc):
-    """The one-entry Racah sum, as a loop over t: the reference that every entry
-    of interbasis._cg_sum must reproduce bit for bit. Returns (value, status)."""
-    def is_int(v):
-        return abs(v - math.floor(v + 0.5)) < 1e-9
-
-    g = al + be
-    abc = a + b - cc
-    if not is_int(abc):
-        return 0.0, 1
-    if abc < -0.5:
-        return 0.0, 0
-    two_c1 = 2.0 * cc + 1.0
-    if two_c1 <= 0.0:
-        return 0.0, 1
-    ama = a - al
-    bpb = b + be
-    cmg = cc - g
-
-    pref_args = (abc + 1.0, a - b + cc + 1.0, -a + b + cc + 1.0,
-                 a + al + 1.0, ama + 1.0, bpb + 1.0, b - be + 1.0,
-                 cc + g + 1.0, cmg + 1.0)
-    lnpref = math.log(two_c1)
-    for v in pref_args:
-        if v <= 0.0:
-            return 0.0, 0 if is_int(v) else 1
-        lnpref += math.lgamma(v)
-    pden = a + b + cc + 2.0
-    if pden <= 0.0:
-        return 0.0, 1
-    lnpref -= math.lgamma(pden)
-
-    big1 = cc - b + al
-    big2 = cc - a - be
-    tmin = 0
-    for big in (big1, big2):
-        if is_int(big) and -big > tmin:
-            tmin = int(math.floor(-big + 0.5))
-    tmax = int(math.floor(abc + 0.5))
-    for top in (ama, bpb):
-        if is_int(top):
-            tmax = min(tmax, int(math.floor(top + 0.5)))
-
-    signs, logs = [], []
-    for t in range(tmin, tmax + 1):
-        sgn = -1.0 if t % 2 else 1.0
-        logden = 0.0
-        for arg in (t + 1.0, abc - t + 1.0, ama - t + 1.0, bpb - t + 1.0,
-                    big1 + t + 1.0, big2 + t + 1.0):
-            if arg <= 0.0 and abs(arg - math.floor(arg + 0.5)) < 1e-12:
-                break
-            if arg < 0.0 and math.floor(arg) % 2:
-                sgn = -sgn
-            logden += math.lgamma(arg)
-        else:
-            signs.append(sgn)
-            logs.append(-logden)
-    if not logs:
-        return 0.0, 0
-    lmax = max(logs)
-    total = 0.0
-    comp = 0.0
-    for sgn, lg in zip(signs, logs):
-        y = sgn * math.exp(lg - lmax) - comp
-        t_new = total + y
-        comp = (t_new - total) - y
-        total = t_new
-    return total * math.exp(lmax + 0.5 * lnpref), 0
-
+# ------------------------------------------------- the exact Racah sum
 
 def ring_level(n, params, branch):
     """(N column, n3 column, l row, delta) of the ring table at level n."""
@@ -226,14 +167,6 @@ def ring_level(n, params, branch):
            for q in range(n + 1)]
     return (np.array([[c.N] for c in cyl]), np.array([[c.n3] for c in cyl]),
             np.array([s.l for s in sph]), sph[0].delta)
-
-
-def ring_reference(N, m, n3, l, delta):
-    ma = abs(m)
-    return racah_sum_scalar(0.25 * (N + ma) + 0.5 * delta, 0.25 * (N - ma - 1.0),
-                            0.25 * (N + ma - 2.0 * n3) + 0.5 * delta,
-                            0.25 * (2.0 * n3 - N + ma - 1.0),
-                            0.25 * (2.0 * l - 1.0) + 0.5 * delta)[0]
 
 
 def ring_table_cases():
@@ -252,14 +185,14 @@ def ring_table_cases():
     return cases
 
 
-def test_ring_tables_match_scalar_racah_sum_bit_for_bit():
+def test_ring_tables_match_w_matrix():
+    # at P = 0 the ring coefficients are the level's W table, relabelled
     for n, params, branch in ring_table_cases():
         N, n3, l, delta = ring_level(n, params, branch)
         table = ring_w(N, params.m, n3, l, delta)
-        ref = np.array([[ring_reference(int(N[p, 0]), params.m, int(n3[p, 0]), int(lq), delta)
-                         for lq in l] for p in range(n + 1)])
         assert table.shape == (n + 1, n + 1)
-        assert table.tobytes() == ref.tobytes(), (n, params, branch)
+        np.testing.assert_allclose(table, w_matrix(n, params, branch).entries, rtol=0.0,
+                                   atol=1e-13, err_msg=f"{n} {params} {branch}")
         if n <= 3:   # a scalar call reads its entry of the table
             for p in range(n + 1):
                 for q in range(n + 1):
@@ -268,27 +201,13 @@ def test_ring_tables_match_scalar_racah_sum_bit_for_bit():
                     assert np.float64(value).tobytes() == table[p, q].tobytes()
 
 
-def test_racah_sum_in_parts_is_bit_identical(monkeypatch):
-    # a call with more terms than _MAX_TERMS is summed in halves of its entries
-    N, n3, l, delta = ring_level(30, RING, Branch.Plus)
-    whole = ring_w(N, RING.m, n3, l, delta)
-    k = np.arange(13)
-    w_whole = w_coefficient(12, k[:, None], k, STEEP, Branch.Plus)
-    monkeypatch.setattr(interbasis, "_MAX_TERMS", 40)
-    assert ring_w(N, RING.m, n3, l, delta).tobytes() == whole.tobytes()
-    assert w_coefficient(12, k[:, None], k, STEEP, Branch.Plus).tobytes() == w_whole.tobytes()
-
-
-def test_w_tables_match_scalar_racah_sum_bit_for_bit():
+def test_w_tables_match_w_matrix():
     for params, branch in BRANCH_CASES:
-        b, c, _ = channel_constants(params)
-        sb = branch.sign * b
         for n in range(21):
             k = np.arange(n + 1)
             table = w_coefficient(n, k[:, None], k, params, branch)
-            ref = np.array([[(-1.0) ** (n - q) * racah_sum_scalar(*w_args(n, p, q, c, sb))[0]
-                             for q in range(n + 1)] for p in range(n + 1)])
-            assert table.tobytes() == ref.tobytes(), (n, branch)
+            np.testing.assert_allclose(table, w_matrix(n, params, branch).entries, rtol=0.0,
+                                       atol=1e-13, err_msg=f"n={n} {branch}")
             if n <= 3:
                 for p in range(n + 1):
                     for q in range(n + 1):
@@ -303,37 +222,47 @@ def test_w_tables_match_scalar_racah_sum_bit_for_bit():
              [w_coefficient(7, p, 3, params, branch) for p in (0, 2, 3)]]).tobytes()
 
 
+# w_matrix's own recursion is 1.6e-12 off an mpmath Racah sum at n = 800
+# ((p, q) = (0, 0), BOTH, Minus), so that level's bound is its, not the sum's
+@pytest.mark.parametrize("n, tol", [(60, 1e-13), (200, 1e-12), (800, 3e-12)])
+def test_w_coefficient_rows_match_w_matrix_at_high_levels(n, tol):
+    p0 = SystemParams(omega=1.3, p_strength=0.0, q_strength=0.0, m=0)
+    rows = np.array([0, 1, n // 2, n - 1, n])[:, None]
+    k = np.arange(n + 1)
+    for params, branch in BRANCH_CASES + [(p0, Branch.Plus), (p0, Branch.Minus)]:
+        table = w_coefficient(n, rows, k, params, branch)
+        np.testing.assert_allclose(table, w_matrix(n, params, branch).entries[rows[:, 0]],
+                                   rtol=0.0, atol=tol, err_msg=f"n={n} {params} {branch}")
+
+
 # every refusal rule of the sum, live continued entries and entries whose
 # terms all hit poles, as (a, b, alpha, beta, c)
 CG_PATTERNS = [
     (0.5, 0.5, 0.5, -0.5, 1.0), (1.5, 1.0, 0.5, -1.0, 2.5), (2.0, 1.5, -1.0, 0.5, 1.5),
     (1.3, 2.1, 1.0, -0.6, 0.4), (1.3, 2.1, 0.7, -0.2, 1.4), (2.45, 1.8, 1.2, -0.9, 1.25),
     (1.65, 2.0, -0.35, 1.0, 1.65), (2.15, 1.5, 0.65, 0.5, 2.65), (1.25, 2.0, 0.75, -1.0, 1.25),
-    (2.25, 0.75, 1.75, -0.25, 2.25),   # a+b-c not an integer: status 1
-    (0.5, 0.5, 0.5, 0.5, 2.0),         # a+b-c < 0: zero, status 0
-    (0.5, 0.5, 0.0, 0.0, -1.0),        # 2c+1 <= 0: status 1
-    (1.0, 0.5, 1.0, 0.5, 0.5),         # prefactor pole at an integer: zero, status 0
-    (1.25, 0.75, -2.75, 0.0, 2.0),     # prefactor argument -0.5: status 1
+    (2.25, 0.75, 1.75, -0.25, 2.25),   # a+b-c not an integer: refused
+    (0.5, 0.5, 0.5, 0.5, 2.0),         # a+b-c < 0: zero
+    (0.5, 0.5, 0.0, 0.0, -1.0),        # 2c+1 <= 0: refused
+    (1.0, 0.5, 1.0, 0.5, 0.5),         # prefactor pole at an integer: zero
+    (1.25, 0.75, -2.75, 0.0, 2.0),     # prefactor argument -0.5: refused
     (2.0, 0.5, 0.0, 0.5, 0.5),
 ]
+CG_REFUSED = {9, 11, 13}
+CG_ZERO = {2, 10, 12, 14}   # (2.0, 1.5, -1.0, 0.5, 1.5): two terms that cancel exactly
 
 
-def test_cg_patterns_match_scalar_racah_sum_bit_for_bit():
-    cols = np.array(CG_PATTERNS).T
-    values, status = interbasis._cg_sum(*cols)
-    ref = [racah_sum_scalar(*args) for args in CG_PATTERNS]
-    assert values.tobytes() == np.array([v for v, _ in ref]).tobytes()
-    assert status.tolist() == [s for _, s in ref]
-    assert {s for _, s in ref} == {0, 1}
-    for args, (value, st) in zip(CG_PATTERNS, ref):
-        if st:
-            with pytest.raises(DomainError, match="does not terminate"):
-                cg(*args)
-        else:
-            assert np.float64(cg(*args)).tobytes() == np.float64(value).tobytes()
-    # an array call names the first entry that does not terminate
-    with pytest.raises(DomainError, match=r"does not terminate .* at entry \(9,\)"):
-        interbasis._cg_values(*cols)
+def test_cg_patterns_keep_their_status_and_match_mpmath():
+    with mpmath.workdps(30):
+        for i, args in enumerate(CG_PATTERNS):
+            if i in CG_REFUSED:
+                with pytest.raises(DomainError, match="does not terminate"):
+                    cg(*args)
+            elif i in CG_ZERO:
+                assert np.float64(cg(*args)).tobytes() == np.float64(0.0).tobytes(), args
+            else:
+                assert cg(*args) == pytest.approx(racah_sum_mpmath(*args), rel=0.0,
+                                                  abs=1e-13), args
 
 
 # ------------------------------------------------------------ W matrices

@@ -80,6 +80,24 @@ def test_bi_orthogonality_hypergeometric_route_agrees():
                     assert hyp == pytest.approx(quad.expected, abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [30, 100, 200])
+def test_bi_orthogonality_hypergeometric_is_exactly_zero_off_the_diagonal(n):
+    # the terminating 2F1 is summed exactly at gamma = c +- b, so Chu-Vandermonde
+    # zeroes every q > q' sum; q < q' is the zero of 1/Gamma. No OverflowError.
+    for params, branch in ((BOTH, Branch.Minus), (STEEP, Branch.Plus)):
+        for q in range(n + 1):
+            for qp in range(n + 1):
+                value = bi_orthogonality_hypergeometric(n, q, qp, params, branch)
+                if q != qp:
+                    assert type(value) is float and np.float64(value).tobytes() == bytes(8), \
+                        (n, q, qp, params, branch, value)
+        beta = branch.sign * math.sqrt(params.p_strength + 0.25)
+        c = math.sqrt(params.q_strength + params.m ** 2)
+        for q in (0, n // 2, n):
+            assert bi_orthogonality_hypergeometric(n, q, q, params, branch) == pytest.approx(
+                params.omega / (2 * q + c + beta + 1.0), rel=1e-13)
+
+
 def test_bi_orthogonality_rejects_bad_indices():
     with pytest.raises(DomainError):
         bi_orthogonality(2, 3, 0, BOTH, Branch.Plus)

@@ -4,6 +4,7 @@ import decimal
 import math
 import warnings
 from decimal import Decimal
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -537,6 +538,33 @@ def test_hyp2f1_unit_terminating():
     # direct 3-term sum, 35-digit arithmetic
     assert sf.hyp2f1_unit(-2, 1.3, 3.7) == pytest.approx(
         0.46923519263944795859689476710753307, rel=1e-13)
+
+
+def exact_terminating_2f1(k, b, c):
+    """2F1(-k, b; c; 1) at the exact values of the floats b and c, as a Fraction."""
+    b, c = Fraction(b), Fraction(c)
+    total = term = Fraction(1)
+    for j in range(k):
+        term *= (j - k) * (b + j) / ((c + j) * (j + 1))
+        total += term
+    return total
+
+
+def test_hyp2f1_unit_terminating_sum_is_correctly_rounded():
+    # alternating sums that cancel; the float loop lost digits and gave NaN at
+    # (-300, 1000, 0.5), whose terms pass a double before they cancel
+    for k, b, c in ((40, 0.3, 1.7), (25, -7.3, 2.9), (60, 33.1, 0.25), (300, 1000.0, 0.5)):
+        ref = float(exact_terminating_2f1(k, b, c))
+        assert sf.hyp2f1_unit(-k, b, c) == ref, (k, b, c)
+        assert sf.hyp2f1_unit(b, -k, c) == ref, (k, b, c)
+    # a within 1e-9 of a nonpositive integer is read as that integer
+    assert sf.hyp2f1_unit(-3.0000000001, 2.5, 4.25) == float(exact_terminating_2f1(3, 2.5, 4.25))
+    # Chu-Vandermonde: (c - b)_k / (c)_k is exactly zero when c - b is an integer in (-k, 0]
+    assert sf.hyp2f1_unit(-7, 4.75, 2.75) == 0.0
+    with pytest.raises(DomainError, match="nonpositive integer"):
+        sf.hyp2f1_unit(-3, 2.5, -2.0)   # c + 2 = 0 in the third term
+    with pytest.raises(NumericError, match="past a double"):
+        sf.hyp2f1_unit(-500, 2000.0, 0.5)
 
 
 def test_hyp2f1_unit_gauss_formula():
