@@ -33,7 +33,7 @@ from .bases import _angular, _axial, _radial_cyl, _radial_level
 from .errors import (DomainError, NumericError, _level_index_message, _require_table,
                      check_abs_int, check_level_index, check_nonneg_int)
 from .model import Branch, SystemParams, _a_q, _e_n, _exponents
-from .specfun import _INT_TOL, _dyadic, _ratio_sum, build_quadrature
+from .specfun import _INT_TOL, _dense, _dyadic, _ratio_sum, build_quadrature
 
 __all__ = [
     "CgArgs",
@@ -161,7 +161,8 @@ def cg_continued(args: CgArgs) -> float:
     and exactly in the value. Accuracy: the sum is exact, so the value is within a few
     lgamma ulps of its prefactor (1e-13 of mpmath on every live pattern tested).
     DomainError when the pattern does not terminate (non-integer a+b-c) or would need
-    a square root of a negative Gamma value.
+    a square root of a negative Gamma value; NumericError for a sum of more than
+    2^13 terms (specfun._MAX_SUM_TERMS), which would take more than a few seconds.
     """
     if abs(args.gamma - (args.alpha + args.beta)) > _SELECTION_TOL:
         return 0.0
@@ -218,6 +219,8 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     array of their shape, else a float. Accuracy: only the lgamma prefactor of the
     exact sum rounds, so a table is within 1e-13 of w_matrix at n = 60 and 1e-12
     at n = 200, on both branches; time is a Python loop of about n/3 steps an entry.
+    An entry whose sum has more than 2^13 terms (specfun._MAX_SUM_TERMS; from about
+    n = 16384 at p = q = n/2) raises NumericError.
     """
     is_array, (n, p, q) = _level_indices(n, p, q)
     scale, (sb, c) = _dyadic(*_exponents(params, branch))
@@ -454,7 +457,8 @@ def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarra
     beta = (2 n3 - N + |m| - 1)/4; no extra sign factor. N, n3 and l may be
     integer arrays that broadcast (a level's table from an n3 column against
     an l row); the result is then an array of their shape, else a float.
-    Accuracy as w_coefficient's (a table within 1e-13 of w_matrix at n = 60).
+    Accuracy and the 2^13-term cap of each sum (NumericError past it) as
+    w_coefficient's (a table within 1e-13 of w_matrix at n = 60).
     """
     is_array, (N, n3, l) = _check_indices(N=N, n3=n3, l=l)
     ma = check_abs_int(m, "m")
@@ -515,18 +519,6 @@ def _n_bands(n: int, params: SystemParams, branch: Branch) -> tuple[np.ndarray, 
             * (n + q + c + sb + 1.0)
             / (base * base * (base - 1.0) * (base + 1.0))))
     return np.array(diag), np.array(off)
-
-
-def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """Symmetric tridiagonal matrix, or stack of them, from its bands: written
-    through strided views of each flattened matrix, whose diagonals are steps of
-    size + 1."""
-    size = diag.shape[-1]
-    mat = np.zeros(diag.shape + (size,))
-    flat = mat.reshape(diag.shape[:-1] + (size * size,))
-    flat[..., ::size + 1] = diag
-    flat[..., 1::size + 1] = flat[..., size::size + 1] = off
-    return mat
 
 
 def m_matrix_cyl(n: int, params: SystemParams, branch: Branch) -> np.ndarray:

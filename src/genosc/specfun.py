@@ -217,8 +217,8 @@ def _degree_rows(degrees, what: str) -> dict:
     return wanted
 
 
-# laguerre_functions' steps are built to a multiple of this many degrees, so that a
-# Gauss-Laguerre rule's set-up of n - 1 degrees also serves its functions to n - 2
+# laguerre_functions' steps are built to a multiple of this many degrees, so that an
+# n-point Gauss-Laguerre rule's set-up of n degrees also serves its functions to n - 2
 _STEP_BLOCK = 8
 
 
@@ -453,12 +453,20 @@ def _dyadic(*values: float) -> tuple[int, list[int]]:
     return scale, [num * (scale // den) for num, den in ratios]
 
 
+# _ratio_sum's largest sum: its cost grows as terms^2 (about 4 s for a 7800-term Racah
+# entry on a 2-core Xeon), so 2^13 keeps an accepted sum within seconds; the CLI forms <= 801
+_MAX_SUM_TERMS = 2 ** 13
+
+
 def _ratio_sum(upper, lower, terms: int, scale: int, ln: float = 0.0) -> float:
     """e^ln sum_{k < terms} prod_{s < k} prod_i (u_i + s scale) / prod_j (v_j + s scale): the
     terminating hypergeometric sum with Pochhammer bases u_i / scale over v_j / scale, for as
-    many ints u_i as v_j, terms >= 1 and no zero denominator factor. Summed by Horner in
-    integers and rounded once (correctly at ln = 0); e^ln is applied as e^r 2^j, so a sum
-    past a double may meet a small factor. NumericError when the result passes a double."""
+    many ints u_i as v_j, 1 <= terms <= _MAX_SUM_TERMS and no zero denominator factor. Summed
+    by Horner in integers and rounded once (correctly at ln = 0); e^ln is applied as e^r 2^j,
+    so a sum past a double may meet a small factor. NumericError when the result passes a
+    double, or for more terms than _MAX_SUM_TERMS."""
+    if terms > _MAX_SUM_TERMS:
+        raise NumericError(f"terminating hypergeometric sum of more than {_MAX_SUM_TERMS} terms")
     num = den = 1
     for s in range(terms - 2, -1, -1):
         step = s * scale
@@ -482,7 +490,8 @@ def hyp2f1_unit(a: float, b: float, c: float) -> float:
     """Gauss hypergeometric 2F1(a, b; c; 1).
 
     Terminating case when a or b is a nonpositive integer (within _INT_TOL): the
-    exact sum at the floats b and c, correctly rounded (NumericError past a double).
+    exact sum at the floats b and c, correctly rounded (NumericError past a double,
+    or for more than 2^13 terms, _MAX_SUM_TERMS: a or b below -8191).
     Otherwise the Gauss summation value Gamma(c)Gamma(c-a-b) / [Gamma(c-a)Gamma(c-b)],
     requiring c - a - b > 0, to a few ulps of its lgamma terms. Reciprocal Gamma at a
     nonpositive integer is taken as zero, so the value vanishes when c - a or c - b is one.
@@ -521,10 +530,11 @@ class QuadratureRule:
 
     kind is one of 'legendre' (weight 1 on [-1,1]), 'jacobi' (weight
     (1-x)^alpha (1+x)^beta on [-1,1]) or 'laguerre' (weight x^alpha e^-x on
-    [0, inf)). Nodes are strictly increasing; a rule of N points is exact through
-    degree 2N - 1. Weights are strictly positive; a Laguerre rule's leave double range
-    past ~180 points or alpha ~ 170, where reading them raises AccuracyError. Its
-    scaled_weights, the weights over x^alpha e^-x, never do; other kinds' are the weights.
+    [0, inf)). Nodes are strictly increasing and Newton-polished; a rule of N points is
+    exact through degree 2N - 1. Weights are strictly positive and first-order at the
+    polished nodes; a Laguerre rule's leave double range past ~180 points or alpha ~ 170,
+    where reading them raises AccuracyError. Its scaled_weights, the weights over
+    x^alpha e^-x, never do; other kinds' are the weights.
     """
 
     kind: str
@@ -579,14 +589,15 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     """Golub-Welsch construction of an n-point Gaussian rule.
 
     Nodes are the eigenvalues of the symmetrized recurrence (Jacobi) matrix,
-    solved by LAPACK (numpy.linalg.eigvalsh, ascending), a Jacobi rule's then
-    polished by one Newton step; weights come from the reciprocal Christoffel
-    sums, so no eigenvectors are needed. A Laguerre rule's sum is of orthonormal
-    Laguerre functions (laguerre_functions), which gives its scaled weights at any
-    size; a Jacobi rule whose weight integral or weights leave double range raises
-    AccuracyError. A size whose n x n Jacobi matrix cannot be allocated raises
-    NumericError before any array is built. Rules are immutable and built once per
-    validated (kind, int n, float alpha, beta), -0.0 as 0.0 (genosc._cache).
+    solved by LAPACK (numpy.linalg.eigvalsh through _lapack, ascending), then
+    polished by one Newton step; weights, the reciprocal Christoffel sums, follow the
+    step to first order. One recurrence pass gives both, so no eigenvectors are
+    needed. A Laguerre rule's sum is of orthonormal Laguerre functions
+    (laguerre_functions), which gives its scaled weights at any size; a Jacobi rule
+    whose weight integral or weights leave double range raises AccuracyError. A LAPACK
+    failure, a node off the interval and a size whose n x n Jacobi matrix cannot be
+    allocated (before any array is built) raise NumericError. Rules are immutable and
+    built once per validated (kind, int n, float alpha, beta), -0.0 as 0.0 (genosc._cache).
     """
     if kind not in _QUAD_KINDS:
         raise DomainError(f"unknown quadrature kind {kind!r}, expected one of {_QUAD_KINDS}")
@@ -604,47 +615,69 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     return _gauss_rule(kind, int(n), alpha + 0.0, beta + 0.0)   # + 0.0: -0.0 as 0.0
 
 
+def _dense(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Symmetric tridiagonal matrix, or stack of them, from its bands: written
+    through strided views of each flattened matrix, whose diagonals are steps of
+    size + 1."""
+    size = diag.shape[-1]
+    mat = np.zeros(diag.shape + (size,))
+    flat = mat.reshape(diag.shape[:-1] + (size * size,))
+    flat[..., ::size + 1] = diag
+    flat[..., 1::size + 1] = flat[..., size::size + 1] = off
+    return mat
+
+
+def _lapack(solver, diag: np.ndarray, off: np.ndarray, label: str) -> np.ndarray:
+    """solver (np.linalg.eigh or eigvalsh) on the dense symmetric tridiagonal
+    matrix with bands diag/off, or on a stack of them: the package's one eigensolve.
+    A LAPACK failure raises NumericError, and so do non-finite eigenvalues, which
+    LAPACK can return instead of failing on a non-finite entry; label names the problem."""
+    try:
+        out = solver(_dense(diag, off))
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolve failed for {label}: {exc}") from exc
+    # eigh gives (eigenvalues, eigenvectors), eigvalsh the eigenvalues
+    if not np.isfinite(out[0] if isinstance(out, tuple) else out).all():
+        raise NumericError(f"eigensolve gave non-finite eigenvalues for {label}")
+    return out
+
+
 @cached(SETUPS)
 def _gauss_rule(kind: str, n: int, alpha: float, beta: float) -> QuadratureRule:
     """build_quadrature's rule at validated, canonical arguments."""
     _require_table((n, n), f"{kind} rule's Jacobi matrix at n={n}")
     if kind == "laguerre":
-        k = np.arange(n, dtype=np.float64)
-        acoef, off = 2.0 * k + alpha + 1.0, np.sqrt(k[1:] * (k[1:] + alpha))
+        k = np.arange(n + 1, dtype=np.float64)
+        acoef, sqb = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))
     else:
         acoef, bcoef = _jacobi_coeffs(n, alpha, beta)
-        off = np.sqrt(bcoef[1:n])
-    jacobi = np.diag(acoef[:n])
-    jacobi.flat[n::n + 1] = off   # the subdiagonal: eigvalsh reads the lower triangle
-    try:
-        nodes = np.linalg.eigvalsh(jacobi)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"quadrature eigensolve failed for {kind}, n={n}: {exc}") from exc
-    if not (np.isfinite(nodes).all() and (kind != "laguerre" or nodes[0] > 0.0)):
-        raise NumericError(f"quadrature eigensolve gave nodes off the {kind} interval, n={n}")
-    if kind == "laguerre":
-        phi = laguerre_functions(range(n), alpha, np.log(nodes))
-        weights = 1.0 / np.einsum("ki,ki->i", phi, phi)
-    else:
-        # Christoffel sums of the orthonormal polynomials at the nodes; where a
-        # sum overflows the true weight underflows double precision: 0, refused below.
-        # eigvalsh puts nodes near +-1 ulps off (61-point Jacobi(0, -1/2): end weight
-        # 5.7e-13 off); one Newton step polishes them, with p_n' = total / (sqrt(b_n)
-        # p_{n-1}) from Christoffel-Darboux
         sqb = np.sqrt(bcoef)
-        with np.errstate(over="ignore", invalid="ignore"):
-            for polish in (True, False):
-                prev, cur, total = np.zeros_like(nodes), np.full_like(nodes, 1.0 / sqb[0]), 0.0
-                for k in range(n):
-                    total = total + cur * cur
-                    prev, cur = cur, ((nodes - acoef[k]) * cur - sqb[k] * prev) / sqb[k + 1]
-                if polish:
-                    nodes = nodes - sqb[n] * cur * prev / total
-        weights = 1.0 / total
+    nodes = _lapack(np.linalg.eigvalsh, acoef[:n], sqb[1:n], f"{kind} rule at n={n}")
+    if not (nodes[0] > 0.0 if kind == "laguerre" else -1.0 < nodes[0] and nodes[-1] < 1.0):
+        raise NumericError(f"quadrature eigensolve gave nodes off the {kind} interval, n={n}")
+    # eigvalsh's nodes are ulps off (1000-point Laguerre: the smallest 7.8e-12 relative).
+    # One pass of the orthonormal p_k there gives S = sum_{k<n} p_k^2, p_n and p_{n-1}:
+    # Newton moves a node by -step, step = sqrt(b_n) p_n p_{n-1} / S (Christoffel-Darboux:
+    # p_n' = S / (sqrt(b_n) p_{n-1})), and its weight 1/S to (1 + s step) / S, s = d ln S/dx
+    # = -tau/sigma of the rule's differential equation. An overflowed S is refused below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "laguerre":
+            # phi_k = (-1)^k p_k sqrt(x^alpha e^-x): p_n p_{n-1} flips, the scaled S has s = -1/x
+            phi = laguerre_functions(range(n + 1), alpha, np.log(nodes))
+            prev, cur, slope = -phi[n - 1], phi[n], -1.0 / nodes
+            total = np.einsum("ki,ki->i", phi[:n], phi[:n])
+        else:
+            prev, cur, total = np.zeros_like(nodes), np.full_like(nodes, 1.0 / sqb[0]), 0.0
+            for k in range(n):
+                total = total + cur * cur
+                prev, cur = cur, ((nodes - acoef[k]) * cur - sqb[k] * prev) / sqb[k + 1]
+            slope = (alpha - beta + (alpha + beta + 2.0) * nodes) / (1.0 - nodes * nodes)
+        step = sqb[n] * cur * prev / total
+        weights = (1.0 + slope * step) / total
     if not np.all((weights > 0.0) & (weights < math.inf)):
         raise AccuracyError(f"quadrature weights leave double range for {kind}, n={n}")
     return QuadratureRule(kind=kind, npoints=n, alpha=alpha, beta=beta,
-                          nodes=nodes, scaled_weights=weights)
+                          nodes=nodes - step, scaled_weights=weights)
 
 
 build_quadrature.cache_info = _gauss_rule.cache_info

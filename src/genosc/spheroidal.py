@@ -19,9 +19,10 @@ from .bases import _with_phase, cylindrical_level, spherical_level
 from .errors import (DomainError, NumericError, check_level_index, check_positive,
                      require_points)
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
-from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _dense, _m_bands,  # noqa: F401
+from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _m_bands,  # noqa: F401
                          _n_bands, _residual_bound, _w_table)
 from .model import Branch, SystemParams, _a_q, _e_z, require_admissible, require_label_m
+from .specfun import _dense, _lapack
 
 _SIGN_PIVOT_TOL = 1e-12
 
@@ -152,21 +153,6 @@ def build_tridiag_t(n: int, params: SystemParams, branch: Branch, R: float,
                     kind: Kind) -> TridiagonalSystem:
     """Spherical-side system diag(A_q) + sign (R^2/2) n_matrix_sph."""
     return _system(_t_bands, "spherical", n, params, branch, R, kind)
-
-
-def _lapack(solver, diag: np.ndarray, off: np.ndarray, label: str) -> np.ndarray:
-    """solver (np.linalg.eigh or eigvalsh) on the dense symmetric tridiagonal
-    matrix with bands diag/off, or on a stack of them. A LAPACK failure raises
-    NumericError, and so do non-finite eigenvalues, which LAPACK can return
-    instead of failing on a non-finite entry; label names the problem."""
-    try:
-        out = solver(_dense(diag, off))
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolve failed for {label}: {exc}") from exc
-    # eigh gives (eigenvalues, eigenvectors), eigvalsh the eigenvalues
-    if not np.isfinite(out[0] if isinstance(out, tuple) else out).all():
-        raise NumericError(f"eigensolve gave non-finite eigenvalues for {label}")
-    return out
 
 
 def _solve(diag: np.ndarray, off: np.ndarray, label: str) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import genosc
-from genosc import cli, interbasis, spheroidal
+from genosc import cli, interbasis, specfun, spheroidal
 from genosc.cli import main
 from genosc.errors import NumericError
 from genosc.model import (Branch, SystemParams, energy_cylindrical_parts, energy_level,
@@ -606,7 +606,7 @@ def test_lapack_failure_exits_4(monkeypatch):
 def test_uncertified_lambda_grid_exits_4_naming_n_and_r(monkeypatch):
     # LAPACK is handed a matrix whose d_0 differs from the bands' by 1e-6 at the
     # third R; the Sturm counts on the bands refuse that value
-    dense = spheroidal._dense
+    dense = specfun._dense
 
     def perturbed(diag, off):
         mat = dense(diag, off)
@@ -614,7 +614,7 @@ def test_uncertified_lambda_grid_exits_4_naming_n_and_r(monkeypatch):
             mat[2, 0, 0] += 1e-6 * max(1.0, abs(mat[2, 0, 0]))
         return mat
 
-    monkeypatch.setattr(spheroidal, "_dense", perturbed)
+    monkeypatch.setattr(specfun, "_dense", perturbed)
     code, out, err = run_cli(["spheroidal", "--n", "4", "--R-grid", "0.1:2.0:5"])
     assert code == 4
     assert out == ""

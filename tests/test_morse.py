@@ -225,6 +225,11 @@ def test_morse_norms_from_one_rule_past_the_old_laguerre_cap():
     assert morse_norms(params_for(0.5)).shape == (0,)
 
 
+def test_morse_norms_on_newton_polished_nodes():
+    # the rule's unpolished smallest nodes put the norms at lambda = 316 6.7e-13 off one
+    assert np.abs(morse_norms(params_for(316.0)) - 1.0).max() <= 1e-13
+
+
 def test_wavefunction_deep_tail_is_finite_without_warnings():
     # w = 2 lam e^{-a x} underflows past a x ~ 745; log w does not
     for params in (params_for(7.3), params_for(80.0, 2.0)):

@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import time
 import warnings
 from decimal import Decimal
 from fractions import Fraction
@@ -15,7 +16,8 @@ from scipy.special import roots_genlaguerre, roots_jacobi
 
 from genosc import specfun as sf
 from genosc.errors import AccuracyError, DomainError, NumericError
-from genosc.model import SystemParams
+from genosc.interbasis import CgArgs, cg_continued, w_coefficient
+from genosc.model import Branch, SystemParams
 from genosc.oracles import GramFamily, gram_matrix, reciprocal_gamma
 
 mpmath.mp.dps = 35
@@ -567,6 +569,23 @@ def test_hyp2f1_unit_terminating_sum_is_correctly_rounded():
         sf.hyp2f1_unit(-500, 2000.0, 0.5)
 
 
+def test_exact_sums_refuse_more_terms_than_the_cap():
+    # sums of 1e300, 1e7 and about 2^61 terms ran until killed; each is refused at once
+    big = 2 ** 62 - 4
+    params = SystemParams(1.3, 0.7, 1.1, 1)
+    for call in (lambda: cg_continued(CgArgs(1e300, 1e300, 0.0, 0.0, 1e300, 0.0)),
+                 lambda: sf.hyp2f1_unit(-1e7, 2.5, 3.5),
+                 lambda: w_coefficient(big, big // 2, big // 2, params, Branch.Plus)):
+        start = time.perf_counter()
+        with pytest.raises(NumericError, match=f"more than {sf._MAX_SUM_TERMS} terms"):
+            call()
+        assert time.perf_counter() - start < 1.0
+    # the cap itself is summed: 2F1(-8191, b; c; 1) has 8192 terms
+    assert sf.hyp2f1_unit(-(sf._MAX_SUM_TERMS - 1), 2.5, 3.5) > 0.0
+    with pytest.raises(NumericError, match="terms"):
+        sf.hyp2f1_unit(-sf._MAX_SUM_TERMS, 2.5, 3.5)
+
+
 def test_hyp2f1_unit_gauss_formula():
     assert sf.hyp2f1_unit(0.35, -0.8, 2.2) == pytest.approx(
         0.86525472034702088051102044074983686, rel=1e-13)
@@ -670,6 +689,57 @@ def test_quadrature_nodes_match_scipy_at_large_sizes():
         np.testing.assert_allclose(r.nodes, ref, rtol=1e-13, atol=0.0)
 
 
+def _mp_gauss_point(kind, n, a, b, x0):
+    """(node, Christoffel weight 1/sum_{k<n} p_k^2) of the zero of the orthonormal p_n
+    next to x0, by 40-digit Newton on the three-term recurrence from mpmath coefficients."""
+    with mpmath.workdps(40):
+        a, b = mpmath.mpf(a), mpmath.mpf(b)
+        if kind == "laguerre":
+            diag = [2 * k + a + 1 for k in range(n)]
+            sqb = [mpmath.sqrt(mpmath.gamma(a + 1))] + [mpmath.sqrt(k * (k + a))
+                                                        for k in range(1, n + 1)]
+        else:
+            ab = a + b
+            diag = [(b - a) / (ab + 2)] + [(b * b - a * a) / ((2 * k + ab) * (2 * k + ab + 2))
+                                           for k in range(1, n)]
+            sqb = [mpmath.sqrt(2 ** (ab + 1) * mpmath.beta(a + 1, b + 1)),
+                   mpmath.sqrt(4 * (a + 1) * (b + 1) / ((ab + 2) ** 2 * (ab + 3)))]
+            sqb += [mpmath.sqrt(4 * k * (k + a) * (k + b) * (k + ab) / (
+                (2 * k + ab) ** 2 * (2 * k + ab + 1) * (2 * k + ab - 1))) for k in range(2, n + 1)]
+        x = mpmath.mpf(float(x0))
+        for _ in range(5):
+            prev, cur, total = 0, 1 / sqb[0], 0
+            for k in range(n):
+                total += cur * cur
+                prev, cur = cur, ((x - diag[k]) * cur - sqb[k] * prev) / sqb[k + 1]
+            x -= sqb[n] * cur * prev / total   # Christoffel-Darboux: p_n' = S / (sqrt(b_n) p_{n-1})
+        return x, 1 / total
+
+
+def test_laguerre_rule_nodes_are_newton_polished():
+    # eigvalsh alone left the smallest node 6.5e-14 (150, 0) to 1.4e-11 (1000, 0.3) off;
+    # the scaled weight there followed it
+    for n, alpha in ((150, 0.0), (300, 0.5), (1000, 0.0), (1000, 0.3)):
+        rule = sf.build_quadrature("laguerre", n, alpha)
+        for i in (n - 1, n // 2, 0):
+            x, w = _mp_gauss_point("laguerre", n, alpha, 0.0, rule.nodes[i])
+            assert abs(rule.nodes[i] / x - 1) <= 1e-14, (n, alpha, i)
+        with mpmath.workdps(40):
+            scaled = w * mpmath.exp(x) / x ** alpha   # the smallest node's, moved with it
+            assert abs(rule.scaled_weights[0] / scaled - 1) <= 1e-13, (n, alpha)
+
+
+def test_jacobi_rule_weights_follow_the_polished_nodes():
+    # weights summed at eigvalsh's nodes and moved to first order with them; the
+    # weights a second pass summed at the polished nodes were up to 5.9e-13 off
+    for n, a, b in ((61, 0.0, -0.5), (150, 40.0, 3.0), (150, -0.9, -0.9), (300, 0.0, 0.0)):
+        rule = sf.build_quadrature("jacobi", n, a, b)
+        for i in (0, 1, n // 2, n - 2, n - 1):
+            x, w = _mp_gauss_point("jacobi", n, a, b, rule.nodes[i])
+            assert abs(rule.nodes[i] - x) <= 1e-16, (n, a, b, i)
+            assert abs(rule.weights[i] / w - 1) <= 2.5e-13, (n, a, b, i)
+
+
 def test_quadrature_lapack_failure_is_numeric_error(monkeypatch):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -677,6 +747,12 @@ def test_quadrature_lapack_failure_is_numeric_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", boom)
     with pytest.raises(NumericError):
         sf.build_quadrature("jacobi", 23, 0.125, 0.625)
+    # a node LAPACK puts on the end of the interval is refused: the weights' first-order
+    # update divides by 1 - x^2 (Jacobi) or x (Laguerre)
+    for kind, ends in (("jacobi", (-0.5, 1.0)), ("laguerre", (0.0, 9.0))):
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda mat: np.linspace(*ends, len(mat)))
+        with pytest.raises(NumericError, match=f"nodes off the {kind} interval"):
+            sf.build_quadrature(kind, 24, 0.125)
 
 
 def test_quadrature_degree_2n_not_exact():

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from genosc import _cache, interbasis, spheroidal
+from genosc import _cache, interbasis, specfun, spheroidal
 from genosc.errors import DomainError, NumericError
 from genosc.interbasis import m_matrix_cyl, n_matrix_sph, w_matrix
 from genosc.model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
@@ -490,7 +490,7 @@ def test_sturm_counts_treat_a_zero_pivot_as_negative():
 def _perturbed_dense(monkeypatch, stack, row, by=1e-6):
     """Make the dense matrices LAPACK sees for call `stack` of stacked bands (0 the
     first) carry `by` more in d_0 of matrix `row`; the Sturm counts read the bands."""
-    dense, calls = interbasis._dense, []
+    dense, calls = specfun._dense, []
 
     def perturbed(diag, off):
         mat = dense(diag, off)
@@ -500,7 +500,7 @@ def _perturbed_dense(monkeypatch, stack, row, by=1e-6):
             calls.append(None)
         return mat
 
-    monkeypatch.setattr(spheroidal, "_dense", perturbed)
+    monkeypatch.setattr(specfun, "_dense", perturbed)
 
 
 def test_lambda_grid_refuses_a_value_its_counts_do_not_bracket(monkeypatch):
