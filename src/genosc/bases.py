@@ -6,8 +6,10 @@ singularities are excluded by precondition: for the Minus branch the
 exponents 1/2 - b and c can put a one-sided divergence at the excluded
 endpoints, so no limit evaluation is attempted. Coordinates must be finite.
 
-Each radial and axial factor is a constant times one orthonormal Laguerre
-function of x = omega u^2. Each factor is evaluated for one label, or for every
+Each angular factor (Theta_q, the ring Theta_lm) is one bounded row of the
+orthonormal Jacobi recurrence (specfun._jacobi_rows), and each radial and axial
+factor a constant times one orthonormal Laguerre function of x = omega u^2: no
+degree or order overflows. Each factor is evaluated for one label, or for every
 term of an oscillator level at once (spherical_level, cylindrical_level), where
 one recurrence per family gives every degree; both read the same per-family
 helpers below. The cylindrical and axial factors, and the spherical radial
@@ -20,15 +22,14 @@ every factor is exactly 0, never inf * 0.
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 
-from ._cache import SETUPS, cached
 from .errors import DomainError, check_abs_int, check_nonneg_int, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     _exponents, require_label_m)
-from .specfun import (_gamma_ratio, gegenbauer, jacobi_rows, laguerre_diagonal,
-                      laguerre_functions, ln_gamma)
+from .specfun import _jacobi_p0, _jacobi_rows, laguerre_diagonal, laguerre_functions
 
 __all__ = [
     "theta_angular",
@@ -67,26 +68,14 @@ def _log_x(omega: float, u):   # ln(omega u^2), finite where omega u^2 is not
     return math.log(omega) + 2.0 * np.log(u)
 
 
-@cached(SETUPS)
-def _angular_norms(qs, c: float, beta: float) -> np.ndarray:
-    """N_q of Theta_q, q in qs (c >= 0, beta >= -1/2): N_0 = 2^(-e/2) / sqrt(m) from
-    _gamma_ratio's m 2^e = 1/N_0^2, then N_q^2 / N_{q-1}^2 = (2q+s+1) q (q+s) /
-    ((2q+s-1)(q+c)(q+beta)), s = c + beta; no Gamma or power of two leaves double range."""
-    s, ratio, ratios = c + beta, 1.0, [1.0]   # N_q^2 / N_0^2, q = 0, 1, ...
-    for q in range(1, max(qs) + 1):
-        ratio *= (2.0 * q + s + 1.0) * q * (q + s) / ((2.0 * q + s - 1.0) * (q + c) * (q + beta))
-        ratios.append(ratio)
-    m, e = _gamma_ratio(c, beta)
-    return math.ldexp(1.0 / math.sqrt(m), -e // 2) * np.sqrt([ratios[q] for q in qs])
-
-
 def _angular(qs, c: float, beta: float, t):
-    """Theta_q(t) = N_q (sin t)^c (cos t)^(1/2 + beta) P_q^(c, beta)(cos 2t), q in qs."""
-    rows = list(jacobi_rows(max(qs), c, beta, np.cos(2.0 * t)))
-    norm = _angular_norms(qs, c, beta).reshape((-1,) + (1,) * np.ndim(t))
+    """Theta_q(t) = 2^((c + beta + 1)/2) p_q(cos 2t) (sin t)^c (cos t)^(1/2 + beta), q in qs,
+    p_q the orthonormal Jacobi(c, beta) polynomial, from rows started at Theta_0."""
+    norm0 = _jacobi_p0(c, beta, 0.5 * (c + beta + 1.0))
     # np.power, never **: on a lone point's numpy scalar ** runs libm pow
-    point = np.power(np.sin(t), c) * np.power(np.cos(t), 0.5 + beta)
-    return norm * point * np.array([rows[q] for q in qs])
+    start = norm0 * np.power(np.sin(t), c) * np.power(np.cos(t), 0.5 + beta)
+    rows = list(_jacobi_rows(max(qs), c, beta, np.cos(2.0 * t), start))
+    return np.array([rows[q] for q in qs])
 
 
 def _radial_sph(degrees, q: int, c: float, beta: float, omega: float, r):
@@ -116,7 +105,10 @@ def _axial(ps, beta: float, omega: float, z):
 def theta_angular(q: int, params: SystemParams, branch: Branch, theta):
     """Angular factor Theta_q: N_q (sin t)^c (cos t)^(1/2 +- b) P_q^(c, +-b)(cos 2t).
 
-    Normalized to integral Theta^2 sin(t) dt = 1/2 over (0, pi/2), N_q > 0.
+    Normalized to integral Theta^2 sin(t) dt = 1/2 over (0, pi/2), N_q > 0. Finite at any
+    q and c; off 40-digit mpmath by at most, relative to the largest |Theta_q|: 1.0e-14 for
+    q <= 12 and c < 4, 4.0e-13 to q = 300 at c = 1 and 3.3, and at c = 2000 5.2e-13 to
+    q = 40 and 2.4e-12 at q = 300 (the rounding of c + beta + 1, (sin t)^c and cos 2t).
     """
     q = check_nonneg_int(q, "q")
     beta, c = _exponents(params, branch)
@@ -181,7 +173,7 @@ def spherical_level(n: int, params: SystemParams, branch: Branch, r, theta) -> n
     r and theta are equal-shape arrays of points, or scalars. The radial
     factors come from one Laguerre-function recurrence whose order
     2q + c +- b + 1 falls by two per degree n - q, the angular ones from one
-    Jacobi recurrence.
+    Jacobi recurrence, finite at any n and c and as accurate as theta_angular's.
     """
     n = check_nonneg_int(n, "n")
     beta, c = _exponents(params, branch)
@@ -206,13 +198,15 @@ def cylindrical_level(n: int, params: SystemParams, branch: Branch, rho, z) -> n
 
 
 def theta_ring(l: int, m: int, delta: float, theta):
-    """Ring-regime angular factor Theta_{lm}(theta; delta) in Gegenbauer form.
+    """Ring-regime angular factor Theta_{lm}(theta; delta), mu = |m| + delta:
 
-    2^(|m|+delta) Gamma(|m|+delta+1/2)
-      * sqrt[(2l+2delta+1)(l-|m|)! / (2 pi Gamma(l+|m|+2delta+1))]
-      * (sin t)^(|m|+delta) C_{l-|m|}^{|m|+delta+1/2}(cos t).
+    2^mu Gamma(mu + 1/2) sqrt[(2l+2delta+1)(l-|m|)! / (2 pi Gamma(l+|m|+2delta+1))]
+      * (sin t)^mu C_{l-|m|}^{mu+1/2}(cos t) = p_{l-|m|}(cos t) (sin t)^mu,
 
-    Valid on (0, pi); same half-interval normalization as theta_angular.
+    p_k the orthonormal Jacobi(mu, mu) polynomial, a bounded row at every l. Valid on
+    (0, pi); same half-interval normalization as theta_angular. Off 40-digit mpmath by at
+    most 5.5e-14 of the largest |Theta| at (l, m, delta) = (300, 10, 20), (60, 2, 900)
+    and (427, 46, 424.24).
     """
     l, ma = check_nonneg_int(l, "l"), check_abs_int(m, "m")
     if l < ma:
@@ -220,14 +214,9 @@ def theta_ring(l: int, m: int, delta: float, theta):
     if not 0.0 <= delta < math.inf:
         raise DomainError(f"delta must be nonnegative and finite, got {delta}")
     t = _checked(theta, "theta", upper=math.pi)
-    mu = ma + delta
-    ln_const = ((mu) * math.log(2.0) + ln_gamma(mu + 0.5)
-                + 0.5 * (math.log(2.0 * l + 2.0 * delta + 1.0)
-                         + ln_gamma(l - ma + 1.0)
-                         - math.log(2.0 * math.pi)
-                         - ln_gamma(l + ma + 2.0 * delta + 1.0)))
-    out = (math.exp(ln_const) * np.sin(t) ** mu
-           * gegenbauer(l - ma, mu + 0.5, np.cos(t)))
+    mu = ma + float(delta)
+    start = _jacobi_p0(mu, mu) * np.power(np.sin(t), mu)
+    out = deque(_jacobi_rows(l - ma, mu, mu, np.cos(t), start), maxlen=1)[0]
     return _shaped(out, theta)
 
 

@@ -30,10 +30,11 @@ import numpy as np
 
 from ._cache import LEVELS, cached
 from .bases import _angular, _axial, _radial_cyl, _radial_level
-from .errors import (DomainError, NumericError, _level_index_message, _require_table,
-                     check_abs_int, check_level_index, check_nonneg_int)
+from .errors import (AccuracyError, DomainError, NumericError, _level_index_message,
+                     _require_table, check_abs_int, check_level_index, check_nonneg_int)
 from .model import Branch, SystemParams, _a_q, _e_n, _exponents
-from .specfun import _INT_TOL, _dense, _dyadic, _ratio_sum, build_quadrature
+from .specfun import (_INT_TOL, _MAX_CG_ORDER, _MAX_SUM_TERMS, _dense, _dyadic, _ratio_sum,
+                      build_quadrature)
 
 __all__ = [
     "CgArgs",
@@ -126,6 +127,9 @@ def _cg_sum(abc: int, ama: int, bpb: int, l1: int, l2: int, lg: _LnGamma,
             tmax = min(tmax, v // scale)
     if tmax < tmin:
         return 0.0
+    if abc + two_c > _MAX_CG_ORDER * scale and tmax - tmin < _MAX_SUM_TERMS:
+        raise AccuracyError(f"continued CG sum at a + b + c = {(abc + two_c) / scale} past "
+                            f"{_MAX_CG_ORDER}, where its Gamma prefactor loses its accuracy")
     if exact is not None:
         abc, ama, bpb, l1, l2 = exact
         two_c = ama + bpb + l1 + l2
@@ -159,10 +163,12 @@ def cg_continued(args: CgArgs) -> float:
     a+b-c, a-alpha, b+beta, c-b+alpha, c-a-beta are formed in floating point, read as
     integers within _INT_TOL where they decide the pattern and the range of the sum,
     and exactly in the value. Accuracy: the sum is exact, so the value is within a few
-    lgamma ulps of its prefactor (1e-13 of mpmath on every live pattern tested).
+    lgamma ulps of its prefactor (1e-13 of mpmath on every live pattern tested), ulps that
+    grow with a + b + c (ring_w: 2e-14 at 2^7, 2e-11 at 2^15, 1.3e-9 at 2^19, 0.6 at 2^47).
     DomainError when the pattern does not terminate (non-integer a+b-c) or would need
     a square root of a negative Gamma value; NumericError for a sum of more than
-    2^13 terms (specfun._MAX_SUM_TERMS), which would take more than a few seconds.
+    2^13 terms (specfun._MAX_SUM_TERMS), which would take more than a few seconds, and
+    AccuracyError within that cap for a + b + c past 2^15 (specfun._MAX_CG_ORDER).
     """
     if abs(args.gamma - (args.alpha + args.beta)) > _SELECTION_TOL:
         return 0.0
@@ -220,7 +226,9 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     exact sum rounds, so a table is within 1e-13 of w_matrix at n = 60 and 1e-12
     at n = 200, on both branches; time is a Python loop of about n/3 steps an entry.
     An entry whose sum has more than 2^13 terms (specfun._MAX_SUM_TERMS; from about
-    n = 16384 at p = q = n/2) raises NumericError.
+    n = 16384 at p = q = n/2) raises NumericError, and one within that cap whose
+    a0 + b0 + c0 = n + q + c +- b passes 2^15 (levels from about 2^14) raises
+    AccuracyError: the prefactor's error grows with it (cg_continued).
     """
     is_array, (n, p, q) = _level_indices(n, p, q)
     scale, (sb, c) = _dyadic(*_exponents(params, branch))
@@ -458,7 +466,9 @@ def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarra
     integer arrays that broadcast (a level's table from an n3 column against
     an l row); the result is then an array of their shape, else a float.
     Accuracy and the 2^13-term cap of each sum (NumericError past it) as
-    w_coefficient's (a table within 1e-13 of w_matrix at n = 60).
+    w_coefficient's (a table within 1e-13 of w_matrix at n = 60): ring_w(N, 1, 0, 1, 0.2)
+    is 2e-14 off 60-digit mpmath at N = 2^8 + 1 and 2e-11 at 2^16 + 1, and AccuracyError
+    refuses a0 + b0 + c0 = (N + l - 1)/2 + delta past 2^15 (N past about 2^15 at l = N).
     """
     is_array, (N, n3, l) = _check_indices(N=N, n3=n3, l=l)
     ma = check_abs_int(m, "m")

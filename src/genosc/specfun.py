@@ -2,9 +2,10 @@
 
 Everything downstream (basis evaluation, overlap coefficients, oracle
 integrals) is built on these primitives. The Gamma normalisers of the Laguerre
-functions, the Jacobi rules and bases' angular factors come from one exact
-product (_ln_norm0). The Jacobi, Laguerre, Gegenbauer and Hermite polynomials
-are step functions of one forward three-term recurrence (_three_term).
+functions and the Jacobi family come from one exact product (_ln_norm0). The
+Jacobi, Laguerre, Gegenbauer and Hermite polynomials, and the orthonormal Jacobi
+rows behind the Jacobi rules and bases' angular factors (_jacobi_rows), are step
+functions of one forward three-term recurrence (_three_term).
 
 The orthonormal Laguerre functions run in one of two recurrence shapes, each on
 scaled rows with a log scale per point (no overflow at any degree, exactly 0 in
@@ -31,7 +32,6 @@ __all__ = [
     "ln_gamma",
     "gamma_sign_ln",
     "jacobi_p",
-    "jacobi_rows",
     "gen_laguerre",
     "laguerre_functions",
     "laguerre_diagonal",
@@ -71,11 +71,10 @@ def gamma_sign_ln(x: float) -> tuple[float, float]:
     return sign, math.lgamma(x)
 
 
-def _three_term(n, x, p1, step):
-    """P_0 = 1, P_1 = p1, ..., P_n over the points x from P_k = step(k, P_{k-1}, P_{k-2}),
+def _three_term(n, p0, p1, step):
+    """P_0 = p0, P_1 = p1, ..., P_n over the points from P_k = step(k, P_{k-1}, P_{k-2}),
     yielded in turn, only the last two rows held. A yielded row is the recurrence's own
     state: read it, do not write to it."""
-    p0 = np.ones_like(x)
     yield p0
     if n == 0:
         return
@@ -85,40 +84,29 @@ def _three_term(n, x, p1, step):
         yield p1
 
 
-@cached(SETUPS)
-def _jacobi_steps(n, alpha, beta) -> tuple:
-    """_jacobi's coefficients (c1, c2, c3, c4) of steps k = 2..n, a row each."""
-    rows = []
-    for k in range(2, n + 1):
-        k2ab = 2.0 * k + alpha + beta
-        rows.append((2.0 * k * (k + alpha + beta) * (k2ab - 2.0),
-                     (k2ab - 1.0) * (alpha * alpha - beta * beta),
-                     (k2ab - 2.0) * (k2ab - 1.0) * k2ab,
-                     2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * k2ab))
-    return tuple(rows)
-
-
 def _jacobi(n, alpha, beta, x):
-    coeffs = _jacobi_steps(n, alpha, beta)
-
     def step(k, p1, p0):
-        c1, c2, c3, c4 = coeffs[k - 2]
-        return ((c2 + c3 * x) * p1 - c4 * p0) / c1
-    return _three_term(n, x, 0.5 * (alpha - beta + (alpha + beta + 2.0) * x), step)
+        k2ab = 2.0 * k + alpha + beta
+        c3 = (k2ab - 2.0) * (k2ab - 1.0) * k2ab
+        return (((k2ab - 1.0) * (alpha * alpha - beta * beta) + c3 * x) * p1
+                - 2.0 * (k + alpha - 1.0) * (k + beta - 1.0) * k2ab * p0) / (
+                    2.0 * k * (k + alpha + beta) * (k2ab - 2.0))
+    return _three_term(n, np.ones_like(x), 0.5 * (alpha - beta + (alpha + beta + 2.0) * x), step)
 
 
 def _laguerre(n, alpha, x):
-    return _three_term(n, x, 1.0 + alpha - x, lambda k, p1, p0: (
+    return _three_term(n, np.ones_like(x), 1.0 + alpha - x, lambda k, p1, p0: (
         (2.0 * k - 1.0 + alpha - x) * p1 - (k - 1.0 + alpha) * p0) / k)
 
 
 def _gegenbauer(n, lam, x):
-    return _three_term(n, x, 2.0 * lam * x, lambda k, p1, p0: (
+    return _three_term(n, np.ones_like(x), 2.0 * lam * x, lambda k, p1, p0: (
         2.0 * (k + lam - 1.0) * x * p1 - (k + 2.0 * lam - 2.0) * p0) / k)
 
 
 def _hermite(n, x):
-    return _three_term(n, x, 2.0 * x, lambda k, p1, p0: 2.0 * x * p1 - 2.0 * (k - 1.0) * p0)
+    return _three_term(n, np.ones_like(x), 2.0 * x,
+                       lambda k, p1, p0: 2.0 * x * p1 - 2.0 * (k - 1.0) * p0)
 
 
 def _poly_eval(recurrence, args, x):
@@ -135,22 +123,12 @@ def _check_degree(n: int) -> int:
     return check_nonneg_int(n, "polynomial degree")
 
 
-def _jacobi_args(n, alpha, beta):
+def jacobi_p(n: int, alpha: float, beta: float, x):
+    """Jacobi polynomial P_n^(alpha, beta)(x), alpha, beta > -1."""
     n = _check_degree(n)
     if not (alpha > -1.0 and beta > -1.0):
         raise DomainError(f"jacobi_p requires alpha, beta > -1, got ({alpha}, {beta})")
-    return n, float(alpha), float(beta)
-
-
-def jacobi_rows(n: int, alpha: float, beta: float, x):
-    """P_0^(alpha, beta)(x), ..., P_n^(alpha, beta)(x), alpha, beta > -1, as a
-    generator of rows over the array x, from one forward recurrence."""
-    return _jacobi(*_jacobi_args(n, alpha, beta), np.asarray(x, dtype=np.float64))
-
-
-def jacobi_p(n: int, alpha: float, beta: float, x):
-    """Jacobi polynomial P_n^(alpha, beta)(x), alpha, beta > -1."""
-    return _poly_eval(_jacobi, _jacobi_args(n, alpha, beta), x)
+    return _poly_eval(_jacobi, (n, float(alpha), float(beta)), x)
 
 
 def gen_laguerre(n: int, alpha: float, x):
@@ -196,10 +174,47 @@ def _ln_norm0(beta: float) -> tuple[float, int]:
 @cached(SETUPS)
 def _gamma_ratio(alpha: float, beta: float) -> tuple[float, int]:
     """(m, e), e even, with Gamma(alpha + 1) Gamma(beta + 1) / Gamma(alpha + beta + 2) = m 2^e,
-    alpha, beta > -1, from three _ln_norm0 products; built once per (alpha, beta) for the
-    Jacobi b_0 and the angular N_0 alike."""
+    alpha, beta > -1, from three _ln_norm0 products; built once per (alpha, beta) for
+    _jacobi_p0, whichever of the Jacobi rows and rules reads it."""
     (ra, ja), (rb, jb), (rs, js) = _ln_norm0(alpha), _ln_norm0(beta), _ln_norm0(alpha + beta + 1.0)
     return math.exp(2.0 * (rs - ra - rb)), 2 * (js - ja - jb)
+
+
+def _jacobi_p0(alpha: float, beta: float, power: float = 0.0) -> float:
+    """2^power p_0, p_0 = 1/sqrt(b_0) and b_0 = 2^(alpha + beta + 1) Gamma(alpha + 1)
+    Gamma(beta + 1) / Gamma(alpha + beta + 2) the Jacobi weight integral, alpha, beta > -1:
+    _gamma_ratio's m 2^e with the power of two joined to e exactly, so no factor leaves
+    double range on its own."""
+    m, e = _gamma_ratio(alpha, beta)
+    s = alpha + beta + 1.0 - 2.0 * power
+    half = math.floor(0.5 * s)   # 2^s = 2^(s - 2 half) 4^half, s - 2 half exact
+    return math.ldexp(1.0 / math.sqrt(m * 2.0 ** (s - 2.0 * half)), -(e // 2 + half))
+
+
+@cached(SETUPS)
+def _jacobi_coeffs(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """(a_k, sqrt(b_k)), k = 0..n, n >= 1, of the orthonormal Jacobi(alpha, beta) recurrence
+    sqrt(b_{k+1}) p_{k+1} = (x - a_k) p_k - sqrt(b_k) p_{k-1}: the steps to degree n, which
+    an n-point rule's Jacobi matrix and its p_n read too. No step reads sqrt(b_0), held as 0."""
+    k = np.arange(n + 1, dtype=np.float64)
+    ab = alpha + beta
+    with np.errstate(invalid="ignore", divide="ignore"):
+        a = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
+        b = (4.0 * k * (k + alpha) * (k + beta) * (k + ab)
+             / ((2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)))
+    a[0], b[0] = (beta - alpha) / (ab + 2.0), 0.0
+    b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
+    return a, np.sqrt(b)
+
+
+def _jacobi_rows(n: int, alpha: float, beta: float, x, start):
+    """start p_k / p_0 over the points x, k = 0..n, yielded in turn (_three_term): the
+    orthonormal Jacobi(alpha, beta) polynomials p_k (DLMF 18.9.2) from _jacobi_coeffs'
+    steps. start is p_0 times the caller's factor at each point; a root of the weight in
+    it makes every row a bounded function, which no degree can overflow."""
+    a, sb = _jacobi_coeffs(max(n, 1), alpha, beta)   # p_1 is formed at n = 0 too
+    return _three_term(n, start, (x - a[0]) * start / sb[1],
+                       lambda k, p1, p0: ((x - a[k - 1]) * p1 - sb[k - 1] * p0) / sb[k])
 
 
 def _x_tail(n: int, hi: float) -> float:
@@ -456,6 +471,9 @@ def _dyadic(*values: float) -> tuple[int, list[int]]:
 # _ratio_sum's largest sum: its cost grows as terms^2 (about 4 s for a 7800-term Racah
 # entry on a 2-core Xeon), so 2^13 keeps an accepted sum within seconds; the CLI forms <= 801
 _MAX_SUM_TERMS = 2 ** 13
+# interbasis._cg_sum's largest a + b + c: its lgamma prefactor, some (a+b+c) ln(a+b+c) in
+# size, loses digits as it grows (ring_w 2e-11 off at 2^15, 1.3e-9 at 2^19)
+_MAX_CG_ORDER = 2 ** 15
 
 
 def _ratio_sum(upper, lower, terms: int, scale: int, ln: float = 0.0) -> float:
@@ -565,26 +583,6 @@ class QuadratureRule:
         return float(np.einsum("i,i->", self.weights, values))
 
 
-def _jacobi_coeffs(n: int, alpha: float, beta: float):
-    """Monic three-term coefficients (a_k, b_k), k = 0..n, of an n-point rule (the
-    last ones give p_n at its nodes), with b_0 the weight integral."""
-    k = np.arange(n + 1, dtype=np.float64)
-    ab = alpha + beta
-    with np.errstate(invalid="ignore", divide="ignore"):
-        a = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-        b = (4.0 * k * (k + alpha) * (k + beta) * (k + ab)
-             / ((2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)))
-    a[0] = (beta - alpha) / (ab + 2.0)
-    b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
-    try:   # b_0 = 2^(alpha + beta + 1) m 2^e, the power's integral part joining e exactly
-        m, e = _gamma_ratio(alpha, beta)
-        b[0] = math.ldexp(m * 2.0 ** ((ab + 1.0) % 1.0), e + math.floor(ab + 1.0))
-    except OverflowError:
-        raise AccuracyError(f"jacobi rule weight integral leaves double range for n={n}, "
-                            f"alpha={alpha}, beta={beta}") from None
-    return a, b
-
-
 def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -> QuadratureRule:
     """Golub-Welsch construction of an n-point Gaussian rule.
 
@@ -650,8 +648,11 @@ def _gauss_rule(kind: str, n: int, alpha: float, beta: float) -> QuadratureRule:
         k = np.arange(n + 1, dtype=np.float64)
         acoef, sqb = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))
     else:
-        acoef, bcoef = _jacobi_coeffs(n, alpha, beta)
-        sqb = np.sqrt(bcoef)
+        acoef, sqb = _jacobi_coeffs(n, alpha, beta)
+        p0 = _jacobi_p0(alpha, beta)
+        if not p0 > 2.0 ** -512:   # b_0 = 1/p_0^2 past a double
+            raise AccuracyError(f"jacobi rule weight integral leaves double range for n={n}, "
+                                f"alpha={alpha}, beta={beta}")
     nodes = _lapack(np.linalg.eigvalsh, acoef[:n], sqb[1:n], f"{kind} rule at n={n}")
     if not (nodes[0] > 0.0 if kind == "laguerre" else -1.0 < nodes[0] and nodes[-1] < 1.0):
         raise NumericError(f"quadrature eigensolve gave nodes off the {kind} interval, n={n}")
@@ -667,10 +668,10 @@ def _gauss_rule(kind: str, n: int, alpha: float, beta: float) -> QuadratureRule:
             prev, cur, slope = -phi[n - 1], phi[n], -1.0 / nodes
             total = np.einsum("ki,ki->i", phi[:n], phi[:n])
         else:
-            prev, cur, total = np.zeros_like(nodes), np.full_like(nodes, 1.0 / sqb[0]), 0.0
-            for k in range(n):
-                total = total + cur * cur
-                prev, cur = cur, ((nodes - acoef[k]) * cur - sqb[k] * prev) / sqb[k + 1]
+            total, rows = 0.0, _jacobi_rows(n, alpha, beta, nodes, np.full_like(nodes, p0))
+            for _, prev in zip(range(n), rows):   # p_0 .. p_{n-1}, then p_n
+                total = total + prev * prev
+            cur = next(rows)
             slope = (alpha - beta + (alpha + beta + 2.0) * nodes) / (1.0 - nodes * nodes)
         step = sqb[n] * cur * prev / total
         weights = (1.0 + slope * step) / total

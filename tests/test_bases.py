@@ -56,40 +56,68 @@ def test_theta_minus_branch_norm():
     assert val == pytest.approx(0.5, abs=1e-11)
 
 
-def _angular_norm_errors(qs, c, beta):
-    """Relative errors of N_q, q in qs, against the Gamma ratio in 40 digits."""
-    got = bases._angular_norms(qs, c, beta)
+def _theta_errors(qs, c, beta, t):
+    """Largest error of Theta_q over the points t, q in qs, relative to its largest value
+    there: against N_q (sin t)^c (cos t)^(1/2+beta) P_q^(c, beta)(cos 2t) in 40 digits."""
+    rows = bases._angular(qs, c, beta, t)
+    assert np.all(np.isfinite(rows))
+    errors = []
     with mpmath.workdps(40):
         c, beta = mpmath.mpf(c), mpmath.mpf(beta)
-        want = [mpmath.sqrt((2 * q + c + beta + 1) * mpmath.gamma(q + 1)
-                            * mpmath.gamma(q + c + beta + 1)
-                            / (mpmath.gamma(q + c + 1) * mpmath.gamma(q + beta + 1))) for q in qs]
-        return [float(abs(g / w - 1)) for g, w in zip(got.tolist(), want)]
+        for q, row in zip(qs, rows):
+            norm = mpmath.sqrt((2 * q + c + beta + 1) * mpmath.gamma(q + 1)
+                               * mpmath.gamma(q + c + beta + 1)
+                               / (mpmath.gamma(q + c + 1) * mpmath.gamma(q + beta + 1)))
+            want = np.array([float(norm * mpmath.sin(x) ** c * mpmath.cos(x) ** (0.5 + beta)
+                                   * mpmath.jacobi(q, c, beta, mpmath.cos(2 * x)))
+                             for x in map(mpmath.mpf, t.tolist())])
+            errors.append(np.abs(row - want).max() / np.abs(want).max())
+    return errors
 
 
-def test_theta_norms_match_mpmath():
-    # lgamma differences put N_q up to 1.1e-14 off for q <= 12 on these pairs
+THETA_POINTS = np.linspace(0.05, 1.52, 9)
+
+
+def test_theta_matches_mpmath():
+    # 1.0e-14 at worst for q <= 12 on these pairs
     rng = np.random.default_rng(28)
     for c, beta in zip(rng.uniform(0.0, 4.0, 40).tolist(), rng.uniform(-0.5, 2.0, 40).tolist()):
-        assert max(_angular_norm_errors(range(13), c, beta)) <= 5e-15, (c, beta)
+        assert max(_theta_errors(range(13), c, beta, THETA_POINTS)) <= 2e-14, (c, beta)
 
 
-def test_theta_norms_match_mpmath_to_level_300():
-    # lgamma differences put N_q 3.6e-13 and 3.3e-13 off for q <= 300 on these pairs
+def test_theta_matches_mpmath_to_level_300():
+    # the orthonormal recurrence is 4.0e-13 and 1.7e-13 off at worst here; an unnormalised
+    # P_q times N_q was 1.03e-12 off
     for c, beta in ((1.0, 0.3), (3.3, 1.9)):
-        assert max(_angular_norm_errors(range(301), c, beta)) <= 2e-13, (c, beta)
+        assert max(_theta_errors(range(0, 301, 25), c, beta, THETA_POINTS)) <= 6e-13, (c, beta)
 
 
 def test_theta_stays_finite_at_large_c():
-    # Q = 4e6 gives c = 2000: 2^(c + beta + 1) alone leaves double range, N_0 does not.
-    # N_0 is within the rounding of c + beta + 1: half an ulp of 2002 (1.1e-13) times
-    # psi(2002) / 2, 4.3e-13
+    # Q = 4e6 gives c = 2000: 2^(c + beta + 1) alone leaves double range, and P_q times N_q
+    # overflowed to NaN on 89 of 200 points at q = 300. Every row is finite now. N_0 is
+    # within the rounding of c + beta + 1 (half an ulp of 2002, 1.1e-13, times psi(2002) / 2:
+    # 4.3e-13) and (sin t)^c within 2000 roundings of sin t; at q = 300 the rows near
+    # t = pi/2 follow the rounding of cos 2t and a_k near -1: 2.4e-12
     params = SystemParams(omega=1.0, p_strength=0.3, q_strength=4e6, m=0)
     beta, c, _ = channel_constants(params)   # the Plus branch: beta = b
     t = np.linspace(0.05, 1.55, 31)
-    for q in (0, 3, 40):
-        assert np.all(np.isfinite(theta_angular(q, params, Branch.Plus, t)))
-    assert max(_angular_norm_errors((0, 3, 40), c, beta)) <= 5e-13
+    assert np.all(np.isfinite(bases._angular(range(301), c, beta, t)))
+    assert max(_theta_errors((0, 3, 40), c, beta, t)) <= 6e-13
+    assert _theta_errors((300,), c, beta, t)[0] <= 3e-12
+
+
+def test_angular_factors_stay_finite_over_a_seeded_sweep():
+    # P, Q and delta over many decades, q and l up to 500: P_q times N_q and the Gegenbauer
+    # form times an lgamma constant were non-finite on 9 and 4 of these draws
+    rng = np.random.default_rng(1)
+    t_half, t_ring = np.linspace(0.01, 1.56, 40), np.linspace(0.01, 3.13, 40)
+    for _ in range(300):
+        p_strength, q_strength = rng.uniform(-0.24, 50.0), 10.0 ** rng.uniform(-2.0, 7.0)
+        m, q = int(rng.integers(0, 50)), int(10.0 ** rng.uniform(0.0, 2.7))
+        m_ring, delta = int(rng.integers(0, 50)), 10.0 ** rng.uniform(-2.0, 3.0)
+        params = SystemParams(1.0, p_strength, q_strength, m)
+        assert np.all(np.isfinite(theta_angular(q, params, Branch.Plus, t_half))), params
+        assert np.all(np.isfinite(theta_ring(q + m_ring, m_ring, delta, t_ring))), (q, m_ring, delta)
 
 
 def test_theta_q0_positive_interior():
@@ -254,6 +282,23 @@ def test_theta_ring_reduction_at_half():
             np.testing.assert_allclose(
                 theta_angular(q, RING, branch, t),
                 theta_ring(ring.l, RING.m, delta, t), rtol=1e-11, atol=1e-13)
+
+
+def test_theta_ring_matches_mpmath_at_large_l_and_delta():
+    # the Gegenbauer form times an lgamma constant was NaN on 66 of 200 points at
+    # (427, 46, 424.24) and 6.5e-13 off at (60, 2, 900); the rows are 5.5e-14 and 4.1e-14 off
+    t = np.linspace(0.01, 3.13, 40)
+    for l, m, delta in ((427, 46, 424.23926946473), (60, 2, 900.0)):
+        got = theta_ring(l, m, delta, t)
+        with mpmath.workdps(40):
+            mu = m + mpmath.mpf(delta)
+            const = 2 ** mu * mpmath.gamma(mu + 0.5) * mpmath.sqrt(
+                (2 * l + 2 * mpmath.mpf(delta) + 1) * mpmath.factorial(l - m)
+                / (2 * mpmath.pi * mpmath.gamma(l + m + 2 * mpmath.mpf(delta) + 1)))
+            want = np.array([float(const * mpmath.sin(x) ** mu
+                                   * mpmath.gegenbauer(l - m, mu + 0.5, mpmath.cos(x)))
+                             for x in map(mpmath.mpf, t.tolist())])
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (l, m, delta)
 
 
 def test_theta_ring_norm():

@@ -22,8 +22,8 @@ BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3,
 SETS = [SystemParams(1.0, 0.05, 0.5, 1), SystemParams(1.0, 2.0, 3.0, 0),
         SystemParams(2.0, 0.1, 0.0, 2), BOTH]
 
-SETUP_TABLES = (specfun._laguerre_steps, specfun._diagonal_steps, specfun._jacobi_steps,
-                specfun._gamma_ratio, bases._angular_norms, specfun._gauss_rule)
+SETUP_TABLES = (specfun._laguerre_steps, specfun._diagonal_steps, specfun._jacobi_coeffs,
+                specfun._gamma_ratio, specfun._gauss_rule)
 LEVEL_TABLES = (interbasis._m_bands, interbasis._n_bands, interbasis._w_table,
                 interbasis._overlap_table, spheroidal._level_solve, spheroidal._pair_columns)
 
@@ -316,7 +316,6 @@ def _twin_cases():
     for a, b in ((1, 1.0), (0.0, -0.0)):
         yield (specfun._laguerre_steps, specfun.laguerre_functions,
                (range(7), a, LOG_X), (range(7), b, LOG_X))
-        yield specfun._jacobi_steps, specfun.jacobi_p, (6, a, 0.5, THETA), (6.0, b, 0.5, THETA)
         yield specfun._gamma_ratio, _rule_arrays, ("jacobi", 6, a, 0.5), ("jacobi", 6.0, b, 0.5)
     for beta, twin, degrees in ((7, 7.0, range(3)), (0.0, -0.0, range(1))):
         yield (specfun._diagonal_steps, specfun.laguerre_diagonal,
@@ -327,7 +326,7 @@ def _twin_cases():
                ("laguerre", 6.0, 0) if args[0] == "laguerre" else ("legendre", 6))
     for one, other in TWIN_PARAMS:
         for branch in admissible_branches(one):
-            yield (bases._angular_norms, bases.theta_angular,
+            yield (specfun._jacobi_coeffs, bases.theta_angular,
                    (6, one, branch, THETA), (6.0, other, branch, THETA))
             for table, call in ((interbasis._m_bands, interbasis.m_matrix_cyl),
                                 (interbasis._n_bands, interbasis.n_matrix_sph),

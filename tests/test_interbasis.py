@@ -2,6 +2,7 @@
 
 import math
 import random
+import time
 
 import mpmath
 import numpy as np
@@ -13,7 +14,7 @@ from sympy.physics.quantum.cg import CG as sympy_cg
 
 import genosc.interbasis as interbasis
 from genosc import spheroidal
-from genosc.errors import DomainError, NumericError
+from genosc.errors import AccuracyError, DomainError, NumericError
 from genosc.interbasis import (CgArgs, cg_continued, m_matrix_cyl,
                                n_matrix_sph, ring_w, w_coefficient,
                                w_integral_oracle, w_matrix)
@@ -510,6 +511,21 @@ def test_ring_w_single_state_level():
     # N = |m| leaves one l and one n3; completeness forces value one
     assert ring_w(2, 2, 0, 2, 0.9) == pytest.approx(1.0, abs=1e-13)
     assert ring_w(1, -1, 0, 1, 0.0) == pytest.approx(1.0, abs=1e-13)
+
+
+def test_racah_sums_refuse_orders_past_their_prefactor_accuracy():
+    # the lgamma prefactor loses digits as a + b + c grows: ring_w(N, 1, 0, 1, 0.2) was
+    # 1.3e-9 off mpmath at N = 2^20 + 1 and returned 1.0 at 2^52 + 1; each is refused at once
+    params = SystemParams(1.3, 0.7, 1.1, 1)
+    for call in (lambda: ring_w(2 ** 52 + 1, 1, 0, 1, 0.2),
+                 lambda: ring_w(2 ** 20 + 1, 1, 0, 1, 0.2),
+                 lambda: w_coefficient(2 ** 20, 0, 0, params, Branch.Plus)):
+        start = time.perf_counter()
+        with pytest.raises(AccuracyError, match="a \\+ b \\+ c"):
+            call()
+        assert time.perf_counter() - start < 1.0
+    # a + b + c = 2^14 + 0.7 is still served, 1.7e-11 off a 60-digit mpmath sum
+    assert ring_w(2 ** 15 + 1, 1, 0, 1, 0.2) == pytest.approx(0.10465266742282016, rel=1e-10)
 
 
 def test_ring_w_matrix_is_orthogonal():

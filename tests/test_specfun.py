@@ -122,11 +122,12 @@ def test_ln_norm0_keeps_its_digits_where_beta_plus_one_rounds():
 
 
 def test_jacobi_weight_integral_matches_mpmath():
-    # b_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2); lgamma differences put it
-    # 1.1e-14, 9.2e-14 and 5.1e-13 off at these
+    # b_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2), read as 1/p_0^2 from
+    # _jacobi_p0; lgamma differences put it 1.1e-14, 9.2e-14 and 5.1e-13 off at these
     for a, b in ((50.25, 0.5), (200.75, 1.5), (800.25, 0.5)):
-        got = sf._jacobi_coeffs(3, a, b)[1][0]
+        p0 = sf._jacobi_p0(a, b)
         with mpmath.workdps(40):
+            got = 1 / mpmath.mpf(p0) ** 2
             ma, mb = mpmath.mpf(a), mpmath.mpf(b)
             want = 2 ** (ma + mb + 1) * mpmath.beta(ma + 1, mb + 1)
             assert float(abs(got / want - 1)) <= 1e-15, (a, b)
@@ -275,8 +276,7 @@ def test_polynomial_domain_errors():
                      lambda n: sf.hermite(n, 0.2),
                      lambda n: sf.assoc_legendre(n, 0, 0.2),
                      lambda n: sf.laguerre_functions([n], 0.5, 0.0),
-                     lambda n: sf.laguerre_diagonal([n], 20.0, 0.0),
-                     lambda n: sf.jacobi_rows(n, 0.5, 0.5, 0.2)):
+                     lambda n: sf.laguerre_diagonal([n], 20.0, 0.0)):
             with pytest.raises(DomainError, match="polynomial degree"):
                 call(bad)
 
@@ -356,12 +356,9 @@ def test_rows_give_every_degree_of_one_recurrence():
     n = 25
     x = rng.uniform(-1.0, 1.0, 17)
     w = rng.uniform(0.0, 60.0, 17)
-    rows = list(sf.jacobi_rows(n, 1.3, -0.4, x))
-    assert len(rows) == n + 1
-    for j, row in enumerate(rows):
-        assert np.array_equal(row, _ref_jacobi(j, 1.3, -0.4, x))
-    # the other three families' generators, every degree row bit for bit
-    for gen, ref in ((sf._laguerre(n, 2.7, w), lambda j: _ref_laguerre(j, 2.7, w)),
+    # the four families' generators, every degree row bit for bit
+    for gen, ref in ((sf._jacobi(n, 1.3, -0.4, x), lambda j: _ref_jacobi(j, 1.3, -0.4, x)),
+                     (sf._laguerre(n, 2.7, w), lambda j: _ref_laguerre(j, 2.7, w)),
                      (sf._gegenbauer(n, 1.6, x), lambda j: _ref_gegenbauer(j, 1.6, x)),
                      (sf._hermite(n, 3.0 * x), lambda j: _ref_hermite(j, 3.0 * x))):
         rows = list(gen)

@@ -825,6 +825,19 @@ def test_psi_batch_routes_agree():
             np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-9)
 
 
+def test_psi_spherical_route_stays_finite_at_large_c():
+    # c = 2000 at n = 260: the spherical route's Theta_q, P_q times N_q, was NaN at 102 of
+    # these 400 points; the two routes now agree within 4e-15
+    params = SystemParams(omega=1.0, p_strength=0.3, q_strength=4e6, m=0)
+    rng = np.random.default_rng(0)
+    xi = rng.uniform(1.01, 3.0, 400)
+    pts = SpheroidalPoint(xi, rng.uniform(0.05, 0.99, 400), np.zeros(400))
+    a, b = (psi_spheroidal(260, 130, 0, params, Branch.Plus, 60.0, Kind.Prolate, pts, route)
+            for route in (Route.ViaSpherical, Route.ViaCylindrical))
+    assert np.all(np.isfinite(a)) and np.all(np.isfinite(b))
+    assert np.abs(a - b).max() <= 1e-14
+
+
 @pytest.mark.parametrize("route", list(Route))
 def test_psi_far_tail_is_zero_or_domain_error_without_warnings(route):
     params = SystemParams(omega=1.1, p_strength=0.7, q_strength=1.3, m=1)
