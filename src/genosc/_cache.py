@@ -3,10 +3,10 @@
 A table that depends only on its arguments is built on the first call and read
 back on every later one. This is the package's one memo; two caches hold them:
 
-- SETUPS: the per-(order, degree) set-ups of the recurrences behind the bases
-  (specfun's Laguerre and diagonal steps, the Jacobi coefficients that the
-  Jacobi rules and bases' angular and ring rows share, and the Gamma ratio
-  behind their p_0) and specfun's Gauss rules;
+- SETUPS: the set-ups of the recurrences behind the bases (specfun's Laguerre
+  normaliser per order, its diagonal steps per order and degree, the Jacobi
+  coefficients that the Jacobi rules and bases' angular and ring rows share,
+  and the Gamma ratio behind their p_0) and specfun's Gauss rules;
 - LEVELS: the tables of one oscillator level (interbasis' operator bands, W and
   overlap tables, spheroidal's solve of one R and its solved states); it also
   bounds its number of entries.
@@ -76,7 +76,7 @@ class ByteLRU:
                 self.nbytes -= self.entries.pop(key)[1]
 
 
-# Budgets. SETUPS keeps verify's 53 set-ups and 33 Gauss rules (139 kB) resident beside
+# Budgets. SETUPS keeps verify's 53 set-ups and 33 Gauss rules (115 kB) resident beside
 # the churn of fresh orders: 256 kB for set-ups and 256 small rules' 1.5 kB each. LEVELS
 # holds an n = 300 level's solve and W table (0.7 MB each) beside some of its states; its
 # entry bound keeps what levels of fresh parameters leave resident, a few kB each, to 64.

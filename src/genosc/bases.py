@@ -109,6 +109,8 @@ def theta_angular(q: int, params: SystemParams, branch: Branch, theta):
     q and c; off 40-digit mpmath by at most, relative to the largest |Theta_q|: 1.0e-14 for
     q <= 12 and c < 4, 4.0e-13 to q = 300 at c = 1 and 3.3, and at c = 2000 5.2e-13 to
     q = 40 and 2.4e-12 at q = 300 (the rounding of c + beta + 1, (sin t)^c and cos 2t).
+    AccuracyError where Theta_0's constant sqrt(Gamma(c +- b + 2) / (Gamma(c + 1) Gamma(+-b + 1)))
+    leaves double range: from about c = b = 1021.4 (P = Q = 1.0433e6), in every Theta_q reader.
     """
     q = check_nonneg_int(q, "q")
     beta, c = _exponents(params, branch)

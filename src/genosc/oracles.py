@@ -188,14 +188,15 @@ class GramFamily(enum.Enum):
 
 # Each family gives its Gram rule (kind, alpha, beta, node power, scale) and
 # rows(x), every degree 0..n_max at the nodes from one level-helper call. Each
-# row divides out x^power e^{-x/2} (Laguerre) or ((1-x)/2)^(alpha/2)
-# ((1+x)/2)^power (Jacobi), leaving a polynomial of degree <= n_max: the rule
-# of n_max + 2 points is exact.
+# row divides out x^power e^{-x/2} (Laguerre) or (1-x)^(alpha/2) (1+x)^power
+# (Jacobi), leaving a polynomial of degree <= n_max: the rule of n_max + 2
+# points is exact.
 
 def _gram_theta(n_max, params, branch):
-    # x = cos 2 theta: sin theta dtheta carries the extra cos^(1/2) per row
+    # x = cos 2 theta: sin theta dtheta carries the extra cos^(1/2) per row. A reduced row
+    # is 2^(1/4) p_q (orthonormal Jacobi), so the scale is 2^(-3/2) at any c and b
     beta, c = _exponents(params, branch)
-    return (("jacobi", c, beta, 0.25 + 0.5 * beta, 2.0 ** (-c - beta - 2.0)),
+    return (("jacobi", c, beta, 0.25 + 0.5 * beta, 2.0 ** -1.5),
             lambda x: _angular(range(n_max + 1), c, beta, 0.5 * np.arccos(x)))
 
 
@@ -279,7 +280,7 @@ def _gram(name: str, family: GramFamily, n_max: int, params,
     if kind == "laguerre":   # the scaled weights carry the rule's x^alpha e^-x
         root = x ** (0.5 * alpha - power)
     else:
-        root = (0.5 - 0.5 * x) ** (-0.5 * alpha) * (0.5 + 0.5 * x) ** -power
+        root = (1.0 - x) ** (-0.5 * alpha) * (1.0 + x) ** -power
     reduced = rows(x) * root
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
     gram = scale * np.einsum("ip,p,jp->ij", reduced, rule.scaled_weights, reduced)

@@ -9,10 +9,11 @@ functions of one forward three-term recurrence (_three_term).
 
 The orthonormal Laguerre functions run in one of two recurrence shapes, each on
 scaled rows with a log scale per point (no overflow at any degree, exactly 0 in
-the far tail): laguerre_functions for every degree of one order, and
-laguerre_diagonal for an order that falls by two per degree, phi_p^(beta-2p)
-(the radial terms of one spherical level, the Morse levels), one step per point
-and degree.
+the far tail): laguerre_functions for every degree of one order, its steps formed
+as it runs beside one cached normaliser per order, and laguerre_diagonal for an
+order that falls by two per degree, phi_p^(beta-2p) (the radial terms of one
+spherical level, the Morse levels), one step per point and degree. Every Gauss
+rule is finished from one table of its orthonormal rows at the nodes.
 """
 
 from __future__ import annotations
@@ -184,11 +185,15 @@ def _jacobi_p0(alpha: float, beta: float, power: float = 0.0) -> float:
     """2^power p_0, p_0 = 1/sqrt(b_0) and b_0 = 2^(alpha + beta + 1) Gamma(alpha + 1)
     Gamma(beta + 1) / Gamma(alpha + beta + 2) the Jacobi weight integral, alpha, beta > -1:
     _gamma_ratio's m 2^e with the power of two joined to e exactly, so no factor leaves
-    double range on its own."""
+    double range on its own. AccuracyError when the product does."""
     m, e = _gamma_ratio(alpha, beta)
     s = alpha + beta + 1.0 - 2.0 * power
     half = math.floor(0.5 * s)   # 2^s = 2^(s - 2 half) 4^half, s - 2 half exact
-    return math.ldexp(1.0 / math.sqrt(m * 2.0 ** (s - 2.0 * half)), -(e // 2 + half))
+    try:
+        return math.ldexp(1.0 / math.sqrt(m * 2.0 ** (s - 2.0 * half)), -(e // 2 + half))
+    except OverflowError:
+        raise AccuracyError(f"Jacobi p_0 leaves double range for alpha={alpha}, "
+                            f"beta={beta}") from None
 
 
 @cached(SETUPS)
@@ -232,19 +237,12 @@ def _degree_rows(degrees, what: str) -> dict:
     return wanted
 
 
-# laguerre_functions' steps are built to a multiple of this many degrees, so that an
-# n-point Gauss-Laguerre rule's set-up of n degrees also serves its functions to n - 2
-_STEP_BLOCK = 8
-
-
 @cached(SETUPS)
-def _laguerre_steps(alpha: float, size: int):
-    """laguerre_functions' set-up of order alpha: lnGamma(alpha + 1) / 2 (one float, from
-    _ln_norm0) and the steps (k + alpha, sqrt(k (k + alpha)), sqrt(k / (k + alpha))), k <= size."""
+def _laguerre_norm(alpha: float) -> float:
+    """laguerre_functions' set-up of order alpha: -lnGamma(alpha + 1) / 2, one float from
+    _ln_norm0, whatever the degrees."""
     r, j = _ln_norm0(alpha)
-    return -((j * _LN2_HI + r) + j * _LN2_LO), tuple([
-        (k + alpha, math.sqrt(k * (k + alpha)), math.sqrt(k / (k + alpha)))
-        for k in range(1, size + 1)])
+    return (j * _LN2_HI + r) + j * _LN2_LO
 
 
 def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
@@ -274,10 +272,9 @@ def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
     x_tail = _x_tail(n, alpha)
     every = max(1, int((668.0 * math.log(2.0) - math.log(2.0 * x_tail))
                        / math.log(2.0 * x_tail / math.sqrt(alpha + 1.0))))
-    half_ln_gamma, steps = _laguerre_steps(alpha, -(-n // _STEP_BLOCK) * _STEP_BLOCK)
     pts = np.minimum(np.asarray(log_x, dtype=np.float64), math.log(x_tail))
     x = np.exp(pts)
-    ln0 = (0.5 * alpha + power) * pts - 0.5 * x + (float(ln_const) - half_ln_gamma)
+    ln0 = (0.5 * alpha + power) * pts - 0.5 * x + (float(ln_const) + _laguerre_norm(alpha))
     out = np.empty((len(wanted),) + np.shape(pts))
     phi = chi = 1.0   # scaled phi_k, chi_k (chi_0 = phi_0)
     exp2, scale = 0, np.exp(ln0)
@@ -293,9 +290,9 @@ def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
                 phi, chi, exp2 = np.ldexp(phi, -e), np.ldexp(chi, -e), exp2 + e
                 r, j = _split_ln2(np.maximum(ln0, -1e11))
                 scale = np.where(e > 0, np.ldexp(np.exp(r), j.astype(np.int64) + exp2), scale)
-        c, d, g = steps[k]
-        phi = (c * phi - x * chi) / d
-        chi = g * chi + phi
+        c = (k + 1) + alpha
+        phi = (c * phi - x * chi) / math.sqrt((k + 1) * c)
+        chi = math.sqrt((k + 1) / c) * chi + phi
     return out
 
 
@@ -589,9 +586,10 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     Nodes are the eigenvalues of the symmetrized recurrence (Jacobi) matrix,
     solved by LAPACK (numpy.linalg.eigvalsh through _lapack, ascending), then
     polished by one Newton step; weights, the reciprocal Christoffel sums, follow the
-    step to first order. One recurrence pass gives both, so no eigenvectors are
-    needed. A Laguerre rule's sum is of orthonormal Laguerre functions
-    (laguerre_functions), which gives its scaled weights at any size; a Jacobi rule
+    step to first order. One table of the orthonormal rows at the nodes gives both for
+    either kind, so no eigenvectors are needed: a Laguerre rule's rows are orthonormal
+    Laguerre functions (laguerre_functions), which give its scaled weights at any
+    size, a Jacobi rule's the orthonormal polynomials (_jacobi_rows); a Jacobi rule
     whose weight integral or weights leave double range raises AccuracyError. A LAPACK
     failure, a node off the interval and a size whose n x n Jacobi matrix cannot be
     allocated (before any array is built) raise NumericError. Rules are immutable and
@@ -657,23 +655,21 @@ def _gauss_rule(kind: str, n: int, alpha: float, beta: float) -> QuadratureRule:
     if not (nodes[0] > 0.0 if kind == "laguerre" else -1.0 < nodes[0] and nodes[-1] < 1.0):
         raise NumericError(f"quadrature eigensolve gave nodes off the {kind} interval, n={n}")
     # eigvalsh's nodes are ulps off (1000-point Laguerre: the smallest 7.8e-12 relative).
-    # One pass of the orthonormal p_k there gives S = sum_{k<n} p_k^2, p_n and p_{n-1}:
+    # One table of the orthonormal p_k there, k <= n, gives S = sum_{k<n} p_k^2, p_n, p_{n-1}:
     # Newton moves a node by -step, step = sqrt(b_n) p_n p_{n-1} / S (Christoffel-Darboux:
     # p_n' = S / (sqrt(b_n) p_{n-1})), and its weight 1/S to (1 + s step) / S, s = d ln S/dx
     # = -tau/sigma of the rule's differential equation. An overflowed S is refused below.
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "laguerre":
             # phi_k = (-1)^k p_k sqrt(x^alpha e^-x): p_n p_{n-1} flips, the scaled S has s = -1/x
-            phi = laguerre_functions(range(n + 1), alpha, np.log(nodes))
-            prev, cur, slope = -phi[n - 1], phi[n], -1.0 / nodes
-            total = np.einsum("ki,ki->i", phi[:n], phi[:n])
+            rows = laguerre_functions(range(n + 1), alpha, np.log(nodes))
+            flip, slope = -1.0, -1.0 / nodes
         else:
-            total, rows = 0.0, _jacobi_rows(n, alpha, beta, nodes, np.full_like(nodes, p0))
-            for _, prev in zip(range(n), rows):   # p_0 .. p_{n-1}, then p_n
-                total = total + prev * prev
-            cur = next(rows)
-            slope = (alpha - beta + (alpha + beta + 2.0) * nodes) / (1.0 - nodes * nodes)
-        step = sqb[n] * cur * prev / total
+            rows = np.fromiter(_jacobi_rows(n, alpha, beta, nodes, np.full_like(nodes, p0)),
+                               np.dtype((np.float64, n)), n + 1)
+            flip, slope = 1.0, (alpha - beta + (alpha + beta + 2.0) * nodes) / (1.0 - nodes * nodes)
+        total = np.einsum("ki,ki->i", rows[:n], rows[:n])
+        step = flip * sqb[n] * rows[n] * rows[n - 1] / total
         weights = (1.0 + slope * step) / total
     if not np.all((weights > 0.0) & (weights < math.inf)):
         raise AccuracyError(f"quadrature weights leave double range for {kind}, n={n}")

@@ -1,5 +1,6 @@
 """Eigenfunction factors: norms, node counts, limits, operator residuals."""
 
+import functools
 import math
 import warnings
 
@@ -13,11 +14,12 @@ from genosc.bases import (cylindrical_level, psi_cylindrical, psi_spherical,
                           radial_cylindrical, radial_spherical,
                           spherical_harmonic_limit, spherical_level,
                           theta_angular, theta_ring, z_axial)
-from genosc.errors import DomainError
+from genosc.errors import AccuracyError, DomainError
 from genosc.model import (Branch, CylindricalLabel, SphericalLabel,
                           SystemParams, admissible_branches, channel_constants,
                           ring_relabel, separation_constant_A)
 from genosc.specfun import gen_laguerre, jacobi_p, ln_gamma
+from genosc.spheroidal import Kind, Route, SpheroidalPoint, psi_spheroidal
 
 BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3, c=1
 RING = SystemParams(omega=1.0, p_strength=0.0, q_strength=3.0, m=1)     # b=1/2, c=2
@@ -118,6 +120,30 @@ def test_angular_factors_stay_finite_over_a_seeded_sweep():
         params = SystemParams(1.0, p_strength, q_strength, m)
         assert np.all(np.isfinite(theta_angular(q, params, Branch.Plus, t_half))), params
         assert np.all(np.isfinite(theta_ring(q + m_ring, m_ring, delta, t_ring))), (q, m_ring, delta)
+
+
+def test_theta_readers_raise_accuracy_error_past_double_range():
+    # Theta_0's constant sqrt(Gamma(c + b + 2) / (Gamma(c + 1) Gamma(b + 1))) leaves double
+    # range from c = b = 1021.4 (P = Q = 1.0433e6), where the readers raised a bare
+    # OverflowError; the cylindrical route of psi_spheroidal still answers there
+    t = np.linspace(0.1, 1.4, 9)
+    point = SpheroidalPoint(np.linspace(1.1, 3.0, 4), np.linspace(0.1, 0.9, 4),
+                            np.linspace(0.0, 6.0, 4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        near = SystemParams(1.0, 1.043e6, 1.043e6, 0)
+        assert np.all(np.isfinite(theta_angular(0, near, Branch.Plus, t)))
+        for strength in (1.05e6, 4e6):
+            params = SystemParams(1.0, strength, strength, 0)
+            with pytest.raises(AccuracyError, match="alpha=.*, beta="):
+                theta_angular(0, params, Branch.Plus, t)
+            with pytest.raises(AccuracyError):
+                spherical_level(3, params, Branch.Plus, np.ones_like(t), t)
+            psi = functools.partial(psi_spheroidal, 2, 1, 0, params, Branch.Plus, 1.0,
+                                    Kind.Prolate, point)
+            with pytest.raises(AccuracyError):
+                psi(Route.ViaSpherical)
+            assert np.all(np.isfinite(psi(Route.ViaCylindrical)))
 
 
 def test_theta_q0_positive_interior():

@@ -1,6 +1,7 @@
 """Quadrature oracles: bi-orthogonality, Gram identities, overlap route."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,18 @@ def test_gram_families_hit_identity_targets():
             gram, rep = gram_matrix(family, 4, params, branch)
             assert rep.passed, (family, params, branch, rep.measured)
             assert np.max(np.abs(gram - target * np.eye(5))) <= 1e-10
+
+
+def test_theta_gram_stays_finite_at_large_c_and_b():
+    # the scale 2^(-c - b - 2) underflowed to 0 from P = Q = 4e5 (c = b = 632) while the
+    # contracted rows overflowed: a NaN deviation and a RuntimeWarning, where Theta is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for strength in (2.5e5, 4e5, 1e6):
+            for n_max in (2, 6, 12):
+                report = gram_matrix(GramFamily.Theta, n_max,
+                                     SystemParams(1.0, strength, strength, 0))[1]
+                assert report.passed and report.measured <= 1e-12, (strength, n_max)
 
 
 def test_gram_axial_consistent_with_hermite_half_line():

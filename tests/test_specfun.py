@@ -413,6 +413,65 @@ def test_rows_give_every_degree_of_one_recurrence():
         assert close(row, want), j
 
 
+def laguerre_functions_step_table(degrees, alpha, log_x, power=0.0, ln_const=0.0):
+    """laguerre_functions as it ran on a step table built per order and size: the
+    bit-for-bit reference for the steps it now forms as it runs."""
+    wanted = {k: i for i, k in enumerate(degrees)}
+    alpha, n = float(alpha), max(wanted)
+    x_tail = sf._x_tail(n, alpha)
+    every = max(1, int((668.0 * math.log(2.0) - math.log(2.0 * x_tail))
+                       / math.log(2.0 * x_tail / math.sqrt(alpha + 1.0))))
+    r, j = sf._ln_norm0(alpha)
+    half_ln_gamma = -((j * sf._LN2_HI + r) + j * sf._LN2_LO)
+    steps = [(k + alpha, math.sqrt(k * (k + alpha)), math.sqrt(k / (k + alpha)))
+             for k in range(1, n + 1)]
+    pts = np.minimum(np.asarray(log_x, dtype=np.float64), math.log(x_tail))
+    x = np.exp(pts)
+    ln0 = (0.5 * alpha + power) * pts - 0.5 * x + (float(ln_const) - half_ln_gamma)
+    out = np.empty((len(wanted),) + np.shape(pts))
+    phi = chi = 1.0
+    exp2, scale = 0, np.exp(ln0)
+    for k in range(n + 1):
+        if k in wanted:
+            out[wanted[k]] = phi * scale
+        if k == n:
+            break
+        if k and k % every == 0:
+            big = np.maximum(np.abs(phi), np.abs(chi))
+            if big.max() > 2.0 ** 332:
+                e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
+                phi, chi, exp2 = np.ldexp(phi, -e), np.ldexp(chi, -e), exp2 + e
+                r, j = sf._split_ln2(np.maximum(ln0, -1e11))
+                scale = np.where(e > 0, np.ldexp(np.exp(r), j.astype(np.int64) + exp2), scale)
+        c, d, g = steps[k]
+        phi = (c * phi - x * chi) / d
+        chi = g * chi + phi
+    return out
+
+
+def test_laguerre_functions_match_the_step_table_bit_for_bit():
+    rng = np.random.default_rng(34)
+    cases = []
+    for _ in range(300):
+        alpha = float(rng.choice([rng.uniform(-0.99, 5.0), rng.uniform(0.0, 900.0),
+                                  float(rng.integers(0, 50))]))
+        n = int(rng.integers(0, 81))
+        size = int(rng.choice([1, 5, 17]))
+        log_x = np.log(np.sort(rng.uniform(1e-6, 4.0 * n + alpha + 40.0, size)))
+        if size == 1 and rng.random() < 0.5:
+            log_x = float(log_x[0])   # a lone point runs as a numpy scalar
+        degrees = [int(k) for k in rng.permutation(n + 1)[:int(rng.integers(1, n + 2))]]
+        cases.append((degrees, alpha, log_x, float(rng.choice([0.0, 0.25, -0.25])),
+                      float(rng.uniform(-50.0, 50.0))))
+    # every row of a 1000-point rule's Gram table, at its nodes, past the renormalisations
+    rule = sf.build_quadrature("laguerre", 1000, 0.3)
+    cases.append((range(1001), 0.3, np.log(rule.nodes), 0.0, 0.0))
+    for degrees, alpha, log_x, power, ln_const in cases:
+        got = sf.laguerre_functions(degrees, alpha, log_x, power, ln_const)
+        want = laguerre_functions_step_table(degrees, alpha, log_x, power, ln_const)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (alpha, max(degrees))
+
+
 def _ref_laguerre_function(p, alpha, log_x, power, ln_const):
     """e^ln_const x^power phi_p^alpha(x) at x = e^log_x in 40 digits."""
     if log_x == -math.inf:
@@ -735,6 +794,43 @@ def test_jacobi_rule_weights_follow_the_polished_nodes():
             x, w = _mp_gauss_point("jacobi", n, a, b, rule.nodes[i])
             assert abs(rule.nodes[i] - x) <= 1e-16, (n, a, b, i)
             assert abs(rule.weights[i] / w - 1) <= 2.5e-13, (n, a, b, i)
+
+
+def gauss_rule_two_branch(kind, n, alpha, beta):
+    """(nodes, scaled weights) of _gauss_rule as it finished each kind on its own path (a
+    Laguerre table, a Jacobi stream): the bit-for-bit reference for its one row table."""
+    if kind == "laguerre":
+        k = np.arange(n + 1, dtype=np.float64)
+        acoef, sqb = 2.0 * k + alpha + 1.0, np.sqrt(k * (k + alpha))
+    else:
+        acoef, sqb = sf._jacobi_coeffs(n, alpha, beta)
+        p0 = sf._jacobi_p0(alpha, beta)
+    nodes = sf._lapack(np.linalg.eigvalsh, acoef[:n], sqb[1:n], f"{kind} rule at n={n}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        if kind == "laguerre":
+            phi = sf.laguerre_functions(range(n + 1), alpha, np.log(nodes))
+            prev, cur, slope = -phi[n - 1], phi[n], -1.0 / nodes
+            total = np.einsum("ki,ki->i", phi[:n], phi[:n])
+        else:
+            total, rows = 0.0, sf._jacobi_rows(n, alpha, beta, nodes, np.full_like(nodes, p0))
+            for _, prev in zip(range(n), rows):
+                total = total + prev * prev
+            cur = next(rows)
+            slope = (alpha - beta + (alpha + beta + 2.0) * nodes) / (1.0 - nodes * nodes)
+        step = sqb[n] * cur * prev / total
+        weights = (1.0 + slope * step) / total
+    return nodes - step, weights
+
+
+def test_gauss_rules_match_the_two_branch_finish_bit_for_bit():
+    sizes = (1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 40, 100, 300, 1000)
+    families = [("laguerre", alpha, 0.0) for alpha in (-0.5, 0.0, 0.3, 2.5, 7.7, 40.0)]
+    for kind, alpha, beta in families + [("jacobi", 0.5, 0.25), ("legendre", 0.0, 0.0)]:
+        for n in sizes:
+            rule = sf.build_quadrature(kind, n, alpha, beta)
+            nodes, weights = gauss_rule_two_branch(kind, n, alpha, beta)
+            assert rule.nodes.tobytes() == nodes.tobytes(), (kind, n, alpha)
+            assert rule.scaled_weights.tobytes() == weights.tobytes(), (kind, n, alpha)
 
 
 def test_quadrature_lapack_failure_is_numeric_error(monkeypatch):
