@@ -61,8 +61,8 @@ _STATES_CELL_BYTES = 160
 _CURVE_CELL_BYTES = 384
 
 # The ring cross-route evaluates the level's (n+1)^2 ring coefficients in one exact
-# Racah-sum call (abs_diff ~5e-14 at n = 60) of time ~n^3, 0.1 s at n = 60 on one
-# x86-64 core: a time cap, kept at 60 so the output schema does not change.
+# Racah-sum call (abs_diff ~5e-14 at n = 60) of time ~n^3, 12-30 ms at n = 60 on one
+# x86-64 core: the cap is an output-schema decision, kept at 60.
 _RING_MAX_LEVEL = 60
 
 

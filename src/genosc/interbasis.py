@@ -9,12 +9,12 @@ the two-sided three-term recursion of Schulten and Gordon (J. Math. Phys.
 Racah sum (w_coefficient, cg_continued, ring_w) is the closed-form route: it
 terminates because a+b-c stays a nonnegative integer for every argument pattern
 generated here (1/Gamma at nonpositive integers is zero). Its alternating t-sum
-over exact arguments is summed in integers (_cg_sum, specfun._ratio_sum) and only
-the Gamma prefactor rounds, so an entry is a few lgamma ulps off at any level and
-independent of its array; w_coefficient and ring_w take index arrays that
-broadcast, and cg_continued reads one entry. _overlap_table, the one
-overlap-integral route (an exact tensor Gauss rule read by w_integral_oracle and
-oracles.w_overlap_oracle), stops at n = 100. Also owns the two commuting
+over exact arguments is summed in integers (specfun._horner) and only the Gamma
+prefactor rounds, so an entry is a few lgamma ulps off at any level and independent
+of its array. _racah sets up a whole table at once; w_coefficient and ring_w take
+index arrays that broadcast, and cg_continued is a one-entry table. _overlap_table,
+the one overlap-integral route (an exact tensor Gauss rule read by w_integral_oracle
+and oracles.w_overlap_oracle), stops at n = 100. Also owns the two commuting
 tridiagonal operators of a level (M in the cylindrical basis, N in the spherical
 one) as O(n) bands, which the W recursion, the spheroidal systems and the
 perturbation series read; m_matrix_cyl and n_matrix_sph are their dense views.
@@ -24,7 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 
@@ -33,8 +35,8 @@ from .bases import _angular, _axial, _radial_cyl, _radial_level
 from .errors import (AccuracyError, DomainError, NumericError, _level_index_message,
                      _require_table, check_abs_int, check_level_index, check_nonneg_int)
 from .model import Branch, SystemParams, _a_q, _e_n, _exponents
-from .specfun import (_INT_TOL, _MAX_CG_ORDER, _MAX_SUM_TERMS, _dense, _dyadic, _ratio_sum,
-                      build_quadrature)
+from .specfun import (_INT_TOL, _MAX_CG_ORDER, _MAX_SUM_TERMS, _dense, _dyadic, _horner,
+                      _require_terms, _scale_sums, build_quadrature)
 
 __all__ = [
     "CgArgs",
@@ -52,6 +54,8 @@ _SELECTION_TOL = 1e-12
 # The overlap route refuses levels above this for time, not accuracy (5e-14 off w_matrix
 # at n = 100): time n^4, memory n^3, 0.12 s and 25 MB at n = 100 on one x86-64 core.
 W_OVERLAP_MAX_LEVEL = 100
+# Index arrays hold entries below this as int64 (a float entry past it is no longer exact).
+_INDEX_LIMIT = 2 ** 62
 # Eigen residual contract, shared with the spheroidal eigensolves: a residual
 # may reach this factor times the matrix size and scale.
 _RESIDUAL_FACTOR = 1e-12
@@ -80,72 +84,173 @@ class CgArgs:
     gamma: float
 
 
-class _LnGamma(dict):
-    """lgamma((v + scale) / scale) by numerator v, once per call's Racah sums."""
-
-    def __init__(self, scale: int):
-        super().__init__()
-        self.scale = scale
-
-    def __missing__(self, v: int) -> float:
-        value = self[v] = math.lgamma((v + self.scale) / self.scale)
-        return value
+def _sums(d):
+    """The Racah sum's five differences d_0..d_4 = a+b-c, a-alpha, b+beta, c-b+alpha, c-a-beta
+    and the sums of them it reads: d_0..d_4, the nine prefactor Gamma arguments less one in the
+    prefactor's order (a+b-c, a-b+c, -a+b+c, a+alpha, a-alpha, b+beta, b-beta, c+gamma,
+    c-gamma), a+b+c and 2c."""
+    d0, d1, d2, d3, d4 = d
+    return (d0, d1, d2, d3, d4, d0, d1 + d3, d2 + d4, d0 + d3, d1, d2, d0 + d4, d2 + d3, d1 + d4,
+            d0 + d1 + d2 + d3 + d4, d1 + d2 + d3 + d4)
 
 
-def _cg_sum(abc: int, ama: int, bpb: int, l1: int, l2: int, lg: _LnGamma,
-            exact: list[int] | None = None) -> float | None:
-    """Racah single-sum CG value for gamma = alpha + beta from the differences
-    abc = a+b-c, ama = a-alpha, bpb = b+beta, l1 = c-b+alpha, l2 = c-a-beta (so
-    2c = ama+bpb+l1+l2), ints over lg.scale; None for a pattern with no continuation
-    (non-integer a+b-c, 2c+1 or a+b+c+2 <= 0, a prefactor Gamma at a negative
-    non-integer). 1/Gamma at nonpositive integers is zero. Only the prefactor and
-    the first term are floats: the term ratios (t-abc)(t-ama)(t-bpb) /
-    ((t+1)(l1+t+1)(l2+t+1)) are summed exactly (_ratio_sum). Given exact, the value
-    reads those differences instead; the five given still decide pattern and t-range."""
-    scale = lg.scale
-    if abc % scale:
-        return None
-    if abc < 0:
-        return 0.0
-    two_c = ama + bpb + l1 + l2
-    if two_c <= -scale:
-        return None
-    # the prefactor Gamma arguments less one: a+b-c, a-b+c, -a+b+c, a+alpha,
-    # a-alpha, b+beta, b-beta, c+gamma, c-gamma
-    pref = (abc, l1 + ama, l2 + bpb, abc + l1, ama, bpb, abc + l2, l1 + bpb, l2 + ama)
-    for v in pref:
-        if v <= -scale:
-            return None if v % scale else 0.0
-    if abc + two_c <= -2 * scale:   # a+b+c+2 <= 0
-        return None
-    tmin, tmax = 0, abc // scale
-    for v in (l1, l2):
-        if not v % scale:
-            tmin = max(tmin, -v // scale)
-    for v in (ama, bpb):
-        if not v % scale:
-            tmax = min(tmax, v // scale)
-    if tmax < tmin:
-        return 0.0
-    if abc + two_c > _MAX_CG_ORDER * scale and tmax - tmin < _MAX_SUM_TERMS:
-        raise AccuracyError(f"continued CG sum at a + b + c = {(abc + two_c) / scale} past "
+# _sums as a 0/1 matrix on the five differences.
+_SUMS = np.array([_sums(e) for e in np.eye(5, dtype=np.int64)]).T
+# The refusal rules on sums 5..15 (numbered 0..10), in the order they apply. Each holds where
+# its sum is at most its limit and gives a zero value (0), no continuation (1), or no
+# continuation unless the sum is an integer (2): a+b-c < 0 gives zero, 2c + 1 <= 0 none, a
+# prefactor Gamma argument at or below 0 zero at an integer and else none, a+b+c+2 <= 0 none.
+_RULE_ORDER = [0, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9]
+_RULE_LIMITS = [-1] * 9 + [-2, -1]
+_RULE_OUTCOMES = np.array([0, 1, 2, 2, 2, 2, 2, 2, 2, 2, 1])
+# On (2 d_0, ..., 2 d_4, 2t): the first term's arguments less one, t, d_0-t, d_1-t, d_2-t,
+# d_3+t, d_4+t, doubled; and its bases t-d_0, t-d_1, t-d_2 over t+1, d_3+t+1, d_4+t+1,
+# doubled and less their constants.
+_FIRST = np.array([[0, 0, 0, 0, 0, 1], [1, 0, 0, 0, 0, -1], [0, 1, 0, 0, 0, -1],
+                   [0, 0, 1, 0, 0, -1], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]])
+_BASES = np.array([[-1, 0, 0, 0, 0, 1], [0, -1, 0, 0, 0, 1], [0, 0, -1, 0, 0, 1],
+                   [0, 0, 0, 0, 0, 1], [0, 0, 0, 1, 0, 1], [0, 0, 0, 0, 1, 1]])
+# The doubled differences of W_np^q on (n, p, q) are 2(n-q), 2(n-p), 2(n-p) + 2c,
+# 2(p+q-n) +- 2b, 2(p+q-n); those of ring_w on (N, n3, l) are N-l, n3, n3-1,
+# l+|m|-n3 + 2 delta, l-|m|-n3. Their sums, as _racah reads them:
+_W_SUMS = _SUMS @ (2 * np.array([[1, 0, -1], [1, -1, 0], [1, -1, 0], [-1, 1, 1], [-1, 1, 1]]))
+_RING_SUMS = _SUMS @ np.array([[1, 0, -1], [0, 1, 0], [0, 1, 0], [0, -1, 1], [0, -1, 1]])
+# A table whose sums could reach this runs on Python ints (object arrays), not int64.
+_WIDE = 2 ** 62
+
+
+def _products(M: np.ndarray, offsets: list[int], scale: int, k: int):
+    """k prod_i f_i of each column of the factor rows M, as an iterator of Python ints formed
+    as it is read: f = M[i] where offsets[i] is 0, else M[i] scale + offsets[i]."""
+    small = [row for row, b in zip(M, offsets) if not b]
+    out = reduce(mul, small).tolist() if small else repeat(1)
+    for row, b in zip(M, offsets):
+        if b:
+            out = map(mul, out, map(add, map(mul, row.tolist(), repeat(scale)), repeat(b)))
+    return out if k == 1 else map(mul, out, repeat(k))
+
+
+def _refusals(Z: np.ndarray, B: list[int], none: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(none, zero): the entries with no continuation (none on entry: a+b-c is not an
+    integer; then those the first refusal rule that holds refuses) and those whose value is
+    zero."""
+    zero = np.zeros(none.shape, dtype=bool)
+    low = Z[5:] <= np.array([2 * limit - (b > 0) for b, limit in zip(B[5:], _RULE_LIMITS)])[:, None]
+    if np.count_nonzero(low):
+        first = low[_RULE_ORDER].argmax(axis=0)
+        row = np.array(_RULE_ORDER)[first] + 5
+        whole = ~np.array([b > 0 for b in B])[row] & (Z[row, np.arange(row.size)] % 2 == 0)
+        outcome = _RULE_OUTCOMES[first]
+        hit = low.any(axis=0) & ~none
+        zero = hit & ((outcome == 0) | ((outcome == 2) & whole))
+        none = none | (hit & ~zero)
+    return none, zero
+
+
+def _ln_prefactor(S: np.ndarray, SB: list[int], F: np.ndarray, FB: list[int],
+                  scale: int) -> np.ndarray:
+    """ln of each entry's Gamma prefactor over its first term, from the doubled sums S + SB /
+    scale (_sums rows 5..15) and the first term's doubled arguments less one F + FB / scale:
+    0.5 (ln(2c+1) + sum of the nine lgamma(x+1) - lgamma(a+b+c+2)) - the first term's six
+    lgamma(x+1), each sum in that order. Each fn(x + 1) is formed once per distinct (fn, x),
+    from the exact ratio of x + 1."""
+    slots = ([(math.lgamma, b) for b in SB[:10]] + [(math.log, SB[10])]
+             + [(math.lgamma, b) for b in FB])
+    classes = {}
+    ids = [classes.setdefault(slot, len(classes)) for slot in slots]
+    count, by_id = len(classes), list(classes)
+    ids[9] += 2 * count   # a+b+c+1, the row plus one
+    keys = np.concatenate((S, F)) * count + np.array(ids)[:, None]
+    lowest = int(keys.min())
+    keys -= lowest
+    distinct = np.bincount(keys.ravel()).nonzero()[0]
+    ks, which = np.divmod(distinct + lowest, count)
+    g = np.empty(distinct[-1] + 1)
+    g[distinct] = [fn((k + 2) / 2) if not b else fn(((k + 2) * scale + b) / (2 * scale))
+                   for k, (fn, b) in zip(ks.tolist(), map(by_id.__getitem__, which.tolist()))]
+    g = g[keys]
+    return 0.5 * (g[10] + g[:9].cumsum(axis=0)[-1] - g[9]) - g[11:].cumsum(axis=0)[-1]
+
+
+def _racah(index: np.ndarray, sums: np.ndarray, offsets, scale: int,
+           exact=None) -> np.ndarray:
+    """Racah single-sum CG values for gamma = alpha + beta over a table of entries.
+
+    index: nonnegative ints of shape (r, *shape); sums: an int (16, r) matrix, _SUMS @ coeffs
+    with rows of absolute sum at most 16; offsets: five ints over the power of two scale. The
+    doubled differences of an entry (_sums) are coeffs @ index + offsets / scale: int index
+    combinations plus one offset per table, 0 or the exact dyadic of c, +-b or 2 delta.
+    Returns an array of that shape, NaN where the pattern has no continuation (non-integer
+    a+b-c, 2c+1 or a+b+c+2 <= 0, a prefactor Gamma at a negative non-integer); 1/Gamma at
+    nonpositive integers is zero. Given exact (five ints over scale; index all zero), the
+    value reads the doubled differences exact / scale; the given ones still decide the
+    pattern and the t-range.
+
+    A doubled sum of differences is Z + B / scale with Z an int per entry and 0 <= B < scale
+    one int per table, so the pattern, the t-range, both caps, the sign and the lgamma
+    prefactor (math.lgamma and math.log once per distinct argument, summed in one order) are
+    formed once per table in numpy. Only the term ratios (t-d_0)(t-d_1)(t-d_2) /
+    ((t+1)(d_3+t+1)(d_4+t+1)) are summed per entry, by specfun._horner: a base whose offset
+    is whole steps as a small int. The first entry that fails raises, as its own sum would:
+    NumericError past the term cap, AccuracyError for a + b + c past 2^15 within it,
+    NumericError past a double.
+    """
+    shape = index.shape[1:]
+    index = index.reshape(len(index), -1)
+    whole, B = zip(*(divmod(v, scale) for v in _sums(offsets)))
+    if (index.dtype == object
+            or 16 * int(np.maximum.reduce(index, axis=None, initial=0)) + max(map(abs, whole))
+            >= _WIDE):
+        index = index.astype(object)
+    Z = sums @ index + np.array(whole, dtype=index.dtype)[:, None]
+    half, odd = Z[:5] // 2, Z[:5] % 2
+    none, zero = _refusals(Z, B, (odd[0] == 1) | (B[0] > 0))
+    # 0 <= t <= a+b-c, within the ends that whole d_1, d_2 (upper) and d_3, d_4 (lower) set
+    ends = np.where((odd[1:] == 0) & np.array([[b == 0] for b in B[1:5]]), half[1:], half[0])
+    tmax = np.minimum(half[0], np.minimum.reduce(ends[:2]))
+    tmin = np.maximum(0, -np.minimum.reduce(ends[2:]))
+    zero |= tmax < tmin
+    live = ~(none | zero)
+    over = Z[14] > 2 * _MAX_CG_ORDER - (B[14] > 0)
+    capped = live & (over | (tmax - tmin >= _MAX_SUM_TERMS))
+    stop = int(capped.argmax()) if np.count_nonzero(capped) else capped.size
+    live[stop:] = False
+    out, count = np.where(none, math.nan, 0.0), np.count_nonzero(live)
+    if count:
+        Zv, Bv, t, tn = Z, B, tmin, tmax
+        if exact is not None:
+            whole, Bv = zip(*(divmod(v, scale) for v in _sums(exact)))
+            Zv = np.array(whole)[:, None]
+        if count < live.size:
+            Zv, t, tn = Zv[:, live], t[live], tn[live]
+        Zv, t = Zv.astype(np.int64), t.astype(np.int64)
+        shifted = np.concatenate((Zv[:5], 2 * t[None]))
+        F = _FIRST @ shifted
+        sign = t % 2
+        if np.count_nonzero(F <= -3):   # Gamma(x) < 0 for x < -1 with an even floor
+            sign = sign + ((F <= -3) & (F // 2 % 2 == 0)).sum(axis=0)
+        ln = _ln_prefactor(Zv[5:], Bv[5:], F, [0, *Bv[:5]], scale)
+        # every ratio of every entry, last first: base k + b / scale (doubled) at s = terms-2,
+        # ..., 0 is the factor k + 2s over 2 for b = 0, else (k + 2s) scale + b over 2 scale
+        bs = [-b % scale for b in Bv[:3]] + [0, *Bv[3:5]]
+        steps = tn - t
+        cuts = steps.cumsum()
+        M = ((_BASES @ shifted).repeat(steps, axis=1)
+             + 2 * ((cuts - 1).repeat(steps) - np.arange(cuts[-1]))
+             + np.array([-(b > 0) for b in Bv[:3]] + [2, 2, 2])[:, None])
+        big = sum(b > 0 for b in bs[3:]) - sum(b > 0 for b in bs[:3])
+        tops = _products(M[:3], bs[:3], scale, scale ** max(big, 0))
+        bottoms = _products(M[3:], bs[3:], scale, scale ** max(-big, 0))
+        mantissa, e = _horner(tops, bottoms, steps.tolist())
+        # + 0.0: terms that cancel exactly give 0.0, not -0.0
+        out[live] = np.where(sign % 2, -1.0, 1.0) * _scale_sums(
+            np.array(mantissa), np.array(e, dtype=np.int64), ln) + 0.0
+    if stop < capped.size:
+        _require_terms(int(tmax[stop] - tmin[stop]) + 1)
+        raise AccuracyError(f"continued CG sum at a + b + c = "
+                            f"{(int(Z[14, stop]) * scale + B[14]) / (2 * scale)} past "
                             f"{_MAX_CG_ORDER}, where its Gamma prefactor loses its accuracy")
-    if exact is not None:
-        abc, ama, bpb, l1, l2 = exact
-        two_c = ama + bpb + l1 + l2
-        pref = (abc, l1 + ama, l2 + bpb, abc + l1, ama, bpb, abc + l2, l1 + bpb, l2 + ama)
-    t = tmin * scale
-    first = (t, abc - t, ama - t, bpb - t, l1 + t, l2 + t)   # the first term's, less one
-    sign = -1.0 if tmin % 2 else 1.0
-    for v in first:   # Gamma(x) < 0 where x < 0 and floor(x) is odd
-        if v < -scale and v // scale % 2 == 0:
-            sign = -sign
-    ln = (0.5 * (math.log((two_c + scale) / scale) + sum(map(lg.__getitem__, pref))
-                 - lg[abc + two_c + scale])
-          - sum(map(lg.__getitem__, first)))
-    value = _ratio_sum((t - abc, t - ama, t - bpb), (t + scale, l1 + t + scale, l2 + t + scale),
-                       tmax - tmin + 1, scale, ln)
-    return sign * value if value else 0.0   # terms that cancel exactly give +0.0
+    return out.reshape(shape)
 
 
 def _refuse_entries(bad: np.ndarray, message) -> None:
@@ -177,41 +282,48 @@ def cg_continued(args: CgArgs) -> float:
     if all(map(math.isfinite, diffs)):
         scale, nums = _dyadic(*diffs, *(float(round(v)) if abs(v - round(v)) < _INT_TOL
                                         else v for v in diffs))
-        value = _cg_sum(*nums[5:], _LnGamma(scale), exact=nums[:5])
-        if value is not None:
+        value = float(_racah(np.zeros(1, dtype=np.int64), np.zeros((16, 1), dtype=np.int64),
+                             [2 * v for v in nums[5:]], scale, exact=[2 * v for v in nums[:5]]))
+        if not math.isnan(value):
             return value
     raise DomainError(f"continued CG sum does not terminate for arguments {args}")
 
 
-def _check_indices(**named) -> tuple[bool, list[np.ndarray]]:
-    """(is_array, values): the named indices as int64 arrays broadcast to one
-    shape, 0-d for a call whose indices are all scalars. DomainError names the
-    first index or entry that is not a nonnegative integer; a scalar is
-    checked by check_nonneg_int."""
+def _check_indices(**named) -> tuple[bool, np.ndarray]:
+    """(is_array, index): the named indices stacked, index[k] the k-th broadcast to one shape,
+    0-d for a call whose indices are all scalars. DomainError names the first index or entry
+    that is not a nonnegative integer; scalars are checked by check_nonneg_int (and held as
+    Python ints if one reaches _INDEX_LIMIT), an array entry must also be below _INDEX_LIMIT."""
     if not any(np.ndim(v) for v in named.values()):
-        return False, [np.array(check_nonneg_int(v, k)) for k, v in named.items()]
+        values = [check_nonneg_int(v, k) for k, v in named.items()]
+        return False, np.array(values, dtype=np.int64 if max(values) < _INDEX_LIMIT else object)
     out = []
     for name, v in named.items():
         arr = np.asarray(v)
-        if arr.dtype.kind in "iu":
-            ok = arr >= 0
+        if arr.dtype.kind == "i":   # a negative entry reads as 2^63 or more unsigned
+            bad = arr.astype(np.int64, copy=False).view(np.uint64) >= _INDEX_LIMIT
+        elif arr.dtype.kind == "u":
+            bad = arr >= _INDEX_LIMIT
         elif arr.dtype.kind == "f":
             with np.errstate(invalid="ignore"):
-                ok = (arr >= 0) & (arr == np.floor(arr)) & (arr < 2.0 ** 62)
+                bad = ~((arr >= 0) & (arr == np.floor(arr)) & (arr < _INDEX_LIMIT))
         else:
             raise DomainError(f"{name} must be nonnegative integers, got dtype {arr.dtype}")
-        _refuse_entries(~ok, lambda i: f"{name} must be a nonnegative integer, got {arr[i].item()!r}")
-        out.append(arr.astype(np.int64))
-    zero = np.zeros(np.broadcast_shapes(*(arr.shape for arr in out)), dtype=np.int64)
-    return True, [arr + zero for arr in out]
+        _refuse_entries(bad, lambda i: f"{name} must be a nonnegative integer, got {arr[i].item()!r}")
+        out.append(arr)
+    index = np.empty((len(out), *np.broadcast_shapes(*(arr.shape for arr in out))), dtype=np.int64)
+    for row, arr in zip(index, out):
+        row[...] = arr
+    return True, index
 
 
-def _level_indices(n, p, q) -> tuple[bool, list[np.ndarray]]:
+def _level_indices(n, p, q) -> tuple[bool, np.ndarray]:
     """_check_indices of n, p, q, refusing the first entry outside 0 <= p, q <= n."""
-    is_array, (n, p, q) = _check_indices(**{"level n": n, "p": p, "q": q})
+    is_array, index = _check_indices(**{"level n": n, "p": p, "q": q})
+    n, p, q = index
     _refuse_entries((p > n) | (q > n),
                     lambda i: _level_index_message(n[i], p=p[i], q=q[i]))
-    return is_array, [n, p, q]
+    return is_array, index
 
 
 def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
@@ -224,20 +336,18 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     n, p and q may be integer arrays that broadcast; the result is then an
     array of their shape, else a float. Accuracy: only the lgamma prefactor of the
     exact sum rounds, so a table is within 1e-13 of w_matrix at n = 60 and 1e-12
-    at n = 200, on both branches; time is a Python loop of about n/3 steps an entry.
+    at n = 200, on both branches. Time: one numpy set-up per call (about 0.15 ms on one
+    x86-64 core), then an integer Horner of about n/3 steps an entry; a whole table takes
+    about 2-4 ms at n = 30 and 12-30 ms at n = 60.
     An entry whose sum has more than 2^13 terms (specfun._MAX_SUM_TERMS; from about
     n = 16384 at p = q = n/2) raises NumericError, and one within that cap whose
     a0 + b0 + c0 = n + q + c +- b passes 2^15 (levels from about 2^14) raises
     AccuracyError: the prefactor's error grows with it (cg_continued).
     """
-    is_array, (n, p, q) = _level_indices(n, p, q)
+    is_array, index = _level_indices(n, p, q)
     scale, (sb, c) = _dyadic(*_exponents(params, branch))
-    lg = _LnGamma(scale)
-    # a0+b0-c0 = n-q, a0-alpha = n-p, b0+beta = n+c-p, c0-b0+alpha = p+q-n+-b, c0-a0-beta = p+q-n
-    val = np.array([(-1.0 if (nk - qk) % 2 else 1.0) * _cg_sum(
-        (nk - qk) * scale, (nk - pk) * scale, (nk - pk) * scale + c,
-        (pk + qk - nk) * scale + sb, (pk + qk - nk) * scale, lg)
-        for nk, pk, qk in zip(*(v.ravel().tolist() for v in (n, p, q)))]).reshape(n.shape)
+    val = _racah(index, _W_SUMS, (0, 0, 2 * c, 2 * sb, 0), scale)
+    val = np.where((index[0] - index[2]) % 2, -1.0, 1.0) * val
     return val if is_array else float(val)
 
 
@@ -465,27 +575,22 @@ def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarra
     beta = (2 n3 - N + |m| - 1)/4; no extra sign factor. N, n3 and l may be
     integer arrays that broadcast (a level's table from an n3 column against
     an l row); the result is then an array of their shape, else a float.
-    Accuracy and the 2^13-term cap of each sum (NumericError past it) as
+    Accuracy, time and the 2^13-term cap of each sum (NumericError past it) as
     w_coefficient's (a table within 1e-13 of w_matrix at n = 60): ring_w(N, 1, 0, 1, 0.2)
     is 2e-14 off 60-digit mpmath at N = 2^8 + 1 and 2e-11 at 2^16 + 1, and AccuracyError
     refuses a0 + b0 + c0 = (N + l - 1)/2 + delta past 2^15 (N past about 2^15 at l = N).
     """
-    is_array, (N, n3, l) = _check_indices(N=N, n3=n3, l=l)
+    is_array, index = _check_indices(N=N, n3=n3, l=l)
+    N, n3, l = index
     ma = check_abs_int(m, "m")
     if not 0.0 <= delta < math.inf:
         raise DomainError(f"delta must be nonnegative and finite, got {delta}")
-    _refuse_entries((l < ma) | (l > N) | ((N - l) % 2 != 0), lambda i: (
+    _refuse_entries((l < ma) | (l > N) | ((N - l) & 1), lambda i: (
         f"need |m| <= l <= N with N - l even, got N={N[i]}, l={l[i]}, m={m}"))
-    _refuse_entries((n3 > N - ma) | ((N - ma - n3) % 2 != 0), lambda i: (
+    _refuse_entries((n3 > N - ma) | ((N - ma - n3) & 1), lambda i: (
         f"need 0 <= n3 <= N - |m| with N - |m| - n3 even, got N={N[i]}, n3={n3[i]}, m={m}"))
     scale, (delta,) = _dyadic(delta)
-    lg = _LnGamma(2 * scale)
-    # over 2 scale: a0+b0-c0 = (N-l)/2, a0-alpha = n3/2, b0+beta = (n3-1)/2,
-    # c0-b0+alpha = (l+|m|-n3)/2 + delta, c0-a0-beta = (l-|m|-n3)/2
-    val = np.array([_cg_sum(
-        (Nk - lk) * scale, n3k * scale, (n3k - 1) * scale,
-        (lk + ma - n3k) * scale + 2 * delta, (lk - ma - n3k) * scale, lg)
-        for Nk, n3k, lk in zip(*(v.ravel().tolist() for v in (N, n3, l)))]).reshape(N.shape)
+    val = _racah(index, _RING_SUMS, (0, 0, -scale, ma * scale + 2 * delta, -ma * scale), scale)
     return val if is_array else float(val)
 
 

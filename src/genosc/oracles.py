@@ -28,7 +28,7 @@ from .errors import DomainError, check_level_index, check_nonneg_int
 from .interbasis import _overlap_table, w_matrix
 from .model import Branch, SystemParams, _exponents, admissible_branches
 from .morse import MorseParams, _wavefunctions, normalizable_levels
-from .specfun import _dyadic, _ratio_sum, build_quadrature, gamma_sign_ln, ln_gamma
+from .specfun import _base, _dyadic, _ratio_sum, build_quadrature, gamma_sign_ln, ln_gamma
 
 __all__ = [
     "CheckReport",
@@ -164,8 +164,8 @@ def bi_orthogonality_hypergeometric(n: int, q: int, q_prime: int,
     scale, (beta, c) = _dyadic(*_exponents(params, branch))
     g = beta + c   # gamma = c +- b, over scale
     # 2F1(q' - q, q + q' + gamma + 1; 2q' + gamma + 2; 1), 0 for q > q' (Chu-Vandermonde)
-    hyp = _ratio_sum(((q_prime - q) * scale, (q + q_prime + 1) * scale + g),
-                     ((2 * q_prime + 2) * scale + g, scale), q - q_prime + 1, scale)
+    hyp = _ratio_sum(((q_prime - q, 1), _base((q + q_prime + 1) * scale + g, scale)),
+                     (_base((2 * q_prime + 2) * scale + g, scale), (1, 1)), q - q_prime + 1)
     if not hyp:
         return 0.0
     gamma_sum = g / scale

@@ -22,6 +22,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice, repeat
+from operator import mul
 
 import numpy as np
 
@@ -465,40 +467,83 @@ def _dyadic(*values: float) -> tuple[int, list[int]]:
     return scale, [num * (scale // den) for num, den in ratios]
 
 
-# _ratio_sum's largest sum: its cost grows as terms^2 (about 4 s for a 7800-term Racah
-# entry on a 2-core Xeon), so 2^13 keeps an accepted sum within seconds; the CLI forms <= 801
+# The largest terminating sum: its cost grows as terms^2 (about 1 s for a 7800-term Racah
+# entry on a 2-core x86-64 host), so 2^13 keeps an accepted sum within seconds; the CLI
+# forms <= 801
 _MAX_SUM_TERMS = 2 ** 13
-# interbasis._cg_sum's largest a + b + c: its lgamma prefactor, some (a+b+c) ln(a+b+c) in
+# interbasis._racah's largest a + b + c: its lgamma prefactor, some (a+b+c) ln(a+b+c) in
 # size, loses digits as it grows (ring_w 2e-11 off at 2^15, 1.3e-9 at 2^19)
 _MAX_CG_ORDER = 2 ** 15
 
 
-def _ratio_sum(upper, lower, terms: int, scale: int, ln: float = 0.0) -> float:
-    """e^ln sum_{k < terms} prod_{s < k} prod_i (u_i + s scale) / prod_j (v_j + s scale): the
-    terminating hypergeometric sum with Pochhammer bases u_i / scale over v_j / scale, for as
-    many ints u_i as v_j, 1 <= terms <= _MAX_SUM_TERMS and no zero denominator factor. Summed
-    by Horner in integers and rounded once (correctly at ln = 0); e^ln is applied as e^r 2^j,
-    so a sum past a double may meet a small factor. NumericError when the result passes a
-    double, or for more terms than _MAX_SUM_TERMS."""
+def _require_terms(terms: int) -> None:
+    """NumericError for a terminating sum of more than _MAX_SUM_TERMS terms."""
     if terms > _MAX_SUM_TERMS:
         raise NumericError(f"terminating hypergeometric sum of more than {_MAX_SUM_TERMS} terms")
-    num = den = 1
-    for s in range(terms - 2, -1, -1):
-        step = s * scale
-        top = bottom = 1
-        for u in upper:
-            top *= u + step
-        for v in lower:
-            bottom *= v + step
-        den *= bottom
-        num = den + top * num
-    e = num.bit_length() - den.bit_length()   # |num/den| / 2^e in (1/2, 2)
-    mantissa = num / (den << e) if e > 0 else (num << -e) / den
-    r, j = _split_ln2(ln)
+
+
+def _base(num: int, scale: int) -> tuple[int, int]:
+    """The Pochhammer base num / scale as a (value, step) pair of _ratio_sum: a whole one
+    steps by 1 as a small int, any other by scale."""
+    return (num // scale, 1) if num % scale == 0 else (num, scale)
+
+
+def _horner(tops, bottoms, runs) -> tuple[list[float], list[int]]:
+    """(mantissas, exponents): for each run length n of runs, the sum 1 + t_0/b_0 (1 + t_1/b_1
+    (1 + ...)) of the next n int term ratios t_k/b_k (tops, bottoms: iterables of ints given last
+    term first, no zero bottom) as mantissa 2^e, the mantissa correctly rounded. The package's
+    one exact Horner: in integers, with no gcd."""
+    mantissas, exponents = [], []
+    ratios = zip(tops, bottoms)
+    for n in runs:
+        num = den = 1
+        for top, bottom in islice(ratios, n):
+            den *= bottom
+            num = den + top * num
+        e = num.bit_length() - den.bit_length()   # |num/den| / 2^e in (1/2, 2)
+        mantissas.append(num / (den << e) if e > 0 else (num << -e) / den)
+        exponents.append(e)
+    return mantissas, exponents
+
+
+def _ratio_sum(upper, lower, terms: int) -> float:
+    """The terminating hypergeometric sum sum_{k < terms} prod_{s < k} prod_i (u_i/du_i + s) /
+    prod_j (v_j/dv_j + s), exact (_horner) and rounded once: its Pochhammer bases
+    are (u, du) int pairs, du > 0, as many upper as lower, each stepping by its own du (a whole
+    base as a small int, _base), 1 <= terms and no zero denominator factor. NumericError for
+    more terms than _MAX_SUM_TERMS, before any step, or for a sum past a double."""
+    _require_terms(terms)
+    # each term ratio carries prod dv / prod du, in lowest terms
+    kn = kd = 1
+    for _, d in lower:
+        kn *= d
+    for _, d in upper:
+        kd *= d
+    g = math.gcd(kn, kd)
+    # k prod_i (u_i + s du_i) at s = terms-2, ..., 0, multiplied out as _horner reads it
+    tops, bottoms = repeat(kn // g, terms - 1), repeat(kd // g, terms - 1)
+    for u, du in upper:
+        tops = map(mul, tops, range(u + (terms - 2) * du, u - du, -du))
+    for v, dv in lower:
+        bottoms = map(mul, bottoms, range(v + (terms - 2) * dv, v - dv, -dv))
+    (mantissa,), (e,) = _horner(tops, bottoms, [terms - 1])
     try:
-        return math.ldexp(mantissa * math.exp(r), e + int(j))
+        return math.ldexp(mantissa, e)
     except OverflowError:
         raise NumericError("terminating hypergeometric sum past a double") from None
+
+
+def _scale_sums(mantissa: np.ndarray, e: np.ndarray, ln: np.ndarray) -> np.ndarray:
+    """mantissa 2^e e^ln elementwise over 1-d arrays, e^ln applied as e^r 2^j (_split_ln2, with
+    math.exp of r) so a sum past a double may meet a small factor. NumericError where a value
+    passes a double."""
+    r, j = _split_ln2(ln)
+    exp_r = np.fromiter(map(math.exp, r.tolist()), float, r.size)
+    with np.errstate(over="ignore"):
+        out = np.ldexp(mantissa * exp_r, e + j.astype(np.int64))
+    if np.count_nonzero(np.isinf(out)):
+        raise NumericError("terminating hypergeometric sum past a double")
+    return out
 
 
 def hyp2f1_unit(a: float, b: float, c: float) -> float:
@@ -525,7 +570,7 @@ def hyp2f1_unit(a: float, b: float, c: float) -> float:
         if c.is_integer() and -top < c <= 0.0:
             raise DomainError(f"hyp2f1_unit undefined: c hits a nonpositive integer, c={c}")
         scale, (b, c) = _dyadic(b, c)
-        return _ratio_sum((-top * scale, b), (c, scale), top + 1, scale)
+        return _ratio_sum(((-top, 1), _base(b, scale)), (_base(c, scale), (1, 1)), top + 1)
     if c - a - b <= 0.0:
         raise DomainError(f"hyp2f1_unit diverges at unit argument for c-a-b={c - a - b}")
     sc, lc = gamma_sign_ln(c)

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 
 import mpmath
@@ -221,6 +222,55 @@ def test_w_tables_match_w_matrix():
         assert mixed.tobytes() == np.array(
             [[w_coefficient(3, p, 1, params, branch) for p in (0, 2, 3)],
              [w_coefficient(7, p, 3, params, branch) for p in (0, 2, 3)]]).tobytes()
+
+
+# b and c whose doubled fractions sum past one unit, on each branch: b = 0.75, c = 2.875 and
+# b = 0.375, c = 2.4375 (all exact dyadics)
+CARRY_PLUS = SystemParams(omega=1.1, p_strength=0.3125, q_strength=7.265625, m=1)
+CARRY_MINUS = SystemParams(omega=0.9, p_strength=-0.109375, q_strength=4.94140625, m=1)
+P0 = SystemParams(omega=1.3, p_strength=0.0, q_strength=0.0, m=0)
+
+
+def assert_scalars_read_table(table, scalar, picks):
+    for i, j in picks:
+        value = scalar(i, j)
+        assert type(value) is float
+        assert np.float64(value).tobytes() == table[i, j].tobytes(), (i, j)
+
+
+def table_picks(rows, cols, seed):
+    """The four corners and a dozen seeded entries of a rows x cols table."""
+    rng = random.Random(seed)
+    return ([(0, 0), (0, cols - 1), (rows - 1, 0), (rows - 1, cols - 1)]
+            + [(rng.randrange(rows), rng.randrange(cols)) for _ in range(12)])
+
+
+# a table is set up once for all its entries, so a scalar call must still read its entry
+# of the table bit for bit at large levels, P = 0 and Q = 0, and offsets that carry
+@pytest.mark.parametrize("n, params, branch", [
+    (30, CARRY_PLUS, Branch.Plus), (30, CARRY_MINUS, Branch.Minus), (30, P0, Branch.Minus),
+    (30, BOTH, Branch.Minus), (200, CARRY_PLUS, Branch.Plus), (200, P0, Branch.Plus)])
+def test_w_coefficient_scalars_read_their_table_entries(n, params, branch):
+    k = np.arange(n + 1)
+    rows = k if n <= 30 else np.array([0, 1, n // 3, n // 2, n - 1, n])
+    table = w_coefficient(n, rows[:, None], k, params, branch)
+    assert_scalars_read_table(table, lambda i, q: w_coefficient(n, int(rows[i]), q, params, branch),
+                              table_picks(len(rows), n + 1, n))
+
+
+@pytest.mark.parametrize("n, params, branch, delta", [
+    (30, RING, Branch.Plus, None), (30, RING0, Branch.Minus, None),
+    (60, SystemParams(omega=1.0, p_strength=0.0, q_strength=2.24, m=1), Branch.Plus, None),
+    (60, SystemParams(omega=0.7, p_strength=0.0, q_strength=0.0, m=0), Branch.Minus, None),
+    (30, RING, Branch.Minus, 5e-324)])
+def test_ring_w_scalars_read_their_table_entries(n, params, branch, delta):
+    # delta = 0.8 makes 2 delta = 1.6 carry past a unit; 5e-324 puts delta over 2^1074
+    N, n3, l, level_delta = ring_level(n, params, branch)
+    delta = level_delta if delta is None else delta
+    table = ring_w(N, params.m, n3, l, delta)
+    assert_scalars_read_table(
+        table, lambda p, q: ring_w(int(N[p, 0]), params.m, int(n3[p, 0]), int(l[q]), delta),
+        table_picks(n + 1, n + 1, n))
 
 
 # w_matrix's own recursion is 1.6e-12 off an mpmath Racah sum at n = 800
@@ -517,9 +567,14 @@ def test_racah_sums_refuse_orders_past_their_prefactor_accuracy():
     # the lgamma prefactor loses digits as a + b + c grows: ring_w(N, 1, 0, 1, 0.2) was
     # 1.3e-9 off mpmath at N = 2^20 + 1 and returned 1.0 at 2^52 + 1; each is refused at once
     params = SystemParams(1.3, 0.7, 1.1, 1)
+    # offsets past int64 (2 delta = 2e300, c = 1e150) are refused too, array calls included
     for call in (lambda: ring_w(2 ** 52 + 1, 1, 0, 1, 0.2),
                  lambda: ring_w(2 ** 20 + 1, 1, 0, 1, 0.2),
-                 lambda: w_coefficient(2 ** 20, 0, 0, params, Branch.Plus)):
+                 lambda: w_coefficient(2 ** 20, 0, 0, params, Branch.Plus),
+                 lambda: ring_w(4, 1, 1, 2, 1e300),
+                 lambda: ring_w(np.array([4, 6]), 1, 1, 2, 1e300),
+                 lambda: w_coefficient(3, 1, np.array([0, 2]), SystemParams(1.3, 0.7, 1e300, 1),
+                                       Branch.Plus)):
         start = time.perf_counter()
         with pytest.raises(AccuracyError, match="a \\+ b \\+ c"):
             call()
@@ -606,6 +661,19 @@ def test_ring_w_validation():
         w_coefficient(2, np.array([1, 3]), 0, BOTH, Branch.Plus)
     with pytest.raises(DomainError, match=r"q must be a nonnegative integer, got -1"):
         w_coefficient(2, 0, np.array([-1]), BOTH, Branch.Plus)
+    # an integer entry at or past 2^62 is refused like a float one, unsigned ones unwrapped
+    # (2^64 - 1 once read as -1 and gave [-0.], 2^63 was refused as n=-9223372036854775808)
+    with pytest.raises(DomainError, match=r"p must be a nonnegative integer, got "
+                                          r"18446744073709551615 at entry \(0,\)"):
+        w_coefficient(3, np.array([2 ** 64 - 1], dtype=np.uint64), 0, BOTH, Branch.Plus)
+    with pytest.raises(DomainError, match=r"level n must be a nonnegative integer, got "
+                                          r"9223372036854775808 at entry \(0,\)"):
+        w_coefficient(np.array([2 ** 63], dtype=np.uint64), 0, 0, BOTH, Branch.Plus)
+    for bad in (np.array([5, 2 ** 62]), np.array([5, 2 ** 63], dtype=np.uint64),
+                np.array([5.0, 2.0 ** 62])):
+        with pytest.raises(DomainError, match=re.escape(f"N must be a nonnegative integer, got "
+                                                        f"{bad[1].item()!r} at entry (1,)")):
+            ring_w(bad, 1, 0, 1, 0.2)
 
 
 @pytest.mark.parametrize("bad_m", [math.nan, math.inf, "1", 1.5])
