@@ -6,14 +6,14 @@ Column q of W is the eigenvector of the tridiagonal operator 2 M (M from
 m_matrix_cyl) for the closed-form eigenvalue A_q, so w_matrix builds it by
 the two-sided three-term recursion of Schulten and Gordon (J. Math. Phys.
 16, 1961 (1975)) in O(n^2) per table, stable at every level. The continued
-Racah sum (w_coefficient, cg_continued, ring_w) is the closed-form route: it
-terminates because a+b-c stays a nonnegative integer for every argument pattern
-generated here (1/Gamma at nonpositive integers is zero). Its alternating t-sum
-over exact arguments is summed in integers (specfun._horner) and only the Gamma
-prefactor rounds, so an entry is a few lgamma ulps off at any level and independent
-of its array. _racah sets up a whole table at once; w_coefficient and ring_w take
-index arrays that broadcast, and cg_continued is a one-entry table. _overlap_table,
-the one overlap-integral route (an exact tensor Gauss rule read by w_integral_oracle
+Racah sum (w_coefficient, ring_w) is the closed-form route, at the argument
+patterns of W and of its ring form only: there a+b-c is a nonnegative integer,
+so the sum terminates, and every Gamma argument is positive. Its alternating
+t-sum over exact arguments is summed in integers (specfun._horner) and only the
+Gamma prefactor rounds, so an entry is a few lgamma ulps off at any level and
+independent of its array. _racah sets up a whole table at once; w_coefficient
+and ring_w take index arrays that broadcast. _overlap_table, the one
+overlap-integral route (an exact tensor Gauss rule read by w_integral_oracle
 and oracles.w_overlap_oracle), stops at n = 100. Also owns the two commuting
 tridiagonal operators of a level (M in the cylindrical basis, N in the spherical
 one) as O(n) bands, which the W recursion, the spheroidal systems and the
@@ -35,13 +35,11 @@ from .bases import _angular, _axial, _radial_cyl, _radial_level
 from .errors import (AccuracyError, DomainError, NumericError, _level_index_message,
                      _require_table, check_abs_int, check_level_index, check_nonneg_int)
 from .model import Branch, SystemParams, _a_q, _e_n, _exponents
-from .specfun import (_INT_TOL, _MAX_CG_ORDER, _MAX_SUM_TERMS, _dense, _dyadic, _horner,
+from .specfun import (_MAX_CG_ORDER, _MAX_SUM_TERMS, _dense, _dyadic, _horner,
                       _require_terms, _scale_sums, build_quadrature)
 
 __all__ = [
-    "CgArgs",
     "CoefficientMatrix",
-    "cg_continued",
     "w_coefficient",
     "w_matrix",
     "w_integral_oracle",
@@ -50,7 +48,6 @@ __all__ = [
     "n_matrix_sph",
 ]
 
-_SELECTION_TOL = 1e-12
 # The overlap route refuses levels above this for time, not accuracy (5e-14 off w_matrix
 # at n = 100): time n^4, memory n^3, 0.12 s and 25 MB at n = 100 on one x86-64 core.
 W_OVERLAP_MAX_LEVEL = 100
@@ -67,23 +64,6 @@ _RESCALE_AT = 2.0 ** 256
 _GROWTH_BITS = 1020.0 - 256.0
 
 
-@dataclass(frozen=True)
-class CgArgs:
-    """Arguments (a b alpha beta | c gamma), possibly analytically continued.
-
-    Every pattern produced by this package keeps a+b-c a nonnegative integer
-    (sum termination); gamma must equal alpha+beta or the coefficient is zero
-    by the projection selection rule.
-    """
-
-    a: float
-    b: float
-    alpha: float
-    beta: float
-    c: float
-    gamma: float
-
-
 def _sums(d):
     """The Racah sum's five differences d_0..d_4 = a+b-c, a-alpha, b+beta, c-b+alpha, c-a-beta
     and the sums of them it reads: d_0..d_4, the nine prefactor Gamma arguments less one in the
@@ -96,13 +76,6 @@ def _sums(d):
 
 # _sums as a 0/1 matrix on the five differences.
 _SUMS = np.array([_sums(e) for e in np.eye(5, dtype=np.int64)]).T
-# The refusal rules on sums 5..15 (numbered 0..10), in the order they apply. Each holds where
-# its sum is at most its limit and gives a zero value (0), no continuation (1), or no
-# continuation unless the sum is an integer (2): a+b-c < 0 gives zero, 2c + 1 <= 0 none, a
-# prefactor Gamma argument at or below 0 zero at an integer and else none, a+b+c+2 <= 0 none.
-_RULE_ORDER = [0, 10, 1, 2, 3, 4, 5, 6, 7, 8, 9]
-_RULE_LIMITS = [-1] * 9 + [-2, -1]
-_RULE_OUTCOMES = np.array([0, 1, 2, 2, 2, 2, 2, 2, 2, 2, 1])
 # On (2 d_0, ..., 2 d_4, 2t): the first term's arguments less one, t, d_0-t, d_1-t, d_2-t,
 # d_3+t, d_4+t, doubled; and its bases t-d_0, t-d_1, t-d_2 over t+1, d_3+t+1, d_4+t+1,
 # doubled and less their constants.
@@ -130,23 +103,6 @@ def _products(M: np.ndarray, offsets: list[int], scale: int, k: int):
     return out if k == 1 else map(mul, out, repeat(k))
 
 
-def _refusals(Z: np.ndarray, B: list[int], none: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(none, zero): the entries with no continuation (none on entry: a+b-c is not an
-    integer; then those the first refusal rule that holds refuses) and those whose value is
-    zero."""
-    zero = np.zeros(none.shape, dtype=bool)
-    low = Z[5:] <= np.array([2 * limit - (b > 0) for b, limit in zip(B[5:], _RULE_LIMITS)])[:, None]
-    if np.count_nonzero(low):
-        first = low[_RULE_ORDER].argmax(axis=0)
-        row = np.array(_RULE_ORDER)[first] + 5
-        whole = ~np.array([b > 0 for b in B])[row] & (Z[row, np.arange(row.size)] % 2 == 0)
-        outcome = _RULE_OUTCOMES[first]
-        hit = low.any(axis=0) & ~none
-        zero = hit & ((outcome == 0) | ((outcome == 2) & whole))
-        none = none | (hit & ~zero)
-    return none, zero
-
-
 def _ln_prefactor(S: np.ndarray, SB: list[int], F: np.ndarray, FB: list[int],
                   scale: int) -> np.ndarray:
     """ln of each entry's Gamma prefactor over its first term, from the doubled sums S + SB /
@@ -172,22 +128,29 @@ def _ln_prefactor(S: np.ndarray, SB: list[int], F: np.ndarray, FB: list[int],
     return 0.5 * (g[10] + g[:9].cumsum(axis=0)[-1] - g[9]) - g[11:].cumsum(axis=0)[-1]
 
 
-def _racah(index: np.ndarray, sums: np.ndarray, offsets, scale: int,
-           exact=None) -> np.ndarray:
-    """Racah single-sum CG values for gamma = alpha + beta over a table of entries.
+def _racah(index: np.ndarray, sums: np.ndarray, offsets, scale: int) -> np.ndarray:
+    """Racah single-sum CG values for gamma = alpha + beta over a table of W or ring entries.
 
     index: nonnegative ints of shape (r, *shape); sums: an int (16, r) matrix, _SUMS @ coeffs
     with rows of absolute sum at most 16; offsets: five ints over the power of two scale. The
     doubled differences of an entry (_sums) are coeffs @ index + offsets / scale: int index
     combinations plus one offset per table, 0 or the exact dyadic of c, +-b or 2 delta.
-    Returns an array of that shape, NaN where the pattern has no continuation (non-integer
-    a+b-c, 2c+1 or a+b+c+2 <= 0, a prefactor Gamma at a negative non-integer); 1/Gamma at
-    nonpositive integers is zero. Given exact (five ints over scale; index all zero), the
-    value reads the doubled differences exact / scale; the given ones still decide the
-    pattern and the t-range.
+    Returns an array of that shape.
+
+    Only the patterns of w_coefficient and ring_w come here, and their checks leave none the
+    sum cannot serve. W's differences d_0..d_4 are n-q, n-p, n-p+c, p+q-n+-b, p+q-n; the
+    ring's (N-l)/2, n3/2, (n3-1)/2, (l+|m|-n3)/2+delta, (l-|m|-n3)/2. Admissibility gives
+    c >= 0 and +-b >= -1/2, and the index checks 0 <= p, q <= n, or |m| <= l <= N and
+    0 <= n3 <= N-|m| with N-l and N-|m|-n3 even. So d_0 and d_4 are whole and d_0 >= 0: the
+    sum terminates. Each of the nine prefactor Gamma arguments less one, a+b+c and 2c is at
+    least -1/2 (the least are q+-b, p+-b, q+c+-b for W, (n3-1)/2, (l-|m|-1)/2,
+    (l+|m|-1)/2+delta for the ring). So is each of the first term's within the t-range: d_0-t
+    and every whole d_1-t, d_2-t are at least 0, and the other is at least c (W) or -1/2
+    (ring), and d_3+t >= d_3-d_4 = +-b or |m|+delta. Every Gamma of the sum is at a positive
+    argument: no entry needs a continuation past a pole, and its first term's sign is (-1)^t.
 
     A doubled sum of differences is Z + B / scale with Z an int per entry and 0 <= B < scale
-    one int per table, so the pattern, the t-range, both caps, the sign and the lgamma
+    one int per table, so the t-range, both caps, the sign and the lgamma
     prefactor (math.lgamma and math.log once per distinct argument, summed in one order) are
     formed once per table in numpy. Only the term ratios (t-d_0)(t-d_1)(t-d_2) /
     ((t+1)(d_3+t+1)(d_4+t+1)) are summed per entry, by specfun._horner: a base whose offset
@@ -203,47 +166,39 @@ def _racah(index: np.ndarray, sums: np.ndarray, offsets, scale: int,
             >= _WIDE):
         index = index.astype(object)
     Z = sums @ index + np.array(whole, dtype=index.dtype)[:, None]
-    half, odd = Z[:5] // 2, Z[:5] % 2
-    none, zero = _refusals(Z, B, (odd[0] == 1) | (B[0] > 0))
+    half = Z[:5] // 2
     # 0 <= t <= a+b-c, within the ends that whole d_1, d_2 (upper) and d_3, d_4 (lower) set
-    ends = np.where((odd[1:] == 0) & np.array([[b == 0] for b in B[1:5]]), half[1:], half[0])
+    ends = np.where((Z[1:5] % 2 == 0) & np.array([[b == 0] for b in B[1:5]]), half[1:], half[0])
     tmax = np.minimum(half[0], np.minimum.reduce(ends[:2]))
     tmin = np.maximum(0, -np.minimum.reduce(ends[2:]))
-    zero |= tmax < tmin
-    live = ~(none | zero)
+    live = tmax >= tmin
     over = Z[14] > 2 * _MAX_CG_ORDER - (B[14] > 0)
     capped = live & (over | (tmax - tmin >= _MAX_SUM_TERMS))
     stop = int(capped.argmax()) if np.count_nonzero(capped) else capped.size
     live[stop:] = False
-    out, count = np.where(none, math.nan, 0.0), np.count_nonzero(live)
+    out, count = np.zeros(live.shape), np.count_nonzero(live)
     if count:
-        Zv, Bv, t, tn = Z, B, tmin, tmax
-        if exact is not None:
-            whole, Bv = zip(*(divmod(v, scale) for v in _sums(exact)))
-            Zv = np.array(whole)[:, None]
+        Zv, t, tn = Z, tmin, tmax
         if count < live.size:
             Zv, t, tn = Zv[:, live], t[live], tn[live]
         Zv, t = Zv.astype(np.int64), t.astype(np.int64)
         shifted = np.concatenate((Zv[:5], 2 * t[None]))
         F = _FIRST @ shifted
-        sign = t % 2
-        if np.count_nonzero(F <= -3):   # Gamma(x) < 0 for x < -1 with an even floor
-            sign = sign + ((F <= -3) & (F // 2 % 2 == 0)).sum(axis=0)
-        ln = _ln_prefactor(Zv[5:], Bv[5:], F, [0, *Bv[:5]], scale)
+        ln = _ln_prefactor(Zv[5:], B[5:], F, [0, *B[:5]], scale)
         # every ratio of every entry, last first: base k + b / scale (doubled) at s = terms-2,
         # ..., 0 is the factor k + 2s over 2 for b = 0, else (k + 2s) scale + b over 2 scale
-        bs = [-b % scale for b in Bv[:3]] + [0, *Bv[3:5]]
+        bs = [-b % scale for b in B[:3]] + [0, *B[3:5]]
         steps = tn - t
         cuts = steps.cumsum()
         M = ((_BASES @ shifted).repeat(steps, axis=1)
              + 2 * ((cuts - 1).repeat(steps) - np.arange(cuts[-1]))
-             + np.array([-(b > 0) for b in Bv[:3]] + [2, 2, 2])[:, None])
+             + np.array([-(b > 0) for b in B[:3]] + [2, 2, 2])[:, None])
         big = sum(b > 0 for b in bs[3:]) - sum(b > 0 for b in bs[:3])
         tops = _products(M[:3], bs[:3], scale, scale ** max(big, 0))
         bottoms = _products(M[3:], bs[3:], scale, scale ** max(-big, 0))
         mantissa, e = _horner(tops, bottoms, steps.tolist())
         # + 0.0: terms that cancel exactly give 0.0, not -0.0
-        out[live] = np.where(sign % 2, -1.0, 1.0) * _scale_sums(
+        out[live] = np.where(t % 2, -1.0, 1.0) * _scale_sums(
             np.array(mantissa), np.array(e, dtype=np.int64), ln) + 0.0
     if stop < capped.size:
         _require_terms(int(tmax[stop] - tmin[stop]) + 1)
@@ -259,34 +214,6 @@ def _refuse_entries(bad: np.ndarray, message) -> None:
     if np.count_nonzero(bad):
         i = tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
         raise DomainError(message(i) + (f" at entry {i}" if i else ""))
-
-
-def cg_continued(args: CgArgs) -> float:
-    """Continued SU(2) Clebsch-Gordan coefficient via the terminating Racah sum.
-
-    Reduces to the standard coefficient at (half-)integer arguments. The differences
-    a+b-c, a-alpha, b+beta, c-b+alpha, c-a-beta are formed in floating point, read as
-    integers within _INT_TOL where they decide the pattern and the range of the sum,
-    and exactly in the value. Accuracy: the sum is exact, so the value is within a few
-    lgamma ulps of its prefactor (1e-13 of mpmath on every live pattern tested), ulps that
-    grow with a + b + c (ring_w: 2e-14 at 2^7, 2e-11 at 2^15, 1.3e-9 at 2^19, 0.6 at 2^47).
-    DomainError when the pattern does not terminate (non-integer a+b-c) or would need
-    a square root of a negative Gamma value; NumericError for a sum of more than
-    2^13 terms (specfun._MAX_SUM_TERMS), which would take more than a few seconds, and
-    AccuracyError within that cap for a + b + c past 2^15 (specfun._MAX_CG_ORDER).
-    """
-    if abs(args.gamma - (args.alpha + args.beta)) > _SELECTION_TOL:
-        return 0.0
-    a, b, al, be, c = (float(v) for v in (args.a, args.b, args.alpha, args.beta, args.c))
-    diffs = (a + b - c, a - al, b + be, c - b + al, c - a - be)
-    if all(map(math.isfinite, diffs)):
-        scale, nums = _dyadic(*diffs, *(float(round(v)) if abs(v - round(v)) < _INT_TOL
-                                        else v for v in diffs))
-        value = float(_racah(np.zeros(1, dtype=np.int64), np.zeros((16, 1), dtype=np.int64),
-                             [2 * v for v in nums[5:]], scale, exact=[2 * v for v in nums[:5]]))
-        if not math.isnan(value):
-            return value
-    raise DomainError(f"continued CG sum does not terminate for arguments {args}")
 
 
 def _check_indices(**named) -> tuple[bool, np.ndarray]:
@@ -342,7 +269,7 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     An entry whose sum has more than 2^13 terms (specfun._MAX_SUM_TERMS; from about
     n = 16384 at p = q = n/2) raises NumericError, and one within that cap whose
     a0 + b0 + c0 = n + q + c +- b passes 2^15 (levels from about 2^14) raises
-    AccuracyError: the prefactor's error grows with it (cg_continued).
+    AccuracyError: the prefactor's error grows with it (figures in ring_w).
     """
     is_array, index = _level_indices(n, p, q)
     scale, (sb, c) = _dyadic(*_exponents(params, branch))
@@ -585,6 +512,8 @@ def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarra
     ma = check_abs_int(m, "m")
     if not 0.0 <= delta < math.inf:
         raise DomainError(f"delta must be nonnegative and finite, got {delta}")
+    if not index.size:   # no entry to check, and an int64 N - |m| could overflow
+        return np.zeros(index.shape[1:])
     _refuse_entries((l < ma) | (l > N) | ((N - l) & 1), lambda i: (
         f"need |m| <= l <= N with N - l even, got N={N[i]}, l={l[i]}, m={m}"))
     _refuse_entries((n3 > N - ma) | ((N - ma - n3) & 1), lambda i: (

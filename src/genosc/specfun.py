@@ -47,7 +47,7 @@ __all__ = [
 
 _QUAD_KINDS = ("legendre", "jacobi", "laguerre")
 # A float argument of a terminating sum this near an integer counts as one (hyp2f1_unit,
-# interbasis.cg_continued: the two public float boundaries of the exact sums).
+# the one exact sum that takes float arguments; the Racah sums take exact dyadics).
 _INT_TOL = 1e-9
 
 

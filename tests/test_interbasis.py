@@ -16,8 +16,7 @@ from sympy.physics.quantum.cg import CG as sympy_cg
 import genosc.interbasis as interbasis
 from genosc import spheroidal
 from genosc.errors import AccuracyError, DomainError, NumericError
-from genosc.interbasis import (CgArgs, cg_continued, m_matrix_cyl,
-                               n_matrix_sph, ring_w, w_coefficient,
+from genosc.interbasis import (m_matrix_cyl, n_matrix_sph, ring_w, w_coefficient,
                                w_integral_oracle, w_matrix)
 from genosc.model import (Branch, CylindricalLabel, RingLabel, SphericalLabel,
                           SystemParams, admissible_branches, channel_constants,
@@ -34,103 +33,20 @@ RING0 = SystemParams(omega=1.0, p_strength=0.0, q_strength=0.0, m=1)    # b=1/2,
 BRANCH_CASES = [(BOTH, Branch.Plus), (BOTH, Branch.Minus), (STEEP, Branch.Plus)]
 
 
-def cg(a, b, alpha, beta, c):
-    return cg_continued(CgArgs(a, b, alpha, beta, c, alpha + beta))
-
-
 def half(x):
     return Rational(int(round(2 * x)), 2)
 
 
-# ------------------------------------------------------------ continued CG
-
-def test_cg_frozen_table_values():
-    assert cg(0.5, 0.5, 0.5, -0.5, 1.0) == pytest.approx(1 / math.sqrt(2), rel=1e-14)
-    assert cg(0.5, 0.5, -0.5, 0.5, 0.0) == pytest.approx(-1 / math.sqrt(2), rel=1e-14)
-    assert cg(1.0, 1.0, 0.0, 0.0, 2.0) == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-14)
-    assert cg(1.0, 1.0, 0.0, 0.0, 1.0) == 0.0
-
-
-def test_cg_matches_sympy_at_table_arguments():
-    triples = [(0.5, 0.5, 1.0), (0.5, 0.5, 0.0), (1.0, 0.5, 1.5), (1.0, 0.5, 0.5),
-               (1.0, 1.0, 1.0), (1.5, 1.0, 2.5), (1.5, 1.0, 0.5), (2.0, 1.5, 1.5)]
-    for a, b, c in triples:
-        for ia in range(int(2 * a) + 1):
-            alpha = -a + ia
-            for ib in range(int(2 * b) + 1):
-                beta = -b + ib
-                gamma = alpha + beta
-                if abs(gamma) > c:
-                    continue
-                ref = float(sympy_cg(half(a), half(alpha), half(b), half(beta),
-                                     half(c), half(gamma)).doit())
-                assert cg(a, b, alpha, beta, c) == pytest.approx(
-                    ref, rel=1e-12, abs=1e-13), (a, b, alpha, beta, c)
-
-
-def test_cg_projection_selection_rule():
-    assert cg_continued(CgArgs(1.0, 1.0, 1.0, 0.0, 2.0, 0.0)) == 0.0
-
-
-def test_cg_out_of_range_is_zero():
-    # |gamma| > c and c < |a - b| both hit vanishing prefactor poles
-    assert cg(1.0, 0.5, 1.0, 0.5, 0.5) == 0.0
-    assert cg(2.0, 0.5, 0.0, 0.5, 0.5) == 0.0
-
-
-def test_cg_nonterminating_pattern_rejected():
-    with pytest.raises(DomainError):
-        cg(2.25, 0.75, 1.75, -0.25, 2.25)   # a+b-c not an integer
-
-
 def w_args(n, p, q, c, sb):
+    """(a0, b0, alpha, beta, c0) of W_np^q = (-1)^(n-q) (a0 b0 alpha beta | c0 alpha+beta)."""
     a0 = 0.5 * (n + sb)
     b0 = 0.5 * (n + c)
     return a0, b0, p - 0.5 * (n - sb), 0.5 * (n + c) - p, q + 0.5 * (c + sb)
 
 
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(1, 5), p=st.integers(0, 5), q=st.integers(0, 5),
-       cc=st.floats(0.3, 3.5), sb=st.floats(-0.45, 1.45))
-def test_cg_three_term_recursion_at_continued_arguments(n, p, q, cc, sb):
-    p, q = min(p, n), min(q, n)
-    a, b, alpha, beta, c = w_args(n, p, q, cc, sb)
-    lhs = (-a * (a + 1) - b * (b + 1) + c * (c + 1) - 2 * alpha * beta) \
-        * cg(a, b, alpha, beta, c)
-    # radicals vanish exactly at p = 0 / p = n, where the shifted pattern
-    # leaves the computable family; skip those terms instead of evaluating
-    r1 = (a + alpha) * (a - alpha + 1) * (b - beta) * (b + beta + 1)
-    r2 = (a - alpha) * (a + alpha + 1) * (b + beta) * (b - beta + 1)
-    rhs = 0.0
-    if r1 > 0.0:
-        rhs += math.sqrt(r1) * cg(a, b, alpha - 1, beta + 1, c)
-    if r2 > 0.0:
-        rhs += math.sqrt(r2) * cg(a, b, alpha + 1, beta - 1, c)
-    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
-
-
-def test_cg_is_continuous_at_near_integer_arguments():
-    # c-b+alpha is -1 + sb here: read as an integer for the range of the sum, but the
-    # value must follow the arguments, not jump to the sb = 0 value (O(sb) off)
-    for sb in (7.683401877014908e-10, -5e-10, 1e-12):
-        a, b, alpha, beta, c = w_args(1, 0, 0, 1.0, sb)
-        for shift in (0, 1):
-            args = (a, b, alpha + shift, beta - shift, c)
-            assert cg(*args) == pytest.approx(float(racah_sum_mpmath(*args)),
-                                              rel=1e-13, abs=1e-15), (sb, shift)
-
-
-def test_cg_symmetries_at_continued_arguments():
-    for args in [(1.65, 2.0, -0.35, 1.0, 1.65), (2.15, 1.5, 0.65, 0.5, 2.65),
-                 (1.25, 2.0, 0.75, -1.0, 1.25)]:
-        a, b, alpha, beta, c = args
-        val = cg(*args)
-        phase = (-1.0) ** round(a + b - c)
-        assert cg(a, b, -alpha, -beta, c) == pytest.approx(phase * val, abs=1e-13)
-        assert cg(b, a, beta, alpha, c) == pytest.approx(phase * val, abs=1e-13)
-        regge = cg((a + b + alpha + beta) / 2, (a + b - alpha - beta) / 2,
-                   (a - b + alpha - beta) / 2, (a - b - alpha + beta) / 2, c)
-        assert regge == pytest.approx(val, abs=1e-13)
+def signed_b_and_c(params, branch):
+    b, c, _ = channel_constants(params)
+    return branch.sign * b, c
 
 
 def racah_sum_mpmath(a, b, alpha, beta, c):
@@ -148,15 +64,108 @@ def racah_sum_mpmath(a, b, alpha, beta, c):
     return float(mpmath.sqrt(pref) * total)
 
 
-def test_cg_negative_gamma_arguments_against_mpmath():
-    # a - alpha and b + beta are not integers here, so the later terms carry
-    # 1/Gamma at negative non-integer arguments, whose sign alternates
+def w_mpmath(n, p, q, params, branch):
+    """W_np^q as a Racah sum in mpmath, its arguments formed exactly."""
+    sb, c = signed_b_and_c(params, branch)
+    return (-1) ** (n - q) * racah_sum_mpmath(*w_args(n, p, q, mpmath.mpf(c), mpmath.mpf(sb)))
+
+
+def ring_w_mpmath(N, m, n3, l, delta):
+    """ring_w's entry as a Racah sum in mpmath, its arguments formed exactly."""
+    ma, d = abs(m), mpmath.mpf(delta)
+    return racah_sum_mpmath(mpmath.mpf(N + ma) / 4 + d / 2, mpmath.mpf(N - ma - 1) / 4,
+                            mpmath.mpf(N + ma - 2 * n3) / 4 + d / 2,
+                            mpmath.mpf(2 * n3 - N + ma - 1) / 4, mpmath.mpf(2 * l - 1) / 4 + d / 2)
+
+
+# P = 3/4 and Q = 0 give b = 1 and c = |m|: every W argument is then a (half-)integer and
+# W_np^q is a standard Clebsch-Gordan coefficient
+HALF_INT = SystemParams(omega=1.0, p_strength=0.75, q_strength=0.0, m=0)
+
+# ------------------------------------------------------------ continued CG
+
+
+def test_cg_frozen_table_values():
+    # n = 1: (1 p; 1/2 1/2-p | q+1/2 1/2) up to (-1)^(1-q)
+    table = w_coefficient(1, np.array([[0], [1]]), np.array([0, 1]), HALF_INT, Branch.Plus)
+    np.testing.assert_allclose(table, [[math.sqrt(1 / 3), math.sqrt(2 / 3)],
+                                       [-math.sqrt(2 / 3), math.sqrt(1 / 3)]], rtol=1e-14)
+    # (2 1; 3/2 -1/2 | 3/2 1/2) = 0: two terms that cancel exactly give 0.0, not -0.0
+    assert np.float64(w_coefficient(3, 2, 1, HALF_INT, Branch.Plus)).tobytes() \
+        == np.float64(0.0).tobytes()
+
+
+def test_cg_matches_sympy_at_table_arguments():
+    for m in range(4):
+        params = SystemParams(omega=1.0, p_strength=0.75, q_strength=0.0, m=m)
+        sb, c = signed_b_and_c(params, Branch.Plus)
+        assert (sb, c) == (1.0, m)
+        for n in range(7):
+            k = np.arange(n + 1)
+            table = w_coefficient(n, k[:, None], k, params, Branch.Plus)
+            for p in range(n + 1):
+                for q in range(n + 1):
+                    a, b, alpha, beta, c0 = w_args(n, p, q, c, sb)
+                    ref = (-1) ** (n - q) * float(sympy_cg(
+                        half(a), half(alpha), half(b), half(beta), half(c0),
+                        half(alpha + beta)).doit())
+                    assert table[p, q] == pytest.approx(ref, rel=1e-12, abs=1e-13), (m, n, p, q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 5), p=st.integers(0, 5), q=st.integers(0, 5),
+       cc=st.floats(0.3, 3.5), sb=st.floats(-0.45, 1.45))
+def test_cg_three_term_recursion_at_continued_arguments(n, p, q, cc, sb):
+    # the CG recursion in alpha at fixed a, b, c, gamma is W's in p at fixed n, q
+    # (alpha -+ 1 is p -+ 1), and the sign (-1)^(n-q) is common to its three terms
+    p, q = min(p, n), min(q, n)
+    # |b| below 5.3e-9 reads as the least P, b = 5.3e-9
+    params = SystemParams(omega=1.0, p_strength=max(sb * sb - 0.25, math.nextafter(-0.25, 0.0)),
+                          q_strength=cc * cc, m=0)
+    branch = Branch.Plus if sb >= 0.0 else Branch.Minus
+    sb, cc = signed_b_and_c(params, branch)
+    a, b, alpha, beta, c = w_args(n, p, q, cc, sb)
+    lhs = (-a * (a + 1) - b * (b + 1) + c * (c + 1) - 2 * alpha * beta) \
+        * w_coefficient(n, p, q, params, branch)
+    # (a + alpha)(a - alpha + 1)(b - beta)(b + beta + 1) and (a - alpha)(a + alpha + 1)
+    # (b + beta)(b - beta + 1) in p: they vanish at p = 0 and p = n, where p -+ 1 leaves the level
+    rhs = 0.0
+    if p > 0:
+        rhs += math.sqrt((p + sb) * (n - p + 1) * p * (n + cc - p + 1)) \
+            * w_coefficient(n, p - 1, q, params, branch)
+    if p < n:
+        rhs += math.sqrt((n - p) * (p + sb + 1) * (n + cc - p) * (p + 1)) \
+            * w_coefficient(n, p + 1, q, params, branch)
+    assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def test_cg_is_continuous_at_near_integer_arguments():
+    # at the least P, b = 5.3e-9: c-b+alpha = p+q-n +- b is that near an integer, and the
+    # value must follow b, not jump to the b = 0 value (O(b) off)
+    params = SystemParams(omega=1.0, p_strength=math.nextafter(-0.25, 0.0), q_strength=0.0, m=1)
     with mpmath.workdps(30):
-        for args in [(1.3, 2.1, 1.0, -0.6, 0.4), (1.3, 2.1, 0.7, -0.2, 1.4),
-                     (2.45, 1.8, 1.2, -0.9, 1.25)]:
-            ref = racah_sum_mpmath(*args)
-            assert abs(ref) > 1e-3
-            assert cg(*args) == pytest.approx(ref, rel=1e-12), args
+        for branch in (Branch.Plus, Branch.Minus):
+            for n in (1, 2):
+                for p in range(n + 1):
+                    for q in range(n + 1):
+                        assert w_coefficient(n, p, q, params, branch) == pytest.approx(
+                            w_mpmath(n, p, q, params, branch), rel=1e-13, abs=1e-15), \
+                            (branch, n, p, q)
+
+
+def test_cg_symmetries_at_continued_arguments():
+    # (a alpha b beta | c gamma) = (-1)^(a+b-c) (b beta a alpha | c gamma): exchanging
+    # a0 <-> b0 is exchanging b <-> c with p -> n - p, so
+    # W_np^q(b, c) = (-1)^(n-q) W_n(n-p)^q(c, b) on the Plus branch
+    for b, c in ((0.3, 1.65), (1.5, 2.15), (2.0, 0.75), (0.0625, 3.5)):
+        params = SystemParams(omega=1.0, p_strength=b * b - 0.25, q_strength=c * c, m=0)
+        swapped = SystemParams(omega=1.0, p_strength=c * c - 0.25, q_strength=b * b, m=0)
+        for n in range(6):
+            k = np.arange(n + 1)
+            table = w_coefficient(n, k[:, None], k, params, Branch.Plus)
+            other = w_coefficient(n, k[::-1, None], k, swapped, Branch.Plus)
+            np.testing.assert_allclose(table, np.where((n - k) % 2, -1.0, 1.0) * other,
+                                       rtol=0.0, atol=1e-13, err_msg=f"{b} {c} {n}")
 
 
 # ------------------------------------------------- the exact Racah sum
@@ -286,34 +295,37 @@ def test_w_coefficient_rows_match_w_matrix_at_high_levels(n, tol):
                                    rtol=0.0, atol=tol, err_msg=f"n={n} {params} {branch}")
 
 
-# every refusal rule of the sum, live continued entries and entries whose
-# terms all hit poles, as (a, b, alpha, beta, c)
-CG_PATTERNS = [
-    (0.5, 0.5, 0.5, -0.5, 1.0), (1.5, 1.0, 0.5, -1.0, 2.5), (2.0, 1.5, -1.0, 0.5, 1.5),
-    (1.3, 2.1, 1.0, -0.6, 0.4), (1.3, 2.1, 0.7, -0.2, 1.4), (2.45, 1.8, 1.2, -0.9, 1.25),
-    (1.65, 2.0, -0.35, 1.0, 1.65), (2.15, 1.5, 0.65, 0.5, 2.65), (1.25, 2.0, 0.75, -1.0, 1.25),
-    (2.25, 0.75, 1.75, -0.25, 2.25),   # a+b-c not an integer: refused
-    (0.5, 0.5, 0.5, 0.5, 2.0),         # a+b-c < 0: zero
-    (0.5, 0.5, 0.0, 0.0, -1.0),        # 2c+1 <= 0: refused
-    (1.0, 0.5, 1.0, 0.5, 0.5),         # prefactor pole at an integer: zero
-    (1.25, 0.75, -2.75, 0.0, 2.0),     # prefactor argument -0.5: refused
-    (2.0, 0.5, 0.0, 0.5, 0.5),
-]
-CG_REFUSED = {9, 11, 13}
-CG_ZERO = {2, 10, 12, 14}   # (2.0, 1.5, -1.0, 0.5, 1.5): two terms that cancel exactly
+# The corners where a W or ring pattern comes closest to a pole of the sum: a prefactor
+# Gamma argument, a+b+c or 2c at 1/2 (the Minus branch at P = 0 and q = 0, with c = 0 too;
+# ring entries at n3 = 0, and at l = |m| = 0, with delta = 0 or 5e-324), and W and ring
+# entries at large Gamma arguments, whose lgamma ulps the tolerance follows (3.3e-12 off at
+# Q = 1e6, 2.3e-12 at delta = 1e3)
+W_CORNERS = [
+    (SystemParams(omega=1.0, p_strength=0.0, q_strength=0.0, m=0), Branch.Minus, 1e-14),
+    (SystemParams(omega=1.0, p_strength=0.0, q_strength=0.0, m=1), Branch.Minus, 1e-14),
+    (SystemParams(omega=1.0, p_strength=0.0, q_strength=2.5, m=0), Branch.Minus, 1e-14),
+    (SystemParams(omega=1.0, p_strength=0.7, q_strength=1e6, m=1), Branch.Plus, 1e-11),
+    (SystemParams(omega=1.0, p_strength=0.0, q_strength=1e6, m=0), Branch.Minus, 1e-11)]
 
 
-def test_cg_patterns_keep_their_status_and_match_mpmath():
+def test_racah_corner_patterns_match_mpmath():
     with mpmath.workdps(30):
-        for i, args in enumerate(CG_PATTERNS):
-            if i in CG_REFUSED:
-                with pytest.raises(DomainError, match="does not terminate"):
-                    cg(*args)
-            elif i in CG_ZERO:
-                assert np.float64(cg(*args)).tobytes() == np.float64(0.0).tobytes(), args
-            else:
-                assert cg(*args) == pytest.approx(racah_sum_mpmath(*args), rel=0.0,
-                                                  abs=1e-13), args
+        for params, branch, tol in W_CORNERS:
+            for n in (0, 1, 2, 5, 12):
+                k = np.arange(n + 1)
+                q = k if params.q_strength == 1e6 else k[:1]
+                table = w_coefficient(n, k[:, None], q, params, branch)
+                ref = [[w_mpmath(n, p, j, params, branch) for j in q] for p in k]
+                np.testing.assert_allclose(table, ref, rtol=tol, atol=tol,
+                                           err_msg=f"{params} {branch} n={n}")
+        for delta, tol in ((0.0, 1e-14), (5e-324, 1e-14), (1e3, 1e-11)):
+            for m, N in ((0, 0), (0, 2), (0, 6), (0, 14), (1, 1), (1, 3), (1, 13)):
+                # n3 = 0 against every l, and l = |m| = 0 against every n3
+                entries = [(0, l) for l in range(m, N + 1, 2)]
+                entries += [(n3, 0) for n3 in range(2, N + 1, 2)] if m == 0 else []
+                for n3, l in entries:
+                    assert ring_w(N, m, n3, l, delta) == pytest.approx(
+                        ring_w_mpmath(N, m, n3, l, delta), rel=tol, abs=tol), (delta, N, m, n3, l)
 
 
 # ------------------------------------------------------------ W matrices
@@ -657,6 +669,9 @@ def test_ring_w_validation():
     # integer-valued floats are indices; an empty array gives an empty table
     assert ring_w(4.0, 1, n3.astype(float), l, 0.7).tobytes() == ring_w(4, 1, n3, l, 0.7).tobytes()
     assert ring_w(4, 1, np.array([], dtype=int), 2, 0.7).shape == (0,)
+    # also at |m| past int64, which once overflowed forming N - |m| (OverflowError)
+    empty = ring_w(np.array([], dtype=int), 10 ** 30, 0, 1, 0.2)
+    assert empty.shape == (0,) and empty.dtype == np.float64
     with pytest.raises(DomainError, match=r"got n=2, p=3, q=0 at entry \(1,\)"):
         w_coefficient(2, np.array([1, 3]), 0, BOTH, Branch.Plus)
     with pytest.raises(DomainError, match=r"q must be a nonnegative integer, got -1"):

@@ -16,7 +16,7 @@ from scipy.special import roots_genlaguerre, roots_jacobi
 
 from genosc import specfun as sf
 from genosc.errors import AccuracyError, DomainError, NumericError
-from genosc.interbasis import CgArgs, cg_continued, w_coefficient
+from genosc.interbasis import w_coefficient
 from genosc.model import Branch, SystemParams
 from genosc.oracles import GramFamily, gram_matrix, reciprocal_gamma
 
@@ -626,11 +626,10 @@ def test_hyp2f1_unit_terminating_sum_is_correctly_rounded():
 
 
 def test_exact_sums_refuse_more_terms_than_the_cap():
-    # sums of 1e300, 1e7 and about 2^61 terms ran until killed; each is refused at once
+    # sums of 1e7 and about 2^61 terms ran until killed; each is refused at once
     big = 2 ** 62 - 4
     params = SystemParams(1.3, 0.7, 1.1, 1)
-    for call in (lambda: cg_continued(CgArgs(1e300, 1e300, 0.0, 0.0, 1e300, 0.0)),
-                 lambda: sf.hyp2f1_unit(-1e7, 2.5, 3.5),
+    for call in (lambda: sf.hyp2f1_unit(-1e7, 2.5, 3.5),
                  lambda: w_coefficient(big, big // 2, big // 2, params, Branch.Plus)):
         start = time.perf_counter()
         with pytest.raises(NumericError, match=f"more than {sf._MAX_SUM_TERMS} terms"):
