@@ -34,7 +34,7 @@ from .morse import (MorseParams, _wavefunctions, bound_state_count, morse_norms,
                     morse_spectrum, normalizable_levels)
 from .oracles import SUITE_MANIFEST, run_verification_suite
 from .perturbation import SERIES_MAX_ORDER, _check_order, large_r_series, small_r_series
-from .spheroidal import (Kind, build_tridiag_t, eigensolve, lambda_grid,
+from .spheroidal import (Kind, TridiagonalSystem, _t_bands, eigensolve, lambda_grid,
                          t_coefficients, u_coefficients)
 
 __all__ = ["JobConfig", "main", "entry"]
@@ -304,13 +304,20 @@ def cmd_perturb(cfg: JobConfig) -> tuple[list[Section], int]:
     n, k, omega = cfg.n, cfg.k, cfg.params.omega
     small = small_r_series(n, k, cfg.params, cfg.branch, order=cfg.order)
     large = large_r_series(n, k, cfg.params, cfg.branch, order=cfg.order)
+    # the four probe systems' bands in one stacked build, the same products
+    # build_tridiag_t forms at each radius: one read-only row per probe
+    radii = _SMALL_PROBES + _LARGE_PROBES
+    diags, offs = _t_bands(n, cfg.params, cfg.branch, Kind.Prolate, np.array(radii))
+    diags.flags.writeable = False
+    offs.flags.writeable = False
+    systems = {radius: TridiagonalSystem(diag, off, "spherical", Kind.Prolate, radius)
+               for radius, diag, off in zip(radii, diags, offs)}
     rows, orders = [], []
     for regime, series, probes in (("small", small, _SMALL_PROBES),
                                    ("large", large, _LARGE_PROBES)):
         errs, xs = [], []
         for radius in probes:
-            exact = eigensolve(build_tridiag_t(n, cfg.params, cfg.branch,
-                                               radius, Kind.Prolate)).lam[k]
+            exact = eigensolve(systems[radius]).lam[k]
             approx = series.eigenvalue(radius)
             # extreme omega overflows here; the non-finite cells fail at rendering
             with np.errstate(all="ignore"):
@@ -411,9 +418,9 @@ def _csv_section(rows: tuple[tuple, ...]) -> str | None:
         if issubclass(kind, (int, np.integer)):   # bool too: True -> 1
             codes.append("%d")
         elif issubclass(kind, (float, np.floating)):
-            # the sum is non-finite if a cell is; one that overflows only costs
-            # the cell-by-cell path
-            if not math.isfinite(sum(column)):
+            # cell by cell: a sum of numpy floats near the maximum overflows
+            # with a RuntimeWarning
+            if not all(map(math.isfinite, column)):
                 return None
             codes.append("%.17g")
         elif issubclass(kind, str):

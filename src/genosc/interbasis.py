@@ -261,11 +261,14 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     a0 = (n +- b)/2, b0 = (n + c)/2, c0 = q + (c +- b)/2,
     alpha = p - (n -+ b)/2, beta = (n + c)/2 - p. The 1x1 level gives +1.
     n, p and q may be integer arrays that broadcast; the result is then an
-    array of their shape, else a float. Accuracy: only the lgamma prefactor of the
-    exact sum rounds, so a table is within 1e-13 of w_matrix at n = 60 and 1e-12
-    at n = 200, on both branches. Time: one numpy set-up per call (about 0.15 ms on one
-    x86-64 core), then an integer Horner of about n/3 steps an entry; a whole table takes
-    about 2-4 ms at n = 30 and 12-30 ms at n = 60.
+    array of their shape, else a float. An exactly zero entry is +0.0. Accuracy: only
+    the lgamma prefactor of the exact sum rounds, so the error grows with c, whose
+    ulps at a0 + b0 + c0 set it: at c <= 10 a table is within 1e-13 of w_matrix at
+    n = 60 and 1e-12 at n = 200, on both branches, while at Q = 1e6 (c ~ 1000)
+    tables at n = 12-60 are 1.2-2.7e-12 off it, and at Q = 1e8 (c ~ 1e4) 2.4e-11.
+    Time: one numpy set-up per call (about 0.15 ms on one x86-64 core), then an
+    integer Horner of about n/3 steps an entry; a whole table takes about 2-4 ms at
+    n = 30 and 12-30 ms at n = 60.
     An entry whose sum has more than 2^13 terms (specfun._MAX_SUM_TERMS; from about
     n = 16384 at p = q = n/2) raises NumericError, and one within that cap whose
     a0 + b0 + c0 = n + q + c +- b passes 2^15 (levels from about 2^14) raises
@@ -274,7 +277,8 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     is_array, index = _level_indices(n, p, q)
     scale, (sb, c) = _dyadic(*_exponents(params, branch))
     val = _racah(index, _W_SUMS, (0, 0, 2 * c, 2 * sb, 0), scale)
-    val = np.where((index[0] - index[2]) % 2, -1.0, 1.0) * val
+    # + 0.0 turns the -0.0 of an exactly zero entry at odd n - q into +0.0
+    val = np.where((index[0] - index[2]) % 2, -1.0, 1.0) * val + 0.0
     return val if is_array else float(val)
 
 

@@ -89,58 +89,72 @@ def _check_order(order: int) -> int:
     return order
 
 
-def _column_sums(block: np.ndarray, what: str) -> np.ndarray:
-    """Exactly rounded sum of each column of a block of finite products."""
+def _column_sums(block: np.ndarray, what: str) -> list[float]:
+    """Exactly rounded sum of each column of a block of finite products.
+
+    A sum of finite products is finite or raises OverflowError, and math.fsum
+    never makes a finite sum of an infinite or NaN term, so the block itself is
+    looked at only when a sum fails: a non-finite product is reported before an
+    overflowed sum, wherever in the block either sits."""
+    try:
+        sums = list(map(math.fsum, block.T.tolist()))
+        if all(map(math.isfinite, sums)):
+            return sums
+    except (OverflowError, ValueError):   # ValueError: fsum of +inf beside -inf
+        pass
     if not np.isfinite(block).all():
         raise NumericError(f"non-finite product in {what}")
-    try:
-        return np.array([math.fsum(col) for col in block.T.tolist()])
-    except OverflowError as exc:
-        raise NumericError(f"sum overflows in {what}") from exc
+    raise NumericError(f"sum overflows in {what}")
 
 
-def _recursion_tables(diag: np.ndarray, off: np.ndarray, denom: np.ndarray, k: int,
+def _recursion_tables(diag: np.ndarray, off: np.ndarray, denom: list[float], k: int,
                       order: int, regime: Regime) -> tuple[tuple[float, ...], np.ndarray]:
     # The coupling is the symmetric tridiagonal matrix with bands diag/off, so
     # component q of coupling @ (previous row) has at most three nonzero
     # products.  Component k stays pinned at every order, so lambda^{(j)} is
     # its k-th component.  math.fsum is exactly rounded and skips zero terms,
     # so every coefficient is the correctly rounded sum of its products,
-    # whatever the summation order.
-    size = denom.size
-    others = np.arange(size) != k
-    resonant = np.flatnonzero(others & (np.abs(denom) < _RESONANCE_TOL))
-    if resonant.size:
+    # whatever the summation order.  Each table row carries a zero on either
+    # side, so the previous row's three shifts are one strided window and its
+    # band products one multiply.  The new row is formed in Python floats, the
+    # same IEEE operations numpy would do.
+    size = len(denom)
+    denom = list(denom)
+    resonant = [q for q, d in enumerate(denom) if q != k and abs(d) < _RESONANCE_TOL]
+    if resonant:
         raise NumericError(f"resonant denominator at order 1, component {resonant[0]}")
-    denom = np.where(others, denom, 1.0)
+    denom[k] = 1.0
     bands = np.zeros((3, size))   # bands[:, q] couples q to q-1, q, q+1
     bands[0, 1:] = off
     bands[1] = diag
     bands[2, :-1] = off
     if not np.isfinite(bands).all():
         raise NumericError(f"non-finite coupling in the {regime.value}-R series")
-    table = np.zeros((order + 1, size))
-    table[0, k] = 1.0
-    lams = np.zeros(order)
-    terms = np.zeros((3, size))
+    padded = np.zeros((order + 1, size + 2))
+    padded[0, k + 1] = 1.0
+    table = padded[:, 1:-1]
+    # shifted[j, i] = padded[j, i:i + size]: row j shifted right, as is and left
+    shifted = np.ndarray((order + 1, 3, size), buffer=padded,
+                         strides=(padded.strides[0], padded.itemsize, padded.itemsize))
+    reversed_lams = np.zeros((order, 1))   # lambda^{(j)} at row order - j
+    terms = np.empty((3, size))
+    shift_terms = np.empty((order - 1, size))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, order + 1):
             what = f"the {regime.value}-R series at order {j}"
-            prev = table[j - 1]
-            np.multiply(bands[0, 1:], prev[:-1], out=terms[0, 1:])
-            np.multiply(bands[1], prev, out=terms[1])
-            np.multiply(bands[2, :-1], prev[1:], out=terms[2, :-1])
-            w = _column_sums(terms, what)
-            lams[j - 1] = w[k]
+            w = _column_sums(np.multiply(bands, shifted[j - 1], out=terms), what)
             # sum_{t=1}^{j-1} lambda^{(j-t)} T[t, q], one column per q
-            shift = _column_sums(lams[:j - 1][::-1, None] * table[1:j], what)
-            row = (w - shift) / denom
+            shift = _column_sums(np.multiply(reversed_lams[order + 1 - j:], table[1:j],
+                                             out=shift_terms[:j - 1]), what)
+            row = [(wq - sq) / dq for wq, sq, dq in zip(w, shift, denom)]
             row[k] = 0.0
-            if not np.isfinite(row).all():
+            if not all(map(math.isfinite, row)):
                 raise NumericError(f"non-finite table entry in {what}")
             table[j] = row
+            reversed_lams[order - j] = w[k]
+    table = np.ascontiguousarray(table)
     table.flags.writeable = False
-    return tuple(lams.tolist()), table
+    return tuple(reversed_lams[::-1, 0].tolist()), table
 
 
 def _series(regime: Regime, n: int, k: int, params: SystemParams, branch: Branch,
@@ -154,16 +168,16 @@ def _series(regime: Regime, n: int, k: int, params: SystemParams, branch: Branch
     beta, c = _exponents(params, branch)
     if regime is Regime.SmallR:
         diag, off = _n_bands(n, params, branch)
-        q, gamma = np.arange(n + 1), c + beta
+        gamma = c + beta
         with np.errstate(over="ignore", invalid="ignore"):
             diag, off = diag / (2.0 * params.omega), off / (2.0 * params.omega)
-            denom = 4.0 * (k - q) * (k + q + gamma + 1.0)
+        denom = [4.0 * (k - q) * (k + q + gamma + 1.0) for q in range(n + 1)]
         leading = _a_q(k, params, branch)
     else:
         diag, off = _m_bands(n, params, branch)
         with np.errstate(over="ignore"):
             diag, off = 2.0 * diag, 2.0 * off
-        denom = k - np.arange(n + 1.0)
+        denom = [float(k - p) for p in range(n + 1)]
         leading = _e_z(k, params, branch) / (2.0 * params.omega)
     lams, table = _recursion_tables(diag, off, denom, k, order, regime)
     return SeriesExpansion(regime, n, k, order, leading, params.omega, lams, table)

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -20,8 +21,8 @@ import genosc
 from genosc import cli, interbasis, specfun, spheroidal
 from genosc.cli import main
 from genosc.errors import NumericError
-from genosc.model import (Branch, SystemParams, energy_cylindrical_parts, energy_level,
-                          separation_constant_A)
+from genosc.model import (Branch, SystemParams, admissible_branches,
+                          energy_cylindrical_parts, energy_level, separation_constant_A)
 from genosc.morse import MorseParams, bound_state_count
 from genosc.oracles import SUITE_MANIFEST
 
@@ -202,6 +203,52 @@ def test_perturb_reports_expected_orders():
     orders = dict(json.loads(out)["data"]["orders"]["rows"])
     assert orders["small"] == pytest.approx(3.0, abs=0.3)
     assert orders["large"] == pytest.approx(-3.0, abs=0.3)
+
+
+def test_perturb_exact_column_is_each_probe_systems_eigenvalue():
+    # the four probe systems' bands come from one stacked build; every exact cell is
+    # still eigensolve(build_tridiag_t(...)).lam[k] at its radius, bit for bit
+    rng = random.Random(37)
+    checked = 0
+    for _ in range(12):
+        params = SystemParams(omega=10.0 ** rng.uniform(-1.0, 1.0),
+                              p_strength=rng.choice((rng.uniform(-0.25, 0.0),
+                                                     rng.uniform(0.0, 3.0))),
+                              q_strength=rng.choice((0.0, rng.uniform(0.0, 3.0))),
+                              m=rng.randint(0, 3))
+        n = rng.randint(0, 14)
+        for branch in admissible_branches(params):
+            for k in range(n + 1):
+                code, out, _ = run_cli(
+                    ["perturb", f"--omega={params.omega!r}", f"--P={params.p_strength!r}",
+                     f"--Q={params.q_strength!r}", f"--m={params.m}",
+                     f"--branch={branch.name.lower()}", f"--n={n}", f"--k={k}",
+                     "--format=json"])
+                assert code == 0
+                rows = json.loads(out)["data"]["comparison"]["rows"]
+                assert [row[1] for row in rows] == [*cli._SMALL_PROBES, *cli._LARGE_PROBES]
+                for _, R, _, exact, *_ in rows:
+                    system = spheroidal.build_tridiag_t(n, params, branch, R,
+                                                        spheroidal.Kind.Prolate)
+                    assert exact.hex() == spheroidal.eigensolve(system).lam[k].hex()
+                checked += branch is Branch.Minus
+    assert checked >= 10
+
+
+def test_perturb_builds_each_series_once_and_solves_each_probe(monkeypatch):
+    calls = {}
+
+    def counting(name):
+        fn = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, **kw: calls.setdefault(name, []).append(a)
+                            or fn(*a, **kw))
+
+    for name in ("small_r_series", "large_r_series", "_t_bands", "eigensolve"):
+        counting(name)
+    code, out, _ = run_cli(["perturb", *BOTH_FLAGS, "--n", "5", "--k", "2", "--order", "4"])
+    assert (code, bool(out)) == (0, True)
+    assert {name: len(args) for name, args in calls.items()} == {
+        "small_r_series": 1, "large_r_series": 1, "_t_bands": 1, "eigensolve": 4}
 
 
 def test_perturb_overflow_exits_4_without_traceback_or_warning():

@@ -267,6 +267,24 @@ def test_w_coefficient_scalars_read_their_table_entries(n, params, branch):
                               table_picks(len(rows), n + 1, n))
 
 
+def test_w_coefficient_exact_zeros_are_positive():
+    # the P = 3/4 tables at m <= 3, n <= 8 hold 27 exact zeros; the 16 at odd n - q
+    # took the (-1)^(n-q) sign as -0.0
+    zeros = []
+    for m in range(4):
+        params = SystemParams(omega=1.0, p_strength=0.75, q_strength=0.0, m=m)
+        for branch in admissible_branches(params):
+            for n in range(9):
+                k = np.arange(n + 1)
+                table = w_coefficient(n, k[:, None], k, params, branch)
+                zeros += [(n, int(p), int(q), table[p, q], params, branch)
+                          for p, q in zip(*np.nonzero(table == 0.0))]
+    assert len(zeros) == 27 and sum((n - q) % 2 for n, _, q, *_ in zeros) == 16
+    for n, p, q, entry, params, branch in zeros:
+        assert math.copysign(1.0, entry) == 1.0
+        assert math.copysign(1.0, w_coefficient(n, p, q, params, branch)) == 1.0
+
+
 @pytest.mark.parametrize("n, params, branch, delta", [
     (30, RING, Branch.Plus, None), (30, RING0, Branch.Minus, None),
     (60, SystemParams(omega=1.0, p_strength=0.0, q_strength=2.24, m=1), Branch.Plus, None),

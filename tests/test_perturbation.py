@@ -312,6 +312,106 @@ def test_banded_recursion_matches_dense_reference_bit_for_bit():
     assert checked >= 10
 
 
+def row_at_a_time_recursion(diag, off, denom, k, order, regime):
+    """The banded loop with one numpy row per order, as it stood before the
+    per-order products moved into preallocated blocks: the reference for which
+    NumericError a series raises, and at which order."""
+    def column_sums(block, what):
+        if not np.isfinite(block).all():
+            raise NumericError(f"non-finite product in {what}")
+        try:
+            return np.array([math.fsum(col) for col in block.T.tolist()])
+        except OverflowError as exc:
+            raise NumericError(f"sum overflows in {what}") from exc
+
+    denom = np.array(denom)
+    size = denom.size
+    others = np.arange(size) != k
+    resonant = np.flatnonzero(others & (np.abs(denom) < perturbation._RESONANCE_TOL))
+    if resonant.size:
+        raise NumericError(f"resonant denominator at order 1, component {resonant[0]}")
+    denom = np.where(others, denom, 1.0)
+    bands = np.zeros((3, size))
+    bands[0, 1:] = off
+    bands[1] = diag
+    bands[2, :-1] = off
+    if not np.isfinite(bands).all():
+        raise NumericError(f"non-finite coupling in the {regime.value}-R series")
+    table = np.zeros((order + 1, size))
+    table[0, k] = 1.0
+    lams = np.zeros(order)
+    terms = np.zeros((3, size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(1, order + 1):
+            what = f"the {regime.value}-R series at order {j}"
+            prev = table[j - 1]
+            np.multiply(bands[0, 1:], prev[:-1], out=terms[0, 1:])
+            np.multiply(bands[1], prev, out=terms[1])
+            np.multiply(bands[2, :-1], prev[1:], out=terms[2, :-1])
+            w = column_sums(terms, what)
+            lams[j - 1] = w[k]
+            shift = column_sums(lams[:j - 1][::-1, None] * table[1:j], what)
+            row = (w - shift) / denom
+            row[k] = 0.0
+            if not np.isfinite(row).all():
+                raise NumericError(f"non-finite table entry in {what}")
+            table[j] = row
+    return tuple(lams.tolist()), table
+
+
+def test_recursion_errors_match_the_row_at_a_time_loop(monkeypatch):
+    # series at the order cap, most of them overflowing below it: the same
+    # coefficients, or the same NumericError text (its order included)
+    class Captured(Exception):
+        pass
+
+    def capture(*args):
+        raise Captured(args)
+
+    def outcome(recursion, args):
+        try:
+            lams, table = recursion(*args)
+        except NumericError as exc:
+            return str(exc)
+        return lams, table.tobytes()
+
+    recursion = perturbation._recursion_tables
+    monkeypatch.setattr(perturbation, "_recursion_tables", capture)
+    rng = random.Random(37)
+    cases = [(large_r_series, 40, 1, SystemParams(1.0, 0.0, 0.0, 0), Branch.Plus)]
+    for _ in range(100):
+        params = SystemParams(omega=10.0 ** rng.uniform(-150.0, 150.0),
+                              p_strength=rng.choice((rng.uniform(-0.25, 0.0),
+                                                     10.0 ** rng.uniform(-3.0, 6.0))),
+                              q_strength=rng.choice((0.0, 10.0 ** rng.uniform(-3.0, 6.0))),
+                              m=rng.randint(0, 5))
+        n = rng.randint(1, 60)
+        # the small-R coefficients stay finite at the cap over these ranges
+        maker = rng.choice((small_r_series, large_r_series, large_r_series, large_r_series))
+        cases.append((maker, n, rng.randint(0, n), params,
+                      rng.choice(admissible_branches(params))))
+    # and past the sampled paths: an overflowed table entry, a resonance, a
+    # non-finite coupling
+    crafted = [(np.array([1.0, 1.0]), np.array([1e300]), [0.0, 1e-11], 0, 3, Regime.SmallR),
+               (np.array([1.0, 1.0]), np.array([1.0]), [0.0, 1e-13], 0, 3, Regime.SmallR),
+               (np.array([1.0, np.inf]), np.array([1.0]), [1.0, 0.0], 1, 3, Regime.LargeR)]
+    for maker, n, k, params, branch in cases:
+        with pytest.raises(Captured) as captured:
+            maker(n, k, params, branch, order=SERIES_MAX_ORDER)
+        crafted.append(captured.value.args[0])
+    texts = []
+    for args in crafted:
+        got = outcome(recursion, args)
+        assert got == outcome(row_at_a_time_recursion, args)
+        if isinstance(got, str):
+            texts.append(got)
+    assert texts[:4] == ["non-finite table entry in the small-R series at order 1",
+                         "resonant denominator at order 1, component 1",
+                         "non-finite coupling in the large-R series",
+                         "non-finite product in the large-R series at order 112"]
+    assert len(texts) >= 50 and any(text.startswith("sum overflows") for text in texts)
+
+
 def test_series_overflow_raises_numeric_error():
     # below the cap: this system's large-R coefficients overflow at order 112
     with pytest.raises(NumericError, match="large-R series at order"):
