@@ -3,10 +3,11 @@
 A table that depends only on its arguments is built on the first call and read
 back on every later one. This is the package's one memo; two caches hold them:
 
-- SETUPS: the set-ups of the recurrences behind the bases (specfun's Laguerre
-  normaliser per order, its diagonal steps per order and degree, the Jacobi
-  coefficients that the Jacobi rules and bases' angular and ring rows share,
-  and the Gamma ratio behind their p_0) and specfun's Gauss rules;
+- SETUPS: the set-ups of the recurrences behind the bases (specfun's Gamma
+  normaliser per Laguerre order, which both Laguerre drivers read, the diagonal
+  steps per order and degree, the Jacobi coefficients that the Jacobi rules and
+  bases' angular and ring rows share, and the Gamma ratio behind their p_0) and
+  specfun's Gauss rules;
 - LEVELS: the tables of one oscillator level (interbasis' operator bands, W and
   overlap tables, spheroidal's solve of one R and its solved states); it also
   bounds its number of entries.

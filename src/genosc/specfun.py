@@ -7,20 +7,19 @@ Jacobi, Laguerre, Gegenbauer and Hermite polynomials, and the orthonormal Jacobi
 rows behind the Jacobi rules and bases' angular factors (_jacobi_rows), are step
 functions of one forward three-term recurrence (_three_term).
 
-The orthonormal Laguerre functions run in one of two recurrence shapes, each on
-scaled rows with a log scale per point (no overflow at any degree, exactly 0 in
-the far tail): laguerre_functions for every degree of one order, its steps formed
-as it runs beside one cached normaliser per order, and laguerre_diagonal for an
-order that falls by two per degree, phi_p^(beta-2p) (the radial terms of one
-spherical level, the Morse levels), one step per point and degree. Every Gauss
-rule is finished from one table of its orthonormal rows at the nodes.
+The orthonormal Laguerre functions run on rows renormalised by exact powers of two, with
+one finish (_scale_rows), for every degree of one order (laguerre_functions) or for an order
+falling by two per degree, phi_p^(beta-2p) (laguerre_diagonal: a spherical level's radial
+terms, the Morse levels). Every Gauss rule is finished from its orthonormal rows at the nodes.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from itertools import islice, repeat
 from operator import mul
@@ -155,31 +154,36 @@ def _split_ln2(ln):
     return (ln - j * _LN2_HI) - j * _LN2_LO, j
 
 
-def _ln_norm0(beta: float) -> tuple[float, int]:
-    """(r, j) with 1/sqrt(Gamma(beta + 1)) = e^r 2^j, beta > -1: the package's one Gamma
-    routine for normalisers. Below beta = 9999, Gamma(beta - k + 1) times the k = int(beta)
-    factors beta - t, t < k, each an int over one power of two, multiplied as ints kept to
-    96 bits and rounded once (a product of doubles gathers an ulp a factor); lgamma past it."""
-    if not beta < 9999.0:
-        r, j = _split_ln2(-0.5 * math.lgamma(beta + 1.0))
+def _ln_norm0(beta) -> tuple[float, int]:
+    """(r, j) with 1/sqrt(Gamma(beta + 1)) = e^r 2^j, beta = num/den > -1 a float or dyadic
+    Fraction: the one Gamma routine for normalisers. Below beta = 9999, Gamma(beta - k + 1)
+    times the k = int(beta) factors beta - t, t < k, each an int over one power of two,
+    multiplied as ints kept to 96 bits and rounded once (a product of doubles gathers an ulp
+    a factor); lgamma past it."""
+    num, den = beta.as_integer_ratio()
+    if not num < 9999 * den:
+        r, j = _split_ln2(-0.5 * math.lgamma(num / den + 1.0))
         return float(r), int(j)
-    k, (num, den) = int(beta), beta.as_integer_ratio()
+    k = max(num // den, 0)
     factors, prod, e = range(num - (k - 1) * den, num + 1, den), 1, 0   # (beta - t) den
     for i in range(0, k, 16):
         prod *= math.prod(factors[i:i + 16])
         drop = max(prod.bit_length() - 96, 0)
         prod, e = prod >> drop, e + drop
-    m, de = math.frexp(float(prod) * math.gamma((beta - k) + 1.0))
+    m, de = math.frexp(float(prod) * math.gamma((num - k * den) / den + 1.0))
     e += de - k * (den.bit_length() - 1)
     return -0.5 * math.log(m * 2.0 ** (e % 2)), -(e // 2)
+
+
+_order_norm0 = cached(SETUPS)(_ln_norm0)   # a Laguerre order's, built once (_scale_rows)
 
 
 @cached(SETUPS)
 def _gamma_ratio(alpha: float, beta: float) -> tuple[float, int]:
     """(m, e), e even, with Gamma(alpha + 1) Gamma(beta + 1) / Gamma(alpha + beta + 2) = m 2^e,
-    alpha, beta > -1, from three _ln_norm0 products; built once per (alpha, beta) for
-    _jacobi_p0, whichever of the Jacobi rows and rules reads it."""
-    (ra, ja), (rb, jb), (rs, js) = _ln_norm0(alpha), _ln_norm0(beta), _ln_norm0(alpha + beta + 1.0)
+    alpha, beta > -1, from _ln_norm0 at alpha, beta and the exact alpha + beta + 1 (_jacobi_p0)."""
+    (ra, ja), (rb, jb) = _ln_norm0(alpha), _ln_norm0(beta)
+    rs, js = _ln_norm0(Fraction(alpha) + Fraction(beta) + 1)
     return math.exp(2.0 * (rs - ra - rb)), 2 * (js - ja - jb)
 
 
@@ -239,12 +243,35 @@ def _degree_rows(degrees, what: str) -> dict:
     return wanted
 
 
-@cached(SETUPS)
-def _laguerre_norm(alpha: float) -> float:
-    """laguerre_functions' set-up of order alpha: -lnGamma(alpha + 1) / 2, one float from
-    _ln_norm0, whatever the degrees."""
-    r, j = _ln_norm0(alpha)
-    return (j * _LN2_HI + r) + j * _LN2_LO
+def _scale_rows(out, wanted: dict, renorms: list, x, pts, order: float, power: float,
+                ln_const: float) -> tuple[float, int]:
+    """Both Laguerre drivers' finish, in place: row wanted[k] of out times x^(order/2 + power)
+    e^(-x/2) N_0 e^ln_const 2^e, x = exp(pts), N_0 = e^r0 2^j0 = _order_norm0(order) (returned),
+    e the exp2 of the last (since, exp2) in renorms with since <= k, else 0. No large log is
+    rounded: x^floor(order/2) comes from the rows' x (ln x is an ulp off), -x/2 is split
+    exactly, and each value is rounded from its own mantissa, so points stay independent."""
+    half = int(0.5 * order)
+    if half > 2 ** 20:   # its Gamma normaliser keeps under nine digits, its power costs O(order)
+        raise AccuracyError(f"Laguerre order {order} past 2^21")
+    r0, j0 = _order_norm0(order)
+    rest = (0.5 * order - half + power) * pts + (r0 + ln_const)
+    hx = -0.5 * x
+    j = np.rint((hx + rest) / math.log(2.0))
+    scale = np.exp(((hx - j * _LN2_HI) - j * _LN2_LO) + rest)
+    j = j.astype(np.int64) + j0
+    if half:   # x^half = m 2^e: x = f 2^k with f in [1/2, 1) keeps f^1000 >= 2^-1000 in range
+        f, k = np.frexp(x)
+        m, e = np.power(f, min(half, 1000)), k * half
+        for done in range(1000, half, 1000):
+            m, de = np.frexp(m)
+            m, e = m * np.power(f, min(1000, half - done)), e + de
+        scale, j = scale * m, j + e
+    out *= scale
+    if renorms:
+        since, exp2s = zip(*renorms)
+        j = np.array(np.broadcast_arrays(0, *exp2s))[[bisect_right(since, k) for k in wanted]] + j
+    np.ldexp(out, j, out=out)
+    return r0, j0
 
 
 def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
@@ -255,34 +282,32 @@ def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
     order alpha > -1, from sqrt((k+1)(k+alpha+1)) phi_{k+1} = (k+alpha+1) phi_k - x chi_k and
     chi_{k+1} = sqrt((k+1)/(k+alpha+1)) chi_k + phi_{k+1}, chi_k being phi_k with L_k^(alpha+1)
     (DLMF 18.9.13-14; x is a factor, so small x keeps its digits at high degree), on rows
-    renormalised by exact powers of two beside each point's log scale ln phi_0 + ln_const
-    + power ln x. alpha and ln_const are one value each (an order that falls by two per
-    degree runs in laguerre_diagonal); log_x is finite, or -inf if alpha > 0 = power.
-    Points do not affect each other (a lone one runs as a cheaper numpy scalar), nor, to
-    2 ulp, do rows. A point where every requested phi is below e^-1500 gives exactly 0
-    (for ln_const < 700, |power| <= 1).
+    renormalised by exact powers of two and finished by _scale_rows. alpha and ln_const
+    are one value each (an order that falls by two per degree runs in laguerre_diagonal);
+    log_x is finite, or -inf if alpha > 0 = power. Off 40-digit mpmath by at most 1e-13 of
+    each row's largest value over its support, for alpha to 1200 and degrees to 80. Points
+    do not affect each other (a lone one runs as a cheaper numpy scalar), nor, to 2 ulp, do
+    rows. A point where every requested phi is below e^-1500 gives exactly 0 (for
+    ln_const < 700, |power| <= 1). An order past 2^21 raises AccuracyError (_scale_rows).
     """
-    if not (np.isscalar(alpha) and np.isscalar(ln_const)):
-        raise DomainError(f"laguerre_functions takes one order and one ln_const, got "
-                          f"alpha={alpha}, ln_const={ln_const}")
     wanted = _degree_rows(degrees, "laguerre_functions")
+    if not (np.isscalar(alpha) and np.isscalar(ln_const) and alpha > -1.0):
+        raise DomainError(f"laguerre_functions takes one order alpha > -1 and one ln_const, "
+                          f"got alpha={alpha}, ln_const={ln_const}")
     alpha, n = float(alpha), max(wanted)
-    if not alpha > -1.0:
-        raise DomainError(f"laguerre_functions requires alpha > -1, got {alpha}")
     # below x_tail a step grows max(|phi_k|, |chi_k|) at most 2 x_tail / sqrt(alpha + 1)
     # times; rows checked for 2^332 every `every` steps stay below 2^1000
     x_tail = _x_tail(n, alpha)
     every = max(1, int((668.0 * math.log(2.0) - math.log(2.0 * x_tail))
                        / math.log(2.0 * x_tail / math.sqrt(alpha + 1.0))))
-    pts = np.minimum(np.asarray(log_x, dtype=np.float64), math.log(x_tail))
+    # below -2^32 every x^a, |a| > 2e-7, is 0 or past a double: log_x reads as at least that
+    pts = np.maximum(np.minimum(np.asarray(log_x, np.float64), math.log(x_tail)), -2.0 ** 32)
     x = np.exp(pts)
-    ln0 = (0.5 * alpha + power) * pts - 0.5 * x + (float(ln_const) + _laguerre_norm(alpha))
-    out = np.empty((len(wanted),) + np.shape(pts))
+    out, renorms, exp2 = np.empty((len(wanted),) + np.shape(pts)), [], 0
     phi = chi = 1.0   # scaled phi_k, chi_k (chi_0 = phi_0)
-    exp2, scale = 0, np.exp(ln0)
     for k in range(n + 1):
         if k in wanted:
-            out[wanted[k]] = phi * scale
+            out[wanted[k]] = phi
         if k == n:
             break
         if k and k % every == 0:
@@ -290,11 +315,11 @@ def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
             if big.max() > 2.0 ** 332:
                 e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
                 phi, chi, exp2 = np.ldexp(phi, -e), np.ldexp(chi, -e), exp2 + e
-                r, j = _split_ln2(np.maximum(ln0, -1e11))
-                scale = np.where(e > 0, np.ldexp(np.exp(r), j.astype(np.int64) + exp2), scale)
+                renorms.append((k + 1, exp2))
         c = (k + 1) + alpha
         phi = (c * phi - x * chi) / math.sqrt((k + 1) * c)
         chi = math.sqrt((k + 1) / c) * chi + phi
+    _scale_rows(out, wanted, renorms, x, pts, alpha, power, float(ln_const))
     return out
 
 
@@ -302,21 +327,10 @@ def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
 _LOG_X_SMALL = -600.0 * math.log(2.0)
 
 
-def _power_frexp(x, n: int):
-    """(m, e), x^n = m 2^e for x > 0 and n >= 0, rounded a few times, not scaled
-    through a log: x = f 2^k with f in [1/2, 1) has f^1000 >= 2^-1000 in range."""
-    f, k = np.frexp(x)
-    m, e = np.power(f, min(n, 1000)), k * n
-    for done in range(1000, n, 1000):
-        m, de = np.frexp(m)
-        m, e = m * np.power(f, min(1000, n - done)), e + de
-    return m, e
-
-
 @cached(SETUPS)
 def _diagonal_steps(beta: float, n: int):
-    """laguerre_diagonal's steps (u_p, v_p, w_p), p < n, their largest magnitudes,
-    _ln_norm0(beta) and ln x_tail. With a = alpha_p = beta - 2p > 1 and
+    """laguerre_diagonal's steps (u_p, v_p, w_p), p < n, their largest magnitudes and
+    ln x_tail. With a = alpha_p = beta - 2p > 1 and
     s = sqrt((p+1)(beta-p)), the orthonormal form of a0, a1 and b2 is u = (a-1) a / s,
     v = -(beta+1) a / ((a+1) s) and w = -(a-1) sqrt(p (beta-p+1)) / ((a+1) s)."""
     steps = []
@@ -327,7 +341,7 @@ def _diagonal_steps(beta: float, n: int):
                       -(a - 1.0) * math.sqrt(p * (beta - p + 1.0)) / t))
     bound = tuple(max((abs(step[i]) for step in steps), default=0.0) for i in range(3))
     # each phi_p^(beta-2p), p <= n, meets the one-order bound of degree 0 and order beta + 1
-    return tuple(steps), bound, _ln_norm0(beta), math.log(_x_tail(0, beta + 1.0))
+    return tuple(steps), bound, math.log(_x_tail(0, beta + 1.0))
 
 
 def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
@@ -339,12 +353,11 @@ def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
     costs one step of the orthonormal form of the contiguous relation of Kummer's M
     (DLMF 13.3) L_{p+1}^(alpha_p-2) = (a0 + a1 x) L_p^(alpha_p) + b2 x^2 L_{p-1}^(alpha_p+2),
     phi_{p+1} = (u_p / x + v_p) phi_p + w_p phi_{p-1}, on rows renormalised by exact powers
-    of two beside each point's log scale ln phi_0 + ln_const + power ln x; every value is
-    rounded once, from its own mantissa, so points do not affect each other. Below
+    of two and finished by _scale_rows, so points do not affect each other. Below
     x = 2^-600 a point takes the leading term N_p C(p + alpha_p, p) x^(alpha_p/2) e^(-x/2),
-    exact there to O(p x), so the u/x step never sees a tiny x. ln_const is one value, in
-    the log scale; log_x is finite, or -inf if every alpha_p > 0 = power. A point where
-    every requested phi is below e^-1500 gives exactly 0 (for ln_const < 700, |power| <= 1).
+    exact there to O(p x), so the u/x step never sees a tiny x. ln_const is one value; log_x
+    is finite, or -inf if every alpha_p > 0 = power; beta past 2^21 raises AccuracyError. A
+    point where every requested phi is below e^-1500 is exactly 0 (ln_const < 700, |power| <= 1).
     """
     wanted = _degree_rows(degrees, "laguerre_diagonal")
     beta, n = float(beta), max(wanted)
@@ -354,7 +367,7 @@ def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
     pts = np.asarray(log_x, dtype=np.float64)[()]   # a lone point runs as a numpy scalar
     if pts.size == 0:
         return np.empty((len(wanted),) + pts.shape)
-    steps, bound, (r0, j0), log_tail = _diagonal_steps(beta, n)
+    steps, bound, log_tail = _diagonal_steps(beta, n)
     lo, hi = float(pts.min()), float(pts.max())
     if hi > log_tail:
         pts, hi = np.minimum(pts, log_tail), log_tail
@@ -367,39 +380,25 @@ def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
     # checked for 2^332 every `every` steps stay below 2^1000
     grow = bound[0] * math.exp(-lo) + bound[1] * math.exp(hi) + bound[2]
     every = max(1, int(668.0 * math.log(2.0) / math.log(max(grow, 2.0))))
-    out, exps = np.empty((len(wanted),) + np.shape(pts)), [0] * len(wanted)
+    out, renorms = np.empty((len(wanted),) + np.shape(pts)), []
     prev, cur, exp2 = 0.0, 1.0, 0
     for k, (uk, vk, wk) in enumerate(steps):
         if k in wanted:
-            out[wanted[k]], exps[wanted[k]] = cur, exp2
+            out[wanted[k]] = cur
         if k and k % every == 0:
             big = np.maximum(np.abs(cur), np.abs(prev))
             if big.max() > 2.0 ** 332:
                 e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
                 prev, cur, exp2 = np.ldexp(prev, -e), np.ldexp(cur, -e), exp2 + e
+                renorms.append((k + 1, exp2))
         step = uk / x
         step += vk
         step *= cur
         step += wk * prev
         prev, cur = cur, step
     if n in wanted:
-        out[wanted[n]], exps[wanted[n]] = cur, exp2
-    # The scale x^(beta/2 + power) e^(-x/2) N_0 e^ln_const is large where the rows are.
-    # Its x^floor(beta/2) comes from the x the rows divide by (ln x and x = exp(ln x)
-    # differ by an ulp, which x^(beta/2) would carry beta/2 times), the rest from log_x;
-    # each large log goes to e^r 2^j on its own
-    rc = r0 + float(ln_const)
-    jc = round(rc / math.log(2.0))
-    rc, jc = (rc - jc * _LN2_HI) - jc * _LN2_LO, jc + j0
-    half = max(int(0.5 * beta), 0)
-    pow_m, pow_e = _power_frexp(x, half)
-    r, j = _split_ln2((0.5 * beta - half + power) * pts)
-    r_x, j_x = _split_ln2(-0.5 * x)
-    out *= pow_m * np.exp(r + (r_x + rc))
-    j = (j + j_x).astype(np.int64) + (pow_e + jc)
-    if not isinstance(exp2, int):   # some row was renormalised
-        j = np.array(np.broadcast_arrays(*exps)) + j
-    np.ldexp(out, j, out=out)
+        out[wanted[n]] = cur
+    r0, j0 = _scale_rows(out, wanted, renorms, x, pts, beta, power, float(ln_const))
     if small is not None:
         # C_{p+1} = u_p C_p from C_0 = 1, held as m 2^e: the leading term over N_0 x^(beta/2)
         lead, m, e2 = [None] * len(wanted), 1.0, 0
@@ -412,11 +411,11 @@ def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
         at = np.flatnonzero(small)
         lx = np.ravel(log_pts)[at]
         alpha = beta - 2.0 * np.array(list(wanted), dtype=np.float64)[:, None]
-        ln = (0.5 * alpha + power) * lx - 0.5 * np.exp(lx) + rc
+        ln = (0.5 * alpha + power) * lx - 0.5 * np.exp(lx) + (r0 + float(ln_const))
         r, j = _split_ln2(np.maximum(ln, -1e11))
         m, e2 = np.array(lead).T
         out.reshape(len(wanted), -1)[:, at] = np.ldexp(
-            m[:, None] * np.exp(r), e2.astype(np.int64)[:, None] + j.astype(np.int64) + jc)
+            m[:, None] * np.exp(r), e2.astype(np.int64)[:, None] + j.astype(np.int64) + j0)
     return out
 
 

@@ -96,10 +96,9 @@ def test_theta_matches_mpmath_to_level_300():
 
 def test_theta_stays_finite_at_large_c():
     # Q = 4e6 gives c = 2000: 2^(c + beta + 1) alone leaves double range, and P_q times N_q
-    # overflowed to NaN on 89 of 200 points at q = 300. Every row is finite now. N_0 is
-    # within the rounding of c + beta + 1 (half an ulp of 2002, 1.1e-13, times psi(2002) / 2:
-    # 4.3e-13) and (sin t)^c within 2000 roundings of sin t; at q = 300 the rows near
-    # t = pi/2 follow the rounding of cos 2t and a_k near -1: 2.4e-12
+    # overflowed to NaN on 89 of 200 points at q = 300. Every row is finite now. N_0 comes
+    # from the exact sum c + beta + 1 and (sin t)^c is within 2000 roundings of sin t; at
+    # q = 300 the rows near t = pi/2 follow the rounding of cos 2t and a_k near -1: 2.5e-12
     params = SystemParams(omega=1.0, p_strength=0.3, q_strength=4e6, m=0)
     beta, c, _ = channel_constants(params)   # the Plus branch: beta = b
     t = np.linspace(0.05, 1.55, 31)
@@ -293,6 +292,48 @@ def test_z_axial_hermite_reduction_at_ring():
 def _hermite(n, x):
     from genosc.specfun import hermite
     return hermite(n, x)
+
+
+def _phi_error(got, factor, k, a, omega, u):
+    """got's largest error against factor(omega, x) phi_k^a(x), x = omega u^2, in 40 digits,
+    relative to its largest reference value over the points u."""
+    with mpmath.workdps(40):
+        om, a, want = mpmath.mpf(omega), mpmath.mpf(a), []
+        for x in (om * mpmath.mpf(v) ** 2 for v in u.tolist()):
+            phi = (mpmath.sqrt(mpmath.factorial(k) / mpmath.gamma(k + a + 1)) * x ** (a / 2)
+                   * mpmath.exp(-x / 2) * mpmath.laguerre(k, a, x))
+            want.append(float(factor(om, x) * phi))
+    want = np.array(want)
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+def test_radial_and_axial_factors_match_mpmath_at_large_orders():
+    # R_{n_r q}, R_{n_rho} and Z_p at x = omega u^2 over each factor's support, with c to
+    # 1200 (Q = 1.44e6), b to 1000 (P = 1e6), q to 300 and degrees to 80: within 3e-13 of
+    # the largest value (1.7e-13 at worst on a 60-draw sweep, most of it the rounding of
+    # ln(omega u^2), which the factor's slope in ln x multiplies)
+    cases = [(SystemParams(1.0, 0.3, 1.44e6, 0), 40, 300), (SystemParams(0.7, 1e6, 2.0, 3), 80, 0),
+             (SystemParams(1.7, 1e6, 1.44e6, 5), 5, 120)]
+    rng = np.random.default_rng(38)
+    for _ in range(9):
+        params = SystemParams(rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(-0.5, 6.0),
+                              10.0 ** rng.uniform(-0.5, 6.16), int(rng.integers(0, 50)))
+        cases.append((params, int(rng.integers(0, 81)), int(rng.integers(0, 301))))
+    for params, k, q in cases:
+        b, c, _ = channel_constants(params)
+        omega = params.omega
+        for name, a, factor, evaluate in (
+                ("R_sph", 2.0 * q + c + b + 1.0,
+                 lambda om, x: mpmath.sqrt(2) * om ** 0.75 / x ** 0.25,
+                 lambda u: radial_spherical(k, q, params, Branch.Plus, u)),
+                ("R_cyl", c, lambda om, x: mpmath.sqrt(2 * om),
+                 lambda u: radial_cylindrical(k, params, u)),
+                ("Z", b, lambda om, x: (-1) ** k * om ** 0.25 * x ** 0.25,
+                 lambda u: z_axial(k, params, Branch.Plus, u))):
+            m = 2.0 * k + a + 1.0
+            u = np.sqrt(np.linspace(max(m - 2.0 * math.sqrt(m), 1e-3), m + 2.0 * math.sqrt(m), 8)
+                        / omega)
+            assert _phi_error(evaluate(u), factor, k, a, omega, u) <= 3e-13, (name, params, k, q)
 
 
 # ------------------------------------------------------------- ring forms

@@ -22,7 +22,7 @@ BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3,
 SETS = [SystemParams(1.0, 0.05, 0.5, 1), SystemParams(1.0, 2.0, 3.0, 0),
         SystemParams(2.0, 0.1, 0.0, 2), BOTH]
 
-SETUP_TABLES = (specfun._laguerre_norm, specfun._diagonal_steps, specfun._jacobi_coeffs,
+SETUP_TABLES = (specfun._order_norm0, specfun._diagonal_steps, specfun._jacobi_coeffs,
                 specfun._gamma_ratio, specfun._gauss_rule)
 LEVEL_TABLES = (interbasis._m_bands, interbasis._n_bands, interbasis._w_table,
                 interbasis._overlap_table, spheroidal._level_solve, spheroidal._pair_columns)
@@ -166,12 +166,14 @@ def test_one_gamma_ratio_per_theta_gram(monkeypatch, fresh_tables):
                                     GramFamily.Axial, GramFamily.Morse])
 def test_one_laguerre_setup_per_cold_gram(family, fresh_tables):
     # the rule of n_max + 2 points and the rows of n_max degrees share one order's
-    # set-up at every n_max; one keyed by size built it twice at n_max = 7, 8, 15 and 16
-    params = MorseParams(v0=800.0, a=1.0) if family is GramFamily.Morse else SETS[1]
+    # normaliser at every n_max; one keyed by size built it twice at n_max = 7, 8, 15 and
+    # 16. A Morse Gram's rows run in laguerre_diagonal, whose order 2 lambda - 1 is a second
+    morse = family is GramFamily.Morse
+    params = MorseParams(v0=800.0, a=1.0) if morse else SETS[1]
     for n_max in range(2, 17):
         _cache.clear()
         assert gram_matrix(family, n_max, params)[1].passed
-        assert specfun._laguerre_norm.cache_info().misses == 1, n_max
+        assert specfun._order_norm0.cache_info().misses == 1 + morse, n_max
 
 
 def test_clear_empties_the_gauss_rules():
@@ -230,8 +232,8 @@ def test_cached_arrays_are_read_only():
         with pytest.raises(ValueError):
             array[(0,) * array.ndim] = 1.0
     # rows of floats are tuples, so they cannot be written either
-    # (a Laguerre order's ln Gamma term is one float, not an (r, j) pair)
-    assert type(specfun._laguerre_norm(0.5)) is float
+    # (an order's normaliser is one (r, j) pair, a float and an int)
+    assert [type(v) for v in specfun._order_norm0(0.5)] == [float, int]
     rows = specfun._diagonal_steps(9.5, 4)[0]
     assert isinstance(rows, tuple) and len(rows) == 4
     assert all(type(row) is tuple and all(type(v) is float for v in row) for row in rows)
@@ -327,7 +329,7 @@ def _twin_cases():
     """(table, public call, first twin's arguments, second twin's): each call reaches the
     table through its one validating caller."""
     for a, b in ((1, 1.0), (0.0, -0.0)):
-        yield (specfun._laguerre_norm, specfun.laguerre_functions,
+        yield (specfun._order_norm0, specfun.laguerre_functions,
                (range(7), a, LOG_X), (range(7), b, LOG_X))
         yield specfun._gamma_ratio, _rule_arrays, ("jacobi", 6, a, 0.5), ("jacobi", 6.0, b, 0.5)
     for beta, twin, degrees in ((7, 7.0, range(3)), (0.0, -0.0, range(1))):

@@ -121,6 +121,25 @@ def test_ln_norm0_keeps_its_digits_where_beta_plus_one_rounds():
             assert _norm0_error(beta) <= 2e-15, beta
 
 
+def test_gamma_ratio_matches_mpmath_at_large_and_small_c():
+    # Gamma(c + 1) Gamma(beta + 1) / Gamma(c + beta + 2) from _ln_norm0 at the exact sum
+    # c + beta + 1, whose rounding as a float costs 2.9e-13 at c = 2000
+    for c, beta in ((2000.0, 0.742), (2000.3, 1.25), (1023.4, 0.5), (1.0, 0.742),
+                    (3.3, 0.5), (0.0, -0.5), (200.75, 1.5)):
+        m, e = sf._gamma_ratio(c, beta)
+        with mpmath.workdps(40):
+            mc, mb = mpmath.mpf(c), mpmath.mpf(beta)
+            want = mpmath.gamma(mc + 1) * mpmath.gamma(mb + 1) / mpmath.gamma(mc + mb + 2)
+            assert float(abs(mpmath.ldexp(m, e) / want - 1)) <= 1e-15, (c, beta)
+
+
+def test_ln_norm0_of_a_fraction_is_that_of_the_equal_float():
+    # _gamma_ratio passes the exact sum alpha + beta + 1 as a dyadic Fraction
+    for beta in (0.0, 0.5, 2.75, 1023.4, 5000.125, 12000.5):
+        got = sf._ln_norm0(Fraction(beta))
+        assert got == sf._ln_norm0(beta) and [type(v) for v in got] == [float, int]
+
+
 def test_jacobi_weight_integral_matches_mpmath():
     # b_0 = 2^(a+b+1) Gamma(a+1) Gamma(b+1) / Gamma(a+b+2), read as 1/p_0^2 from
     # _jacobi_p0; lgamma differences put it 1.1e-14, 9.2e-14 and 5.1e-13 off at these
@@ -414,26 +433,23 @@ def test_rows_give_every_degree_of_one_recurrence():
 
 
 def laguerre_functions_step_table(degrees, alpha, log_x, power=0.0, ln_const=0.0):
-    """laguerre_functions as it ran on a step table built per order and size: the
-    bit-for-bit reference for the steps it now forms as it runs."""
+    """laguerre_functions as it ran on a step table built per order and size, finished
+    through the drivers' shared _scale_rows: the bit-for-bit reference for the steps it
+    now forms as it runs."""
     wanted = {k: i for i, k in enumerate(degrees)}
     alpha, n = float(alpha), max(wanted)
     x_tail = sf._x_tail(n, alpha)
     every = max(1, int((668.0 * math.log(2.0) - math.log(2.0 * x_tail))
                        / math.log(2.0 * x_tail / math.sqrt(alpha + 1.0))))
-    r, j = sf._ln_norm0(alpha)
-    half_ln_gamma = -((j * sf._LN2_HI + r) + j * sf._LN2_LO)
     steps = [(k + alpha, math.sqrt(k * (k + alpha)), math.sqrt(k / (k + alpha)))
              for k in range(1, n + 1)]
-    pts = np.minimum(np.asarray(log_x, dtype=np.float64), math.log(x_tail))
+    pts = np.maximum(np.minimum(np.asarray(log_x, np.float64), math.log(x_tail)), -2.0 ** 32)
     x = np.exp(pts)
-    ln0 = (0.5 * alpha + power) * pts - 0.5 * x + (float(ln_const) - half_ln_gamma)
-    out = np.empty((len(wanted),) + np.shape(pts))
+    out, renorms, exp2 = np.empty((len(wanted),) + np.shape(pts)), [], 0
     phi = chi = 1.0
-    exp2, scale = 0, np.exp(ln0)
     for k in range(n + 1):
         if k in wanted:
-            out[wanted[k]] = phi * scale
+            out[wanted[k]] = phi
         if k == n:
             break
         if k and k % every == 0:
@@ -441,11 +457,11 @@ def laguerre_functions_step_table(degrees, alpha, log_x, power=0.0, ln_const=0.0
             if big.max() > 2.0 ** 332:
                 e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
                 phi, chi, exp2 = np.ldexp(phi, -e), np.ldexp(chi, -e), exp2 + e
-                r, j = sf._split_ln2(np.maximum(ln0, -1e11))
-                scale = np.where(e > 0, np.ldexp(np.exp(r), j.astype(np.int64) + exp2), scale)
+                renorms.append((k + 1, exp2))
         c, d, g = steps[k]
         phi = (c * phi - x * chi) / d
         chi = g * chi + phi
+    sf._scale_rows(out, wanted, renorms, x, pts, alpha, power, float(ln_const))
     return out
 
 
@@ -477,10 +493,89 @@ def _ref_laguerre_function(p, alpha, log_x, power, ln_const):
     if log_x == -math.inf:
         return 0.0
     with mpmath.workdps(40):
-        x = mpmath.exp(mpmath.mpf(log_x))
+        x, alpha = mpmath.exp(mpmath.mpf(log_x)), mpmath.mpf(alpha)
         ln_c = (mpmath.loggamma(p + 1) - mpmath.loggamma(p + alpha + 1)) / 2
         return float(mpmath.laguerre(p, alpha, x) * mpmath.exp(
             ln_const + ln_c + (alpha / 2 + power) * mpmath.log(x) - x / 2))
+
+
+def _row_errors(got, degrees, alpha, log_x, power, ln_const):
+    """Each row's largest error against _ref_laguerre_function, relative to its largest
+    reference value over the points; alpha(p) gives row p's order."""
+    errors = []
+    for row, p in zip(got, degrees):
+        want = np.array([_ref_laguerre_function(p, alpha(p), v, power, ln_const)
+                         for v in np.ravel(log_x).tolist()])
+        errors.append(np.abs(np.ravel(row) - want).max() / np.abs(want).max())
+    return errors
+
+
+def _laguerre_sweep(seed: int, calls: int):
+    """(degrees, alpha, log_x, power, ln_const) of seeded laguerre_functions calls: alpha to
+    1200, degrees to 80, five points over the largest degree's support m +- 3 sqrt(m)."""
+    rng = np.random.default_rng(seed)
+    for _ in range(calls):
+        alpha = float(rng.choice([rng.uniform(-0.99, 5.0), 10.0 ** rng.uniform(0.0, 3.08)]))
+        n = int(rng.integers(0, 81))
+        m = 2.0 * n + alpha + 1.0
+        x = rng.uniform(max(m - 3.0 * math.sqrt(m), 1e-3), m + 3.0 * math.sqrt(m), 5)
+        yield ([n, int(rng.integers(0, n))] if n else [0], alpha, np.log(x),
+               float(rng.choice([0.0, 0.25, -0.25])), float(rng.uniform(-5.0, 5.0)))
+
+
+def test_laguerre_functions_match_mpmath_at_large_order():
+    # every row within 1e-13 of its largest value: 12 points over m +- 2 sqrt(m),
+    # m = 2n + alpha + 1, at three orders (6.2e-16, 6.3e-15 and 1.6e-14 off), then a
+    # seeded 300-call sweep (3.9e-14 at worst)
+    cases = []
+    for alpha, n in ((150.5, 0), (1200.3, 5), (1200.3, 40)):
+        m = 2.0 * n + alpha + 1.0
+        log_x = np.log(np.linspace(m - 2.0 * math.sqrt(m), m + 2.0 * math.sqrt(m), 12))
+        cases.append(([n], alpha, log_x, 0.0, 0.0))
+    for degrees, alpha, log_x, power, ln_const in cases + list(_laguerre_sweep(38, 300)):
+        got = sf.laguerre_functions(degrees, alpha, log_x, power, ln_const)
+        errors = _row_errors(got, degrees, lambda p: alpha, log_x, power, ln_const)
+        assert max(errors) <= 1e-13, (alpha, degrees, power)
+
+
+def test_a_batch_point_equals_its_lone_call_bit_for_bit(monkeypatch):
+    # Both drivers' docstrings: points do not affect each other, with or without a
+    # renormalisation (the per-row exponents the finish broadcasts over the points)
+    cases = [(sf.laguerre_functions, args) for args in _laguerre_sweep(38, 100)]
+    rule = sf.build_quadrature("laguerre", 300, 0.3)
+    cases.append((sf.laguerre_functions, (range(301), 0.3, np.log(rule.nodes[::15]), 0.0, 0.0)))
+    rng = np.random.default_rng(21)
+    for lam in (3.5, 30.25, 120.0, 400.51):   # Morse levels, beta = 2 lambda - 1
+        beta, top = 2.0 * lam - 1.0, math.ceil(lam) - 1
+        log_x = np.log(rng.uniform(0.01, 2.5 * beta + 10.0, 7))
+        cases.append((sf.laguerre_diagonal, (range(top + 1), beta, log_x, 0.0, 0.0)))
+    for beta, n in ((31.7, 12), (230.3, 100)):   # spherical radial terms of one level
+        log_x = np.log(rng.uniform(0.01, 2.5 * beta + 10.0, 7))
+        cases.append((sf.laguerre_diagonal, (range(0, n + 1, 3), beta, log_x, -0.25, 0.6)))
+    finish, seen = sf._scale_rows, set()
+    monkeypatch.setattr(sf, "_scale_rows", lambda out, wanted, renorms, *rest: (
+        seen.add((driver, bool(renorms))), finish(out, wanted, renorms, *rest))[1])
+    for driver, (degrees, order, log_x, power, ln_const) in cases:
+        batch = driver(degrees, order, log_x, power, ln_const)
+        for i, point in enumerate(log_x.tolist()):
+            lone = driver(degrees, order, point, power, ln_const)
+            assert lone.tobytes() == np.ascontiguousarray(batch[:, i]).tobytes(), (order, i)
+    assert seen == {(driver, renormalised) for driver in (sf.laguerre_functions,
+                                                          sf.laguerre_diagonal)
+                    for renormalised in (False, True)}
+
+
+def test_laguerre_orders_past_2_21_raise_accuracy_error():
+    # the finish's power x^floor(order/2) costs O(order) numpy calls there, and the Gamma
+    # normaliser keeps under nine digits: both drivers, and the rules built on them, refuse
+    start = time.perf_counter()
+    for call in (lambda: sf.laguerre_functions([0, 1], 2.0 ** 22, np.log([1e6, 4e6])),
+                 lambda: sf.laguerre_diagonal([0, 1], 2.0 ** 22, np.log([1e6, 4e6])),
+                 lambda: sf.build_quadrature("laguerre", 3, 1e12)):
+        with pytest.raises(AccuracyError, match=r"past 2\^21"):
+            call()
+    assert time.perf_counter() - start < 1.0
+    assert np.all(np.isfinite(sf.laguerre_functions([0, 1], 2.0 ** 21, np.log([2e6, 2.1e6]))))
 
 
 def test_laguerre_diagonal_matches_mpmath():
