@@ -77,7 +77,7 @@ class ByteLRU:
                 self.nbytes -= self.entries.pop(key)[1]
 
 
-# Budgets. SETUPS keeps verify's 53 set-ups and 33 Gauss rules (115 kB) resident beside
+# Budgets. SETUPS keeps verify's 61 set-ups and 33 Gauss rules (120 kB) resident beside
 # the churn of fresh orders: 256 kB for set-ups and 256 small rules' 1.5 kB each. LEVELS
 # holds an n = 300 level's solve and W table (0.7 MB each) beside some of its states; its
 # entry bound keeps what levels of fresh parameters leave resident, a few kB each, to 64.

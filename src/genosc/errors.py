@@ -56,16 +56,21 @@ def check_abs_int(value, name: str) -> int:
     return check_nonneg_int(abs(value) if finite else value, f"|{name}|")
 
 
-def check_positive(value, name: str) -> float:
-    """value as a float; DomainError unless it is a finite positive number.
+def _as_float(value) -> float:
+    """value as a float; NaN for a string, None or anything else float() refuses or
+    cannot hold, so a check on the float refuses it, never with float()'s own errors."""
+    try:
+        return math.nan if isinstance(value, (str, bytes)) else float(value)
+    except (TypeError, ValueError, OverflowError):
+        return math.nan
 
-    Strings and None get that error too, never float()'s TypeError or ValueError."""
+
+def check_positive(value, name: str) -> float:
+    """value as a float; DomainError unless it is a finite positive number (strings, None
+    and ints past a double too)."""
     if type(value) is float and 0.0 < value < math.inf:   # the common case, without float()
         return value
-    try:
-        x = math.nan if isinstance(value, (str, bytes)) else float(value)
-    except (TypeError, ValueError):
-        x = math.nan
+    x = _as_float(value)
     if not 0.0 < x < math.inf:
         raise DomainError(f"{name} must be positive and finite, got {value!r}")
     return x

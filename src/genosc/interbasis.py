@@ -35,8 +35,8 @@ from .bases import _angular, _axial, _radial_cyl, _radial_level
 from .errors import (AccuracyError, DomainError, NumericError, _level_index_message,
                      _require_table, check_abs_int, check_level_index, check_nonneg_int)
 from .model import Branch, SystemParams, _a_q, _e_n, _exponents
-from .specfun import (_MAX_CG_ORDER, _MAX_SUM_TERMS, _dense, _dyadic, _horner,
-                      _require_terms, _scale_sums, build_quadrature)
+from .specfun import (_MAX_SUM_TERMS, _dense, _dyadic, _horner, _require_terms, _split_ln2,
+                      build_quadrature)
 
 __all__ = [
     "CoefficientMatrix",
@@ -90,6 +90,9 @@ _W_SUMS = _SUMS @ (2 * np.array([[1, 0, -1], [1, -1, 0], [1, -1, 0], [-1, 1, 1],
 _RING_SUMS = _SUMS @ np.array([[1, 0, -1], [0, 1, 0], [0, 1, 0], [0, -1, 1], [0, -1, 1]])
 # A table whose sums could reach this runs on Python ints (object arrays), not int64.
 _WIDE = 2 ** 62
+# _racah's largest a + b + c: its lgamma prefactor, some (a+b+c) ln(a+b+c) in size, loses
+# digits as it grows (ring_w 2e-11 off at 2^15, 1.3e-9 at 2^19)
+_MAX_CG_ORDER = 2 ** 15
 
 
 def _products(M: np.ndarray, offsets: list[int], scale: int, k: int):
@@ -196,10 +199,11 @@ def _racah(index: np.ndarray, sums: np.ndarray, offsets, scale: int) -> np.ndarr
         big = sum(b > 0 for b in bs[3:]) - sum(b > 0 for b in bs[:3])
         tops = _products(M[:3], bs[:3], scale, scale ** max(big, 0))
         bottoms = _products(M[3:], bs[3:], scale, scale ** max(-big, 0))
-        mantissa, e = _horner(tops, bottoms, steps.tolist())
+        # e^ln as e^r 2^j, so a sum past a double may meet a small prefactor
+        r, j = _split_ln2(ln)
+        values = _horner(tops, bottoms, steps.tolist(), zip(r.tolist(), j.astype(int).tolist()))
         # + 0.0: terms that cancel exactly give 0.0, not -0.0
-        out[live] = np.where(t % 2, -1.0, 1.0) * _scale_sums(
-            np.array(mantissa), np.array(e, dtype=np.int64), ln) + 0.0
+        out[live] = np.where(t % 2, -1.0, 1.0) * np.array(values) + 0.0
     if stop < capped.size:
         _require_terms(int(tmax[stop] - tmin[stop]) + 1)
         raise AccuracyError(f"continued CG sum at a + b + c = "

@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, check_abs_int, check_nonneg_int
+from .errors import DomainError, _as_float, check_abs_int, check_nonneg_int
 
 __all__ = [
     "Branch",
@@ -62,18 +62,18 @@ class SystemParams:
     def __post_init__(self):
         for name in ("omega", "p_strength", "q_strength"):
             value = getattr(self, name)
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value}")
-            object.__setattr__(self, name, float(value))
+            x = _as_float(value)
+            if not math.isfinite(x):
+                raise DomainError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, x)
         if not self.omega > 0.0:
             raise DomainError(f"omega must be positive, got {self.omega}")
         if not self.p_strength > -0.25:
             raise DomainError(f"p_strength must exceed -1/4, got {self.p_strength}")
         if self.q_strength < 0.0:
             raise DomainError(f"q_strength must be nonnegative, got {self.q_strength}")
-        if self.m != int(self.m):
-            raise DomainError(f"m must be an integer, got {self.m}")
-        object.__setattr__(self, "m", int(self.m))
+        k = check_abs_int(self.m, "m")
+        object.__setattr__(self, "m", -k if self.m < 0 else k)
 
 
 def channel_constants(params: SystemParams) -> tuple[float, float, float]:

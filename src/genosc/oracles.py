@@ -61,13 +61,16 @@ class CheckReport:
     relative: bool = False
 
     def passes(self, tolerance: float) -> bool:
-        """|measured - expected| <= tolerance, relative to |expected| when ``relative``."""
+        """|measured - expected| <= tolerance, relative to |expected| when ``relative``
+        (where expected is 0.0, only measured == 0.0 passes)."""
         return _within(self.measured, self.expected, tolerance, self.relative)
 
 
 def _within(measured: float, expected: float, tolerance: float, relative: bool) -> bool:
     gap = abs(measured - expected)
     if relative:
+        if not expected:   # no gap is small relative to zero but none at all
+            return bool(measured == expected)
         gap /= abs(expected)
     return bool(gap <= tolerance)
 
@@ -151,7 +154,7 @@ def _bi_quad(name: str, n: int, q: int, q_prime: int, params: SystemParams,
 
 def bi_orthogonality_hypergeometric(n: int, q: int, q_prime: int,
                                     params: SystemParams, branch: Branch) -> float:
-    """Second route to J_{q q'}: Gauss-summed 2F1 times a reciprocal Gamma.
+    """Second route to J_{q q'}: a terminating 2F1 at unit argument times a reciprocal Gamma.
 
     The value collapses to the same diagonal as bi_orthogonality: the
     terminating 2F1 vanishes for q > q' and the 1/Gamma factor for q < q',

@@ -40,14 +40,10 @@ __all__ = [
     "gegenbauer",
     "hermite",
     "assoc_legendre",
-    "hyp2f1_unit",
     "build_quadrature",
 ]
 
 _QUAD_KINDS = ("legendre", "jacobi", "laguerre")
-# A float argument of a terminating sum this near an integer counts as one (hyp2f1_unit,
-# the one exact sum that takes float arguments; the Racah sums take exact dyadics).
-_INT_TOL = 1e-9
 
 
 def ln_gamma(x: float) -> float:
@@ -470,9 +466,6 @@ def _dyadic(*values: float) -> tuple[int, list[int]]:
 # entry on a 2-core x86-64 host), so 2^13 keeps an accepted sum within seconds; the CLI
 # forms <= 801
 _MAX_SUM_TERMS = 2 ** 13
-# interbasis._racah's largest a + b + c: its lgamma prefactor, some (a+b+c) ln(a+b+c) in
-# size, loses digits as it grows (ring_w 2e-11 off at 2^15, 1.3e-9 at 2^19)
-_MAX_CG_ORDER = 2 ** 15
 
 
 def _require_terms(terms: int) -> None:
@@ -487,22 +480,26 @@ def _base(num: int, scale: int) -> tuple[int, int]:
     return (num // scale, 1) if num % scale == 0 else (num, scale)
 
 
-def _horner(tops, bottoms, runs) -> tuple[list[float], list[int]]:
-    """(mantissas, exponents): for each run length n of runs, the sum 1 + t_0/b_0 (1 + t_1/b_1
+def _horner(tops, bottoms, runs, scales) -> list[float]:
+    """For each run length n of runs and its (r, j) of scales, the sum 1 + t_0/b_0 (1 + t_1/b_1
     (1 + ...)) of the next n int term ratios t_k/b_k (tops, bottoms: iterables of ints given last
-    term first, no zero bottom) as mantissa 2^e, the mantissa correctly rounded. The package's
-    one exact Horner: in integers, with no gcd."""
-    mantissas, exponents = [], []
+    term first, no zero bottom) times e^r 2^j: the sum as mantissa 2^e, the mantissa correctly
+    rounded, then mantissa e^r 2^(e + j) as one multiply and one ldexp. The package's one exact
+    Horner and its one finish: in integers, with no gcd. NumericError for a value past a double."""
+    out = []
     ratios = zip(tops, bottoms)
-    for n in runs:
+    for n, (r, j) in zip(runs, scales):
         num = den = 1
         for top, bottom in islice(ratios, n):
             den *= bottom
             num = den + top * num
         e = num.bit_length() - den.bit_length()   # |num/den| / 2^e in (1/2, 2)
-        mantissas.append(num / (den << e) if e > 0 else (num << -e) / den)
-        exponents.append(e)
-    return mantissas, exponents
+        mantissa = num / (den << e) if e > 0 else (num << -e) / den
+        try:
+            out.append(math.ldexp(mantissa * math.exp(r), e + j))
+        except OverflowError:
+            raise NumericError("terminating hypergeometric sum past a double") from None
+    return out
 
 
 def _ratio_sum(upper, lower, terms: int) -> float:
@@ -525,62 +522,8 @@ def _ratio_sum(upper, lower, terms: int) -> float:
         tops = map(mul, tops, range(u + (terms - 2) * du, u - du, -du))
     for v, dv in lower:
         bottoms = map(mul, bottoms, range(v + (terms - 2) * dv, v - dv, -dv))
-    (mantissa,), (e,) = _horner(tops, bottoms, [terms - 1])
-    try:
-        return math.ldexp(mantissa, e)
-    except OverflowError:
-        raise NumericError("terminating hypergeometric sum past a double") from None
-
-
-def _scale_sums(mantissa: np.ndarray, e: np.ndarray, ln: np.ndarray) -> np.ndarray:
-    """mantissa 2^e e^ln elementwise over 1-d arrays, e^ln applied as e^r 2^j (_split_ln2, with
-    math.exp of r) so a sum past a double may meet a small factor. NumericError where a value
-    passes a double."""
-    r, j = _split_ln2(ln)
-    exp_r = np.fromiter(map(math.exp, r.tolist()), float, r.size)
-    with np.errstate(over="ignore"):
-        out = np.ldexp(mantissa * exp_r, e + j.astype(np.int64))
-    if np.count_nonzero(np.isinf(out)):
-        raise NumericError("terminating hypergeometric sum past a double")
-    return out
-
-
-def hyp2f1_unit(a: float, b: float, c: float) -> float:
-    """Gauss hypergeometric 2F1(a, b; c; 1).
-
-    Terminating case when a or b is a nonpositive integer (within _INT_TOL): the
-    exact sum at the floats b and c, correctly rounded (NumericError past a double,
-    or for more than 2^13 terms, _MAX_SUM_TERMS: a or b below -8191).
-    Otherwise the Gauss summation value Gamma(c)Gamma(c-a-b) / [Gamma(c-a)Gamma(c-b)],
-    requiring c - a - b > 0, to a few ulps of its lgamma terms. Reciprocal Gamma at a
-    nonpositive integer is taken as zero, so the value vanishes when c - a or c - b is one.
-    """
-    a, b, c = float(a), float(b), float(c)
-    if not (math.isfinite(a) and math.isfinite(b) and math.isfinite(c)):
-        raise DomainError(f"hyp2f1_unit requires finite a, b, c, got ({a}, {b}, {c})")
-
-    def _nonpos_int(v: float) -> bool:
-        return v <= _INT_TOL and abs(v - round(v)) < _INT_TOL
-
-    if _nonpos_int(a) or _nonpos_int(b):
-        if _nonpos_int(b) and (not _nonpos_int(a) or round(b) > round(a)):
-            a, b = b, a
-        top = -round(a)
-        if c.is_integer() and -top < c <= 0.0:
-            raise DomainError(f"hyp2f1_unit undefined: c hits a nonpositive integer, c={c}")
-        scale, (b, c) = _dyadic(b, c)
-        return _ratio_sum(((-top, 1), _base(b, scale)), (_base(c, scale), (1, 1)), top + 1)
-    if c - a - b <= 0.0:
-        raise DomainError(f"hyp2f1_unit diverges at unit argument for c-a-b={c - a - b}")
-    sc, lc = gamma_sign_ln(c)
-    if sc == 0.0:
-        raise DomainError(f"hyp2f1_unit undefined: c is a nonpositive integer, c={c}")
-    scab, lcab = gamma_sign_ln(c - a - b)
-    sca, lca = gamma_sign_ln(c - a)
-    scb, lcb = gamma_sign_ln(c - b)
-    if sca == 0.0 or scb == 0.0:
-        return 0.0
-    return sc * scab * sca * scb * math.exp(lc + lcab - lca - lcb)
+    (value,) = _horner(tops, bottoms, [terms - 1], [(0.0, 0)])
+    return value
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from genosc.errors import DomainError, check_nonneg_int
+from genosc.errors import DomainError, check_nonneg_int, check_positive
 from genosc.model import (Branch, CylindricalLabel, RingLabel, SphericalLabel,
                           SystemParams, admissible_branches, channel_constants,
                           energy_cylindrical_parts, energy_level,
@@ -39,10 +40,17 @@ def test_params_validation():
         SystemParams(1.0, 0.1, -0.1, 0)
     with pytest.raises(DomainError):
         SystemParams(1.0, 0.1, 0.1, 0.5)
-    for bad in (float("inf"), float("-inf"), float("nan")):
+    for bad in (float("inf"), float("-inf"), float("nan"), "1", None, 10 ** 400):
         for args in ((bad, 0.1, 0.1, 0), (1.0, bad, 0.1, 0), (1.0, 0.1, bad, 0)):
             with pytest.raises(DomainError):
                 SystemParams(*args)
+    # m: never int()'s OverflowError, ValueError or TypeError
+    for bad in (float("inf"), float("-inf"), float("nan"), None, "1", 0.5, -1.5):
+        with pytest.raises(DomainError):
+            SystemParams(1.0, 0.0, 0.0, bad)
+    for m in (-3, -2.0, np.int64(-1), 0, 2.0, True):
+        params = SystemParams(1.0, 0.0, 0.0, m)
+        assert type(params.m) is int and params.m == m
 
 
 def test_branch_admissibility():
@@ -127,6 +135,11 @@ def test_label_validation():
         with pytest.raises(DomainError, match="level"):
             check_nonneg_int(bad, "level")
     assert check_nonneg_int(3.0, "n") == 3 and type(check_nonneg_int(3.0, "n")) is int
+    # check_positive too: never float()'s OverflowError, TypeError or ValueError
+    for bad in (10 ** 400, "2", None, math.nan, -1.0):
+        with pytest.raises(DomainError, match="positive"):
+            check_positive(bad, "R")
+    assert check_positive(2, "R") == 2.0
 
 
 def test_ring_relabel_examples():

@@ -387,12 +387,16 @@ def test_report_pass_logic():
     assert rel.passes(0.11) and not rel.passes(0.09)
     # a report is built with passes(tolerance)'s verdict, relative or not
     for measured, expected, tolerance in ((1.1, 1.0, 0.11), (1.1, 1.0, 0.09), (3.0, -2.0, 2.4),
-                                          (3.0, -2.0, 2.6), (1e-9, 0.0, 1e-10)):
-        for relative in (False, True) if expected else (False,):
+                                          (3.0, -2.0, 2.6), (1e-9, 0.0, 1e-10), (0.0, 0.0, 0.0)):
+        for relative in (False, True):
             rep = _report("z", measured, expected, tolerance, relative)
             assert rep.passed is rep.passes(tolerance)
-            assert rep.passed == (abs(measured - expected) / (abs(expected) if relative else 1.0)
-                                  <= tolerance)
+            if relative and not expected:   # relative to zero, only zero passes
+                assert rep.passed == (measured == 0.0)
+            else:
+                assert rep.passed == (abs(measured - expected)
+                                      / (abs(expected) if relative else 1.0) <= tolerance)
+    assert not CheckReport("x", 1e-3, 0.0, 1e-2, True, relative=True).passes(1e-2)
     rep = bi_orthogonality(1, 0, 1, BOTH, Branch.Plus)
     assert rep.expected == 0.0
     assert rep.tolerance == 1e-10

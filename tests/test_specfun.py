@@ -18,7 +18,8 @@ from genosc import specfun as sf
 from genosc.errors import AccuracyError, DomainError, NumericError
 from genosc.interbasis import w_coefficient
 from genosc.model import Branch, SystemParams
-from genosc.oracles import GramFamily, gram_matrix, reciprocal_gamma
+from genosc.oracles import (GramFamily, bi_orthogonality_hypergeometric, gram_matrix,
+                            reciprocal_gamma)
 
 mpmath.mp.dps = 35
 
@@ -680,17 +681,12 @@ def test_assoc_legendre_examples():
         sf.assoc_legendre(2, 1, 1.5)
 
 
-# ---------------------------------------------------------------- hyp2f1
+# ---------------------------------------------------------------- exact sums
 
-def test_hyp2f1_unit_trivial():
-    assert sf.hyp2f1_unit(-1, 2, 4) == pytest.approx(0.5, rel=1e-14)
-    assert sf.hyp2f1_unit(0, 5.2, 3.1) == 1.0
-
-
-def test_hyp2f1_unit_terminating():
-    # direct 3-term sum, 35-digit arithmetic
-    assert sf.hyp2f1_unit(-2, 1.3, 3.7) == pytest.approx(
-        0.46923519263944795859689476710753307, rel=1e-13)
+def ratio_sum_2f1(k, b, c):
+    """2F1(-k, b; c; 1) at the exact values of the floats b and c, by sf._ratio_sum."""
+    scale, (b, c) = sf._dyadic(b, c)
+    return sf._ratio_sum(((-k, 1), sf._base(b, scale)), (sf._base(c, scale), (1, 1)), k + 1)
 
 
 def exact_terminating_2f1(k, b, c):
@@ -703,52 +699,85 @@ def exact_terminating_2f1(k, b, c):
     return total
 
 
-def test_hyp2f1_unit_terminating_sum_is_correctly_rounded():
-    # alternating sums that cancel; the float loop lost digits and gave NaN at
-    # (-300, 1000, 0.5), whose terms pass a double before they cancel
+def test_ratio_sum_trivial():
+    assert ratio_sum_2f1(1, 2.0, 4.0) == 0.5
+    assert ratio_sum_2f1(0, 5.2, 3.1) == 1.0
+
+
+def test_ratio_sum_terminating():
+    # direct 3-term sum, 35-digit arithmetic
+    assert ratio_sum_2f1(2, 1.3, 3.7) == pytest.approx(
+        0.46923519263944795859689476710753307, rel=1e-13)
+
+
+def test_ratio_sum_is_correctly_rounded():
+    # alternating sums that cancel; a float loop lost digits and gave NaN at
+    # (300, 1000, 0.5), whose terms pass a double before they cancel
     for k, b, c in ((40, 0.3, 1.7), (25, -7.3, 2.9), (60, 33.1, 0.25), (300, 1000.0, 0.5)):
-        ref = float(exact_terminating_2f1(k, b, c))
-        assert sf.hyp2f1_unit(-k, b, c) == ref, (k, b, c)
-        assert sf.hyp2f1_unit(b, -k, c) == ref, (k, b, c)
-    # a within 1e-9 of a nonpositive integer is read as that integer
-    assert sf.hyp2f1_unit(-3.0000000001, 2.5, 4.25) == float(exact_terminating_2f1(3, 2.5, 4.25))
+        assert ratio_sum_2f1(k, b, c) == float(exact_terminating_2f1(k, b, c)), (k, b, c)
     # Chu-Vandermonde: (c - b)_k / (c)_k is exactly zero when c - b is an integer in (-k, 0]
-    assert sf.hyp2f1_unit(-7, 4.75, 2.75) == 0.0
-    with pytest.raises(DomainError, match="nonpositive integer"):
-        sf.hyp2f1_unit(-3, 2.5, -2.0)   # c + 2 = 0 in the third term
+    assert ratio_sum_2f1(7, 4.75, 2.75) == 0.0
     with pytest.raises(NumericError, match="past a double"):
-        sf.hyp2f1_unit(-500, 2000.0, 0.5)
+        ratio_sum_2f1(500, 2000.0, 0.5)
+
+
+def two_step_finish(tops, bottoms, runs, ln):
+    """The exact sums' finish as two steps, each run's sum as a correctly rounded mantissa
+    2^e and then mantissa e^r 2^(e + j) (sf._split_ln2 of ln) over numpy arrays: inf past a
+    double."""
+    mantissas, exponents, k = [], [], 0
+    for n in runs:
+        num = den = 1
+        for top, bottom in zip(tops[k:k + n], bottoms[k:k + n]):
+            den *= bottom
+            num = den + top * num
+        k += n
+        e = num.bit_length() - den.bit_length()
+        mantissas.append(num / (den << e) if e > 0 else (num << -e) / den)
+        exponents.append(e)
+    r, j = sf._split_ln2(ln)
+    exp_r = np.fromiter(map(math.exp, r.tolist()), float, r.size)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.array(mantissas) * exp_r, np.array(exponents) + j.astype(np.int64))
+
+
+def test_horner_finish_matches_the_two_step_rounding():
+    # sums of 24 ratios pass no e^99, so e^ln <= e^600 keeps every value within a double,
+    # and e^ln down to e^-760 makes some of them subnormal
+    rng = np.random.default_rng(39)
+    subnormal = 0
+    for _ in range(40):
+        runs = rng.integers(0, 25, size=30).tolist()
+        tops = rng.integers(-60, 61, size=sum(runs)).tolist()
+        bottoms = rng.integers(1, 61, size=sum(runs)).tolist()
+        ln = rng.uniform(-760.0, 600.0, size=len(runs))
+        r, j = sf._split_ln2(ln)
+        out = np.array(sf._horner(tops, bottoms, runs, zip(r.tolist(), j.astype(int).tolist())))
+        ref = two_step_finish(tops, bottoms, runs, ln)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        subnormal += np.count_nonzero((out != 0.0) & (np.abs(out) < 2.0 ** -1022))
+    assert subnormal
+    # past a double, where the two steps give inf
+    assert np.isinf(two_step_finish([], [], [0], np.array([710.0])))
+    with pytest.raises(NumericError, match="past a double"):
+        sf._horner([], [], [0], [(0.0, 1024)])
 
 
 def test_exact_sums_refuse_more_terms_than_the_cap():
     # sums of 1e7 and about 2^61 terms ran until killed; each is refused at once
     big = 2 ** 62 - 4
     params = SystemParams(1.3, 0.7, 1.1, 1)
-    for call in (lambda: sf.hyp2f1_unit(-1e7, 2.5, 3.5),
+    for call in (lambda: ratio_sum_2f1(10 ** 7, 2.5, 3.5),
+                 lambda: bi_orthogonality_hypergeometric(8192, 8192, 0, params, Branch.Plus),
                  lambda: w_coefficient(big, big // 2, big // 2, params, Branch.Plus)):
         start = time.perf_counter()
         with pytest.raises(NumericError, match=f"more than {sf._MAX_SUM_TERMS} terms"):
             call()
         assert time.perf_counter() - start < 1.0
     # the cap itself is summed: 2F1(-8191, b; c; 1) has 8192 terms
-    assert sf.hyp2f1_unit(-(sf._MAX_SUM_TERMS - 1), 2.5, 3.5) > 0.0
+    assert ratio_sum_2f1(sf._MAX_SUM_TERMS - 1, 2.5, 3.5) > 0.0
     with pytest.raises(NumericError, match="terms"):
-        sf.hyp2f1_unit(-sf._MAX_SUM_TERMS, 2.5, 3.5)
-
-
-def test_hyp2f1_unit_gauss_formula():
-    assert sf.hyp2f1_unit(0.35, -0.8, 2.2) == pytest.approx(
-        0.86525472034702088051102044074983686, rel=1e-13)
-
-
-def test_hyp2f1_unit_reciprocal_pole_vanishes():
-    # c - a = 0 makes 1/Gamma(c-a) = 0
-    assert sf.hyp2f1_unit(2.2, -0.5, 2.2) == 0.0
-
-
-def test_hyp2f1_unit_divergent():
-    with pytest.raises(DomainError):
-        sf.hyp2f1_unit(1.0, 1.5, 2.0)
+        ratio_sum_2f1(sf._MAX_SUM_TERMS, 2.5, 3.5)
 
 
 # ---------------------------------------------------------------- quadrature
@@ -995,8 +1024,6 @@ def test_quadrature_refuses_a_size_it_cannot_tabulate():
 def test_non_finite_arguments_are_domain_errors():
     for call in (lambda: sf.gamma_sign_ln(-math.inf), lambda: sf.gamma_sign_ln(math.nan),
                  lambda: reciprocal_gamma(-math.inf), lambda: reciprocal_gamma(math.nan),
-                 lambda: sf.hyp2f1_unit(math.nan, 1.0, 3.0),
-                 lambda: sf.hyp2f1_unit(-math.inf, 1.0, 3.0),
                  lambda: sf.assoc_legendre(2, 1, math.nan),
                  lambda: sf.assoc_legendre(2, 1, np.array([0.5, math.nan])),
                  lambda: sf.gegenbauer(2, math.nan, 0.3),
