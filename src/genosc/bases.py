@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DomainError, check_abs_int, check_nonneg_int, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                    _exponents, require_label_m)
+                    _check_delta, _exponents, require_label_m)
 from .specfun import _jacobi_p0, _jacobi_rows, laguerre_diagonal, laguerre_functions
 
 __all__ = [
@@ -139,6 +139,7 @@ def psi_spherical(label: SphericalLabel, params: SystemParams, point):
     r, theta, phi = point
     rad = radial_spherical(label.n_r, label.q, params, label.branch, r)
     ang = theta_angular(label.q, params, label.branch, theta)
+    require_points(np.isfinite(phi), "phi must be finite", phi)
     return _with_phase(rad * ang, label.m, phi, all(np.ndim(v) == 0 for v in point))
 
 
@@ -177,6 +178,7 @@ def psi_cylindrical(label: CylindricalLabel, params: SystemParams, point):
     rho, phi, z = point
     rad = radial_cylindrical(label.n_rho, params, rho)
     ax = z_axial(label.p, params, label.branch, z)
+    require_points(np.isfinite(phi), "phi must be finite", phi)
     return _with_phase(rad * ax, label.m, phi, all(np.ndim(v) == 0 for v in point))
 
 
@@ -228,8 +230,7 @@ def theta_ring(l: int, m: int, delta: float, theta):
     l, ma = check_nonneg_int(l, "l"), check_abs_int(m, "m")
     if l < ma:
         raise DomainError(f"theta_ring needs |m| <= l, got l={l}, m={m}")
-    if not 0.0 <= delta < math.inf:
-        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
+    _check_delta(delta)
     t = _checked(theta, "theta", upper=math.pi)
     mu = ma + float(delta)
     start = _jacobi_p0(mu, mu) * np.power(np.sin(t), mu)
@@ -244,4 +245,5 @@ def spherical_harmonic_limit(l: int, m: int, theta, phi):
     convention, which differs from Condon-Shortley by (-1)^|m|.
     """
     ang = theta_ring(l, m, 0.0, theta)
+    require_points(np.isfinite(phi), "phi must be finite", phi)
     return _with_phase(ang, int(m), phi, np.ndim(theta) == 0 and np.ndim(phi) == 0)

@@ -34,7 +34,7 @@ from ._cache import LEVELS, cached
 from .bases import _angular, _axial, _radial_cyl, _radial_level
 from .errors import (AccuracyError, DomainError, NumericError, _level_index_message,
                      _require_table, check_abs_int, check_level_index, check_nonneg_int)
-from .model import Branch, SystemParams, _a_q, _e_n, _exponents
+from .model import Branch, SystemParams, _a_q, _check_delta, _e_n, _exponents
 from .specfun import (_MAX_SUM_TERMS, _dense, _dyadic, _horner, _require_terms, _split_ln2,
                       build_quadrature)
 
@@ -51,7 +51,7 @@ __all__ = [
 # The overlap route refuses levels above this for time, not accuracy (5e-14 off w_matrix
 # at n = 100): time n^4, memory n^3, 0.12 s and 25 MB at n = 100 on one x86-64 core.
 W_OVERLAP_MAX_LEVEL = 100
-# Index arrays hold entries below this as int64 (a float entry past it is no longer exact).
+# Every index, scalar or array entry, lies below this: held as int64, a float one still exact.
 _INDEX_LIMIT = 2 ** 62
 # Eigen residual contract, shared with the spheroidal eigensolves: a residual
 # may reach this factor times the matrix size and scale.
@@ -153,63 +153,53 @@ def _racah(index: np.ndarray, sums: np.ndarray, offsets, scale: int) -> np.ndarr
     argument: no entry needs a continuation past a pole, and its first term's sign is (-1)^t.
 
     A doubled sum of differences is Z + B / scale with Z an int per entry and 0 <= B < scale
-    one int per table, so the t-range, both caps, the sign and the lgamma
-    prefactor (math.lgamma and math.log once per distinct argument, summed in one order) are
-    formed once per table in numpy. Only the term ratios (t-d_0)(t-d_1)(t-d_2) /
+    one int per table, so the t-range (never empty, by the bounds above), both caps, the sign
+    and the lgamma prefactor (math.lgamma and math.log once per distinct argument, summed in
+    one order) are formed once per table in numpy. Only the term ratios (t-d_0)(t-d_1)(t-d_2) /
     ((t+1)(d_3+t+1)(d_4+t+1)) are summed per entry, by specfun._horner: a base whose offset
-    is whole steps as a small int. The first entry that fails raises, as its own sum would:
-    NumericError past the term cap, AccuracyError for a + b + c past 2^15 within it,
-    NumericError past a double.
+    is whole steps as a small int. The first entry (C order) past a cap raises before any sum:
+    NumericError past the term cap, else AccuracyError for a + b + c past 2^15, which every
+    table wide enough for Python ints (_WIDE) passes, so sums run on int64. NumericError for
+    a sum past a double.
     """
     shape = index.shape[1:]
     index = index.reshape(len(index), -1)
+    if not index.size:
+        return np.zeros(shape)
     whole, B = zip(*(divmod(v, scale) for v in _sums(offsets)))
-    if (index.dtype == object
-            or 16 * int(np.maximum.reduce(index, axis=None, initial=0)) + max(map(abs, whole))
-            >= _WIDE):
+    if 16 * int(index.max()) + max(map(abs, whole)) >= _WIDE:
         index = index.astype(object)
     Z = sums @ index + np.array(whole, dtype=index.dtype)[:, None]
     half = Z[:5] // 2
     # 0 <= t <= a+b-c, within the ends that whole d_1, d_2 (upper) and d_3, d_4 (lower) set
     ends = np.where((Z[1:5] % 2 == 0) & np.array([[b == 0] for b in B[1:5]]), half[1:], half[0])
-    tmax = np.minimum(half[0], np.minimum.reduce(ends[:2]))
-    tmin = np.maximum(0, -np.minimum.reduce(ends[2:]))
-    live = tmax >= tmin
-    over = Z[14] > 2 * _MAX_CG_ORDER - (B[14] > 0)
-    capped = live & (over | (tmax - tmin >= _MAX_SUM_TERMS))
-    stop = int(capped.argmax()) if np.count_nonzero(capped) else capped.size
-    live[stop:] = False
-    out, count = np.zeros(live.shape), np.count_nonzero(live)
-    if count:
-        Zv, t, tn = Z, tmin, tmax
-        if count < live.size:
-            Zv, t, tn = Zv[:, live], t[live], tn[live]
-        Zv, t = Zv.astype(np.int64), t.astype(np.int64)
-        shifted = np.concatenate((Zv[:5], 2 * t[None]))
-        F = _FIRST @ shifted
-        ln = _ln_prefactor(Zv[5:], B[5:], F, [0, *B[:5]], scale)
-        # every ratio of every entry, last first: base k + b / scale (doubled) at s = terms-2,
-        # ..., 0 is the factor k + 2s over 2 for b = 0, else (k + 2s) scale + b over 2 scale
-        bs = [-b % scale for b in B[:3]] + [0, *B[3:5]]
-        steps = tn - t
-        cuts = steps.cumsum()
-        M = ((_BASES @ shifted).repeat(steps, axis=1)
-             + 2 * ((cuts - 1).repeat(steps) - np.arange(cuts[-1]))
-             + np.array([-(b > 0) for b in B[:3]] + [2, 2, 2])[:, None])
-        big = sum(b > 0 for b in bs[3:]) - sum(b > 0 for b in bs[:3])
-        tops = _products(M[:3], bs[:3], scale, scale ** max(big, 0))
-        bottoms = _products(M[3:], bs[3:], scale, scale ** max(-big, 0))
-        # e^ln as e^r 2^j, so a sum past a double may meet a small prefactor
-        r, j = _split_ln2(ln)
-        values = _horner(tops, bottoms, steps.tolist(), zip(r.tolist(), j.astype(int).tolist()))
-        # + 0.0: terms that cancel exactly give 0.0, not -0.0
-        out[live] = np.where(t % 2, -1.0, 1.0) * np.array(values) + 0.0
-    if stop < capped.size:
-        _require_terms(int(tmax[stop] - tmin[stop]) + 1)
+    t = np.maximum(0, -np.minimum.reduce(ends[2:]))
+    steps = np.minimum(half[0], np.minimum.reduce(ends[:2])) - t
+    capped = (steps >= _MAX_SUM_TERMS) | (Z[14] > 2 * _MAX_CG_ORDER - (B[14] > 0))
+    if capped.any():
+        first = int(capped.argmax())
+        _require_terms(int(steps[first]) + 1)
         raise AccuracyError(f"continued CG sum at a + b + c = "
-                            f"{(int(Z[14, stop]) * scale + B[14]) / (2 * scale)} past "
+                            f"{(int(Z[14, first]) * scale + B[14]) / (2 * scale)} past "
                             f"{_MAX_CG_ORDER}, where its Gamma prefactor loses its accuracy")
-    return out.reshape(shape)
+    shifted = np.concatenate((Z[:5], 2 * t[None]))
+    F = _FIRST @ shifted
+    ln = _ln_prefactor(Z[5:], B[5:], F, [0, *B[:5]], scale)
+    # every ratio of every entry, last first: base k + b / scale (doubled) at s = terms-2,
+    # ..., 0 is the factor k + 2s over 2 for b = 0, else (k + 2s) scale + b over 2 scale
+    bs = [-b % scale for b in B[:3]] + [0, *B[3:5]]
+    cuts = steps.cumsum()
+    M = ((_BASES @ shifted).repeat(steps, axis=1)
+         + 2 * ((cuts - 1).repeat(steps) - np.arange(cuts[-1]))
+         + np.array([-(b > 0) for b in B[:3]] + [2, 2, 2])[:, None])
+    big = sum(b > 0 for b in bs[3:]) - sum(b > 0 for b in bs[:3])
+    tops = _products(M[:3], bs[:3], scale, scale ** max(big, 0))
+    bottoms = _products(M[3:], bs[3:], scale, scale ** max(-big, 0))
+    # e^ln as e^r 2^j, so a sum past a double may meet a small prefactor
+    r, j = _split_ln2(ln)
+    values = _horner(tops, bottoms, steps.tolist(), zip(r.tolist(), j.astype(int).tolist()))
+    # + 0.0: terms that cancel exactly give 0.0, not -0.0
+    return (np.where(t % 2, -1.0, 1.0) * np.array(values) + 0.0).reshape(shape)
 
 
 def _refuse_entries(bad: np.ndarray, message) -> None:
@@ -221,39 +211,28 @@ def _refuse_entries(bad: np.ndarray, message) -> None:
 
 
 def _check_indices(**named) -> tuple[bool, np.ndarray]:
-    """(is_array, index): the named indices stacked, index[k] the k-th broadcast to one shape,
-    0-d for a call whose indices are all scalars. DomainError names the first index or entry
-    that is not a nonnegative integer; scalars are checked by check_nonneg_int (and held as
-    Python ints if one reaches _INDEX_LIMIT), an array entry must also be below _INDEX_LIMIT."""
-    if not any(np.ndim(v) for v in named.values()):
-        values = [check_nonneg_int(v, k) for k, v in named.items()]
-        return False, np.array(values, dtype=np.int64 if max(values) < _INDEX_LIMIT else object)
+    """(is_array, index): the named indices stacked as int64, index[k] the k-th broadcast to
+    one shape, 0-d for a call whose indices are all scalars. DomainError names the first index
+    or entry that is not a nonnegative integer below _INDEX_LIMIT; in an all-scalar call each
+    index is first read by check_nonneg_int, whose wording its refusal keeps."""
+    is_array = any(np.ndim(v) for v in named.values())
     out = []
     for name, v in named.items():
-        arr = np.asarray(v)
+        arr = np.asarray(v) if is_array else np.asarray(check_nonneg_int(v, name), dtype=object)
         if arr.dtype.kind == "i":   # a negative entry reads as 2^63 or more unsigned
             bad = arr.astype(np.int64, copy=False).view(np.uint64) >= _INDEX_LIMIT
-        elif arr.dtype.kind == "u":
+        elif arr.dtype.kind == "u" or not is_array:
             bad = arr >= _INDEX_LIMIT
         elif arr.dtype.kind == "f":
             with np.errstate(invalid="ignore"):
                 bad = ~((arr >= 0) & (arr == np.floor(arr)) & (arr < _INDEX_LIMIT))
         else:
             raise DomainError(f"{name} must be nonnegative integers, got dtype {arr.dtype}")
-        _refuse_entries(bad, lambda i: f"{name} must be a nonnegative integer, got {arr[i].item()!r}")
+        _refuse_entries(bad, lambda i: f"{name} must be a nonnegative integer, got {arr.item(i)!r}")
         out.append(arr)
     index = np.empty((len(out), *np.broadcast_shapes(*(arr.shape for arr in out))), dtype=np.int64)
-    for row, arr in zip(index, out):
-        row[...] = arr
-    return True, index
-
-
-def _level_indices(n, p, q) -> tuple[bool, np.ndarray]:
-    """_check_indices of n, p, q, refusing the first entry outside 0 <= p, q <= n."""
-    is_array, index = _check_indices(**{"level n": n, "p": p, "q": q})
-    n, p, q = index
-    _refuse_entries((p > n) | (q > n),
-                    lambda i: _level_index_message(n[i], p=p[i], q=q[i]))
+    for k, arr in enumerate(out):
+        index[k] = arr
     return is_array, index
 
 
@@ -276,13 +255,17 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     An entry whose sum has more than 2^13 terms (specfun._MAX_SUM_TERMS; from about
     n = 16384 at p = q = n/2) raises NumericError, and one within that cap whose
     a0 + b0 + c0 = n + q + c +- b passes 2^15 (levels from about 2^14) raises
-    AccuracyError: the prefactor's error grows with it (figures in ring_w).
+    AccuracyError: the prefactor's error grows with it (figures in ring_w). The first such
+    entry of a table (C order) raises before any entry is summed. n, p and q must be
+    nonnegative integers below 2^62, scalar or array entry alike (DomainError).
     """
-    is_array, index = _level_indices(n, p, q)
+    is_array, index = _check_indices(**{"level n": n, "p": p, "q": q})
+    n, p, q = index
+    _refuse_entries((p > n) | (q > n), lambda i: _level_index_message(n[i], p=p[i], q=q[i]))
     scale, (sb, c) = _dyadic(*_exponents(params, branch))
     val = _racah(index, _W_SUMS, (0, 0, 2 * c, 2 * sb, 0), scale)
     # + 0.0 turns the -0.0 of an exactly zero entry at odd n - q into +0.0
-    val = np.where((index[0] - index[2]) % 2, -1.0, 1.0) * val + 0.0
+    val = np.where((n - q) % 2, -1.0, 1.0) * val + 0.0
     return val if is_array else float(val)
 
 
@@ -518,13 +501,11 @@ def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarra
     is_array, index = _check_indices(N=N, n3=n3, l=l)
     N, n3, l = index
     ma = check_abs_int(m, "m")
-    if not 0.0 <= delta < math.inf:
-        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
-    if not index.size:   # no entry to check, and an int64 N - |m| could overflow
-        return np.zeros(index.shape[1:])
+    _check_delta(delta)
     _refuse_entries((l < ma) | (l > N) | ((N - l) & 1), lambda i: (
         f"need |m| <= l <= N with N - l even, got N={N[i]}, l={l[i]}, m={m}"))
-    _refuse_entries((n3 > N - ma) | ((N - ma - n3) & 1), lambda i: (
+    # N - n3 against |m|, which may pass int64 (an empty table checks nothing)
+    _refuse_entries((N - n3 < ma) | ((N - n3) % 2 != ma % 2), lambda i: (
         f"need 0 <= n3 <= N - |m| with N - |m| - n3 even, got N={N[i]}, n3={n3[i]}, m={m}"))
     scale, (delta,) = _dyadic(delta)
     val = _racah(index, _RING_SUMS, (0, 0, -scale, ma * scale + 2 * delta, -ma * scale), scale)

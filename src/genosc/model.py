@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _as_float, check_abs_int, check_nonneg_int
+from .errors import DomainError, _as_float, check_abs_int, check_nonneg_int, check_positive
 
 __all__ = [
     "Branch",
@@ -149,6 +149,11 @@ class CylindricalLabel:
         return self.n_rho + self.p
 
 
+def _check_delta(delta) -> None:
+    if not 0.0 <= delta < math.inf:
+        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
+
+
 @dataclass(frozen=True)
 class RingLabel:
     """Ring-regime (b = 1/2) relabeling: principal N with either l or n3.
@@ -166,8 +171,7 @@ class RingLabel:
     def __post_init__(self):
         check_nonneg_int(self.N, "N")
         check_abs_int(self.m, "m")
-        if not 0.0 <= self.delta < math.inf:
-            raise DomainError(f"delta must be nonnegative and finite, got {self.delta}")
+        _check_delta(self.delta)
         if self.l is not None:
             check_nonneg_int(self.l, "l")
             if self.l < abs(self.m) or self.l > self.N or (self.N - self.l) % 2:
@@ -266,10 +270,12 @@ def ring_relabel(label, params: SystemParams) -> RingLabel:
 def ring_separation_constant(l: int, delta: float) -> float:
     """A_l(delta) = (l + delta)(l + delta + 1); reduces to l(l+1) at delta = 0."""
     l = check_nonneg_int(l, "l")
+    _check_delta(delta)
     return (l + delta) * (l + delta + 1.0)
 
 
 def ring_energy(N: int, delta: float, omega: float) -> float:
     """E_N = omega (N + delta + 3/2); the isotropic-oscillator ladder at delta = 0."""
     N = check_nonneg_int(N, "N")
-    return omega * (N + delta + 1.5)
+    _check_delta(delta)
+    return check_positive(omega, "omega") * (N + delta + 1.5)

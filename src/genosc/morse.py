@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_nonneg_int, check_positive
+from .errors import DomainError, check_nonneg_int, check_positive, require_points
 from .specfun import build_quadrature, laguerre_diagonal
 
 _logger = logging.getLogger(__name__)
@@ -133,8 +133,9 @@ def _wavefunctions(ps, params: MorseParams, x) -> np.ndarray:
 
 
 def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:
-    """Normalized bound state psi_p at position x; accepts scalars or arrays."""
+    """Normalized bound state psi_p at position x, scalars or arrays (0.0 at +-inf)."""
     p = _check_level(p, params)
+    require_points(~np.isnan(x), "x must not be NaN", x)
     vals = _wavefunctions((p,), params, x)[0]
     return vals if vals.ndim else float(vals)
 

@@ -588,13 +588,12 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
         raise DomainError(f"quadrature size must be a positive integer, got {n}")
     alpha = float(alpha)
     beta = float(beta)
-    if kind == "laguerre":
-        if not (alpha > -1.0 and beta == 0.0):
-            raise DomainError(f"laguerre rule needs alpha > -1, beta = 0, got ({alpha}, {beta})")
-    elif kind == "legendre" and (alpha != 0.0 or beta != 0.0):
+    if kind == "laguerre" and not (-1.0 < alpha < math.inf and beta == 0.0):
+        raise DomainError(f"laguerre rule needs finite alpha > -1, beta = 0, got ({alpha}, {beta})")
+    if kind == "legendre" and (alpha != 0.0 or beta != 0.0):
         raise DomainError("legendre rule takes no exponents")
-    elif not (alpha > -1.0 and beta > -1.0):
-        raise DomainError(f"jacobi rule requires alpha, beta > -1, got ({alpha}, {beta})")
+    if kind == "jacobi" and not (-1.0 < alpha < math.inf and -1.0 < beta < math.inf):
+        raise DomainError(f"jacobi rule requires finite alpha, beta > -1, got ({alpha}, {beta})")
     return _gauss_rule(kind, int(n), alpha + 0.0, beta + 0.0)   # + 0.0: -0.0 as 0.0
 
 

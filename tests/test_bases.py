@@ -406,6 +406,20 @@ def test_theta_legendre_reduction():
 
 # ---------------------------------------------------------------- psi
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_psi_refuses_a_non_finite_phi(bad):
+    # once (nan+nanj) with two RuntimeWarnings
+    sph = SphericalLabel(n_r=1, q=1, m=BOTH.m, branch=Branch.Plus)
+    cyl = CylindricalLabel(n_rho=1, p=1, m=BOTH.m, branch=Branch.Plus)
+    for call in (lambda phi: psi_spherical(sph, BOTH, (1.3, 0.8, phi)),
+                 lambda phi: psi_cylindrical(cyl, BOTH, (1.0, phi, 0.5)),
+                 lambda phi: spherical_harmonic_limit(2, 1, 0.5, phi)):
+        with pytest.raises(DomainError, match=f"phi must be finite, got {bad}$"):
+            call(bad)
+        with pytest.raises(DomainError, match=f"phi must be finite, got {bad} at point 1$"):
+            call(np.array([0.3, bad, 0.4]))
+
+
 def test_psi_spherical_modulus_and_norm():
     lbl = SphericalLabel(n_r=1, q=1, m=BOTH.m, branch=Branch.Plus)
     pt = (1.3, 0.8, 0.0)

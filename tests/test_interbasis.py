@@ -613,6 +613,52 @@ def test_racah_sums_refuse_orders_past_their_prefactor_accuracy():
     assert ring_w(2 ** 15 + 1, 1, 0, 1, 0.2) == pytest.approx(0.10465266742282016, rel=1e-10)
 
 
+def test_a_table_past_a_cap_raises_before_any_sum(monkeypatch):
+    # the first entry (C order) past a cap refuses the whole table before any prefactor or
+    # Horner work: level-60 entries ahead of it cost nothing
+    calls = []
+    monkeypatch.setattr(interbasis, "_horner", lambda *a: calls.append(a))
+    monkeypatch.setattr(interbasis, "_ln_prefactor", lambda *a: calls.append(a))
+    params = SystemParams(1.3, 0.7, 1.1, 1)
+    n = np.array([[60, 2 ** 16], [2 ** 15, 60]])
+    # a + b + c = n + q + c + b at the first capped entry, n = 2^16 (q = 0)
+    with pytest.raises(AccuracyError, match=r"a \+ b \+ c = 65538\.\d+ past 32768"):
+        w_coefficient(n, 0, 0, params, Branch.Plus)
+    with pytest.raises(AccuracyError, match="past 32768"):
+        w_coefficient(np.append(np.full(3000, 60), 2 ** 15), 30, 30, params, Branch.Plus)
+    # the term cap comes first, also when the order cap is passed too
+    with pytest.raises(NumericError, match="more than 8192 terms"):
+        w_coefficient(np.array([60, 2 ** 40]), np.array([30, 2 ** 39]), np.array([2, 2 ** 39]),
+                      params, Branch.Plus)
+    with pytest.raises(AccuracyError, match="past 32768"):
+        ring_w(np.array([5, 2 ** 16 + 1]), 1, 0, 1, 0.2)
+    assert not calls
+
+
+def test_a_scalar_index_past_2_62_is_refused_as_an_array_entry_is():
+    params = SystemParams(1.3, 0.7, 1.1, 1)
+    for call, array_call in (
+            (lambda: w_coefficient(2 ** 62, 0, 0, params, Branch.Plus),
+             lambda: w_coefficient(np.array([2 ** 62]), 0, 0, params, Branch.Plus)),
+            (lambda: w_coefficient(5, 2 ** 63, 0, params, Branch.Plus),
+             lambda: w_coefficient(5, np.array([2 ** 63], dtype=np.uint64), 0, params,
+                                   Branch.Plus)),
+            (lambda: ring_w(2 ** 62 + 1, 1, 0, 1, 0.2),
+             lambda: ring_w(np.array([2 ** 62 + 1]), 1, 0, 1, 0.2)),
+            (lambda: ring_w(3, 1, 0, 2 ** 64, 0.2),
+             lambda: ring_w(3, 1, 0, np.array([2 ** 64 - 1], dtype=np.uint64), 0.2))):
+        with pytest.raises(DomainError) as scalar:
+            call()
+        with pytest.raises(DomainError) as array:
+            array_call()
+        scalar, array = str(scalar.value), str(array.value)
+        assert re.fullmatch(r"(level n|p|N|l) must be a nonnegative integer, got \d+", scalar)
+        assert array.startswith(scalar.split(", got")[0]) and array.endswith(" at entry (0,)")
+    # below the limit a scalar still reaches the sum's own caps
+    with pytest.raises(NumericError, match="more than 8192 terms"):
+        w_coefficient(2 ** 62 - 4, 2 ** 61 - 2, 2 ** 61 - 2, params, Branch.Plus)
+
+
 def test_ring_w_matrix_is_orthogonal():
     # N = 4, |m| = 1: n3 in {1, 3}, l in {2, 4} (odd N - |m|)
     mat = np.array([[ring_w(4, 1, n3, l, 0.7) for l in (2, 4)] for n3 in (1, 3)])

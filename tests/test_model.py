@@ -166,6 +166,19 @@ def test_ring_limit_identity():
                 ring_separation_constant(ring.l, delta), rel=1e-13)
 
 
+def test_ring_energy_and_separation_constant_check_their_arguments():
+    # once returned nan, -4.7 and 6.0
+    for bad in (math.nan, math.inf, -1.0):
+        with pytest.raises(DomainError, match="delta must be nonnegative and finite"):
+            ring_energy(3, bad, 1.0)
+        with pytest.raises(DomainError, match="delta must be nonnegative and finite"):
+            ring_separation_constant(2, bad)
+    for bad in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="omega must be positive and finite"):
+            ring_energy(3, 0.2, bad)
+    assert ring_energy(3, 0.2, 1.0) == 4.7 and ring_separation_constant(2, 0.5) == 8.75
+
+
 def test_ring_energy_identity():
     # E_N(delta) = omega (N + delta + 3/2) agrees with the level formula
     _, _, delta = channel_constants(RING)

@@ -288,3 +288,15 @@ def test_parameter_validation():
             morse_wavefunction(p, params, 0.0)
     with pytest.raises(DomainError):
         quadrature_norm(5, params)
+
+
+def test_wavefunction_refuses_nan_and_keeps_the_limits_at_infinity():
+    # a NaN x once leaked a bare ValueError from laguerre_diagonal's growth bound
+    params = MorseParams(5.0, 1.0)
+    with pytest.raises(DomainError, match="x must not be NaN, got nan$"):
+        morse_wavefunction(0, params, math.nan)
+    with pytest.raises(DomainError, match="x must not be NaN, got nan at point 2$"):
+        morse_wavefunction(1, params, np.array([0.0, 1.0, math.nan]))
+    assert morse_wavefunction(0, params, math.inf) == 0.0
+    assert morse_wavefunction(0, params, -math.inf) == 0.0
+    assert morse_wavefunction(2, params, np.array([-math.inf, math.inf])).tolist() == [0.0, 0.0]

@@ -1021,6 +1021,14 @@ def test_quadrature_refuses_a_size_it_cannot_tabulate():
         gram_matrix(GramFamily.Theta, 10 ** 6, SystemParams(1.0, 0.05, 0.5, 1))
 
 
+@pytest.mark.parametrize("args", [("jacobi", 3, math.inf, 0.0), ("jacobi", 3, 0.5, math.inf),
+                                  ("laguerre", 3, math.inf)])
+def test_quadrature_refuses_infinite_exponents(args):
+    # once an OverflowError (jacobi) or a RuntimeWarning and NumericError (laguerre)
+    with pytest.raises(DomainError, match="rule (needs|requires) finite alpha"):
+        sf.build_quadrature(*args)
+
+
 def test_non_finite_arguments_are_domain_errors():
     for call in (lambda: sf.gamma_sign_ln(-math.inf), lambda: sf.gamma_sign_ln(math.nan),
                  lambda: reciprocal_gamma(-math.inf), lambda: reciprocal_gamma(math.nan),
