@@ -26,9 +26,10 @@ from collections import deque
 
 import numpy as np
 
-from .errors import DomainError, check_abs_int, check_nonneg_int, require_points
+from .errors import (DomainError, _as_float, check_abs_int, check_nonneg_int, check_points,
+                     require_points)
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                    _check_delta, _exponents, require_label_m)
+                    _exponents, require_label_m)
 from .specfun import _jacobi_p0, _jacobi_rows, laguerre_diagonal, laguerre_functions
 
 __all__ = [
@@ -45,23 +46,14 @@ __all__ = [
 ]
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
+_HALF_PI = 0.5 * math.pi
 
 
-def _checked(x, name: str, upper: float = math.inf):
-    arr = np.asarray(x, dtype=np.float64)
-    require_points((arr > 0.0) & (arr < upper), f"{name} must lie strictly inside (0, {upper})")
-    return arr
-
-
-def _shaped(out, x):
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def _with_phase(amp, m: int, phi, scalar: bool):
-    out = amp * np.exp(1j * m * np.asarray(phi, dtype=np.float64)) / _SQRT_TWO_PI
-    return complex(out) if scalar else out
+def _with_phase(amp, m: int, phi):
+    phi = check_points(phi, "phi")
+    require_points(np.isfinite(phi), "phi must be finite", phi)
+    out = amp * np.exp(1j * m * phi) / _SQRT_TWO_PI
+    return out if out.ndim else complex(out)
 
 
 def _log_x(omega: float, u):   # ln(omega u^2), finite where omega u^2 is not
@@ -114,8 +106,10 @@ def theta_angular(q: int, params: SystemParams, branch: Branch, theta):
     """
     q = check_nonneg_int(q, "q")
     beta, c = _exponents(params, branch)
-    t = _checked(theta, "theta", upper=0.5 * math.pi)
-    return _shaped(_angular((q,), c, beta, t)[0], theta)
+    t = check_points(theta, "theta")
+    require_points((t > 0.0) & (t < _HALF_PI), f"theta must lie strictly inside (0, {_HALF_PI})")
+    out = _angular((q,), c, beta, t)[0]
+    return out if t.ndim else float(out)
 
 
 def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
@@ -129,8 +123,10 @@ def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
     n_r = check_nonneg_int(n_r, "n_r")
     q = check_nonneg_int(q, "q")
     beta, c = _exponents(params, branch)
-    out = _radial_sph((n_r,), q, c, beta, params.omega, _checked(r, "r"))
-    return _shaped(out[0], r)
+    rr = check_points(r, "r")
+    require_points((rr > 0.0) & (rr < math.inf), "r must lie strictly inside (0, inf)")
+    out = _radial_sph((n_r,), q, c, beta, params.omega, rr)[0]
+    return out if rr.ndim else float(out)
 
 
 def psi_spherical(label: SphericalLabel, params: SystemParams, point):
@@ -138,9 +134,7 @@ def psi_spherical(label: SphericalLabel, params: SystemParams, point):
     require_label_m(label.m, params)
     r, theta, phi = point
     rad = radial_spherical(label.n_r, label.q, params, label.branch, r)
-    ang = theta_angular(label.q, params, label.branch, theta)
-    require_points(np.isfinite(phi), "phi must be finite", phi)
-    return _with_phase(rad * ang, label.m, phi, all(np.ndim(v) == 0 for v in point))
+    return _with_phase(rad * theta_angular(label.q, params, label.branch, theta), label.m, phi)
 
 
 def radial_cylindrical(n_rho: int, params: SystemParams, rho):
@@ -153,8 +147,10 @@ def radial_cylindrical(n_rho: int, params: SystemParams, rho):
     """
     n_rho = check_nonneg_int(n_rho, "n_rho")
     _, c = _exponents(params, Branch.Plus)
-    rr = _checked(rho, "rho")
-    return _shaped(_radial_cyl((n_rho,), c, params.omega, rr)[0], rho)
+    rr = check_points(rho, "rho")
+    require_points((rr > 0.0) & (rr < math.inf), "rho must lie strictly inside (0, inf)")
+    out = _radial_cyl((n_rho,), c, params.omega, rr)[0]
+    return out if rr.ndim else float(out)
 
 
 def z_axial(p: int, params: SystemParams, branch: Branch, z):
@@ -168,8 +164,10 @@ def z_axial(p: int, params: SystemParams, branch: Branch, z):
     """
     p = check_nonneg_int(p, "p")
     beta, _ = _exponents(params, branch)
-    zz = _checked(z, "z")
-    return _shaped(_axial((p,), beta, params.omega, zz)[0], z)
+    zz = check_points(z, "z")
+    require_points((zz > 0.0) & (zz < math.inf), "z must lie strictly inside (0, inf)")
+    out = _axial((p,), beta, params.omega, zz)[0]
+    return out if zz.ndim else float(out)
 
 
 def psi_cylindrical(label: CylindricalLabel, params: SystemParams, point):
@@ -177,9 +175,7 @@ def psi_cylindrical(label: CylindricalLabel, params: SystemParams, point):
     require_label_m(label.m, params)
     rho, phi, z = point
     rad = radial_cylindrical(label.n_rho, params, rho)
-    ax = z_axial(label.p, params, label.branch, z)
-    require_points(np.isfinite(phi), "phi must be finite", phi)
-    return _with_phase(rad * ax, label.m, phi, all(np.ndim(v) == 0 for v in point))
+    return _with_phase(rad * z_axial(label.p, params, label.branch, z), label.m, phi)
 
 
 # The level evaluators below return row k = the k-th term of a level at every
@@ -196,8 +192,10 @@ def spherical_level(n: int, params: SystemParams, branch: Branch, r, theta) -> n
     """
     n = check_nonneg_int(n, "n")
     beta, c = _exponents(params, branch)
-    rr = _checked(r, "r")
-    t = _checked(theta, "theta", upper=0.5 * math.pi)
+    rr = check_points(r, "r")
+    require_points((rr > 0.0) & (rr < math.inf), "r must lie strictly inside (0, inf)")
+    t = check_points(theta, "theta")
+    require_points((t > 0.0) & (t < _HALF_PI), f"theta must lie strictly inside (0, {_HALF_PI})")
     qs = range(n + 1)
     return _radial_level(n, qs, c, beta, params.omega, rr) * _angular(qs, c, beta, t)
 
@@ -211,9 +209,13 @@ def cylindrical_level(n: int, params: SystemParams, branch: Branch, rho, z) -> n
     """
     n = check_nonneg_int(n, "n")
     beta, c = _exponents(params, branch)
+    rr = check_points(rho, "rho")
+    require_points((rr > 0.0) & (rr < math.inf), "rho must lie strictly inside (0, inf)")
+    zz = check_points(z, "z")
+    require_points((zz > 0.0) & (zz < math.inf), "z must lie strictly inside (0, inf)")
     ps = range(n + 1)
-    return (_radial_cyl([n - p for p in ps], c, params.omega, _checked(rho, "rho"))
-            * _axial(ps, beta, params.omega, _checked(z, "z")))
+    return (_radial_cyl([n - p for p in ps], c, params.omega, rr)
+            * _axial(ps, beta, params.omega, zz))
 
 
 def theta_ring(l: int, m: int, delta: float, theta):
@@ -230,12 +232,14 @@ def theta_ring(l: int, m: int, delta: float, theta):
     l, ma = check_nonneg_int(l, "l"), check_abs_int(m, "m")
     if l < ma:
         raise DomainError(f"theta_ring needs |m| <= l, got l={l}, m={m}")
-    _check_delta(delta)
-    t = _checked(theta, "theta", upper=math.pi)
+    if not 0.0 <= _as_float(delta) < math.inf:
+        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
+    t = check_points(theta, "theta")
+    require_points((t > 0.0) & (t < math.pi), f"theta must lie strictly inside (0, {math.pi})")
     mu = ma + float(delta)
     start = _jacobi_p0(mu, mu) * np.power(np.sin(t), mu)
     out = deque(_jacobi_rows(l - ma, mu, mu, np.cos(t), start), maxlen=1)[0]
-    return _shaped(out, theta)
+    return out if t.ndim else float(out)
 
 
 def spherical_harmonic_limit(l: int, m: int, theta, phi):
@@ -244,6 +248,4 @@ def spherical_harmonic_limit(l: int, m: int, theta, phi):
     Matches the textbook harmonic up to the module's positive-constant
     convention, which differs from Condon-Shortley by (-1)^|m|.
     """
-    ang = theta_ring(l, m, 0.0, theta)
-    require_points(np.isfinite(phi), "phi must be finite", phi)
-    return _with_phase(ang, int(m), phi, np.ndim(theta) == 0 and np.ndim(phi) == 0)
+    return _with_phase(theta_ring(l, m, 0.0, theta), int(m), phi)

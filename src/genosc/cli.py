@@ -116,11 +116,9 @@ class JobConfig:
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise DomainError(f"R-grid must be start:stop:count, got {text!r}")
-    try:
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:   # ValueError: not three fields, or a field that is not a number
+        start, stop, count = text.split(":")
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise DomainError(f"R-grid must be start:stop:count, got {text!r}") from exc
     if not (0.0 < start < stop < math.inf) or count < 2:

@@ -6,6 +6,9 @@ import numbers
 import numpy as np
 
 
+_INDEX_LIMIT = 2 ** 62   # bounds every Racah table index: int64 holds it, a float one is exact
+
+
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
@@ -76,22 +79,66 @@ def check_positive(value, name: str) -> float:
     return x
 
 
-def require_points(ok, message: str, value=None) -> None:
-    """DomainError(message) unless ok holds at every point.
+def require_points(ok, message, value=None, entries: bool = False) -> None:
+    """DomainError unless ok holds at every point.
 
-    ok is a boolean scalar or array over points. Over more than one point the
-    error names the index of the first failing one; value, when given, is an
-    array of ok's shape (or a scalar) whose entry at that point is quoted.
+    ok is a boolean scalar or array over points; message is a string, or a function of the
+    first failing point's index tuple. value, when given, is an array of ok's shape (or a
+    scalar) whose entry there is quoted. Over more than one point the error names that
+    point, "at point i"; in an index array (entries=True) always, "at entry (i, ...)".
     """
     ok = np.asarray(ok)
     if ok.all() if ok.ndim else ok:   # a scalar's truth value costs less than .all()
         return
     idx = tuple(int(i) for i in np.unravel_index(np.argmin(ok), ok.shape))
+    message = message(idx) if callable(message) else message
     if value is not None:
         message += f", got {np.asarray(value)[idx]}"
-    if ok.size > 1:
+    if entries and idx:
+        message += f" at entry {idx}"
+    elif not entries and ok.size > 1:
         message += f" at point {idx[0] if len(idx) == 1 else idx}"
     raise DomainError(message)
+
+
+def check_points(value, name: str) -> np.ndarray:
+    """value as a float64 array, 0-d for a scalar; DomainError names its first entry that is
+    not a real number (a string, None, a complex or any other object), or refuses a ragged
+    sequence. inf, NaN and, as NaN, ints past a double pass to the caller's range rule."""
+    try:
+        arr = np.asarray(value)
+        if arr.dtype.kind in "biuf":
+            return arr.astype(np.float64, copy=False)
+        arr = np.asarray(value, dtype=object)
+    except ValueError as exc:
+        raise DomainError(f"{name} must hold real numbers, got a ragged sequence") from exc
+    require_points(np.array([isinstance(v, numbers.Real) for v in arr.flat]).reshape(arr.shape),
+                   lambda i: f"{name} must hold real numbers, got {arr[i]!r}")
+    return np.array([_as_float(v) for v in arr.flat]).reshape(arr.shape)
+
+
+def check_indices(**named) -> np.ndarray:
+    """The named indices as int64, index[k] the k-th broadcast to one shape (0-d in an
+    all-scalar call). DomainError names the first index or entry that is not a nonnegative
+    integer below _INDEX_LIMIT; scalars are read by check_nonneg_int before any array."""
+    values = named.values()
+    if all(type(v) is int for v in values) or not any(map(np.ndim, values)):
+        index = []
+        for name, v in named.items():
+            index.append(check_nonneg_int(v, name))
+            if index[-1] >= _INDEX_LIMIT:
+                raise DomainError(f"{name} must be a nonnegative integer, got {index[-1]!r}")
+        return np.array(index, dtype=np.int64)
+    out = []
+    for name, v in named.items():
+        arr = np.asarray(v)
+        if arr.dtype.kind not in "iuf":
+            raise DomainError(f"{name} must be nonnegative integers, got dtype {arr.dtype}")
+        require_points((arr >= 0) & (arr == np.floor(arr)) & (arr < _INDEX_LIMIT),
+                       lambda i: f"{name} must be a nonnegative integer, got {arr.item(i)!r}",
+                       entries=True)
+        out.append(arr)
+    return np.array(np.broadcast_arrays(*out), dtype=np.int64)
 
 
 def _require_table(shape: tuple[int, ...], what: str, cell_bytes: int = 8) -> None:

@@ -32,9 +32,10 @@ import numpy as np
 
 from ._cache import LEVELS, cached
 from .bases import _angular, _axial, _radial_cyl, _radial_level
-from .errors import (AccuracyError, DomainError, NumericError, _level_index_message,
-                     _require_table, check_abs_int, check_level_index, check_nonneg_int)
-from .model import Branch, SystemParams, _a_q, _check_delta, _e_n, _exponents
+from .errors import (AccuracyError, DomainError, NumericError, _as_float, _level_index_message,
+                     _require_table, check_abs_int, check_indices, check_level_index,
+                     require_points)
+from .model import Branch, SystemParams, _a_q, _e_n, _exponents
 from .specfun import (_MAX_SUM_TERMS, _dense, _dyadic, _horner, _require_terms, _split_ln2,
                       build_quadrature)
 
@@ -51,8 +52,6 @@ __all__ = [
 # The overlap route refuses levels above this for time, not accuracy (5e-14 off w_matrix
 # at n = 100): time n^4, memory n^3, 0.12 s and 25 MB at n = 100 on one x86-64 core.
 W_OVERLAP_MAX_LEVEL = 100
-# Every index, scalar or array entry, lies below this: held as int64, a float one still exact.
-_INDEX_LIMIT = 2 ** 62
 # Eigen residual contract, shared with the spheroidal eigensolves: a residual
 # may reach this factor times the matrix size and scale.
 _RESIDUAL_FACTOR = 1e-12
@@ -202,40 +201,6 @@ def _racah(index: np.ndarray, sums: np.ndarray, offsets, scale: int) -> np.ndarr
     return (np.where(t % 2, -1.0, 1.0) * np.array(values) + 0.0).reshape(shape)
 
 
-def _refuse_entries(bad: np.ndarray, message) -> None:
-    """DomainError unless no entry of bad is set; message(i) words entry i, and
-    the error of an array call also names that index."""
-    if np.count_nonzero(bad):
-        i = tuple(int(k) for k in np.unravel_index(np.argmax(bad), bad.shape))
-        raise DomainError(message(i) + (f" at entry {i}" if i else ""))
-
-
-def _check_indices(**named) -> tuple[bool, np.ndarray]:
-    """(is_array, index): the named indices stacked as int64, index[k] the k-th broadcast to
-    one shape, 0-d for a call whose indices are all scalars. DomainError names the first index
-    or entry that is not a nonnegative integer below _INDEX_LIMIT; in an all-scalar call each
-    index is first read by check_nonneg_int, whose wording its refusal keeps."""
-    is_array = any(np.ndim(v) for v in named.values())
-    out = []
-    for name, v in named.items():
-        arr = np.asarray(v) if is_array else np.asarray(check_nonneg_int(v, name), dtype=object)
-        if arr.dtype.kind == "i":   # a negative entry reads as 2^63 or more unsigned
-            bad = arr.astype(np.int64, copy=False).view(np.uint64) >= _INDEX_LIMIT
-        elif arr.dtype.kind == "u" or not is_array:
-            bad = arr >= _INDEX_LIMIT
-        elif arr.dtype.kind == "f":
-            with np.errstate(invalid="ignore"):
-                bad = ~((arr >= 0) & (arr == np.floor(arr)) & (arr < _INDEX_LIMIT))
-        else:
-            raise DomainError(f"{name} must be nonnegative integers, got dtype {arr.dtype}")
-        _refuse_entries(bad, lambda i: f"{name} must be a nonnegative integer, got {arr.item(i)!r}")
-        out.append(arr)
-    index = np.empty((len(out), *np.broadcast_shapes(*(arr.shape for arr in out))), dtype=np.int64)
-    for k, arr in enumerate(out):
-        index[k] = arr
-    return is_array, index
-
-
 def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
                   params: SystemParams, branch: Branch) -> float | np.ndarray:
     """Interbasis coefficient: Psi_cyl(n, p) = sum_q W_np^q Psi_sph(n, q).
@@ -259,14 +224,15 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     entry of a table (C order) raises before any entry is summed. n, p and q must be
     nonnegative integers below 2^62, scalar or array entry alike (DomainError).
     """
-    is_array, index = _check_indices(**{"level n": n, "p": p, "q": q})
+    index = check_indices(**{"level n": n, "p": p, "q": q})
     n, p, q = index
-    _refuse_entries((p > n) | (q > n), lambda i: _level_index_message(n[i], p=p[i], q=q[i]))
+    require_points((p <= n) & (q <= n), lambda i: _level_index_message(n[i], p=p[i], q=q[i]),
+                   entries=True)
     scale, (sb, c) = _dyadic(*_exponents(params, branch))
     val = _racah(index, _W_SUMS, (0, 0, 2 * c, 2 * sb, 0), scale)
     # + 0.0 turns the -0.0 of an exactly zero entry at odd n - q into +0.0
     val = np.where((n - q) % 2, -1.0, 1.0) * val + 0.0
-    return val if is_array else float(val)
+    return val if index.ndim > 1 else float(val)
 
 
 @dataclass(frozen=True)
@@ -498,18 +464,20 @@ def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarra
     is 2e-14 off 60-digit mpmath at N = 2^8 + 1 and 2e-11 at 2^16 + 1, and AccuracyError
     refuses a0 + b0 + c0 = (N + l - 1)/2 + delta past 2^15 (N past about 2^15 at l = N).
     """
-    is_array, index = _check_indices(N=N, n3=n3, l=l)
+    index = check_indices(N=N, n3=n3, l=l)
     N, n3, l = index
     ma = check_abs_int(m, "m")
-    _check_delta(delta)
-    _refuse_entries((l < ma) | (l > N) | ((N - l) & 1), lambda i: (
-        f"need |m| <= l <= N with N - l even, got N={N[i]}, l={l[i]}, m={m}"))
+    if not 0.0 <= _as_float(delta) < math.inf:
+        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
+    require_points((ma <= l) & (l <= N) & ((N - l) % 2 == 0), lambda i: (
+        f"need |m| <= l <= N with N - l even, got N={N[i]}, l={l[i]}, m={m}"), entries=True)
     # N - n3 against |m|, which may pass int64 (an empty table checks nothing)
-    _refuse_entries((N - n3 < ma) | ((N - n3) % 2 != ma % 2), lambda i: (
-        f"need 0 <= n3 <= N - |m| with N - |m| - n3 even, got N={N[i]}, n3={n3[i]}, m={m}"))
+    require_points((N - n3 >= ma) & ((N - n3) % 2 == ma % 2), lambda i: (
+        f"need 0 <= n3 <= N - |m| with N - |m| - n3 even, got N={N[i]}, n3={n3[i]}, m={m}"),
+        entries=True)
     scale, (delta,) = _dyadic(delta)
     val = _racah(index, _RING_SUMS, (0, 0, -scale, ma * scale + 2 * delta, -ma * scale), scale)
-    return val if is_array else float(val)
+    return val if index.ndim > 1 else float(val)
 
 
 def _require_operator(n: int) -> None:

@@ -149,11 +149,6 @@ class CylindricalLabel:
         return self.n_rho + self.p
 
 
-def _check_delta(delta) -> None:
-    if not 0.0 <= delta < math.inf:
-        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
-
-
 @dataclass(frozen=True)
 class RingLabel:
     """Ring-regime (b = 1/2) relabeling: principal N with either l or n3.
@@ -171,7 +166,8 @@ class RingLabel:
     def __post_init__(self):
         check_nonneg_int(self.N, "N")
         check_abs_int(self.m, "m")
-        _check_delta(self.delta)
+        if not 0.0 <= _as_float(self.delta) < math.inf:
+            raise DomainError(f"delta must be nonnegative and finite, got {self.delta}")
         if self.l is not None:
             check_nonneg_int(self.l, "l")
             if self.l < abs(self.m) or self.l > self.N or (self.N - self.l) % 2:
@@ -270,12 +266,14 @@ def ring_relabel(label, params: SystemParams) -> RingLabel:
 def ring_separation_constant(l: int, delta: float) -> float:
     """A_l(delta) = (l + delta)(l + delta + 1); reduces to l(l+1) at delta = 0."""
     l = check_nonneg_int(l, "l")
-    _check_delta(delta)
+    if not 0.0 <= _as_float(delta) < math.inf:
+        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
     return (l + delta) * (l + delta + 1.0)
 
 
 def ring_energy(N: int, delta: float, omega: float) -> float:
     """E_N = omega (N + delta + 3/2); the isotropic-oscillator ladder at delta = 0."""
     N = check_nonneg_int(N, "N")
-    _check_delta(delta)
+    if not 0.0 <= _as_float(delta) < math.inf:
+        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
     return check_positive(omega, "omega") * (N + delta + 1.5)

@@ -21,7 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, check_nonneg_int, check_positive, require_points
+from .errors import (DomainError, _as_float, check_nonneg_int, check_points, check_positive,
+                     require_points)
 from .specfun import build_quadrature, laguerre_diagonal
 
 _logger = logging.getLogger(__name__)
@@ -83,7 +84,7 @@ def sw_to_morse(params: MorseParams, energy: float) -> EffectiveChannel:
     lam = params.lam
     if lam <= 0.5:
         raise DomainError(f"no discrete spectrum: sqrt(2 V0)/a = {lam:.6g} <= 1/2")
-    energy = float(energy)
+    energy = _as_float(energy)
     if not math.isfinite(energy) or energy >= 0.0:
         raise DomainError(f"discrete levels have E < 0, got {energy!r}")
     if -32.0 * energy <= params.a ** 2:
@@ -135,6 +136,7 @@ def _wavefunctions(ps, params: MorseParams, x) -> np.ndarray:
 def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:
     """Normalized bound state psi_p at position x, scalars or arrays (0.0 at +-inf)."""
     p = _check_level(p, params)
+    x = check_points(x, "x")
     require_points(~np.isnan(x), "x must not be NaN", x)
     vals = _wavefunctions((p,), params, x)[0]
     return vals if vals.ndim else float(vals)

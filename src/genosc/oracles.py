@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bases import _angular, _axial, _radial_cyl, _radial_level, _radial_sph
-from .errors import DomainError, check_level_index, check_nonneg_int
+from .errors import DomainError, _as_float, check_level_index, check_nonneg_int
 from .interbasis import _overlap_table, w_matrix
 from .model import Branch, SystemParams, _exponents, admissible_branches
 from .morse import MorseParams, _wavefunctions, normalizable_levels
@@ -97,7 +97,7 @@ def _params_tag(params) -> str:
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x) for any real x or +inf, exactly zero at the poles; NaN and -inf
     raise DomainError (from gamma_sign_ln)."""
-    x = float(x)
+    x = _as_float(x)
     if x <= 0.0 and x.is_integer():
         return 0.0
     sign, ln_abs = gamma_sign_ln(x)

@@ -27,7 +27,8 @@ from operator import mul
 import numpy as np
 
 from ._cache import SETUPS, cached
-from .errors import AccuracyError, DomainError, NumericError, _require_table, check_nonneg_int
+from .errors import (AccuracyError, DomainError, NumericError, _as_float, _require_table,
+                     check_nonneg_int, check_points)
 
 __all__ = [
     "QuadratureRule",
@@ -48,7 +49,7 @@ _QUAD_KINDS = ("legendre", "jacobi", "laguerre")
 
 def ln_gamma(x: float) -> float:
     """Natural log of Gamma(x) for x > 0."""
-    if not x > 0.0:
+    if not _as_float(x) > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
     return math.lgamma(x)
 
@@ -60,7 +61,7 @@ def gamma_sign_ln(x: float) -> tuple[float, float]:
     poles Gamma(x) < 0 exactly where x < 0 and floor(x) is odd. NaN and -inf
     raise DomainError.
     """
-    x = float(x)
+    x = _as_float(x)
     if not x > -math.inf:
         raise DomainError(f"gamma_sign_ln requires a real x or +inf, got {x}")
     if x <= 0.0 and abs(x - math.floor(x + 0.5)) < 1e-12:
@@ -110,29 +111,23 @@ def _hermite(n, x):
 def _poly_eval(recurrence, args, x):
     """Last degree of a forward three-term recurrence over the points x (any
     shape); a float for a scalar x. Only the last two rows are ever held."""
-    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    out = deque(recurrence(*args, arr.ravel()), maxlen=1)[0]
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
-
-
-def _check_degree(n: int) -> int:
-    return check_nonneg_int(n, "polynomial degree")
+    pts = check_points(x, "x")
+    out = deque(recurrence(*args, np.atleast_1d(pts).ravel()), maxlen=1)[0]
+    return out.reshape(pts.shape) if pts.ndim else float(out[0])
 
 
 def jacobi_p(n: int, alpha: float, beta: float, x):
     """Jacobi polynomial P_n^(alpha, beta)(x), alpha, beta > -1."""
-    n = _check_degree(n)
-    if not (alpha > -1.0 and beta > -1.0):
+    n = check_nonneg_int(n, "polynomial degree")
+    if not (_as_float(alpha) > -1.0 and _as_float(beta) > -1.0):
         raise DomainError(f"jacobi_p requires alpha, beta > -1, got ({alpha}, {beta})")
     return _poly_eval(_jacobi, (n, float(alpha), float(beta)), x)
 
 
 def gen_laguerre(n: int, alpha: float, x):
     """Generalized Laguerre polynomial L_n^alpha(x), alpha > -1."""
-    n = _check_degree(n)
-    if not alpha > -1.0:
+    n = check_nonneg_int(n, "polynomial degree")
+    if not _as_float(alpha) > -1.0:
         raise DomainError(f"gen_laguerre requires alpha > -1, got {alpha}")
     return _poly_eval(_laguerre, (n, float(alpha)), x)
 
@@ -187,11 +182,11 @@ def _jacobi_p0(alpha: float, beta: float, power: float = 0.0) -> float:
     """2^power p_0, p_0 = 1/sqrt(b_0) and b_0 = 2^(alpha + beta + 1) Gamma(alpha + 1)
     Gamma(beta + 1) / Gamma(alpha + beta + 2) the Jacobi weight integral, alpha, beta > -1:
     _gamma_ratio's m 2^e with the power of two joined to e exactly, so no factor leaves
-    double range on its own. AccuracyError when the product does."""
-    m, e = _gamma_ratio(alpha, beta)
-    s = alpha + beta + 1.0 - 2.0 * power
-    half = math.floor(0.5 * s)   # 2^s = 2^(s - 2 half) 4^half, s - 2 half exact
+    double range on its own. AccuracyError when the product or the order leaves it."""
     try:
+        m, e = _gamma_ratio(alpha, beta)
+        s = alpha + beta + 1.0 - 2.0 * power
+        half = math.floor(0.5 * s)   # 2^s = 2^(s - 2 half) 4^half, s - 2 half exact
         return math.ldexp(1.0 / math.sqrt(m * 2.0 ** (s - 2.0 * half)), -(e // 2 + half))
     except OverflowError:
         raise AccuracyError(f"Jacobi p_0 leaves double range for alpha={alpha}, "
@@ -232,7 +227,7 @@ def _x_tail(n: int, hi: float) -> float:
 
 def _degree_rows(degrees, what: str) -> dict:
     """{degree: row} of distinct nonnegative degrees, at least one."""
-    wanted = {k if type(k) is int and k >= 0 else _check_degree(k): i
+    wanted = {k if type(k) is int and k >= 0 else check_nonneg_int(k, "polynomial degree"): i
               for i, k in enumerate(degrees)}
     if not wanted or len(wanted) < len(degrees):
         raise DomainError(f"{what} needs distinct degrees, got {list(degrees)}")
@@ -407,7 +402,8 @@ def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
         at = np.flatnonzero(small)
         lx = np.ravel(log_pts)[at]
         alpha = beta - 2.0 * np.array(list(wanted), dtype=np.float64)[:, None]
-        ln = (0.5 * alpha + power) * lx - 0.5 * np.exp(lx) + (r0 + float(ln_const))
+        with np.errstate(over="ignore"):   # a log_x near -1e308: -inf, floored below
+            ln = (0.5 * alpha + power) * lx - 0.5 * np.exp(lx) + (r0 + float(ln_const))
         r, j = _split_ln2(np.maximum(ln, -1e11))
         m, e2 = np.array(lead).T
         out.reshape(len(wanted), -1)[:, at] = np.ldexp(
@@ -417,15 +413,15 @@ def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
 
 def gegenbauer(n: int, lam: float, x):
     """Gegenbauer polynomial C_n^lam(x), lam > -1/2 and lam != 0."""
-    n = _check_degree(n)
-    if not (-0.5 < lam < math.inf and lam != 0.0):
+    n = check_nonneg_int(n, "polynomial degree")
+    if not (-0.5 < _as_float(lam) < math.inf and lam != 0.0):
         raise DomainError(f"gegenbauer requires a finite lam > -1/2, lam != 0, got {lam}")
     return _poly_eval(_gegenbauer, (n, float(lam)), x)
 
 
 def hermite(n: int, x):
     """Physicists' Hermite polynomial H_n(x)."""
-    n = _check_degree(n)
+    n = check_nonneg_int(n, "polynomial degree")
     return _poly_eval(_hermite, (n,), x)
 
 
@@ -436,22 +432,20 @@ def assoc_legendre(l: int, m: int, x):
     P_l^m(x) = (-2)^m / sqrt(pi) * Gamma(m + 1/2) * (1-x^2)^(m/2) * C_{l-m}^{m+1/2}(x),
     which fixes the sign convention (P_1^1(0) = -1).
     """
-    l = _check_degree(l)
-    m = _check_degree(m)
+    l = check_nonneg_int(l, "polynomial degree")
+    m = check_nonneg_int(m, "polynomial degree")
     if m > l:
         raise DomainError(f"assoc_legendre requires m <= l, got l={l}, m={m}")
-    xa = np.asarray(x, dtype=np.float64)
+    xa = check_points(x, "x")
     if not np.all(np.abs(xa) <= 1.0 + 1e-14):   # NaN fails it too
         raise DomainError("assoc_legendre requires |x| <= 1")
-    cval = gegenbauer(l - m, m + 0.5, x)
+    cval = gegenbauer(l - m, m + 0.5, xa)
     if m == 0:
         return cval
     pref = (-2.0) ** m / math.sqrt(math.pi) * math.exp(ln_gamma(m + 0.5))
     s = np.clip(1.0 - np.square(xa), 0.0, None) ** (0.5 * m)
     out = pref * s * cval
-    if np.isscalar(x) or np.ndim(x) == 0:
-        return float(out)
-    return out
+    return out if xa.ndim else float(out)
 
 
 def _dyadic(*values: float) -> tuple[int, list[int]]:
@@ -586,8 +580,7 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
         raise DomainError(f"unknown quadrature kind {kind!r}, expected one of {_QUAD_KINDS}")
     if check_nonneg_int(n, "quadrature size") < 1:
         raise DomainError(f"quadrature size must be a positive integer, got {n}")
-    alpha = float(alpha)
-    beta = float(beta)
+    alpha, beta = _as_float(alpha), _as_float(beta)
     if kind == "laguerre" and not (-1.0 < alpha < math.inf and beta == 0.0):
         raise DomainError(f"laguerre rule needs finite alpha > -1, beta = 0, got ({alpha}, {beta})")
     if kind == "legendre" and (alpha != 0.0 or beta != 0.0):

@@ -16,8 +16,8 @@ import numpy as np
 
 from ._cache import LEVELS, cached
 from .bases import _with_phase, cylindrical_level, spherical_level
-from .errors import (DomainError, NumericError, check_level_index, check_positive,
-                     require_points)
+from .errors import (DomainError, NumericError, check_level_index, check_points,
+                     check_positive, require_points)
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
 from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _m_bands,  # noqa: F401
                          _n_bands, _residual_bound, _w_table)
@@ -51,8 +51,8 @@ class SpheroidalPoint:
 
     Needs finite xi >= 0, -1 <= eta <= 1 and 0 <= phi < 2 pi at every point;
     the prolate sheet additionally needs xi >= 1. Array fields are stored as
-    read-only float arrays, scalars as given. A DomainError about a batch
-    names the index of its first bad point. Points compare and hash by
+    read-only float arrays, scalars as numpy floats. A DomainError about a
+    batch names the index of its first bad point. Points compare and hash by
     identity, as arrays cannot be compared to one truth value.
     """
 
@@ -61,22 +61,17 @@ class SpheroidalPoint:
     phi: float | np.ndarray
 
     def __post_init__(self) -> None:
-        try:
-            coords = [np.asarray(v, dtype=float) for v in (self.xi, self.eta, self.phi)]
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"xi, eta and phi must be real numbers or arrays: {exc}") from exc
-        xi, eta, phi = coords
+        xi, eta, phi = coords = [check_points(getattr(self, n), n) for n in ("xi", "eta", "phi")]
         if not xi.shape == eta.shape == phi.shape:
             raise DomainError(f"xi, eta and phi need equal shapes, got "
                               f"{xi.shape}, {eta.shape}, {phi.shape}")
         require_points((xi >= 0.0) & np.isfinite(xi), "need xi >= 0", xi)
         require_points((-1.0 <= eta) & (eta <= 1.0), "need -1 <= eta <= 1", eta)
         require_points((0.0 <= phi) & (phi < 2.0 * math.pi), "need 0 <= phi < 2 pi", phi)
-        if xi.ndim:
-            for name, arr in zip(("xi", "eta", "phi"), coords):
-                arr = arr.copy()
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
+        for name, arr in zip(("xi", "eta", "phi"), coords):
+            arr = arr.copy()
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr[()])   # a 0-d array as its numpy scalar
 
 
 @dataclass(frozen=True)
@@ -261,17 +256,12 @@ _COUNT_SCALE_AT = 2.0 ** 500
 
 
 def _radius_grid(R_grid) -> np.ndarray:
-    """R_grid as a float array; DomainError unless it is a nonempty 1-D
-    sequence of positive finite numbers (strings and None are not numbers)."""
-    try:
-        grid = np.asarray(R_grid)
-        ok = grid.ndim == 1 and grid.size > 0 and grid.dtype.kind in "iuf"
-    except ValueError:   # a ragged sequence
-        ok = False
-    if not ok or not np.all((grid > 0.0) & np.isfinite(grid)):
+    """R_grid as a float array; DomainError unless it is a nonempty 1-D sequence."""
+    grid = check_points(R_grid, "R grid")
+    if grid.ndim != 1 or not grid.size or not np.all((grid > 0.0) & np.isfinite(grid)):
         raise DomainError("R grid must be a nonempty one-dimensional sequence of "
                           "positive finite numbers")
-    return grid.astype(float, copy=False)
+    return grid
 
 
 def _sturm_counts(diag: np.ndarray, off: np.ndarray, shifts: np.ndarray) -> np.ndarray:
@@ -315,7 +305,9 @@ def _certified(diag: np.ndarray, off: np.ndarray, what) -> np.ndarray:
     lam = _lapack(np.linalg.eigvalsh, diag, off, what(None))
     size = diag.shape[-1]
     delta = _residual_bound(size, diag, off)[:, None]
-    counts = _sturm_counts(diag, off, np.concatenate((lam - delta, lam + delta), axis=-1))
+    with np.errstate(over="ignore"):   # a shift past a double is +-inf: the bracket holds
+        shifts = np.concatenate((lam - delta, lam + delta), axis=-1)
+    counts = _sturm_counts(diag, off, shifts)
     k = np.arange(size)
     bracketed = (counts[:, :size] <= k) & (counts[:, size:] > k)
     if not bracketed.all():
@@ -372,8 +364,7 @@ def _image(point: SpheroidalPoint, R: float, kind: Kind):
     """(rho, phi, z, r) of the point: arrays of its shape, numpy scalars for a
     scalar point. A huge xi overflows rho and r to inf, for callers to refuse."""
     R = check_positive(R, "R")
-    # [()] turns a 0-d array into a numpy scalar, whose arithmetic is cheaper
-    xi, eta, phi = (np.asarray(v, dtype=float)[()] for v in (point.xi, point.eta, point.phi))
+    xi, eta, phi = point.xi, point.eta, point.phi
     if kind is Kind.Prolate:
         require_points(xi >= 1.0, "prolate sheet needs xi >= 1", xi)
     with np.errstate(over="ignore"):
@@ -390,10 +381,11 @@ def map_spheroidal_point(point: SpheroidalPoint, R: float, kind: Kind):
     Prolate: rho = (R/2) sqrt((xi^2-1)(1-eta^2)), z = (R/2) xi eta; the
     oblate sheet replaces xi^2-1 by xi^2+1 and admits xi >= 0. Maps a batch
     elementwise into arrays of its shape; a scalar point gets Python floats.
+    DomainError where rho, z or r overflows (a huge xi or R).
     """
     rho, phi, z, r = _image(point, R, kind)
-    with np.errstate(invalid="ignore"):   # inf * 0 where rho overflowed
-        x, y = rho * np.cos(phi), rho * np.sin(phi)
+    require_points(np.isfinite(r), "point maps to a non-finite rho, z or r")   # r = |(rho, z)|
+    x, y = rho * np.cos(phi), rho * np.sin(phi)
     images = (x, y, z), (r, np.arctan2(rho, z), phi), (rho, phi, z)
     if np.ndim(point.xi):
         return images
@@ -422,8 +414,7 @@ def psi_spheroidal(n: int, k: int, m: int, params: SystemParams, branch: Branch,
         raise DomainError(f"unknown synthesis route {route!r}")
     rho, phi, z, r = _image(point, R, kind)
     require_points(z > 0.0, "synthesis point must map into the z > 0 half-domain")
-    require_points(np.isfinite(rho) & np.isfinite(z) & np.isfinite(r),
-                   "synthesis point maps to a non-finite rho, z or r")
+    require_points(np.isfinite(r), "synthesis point maps to a non-finite rho, z or r")
     if route is Route.ViaSpherical:
         coeff = t_coefficients(n, k, params, branch, R, kind)
         terms = spherical_level(n, params, branch, r, np.arctan2(rho, z))
@@ -434,4 +425,4 @@ def psi_spheroidal(n: int, k: int, m: int, params: SystemParams, branch: Branch,
     amp = coeff[0] * terms[0]
     for c, term in zip(coeff[1:], terms[1:]):
         amp = amp + c * term
-    return _with_phase(amp, m, phi, np.ndim(point.xi) == 0)
+    return _with_phase(amp, m, phi)

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genosc
@@ -735,6 +735,7 @@ def _system_values(low):
 @given(command=st.sampled_from(["spectrum", "interbasis", "spheroidal", "perturb"]),
        n=st.integers(0, 6), omega=_system_values(0.0), p=_system_values(-0.25),
        q=_system_values(0.0))
+@example(command="spheroidal", n=0, omega=1.0, p=0.0, q=1.7976931348605185e308)
 def test_fuzz_cli_exit_codes_and_strict_json(command, n, omega, p, q):
     argv = [command, "--n", str(n), f"--omega={omega!r}", f"--P={p!r}", f"--Q={q!r}"]
     code, out, _ = run_cli(argv)
