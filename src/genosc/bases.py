@@ -26,10 +26,9 @@ from collections import deque
 
 import numpy as np
 
-from .errors import (DomainError, _as_float, check_abs_int, check_nonneg_int, check_points,
-                     require_points)
+from .errors import DomainError, check_abs_int, check_nonneg_int, check_points, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
-                    _exponents, require_label_m)
+                    _exponents, _ring_delta, require_label_m)
 from .specfun import _jacobi_p0, _jacobi_rows, laguerre_diagonal, laguerre_functions
 
 __all__ = [
@@ -49,11 +48,27 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 _HALF_PI = 0.5 * math.pi
 
 
-def _with_phase(amp, m: int, phi):
-    phi = check_points(phi, "phi")
-    require_points(np.isfinite(phi), "phi must be finite", phi)
+def _with_phase(amp, m: int, phi, checked: bool = False):
+    if not checked:   # psi_spheroidal's phi comes checked, from its SpheroidalPoint
+        phi = check_points(phi, "phi")
+        require_points(np.isfinite(phi), "phi must be finite", phi)
     out = amp * np.exp(1j * m * phi) / _SQRT_TWO_PI
     return out if out.ndim else complex(out)
+
+
+def _triple(point, names: str):
+    """The three coordinates of a point; DomainError unless it unpacks into three."""
+    try:
+        first, second, third = point
+    except (TypeError, ValueError):
+        raise DomainError(f"point must be a triple {names}, got {point!r}") from None
+    return first, second, third
+
+
+def _inside(u, name: str, hi: float = math.inf):
+    """u, a parsed coordinate; DomainError unless each point lies strictly inside (0, hi)."""
+    require_points((u > 0.0) & (u < hi), f"{name} must lie strictly inside (0, {hi})")
+    return u
 
 
 def _log_x(omega: float, u):   # ln(omega u^2), finite where omega u^2 is not
@@ -67,7 +82,7 @@ def _angular(qs, c: float, beta: float, t):
     # np.power, never **: on a lone point's numpy scalar ** runs libm pow
     start = norm0 * np.power(np.sin(t), c) * np.power(np.cos(t), 0.5 + beta)
     rows = list(_jacobi_rows(max(qs), c, beta, np.cos(2.0 * t), start))
-    return np.array([rows[q] for q in qs])
+    return np.array(rows if qs == range(len(rows)) else [rows[q] for q in qs])
 
 
 def _radial_sph(degrees, q: int, c: float, beta: float, omega: float, r):
@@ -88,10 +103,11 @@ def _radial_cyl(degrees, c: float, omega: float, rho):
     return laguerre_functions(degrees, c, _log_x(omega, rho), 0.0, 0.5 * math.log(2.0 * omega))
 
 
-def _axial(ps, beta: float, omega: float, z):
-    """Z_p = (-1)^p omega^(1/4) x^(1/4) phi_p^beta(x) for each p in ps."""
-    sign = np.array([(-1.0) ** p for p in ps]).reshape((-1,) + (1,) * np.ndim(z))
-    return sign * laguerre_functions(ps, beta, _log_x(omega, z), 0.25, 0.25 * math.log(omega))
+def _axial(ps: range, beta: float, omega: float, z):
+    """Z_p = (-1)^p omega^(1/4) x^(1/4) phi_p^beta(x) for each p in ps, consecutive degrees."""
+    out = laguerre_functions(ps, beta, _log_x(omega, z), 0.25, 0.25 * math.log(omega))
+    out[1 - ps[0] % 2::2] *= -1.0   # the rows of odd p
+    return out
 
 
 def theta_angular(q: int, params: SystemParams, branch: Branch, theta):
@@ -106,8 +122,7 @@ def theta_angular(q: int, params: SystemParams, branch: Branch, theta):
     """
     q = check_nonneg_int(q, "q")
     beta, c = _exponents(params, branch)
-    t = check_points(theta, "theta")
-    require_points((t > 0.0) & (t < _HALF_PI), f"theta must lie strictly inside (0, {_HALF_PI})")
+    t = _inside(check_points(theta, "theta"), "theta", _HALF_PI)
     out = _angular((q,), c, beta, t)[0]
     return out if t.ndim else float(out)
 
@@ -123,8 +138,7 @@ def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
     n_r = check_nonneg_int(n_r, "n_r")
     q = check_nonneg_int(q, "q")
     beta, c = _exponents(params, branch)
-    rr = check_points(r, "r")
-    require_points((rr > 0.0) & (rr < math.inf), "r must lie strictly inside (0, inf)")
+    rr = _inside(check_points(r, "r"), "r")
     out = _radial_sph((n_r,), q, c, beta, params.omega, rr)[0]
     return out if rr.ndim else float(out)
 
@@ -132,7 +146,7 @@ def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
 def psi_spherical(label: SphericalLabel, params: SystemParams, point):
     """Full wavefunction R(r) Theta(theta) e^{i m phi} / sqrt(2 pi) at (r, theta, phi)."""
     require_label_m(label.m, params)
-    r, theta, phi = point
+    r, theta, phi = _triple(point, "(r, theta, phi)")
     rad = radial_spherical(label.n_r, label.q, params, label.branch, r)
     return _with_phase(rad * theta_angular(label.q, params, label.branch, theta), label.m, phi)
 
@@ -147,8 +161,7 @@ def radial_cylindrical(n_rho: int, params: SystemParams, rho):
     """
     n_rho = check_nonneg_int(n_rho, "n_rho")
     _, c = _exponents(params, Branch.Plus)
-    rr = check_points(rho, "rho")
-    require_points((rr > 0.0) & (rr < math.inf), "rho must lie strictly inside (0, inf)")
+    rr = _inside(check_points(rho, "rho"), "rho")
     out = _radial_cyl((n_rho,), c, params.omega, rr)[0]
     return out if rr.ndim else float(out)
 
@@ -164,23 +177,30 @@ def z_axial(p: int, params: SystemParams, branch: Branch, z):
     """
     p = check_nonneg_int(p, "p")
     beta, _ = _exponents(params, branch)
-    zz = check_points(z, "z")
-    require_points((zz > 0.0) & (zz < math.inf), "z must lie strictly inside (0, inf)")
-    out = _axial((p,), beta, params.omega, zz)[0]
+    zz = _inside(check_points(z, "z"), "z")
+    out = _axial(range(p, p + 1), beta, params.omega, zz)[0]
     return out if zz.ndim else float(out)
 
 
 def psi_cylindrical(label: CylindricalLabel, params: SystemParams, point):
     """Full wavefunction R(rho) e^{i m phi} / sqrt(2 pi) Z(z) at (rho, phi, z), z > 0."""
     require_label_m(label.m, params)
-    rho, phi, z = point
+    rho, phi, z = _triple(point, "(rho, phi, z)")
     rad = radial_cylindrical(label.n_rho, params, rho)
     return _with_phase(rad * z_axial(label.p, params, label.branch, z), label.m, phi)
 
 
 # The level evaluators below return row k = the k-th term of a level at every
 # point, an array of shape (n+1,) + the points' shape (a scalar point gives
-# n+1 values).
+# n+1 values), each from its level's term builder, which psi_spheroidal shares.
+
+def _spherical_terms(n: int, beta: float, c: float, omega: float, r, t) -> np.ndarray:
+    return _radial_level(n, range(n + 1), c, beta, omega, r) * _angular(range(n + 1), c, beta, t)
+
+
+def _cylindrical_terms(n: int, beta: float, c: float, omega: float, rho, z) -> np.ndarray:
+    return _radial_cyl(range(n, -1, -1), c, omega, rho) * _axial(range(n + 1), beta, omega, z)
+
 
 def spherical_level(n: int, params: SystemParams, branch: Branch, r, theta) -> np.ndarray:
     """Every term R_{n-q,q}(r) Theta_q(theta), q = 0..n, of level n at once.
@@ -192,12 +212,9 @@ def spherical_level(n: int, params: SystemParams, branch: Branch, r, theta) -> n
     """
     n = check_nonneg_int(n, "n")
     beta, c = _exponents(params, branch)
-    rr = check_points(r, "r")
-    require_points((rr > 0.0) & (rr < math.inf), "r must lie strictly inside (0, inf)")
-    t = check_points(theta, "theta")
-    require_points((t > 0.0) & (t < _HALF_PI), f"theta must lie strictly inside (0, {_HALF_PI})")
-    qs = range(n + 1)
-    return _radial_level(n, qs, c, beta, params.omega, rr) * _angular(qs, c, beta, t)
+    rr = _inside(check_points(r, "r"), "r")
+    t = _inside(check_points(theta, "theta"), "theta", _HALF_PI)
+    return _spherical_terms(n, beta, c, params.omega, rr, t)
 
 
 def cylindrical_level(n: int, params: SystemParams, branch: Branch, rho, z) -> np.ndarray:
@@ -209,13 +226,9 @@ def cylindrical_level(n: int, params: SystemParams, branch: Branch, rho, z) -> n
     """
     n = check_nonneg_int(n, "n")
     beta, c = _exponents(params, branch)
-    rr = check_points(rho, "rho")
-    require_points((rr > 0.0) & (rr < math.inf), "rho must lie strictly inside (0, inf)")
-    zz = check_points(z, "z")
-    require_points((zz > 0.0) & (zz < math.inf), "z must lie strictly inside (0, inf)")
-    ps = range(n + 1)
-    return (_radial_cyl([n - p for p in ps], c, params.omega, rr)
-            * _axial(ps, beta, params.omega, zz))
+    rr = _inside(check_points(rho, "rho"), "rho")
+    zz = _inside(check_points(z, "z"), "z")
+    return _cylindrical_terms(n, beta, c, params.omega, rr, zz)
 
 
 def theta_ring(l: int, m: int, delta: float, theta):
@@ -232,11 +245,9 @@ def theta_ring(l: int, m: int, delta: float, theta):
     l, ma = check_nonneg_int(l, "l"), check_abs_int(m, "m")
     if l < ma:
         raise DomainError(f"theta_ring needs |m| <= l, got l={l}, m={m}")
-    if not 0.0 <= _as_float(delta) < math.inf:
-        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
-    t = check_points(theta, "theta")
-    require_points((t > 0.0) & (t < math.pi), f"theta must lie strictly inside (0, {math.pi})")
-    mu = ma + float(delta)
+    delta = _ring_delta(delta)
+    t = _inside(check_points(theta, "theta"), "theta", math.pi)
+    mu = ma + delta
     start = _jacobi_p0(mu, mu) * np.power(np.sin(t), mu)
     out = deque(_jacobi_rows(l - ma, mu, mu, np.cos(t), start), maxlen=1)[0]
     return out if t.ndim else float(out)

@@ -21,6 +21,13 @@ class AccuracyError(NumericError):
     """A requested accuracy cannot be guaranteed (e.g. quadrature too small)."""
 
 
+def _require_finite(value, message: str):
+    """value; NumericError with message unless every entry of value is finite."""
+    if not np.isfinite(value).all():
+        raise NumericError(message)
+    return value
+
+
 def check_nonneg_int(value, name: str) -> int:
     """value as an int; DomainError unless it is a finite nonnegative integer.
 
@@ -36,6 +43,12 @@ def check_nonneg_int(value, name: str) -> int:
     if not ok:
         raise DomainError(f"{name} must be a nonnegative integer, got {value!r}")
     return int(value)
+
+
+def _require_member(value, members: type, what: str) -> None:
+    """DomainError unless value is a member of the enum members (Kind.Prolate, not "prolate")."""
+    if not isinstance(value, members):
+        raise DomainError(f"unknown {what} {value!r}")
 
 
 def _level_index_message(n, **indices) -> str:
@@ -87,6 +100,8 @@ def require_points(ok, message, value=None, entries: bool = False) -> None:
     scalar) whose entry there is quoted. Over more than one point the error names that
     point, "at point i"; in an index array (entries=True) always, "at entry (i, ...)".
     """
+    if ok is np.True_:   # a lone point's check that holds: no array needed
+        return
     ok = np.asarray(ok)
     if ok.all() if ok.ndim else ok:   # a scalar's truth value costs less than .all()
         return

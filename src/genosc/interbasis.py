@@ -31,11 +31,11 @@ from operator import add, mul
 import numpy as np
 
 from ._cache import LEVELS, cached
-from .bases import _angular, _axial, _radial_cyl, _radial_level
-from .errors import (AccuracyError, DomainError, NumericError, _as_float, _level_index_message,
-                     _require_table, check_abs_int, check_indices, check_level_index,
-                     require_points)
-from .model import Branch, SystemParams, _a_q, _e_n, _exponents
+from .bases import _cylindrical_terms, _spherical_terms
+from .errors import (AccuracyError, DomainError, NumericError, _level_index_message,
+                     _require_finite, _require_table, check_abs_int, check_indices,
+                     check_level_index, require_points)
+from .model import Branch, SystemParams, _a_q, _e_n, _exponents, _ring_delta
 from .specfun import (_MAX_SUM_TERMS, _dense, _dyadic, _horner, _require_terms, _split_ln2,
                       build_quadrature)
 
@@ -387,8 +387,7 @@ def _w_table(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
         diag, off = 2.0 * diag, 2.0 * off
         lam = _a_q(np.arange(n + 1.0), params, branch)
         vec = _recursion_columns(diag, off, lam)
-    if not np.isfinite(vec).all():
-        raise NumericError(f"interbasis recursion gave non-finite entries at n={n}")
+    _require_finite(vec, f"interbasis recursion gave non-finite entries at n={n}")
     _check_residual(diag, off, vec, lam, f"interbasis table at n={n}")
     return CoefficientMatrix(n=n, branch=branch, orientation="cylindrical_to_spherical",
                              entries=vec)
@@ -433,9 +432,8 @@ def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     # 2 r^2 dr sin(theta) dtheta = x^(1/2) dx du / (4 omega^(3/2) cos theta)
     weight = (radial.scaled_weights[:, None] * np.sqrt(x) / (4.0 * omega ** 1.5)
               * angular.weights / ((1.0 - u) ** c * (1.0 + u) ** beta * ct))
-    ks, down = range(n + 1), range(n, -1, -1)
-    cyl = _radial_cyl(down, c, omega, r * np.sin(theta)) * _axial(ks, beta, omega, r * ct) * weight
-    sph = _radial_level(n, ks, c, beta, omega, r) * _angular(ks, c, beta, theta)[:, None]
+    cyl = _cylindrical_terms(n, beta, c, omega, r * np.sin(theta), r * ct) * weight
+    sph = _spherical_terms(n, beta, c, omega, r, theta[None])
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
     return np.einsum("pij,qij->pq", cyl, sph)
 
@@ -467,8 +465,7 @@ def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarra
     index = check_indices(N=N, n3=n3, l=l)
     N, n3, l = index
     ma = check_abs_int(m, "m")
-    if not 0.0 <= _as_float(delta) < math.inf:
-        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
+    delta = _ring_delta(delta)
     require_points((ma <= l) & (l <= N) & ((N - l) % 2 == 0), lambda i: (
         f"need |m| <= l <= N with N - l even, got N={N[i]}, l={l[i]}, m={m}"), entries=True)
     # N - n3 against |m|, which may pass int64 (an empty table checks nothing)

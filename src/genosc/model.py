@@ -14,7 +14,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, _as_float, check_abs_int, check_nonneg_int, check_positive
+from .errors import (DomainError, _as_float, _require_finite, _require_member, check_abs_int,
+                     check_nonneg_int, check_positive)
 
 __all__ = [
     "Branch",
@@ -41,6 +42,7 @@ class Branch(enum.Enum):
 
     Plus = 1
     Minus = -1
+    __hash__ = object.__hash__   # members are singletons: a table key hashes them in C
 
     @property
     def sign(self) -> int:
@@ -93,6 +95,7 @@ def admissible_branches(params: SystemParams) -> tuple[Branch, ...]:
 
 def require_admissible(params: SystemParams, branch: Branch) -> tuple[float, float, float]:
     """Validate the branch against b and hand back (b, c, delta)."""
+    _require_member(branch, Branch, "branch")
     b, c, delta = channel_constants(params)
     if branch is Branch.Minus and b > 0.5:
         raise DomainError(
@@ -102,9 +105,9 @@ def require_admissible(params: SystemParams, branch: Branch) -> tuple[float, flo
 
 def _exponents(params: SystemParams, branch: Branch) -> tuple[float, float]:
     """(beta, c) of an admissible branch, beta = +-b the signed axial exponent: the
-    one place the branch sign multiplies b."""
+    one place the branch sign is applied to b."""
     b, c, _ = require_admissible(params, branch)
-    return branch.sign * b, c
+    return (b if branch is Branch.Plus else -b), c
 
 
 def require_label_m(m, params: SystemParams) -> None:
@@ -125,6 +128,7 @@ class SphericalLabel:
     def __post_init__(self):
         check_nonneg_int(self.n_r, "n_r")
         check_nonneg_int(self.q, "q")
+        _require_member(self.branch, Branch, "branch")
 
     @property
     def n(self) -> int:
@@ -143,6 +147,7 @@ class CylindricalLabel:
     def __post_init__(self):
         check_nonneg_int(self.n_rho, "n_rho")
         check_nonneg_int(self.p, "p")
+        _require_member(self.branch, Branch, "branch")
 
     @property
     def n(self) -> int:
@@ -166,8 +171,7 @@ class RingLabel:
     def __post_init__(self):
         check_nonneg_int(self.N, "N")
         check_abs_int(self.m, "m")
-        if not 0.0 <= _as_float(self.delta) < math.inf:
-            raise DomainError(f"delta must be nonnegative and finite, got {self.delta}")
+        _ring_delta(self.delta)
         if self.l is not None:
             check_nonneg_int(self.l, "l")
             if self.l < abs(self.m) or self.l > self.N or (self.N - self.l) % 2:
@@ -263,17 +267,24 @@ def ring_relabel(label, params: SystemParams) -> RingLabel:
     raise DomainError(f"cannot ring-relabel {type(label).__name__}")
 
 
+def _ring_delta(delta) -> float:
+    """delta as a float; DomainError unless it is nonnegative and finite."""
+    d = _as_float(delta)
+    if not 0.0 <= d < math.inf:
+        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
+    return d
+
+
 def ring_separation_constant(l: int, delta: float) -> float:
     """A_l(delta) = (l + delta)(l + delta + 1); reduces to l(l+1) at delta = 0."""
     l = check_nonneg_int(l, "l")
-    if not 0.0 <= _as_float(delta) < math.inf:
-        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
-    return (l + delta) * (l + delta + 1.0)
+    shifted = _as_float(l) + _ring_delta(delta)   # an l past a double reads as NaN
+    return _require_finite(shifted * (shifted + 1.0), f"A_{l} at delta={delta} leaves double range")
 
 
 def ring_energy(N: int, delta: float, omega: float) -> float:
     """E_N = omega (N + delta + 3/2); the isotropic-oscillator ladder at delta = 0."""
     N = check_nonneg_int(N, "N")
-    if not 0.0 <= _as_float(delta) < math.inf:
-        raise DomainError(f"delta must be nonnegative and finite, got {delta}")
-    return check_positive(omega, "omega") * (N + delta + 1.5)
+    d = _ring_delta(delta)
+    return _require_finite(check_positive(omega, "omega") * (_as_float(N) + d + 1.5),
+                           f"E_{N} at delta={delta}, omega={omega} leaves double range")

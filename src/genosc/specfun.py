@@ -27,8 +27,8 @@ from operator import mul
 import numpy as np
 
 from ._cache import SETUPS, cached
-from .errors import (AccuracyError, DomainError, NumericError, _as_float, _require_table,
-                     check_nonneg_int, check_points)
+from .errors import (AccuracyError, DomainError, NumericError, _as_float, _require_finite,
+                     _require_table, check_nonneg_int, check_points)
 
 __all__ = [
     "QuadratureRule",
@@ -200,21 +200,21 @@ def _jacobi_coeffs(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nd
     an n-point rule's Jacobi matrix and its p_n read too. No step reads sqrt(b_0), held as 0."""
     k = np.arange(n + 1, dtype=np.float64)
     ab = alpha + beta
+    s = 2.0 * k + ab
     with np.errstate(invalid="ignore", divide="ignore"):
-        a = (beta * beta - alpha * alpha) / ((2.0 * k + ab) * (2.0 * k + ab + 2.0))
-        b = (4.0 * k * (k + alpha) * (k + beta) * (k + ab)
-             / ((2.0 * k + ab) ** 2 * (2.0 * k + ab + 1.0) * (2.0 * k + ab - 1.0)))
+        a = (beta * beta - alpha * alpha) / (s * (s + 2.0))
+        b = 4.0 * k * (k + alpha) * (k + beta) * (k + ab) / (s ** 2 * (s + 1.0) * (s - 1.0))
     a[0], b[0] = (beta - alpha) / (ab + 2.0), 0.0
     b[1] = 4.0 * (alpha + 1.0) * (beta + 1.0) / ((ab + 2.0) ** 2 * (ab + 3.0))
     return a, np.sqrt(b)
 
 
 def _jacobi_rows(n: int, alpha: float, beta: float, x, start):
-    """start p_k / p_0 over the points x, k = 0..n, yielded in turn (_three_term): the
-    orthonormal Jacobi(alpha, beta) polynomials p_k (DLMF 18.9.2) from _jacobi_coeffs'
-    steps. start is p_0 times the caller's factor at each point; a root of the weight in
-    it makes every row a bounded function, which no degree can overflow."""
-    a, sb = _jacobi_coeffs(max(n, 1), alpha, beta)   # p_1 is formed at n = 0 too
+    """start p_k / p_0 over the points x, k = 0..n, yielded in turn (_three_term): the orthonormal
+    Jacobi(alpha, beta) polynomials p_k (DLMF 18.9.2) from _jacobi_coeffs' steps, read as floats
+    (indexing an array costs a lone point more than the step). start is p_0 times the caller's
+    factor at each point; a root of the weight in it makes every row bounded at any degree."""
+    a, sb = (v.tolist() for v in _jacobi_coeffs(max(n, 1), alpha, beta))   # p_1 at n = 0 too
     return _three_term(n, start, (x - a[0]) * start / sb[1],
                        lambda k, p1, p0: ((x - a[k - 1]) * p1 - sb[k - 1] * p0) / sb[k])
 
@@ -294,7 +294,7 @@ def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
     # below -2^32 every x^a, |a| > 2e-7, is 0 or past a double: log_x reads as at least that
     pts = np.maximum(np.minimum(np.asarray(log_x, np.float64), math.log(x_tail)), -2.0 ** 32)
     x = np.exp(pts)
-    out, renorms, exp2 = np.empty((len(wanted),) + np.shape(pts)), [], 0
+    out, renorms, exp2 = np.empty((len(wanted),) + pts.shape), [], 0
     phi = chi = 1.0   # scaled phi_k, chi_k (chi_0 = phi_0)
     for k in range(n + 1):
         if k in wanted:
@@ -359,7 +359,7 @@ def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
     if pts.size == 0:
         return np.empty((len(wanted),) + pts.shape)
     steps, bound, log_tail = _diagonal_steps(beta, n)
-    lo, hi = float(pts.min()), float(pts.max())
+    lo, hi = (float(pts.min()), float(pts.max())) if pts.ndim else (float(pts), float(pts))
     if hi > log_tail:
         pts, hi = np.minimum(pts, log_tail), log_tail
     small = pts < _LOG_X_SMALL if lo < _LOG_X_SMALL else None
@@ -371,7 +371,7 @@ def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
     # checked for 2^332 every `every` steps stay below 2^1000
     grow = bound[0] * math.exp(-lo) + bound[1] * math.exp(hi) + bound[2]
     every = max(1, int(668.0 * math.log(2.0) / math.log(max(grow, 2.0))))
-    out, renorms = np.empty((len(wanted),) + np.shape(pts)), []
+    out, renorms = np.empty((len(wanted),) + pts.shape), []
     prev, cur, exp2 = 0.0, 1.0, 0
     for k, (uk, vk, wk) in enumerate(steps):
         if k in wanted:
@@ -612,8 +612,8 @@ def _lapack(solver, diag: np.ndarray, off: np.ndarray, label: str) -> np.ndarray
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolve failed for {label}: {exc}") from exc
     # eigh gives (eigenvalues, eigenvectors), eigvalsh the eigenvalues
-    if not np.isfinite(out[0] if isinstance(out, tuple) else out).all():
-        raise NumericError(f"eigensolve gave non-finite eigenvalues for {label}")
+    _require_finite(out[0] if isinstance(out, tuple) else out,
+                    f"eigensolve gave non-finite eigenvalues for {label}")
     return out
 
 

@@ -15,13 +15,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._cache import LEVELS, cached
-from .bases import _with_phase, cylindrical_level, spherical_level
-from .errors import (DomainError, NumericError, check_level_index, check_points,
+from .bases import _HALF_PI, _cylindrical_terms, _inside, _spherical_terms, _with_phase
+from .errors import (DomainError, NumericError, _require_member, check_level_index, check_points,
                      check_positive, require_points)
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
 from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _m_bands,  # noqa: F401
                          _n_bands, _residual_bound, _w_table)
-from .model import Branch, SystemParams, _a_q, _e_z, require_admissible, require_label_m
+from .model import (Branch, SystemParams, _a_q, _e_z, _exponents, require_admissible,
+                    require_label_m)
 from .specfun import _dense, _lapack
 
 _SIGN_PIVOT_TOL = 1e-12
@@ -108,6 +109,7 @@ def _u_bands(n: int, params: SystemParams, branch: Branch, kind: Kind,
              R: float) -> tuple[np.ndarray, np.ndarray]:
     """Bands of 2 m_matrix_cyl + sign (R^2/2) diag(E_z(p)) at one R; an
     overflowed entry is left to fail the eigensolve."""
+    _require_member(kind, Kind, "spheroidal kind")
     diag, offdiag = _m_bands(n, params, branch)
     with np.errstate(over="ignore"):
         e_z = _e_z(np.arange(n + 1.0), params, branch)
@@ -118,6 +120,7 @@ def _t_bands(n: int, params: SystemParams, branch: Branch, kind: Kind,
              radii) -> tuple[np.ndarray, np.ndarray]:
     """Bands of diag(A_q) + sign (R^2/2) n_matrix_sph at one R, or one row per R
     of an array; an overflowed entry is left to fail the eigensolve."""
+    _require_member(kind, Kind, "spheroidal kind")
     n_diag, n_off = _n_bands(n, params, branch)
     with np.errstate(over="ignore", invalid="ignore"):
         a_q = _a_q(np.arange(n + 1.0), params, branch)
@@ -361,9 +364,10 @@ def lambda_curve(n: int, k: int, params: SystemParams, branch: Branch, kind: Kin
 
 
 def _image(point: SpheroidalPoint, R: float, kind: Kind):
-    """(rho, phi, z, r) of the point: arrays of its shape, numpy scalars for a
-    scalar point. A huge xi overflows rho and r to inf, for callers to refuse."""
+    """R checked, and (rho, phi, z, r) of the point: arrays of its shape, numpy scalars for
+    a scalar point. A huge xi overflows rho and r to inf, for callers to refuse."""
     R = check_positive(R, "R")
+    _require_member(kind, Kind, "spheroidal kind")
     xi, eta, phi = point.xi, point.eta, point.phi
     if kind is Kind.Prolate:
         require_points(xi >= 1.0, "prolate sheet needs xi >= 1", xi)
@@ -372,7 +376,7 @@ def _image(point: SpheroidalPoint, R: float, kind: Kind):
         rho = 0.5 * R * np.sqrt(radial2 * (1.0 - eta * eta))
         z = 0.5 * R * xi * eta
         r = np.hypot(rho, z)
-    return rho, phi, z, r
+    return R, (rho, phi, z, r)
 
 
 def map_spheroidal_point(point: SpheroidalPoint, R: float, kind: Kind):
@@ -383,8 +387,8 @@ def map_spheroidal_point(point: SpheroidalPoint, R: float, kind: Kind):
     elementwise into arrays of its shape; a scalar point gets Python floats.
     DomainError where rho, z or r overflows (a huge xi or R).
     """
-    rho, phi, z, r = _image(point, R, kind)
-    require_points(np.isfinite(r), "point maps to a non-finite rho, z or r")   # r = |(rho, z)|
+    _, (rho, phi, z, r) = _image(point, R, kind)
+    require_points(r < math.inf, "point maps to a non-finite rho, z or r")   # r = |(rho, z)| >= 0
     x, y = rho * np.cos(phi), rho * np.sin(phi)
     images = (x, y, z), (r, np.arctan2(rho, z), phi), (rho, phi, z)
     if np.ndim(point.xi):
@@ -397,32 +401,34 @@ def psi_spheroidal(n: int, k: int, m: int, params: SystemParams, branch: Branch,
                    route: Route):
     """Spheroidal wavefunction Psi_k = sum_q T^q Psi_sph(q) = sum_p U^p Psi_cyl(p).
 
-    All n+1 terms of the level are evaluated at once over every point (see
-    bases.spherical_level and bases.cylindrical_level), then contracted with
-    the coefficient column and given the phase e^{i m phi} / sqrt(2 pi).
+    All n+1 terms of the level are evaluated at once over every point (by the term
+    builder of bases.spherical_level or bases.cylindrical_level), then contracted
+    with the coefficient column and given the phase e^{i m phi} / sqrt(2 pi).
     Returns a complex for a scalar point and a complex array of the point's
     shape for a batch; a batch and one-point calls give identical values.
 
     Evaluable on the z > 0 half-domain only, where the one-dimensional basis
     factors are defined. A point whose image has a non-finite rho, z or r
     raises DomainError on either route; past the far tail of the Gaussians a
-    term is exactly 0.
+    term is exactly 0. The call is checked once, here: the state is read at the
+    checked n, k and R, and the image and phi go on to the builder unparsed.
     """
     n, k = check_level_index(n, k)
     require_label_m(m, params)
-    if not isinstance(route, Route):
-        raise DomainError(f"unknown synthesis route {route!r}")
-    rho, phi, z, r = _image(point, R, kind)
+    _require_member(route, Route, "synthesis route")
+    R, (rho, phi, z, r) = _image(point, R, kind)
     require_points(z > 0.0, "synthesis point must map into the z > 0 half-domain")
-    require_points(np.isfinite(r), "synthesis point maps to a non-finite rho, z or r")
+    require_points(r < math.inf, "synthesis point maps to a non-finite rho, z or r")
+    beta, c = _exponents(params, branch)
+    u, t = _pair_columns(n, k, params, branch, R, kind)
+    # r >= z > 0, all finite: of the level's rules only theta's and rho's can still fail
     if route is Route.ViaSpherical:
-        coeff = t_coefficients(n, k, params, branch, R, kind)
-        terms = spherical_level(n, params, branch, r, np.arctan2(rho, z))
+        coeff, theta = t, _inside(np.arctan2(rho, z), "theta", _HALF_PI)
+        terms = _spherical_terms(n, beta, c, params.omega, r, theta)
     else:
-        coeff = u_coefficients(n, k, params, branch, R, kind)
-        terms = cylindrical_level(n, params, branch, rho, z)
+        coeff, terms = u, _cylindrical_terms(n, beta, c, params.omega, _inside(rho, "rho"), z)
     # summed term by term, so that no point's value depends on the batch size
     amp = coeff[0] * terms[0]
-    for c, term in zip(coeff[1:], terms[1:]):
-        amp = amp + c * term
-    return _with_phase(amp, m, phi)
+    for weight, term in zip(coeff[1:], terms[1:]):
+        amp = amp + weight * term
+    return _with_phase(amp, m, phi, checked=True)

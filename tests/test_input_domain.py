@@ -3,9 +3,11 @@
 CLI: every command and every numeric flag at the edges of a double, crossed with small
 levels, in both formats; each run exits 0, 2, 3 or 4, with strict stdout on exit 0 and
 none otherwise, and no warning. Library: every coordinate argument of the point-taking
-functions (and ring_w's, ring_energy's and theta_ring's delta) at the same values, at
-non-numbers, and as one entry of a batch; each call returns a finite result or raises
-DomainError or NumericError.
+functions (and ring_w's, ring_energy's, ring_separation_constant's and theta_ring's delta,
+ring_energy's omega and the psi_spherical and psi_cylindrical point itself) at the same
+values, at non-numbers, and as one entry of a batch; each call returns a finite result or
+raises DomainError or NumericError. A spheroidal kind or a branch passed as anything but
+its enum member is refused with DomainError naming it.
 """
 
 import csv
@@ -19,10 +21,11 @@ import numpy as np
 import pytest
 
 from genosc import (Branch, CylindricalLabel, Kind, MorseParams, Route, SphericalLabel,
-                    SpheroidalPoint, SystemParams, lambda_curve, lambda_grid,
-                    map_spheroidal_point, morse_wavefunction, psi_cylindrical, psi_spherical,
-                    psi_spheroidal, radial_cylindrical, radial_spherical, ring_energy, ring_w,
-                    spherical_harmonic_limit, theta_angular, theta_ring, z_axial)
+                    SpheroidalPoint, SystemParams, build_tridiag_u, energy_level, lambda_curve,
+                    lambda_grid, map_spheroidal_point, morse_wavefunction, psi_cylindrical,
+                    psi_spherical, psi_spheroidal, radial_cylindrical, radial_spherical,
+                    ring_energy, ring_separation_constant, ring_w, spherical_harmonic_limit,
+                    t_coefficients, theta_angular, theta_ring, u_coefficients, w_matrix, z_axial)
 from genosc.bases import cylindrical_level, spherical_level
 from genosc.cli import main
 from genosc.errors import DomainError, NumericError
@@ -150,6 +153,13 @@ READERS = {
     "lambda_curve": (0.5, lambda R: lambda_curve(1, 0, PARAMS, PLUS, Kind.Oblate, R)),
     "ring_w delta": (0.3, lambda d: ring_w(2, 0, 0, 2, d)),
     "ring_energy delta": (0.3, lambda d: ring_energy(2, d, 1.0)),
+    # at omega = 10 a finite delta near the float maximum overflows the product
+    "ring_energy delta at omega 10": (0.3, lambda d: ring_energy(2, d, 10.0)),
+    "ring_energy omega": (1.0, lambda w: ring_energy(2, 0.3, w)),
+    "ring_separation_constant delta": (0.3, lambda d: ring_separation_constant(0, d)),
+    # the value is the whole point: no number, None or pair is a triple
+    "psi_spherical point": (0.7, lambda point: psi_spherical(SPH, PARAMS, point)),
+    "psi_cylindrical point": (0.7, lambda point: psi_cylindrical(CYL, PARAMS, point)),
     **{f"map_spheroidal_point {kind.value} {coord}": _spheroidal(
         coord, lambda point, kind=kind: map_spheroidal_point(point, 1.0, kind))
        for kind in Kind for coord in ("xi", "eta", "phi")},
@@ -185,3 +195,43 @@ def test_library_edge_values_give_finite_results_or_typed_errors(name):
         if not _finite(result):
             bad.append((value, f"non-finite result {result!r}"))
     assert not bad, bad
+
+
+POINT = SpheroidalPoint(1.5, 0.5, 0.3)
+# name -> (call with one enum argument given as its value or name, the refusal's text)
+ENUM_MISUSES = {
+    "map_spheroidal_point kind": (lambda: map_spheroidal_point(POINT, 1.0, "prolate"),
+                                  "unknown spheroidal kind 'prolate'"),
+    "lambda_grid kind": (lambda: lambda_grid(1, PARAMS, PLUS, "prolate", [0.5]),
+                         "unknown spheroidal kind 'prolate'"),
+    "lambda_curve kind": (lambda: lambda_curve(1, 0, PARAMS, PLUS, "oblate", [0.5]),
+                          "unknown spheroidal kind 'oblate'"),
+    "build_tridiag_u kind": (lambda: build_tridiag_u(1, PARAMS, PLUS, 1.0, "prolate"),
+                             "unknown spheroidal kind 'prolate'"),
+    "u_coefficients kind": (lambda: u_coefficients(2, 1, PARAMS, PLUS, 1.0, "oblate"),
+                            "unknown spheroidal kind 'oblate'"),
+    "t_coefficients branch": (lambda: t_coefficients(2, 1, PARAMS, "plus", 1.0, Kind.Prolate),
+                              "unknown branch 'plus'"),
+    "psi_spheroidal kind": (lambda: psi_spheroidal(2, 1, 1, PARAMS, PLUS, 1.0, "prolate", POINT,
+                                                   Route.ViaSpherical),
+                            "unknown spheroidal kind 'prolate'"),
+    "psi_spheroidal branch": (lambda: psi_spheroidal(2, 1, 1, PARAMS, "plus", 1.0, Kind.Oblate,
+                                                     POINT, Route.ViaCylindrical),
+                              "unknown branch 'plus'"),
+    "theta_angular branch": (lambda: theta_angular(1, PARAMS, "plus", 0.5),
+                             "unknown branch 'plus'"),
+    "spherical_level branch": (lambda: spherical_level(1, PARAMS, 1, 0.5, 0.5),
+                               "unknown branch 1"),
+    "energy_level branch": (lambda: energy_level(1, PARAMS, "minus"), "unknown branch 'minus'"),
+    "w_matrix branch": (lambda: w_matrix(2, PARAMS, "plus"), "unknown branch 'plus'"),
+    "SphericalLabel branch": (lambda: SphericalLabel(1, 0, 1, "plus"), "unknown branch 'plus'"),
+    "CylindricalLabel branch": (lambda: CylindricalLabel(1, 0, 1, -1), "unknown branch -1"),
+}
+
+
+@pytest.mark.parametrize("name", ENUM_MISUSES)
+def test_a_kind_or_branch_that_is_no_enum_member_is_refused(name):
+    call, message = ENUM_MISUSES[name]
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert str(refused.value) == message

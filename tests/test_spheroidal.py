@@ -15,7 +15,7 @@ from genosc.model import (Branch, CylindricalLabel, SphericalLabel, SystemParams
                           energy_cylindrical_parts, energy_level, ring_energy,
                           ring_relabel, ring_separation_constant,
                           separation_constant_A)
-from genosc.bases import psi_cylindrical, psi_spherical
+from genosc.bases import cylindrical_level, psi_cylindrical, psi_spherical, spherical_level
 from genosc.spheroidal import (Kind, Route, SpheroidalPoint, build_tridiag_t,
                                build_tridiag_u, eigensolve, lambda_curve,
                                lambda_grid, map_spheroidal_point,
@@ -812,6 +812,56 @@ def test_psi_batch_equals_scalar_calls_bit_for_bit():
                             xi[:6].reshape(2, 3), eta[:6].reshape(2, 3),
                             phi[:6].reshape(2, 3)), route)
                         assert np.array_equal(grid, batch[:6].reshape(2, 3))
+
+
+def composed_psi(n, k, params, branch, R, kind, point, route):
+    """psi_spheroidal as its parts compose it through the public API: the coefficient
+    column times the public level evaluator's terms at the mapped point, summed in term
+    order, times e^{i m phi} / sqrt(2 pi)."""
+    _, (r, theta, phi), (rho, _, z) = map_spheroidal_point(point, R, kind)
+    if route is Route.ViaSpherical:
+        coeff = t_coefficients(n, k, params, branch, R, kind)
+        terms = spherical_level(n, params, branch, r, theta)
+    else:
+        coeff = u_coefficients(n, k, params, branch, R, kind)
+        terms = cylindrical_level(n, params, branch, rho, z)
+    amp = coeff[0] * terms[0]
+    for c, term in zip(coeff[1:], terms[1:]):
+        amp = amp + c * term
+    out = amp * np.exp(1j * params.m * np.asarray(phi)) / math.sqrt(2.0 * math.pi)
+    return out if out.ndim else complex(out)
+
+
+def pinned_points(rng, kind, size):
+    """Seeded points spread over the state, with some near the z axis (eta near 1, and
+    on the prolate sheet xi near 1), one near z = 0 on the oblate sheet, and two in the
+    tail, the far one (point 1) past every term's support."""
+    xi, eta, phi = random_points(rng, kind, size)
+    xi[:3] = (1.0 if kind is Kind.Prolate else 0.0) + 1e-9, 1e100, 30.0
+    eta[3:5] = 1.0 - 1e-12, 1.0 - 1e-6
+    return xi, eta, phi
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 17, 40])
+def test_psi_equals_its_public_composition_bit_for_bit(n):
+    rng = np.random.default_rng(4200 + n)
+    for params in (BOTH, STEEP, RING, SETS[1]):
+        for branch in admissible_branches(params):
+            k = int(rng.integers(0, n + 1))
+            R = float(rng.uniform(0.2, 6.0))
+            for kind in KINDS:
+                xi, eta, phi = pinned_points(rng, kind, 12)
+                args = (n, k, params, branch, R, kind)
+                for route in Route:
+                    batch = SpheroidalPoint(xi, eta, phi)
+                    got = psi_spheroidal(n, k, params.m, params, branch, R, kind, batch, route)
+                    assert np.array_equal(got, composed_psi(*args, batch, route))
+                    assert got[1] == 0j and np.all(np.isfinite(got))
+                    for i in range(0, 12, 2):
+                        one = SpheroidalPoint(float(xi[i]), float(eta[i]), float(phi[i]))
+                        lone = psi_spheroidal(n, k, params.m, params, branch, R, kind, one,
+                                              route)
+                        assert type(lone) is complex and lone == composed_psi(*args, one, route)
 
 
 def test_psi_batch_routes_agree():
