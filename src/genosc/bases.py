@@ -29,7 +29,8 @@ import numpy as np
 from .errors import DomainError, check_abs_int, check_nonneg_int, check_points, require_points
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     _exponents, _ring_delta, require_label_m)
-from .specfun import _jacobi_p0, _jacobi_rows, laguerre_diagonal, laguerre_functions
+from .specfun import (_column, _columns, _jacobi_p0, _jacobi_rows, _laguerre_rows, _power,
+                      laguerre_diagonal)
 
 __all__ = [
     "theta_angular",
@@ -71,41 +72,69 @@ def _inside(u, name: str, hi: float = math.inf):
     return u
 
 
-def _log_x(omega: float, u):   # ln(omega u^2), finite where omega u^2 is not
-    return math.log(omega) + 2.0 * np.log(u)
+def _each(f, *values):
+    """f of one system's floats, or, for a stack of systems (tuples, one value per row of the
+    points), the tuple of f of each row's."""
+    return tuple(map(f, *values)) if type(values[0]) is tuple else f(*values)
 
 
-def _angular(qs, c: float, beta: float, t):
+def _log_x(omega, u):   # ln(omega u^2), finite where omega u^2 is not
+    return _column(_each(math.log, omega)) + 2.0 * np.log(u)
+
+
+# Each per-family helper below takes one system's exponents and omega, or a stack's tuples
+# (one system per row of 2-D points: the oracles' Gram families), which run one recurrence.
+
+def _angular_start(c: float, beta: float) -> tuple[float, float, float]:
+    """Theta_0's constant and the powers of sin t and cos t in it."""
+    return _jacobi_p0(c, beta, 0.5 * (c + beta + 1.0)), c, 0.5 + beta
+
+
+def _angular(qs, c, beta, t):
     """Theta_q(t) = 2^((c + beta + 1)/2) p_q(cos 2t) (sin t)^c (cos t)^(1/2 + beta), q in qs,
     p_q the orthonormal Jacobi(c, beta) polynomial, from rows started at Theta_0."""
-    norm0 = _jacobi_p0(c, beta, 0.5 * (c + beta + 1.0))
+    if type(c) is tuple:
+        (norm0, sin_power, cos_power), raise_to = _columns(_angular_start, c, beta), _power
+    else:
+        (norm0, sin_power, cos_power), raise_to = _angular_start(c, beta), np.power
     # np.power, never **: on a lone point's numpy scalar ** runs libm pow
-    start = norm0 * np.power(np.sin(t), c) * np.power(np.cos(t), 0.5 + beta)
+    start = norm0 * raise_to(np.sin(t), sin_power) * raise_to(np.cos(t), cos_power)
     rows = list(_jacobi_rows(max(qs), c, beta, np.cos(2.0 * t), start))
     return np.array(rows if qs == range(len(rows)) else [rows[q] for q in qs])
 
 
-def _radial_sph(degrees, q: int, c: float, beta: float, omega: float, r):
+def _ln_radial_const(omega: float) -> float:   # ln(sqrt(2) omega^(3/4))
+    return 0.5 * math.log(2.0) + 0.75 * math.log(omega)
+
+
+def _radial_sph(degrees, q: int, c, beta, omega, r):
     """R_{n_r q} = sqrt(2) omega^(3/4) x^(-1/4) phi_{n_r}^(2q+c+beta+1)(x), n_r in degrees."""
-    return laguerre_functions(degrees, 2.0 * q + c + beta + 1.0, _log_x(omega, r),
-                              -0.25, 0.5 * math.log(2.0) + 0.75 * math.log(omega))
+    return _laguerre_rows(degrees, _each(lambda c, beta: 2.0 * q + c + beta + 1.0, c, beta),
+                          _log_x(omega, r), -0.25, _each(_ln_radial_const, omega))
 
 
 def _radial_level(n: int, qs, c: float, beta: float, omega: float, r):
     """R_{n-q, q} for each q in qs: the terms of level n, whose Laguerre order
     2q + c + beta + 1 = (2n + c + beta + 1) - 2(n - q) falls by two per degree n - q."""
     return laguerre_diagonal([n - q for q in qs], 2.0 * n + c + beta + 1.0, _log_x(omega, r),
-                             -0.25, 0.5 * math.log(2.0) + 0.75 * math.log(omega))
+                             -0.25, _ln_radial_const(omega))
 
 
-def _radial_cyl(degrees, c: float, omega: float, rho):
+def _ln_sqrt_2omega(omega: float) -> float:
+    """ln sqrt(2 omega), also where 2 omega passes a double."""
+    twice = 2.0 * omega
+    return 0.5 * math.log(twice) if twice < math.inf else 0.5 * (math.log(2.0) + math.log(omega))
+
+
+def _radial_cyl(degrees, c, omega, rho):
     """R_{n_rho} = sqrt(2 omega) phi_{n_rho}^c(x) for each n_rho in degrees."""
-    return laguerre_functions(degrees, c, _log_x(omega, rho), 0.0, 0.5 * math.log(2.0 * omega))
+    return _laguerre_rows(degrees, c, _log_x(omega, rho), 0.0, _each(_ln_sqrt_2omega, omega))
 
 
-def _axial(ps: range, beta: float, omega: float, z):
+def _axial(ps: range, beta, omega, z):
     """Z_p = (-1)^p omega^(1/4) x^(1/4) phi_p^beta(x) for each p in ps, consecutive degrees."""
-    out = laguerre_functions(ps, beta, _log_x(omega, z), 0.25, 0.25 * math.log(omega))
+    out = _laguerre_rows(ps, beta, _log_x(omega, z), 0.25,
+                         _each(lambda w: 0.25 * math.log(w), omega))
     out[1 - ps[0] % 2::2] *= -1.0   # the rows of odd p
     return out
 

@@ -23,6 +23,7 @@ perturbation series read; m_matrix_cyl and n_matrix_sph are their dense views.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
@@ -424,18 +425,28 @@ def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
                           f"{W_OVERLAP_MAX_LEVEL}, got {n}")
     beta, c = _exponents(params, branch)
     omega = params.omega
+    # the volume element's 4 omega^(3/2) (below), which the terms carry back
+    try:
+        volume = 4.0 * omega ** 1.5
+    except OverflowError:
+        volume = math.inf
+    if not sys.float_info.min <= volume < math.inf:
+        raise NumericError(f"overlap table at omega={omega:g}: omega^(3/2) leaves double range")
     radial = build_quadrature("laguerre", n + 1, alpha=c + beta + 1.0)
     angular = build_quadrature("jacobi", n + 1, alpha=c, beta=beta)
     x, u = radial.nodes[:, None], angular.nodes   # x down the node grid, u across
     r, theta = np.sqrt(x / omega), 0.5 * np.arccos(u)
     ct = np.cos(theta)
     # 2 r^2 dr sin(theta) dtheta = x^(1/2) dx du / (4 omega^(3/2) cos theta)
-    weight = (radial.scaled_weights[:, None] * np.sqrt(x) / (4.0 * omega ** 1.5)
+    weight = (radial.scaled_weights[:, None] * np.sqrt(x) / volume
               * angular.weights / ((1.0 - u) ** c * (1.0 + u) ** beta * ct))
     cyl = _cylindrical_terms(n, beta, c, omega, r * np.sin(theta), r * ct) * weight
     sph = _spherical_terms(n, beta, c, omega, r, theta[None])
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
-    return np.einsum("pij,qij->pq", cyl, sph)
+    table = np.einsum("pij,qij->pq", cyl, sph)
+    if not np.isfinite(table).all():   # the sum overflows silently
+        raise NumericError(f"overlap table at n={n}, omega={omega:g} leaves double range")
+    return table
 
 
 def w_integral_oracle(n: int, p: int, q: int, params: SystemParams, branch: Branch) -> float:

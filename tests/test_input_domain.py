@@ -29,6 +29,7 @@ from genosc import (Branch, CylindricalLabel, Kind, MorseParams, Route, Spherica
 from genosc.bases import cylindrical_level, spherical_level
 from genosc.cli import main
 from genosc.errors import DomainError, NumericError
+from genosc.oracles import GramFamily, bi_orthogonality, gram_matrix, w_overlap_oracle
 
 EDGES = ("1.7976931348623157e308", "1e308", "1e154", "5e-324", "0", "-0", "-1", "inf", "-inf",
          "nan")
@@ -112,6 +113,15 @@ CYL = CylindricalLabel(1, 1, 1, PLUS)
 MORSE = MorseParams(v0=5.0, a=1.0)
 
 
+def _with_omega(omega):
+    return SystemParams(omega, PARAMS.p_strength, PARAMS.q_strength, PARAMS.m)
+
+
+def _values(report):
+    """An oracle's reading: its report's measured and expected values."""
+    return report.measured, report.expected
+
+
 def _like(value, valid):
     """valid in the shape of value: the other coordinates of a batch."""
     return np.full(np.shape(value), valid)
@@ -160,6 +170,18 @@ READERS = {
     # the value is the whole point: no number, None or pair is a triple
     "psi_spherical point": (0.7, lambda point: psi_spherical(SPH, PARAMS, point)),
     "psi_cylindrical point": (0.7, lambda point: psi_cylindrical(CYL, PARAMS, point)),
+    # omega near either end of a double: the factors and the oracles whose integrands
+    # carry powers of it
+    "radial_cylindrical omega": (1.0, lambda w: radial_cylindrical(1, _with_omega(w), 0.7)),
+    "cylindrical_level omega": (1.0, lambda w: cylindrical_level(2, _with_omega(w), PLUS, 0.7,
+                                                                 0.7)),
+    **{f"gram_matrix {family.value} omega": (
+        1.0, lambda w, family=family: _values(gram_matrix(family, 2, _with_omega(w))[1]))
+       for family in list(GramFamily)[:4]},
+    "bi_orthogonality omega": (1.0, lambda w: _values(bi_orthogonality(3, 1, 1, _with_omega(w),
+                                                                       PLUS))),
+    "w_overlap_oracle omega": (1.0, lambda w: _values(w_overlap_oracle(3, _with_omega(w),
+                                                                       PLUS)[1])),
     **{f"map_spheroidal_point {kind.value} {coord}": _spheroidal(
         coord, lambda point, kind=kind: map_spheroidal_point(point, 1.0, kind))
        for kind in Kind for coord in ("xi", "eta", "phi")},
@@ -226,6 +248,12 @@ ENUM_MISUSES = {
     "w_matrix branch": (lambda: w_matrix(2, PARAMS, "plus"), "unknown branch 'plus'"),
     "SphericalLabel branch": (lambda: SphericalLabel(1, 0, 1, "plus"), "unknown branch 'plus'"),
     "CylindricalLabel branch": (lambda: CylindricalLabel(1, 0, 1, -1), "unknown branch -1"),
+    "gram_matrix branch": (lambda: gram_matrix(GramFamily.Theta, 2, PARAMS, "plus"),
+                           "unknown branch 'plus'"),
+    "bi_orthogonality branch": (lambda: bi_orthogonality(3, 1, 1, PARAMS, "plus"),
+                                "unknown branch 'plus'"),
+    "w_overlap_oracle branch": (lambda: w_overlap_oracle(3, PARAMS, "plus"),
+                                "unknown branch 'plus'"),
 }
 
 

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from genosc import oracles
+from genosc import _cache, bases, oracles
 from genosc.bases import radial_cylindrical, radial_spherical, theta_angular, z_axial
 from genosc.errors import DomainError
 from genosc.interbasis import W_OVERLAP_MAX_LEVEL, w_integral_oracle, w_matrix
@@ -362,15 +362,39 @@ def test_suite_manifest_is_deterministic():
     assert first == second == list(SUITE_MANIFEST)
 
 
+def _public_suite_reports():
+    """Every suite row as the public oracle of its arguments reports it, in manifest order
+    (a 2F1 row is bi_orthogonality_hypergeometric's value against the closed form)."""
+    families = (GramFamily.Theta, GramFamily.RadialSph, GramFamily.RadialCyl, GramFamily.Axial)
+    reports = [gram_matrix(family, oracles._GRAM_LEVEL, params, branch)[1]
+               for params in oracles._SUITE_SETS for branch in admissible_branches(params)
+               for family in families]
+    reports += [bi_orthogonality(n, q, qp, params, branch)
+                for params, branch, n, pairs in oracles._BI_CASES for q, qp in pairs]
+    for params, branch, n, pairs in oracles._HYP_CASES:
+        for q, qp in pairs:
+            quad = bi_orthogonality(n, q, qp, params, branch)
+            reports.append(_report(oracles._bi_name("2F1", n, q, qp, params, branch),
+                                   bi_orthogonality_hypergeometric(n, q, qp, params, branch),
+                                   quad.expected, quad.tolerance))
+    reports += [w_overlap_oracle(n, params, branch)[1]
+                for params, branch, n in oracles._OVERLAP_CASES]
+    reports += [gram_matrix(GramFamily.Morse, n_max, mparams)[1]
+                for mparams, n_max in oracles._MORSE_CASES]
+    return reports
+
+
 def test_suite_checks_reuse_their_row_names(monkeypatch):
-    # a row's name is formed once, with the suite table; its check reports under
-    # it, as the public oracle of the same arguments would
+    # every row equals the public oracle's report at its arguments, bit for bit: the
+    # family passes and the shared level recurrences change no row. A row's name is
+    # formed once, with the suite table; its check reports under it
     reference = run_verification_suite()
-    params = SystemParams(omega=1.0, p_strength=0.05, q_strength=0.5, m=1)
-    for report in (gram_matrix(GramFamily.Theta, 4, params)[1],
-                   bi_orthogonality(4, 1, 3, params, Branch.Plus),
-                   w_overlap_oracle(2, BOTH, Branch.Minus)[1]):
-        assert report in reference
+    public = _public_suite_reports()
+    assert len(public) == len(SUITE_MANIFEST) == 35
+    assert [report.name for report in public] == list(SUITE_MANIFEST)
+    assert reference == public
+    _cache.clear()
+    assert run_verification_suite() == public   # cold: each rule and set-up built afresh
 
     def no_name(*args):
         raise AssertionError("a suite check formed a name")
@@ -378,6 +402,19 @@ def test_suite_checks_reuse_their_row_names(monkeypatch):
     for helper in ("_params_tag", "_gram_name", "_bi_name", "_overlap_name"):
         monkeypatch.setattr(oracles, helper, no_name)
     assert run_verification_suite() == reference
+
+
+def test_a_warm_suite_runs_one_laguerre_recurrence_per_gram_family(monkeypatch):
+    # the radial-spherical, radial-cylindrical and axial Grams each stack all five suite
+    # systems into one recurrence; rules, set-ups and overlap tables are cached, and the
+    # bi-orthogonality and Morse rows run in laguerre_diagonal
+    run_verification_suite()
+    calls, rows = [], bases._laguerre_rows
+    monkeypatch.setattr(bases, "_laguerre_rows", lambda degrees, alpha, *rest: (
+        calls.append(alpha), rows(degrees, alpha, *rest))[1])
+    run_verification_suite()
+    systems = sum(len(admissible_branches(params)) for params in oracles._SUITE_SETS)
+    assert len(calls) == 3 and all(len(alpha) == systems for alpha in calls), calls
 
 
 def test_report_pass_logic():

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import roots_genlaguerre, roots_jacobi
 
+from genosc import bases, model
 from genosc import specfun as sf
 from genosc.errors import AccuracyError, DomainError, NumericError
 from genosc.interbasis import w_coefficient
@@ -564,6 +565,54 @@ def test_a_batch_point_equals_its_lone_call_bit_for_bit(monkeypatch):
     assert seen == {(driver, renormalised) for driver in (sf.laguerre_functions,
                                                           sf.laguerre_diagonal)
                     for renormalised in (False, True)}
+
+
+def test_stacked_rows_equal_their_lone_calls_bit_for_bit(monkeypatch):
+    # the Gram families' stacks: one Laguerre recurrence (specfun._laguerre_rows) or one
+    # Jacobi recurrence (bases._angular) over a row of points per order, every row equal to
+    # its own public call. Orders -0.99 to 8000 (x^floor(order/2) in more than one power of at
+    # most 1000, rows done after different counts) and degrees to 80; points out to the far
+    # tail, where rows of different orders renormalise at different steps; log x = -inf at
+    # alpha > 0 = power
+    rng = np.random.default_rng(43)
+    finish, renormalised = sf._scale_rows, []
+    monkeypatch.setattr(sf, "_scale_rows", lambda out, wanted, renorms, *rest: (
+        renormalised.append(bool(renorms)), finish(out, wanted, renorms, *rest))[1])
+    periods = set()
+    for case in range(60):
+        rows, n = int(rng.integers(2, 7)), int(rng.choice([0, 1, 4, 12, 40, 80]))
+        alphas = tuple(float(rng.choice([rng.uniform(-0.99, 2.0), rng.uniform(2.0, 60.0),
+                                         10.0 ** rng.uniform(2.0, 3.9)])) for _ in range(rows))
+        far = case % 2 == 0   # out to 3000, past where a row's size is checked
+        log_x = np.log(rng.uniform(1e-4, 3000.0 if far else 4.0 * n + 40.0, (rows, 7)))
+        power = float(rng.choice([0.0, 0.25, -0.25]))
+        if power == 0.0 and min(alphas) > 0.0:
+            log_x[:, 0] = -math.inf
+        ln_const = tuple(float(v) for v in rng.uniform(-5.0, 5.0, rows))
+        degrees = [int(k) for k in rng.permutation(n + 1)[:int(rng.integers(1, n + 2))]]
+        stacked = sf._laguerre_rows(degrees, alphas, log_x, power, ln_const)
+        for s, (alpha, lone_log_x, const) in enumerate(zip(alphas, log_x, ln_const)):
+            lone = sf.laguerre_functions(degrees, alpha, lone_log_x, power, const)
+            assert lone.tobytes() == np.ascontiguousarray(stacked[:, s]).tobytes(), (alpha, n)
+        if n > 1:
+            periods.add(tuple(sf._laguerre_period(n, alpha)[0] for alpha in alphas))
+    assert True in renormalised and False in renormalised
+    assert any(len(set(p)) > 1 for p in periods)   # rows checked at different steps
+    for _ in range(40):
+        rows, n = int(rng.integers(2, 6)), int(rng.choice([0, 1, 4, 12, 40, 80]))
+        systems = [SystemParams(1.0, float(rng.choice([0.0, rng.uniform(-0.2, 3.0),
+                                                       rng.uniform(3.0, 500.0)])),
+                                float(rng.choice([0.0, rng.uniform(0.0, 3.0),
+                                                  rng.uniform(3.0, 1.4e6)])),
+                                int(rng.integers(-3, 4))) for _ in range(rows)]
+        exps = [model._exponents(params, Branch.Plus) for params in systems]
+        theta = rng.uniform(0.01, 0.5 * math.pi - 0.01, (rows, 5))
+        stacked = bases._angular(range(n + 1), tuple(c for _, c in exps),
+                                 tuple(beta for beta, _ in exps), theta)
+        for s, params in enumerate(systems):
+            for q in {0, n // 2, n}:
+                lone = bases.theta_angular(q, params, Branch.Plus, theta[s])
+                assert lone.tobytes() == stacked[q, s].tobytes(), (exps[s], q)
 
 
 def test_laguerre_orders_past_2_21_raise_accuracy_error():
