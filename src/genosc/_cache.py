@@ -9,8 +9,10 @@ back on every later one. This is the package's one memo; two caches hold them:
   bases' angular and ring rows share, and the Gamma ratio behind their p_0) and
   specfun's Gauss rules;
 - LEVELS: the tables of one oscillator level (interbasis' operator bands, W and
-  overlap tables, spheroidal's solve of one R and its solved states); it also
-  bounds its number of entries.
+  overlap tables, spheroidal's solve of one R and its solved states) and the
+  oracles' results (each Gram matrix and bi-orthogonality value, which the
+  verify suite and the public oracles read alike); it also bounds its number
+  of entries.
 
 A cached function is private and takes positional arguments only, from one
 validating caller that hands it canonical values: ints as int, floats as float
@@ -77,10 +79,11 @@ class ByteLRU:
                 self.nbytes -= self.entries.pop(key)[1]
 
 
-# Budgets. SETUPS keeps verify's 58 set-ups and 33 Gauss rules (119 kB) resident beside
+# Budgets. SETUPS keeps verify's 61 set-ups and 33 Gauss rules (120 kB) resident beside
 # the churn of fresh orders: 256 kB for set-ups and 256 small rules' 1.5 kB each. LEVELS
 # holds an n = 300 level's solve and W table (0.7 MB each) beside some of its states; its
-# entry bound keeps what levels of fresh parameters leave resident, a few kB each, to 64.
+# entry bound keeps what levels and Grams of fresh parameters leave resident, a few kB
+# each, to 64, which leaves room beside verify's 41 level entries (51 kB).
 SETUPS = ByteLRU(640 * 1024)
 LEVELS = ByteLRU(2 * 1024 * 1024, max_entries=64)
 CACHES = {"setups": SETUPS, "levels": LEVELS}

@@ -5,12 +5,10 @@ pointwise basis functions, never through the coefficient formulas under
 test.  Each reads every degree it needs from one call of the family's level
 helper (bases._angular, _radial_sph, _radial_level, _radial_cyl, _axial,
 morse._wavefunctions; the public evaluators are their one-row views) and
-contracts once.  A Gram family runs as one pass over a list of systems
-(_grams): one rule per system, their nodes stacked a row per system, one
-recurrence for every system's rows and one contraction, each system's
-report equal to its own gram_matrix call bit for bit; the verification
-suite runs each family once for all of its systems, and the
-bi-orthogonality pairs of one level on one recurrence (_bi_quads).
+contracts once.  A Gram matrix and a measured bi-orthogonality value are
+tables built once per key (_gram_table, _bi_table in genosc._cache), which
+the public oracles and the verification suite read alike; each caller forms
+its report from the table under the name it already holds.
 Integrands are divided by the rule's weight function first, which leaves
 exact polynomials, so any residual measures implementation error rather than
 quadrature truncation.  The overlap table is interbasis._overlap_table, the
@@ -25,18 +23,19 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._cache import LEVELS, cached
 from .bases import _angular, _axial, _radial_cyl, _radial_level, _radial_sph
 from .errors import (DomainError, NumericError, _as_float, _require_member, check_level_index,
                      check_nonneg_int)
 from .interbasis import _overlap_table, w_matrix
 from .model import Branch, SystemParams, _exponents, admissible_branches
 from .morse import MorseParams, _wavefunctions, normalizable_levels
-from .specfun import (_base, _column, _dyadic, _ratio_sum, build_quadrature, gamma_sign_ln,
-                      ln_gamma)
+from .specfun import _base, _dyadic, _ratio_sum, build_quadrature, gamma_sign_ln, ln_gamma
 
 __all__ = [
     "CheckReport",
@@ -124,6 +123,10 @@ def _bi_expected(q: int, q_prime: int, params: SystemParams, branch: Branch) -> 
     return params.omega / (2 * q + c + beta + 1.0) if q == q_prime else 0.0
 
 
+def _bi_tolerance(n: int, params: SystemParams) -> float:
+    return _tolerance(n) * params.omega   # J scales as omega
+
+
 def _bi_name(route: str, n: int, q: int, q_prime: int, params, branch: Branch) -> str:
     return (f"bi-orthogonality {route} n={n} q={q} q'={q_prime} "
             f"{_params_tag(params)} {branch.name.lower()}")
@@ -136,59 +139,50 @@ def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
     J_{q q'} = int_0^inf R_{n-q', q'}(r) R_{n-q, q}(r) dr is diagonal at a
     fixed level with value omega / (2q + c +- b + 1).  Measured here with a
     Gauss-Laguerre rule in t = omega r^2 after dividing out the shared
-    weight t^(q + q' + c +- b) e^{-t}; the closed form is the expectation.
+    weight t^(q + q' + c +- b) e^{-t}; the closed form is the expectation, held
+    to 1e-10 omega (1e-8 omega past level 6), as J scales with omega. The
+    measured value is built once per argument set (genosc._cache).
     NumericError where the overlap leaves double range (omega near 1e300).
     """
     n, q, q_prime = _bi_indices(n, q, q_prime)
     _require_member(branch, Branch, "branch")
-    (report,) = _bi_quads([_bi_name("quad", n, q, q_prime, params, branch)], n,
-                          [(q, q_prime)], params, branch)
-    return report
+    return _bi_quad(_bi_name("quad", n, q, q_prime, params, branch), n, q, q_prime,
+                    params, branch)
 
 
-def _bi_quads(names, n: int, pairs, params: SystemParams, branch: Branch) -> list[CheckReport]:
-    """bi_orthogonality of each pair (q, q') of level n at validated indices, reported under
-    names in order: one recurrence of the level gives every label's row at the nodes of
-    every pair's rule, side by side. A point's rows follow the point set only through the
-    recurrence's renormalisation period, which no suite level reaches."""
+def _bi_quad(name: str, n: int, q: int, q_prime: int, params: SystemParams,
+             branch: Branch) -> CheckReport:
+    """bi_orthogonality at validated indices, reported under name."""
+    measured = _bi_table(n, q, q_prime, params, branch)
+    if not math.isfinite(measured):   # the sum overflows silently
+        raise NumericError(f"{name}: the overlap leaves double range")
+    return _report(name, measured, _bi_expected(q, q_prime, params, branch),
+                   _bi_tolerance(n, params))
+
+
+@cached(LEVELS)
+def _bi_table(n: int, q: int, q_prime: int, params: SystemParams, branch: Branch) -> float:
+    """J_{q q'} of level n measured by quadrature, at validated indices."""
     beta, c = _exponents(params, branch)
     omega = params.omega
-    rules = {}   # combined exponent q + q' + c +- b -> its rule
-    for q, q_prime in pairs:
-        shared = q + q_prime + c + beta
-        # admissible labels keep the combined exponent integrable
-        assert shared > -1.0
-        if shared not in rules:
-            rules[shared] = build_quadrature("laguerre", n + 2, alpha=shared)
-    nodes = [rule.nodes for rule in rules.values()]
-    qs = sorted({q for pair in pairs for q in pair})   # their degrees n - q are distinct
-    vals = _radial_level(n, qs, c, beta, omega,
-                         _radius(nodes[0] if len(nodes) == 1 else np.concatenate(nodes), omega))
-    # each label's row, a block of n + 2 nodes per rule
-    rows = dict(zip(qs, vals.reshape(len(qs), len(rules), n + 2)))
-    at = dict(zip(rules, range(len(rules))))
-    reports = []
-    for name, (q, q_prime) in zip(names, pairs):
-        shared = q + q_prime + c + beta
-        rule, k = rules[shared], at[shared]
-        # t^(shared + 1/2) e^-t times a polynomial: the scaled weights carry all but t^(1/2)
-        measured = float(np.einsum("i,i,i->", rule.scaled_weights / np.sqrt(rule.nodes),
-                                   rows[q][k], rows[q_prime][k])) / (2.0 * math.sqrt(omega))
-        if not math.isfinite(measured):   # the sum overflows silently
-            raise NumericError(f"{name}: the overlap leaves double range")
-        reports.append(_report(name, measured, _bi_expected(q, q_prime, params, branch),
-                               _tolerance(n)))
-    return reports
+    shared = q + q_prime + c + beta
+    # admissible labels keep the combined exponent integrable
+    assert shared > -1.0
+    rule = build_quadrature("laguerre", n + 2, alpha=shared)
+    # one recurrence of the level for both labels; its degrees n - q must be distinct
+    qs = [q] if q == q_prime else [q, q_prime]
+    vals = _radial_level(n, qs, c, beta, omega, _radius(rule.nodes, omega))
+    # t^(shared + 1/2) e^-t times a polynomial: the scaled weights carry all but t^(1/2)
+    return float(np.einsum("i,i,i->", rule.scaled_weights / np.sqrt(rule.nodes),
+                           vals[0], vals[-1])) / (2.0 * math.sqrt(omega))
 
 
-def _radius(x, omega):
-    """sqrt(x / omega) at a rule's nodes x (ascending), or at a stack's rows with a tuple of
-    one omega per row. NumericError where x / omega passes a double (omega near 0)."""
-    stack = type(omega) is tuple
-    for top, w in zip(x[:, -1].tolist() if stack else (x[-1],), omega if stack else (omega,)):
-        if top > w * _DOUBLE_MAX:
-            raise NumericError(f"omega={w:g} puts a quadrature node over omega past a double")
-    return np.sqrt(x / _column(omega))
+def _radius(x, omega: float):
+    """sqrt(x / omega) at a rule's nodes x (ascending). NumericError where x / omega passes a
+    double (omega near 0)."""
+    if x[-1] > omega * _DOUBLE_MAX:
+        raise NumericError(f"omega={omega:g} puts a quadrature node over omega past a double")
+    return np.sqrt(x / omega)
 
 
 def bi_orthogonality_hypergeometric(n: int, q: int, q_prime: int,
@@ -226,20 +220,14 @@ class GramFamily(enum.Enum):
     RadialCyl = "radial-cylindrical"
     Axial = "axial"
     Morse = "morse"
+    __hash__ = object.__hash__   # members are singletons: a table key hashes them in C
 
 
-# Each family gives, for a list of systems, the Gram rule of each (kind, alpha, beta, node
-# power, scale) and rows(x), every degree 0..n_max of every system at its rule's nodes (x
-# holds a row of nodes per system) from one level-helper call, which takes one system's
-# floats or a stack's tuples and runs one recurrence for the stack. Each row
-# divides out x^power e^{-x/2} (Laguerre) or (1-x)^(alpha/2) (1+x)^power (Jacobi), leaving
-# a polynomial of degree <= n_max: the rule of n_max + 2 points is exact.
-
-def _system_stacks(systems):
-    """[(beta, c, omega)] of each (params, branch) system, and the three stacked."""
-    each = [_exponents(params, branch) + (params.omega,) for params, branch in systems]
-    return each, each[0] if len(each) == 1 else tuple(zip(*each))
-
+# Each family gives its Gram rule (kind, alpha, beta, node power, scale) and
+# rows(x), every degree 0..n_max at the nodes from one level-helper call. Each
+# row divides out x^power e^{-x/2} (Laguerre) or (1-x)^(alpha/2) (1+x)^power
+# (Jacobi), leaving a polynomial of degree <= n_max: the rule of n_max + 2
+# points is exact.
 
 def _power_or_inf(base: float, exponent: float) -> float:
     """base ** exponent, inf past a double (where Python's float power raises)."""
@@ -249,50 +237,50 @@ def _power_or_inf(base: float, exponent: float) -> float:
         return math.inf
 
 
-def _gram_theta(n_max, systems):
+def _gram_theta(n_max, params, branch):
     # x = cos 2 theta: sin theta dtheta carries the extra cos^(1/2) per row. A reduced row
     # is 2^(1/4) p_q (orthonormal Jacobi), so the scale is 2^(-3/2) at any c and b
-    each, (betas, cs, _) = _system_stacks(systems)
-    return ([("jacobi", c, beta, 0.25 + 0.5 * beta, 2.0 ** -1.5) for beta, c, _ in each],
-            lambda x: _angular(range(n_max + 1), cs, betas, 0.5 * np.arccos(x)))
+    beta, c = _exponents(params, branch)
+    return (("jacobi", c, beta, 0.25 + 0.5 * beta, 2.0 ** -1.5),
+            lambda x: _angular(range(n_max + 1), c, beta, 0.5 * np.arccos(x)))
 
 
-def _gram_radial_sph(n_max, systems):
+def _gram_radial_sph(n_max, params, branch):
     # q = 0, one order for every row: one Gauss rule covers the family, and
     # bi_orthogonality exercises the q > 0 normalizations
-    each, (betas, cs, omegas) = _system_stacks(systems)
-    return ([("laguerre", alpha0, 0.0, 0.5 * alpha0 - 0.25, 0.5 * _power_or_inf(omega, -1.5))
-             for beta, c, omega in each for alpha0 in (c + beta + 1.0,)],
-            lambda x: _radial_sph(range(n_max + 1), 0, cs, betas, omegas, _radius(x, omegas)))
+    beta, c = _exponents(params, branch)
+    omega = params.omega
+    alpha0 = c + beta + 1.0
+    return (("laguerre", alpha0, 0.0, 0.5 * alpha0 - 0.25, 0.5 * _power_or_inf(omega, -1.5)),
+            lambda x: _radial_sph(range(n_max + 1), 0, c, beta, omega, _radius(x, omega)))
 
 
-def _gram_radial_cyl(n_max, systems):
-    each, (_, cs, omegas) = _system_stacks(systems)
-    return ([("laguerre", c, 0.0, 0.5 * c, 0.5 / omega) for _, c, omega in each],
-            lambda x: _radial_cyl(range(n_max + 1), cs, omegas, _radius(x, omegas)))
+def _gram_radial_cyl(n_max, params, branch):
+    _, c = _exponents(params, branch)
+    omega = params.omega
+    return (("laguerre", c, 0.0, 0.5 * c, 0.5 / omega),
+            lambda x: _radial_cyl(range(n_max + 1), c, omega, _radius(x, omega)))
 
 
-def _gram_axial(n_max, systems):
-    each, (betas, _, omegas) = _system_stacks(systems)
-    return ([("laguerre", beta, 0.0, 0.25 + 0.5 * beta, 0.5 / math.sqrt(omega))
-             for beta, _, omega in each],
-            lambda x: _axial(range(n_max + 1), betas, omegas, _radius(x, omegas)))
+def _gram_axial(n_max, params, branch):
+    beta, _ = _exponents(params, branch)
+    omega = params.omega
+    return (("laguerre", beta, 0.0, 0.25 + 0.5 * beta, 0.5 / math.sqrt(omega)),
+            lambda x: _axial(range(n_max + 1), beta, omega, _radius(x, omega)))
 
 
-def _gram_morse(n_max, systems):
+def _gram_morse(n_max, params, branch):
     # psi_p psi_p' dx = w^(2 lam - p - p' - 2) e^{-w} L_p L_p' dw / a: the rule
-    # takes w^(2 lam - 2 n_max - 2), each row keeps w^(n_max - p) L_p. One well per pass:
-    # wells of other depths share no recurrence
-    ((params, _),) = systems
+    # takes w^(2 lam - 2 n_max - 2), each row keeps w^(n_max - p) L_p
     lam, a, count = params.lam, params.a, len(normalizable_levels(params))
     if n_max >= count:
         raise DomainError(f"only {count} normalizable Morse levels here, "
                           f"cannot Gram up to p={n_max}")
-    return ([("laguerre", 2.0 * lam - 2.0 * n_max - 2.0, 0.0, lam - n_max - 0.5, 1.0 / a)],
+    return (("laguerre", 2.0 * lam - 2.0 * n_max - 2.0, 0.0, lam - n_max - 0.5, 1.0 / a),
             lambda w: _wavefunctions(range(n_max + 1), params, -np.log(w / (2.0 * lam)) / a))
 
 
-# family -> (parameter type, target multiple of the identity, rules and rows)
+# family -> (parameter type, target multiple of the identity, rule and rows)
 _GRAM = {
     GramFamily.Theta: (SystemParams, 0.5, _gram_theta),
     GramFamily.RadialSph: (SystemParams, 1.0, _gram_radial_sph),
@@ -315,8 +303,9 @@ def gram_matrix(family: GramFamily, n_max: int, params,
     entrywise deviation from the expected multiple of the identity (1/2 for
     the half-line-normalized theta and axial families, 1 otherwise). Every
     family, Morse included, builds one Gauss rule and reads every degree from
-    one recurrence: the family pass of the verification suite, run on one system.
-    NumericError where the matrix leaves double range (omega near either end of it).
+    one recurrence. The matrix is read-only, built once per (family, n_max, params,
+    branch), one entry per Morse well (genosc._cache). NumericError where it leaves double
+    range (omega near either end of one).
     """
     if not isinstance(family, GramFamily):
         raise DomainError(f"family must be a GramFamily member, got {family!r}")
@@ -326,47 +315,39 @@ def gram_matrix(family: GramFamily, n_max: int, params,
         raise DomainError(f"{family.value} Gram checks need "
                           f"{params_type.__name__}, got {type(params).__name__}")
     _require_member(branch, Branch, "branch")
-    gram, (report,) = _grams(family, n_max, [(params, branch)],
-                             [_gram_name(family, n_max, params, branch)])
-    return gram, report
+    return _gram(_gram_name(family, n_max, params, branch), family, n_max, params, branch)
 
 
-def _grams(family: GramFamily, n_max: int, systems, names) -> tuple[np.ndarray, list[CheckReport]]:
-    """gram_matrix of each of a list of validated (params, branch) systems, reported under
-    names in order, and the matrices (one system's, or stacked): one rule per system (every
-    rule of n_max + 2 points, its nodes a row of the stack), one row pass and one
-    contraction. NumericError where a matrix leaves double range."""
+def _gram(name: str, family: GramFamily, n_max: int, params,
+          branch: Branch) -> tuple[np.ndarray, CheckReport]:
+    """gram_matrix at validated arguments, reported under name."""
+    if family is GramFamily.Morse:
+        branch = Branch.Plus   # a well has no branch: one table per well
+    gram, deviation = _gram_table(family, n_max, params, branch)
+    if not math.isfinite(deviation):   # the sum overflows silently
+        raise NumericError(f"{name}: the Gram matrix leaves double range")
+    return gram, _report(name, deviation, 0.0, _tolerance(n_max))
+
+
+@cached(LEVELS)
+def _gram_table(family: GramFamily, n_max: int, params,
+                branch: Branch) -> tuple[np.ndarray, float]:
+    """gram_matrix's matrix and deviation at validated arguments. NumericError where the
+    scale leaves double range (omega near either end of one)."""
     _, target, family_rule = _GRAM[family]
-    rules, rows = family_rule(n_max, systems)
-    parts = []   # each system's nodes, weights, root of the weight it divides out, scale
-    for name, (kind, alpha, beta, power, scale) in zip(names, rules):
-        if not 0.0 < scale < math.inf:   # omega near either end of a double
-            raise NumericError(f"{name}: the Gram scale leaves double range")
-        quad = build_quadrature(kind, n_max + 2, alpha=alpha, beta=beta)
-        x = quad.nodes
-        if kind == "laguerre":   # the scaled weights carry the rule's x^alpha e^-x
-            root = x ** (0.5 * alpha - power)
-        else:
-            root = (1.0 - x) ** (-0.5 * alpha) * (1.0 + x) ** -power
-        parts.append((x, quad.scaled_weights, root, scale))
-    if len(parts) == 1:
-        ((x, weights, root, scale),) = parts
-    else:   # a row per system
-        x, weights, root, scale = map(np.array, zip(*parts))
-        scale = scale[:, None, None]
+    (kind, alpha, beta, power, scale), rows = family_rule(n_max, params, branch)
+    if not 0.0 < scale < math.inf:
+        raise NumericError(f"{family.value} Gram scale leaves double range at {params}")
+    rule = build_quadrature(kind, n_max + 2, alpha=alpha, beta=beta)
+    x = rule.nodes
+    if kind == "laguerre":   # the scaled weights carry the rule's x^alpha e^-x
+        root = x ** (0.5 * alpha - power)
+    else:
+        root = (1.0 - x) ** (-0.5 * alpha) * (1.0 + x) ** -power
     reduced = rows(x) * root
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
-    gram = scale * np.einsum("i...p,...p,j...p->...ij", reduced, weights, reduced)
-    off = gram.copy()   # gram - target I, its diagonal a stride of n_max + 2
-    off.reshape(off.shape[:-2] + (-1,))[..., ::n_max + 2] -= target
-    deviation = np.abs(off).max(axis=(-2, -1)).reshape(-1)
-    reports = []
-    for name, measured in zip(names, deviation.tolist()):
-        if not math.isfinite(measured):   # the sum overflows silently
-            raise NumericError(f"{name}: the Gram matrix leaves double range")
-        reports.append(_report(name, measured, 0.0, _tolerance(n_max)))
-    gram.flags.writeable = False
-    return gram, reports
+    gram = scale * np.einsum("ip,p,jp->ij", reduced, rule.scaled_weights, reduced)
+    return gram, float(np.max(np.abs(gram - target * np.eye(n_max + 1))))
 
 
 def _overlap_name(n: int, params: SystemParams, branch: Branch) -> str:
@@ -425,46 +406,43 @@ _MORSE_CASES = (
 )
 
 
-def _suite():
-    """The verification suite: its row names in report order, and (rows, check) pairs whose
-    check returns the CheckReports of those rows (indices into the names) under their
-    names, formed once here. The checks run the oracles' bodies on the suite's fixed, valid
-    arguments: each Gram family in one pass over all of its systems, and each
-    bi-orthogonality case's pairs on one recurrence of their level.
+def _suite() -> tuple[tuple[str, Callable[[], CheckReport]], ...]:
+    """The verification suite as (name, check) rows, in report order.
+
+    Each check returns the CheckReport of its row under the row's name, formed
+    once here; the checks run the oracles' bodies on the suite's fixed, valid
+    arguments.
     """
-    systems = [(params, branch) for params in _SUITE_SETS for branch in admissible_branches(params)]
-    families = (GramFamily.Theta, GramFamily.RadialSph, GramFamily.RadialCyl, GramFamily.Axial)
-    names = [_gram_name(family, _GRAM_LEVEL, params, branch)
-             for params, branch in systems for family in families]
-    checks = [(range(i, len(names), len(families)),
-               lambda family=family, group=names[i::len(families)]:
-               _grams(family, _GRAM_LEVEL, systems, group)[1])
-              for i, family in enumerate(families)]
+    def gram(family, n_max, params, branch=Branch.Plus):
+        name = _gram_name(family, n_max, params, branch)
+        return name, lambda: _gram(name, family, n_max, params, branch)[1]
 
-    def add(group, check):
-        checks.append((range(len(names), len(names) + len(group)), check))
-        names.extend(group)
+    def bi(route, n, q, qp, params, branch):
+        name = _bi_name(route, n, q, qp, params, branch)
+        if route == "quad":
+            return name, lambda: _bi_quad(name, n, q, qp, params, branch)
+        return name, lambda: _report(
+            name, bi_orthogonality_hypergeometric(n, q, qp, params, branch),
+            _bi_expected(q, qp, params, branch), _bi_tolerance(n, params))
 
-    for params, branch, n, pairs in _BI_CASES:
-        group = [_bi_name("quad", n, q, qp, params, branch) for q, qp in pairs]
-        add(group, lambda group=group, args=(n, pairs, params, branch): _bi_quads(group, *args))
-    for params, branch, n, pairs in _HYP_CASES:
-        for q, qp in pairs:
-            name = _bi_name("2F1", n, q, qp, params, branch)
-            add([name], lambda name=name, args=(n, q, qp, params, branch): [_report(
-                name, bi_orthogonality_hypergeometric(*args), _bi_expected(*args[1:]),
-                _tolerance(args[0]))])
-    for params, branch, n in _OVERLAP_CASES:
+    def overlap(n, params, branch):
         name = _overlap_name(n, params, branch)
-        add([name], lambda name=name, args=(n, params, branch): [_overlap(name, *args)[1]])
-    for mparams, n_max in _MORSE_CASES:
-        group = [_gram_name(GramFamily.Morse, n_max, mparams, Branch.Plus)]
-        add(group, lambda group=group, args=(n_max, [(mparams, Branch.Plus)]):
-            _grams(GramFamily.Morse, *args, group)[1])
-    return tuple(names), tuple(checks)
+        return name, lambda: _overlap(name, n, params, branch)[1]
+
+    families = (GramFamily.Theta, GramFamily.RadialSph, GramFamily.RadialCyl, GramFamily.Axial)
+    return (*(gram(family, _GRAM_LEVEL, params, branch) for params in _SUITE_SETS
+              for branch in admissible_branches(params) for family in families),
+            *(bi("quad", n, q, qp, params, branch)
+              for params, branch, n, pairs in _BI_CASES for q, qp in pairs),
+            *(bi("2F1", n, q, qp, params, branch)
+              for params, branch, n, pairs in _HYP_CASES for q, qp in pairs),
+            *(overlap(n, params, branch) for params, branch, n in _OVERLAP_CASES),
+            *(gram(GramFamily.Morse, n_max, mparams) for mparams, n_max in _MORSE_CASES))
 
 
-SUITE_MANIFEST, _SUITE = _suite()
+_SUITE = _suite()
+
+SUITE_MANIFEST: tuple[str, ...] = tuple(name for name, _ in _SUITE)
 
 
 def run_verification_suite() -> list[CheckReport]:
@@ -473,8 +451,4 @@ def run_verification_suite() -> list[CheckReport]:
     The row order and count are deterministic; SUITE_MANIFEST lists the
     names so callers can confirm nothing was skipped.
     """
-    reports = [None] * len(SUITE_MANIFEST)
-    for rows, check in _SUITE:
-        for row, report in zip(rows, check()):
-            reports[row] = report
-    return reports
+    return [check() for _, check in _SUITE]

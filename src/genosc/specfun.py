@@ -2,7 +2,8 @@
 
 Everything downstream (basis evaluation, overlap coefficients, oracle
 integrals) is built on these primitives. The Gamma normalisers of the Laguerre
-functions and the Jacobi family come from one exact product (_ln_norm0). The
+functions and the Jacobi family come from one exact product (_ln_norm0); the Jacobi
+family's p_0 refuses where alpha + beta + 1 leaves that product's range (_gamma_ratio). The
 Jacobi, Laguerre, Gegenbauer and Hermite polynomials, and the orthonormal Jacobi
 rows behind the Jacobi rules and bases' angular factors (_jacobi_rows), are step
 functions of one forward three-term recurrence (_three_term).
@@ -11,9 +12,6 @@ The orthonormal Laguerre functions run on rows renormalised by exact powers of t
 one finish (_scale_rows), for every degree of one order (laguerre_functions) or for an order
 falling by two per degree, phi_p^(beta-2p) (laguerre_diagonal: a spherical level's radial
 terms, the Morse levels). Every Gauss rule is finished from its orthonormal rows at the nodes.
-The one-order Laguerre recurrence, its finish and the Jacobi rows also run a stack of orders,
-one per row of 2-D points (the oracles' Gram families): one loop whose steps and constants are
-columns of the floats each row's own call forms, so every row keeps that call's bits.
 """
 
 from __future__ import annotations
@@ -138,14 +136,13 @@ def gen_laguerre(n: int, alpha: float, x):
 # ln 2 for Cody-Waite reduction: the head has 15 bits, so j * head is exact for
 # |j| < 2^38, which flooring a log at -1e11 keeps even -inf within
 _LN2_HI, _LN2_LO = 0.693145751953125, 1.4286068203094172321e-6
-_LN2 = math.log(2.0)
 
 
 def _split_ln2(ln):
     """(r, j), ln = r + j ln 2 split exactly, j integral: e^ln as e^r 2^j for any finite
     ln. Rounding ln + k ln 2 instead would cost ulps that follow which steps renormalised
     a row."""
-    j = np.rint(ln / _LN2)
+    j = np.rint(ln / math.log(2.0))
     return (ln - j * _LN2_HI) - j * _LN2_LO, j
 
 
@@ -176,9 +173,15 @@ _order_norm0 = cached(SETUPS)(_ln_norm0)   # a Laguerre order's, built once (_sc
 @cached(SETUPS)
 def _gamma_ratio(alpha: float, beta: float) -> tuple[float, int]:
     """(m, e), e even, with Gamma(alpha + 1) Gamma(beta + 1) / Gamma(alpha + beta + 2) = m 2^e,
-    alpha, beta > -1, from _ln_norm0 at alpha, beta and the exact alpha + beta + 1 (_jacobi_p0)."""
+    alpha, beta > -1, from _ln_norm0 at alpha, beta and the exact alpha + beta + 1 (_jacobi_p0).
+    AccuracyError from alpha + beta + 1 = 9999, where _ln_norm0 turns to lgamma and the ratio
+    would cancel three of its values (theta_ring was 3.2e-12 off at 10005, 6.7e-10 at 2e6)."""
+    total = Fraction(alpha) + Fraction(beta) + 1
+    if not total < 9999:   # alpha and beta are then below it too
+        raise AccuracyError(f"Jacobi p_0 at alpha + beta + 1 = {float(total):g} >= 9999 "
+                            f"cancels three lgamma values")
     (ra, ja), (rb, jb) = _ln_norm0(alpha), _ln_norm0(beta)
-    rs, js = _ln_norm0(Fraction(alpha) + Fraction(beta) + 1)
+    rs, js = _ln_norm0(total)
     return math.exp(2.0 * (rs - ra - rb)), 2 * (js - ja - jb)
 
 
@@ -213,18 +216,12 @@ def _jacobi_coeffs(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.nd
     return a, np.sqrt(b)
 
 
-def _jacobi_rows(n: int, alpha, beta, x, start):
+def _jacobi_rows(n: int, alpha: float, beta: float, x, start):
     """start p_k / p_0 over the points x, k = 0..n, yielded in turn (_three_term): the orthonormal
     Jacobi(alpha, beta) polynomials p_k (DLMF 18.9.2) from _jacobi_coeffs' steps, read as floats
     (indexing an array costs a lone point more than the step). start is p_0 times the caller's
-    factor at each point; a root of the weight in it makes every row bounded at any degree.
-    alpha and beta may instead be a stack's tuples, one pair per row of a 2-D x, whose steps
-    are then columns: each row equals its own call bit for bit."""
-    if type(alpha) is tuple:
-        a, sb = (list(np.array(v).T[:, :, None]) for v in zip(
-            *(_jacobi_coeffs(max(n, 1), al, be) for al, be in zip(alpha, beta))))
-    else:
-        a, sb = (v.tolist() for v in _jacobi_coeffs(max(n, 1), alpha, beta))   # p_1 at n = 0 too
+    factor at each point; a root of the weight in it makes every row bounded at any degree."""
+    a, sb = (v.tolist() for v in _jacobi_coeffs(max(n, 1), alpha, beta))   # p_1 at n = 0 too
     return _three_term(n, start, (x - a[0]) * start / sb[1],
                        lambda k, p1, p0: ((x - a[k - 1]) * p1 - sb[k - 1] * p0) / sb[k])
 
@@ -244,74 +241,28 @@ def _degree_rows(degrees, what: str) -> dict:
     return wanted
 
 
-def _column(values):
-    """A stack's values (a tuple, one float per row of its 2-D points) as a column over the
-    rows; one float as itself."""
-    return np.array(values)[:, None] if type(values) is tuple else values
-
-
-def _columns(f, *values) -> list:
-    """The outputs of f (a tuple of floats) at each row of a stack (values: tuples, an entry
-    per row), each output as a column over the rows."""
-    return [np.array(v)[:, None] for v in zip(*map(f, *values))]
-
-
-# the exponents at which numpy's power takes a route of its own when it is given one
-# (square, sqrt, reciprocal): a column holding one of them would round that row differently
-_LONE_POWERS = (-1.0, 0.0, 0.5, 1.0, 2.0)
-
-
-def _power(x, p):
-    """np.power(x, p) for one exponent p, or for a column of one per row of x, each row then
-    as its own call with that exponent gives it."""
-    out = np.power(x, p)
-    if type(p) is np.ndarray:
-        for i, lone in enumerate(p[:, 0].tolist()):
-            if lone in _LONE_POWERS:
-                out[i] = np.power(x[i], lone)
-    return out
-
-
-def _order_finish(order: float, power: float, ln_const: float):
-    """_scale_rows' constants of one order: half = floor(order/2), the slope and constant of
-    the rest of its log and N_0 = e^r0 2^j0."""
-    half = int(0.5 * order)
-    if half > 2 ** 20:   # its Gamma normaliser keeps under nine digits, its power costs O(order)
-        raise AccuracyError(f"Laguerre order {order} past 2^21")
-    r0, j0 = _order_norm0(order)
-    return half, 0.5 * order - half + power, r0 + ln_const, r0, j0
-
-
-def _scale_rows(out, wanted: dict, renorms: list, x, pts, order, power, ln_const):
+def _scale_rows(out, wanted: dict, renorms: list, x, pts, order: float, power: float,
+                ln_const: float) -> tuple[float, int]:
     """Both Laguerre drivers' finish, in place: row wanted[k] of out times x^(order/2 + power)
     e^(-x/2) N_0 e^ln_const 2^e, x = exp(pts), N_0 = e^r0 2^j0 = _order_norm0(order) (returned),
     e the exp2 of the last (since, exp2) in renorms with since <= k, else 0. No large log is
     rounded: x^floor(order/2) comes from the rows' x (ln x is an ulp off), -x/2 is split
-    exactly, and each value is rounded from its own mantissa, so points stay independent.
-    order and ln_const may instead be a stack's tuples, one per row of a 2-D pts, whose
-    constants are then columns: each row as its own call."""
-    stack = type(order) is tuple
-    if stack:
-        half, slope, const, r0, j0 = _columns(
-            lambda order, ln_const: _order_finish(order, power, ln_const), order, ln_const)
-        top, raise_to = int(half.max()), _power   # a row of half = 0 takes f^0 = 1
-    else:
-        half, slope, const, r0, j0 = _order_finish(order, power, ln_const)
-        top, raise_to = half, np.power
-    rest = slope * pts + const
+    exactly, and each value is rounded from its own mantissa, so points stay independent."""
+    half = int(0.5 * order)
+    if half > 2 ** 20:   # its Gamma normaliser keeps under nine digits, its power costs O(order)
+        raise AccuracyError(f"Laguerre order {order} past 2^21")
+    r0, j0 = _order_norm0(order)
+    rest = (0.5 * order - half + power) * pts + (r0 + ln_const)
     hx = -0.5 * x
-    j = np.rint((hx + rest) / _LN2)
+    j = np.rint((hx + rest) / math.log(2.0))
     scale = np.exp(((hx - j * _LN2_HI) - j * _LN2_LO) + rest)
     j = j.astype(np.int64) + j0
-    if top:   # x^half = m 2^e: x = f 2^k with f in [1/2, 1) keeps f^1000 >= 2^-1000 in range
+    if half:   # x^half = m 2^e: x = f 2^k with f in [1/2, 1) keeps f^1000 >= 2^-1000 in range
         f, k = np.frexp(x)
-        m, e = raise_to(f, np.minimum(half, 1000) if stack else min(half, 1000)), k * half
-        for done in range(1000, top, 1000):
-            left = np.clip(half - done, 0, 1000) if stack else min(1000, half - done)
-            m2, de = np.frexp(m)
-            if stack:   # a row past its power keeps its m
-                m2, de = np.where(left > 0, m2, m), np.where(left > 0, de, 0)
-            m, e = m2 * raise_to(f, left), e + de
+        m, e = np.power(f, min(half, 1000)), k * half
+        for done in range(1000, half, 1000):
+            m, de = np.frexp(m)
+            m, e = m * np.power(f, min(1000, half - done)), e + de
         scale, j = scale * m, j + e
     out *= scale
     if renorms:
@@ -337,43 +288,18 @@ def laguerre_functions(degrees, alpha: float, log_x, power: float = 0.0,
     rows. A point where every requested phi is below e^-1500 gives exactly 0 (for
     ln_const < 700, |power| <= 1). An order past 2^21 raises AccuracyError (_scale_rows).
     """
+    wanted = _degree_rows(degrees, "laguerre_functions")
     if not (np.isscalar(alpha) and np.isscalar(ln_const) and alpha > -1.0):
         raise DomainError(f"laguerre_functions takes one order alpha > -1 and one ln_const, "
                           f"got alpha={alpha}, ln_const={ln_const}")
-    return _laguerre_rows(degrees, float(alpha), log_x, power, float(ln_const))
-
-
-def _laguerre_period(n: int, alpha: float) -> tuple[int, float]:
-    """(every, ln x_tail) of one order: below x_tail a step grows max(|phi_k|, |chi_k|) at most
-    2 x_tail / sqrt(alpha + 1) times, so rows checked for 2^332 every `every` steps stay below
-    2^1000."""
+    alpha, n = float(alpha), max(wanted)
+    # below x_tail a step grows max(|phi_k|, |chi_k|) at most 2 x_tail / sqrt(alpha + 1)
+    # times; rows checked for 2^332 every `every` steps stay below 2^1000
     x_tail = _x_tail(n, alpha)
-    return max(1, int((668.0 * _LN2 - math.log(2.0 * x_tail))
-                      / math.log(2.0 * x_tail / math.sqrt(alpha + 1.0)))), math.log(x_tail)
-
-
-def _laguerre_rows(degrees, alpha, log_x, power, ln_const) -> np.ndarray:
-    """laguerre_functions at a checked order (alpha > -1 and ln_const floats), or a stack of
-    such calls: alpha and ln_const tuples, one per row of a 2-D log_x (one power for every
-    row), out[i, s] then row s's own call bit for bit. A stack runs one recurrence on column
-    steps, each formed by the exact operations its own call rounds, and checks a row's size
-    at that row's own steps (checks: the rows due at each step)."""
-    wanted = _degree_rows(degrees, "laguerre_functions")
-    n = max(wanted)
-    stack = type(alpha) is tuple
-    if stack:
-        periods, log_tail = zip(*(_laguerre_period(n, a) for a in alpha))
-        log_tail = np.array(log_tail)[:, None]
-        checks = {k: np.array(due)[:, None] for k in range(1, n)
-                  for due in [[k % e == 0 for e in periods]] if any(due)}
-        k1 = np.arange(1.0, n + 1.0)[:, None, None]
-        c = k1 + np.array(alpha)[:, None]
-        steps = list(zip(c, np.sqrt(k1 * c), np.sqrt(k1 / c)))
-    else:
-        every, log_tail = _laguerre_period(n, alpha)
-        checks = range(every, n, every)
+    every = max(1, int((668.0 * math.log(2.0) - math.log(2.0 * x_tail))
+                       / math.log(2.0 * x_tail / math.sqrt(alpha + 1.0))))
     # below -2^32 every x^a, |a| > 2e-7, is 0 or past a double: log_x reads as at least that
-    pts = np.maximum(np.minimum(np.asarray(log_x, np.float64), log_tail), -2.0 ** 32)
+    pts = np.maximum(np.minimum(np.asarray(log_x, np.float64), math.log(x_tail)), -2.0 ** 32)
     x = np.exp(pts)
     out, renorms, exp2 = np.empty((len(wanted),) + pts.shape), [], 0
     phi = chi = 1.0   # scaled phi_k, chi_k (chi_0 = phi_0)
@@ -382,27 +308,21 @@ def _laguerre_rows(degrees, alpha, log_x, power, ln_const) -> np.ndarray:
             out[wanted[k]] = phi
         if k == n:
             break
-        if k in checks:
+        if k and k % every == 0:
             big = np.maximum(np.abs(phi), np.abs(chi))
-            if stack:
-                big = np.where(checks[k], big, 0.0)
             if big.max() > 2.0 ** 332:
                 e = np.where(big > 2.0 ** 332, np.frexp(big)[1], 0)
                 phi, chi, exp2 = np.ldexp(phi, -e), np.ldexp(chi, -e), exp2 + e
                 renorms.append((k + 1, exp2))
-        if stack:
-            c, d, g = steps[k]
-        else:
-            c = (k + 1) + alpha
-            d, g = math.sqrt((k + 1) * c), math.sqrt((k + 1) / c)
-        phi = (c * phi - x * chi) / d
-        chi = g * chi + phi
-    _scale_rows(out, wanted, renorms, x, pts, alpha, power, ln_const)
+        c = (k + 1) + alpha
+        phi = (c * phi - x * chi) / math.sqrt((k + 1) * c)
+        chi = math.sqrt((k + 1) / c) * chi + phi
+    _scale_rows(out, wanted, renorms, x, pts, alpha, power, float(ln_const))
     return out
 
 
 # laguerre_diagonal's closed-form region: x below 2^-600
-_LOG_X_SMALL = -600.0 * _LN2
+_LOG_X_SMALL = -600.0 * math.log(2.0)
 
 
 @cached(SETUPS)
@@ -457,7 +377,7 @@ def laguerre_diagonal(degrees, beta: float, log_x, power: float = 0.0,
     # a step grows max(|phi_p|, |phi_{p-1}|) at most `grow` times on these points; rows
     # checked for 2^332 every `every` steps stay below 2^1000
     grow = bound[0] * math.exp(-lo) + bound[1] * math.exp(hi) + bound[2]
-    every = max(1, int(668.0 * _LN2 / math.log(max(grow, 2.0))))
+    every = max(1, int(668.0 * math.log(2.0) / math.log(max(grow, 2.0))))
     out, renorms = np.empty((len(wanted),) + pts.shape), []
     prev, cur, exp2 = 0.0, 1.0, 0
     for k, (uk, vk, wk) in enumerate(steps):
@@ -658,7 +578,8 @@ def build_quadrature(kind: str, n: int, alpha: float = 0.0, beta: float = 0.0) -
     either kind, so no eigenvectors are needed: a Laguerre rule's rows are orthonormal
     Laguerre functions (laguerre_functions), which give its scaled weights at any
     size, a Jacobi rule's the orthonormal polynomials (_jacobi_rows); a Jacobi rule
-    whose weight integral or weights leave double range raises AccuracyError. A LAPACK
+    whose weight integral or weights leave double range, or whose alpha + beta + 1 is at
+    least 9999 (its p_0, _gamma_ratio), raises AccuracyError. A LAPACK
     failure, a node off the interval and a size whose n x n Jacobi matrix cannot be
     allocated (before any array is built) raise NumericError. Rules are immutable and
     built once per validated (kind, int n, float alpha, beta), -0.0 as 0.0 (genosc._cache).
@@ -728,7 +649,7 @@ def _gauss_rule(kind: str, n: int, alpha: float, beta: float) -> QuadratureRule:
     with np.errstate(over="ignore", invalid="ignore"):
         if kind == "laguerre":
             # phi_k = (-1)^k p_k sqrt(x^alpha e^-x): p_n p_{n-1} flips, the scaled S has s = -1/x
-            rows = _laguerre_rows(range(n + 1), alpha, np.log(nodes), 0.0, 0.0)
+            rows = laguerre_functions(range(n + 1), alpha, np.log(nodes))
             flip, slope = -1.0, -1.0 / nodes
         else:
             rows = np.fromiter(_jacobi_rows(n, alpha, beta, nodes, np.full_like(nodes, p0)),

@@ -33,6 +33,7 @@ class Kind(enum.Enum):
 
     Prolate = "prolate"
     Oblate = "oblate"
+    __hash__ = object.__hash__   # members are singletons: a table key hashes them in C
 
     @property
     def sign(self) -> float:

@@ -195,8 +195,11 @@ def test_criterion_07_bi_orthogonality():
                 for q in range(n + 1):
                     for qp in range(n + 1):
                         rep = bi_orthogonality(n, q, qp, params, branch)
-                        assert rep.tolerance == 1e-10
-                        assert rep.passed, (params, branch, n, q, qp, rep.measured)
+                        # the report's tolerance scales as J does, with omega; the
+                        # criterion's bound stays absolute
+                        assert rep.tolerance == 1e-10 * params.omega
+                        assert rep.passed and abs(rep.measured - rep.expected) <= 1e-10, (
+                            params, branch, n, q, qp, rep.measured)
 
 
 def test_criterion_08_ring_and_isotropic_reductions():

@@ -368,6 +368,28 @@ def test_theta_ring_matches_mpmath_at_large_l_and_delta():
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), (l, m, delta)
 
 
+def test_theta_ring_refuses_past_the_exact_gamma_ratio():
+    # p_0's constant is one exact product while 2 mu + 1 < 9999: 1.3e-13 off 40-digit
+    # mpmath at delta = 4990, within the docstring's bound. Past it the lgamma ratio
+    # cancelled to 3.2e-12 at delta = 5001 and 6.7e-10 at 1e6; there it refuses
+    t = np.concatenate([[1.5707963], np.linspace(0.01, 3.13, 40)])
+    got = theta_ring(1, 1, 4990.0, t)
+    with mpmath.workdps(40):
+        mu = 1 + mpmath.mpf(4990)
+        const = 2 ** mu * mpmath.gamma(mu + 0.5) * mpmath.sqrt(
+            (2 * mu + 1) / (2 * mpmath.pi * mpmath.gamma(2 * mu + 1)))
+        want = np.array([float(const * mpmath.sin(x) ** mu)
+                         for x in map(mpmath.mpf, t.tolist())])   # C_0 = 1
+    assert np.abs(got - want).max() <= 1.3e-13 * np.abs(want).max()
+    for delta in (5001.0, 1e6):
+        with pytest.raises(AccuracyError, match="9999"):
+            theta_ring(1, 1, delta, 1.5707963)
+    # the limit is on 2 mu + 1, mu = |m| + delta
+    assert math.isfinite(theta_ring(3, 0, 4998.9, 1.0))
+    with pytest.raises(AccuracyError):
+        theta_ring(3, 3, 4996.0, 1.0)
+
+
 def test_theta_ring_norm():
     val = quad(lambda t: theta_ring(4, 1, 1.0, t) ** 2 * math.sin(t), 0.0, math.pi / 2)
     assert val == pytest.approx(0.5, abs=1e-11)

@@ -25,7 +25,8 @@ SETS = [SystemParams(1.0, 0.05, 0.5, 1), SystemParams(1.0, 2.0, 3.0, 0),
 SETUP_TABLES = (specfun._order_norm0, specfun._diagonal_steps, specfun._jacobi_coeffs,
                 specfun._gamma_ratio, specfun._gauss_rule)
 LEVEL_TABLES = (interbasis._m_bands, interbasis._n_bands, interbasis._w_table,
-                interbasis._overlap_table, spheroidal._level_solve, spheroidal._pair_columns)
+                interbasis._overlap_table, spheroidal._level_solve, spheroidal._pair_columns,
+                oracles._gram_table, oracles._bi_table)
 
 
 def _arrays(value):
@@ -325,6 +326,15 @@ def _overlap_entries(*args):
     return oracles.w_overlap_oracle(*args)[0]
 
 
+def _gram_arrays(*args):
+    gram, report = gram_matrix(*args)
+    return gram, np.array(report.measured)
+
+
+def _bi_measured(*args):
+    return np.array(oracles.bi_orthogonality(*args).measured)
+
+
 def _twin_cases():
     """(table, public call, first twin's arguments, second twin's): each call reaches the
     table through its one validating caller."""
@@ -339,6 +349,10 @@ def _twin_cases():
                  ("legendre", 6, -0.0, 0)):
         yield (specfun._gauss_rule, _rule_arrays, args,
                ("laguerre", 6.0, 0) if args[0] == "laguerre" else ("legendre", 6))
+    # a well has no branch: its Gram table is keyed at one
+    yield (oracles._gram_table, _gram_arrays,
+           (GramFamily.Morse, 2, MorseParams(5, 1), Branch.Minus),
+           (GramFamily.Morse, 2.0, MorseParams(5.0, 1.0)))
     for one, other in TWIN_PARAMS:
         for branch in admissible_branches(one):
             yield (specfun._jacobi_coeffs, bases.theta_angular,
@@ -348,6 +362,11 @@ def _twin_cases():
                                 (interbasis._w_table, _w_arrays),
                                 (interbasis._overlap_table, _overlap_entries)):
                 yield table, call, (6, one, branch), (6.0, other, branch)
+            for family in list(GramFamily)[:4]:
+                yield (oracles._gram_table, _gram_arrays, (family, 6, one, branch),
+                       (family, 6.0, other, branch))
+            yield (oracles._bi_table, _bi_measured, (6, 2, 4, one, branch),
+                   (6.0, 2.0, 4, other, branch))
             for table, call in ((spheroidal._level_solve, t_coefficients),
                                 (spheroidal._pair_columns, u_coefficients)):
                 yield (table, call, (6, 2, one, branch, 2, Kind.Oblate),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from genosc import _cache, bases, oracles
+from genosc import _cache, bases, morse, oracles
 from genosc.bases import radial_cylindrical, radial_spherical, theta_angular, z_axial
 from genosc.errors import DomainError
 from genosc.interbasis import W_OVERLAP_MAX_LEVEL, w_integral_oracle, w_matrix
@@ -385,9 +385,9 @@ def _public_suite_reports():
 
 
 def test_suite_checks_reuse_their_row_names(monkeypatch):
-    # every row equals the public oracle's report at its arguments, bit for bit: the
-    # family passes and the shared level recurrences change no row. A row's name is
-    # formed once, with the suite table; its check reports under it
+    # every row equals the public oracle's report at its arguments, bit for bit, cold
+    # and warm. A row's name is formed once, with the suite table; its check reports
+    # under it, reading a table no name goes into
     reference = run_verification_suite()
     public = _public_suite_reports()
     assert len(public) == len(SUITE_MANIFEST) == 35
@@ -402,19 +402,80 @@ def test_suite_checks_reuse_their_row_names(monkeypatch):
     for helper in ("_params_tag", "_gram_name", "_bi_name", "_overlap_name"):
         monkeypatch.setattr(oracles, helper, no_name)
     assert run_verification_suite() == reference
+    _cache.clear()   # nor does a table the suite builds
+    assert run_verification_suite() == reference
 
 
-def test_a_warm_suite_runs_one_laguerre_recurrence_per_gram_family(monkeypatch):
-    # the radial-spherical, radial-cylindrical and axial Grams each stack all five suite
-    # systems into one recurrence; rules, set-ups and overlap tables are cached, and the
-    # bi-orthogonality and Morse rows run in laguerre_diagonal
+# every pointwise row builder an oracle's table reaches (the overlap tables' terms too)
+_ROW_BUILDERS = ((bases, "laguerre_functions"), (bases, "laguerre_diagonal"),
+                 (bases, "_jacobi_rows"), (morse, "laguerre_diagonal"))
+
+
+def test_a_warm_suite_forms_no_basis_row(monkeypatch, fresh_tables):
+    # every Gram matrix and bi-orthogonality value is a table built once: a cold suite
+    # builds each of its 22 Grams and 7 values and runs every row builder, a warm one
+    # reads them all and runs none
+    calls = dict.fromkeys(_ROW_BUILDERS, 0)
+    for module, name in _ROW_BUILDERS:
+        def counted(*args, key=(module, name), fn=getattr(module, name)):
+            calls[key] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    tables = (oracles._gram_table, oracles._bi_table)
     run_verification_suite()
-    calls, rows = [], bases._laguerre_rows
-    monkeypatch.setattr(bases, "_laguerre_rows", lambda degrees, alpha, *rest: (
-        calls.append(alpha), rows(degrees, alpha, *rest))[1])
+    assert [table.cache_info() for table in tables] == [(0, 22, 22), (0, 7, 7)]
+    assert all(calls.values()), calls
+    calls = dict.fromkeys(_ROW_BUILDERS, 0)
     run_verification_suite()
-    systems = sum(len(admissible_branches(params)) for params in oracles._SUITE_SETS)
-    assert len(calls) == 3 and all(len(alpha) == systems for alpha in calls), calls
+    assert [table.cache_info() for table in tables] == [(22, 22, 22), (7, 7, 7)]
+    assert not any(calls.values()), calls
+
+
+def _report_bits(report):
+    return (report.name, _bits((report.measured, report.expected, report.tolerance)),
+            report.passed)
+
+
+def _bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def test_public_oracles_after_the_suite_read_its_tables(fresh_tables):
+    # a public call at a suite row's arguments is a hit on the entry the suite built,
+    # with the suite's bits; its report is formed under the public call's own name
+    reference = [_report_bits(report) for report in run_verification_suite()]
+    tables = (oracles._gram_table, oracles._bi_table)
+    before = [table.cache_info() for table in tables]
+    public = [_report_bits(report) for report in _public_suite_reports()]
+    after = [table.cache_info() for table in tables]
+    assert public == reference
+    # 22 Gram and 7 bi-orthogonality rows, and the 2F1 rows' quad twins (_public_suite_reports)
+    assert [(b.hits - a.hits, b.misses - a.misses)
+            for a, b in zip(before, after)] == [(22, 0), (7 + 2, 0)]
+    params = oracles._SUITE_SETS[2]
+    first = gram_matrix(GramFamily.Axial, oracles._GRAM_LEVEL, params)[0]
+    assert first is gram_matrix(GramFamily.Axial, oracles._GRAM_LEVEL, params)[0]
+    assert not first.flags.writeable
+    # a twin system (P = -0.0) reads the same table under its own name
+    twin = SystemParams(1.0, -0.0, 0.0, 0)
+    plain = gram_matrix(GramFamily.Theta, 3, SystemParams(1.0, 0.0, 0.0, 0))[1]
+    signed = gram_matrix(GramFamily.Theta, 3, twin)[1]
+    assert "P=-0" in signed.name and "P=0," in plain.name
+    assert _bits((signed.measured,)) == _bits((plain.measured,))
+
+
+@pytest.mark.parametrize("omega", [1e-3, 0.1, 1.0, 1e3, 1e5, 1e6, 1e7])
+def test_bi_orthogonality_tolerance_scales_with_omega(omega):
+    # J scales as omega, and so does the quadrature's rounding: the gap to the closed
+    # form at n = 3 was 1.2e-10 at omega = 1e5, 9.6e-10 at 1e6 and 1.35e-8 at 1e7, a FAIL
+    # under a fixed 1e-10; the tolerance is 1e-10 omega
+    params = SystemParams(omega, 0.05, 0.5, 1)
+    for q, qp in ((1, 1), (1, 2)):
+        rep = bi_orthogonality(3, q, qp, params, Branch.Plus)
+        assert rep.tolerance == 1e-10 * omega
+        assert rep.passed, (omega, q, qp, rep.measured, rep.expected)
+        # well inside it: a few ulps of J
+        assert abs(rep.measured - rep.expected) <= 1e-13 * omega, (omega, q, qp)
 
 
 def test_report_pass_logic():
