@@ -10,8 +10,7 @@ back on every later one. This is the package's one memo; two caches hold them:
   specfun's Gauss rules;
 - LEVELS: the tables of one oscillator level (interbasis' operator bands, W and
   overlap tables, spheroidal's solve of one R and its solved states) and the
-  oracles' results (each Gram matrix and bi-orthogonality value, which the
-  verify suite and the public oracles read alike); it also bounds its number
+  verify suite's reports, one entry of no argument; it also bounds its number
   of entries.
 
 A cached function is private and takes positional arguments only, from one
@@ -79,11 +78,12 @@ class ByteLRU:
                 self.nbytes -= self.entries.pop(key)[1]
 
 
-# Budgets. SETUPS keeps verify's 61 set-ups and 33 Gauss rules (120 kB) resident beside
+# Budgets. SETUPS keeps verify's set-ups and Gauss rules (about 120 kB) resident beside
 # the churn of fresh orders: 256 kB for set-ups and 256 small rules' 1.5 kB each. LEVELS
 # holds an n = 300 level's solve and W table (0.7 MB each) beside some of its states; its
-# entry bound keeps what levels and Grams of fresh parameters leave resident, a few kB
-# each, to 64, which leaves room beside verify's 41 level entries (51 kB).
+# entry bound keeps what levels of fresh parameters leave resident, a few kB each, to 64,
+# beside verify's 13 level entries (its reports, and the M bands, W and overlap tables
+# its overlap rows read).
 SETUPS = ByteLRU(640 * 1024)
 LEVELS = ByteLRU(2 * 1024 * 1024, max_entries=64)
 CACHES = {"setups": SETUPS, "levels": LEVELS}

@@ -51,6 +51,13 @@ def _require_member(value, members: type, what: str) -> None:
         raise DomainError(f"unknown {what} {value!r}")
 
 
+def _require_type(value, kind: type, what: str) -> None:
+    """DomainError unless value is a kind (a SystemParams, not a MorseParams or None), read
+    where the object is first used, never as the AttributeError of a missing field."""
+    if not isinstance(value, kind):
+        raise DomainError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
+
+
 def _level_index_message(n, **indices) -> str:
     """The refusal of indices past level n: "need 0 <= k <= n, got n=2, k=5"."""
     got = "".join(f", {name}={value}" for name, value in indices.items())

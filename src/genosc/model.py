@@ -14,8 +14,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import (DomainError, _as_float, _require_finite, _require_member, check_abs_int,
-                     check_nonneg_int, check_positive)
+from .errors import (DomainError, _as_float, _require_finite, _require_member, _require_type,
+                     check_abs_int, check_nonneg_int, check_positive)
 
 __all__ = [
     "Branch",
@@ -79,7 +79,9 @@ class SystemParams:
 
 
 def channel_constants(params: SystemParams) -> tuple[float, float, float]:
-    """(b, c, delta) with b = sqrt(P + 1/4), c = sqrt(Q + m^2), delta = c - |m|."""
+    """(b, c, delta) with b = sqrt(P + 1/4), c = sqrt(Q + m^2), delta = c - |m|; DomainError
+    unless params is a SystemParams."""
+    _require_type(params, SystemParams, "params")
     b = (params.p_strength + 0.25) ** 0.5
     c = (params.q_strength + params.m * params.m) ** 0.5
     return b, c, c - abs(params.m)
@@ -111,7 +113,8 @@ def _exponents(params: SystemParams, branch: Branch) -> tuple[float, float]:
 
 
 def require_label_m(m, params: SystemParams) -> None:
-    """DomainError unless a state label's m is the system's m."""
+    """DomainError unless params is a SystemParams and a state label's m is the system's m."""
+    _require_type(params, SystemParams, "params")
     if m != params.m:
         raise DomainError(f"label m = {m} does not match params m = {params.m}")
 

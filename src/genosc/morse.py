@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DomainError, _as_float, check_nonneg_int, check_points, check_positive,
-                     require_points)
+from .errors import (DomainError, _as_float, _require_type, check_nonneg_int, check_points,
+                     check_positive, require_points)
 from .specfun import build_quadrature, laguerre_diagonal
 
 _logger = logging.getLogger(__name__)
@@ -56,7 +56,9 @@ class EffectiveChannel:
 
 
 def bound_state_count(params: MorseParams) -> int:
-    """Number of discrete levels, floor(lam - 1/2) + 1 above threshold."""
+    """Number of discrete levels, floor(lam - 1/2) + 1 above threshold; DomainError unless
+    params is a MorseParams."""
+    _require_type(params, MorseParams, "params")
     lam = params.lam
     if lam <= 0.5:
         return 0
@@ -81,9 +83,8 @@ def sw_to_morse(params: MorseParams, energy: float) -> EffectiveChannel:
     Only energies with -32 E > a^2 admit an integral channel index; the
     remaining sliver 0 < -32 E < a^2 is rejected explicitly.
     """
+    _require_bound(params)
     lam = params.lam
-    if lam <= 0.5:
-        raise DomainError(f"no discrete spectrum: sqrt(2 V0)/a = {lam:.6g} <= 1/2")
     energy = _as_float(energy)
     if not math.isfinite(energy) or energy >= 0.0:
         raise DomainError(f"discrete levels have E < 0, got {energy!r}")
@@ -97,10 +98,16 @@ def sw_to_morse(params: MorseParams, energy: float) -> EffectiveChannel:
                             b=2.0 * math.sqrt(-2.0 * energy) / params.a)
 
 
-def _check_level(p: int, params: MorseParams) -> int:
+def _require_bound(params: MorseParams) -> int:
+    """bound_state_count; DomainError where the well has no discrete level."""
     count = bound_state_count(params)
-    if count == 0:   # the refusal sw_to_morse gives
+    if count == 0:
         raise DomainError(f"no discrete spectrum: sqrt(2 V0)/a = {params.lam:.6g} <= 1/2")
+    return count
+
+
+def _check_level(p: int, params: MorseParams) -> int:
+    count = _require_bound(params)
     try:
         level = check_nonneg_int(p, "level p")
     except DomainError:

@@ -5,17 +5,15 @@ pointwise basis functions, never through the coefficient formulas under
 test.  Each reads every degree it needs from one call of the family's level
 helper (bases._angular, _radial_sph, _radial_level, _radial_cyl, _axial,
 morse._wavefunctions; the public evaluators are their one-row views) and
-contracts once.  A Gram matrix and a measured bi-orthogonality value are
-tables built once per key (_gram_table, _bi_table in genosc._cache), which
-the public oracles and the verification suite read alike; each caller forms
-its report from the table under the name it already holds.
+contracts once; a Gram matrix is a fresh array on every call.
 Integrands are divided by the rule's weight function first, which leaves
 exact polynomials, so any residual measures implementation error rather than
 quadrature truncation.  The overlap table is interbasis._overlap_table, the
 one overlap route (an exact tensor Gauss rule, capped at n = 100).  Results
-come back as CheckReport rows; run_verification_suite() executes the fixed
-table of named checks the CLI reports on.  An integrand past a double (omega
-near either end of one) raises NumericError, never an inf or a NaN.
+come back as CheckReport rows; run_verification_suite() reports the fixed
+table of named checks the CLI runs, each a public oracle at fixed arguments,
+built once (_suite_reports in genosc._cache).  An integrand past a double
+(omega near either end of one) raises NumericError, never an inf or a NaN.
 """
 
 from __future__ import annotations
@@ -117,19 +115,19 @@ def _bi_indices(n, q, q_prime) -> tuple[int, int, int]:
     return n, q, check_level_index(n, q_prime, "q'")[1]
 
 
-def _bi_expected(q: int, q_prime: int, params: SystemParams, branch: Branch) -> float:
-    """Closed-form J_{q q'}: omega / (2q + c +- b + 1) on the diagonal, else 0."""
-    beta, c = _exponents(params, branch)
-    return params.omega / (2 * q + c + beta + 1.0) if q == q_prime else 0.0
-
-
-def _bi_tolerance(n: int, params: SystemParams) -> float:
-    return _tolerance(n) * params.omega   # J scales as omega
-
-
 def _bi_name(route: str, n: int, q: int, q_prime: int, params, branch: Branch) -> str:
     return (f"bi-orthogonality {route} n={n} q={q} q'={q_prime} "
             f"{_params_tag(params)} {branch.name.lower()}")
+
+
+def _bi_report(route: str, n: int, q: int, q_prime: int, params: SystemParams,
+               branch: Branch, measured: float) -> CheckReport:
+    """A measured J_{q q'} against its closed form, omega / (2q + c +- b + 1) on the
+    diagonal and 0 off it, held to _tolerance(n) omega, as J scales with omega."""
+    beta, c = _exponents(params, branch)
+    expected = params.omega / (2 * q + c + beta + 1.0) if q == q_prime else 0.0
+    return _report(_bi_name(route, n, q, q_prime, params, branch), measured, expected,
+                   _tolerance(n) * params.omega)
 
 
 def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
@@ -140,29 +138,11 @@ def bi_orthogonality(n: int, q: int, q_prime: int, params: SystemParams,
     fixed level with value omega / (2q + c +- b + 1).  Measured here with a
     Gauss-Laguerre rule in t = omega r^2 after dividing out the shared
     weight t^(q + q' + c +- b) e^{-t}; the closed form is the expectation, held
-    to 1e-10 omega (1e-8 omega past level 6), as J scales with omega. The
-    measured value is built once per argument set (genosc._cache).
+    to 1e-10 omega (1e-8 omega past level 6), as J scales with omega.
     NumericError where the overlap leaves double range (omega near 1e300).
     """
     n, q, q_prime = _bi_indices(n, q, q_prime)
     _require_member(branch, Branch, "branch")
-    return _bi_quad(_bi_name("quad", n, q, q_prime, params, branch), n, q, q_prime,
-                    params, branch)
-
-
-def _bi_quad(name: str, n: int, q: int, q_prime: int, params: SystemParams,
-             branch: Branch) -> CheckReport:
-    """bi_orthogonality at validated indices, reported under name."""
-    measured = _bi_table(n, q, q_prime, params, branch)
-    if not math.isfinite(measured):   # the sum overflows silently
-        raise NumericError(f"{name}: the overlap leaves double range")
-    return _report(name, measured, _bi_expected(q, q_prime, params, branch),
-                   _bi_tolerance(n, params))
-
-
-@cached(LEVELS)
-def _bi_table(n: int, q: int, q_prime: int, params: SystemParams, branch: Branch) -> float:
-    """J_{q q'} of level n measured by quadrature, at validated indices."""
     beta, c = _exponents(params, branch)
     omega = params.omega
     shared = q + q_prime + c + beta
@@ -173,8 +153,12 @@ def _bi_table(n: int, q: int, q_prime: int, params: SystemParams, branch: Branch
     qs = [q] if q == q_prime else [q, q_prime]
     vals = _radial_level(n, qs, c, beta, omega, _radius(rule.nodes, omega))
     # t^(shared + 1/2) e^-t times a polynomial: the scaled weights carry all but t^(1/2)
-    return float(np.einsum("i,i,i->", rule.scaled_weights / np.sqrt(rule.nodes),
-                           vals[0], vals[-1])) / (2.0 * math.sqrt(omega))
+    measured = float(np.einsum("i,i,i->", rule.scaled_weights / np.sqrt(rule.nodes),
+                               vals[0], vals[-1])) / (2.0 * math.sqrt(omega))
+    if not math.isfinite(measured):   # the sum overflows silently
+        raise NumericError(f"{_bi_name('quad', n, q, q_prime, params, branch)}: "
+                           f"the overlap leaves double range")
+    return _bi_report("quad", n, q, q_prime, params, branch, measured)
 
 
 def _radius(x, omega: float):
@@ -299,42 +283,22 @@ def gram_matrix(family: GramFamily, n_max: int, params,
                 branch: Branch = Branch.Plus) -> tuple[np.ndarray, CheckReport]:
     """Quadrature Gram matrix of one basis family plus its identity check.
 
-    Returns the matrix and a CheckReport whose measured value is the largest
-    entrywise deviation from the expected multiple of the identity (1/2 for
+    Returns the matrix, a fresh array, and a CheckReport whose measured value is the
+    largest entrywise deviation from the expected multiple of the identity (1/2 for
     the half-line-normalized theta and axial families, 1 otherwise). Every
     family, Morse included, builds one Gauss rule and reads every degree from
-    one recurrence. The matrix is read-only, built once per (family, n_max, params,
-    branch), one entry per Morse well (genosc._cache). NumericError where it leaves double
-    range (omega near either end of one).
+    one recurrence; a Morse well has no branch, so branch is ignored there.
+    NumericError where the matrix leaves double range (omega near either end of one).
     """
     if not isinstance(family, GramFamily):
         raise DomainError(f"family must be a GramFamily member, got {family!r}")
     n_max = check_nonneg_int(n_max, "n_max")
-    params_type = _GRAM[family][0]
+    params_type, target, family_rule = _GRAM[family]
     if not isinstance(params, params_type):
         raise DomainError(f"{family.value} Gram checks need "
                           f"{params_type.__name__}, got {type(params).__name__}")
     _require_member(branch, Branch, "branch")
-    return _gram(_gram_name(family, n_max, params, branch), family, n_max, params, branch)
-
-
-def _gram(name: str, family: GramFamily, n_max: int, params,
-          branch: Branch) -> tuple[np.ndarray, CheckReport]:
-    """gram_matrix at validated arguments, reported under name."""
-    if family is GramFamily.Morse:
-        branch = Branch.Plus   # a well has no branch: one table per well
-    gram, deviation = _gram_table(family, n_max, params, branch)
-    if not math.isfinite(deviation):   # the sum overflows silently
-        raise NumericError(f"{name}: the Gram matrix leaves double range")
-    return gram, _report(name, deviation, 0.0, _tolerance(n_max))
-
-
-@cached(LEVELS)
-def _gram_table(family: GramFamily, n_max: int, params,
-                branch: Branch) -> tuple[np.ndarray, float]:
-    """gram_matrix's matrix and deviation at validated arguments. NumericError where the
-    scale leaves double range (omega near either end of one)."""
-    _, target, family_rule = _GRAM[family]
+    name = _gram_name(family, n_max, params, branch)
     (kind, alpha, beta, power, scale), rows = family_rule(n_max, params, branch)
     if not 0.0 < scale < math.inf:
         raise NumericError(f"{family.value} Gram scale leaves double range at {params}")
@@ -347,7 +311,10 @@ def _gram_table(family: GramFamily, n_max: int, params,
     reduced = rows(x) * root
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
     gram = scale * np.einsum("ip,p,jp->ij", reduced, rule.scaled_weights, reduced)
-    return gram, float(np.max(np.abs(gram - target * np.eye(n_max + 1))))
+    deviation = float(np.max(np.abs(gram - target * np.eye(n_max + 1))))
+    if not math.isfinite(deviation):   # the sum overflows silently
+        raise NumericError(f"{name}: the Gram matrix leaves double range")
+    return gram, _report(name, deviation, 0.0, _tolerance(n_max))
 
 
 def _overlap_name(n: int, params: SystemParams, branch: Branch) -> str:
@@ -364,15 +331,9 @@ def w_overlap_oracle(n: int, params: SystemParams,
     """
     n = check_nonneg_int(n, "level n")
     _require_member(branch, Branch, "branch")
-    return _overlap(_overlap_name(n, params, branch), n, params, branch)
-
-
-def _overlap(name: str, n: int, params: SystemParams,
-             branch: Branch) -> tuple[np.ndarray, CheckReport]:
-    """w_overlap_oracle at a validated level, reported under name."""
     table = _overlap_table(n, params, branch)
     deviation = float(np.max(np.abs(table - w_matrix(n, params, branch).entries)))
-    return table, _report(name, deviation, 0.0, _tolerance(n))
+    return table, _report(_overlap_name(n, params, branch), deviation, 0.0, _tolerance(n))
 
 
 _SUITE_SETS = (
@@ -407,34 +368,31 @@ _MORSE_CASES = (
 
 
 def _suite() -> tuple[tuple[str, Callable[[], CheckReport]], ...]:
-    """The verification suite as (name, check) rows, in report order.
-
-    Each check returns the CheckReport of its row under the row's name, formed
-    once here; the checks run the oracles' bodies on the suite's fixed, valid
-    arguments.
-    """
+    """The verification suite as (name, check) rows, in report order: each check is a
+    public oracle at the row's fixed, valid arguments (a 2F1 row reports
+    bi_orthogonality_hypergeometric's value through _bi_report)."""
     def gram(family, n_max, params, branch=Branch.Plus):
-        name = _gram_name(family, n_max, params, branch)
-        return name, lambda: _gram(name, family, n_max, params, branch)[1]
+        return (_gram_name(family, n_max, params, branch),
+                lambda: gram_matrix(family, n_max, params, branch)[1])
 
-    def bi(route, n, q, qp, params, branch):
-        name = _bi_name(route, n, q, qp, params, branch)
-        if route == "quad":
-            return name, lambda: _bi_quad(name, n, q, qp, params, branch)
-        return name, lambda: _report(
-            name, bi_orthogonality_hypergeometric(n, q, qp, params, branch),
-            _bi_expected(q, qp, params, branch), _bi_tolerance(n, params))
+    def bi(n, q, qp, params, branch):
+        return (_bi_name("quad", n, q, qp, params, branch),
+                lambda: bi_orthogonality(n, q, qp, params, branch))
+
+    def hyp(n, q, qp, params, branch):
+        return (_bi_name("2F1", n, q, qp, params, branch),
+                lambda: _bi_report("2F1", n, q, qp, params, branch,
+                                   bi_orthogonality_hypergeometric(n, q, qp, params, branch)))
 
     def overlap(n, params, branch):
-        name = _overlap_name(n, params, branch)
-        return name, lambda: _overlap(name, n, params, branch)[1]
+        return _overlap_name(n, params, branch), lambda: w_overlap_oracle(n, params, branch)[1]
 
     families = (GramFamily.Theta, GramFamily.RadialSph, GramFamily.RadialCyl, GramFamily.Axial)
     return (*(gram(family, _GRAM_LEVEL, params, branch) for params in _SUITE_SETS
               for branch in admissible_branches(params) for family in families),
-            *(bi("quad", n, q, qp, params, branch)
+            *(bi(n, q, qp, params, branch)
               for params, branch, n, pairs in _BI_CASES for q, qp in pairs),
-            *(bi("2F1", n, q, qp, params, branch)
+            *(hyp(n, q, qp, params, branch)
               for params, branch, n, pairs in _HYP_CASES for q, qp in pairs),
             *(overlap(n, params, branch) for params, branch, n in _OVERLAP_CASES),
             *(gram(GramFamily.Morse, n_max, mparams) for mparams, n_max in _MORSE_CASES))
@@ -445,10 +403,18 @@ _SUITE = _suite()
 SUITE_MANIFEST: tuple[str, ...] = tuple(name for name, _ in _SUITE)
 
 
+@cached(LEVELS)
+def _suite_reports() -> tuple[CheckReport, ...]:
+    """Every suite row's CheckReport in manifest order: the suite takes no argument, so
+    its reports are one table, built by the first run."""
+    return tuple(check() for _, check in _SUITE)
+
+
 def run_verification_suite() -> list[CheckReport]:
-    """Run every check of the suite table and return its CheckReport rows.
+    """Every check of the suite table as a fresh list of CheckReport rows.
 
     The row order and count are deterministic; SUITE_MANIFEST lists the
-    names so callers can confirm nothing was skipped.
+    names so callers can confirm nothing was skipped. The reports are built
+    once per process while they stay cached (genosc._cache).
     """
-    return [check() for _, check in _SUITE]
+    return list(_suite_reports())

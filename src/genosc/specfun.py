@@ -167,20 +167,22 @@ def _ln_norm0(beta) -> tuple[float, int]:
     return -0.5 * math.log(m * 2.0 ** (e % 2)), -(e // 2)
 
 
-_order_norm0 = cached(SETUPS)(_ln_norm0)   # a Laguerre order's, built once (_scale_rows)
+# a Laguerre order's (_scale_rows) or a Jacobi exponent's (_gamma_ratio), built once
+_order_norm0 = cached(SETUPS)(_ln_norm0)
 
 
 @cached(SETUPS)
 def _gamma_ratio(alpha: float, beta: float) -> tuple[float, int]:
     """(m, e), e even, with Gamma(alpha + 1) Gamma(beta + 1) / Gamma(alpha + beta + 2) = m 2^e,
-    alpha, beta > -1, from _ln_norm0 at alpha, beta and the exact alpha + beta + 1 (_jacobi_p0).
+    alpha, beta > -1, from the cached normalisers of alpha and beta (_order_norm0) and _ln_norm0 at
+    the exact alpha + beta + 1 (_jacobi_p0).
     AccuracyError from alpha + beta + 1 = 9999, where _ln_norm0 turns to lgamma and the ratio
     would cancel three of its values (theta_ring was 3.2e-12 off at 10005, 6.7e-10 at 2e6)."""
     total = Fraction(alpha) + Fraction(beta) + 1
     if not total < 9999:   # alpha and beta are then below it too
         raise AccuracyError(f"Jacobi p_0 at alpha + beta + 1 = {float(total):g} >= 9999 "
                             f"cancels three lgamma values")
-    (ra, ja), (rb, jb) = _ln_norm0(alpha), _ln_norm0(beta)
+    (ra, ja), (rb, jb) = _order_norm0(alpha), _order_norm0(beta)
     rs, js = _ln_norm0(total)
     return math.exp(2.0 * (rs - ra - rb)), 2 * (js - ja - jb)
 

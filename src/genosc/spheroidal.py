@@ -16,8 +16,8 @@ import numpy as np
 
 from ._cache import LEVELS, cached
 from .bases import _HALF_PI, _cylindrical_terms, _inside, _spherical_terms, _with_phase
-from .errors import (DomainError, NumericError, _require_member, check_level_index, check_points,
-                     check_positive, require_points)
+from .errors import (DomainError, NumericError, _require_member, _require_type, check_level_index,
+                     check_points, check_positive, require_points)
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
 from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _m_bands,  # noqa: F401
                          _n_bands, _residual_bound, _w_table)
@@ -182,7 +182,9 @@ def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
     Solved by LAPACK (numpy.linalg.eigh) on the dense matrix.
     Sign convention: component k of column k nonnegative, falling back to the
     largest-magnitude component when component k is numerically zero.
+    DomainError unless system is a TridiagonalSystem.
     """
+    _require_type(system, TridiagonalSystem, "system")
     lam, vec = _solve(system.diag, system.offdiag, f"n={system.n}")
     np.negative(vec, out=vec, where=_pivot(vec, np.arange(system.n + 1)) < 0.0)
     lam.flags.writeable = False
@@ -366,7 +368,9 @@ def lambda_curve(n: int, k: int, params: SystemParams, branch: Branch, kind: Kin
 
 def _image(point: SpheroidalPoint, R: float, kind: Kind):
     """R checked, and (rho, phi, z, r) of the point: arrays of its shape, numpy scalars for
-    a scalar point. A huge xi overflows rho and r to inf, for callers to refuse."""
+    a scalar point. A huge xi overflows rho and r to inf, for callers to refuse. DomainError
+    unless point is a SpheroidalPoint."""
+    _require_type(point, SpheroidalPoint, "point")
     R = check_positive(R, "R")
     _require_member(kind, Kind, "spheroidal kind")
     xi, eta, phi = point.xi, point.eta, point.phi

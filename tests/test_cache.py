@@ -26,7 +26,7 @@ SETUP_TABLES = (specfun._order_norm0, specfun._diagonal_steps, specfun._jacobi_c
                 specfun._gamma_ratio, specfun._gauss_rule)
 LEVEL_TABLES = (interbasis._m_bands, interbasis._n_bands, interbasis._w_table,
                 interbasis._overlap_table, spheroidal._level_solve, spheroidal._pair_columns,
-                oracles._gram_table, oracles._bi_table)
+                oracles._suite_reports)
 
 
 def _arrays(value):
@@ -151,16 +151,18 @@ def test_one_overlap_table_per_level_for_every_entry(fresh_tables):
 
 
 def test_one_gamma_ratio_per_theta_gram(monkeypatch, fresh_tables):
-    # the Jacobi rule's b_0 and the angular N_0 read one Gamma ratio: three
-    # _ln_norm0 products per fresh (c, beta), and the Gram keeps its bits
+    # the Jacobi rule's b_0 and the angular N_0 read one Gamma ratio per fresh (c, beta),
+    # which reads the normalisers of c and beta from their cached set-ups (_order_norm0) and
+    # runs one _ln_norm0 product, at c + beta + 1; the Gram keeps its bits
     params = SystemParams(1.3, 0.7, 1.1, 1)
     reference = gram_matrix(GramFamily.Theta, 6, params)[0].tobytes()
     _cache.clear()
     calls, ln_norm0 = [], specfun._ln_norm0
     monkeypatch.setattr(specfun, "_ln_norm0", lambda beta: calls.append(beta) or ln_norm0(beta))
     assert gram_matrix(GramFamily.Theta, 6, params)[0].tobytes() == reference
-    assert len(calls) == 3
+    assert len(calls) == 1
     assert specfun._gamma_ratio.cache_info() == (1, 1, 1)
+    assert specfun._order_norm0.cache_info() == (0, 2, 2)
 
 
 @pytest.mark.parametrize("family", [GramFamily.RadialSph, GramFamily.RadialCyl,
@@ -326,13 +328,9 @@ def _overlap_entries(*args):
     return oracles.w_overlap_oracle(*args)[0]
 
 
-def _gram_arrays(*args):
-    gram, report = gram_matrix(*args)
-    return gram, np.array(report.measured)
-
-
-def _bi_measured(*args):
-    return np.array(oracles.bi_orthogonality(*args).measured)
+def _suite_values():
+    return [np.array([rep.measured, rep.expected, rep.tolerance])
+            for rep in run_verification_suite()]
 
 
 def _twin_cases():
@@ -349,10 +347,8 @@ def _twin_cases():
                  ("legendre", 6, -0.0, 0)):
         yield (specfun._gauss_rule, _rule_arrays, args,
                ("laguerre", 6.0, 0) if args[0] == "laguerre" else ("legendre", 6))
-    # a well has no branch: its Gram table is keyed at one
-    yield (oracles._gram_table, _gram_arrays,
-           (GramFamily.Morse, 2, MorseParams(5, 1), Branch.Minus),
-           (GramFamily.Morse, 2.0, MorseParams(5.0, 1.0)))
+    # the suite takes no argument: its one entry is read back
+    yield oracles._suite_reports, _suite_values, (), ()
     for one, other in TWIN_PARAMS:
         for branch in admissible_branches(one):
             yield (specfun._jacobi_coeffs, bases.theta_angular,
@@ -362,11 +358,6 @@ def _twin_cases():
                                 (interbasis._w_table, _w_arrays),
                                 (interbasis._overlap_table, _overlap_entries)):
                 yield table, call, (6, one, branch), (6.0, other, branch)
-            for family in list(GramFamily)[:4]:
-                yield (oracles._gram_table, _gram_arrays, (family, 6, one, branch),
-                       (family, 6.0, other, branch))
-            yield (oracles._bi_table, _bi_measured, (6, 2, 4, one, branch),
-                   (6.0, 2.0, 4, other, branch))
             for table, call in ((spheroidal._level_solve, t_coefficients),
                                 (spheroidal._pair_columns, u_coefficients)):
                 yield (table, call, (6, 2, one, branch, 2, Kind.Oblate),

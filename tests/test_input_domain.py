@@ -7,7 +7,8 @@ functions (and ring_w's, ring_energy's, ring_separation_constant's and theta_rin
 ring_energy's omega and the psi_spherical and psi_cylindrical point itself) at the same
 values, at non-numbers, and as one entry of a batch; each call returns a finite result or
 raises DomainError or NumericError. A spheroidal kind or a branch passed as anything but
-its enum member is refused with DomainError naming it.
+its enum member is refused with DomainError naming it, and so is a parameter set, a
+spheroidal point or a tridiagonal system of the wrong type, naming the type received.
 """
 
 import csv
@@ -21,11 +22,14 @@ import numpy as np
 import pytest
 
 from genosc import (Branch, CylindricalLabel, Kind, MorseParams, Route, SphericalLabel,
-                    SpheroidalPoint, SystemParams, build_tridiag_u, energy_level, lambda_curve,
-                    lambda_grid, map_spheroidal_point, morse_wavefunction, psi_cylindrical,
-                    psi_spherical, psi_spheroidal, radial_cylindrical, radial_spherical,
-                    ring_energy, ring_separation_constant, ring_w, spherical_harmonic_limit,
-                    t_coefficients, theta_angular, theta_ring, u_coefficients, w_matrix, z_axial)
+                    SpheroidalPoint, SystemParams, bi_orthogonality_hypergeometric,
+                    build_tridiag_u, eigensolve, energy_level, enumerate_level, lambda_curve,
+                    lambda_grid, map_spheroidal_point, morse_spectrum, morse_wavefunction,
+                    psi_cylindrical, psi_spherical, psi_spheroidal, radial_cylindrical,
+                    radial_spherical, ring_energy, ring_relabel, ring_separation_constant, ring_w,
+                    small_r_series, spherical_harmonic_limit, sw_to_morse, t_coefficients,
+                    theta_angular, theta_ring, u_coefficients, w_coefficient, w_integral_oracle,
+                    w_matrix, z_axial)
 from genosc.bases import cylindrical_level, spherical_level
 from genosc.cli import main
 from genosc.errors import DomainError, NumericError
@@ -260,6 +264,56 @@ ENUM_MISUSES = {
 @pytest.mark.parametrize("name", ENUM_MISUSES)
 def test_a_kind_or_branch_that_is_no_enum_member_is_refused(name):
     call, message = ENUM_MISUSES[name]
+    with pytest.raises(DomainError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
+WELL = MorseParams(5.0, 1.0)
+TUPLE_POINT = (1.5, 0.5, 0.3)
+_NOT_SYSTEM = {
+    "w_matrix": lambda params: w_matrix(2, params, PLUS),
+    "w_coefficient": lambda params: w_coefficient(2, 1, 1, params, PLUS),
+    "energy_level": lambda params: energy_level(1, params, PLUS),
+    "small_r_series": lambda params: small_r_series(2, 1, params, PLUS),
+    "u_coefficients": lambda params: u_coefficients(2, 1, params, PLUS, 1.0, Kind.Prolate),
+    "lambda_grid": lambda params: lambda_grid(1, params, PLUS, Kind.Prolate, [0.5]),
+    "enumerate_level": lambda params: enumerate_level(1, params),
+    "ring_relabel": lambda params: ring_relabel(SphericalLabel(1, 0, 1, PLUS), params),
+    "psi_spherical": lambda params: psi_spherical(SphericalLabel(1, 0, 1, PLUS), params,
+                                                  (0.5, 0.5, 0.1)),
+    "w_overlap_oracle": lambda params: w_overlap_oracle(2, params, PLUS),
+    "bi_orthogonality": lambda params: bi_orthogonality(3, 1, 1, params, PLUS),
+    "bi_orthogonality_hypergeometric":
+        lambda params: bi_orthogonality_hypergeometric(3, 1, 1, params, PLUS),
+    "w_integral_oracle": lambda params: w_integral_oracle(2, 0, 0, params, PLUS),
+}
+# name -> (call with one parameter, point or system object of the wrong type, refusal text)
+TYPE_MISUSES = {
+    **{f"{name} {tag}": (lambda call=call, bad=bad: call(bad),
+                         f"params must be a SystemParams, got {type(bad).__name__}")
+       for name, call in _NOT_SYSTEM.items() for tag, bad in (("well", WELL), ("None", None))},
+    "morse_spectrum system": (lambda: morse_spectrum(PARAMS),
+                              "params must be a MorseParams, got SystemParams"),
+    "morse_spectrum None": (lambda: morse_spectrum(None),
+                            "params must be a MorseParams, got NoneType"),
+    "sw_to_morse system": (lambda: sw_to_morse(PARAMS, -1.0),
+                           "params must be a MorseParams, got SystemParams"),
+    "psi_spheroidal tuple": (lambda: psi_spheroidal(2, 1, 1, PARAMS, PLUS, 1.0, Kind.Prolate,
+                                                    TUPLE_POINT, Route.ViaSpherical),
+                             "point must be a SpheroidalPoint, got tuple"),
+    "map_spheroidal_point tuple": (lambda: map_spheroidal_point(TUPLE_POINT, 1.0, Kind.Oblate),
+                                   "point must be a SpheroidalPoint, got tuple"),
+    "eigensolve None": (lambda: eigensolve(None),
+                        "system must be a TridiagonalSystem, got NoneType"),
+    "gram_matrix well": (lambda: gram_matrix(GramFamily.Theta, 2, WELL),
+                         "theta Gram checks need SystemParams, got MorseParams"),
+}
+
+
+@pytest.mark.parametrize("name", TYPE_MISUSES)
+def test_an_object_of_the_wrong_type_is_refused_naming_its_type(name):
+    call, message = TYPE_MISUSES[name]
     with pytest.raises(DomainError) as refused:
         call()
     assert str(refused.value) == message

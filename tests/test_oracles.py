@@ -384,51 +384,51 @@ def _public_suite_reports():
     return reports
 
 
-def test_suite_checks_reuse_their_row_names(monkeypatch):
+def test_suite_rows_are_the_public_oracles_bit_for_bit():
     # every row equals the public oracle's report at its arguments, bit for bit, cold
-    # and warm. A row's name is formed once, with the suite table; its check reports
-    # under it, reading a table no name goes into
+    # and warm
     reference = run_verification_suite()
     public = _public_suite_reports()
     assert len(public) == len(SUITE_MANIFEST) == 35
     assert [report.name for report in public] == list(SUITE_MANIFEST)
-    assert reference == public
+    assert [_report_bits(report) for report in reference] == \
+        [_report_bits(report) for report in public]
     _cache.clear()
     assert run_verification_suite() == public   # cold: each rule and set-up built afresh
-
-    def no_name(*args):
-        raise AssertionError("a suite check formed a name")
-
-    for helper in ("_params_tag", "_gram_name", "_bi_name", "_overlap_name"):
-        monkeypatch.setattr(oracles, helper, no_name)
-    assert run_verification_suite() == reference
-    _cache.clear()   # nor does a table the suite builds
-    assert run_verification_suite() == reference
+    assert run_verification_suite() == public   # warm
 
 
 # every pointwise row builder an oracle's table reaches (the overlap tables' terms too)
 _ROW_BUILDERS = ((bases, "laguerre_functions"), (bases, "laguerre_diagonal"),
                  (bases, "_jacobi_rows"), (morse, "laguerre_diagonal"))
+_SUITE_ORACLES = ("gram_matrix", "bi_orthogonality", "bi_orthogonality_hypergeometric",
+                  "w_overlap_oracle")
 
 
 def test_a_warm_suite_forms_no_basis_row(monkeypatch, fresh_tables):
-    # every Gram matrix and bi-orthogonality value is a table built once: a cold suite
-    # builds each of its 22 Grams and 7 values and runs every row builder, a warm one
-    # reads them all and runs none
-    calls = dict.fromkeys(_ROW_BUILDERS, 0)
-    for module, name in _ROW_BUILDERS:
+    # the suite's reports are one table: a cold suite runs every row builder, a warm one
+    # reads the table and runs no oracle and no row builder, and each run is a fresh list
+    spied = (*_ROW_BUILDERS, *((oracles, name) for name in _SUITE_ORACLES))
+    calls = {}
+    for module, name in spied:
         def counted(*args, key=(module, name), fn=getattr(module, name)):
-            calls[key] += 1
+            calls[key] = calls.get(key, 0) + 1
             return fn(*args)
         monkeypatch.setattr(module, name, counted)
-    tables = (oracles._gram_table, oracles._bi_table)
-    run_verification_suite()
-    assert [table.cache_info() for table in tables] == [(0, 22, 22), (0, 7, 7)]
-    assert all(calls.values()), calls
-    calls = dict.fromkeys(_ROW_BUILDERS, 0)
-    run_verification_suite()
-    assert [table.cache_info() for table in tables] == [(22, 22, 22), (7, 7, 7)]
-    assert not any(calls.values()), calls
+    cold = run_verification_suite()
+    assert oracles._suite_reports.cache_info() == (0, 1, 1)
+    assert all(calls.get(key) for key in spied), calls
+    calls.clear()
+    warm = run_verification_suite()
+    assert oracles._suite_reports.cache_info() == (1, 1, 1)
+    assert calls == {}
+    assert warm == cold and warm is not cold
+    warm.clear()   # a caller's list is its own
+    assert run_verification_suite() == cold
+    _cache.clear()
+    assert run_verification_suite() == cold
+    assert oracles._suite_reports.cache_info() == (0, 1, 1)
+    assert all(calls.get(key) for key in spied), calls
 
 
 def _report_bits(report):
@@ -440,28 +440,14 @@ def _bits(values):
     return np.array(values, dtype=np.float64).tobytes()
 
 
-def test_public_oracles_after_the_suite_read_its_tables(fresh_tables):
-    # a public call at a suite row's arguments is a hit on the entry the suite built,
-    # with the suite's bits; its report is formed under the public call's own name
-    reference = [_report_bits(report) for report in run_verification_suite()]
-    tables = (oracles._gram_table, oracles._bi_table)
-    before = [table.cache_info() for table in tables]
-    public = [_report_bits(report) for report in _public_suite_reports()]
-    after = [table.cache_info() for table in tables]
-    assert public == reference
-    # 22 Gram and 7 bi-orthogonality rows, and the 2F1 rows' quad twins (_public_suite_reports)
-    assert [(b.hits - a.hits, b.misses - a.misses)
-            for a, b in zip(before, after)] == [(22, 0), (7 + 2, 0)]
-    params = oracles._SUITE_SETS[2]
-    first = gram_matrix(GramFamily.Axial, oracles._GRAM_LEVEL, params)[0]
-    assert first is gram_matrix(GramFamily.Axial, oracles._GRAM_LEVEL, params)[0]
-    assert not first.flags.writeable
-    # a twin system (P = -0.0) reads the same table under its own name
+def test_a_twin_system_reports_its_own_name_with_the_same_bits():
+    # P = -0.0 enters every value as P + 1/4, with the bits of 0.0's; only its name differs
     twin = SystemParams(1.0, -0.0, 0.0, 0)
-    plain = gram_matrix(GramFamily.Theta, 3, SystemParams(1.0, 0.0, 0.0, 0))[1]
-    signed = gram_matrix(GramFamily.Theta, 3, twin)[1]
-    assert "P=-0" in signed.name and "P=0," in plain.name
-    assert _bits((signed.measured,)) == _bits((plain.measured,))
+    plain = gram_matrix(GramFamily.Theta, 3, SystemParams(1.0, 0.0, 0.0, 0))
+    signed = gram_matrix(GramFamily.Theta, 3, twin)
+    assert "P=-0" in signed[1].name and "P=0," in plain[1].name
+    assert _bits((signed[1].measured,)) == _bits((plain[1].measured,))
+    assert signed[0].tobytes() == plain[0].tobytes()
 
 
 @pytest.mark.parametrize("omega", [1e-3, 0.1, 1.0, 1e3, 1e5, 1e6, 1e7])
