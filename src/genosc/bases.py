@@ -26,7 +26,8 @@ from collections import deque
 
 import numpy as np
 
-from .errors import DomainError, check_abs_int, check_nonneg_int, check_points, require_points
+from .errors import (DomainError, _require_type, check_abs_int, check_nonneg_int, check_points,
+                     require_points)
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                     _exponents, _ring_delta, require_label_m)
 from .specfun import _jacobi_p0, _jacobi_rows, laguerre_diagonal, laguerre_functions
@@ -152,6 +153,7 @@ def radial_spherical(n_r: int, q: int, params: SystemParams, branch: Branch, r):
 
 def psi_spherical(label: SphericalLabel, params: SystemParams, point):
     """Full wavefunction R(r) Theta(theta) e^{i m phi} / sqrt(2 pi) at (r, theta, phi)."""
+    _require_type(label, SphericalLabel, "label")
     require_label_m(label.m, params)
     r, theta, phi = _triple(point, "(r, theta, phi)")
     rad = radial_spherical(label.n_r, label.q, params, label.branch, r)
@@ -191,6 +193,7 @@ def z_axial(p: int, params: SystemParams, branch: Branch, z):
 
 def psi_cylindrical(label: CylindricalLabel, params: SystemParams, point):
     """Full wavefunction R(rho) e^{i m phi} / sqrt(2 pi) Z(z) at (rho, phi, z), z > 0."""
+    _require_type(label, CylindricalLabel, "label")
     require_label_m(label.m, params)
     rho, phi, z = _triple(point, "(rho, phi, z)")
     rad = radial_cylindrical(label.n_rho, params, rho)

@@ -259,15 +259,15 @@ def ring_relabel(label, params: SystemParams) -> RingLabel:
     b, _, delta = channel_constants(params)
     if b != 0.5:
         raise DomainError(f"ring relabeling requires b = 1/2 exactly (P = 0), got b = {b}")
+    if not isinstance(label, (SphericalLabel, CylindricalLabel)):
+        raise DomainError(f"cannot ring-relabel {type(label).__name__}")
     require_label_m(label.m, params)
     odd = 1 if label.branch is Branch.Plus else 0
     if isinstance(label, SphericalLabel):
         l = abs(label.m) + 2 * label.q + odd
         return RingLabel(N=2 * label.n_r + l, m=label.m, delta=delta, l=l)
-    if isinstance(label, CylindricalLabel):
-        n3 = 2 * label.p + odd
-        return RingLabel(N=abs(label.m) + 2 * label.n_rho + n3, m=label.m, delta=delta, n3=n3)
-    raise DomainError(f"cannot ring-relabel {type(label).__name__}")
+    n3 = 2 * label.p + odd
+    return RingLabel(N=abs(label.m) + 2 * label.n_rho + n3, m=label.m, delta=delta, n3=n3)
 
 
 def _ring_delta(delta) -> float:

@@ -308,6 +308,13 @@ TYPE_MISUSES = {
                         "system must be a TridiagonalSystem, got NoneType"),
     "gram_matrix well": (lambda: gram_matrix(GramFamily.Theta, 2, WELL),
                          "theta Gram checks need SystemParams, got MorseParams"),
+    "psi_spherical tuple label": (lambda: psi_spherical((1, 0, 1, PLUS), PARAMS, (0.5, 0.5, 0.1)),
+                                  "label must be a SphericalLabel, got tuple"),
+    "psi_cylindrical tuple label": (lambda: psi_cylindrical((1, 0, 1, PLUS), PARAMS,
+                                                            (0.5, 0.1, 0.5)),
+                                    "label must be a CylindricalLabel, got tuple"),
+    "ring_relabel None label": (lambda: ring_relabel(None, SystemParams(1.0, 0.0, 0.0, 1)),
+                                "cannot ring-relabel NoneType"),
 }
 
 

@@ -382,15 +382,41 @@ def test_w_matches_integral_oracle():
                         (n, p, q, branch)
 
 
+def seeded_w_levels():
+    """(n, params, branch): 8 seeded levels to 30 per admissible branch of 30 seeded
+    systems, every third at P <= 0, where the Minus branch is admissible too."""
+    rng = random.Random(2323)
+    for case in range(30):
+        p_strength = rng.uniform(-0.25, 0.0) if case % 3 == 0 else rng.uniform(0.0, 5.0)
+        params = SystemParams(omega=10.0 ** rng.uniform(-2.0, 2.0),
+                              p_strength=max(p_strength, -0.2499),
+                              q_strength=rng.choice((0.0, rng.uniform(0.0, 8.0))),
+                              m=rng.randint(-3, 3))
+        for branch in admissible_branches(params):
+            yield from ((n, params, branch) for n in rng.sample(range(31), 8))
+
+
+def _assert_w_matches_racah(cases):
+    for n, params, branch in cases:
+        ent = w_matrix(n, params, branch).entries
+        k = np.arange(n + 1)
+        racah = w_coefficient(n, k[:, None], k, params, branch)
+        np.testing.assert_allclose(ent, racah, rtol=0.0, atol=1e-12,
+                                   err_msg=f"n={n} {params} {branch}")
+        assert np.all(ent[0] > 0.0), (n, params, branch)
+
+
 def test_w_recursion_matches_racah_sum():
-    for params, branch in BRANCH_CASES:
-        for n in range(21):
-            ent = w_matrix(n, params, branch).entries
-            k = np.arange(n + 1)
-            racah = w_coefficient(n, k[:, None], k, params, branch)
-            np.testing.assert_allclose(ent, racah, rtol=0.0, atol=1e-12,
-                                       err_msg=f"n={n} {branch}")
-            assert np.all(ent[0] > 0.0), (n, branch)
+    # every level to 20 of BRANCH_CASES
+    _assert_w_matches_racah([(n, params, branch)
+                             for params, branch in BRANCH_CASES for n in range(21)])
+
+
+def test_w_recursion_matches_racah_sum_at_seeded_levels():
+    # the seed-2323 systems, both branches, 8 levels <= 30 each (3.5e-14 off at worst)
+    seeded = list(seeded_w_levels())
+    assert len(seeded) == 320 and sum(branch is Branch.Minus for *_, branch in seeded) == 80
+    _assert_w_matches_racah(seeded)
 
 
 def test_w_column_rescales_past_overflow():
@@ -403,7 +429,7 @@ def test_w_column_rescales_past_overflow():
         assert np.linalg.norm(col) == pytest.approx(1.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("n", [60, 150, 300])
+@pytest.mark.parametrize("n", [60, 150, 300, 600])
 def test_w_high_levels_meet_contract_and_match_eigh(n):
     for params, branch in BRANCH_CASES:
         ent = w_matrix(n, params, branch).entries
@@ -445,87 +471,6 @@ def test_w_corrupted_operator_is_numeric_error(monkeypatch, fresh_tables):
             u_coefficients(8, 3, BOTH, Branch.Plus, 1.3, Kind.Prolate)
 
 
-# --------------------------------------------- one stacked recursion pass
-
-def recursion_columns_two_pass(diag, off, lam):
-    """The two-pass recursion with per-step masks that interbasis._recursion_columns
-    replaced: the bit-for-bit reference up to the levels where this one's inexact
-    rescale divisions start (past about n = 200)."""
-    size, count = diag.size, lam.size
-    down = np.zeros((size, count))
-    down[-1] = 1.0
-    growing = np.ones(count, dtype=bool)
-    with np.errstate(all="ignore"):
-        shift = diag[:, None] - lam
-        for p in range(size - 1, 0, -1):
-            acc = shift[p] * down[p]
-            if p + 1 < size:
-                acc += off[p] * down[p + 1]
-            new = -acc / off[p - 1]
-            growing &= np.abs(new) > np.abs(down[p])
-            if not growing.any():
-                break
-            down[p - 1] = np.where(growing, new, 0.0)
-            big = np.abs(down[p - 1]) > interbasis._RESCALE_AT
-            if big.any():
-                down[p - 1:, big] /= np.abs(down[p - 1, big])
-        turn = np.argmax(down != 0.0, axis=0)
-        up = np.zeros((size, count))
-        up[0] = 1.0
-        for p in range(int(turn.max())):
-            acc = shift[p] * up[p]
-            if p:
-                acc += off[p - 1] * up[p - 1]
-            up[p + 1] = np.where(p < turn, -acc / off[p], 0.0)
-            big = np.abs(up[p + 1]) > interbasis._RESCALE_AT
-            if big.any():
-                up[:p + 2, big] /= np.abs(up[p + 1, big])
-        cols = np.arange(count)
-        match = up[turn, cols] / down[turn, cols]
-        vec = np.where(np.arange(size)[:, None] <= turn, up, down * match)
-        vec /= np.abs(vec).max(axis=0)
-        vec /= np.sqrt((vec * vec).sum(axis=0))
-    return vec
-
-
-def _recursion_inputs(n, params, branch):
-    """The bands and eigenvalues _w_table hands the recursion at level n."""
-    diag, off = interbasis._m_bands(n, params, branch)
-    lam = np.array([separation_constant_A(q, params, branch) for q in range(n + 1)])
-    return 2.0 * diag, 2.0 * off, lam
-
-
-def test_stacked_recursion_matches_two_pass_bit_for_bit():
-    # every level to 30, and 8 seeded levels in 31..200 plus 200 itself, per system;
-    # every third system at P <= 0, where the Minus branch is admissible too
-    rng = random.Random(2323)
-    minus = 0
-    for case in range(30):
-        p_strength = rng.uniform(-0.25, 0.0) if case % 3 == 0 else rng.uniform(0.0, 5.0)
-        params = SystemParams(omega=10.0 ** rng.uniform(-2.0, 2.0),
-                              p_strength=max(p_strength, -0.2499),
-                              q_strength=rng.choice((0.0, rng.uniform(0.0, 8.0))),
-                              m=rng.randint(-3, 3))
-        for branch in admissible_branches(params):
-            minus += branch is Branch.Minus
-            for n in [*range(31), *rng.sample(range(31, 200), 8), 200]:
-                args = _recursion_inputs(n, params, branch)
-                got = interbasis._recursion_columns(*args)
-                want = recursion_columns_two_pass(*args)
-                assert got.tobytes() == want.tobytes(), (n, params, branch)
-    assert minus >= 10
-
-
-@pytest.mark.parametrize("n", [300, 600, 1200])
-def test_stacked_recursion_within_4e15_of_two_pass_at_high_levels(n):
-    # past n ~ 200 the two-pass reference divides by inexact rescale factors
-    for params, branch in BRANCH_CASES:
-        args = _recursion_inputs(n, params, branch)
-        got, want = interbasis._recursion_columns(*args), recursion_columns_two_pass(*args)
-        assert np.isfinite(got).all()
-        assert np.abs(got - want).max() <= 4e-15, (n, branch)
-
-
 @pytest.mark.parametrize("n", [1, 2, 8, 40])
 def test_non_finite_bands_raise_numeric_error(monkeypatch, fresh_tables, n):
     clean = interbasis._m_bands
@@ -545,8 +490,6 @@ def test_non_finite_bands_raise_numeric_error(monkeypatch, fresh_tables, n):
             corrupt(diag, off)
             return diag, off
         monkeypatch.setattr(interbasis, "_m_bands", bands)
-        args = _recursion_inputs(n, BOTH, Branch.Plus)
-        assert not np.isfinite(recursion_columns_two_pass(*args)).all()
         with pytest.raises(NumericError, match="interbasis recursion gave non-finite entries"):
             w_matrix(n, BOTH, Branch.Plus)
 
