@@ -311,22 +311,22 @@ def cmd_perturb(cfg: JobConfig) -> tuple[list[Section], int]:
     systems = {radius: TridiagonalSystem(diag, off, "spherical", Kind.Prolate, radius)
                for radius, diag, off in zip(radii, diags, offs)}
     rows, orders = [], []
-    for regime, series, probes in (("small", small, _SMALL_PROBES),
-                                   ("large", large, _LARGE_PROBES)):
-        errs, xs = [], []
-        for radius in probes:
-            exact = eigensolve(systems[radius]).lam[k]
-            approx = series.eigenvalue(radius)
-            # extreme omega overflows here; the non-finite cells fail at rendering
-            with np.errstate(all="ignore"):
+    # extreme omega overflows an error or x; the non-finite cells fail at rendering
+    with np.errstate(all="ignore"):
+        for regime, series, probes in (("small", small, _SMALL_PROBES),
+                                       ("large", large, _LARGE_PROBES)):
+            errs, xs = [], []
+            for radius in probes:
+                exact = eigensolve(systems[radius]).lam[k]
+                approx = series.eigenvalue(radius)
                 err = abs(approx - exact)
                 x = omega * radius * radius
                 # the large-R comparison happens on the bounded quantity lambda/x
                 scaled = err / x if regime == "large" else err
-            rows.append((regime, radius, approx, exact, err, scaled))
-            errs.append(scaled)
-            xs.append(x)
-        orders.append((regime, _observed_order(errs, xs)))
+                rows.append((regime, radius, approx, exact, err, scaled))
+                errs.append(scaled)
+                xs.append(x)
+            orders.append((regime, _observed_order(errs, xs)))
     return [Section("comparison",
                     ("regime", "R", "series", "exact", "abs_error", "scaled_error"),
                     tuple(rows)),
@@ -463,6 +463,8 @@ _ROW_INDENT = " " * 10
 _JSON_ROWS = json.JSONEncoder(allow_nan=False, default=_plain_number,
                               separators=(",\n" + _ROW_INDENT, ": "))
 _JSON_COLUMNS = json.JSONEncoder(separators=(",\n" + " " * 8, ": "))
+# The header is a flat dict of scalars, never empty: one item a line, 4 deep
+_JSON_HEADER = json.JSONEncoder(sort_keys=True, allow_nan=False, separators=(",\n    ", ": "))
 # The encoder holds the text of every cell of a call until it joins them, so a
 # section goes to it in pieces of about this many cells; from 256 to 4096 cells
 # the render time is the same.
@@ -501,13 +503,13 @@ def _json_section(section: Section) -> str:
 def render_json(cfg: JobConfig, sections: list[Section]) -> str:
     by_name = {s.name: s for s in sections}   # a repeated name keeps its last section
     try:
-        header = json.dumps(cfg.echo(), sort_keys=True, indent=2, allow_nan=False)
+        header = _JSON_HEADER.encode(cfg.echo())[1:-1]
         blocks = [f"{json.dumps(name)}: {_json_section(by_name[name])}"
                   for name in sorted(by_name)]
     except ValueError as exc:
         raise NumericError(f"refusing to write non-finite JSON: {exc}") from exc
     data = _json_block(blocks, " " * 4, "{}")
-    header = header.replace("\n", "\n  ")
+    header = f"{{\n    {header}\n  }}"
     return _json_block([f'"data": {data}', f'"header": {header}'], "  ", "{}") + "\n"
 
 

@@ -23,7 +23,8 @@ class AccuracyError(NumericError):
 
 def _require_finite(value, message: str):
     """value; NumericError with message unless every entry of value is finite."""
-    if not np.isfinite(value).all():
+    finite = np.isfinite(value)
+    if np.count_nonzero(finite) < finite.size:   # a count, without a reduction's set-up
         raise NumericError(message)
     return value
 

@@ -270,21 +270,26 @@ class CoefficientMatrix:
 
 
 def _residual_bound(size: int, diag: np.ndarray, offdiag: np.ndarray) -> np.ndarray:
-    """Largest eigen residual the contract allows; diag/offdiag may be stacked."""
-    return _RESIDUAL_FACTOR * size * np.maximum(np.abs(diag).max(axis=-1, initial=1.0),
-                                                np.abs(offdiag).max(axis=-1, initial=0.0))
+    """Largest eigen residual the contract allows, _RESIDUAL_FACTOR size max(max|d|,
+    max|e|, 1); diag/offdiag may be stacked. A NaN entry makes the bound NaN."""
+    scale = np.maximum.reduce(np.abs(np.concatenate((diag, offdiag), axis=-1)), axis=-1)
+    return _RESIDUAL_FACTOR * size * np.maximum(scale, 1.0)
 
 
 def _check_residual(diag: np.ndarray, off: np.ndarray, vec: np.ndarray, lam: np.ndarray,
                     label: str) -> None:
     """Eigen residual contract: NumericError naming label unless max|T vec - vec
     diag(lam)| of the symmetric tridiagonal T with bands diag/off is within
-    _residual_bound. Formed on the bands in O(n^2) without BLAS, and NaN-safe."""
+    _residual_bound. Formed on the bands in O(n^2) without BLAS, in place in one
+    array, and NaN-safe."""
     with np.errstate(all="ignore"):
-        res = (diag[:, None] - lam) * vec
-        res[:-1] += off[:, None] * vec[1:]
-        res[1:] += off[:, None] * vec[:-1]
-        residual = np.abs(res).max()
+        res = diag[:, None] - lam
+        res *= vec
+        coupling = off[:, None]
+        upper, lower = res[:-1], res[1:]
+        upper += coupling * vec[1:]
+        lower += coupling * vec[:-1]
+        residual = np.maximum.reduce(np.abs(res, out=res), axis=None)
         within = residual <= _residual_bound(diag.size, diag, off)
     if not within:
         raise NumericError(f"eigen residual {residual:.3e} above contract for {label}")

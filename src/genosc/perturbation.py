@@ -89,8 +89,14 @@ def _check_order(order: int) -> int:
     return order
 
 
-def _column_sums(block: np.ndarray, what: str) -> list[float]:
-    """Exactly rounded sum of each column of a block of finite products.
+def _at_order(regime: Regime, j: int) -> str:
+    """The series term a refusal names, "the small-R series at order 3"."""
+    return f"the {regime.value}-R series at order {j}"
+
+
+def _column_sums(block: np.ndarray, regime: Regime, j: int) -> list[float]:
+    """Exactly rounded sum of each column of a block of finite products, of the
+    regime's series at order j.
 
     A sum of finite products is finite or raises OverflowError, and math.fsum
     never makes a finite sum of an infinite or NaN term, so the block itself is
@@ -103,8 +109,8 @@ def _column_sums(block: np.ndarray, what: str) -> list[float]:
     except (OverflowError, ValueError):   # ValueError: fsum of +inf beside -inf
         pass
     if not np.isfinite(block).all():
-        raise NumericError(f"non-finite product in {what}")
-    raise NumericError(f"sum overflows in {what}")
+        raise NumericError(f"non-finite product in {_at_order(regime, j)}")
+    raise NumericError(f"sum overflows in {_at_order(regime, j)}")
 
 
 def _recursion_tables(diag: np.ndarray, off: np.ndarray, denom: list[float], k: int,
@@ -141,15 +147,14 @@ def _recursion_tables(diag: np.ndarray, off: np.ndarray, denom: list[float], k: 
     shift_terms = np.empty((order - 1, size))
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(1, order + 1):
-            what = f"the {regime.value}-R series at order {j}"
-            w = _column_sums(np.multiply(bands, shifted[j - 1], out=terms), what)
+            w = _column_sums(np.multiply(bands, shifted[j - 1], out=terms), regime, j)
             # sum_{t=1}^{j-1} lambda^{(j-t)} T[t, q], one column per q
             shift = _column_sums(np.multiply(reversed_lams[order + 1 - j:], table[1:j],
-                                             out=shift_terms[:j - 1]), what)
+                                             out=shift_terms[:j - 1]), regime, j)
             row = [(wq - sq) / dq for wq, sq, dq in zip(w, shift, denom)]
             row[k] = 0.0
             if not all(map(math.isfinite, row)):
-                raise NumericError(f"non-finite table entry in {what}")
+                raise NumericError(f"non-finite table entry in {_at_order(regime, j)}")
             table[j] = row
             reversed_lams[order - j] = w[k]
     table = np.ascontiguousarray(table)

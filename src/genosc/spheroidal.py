@@ -26,6 +26,7 @@ from .model import (Branch, SystemParams, _a_q, _e_z, _exponents, require_admiss
 from .specfun import _dense, _lapack
 
 _SIGN_PIVOT_TOL = 1e-12
+_FLOAT64 = np.dtype(np.float64)
 
 
 class Kind(enum.Enum):
@@ -91,7 +92,22 @@ class TridiagonalSystem:
         return len(self.diag) - 1
 
     def dense(self) -> np.ndarray:
-        return _dense(self.diag, self.offdiag)
+        return _dense(*_checked_bands(self))
+
+
+def _checked_bands(system: TridiagonalSystem) -> tuple[np.ndarray, np.ndarray]:
+    """The system's bands as 1-D float64 arrays of n + 1 >= 1 and n entries. Other
+    bands are read by check_points (a list as an array; a string, complex value or None
+    refused naming its band); DomainError names the shapes of bands that do not make
+    a tridiagonal matrix. Non-finite entries pass, for the eigensolve to refuse."""
+    diag, off = system.diag, system.offdiag
+    if not (type(diag) is type(off) is np.ndarray
+            and diag.dtype is off.dtype is _FLOAT64):
+        diag, off = check_points(diag, "diag"), check_points(off, "offdiag")
+    if not (diag.ndim == off.ndim == 1 and off.size == diag.size - 1):
+        raise DomainError(f"a tridiagonal system needs bands of shapes (n + 1,) and (n,), "
+                          f"got diag {diag.shape} and offdiag {off.shape}")
+    return diag, off
 
 
 @dataclass(frozen=True)
@@ -162,18 +178,13 @@ def _solve(diag: np.ndarray, off: np.ndarray, label: str) -> tuple[np.ndarray, n
     return lam, vec
 
 
-def _pivot(vec: np.ndarray, k):
+def _pivot(column: np.ndarray, k: int):
     """The component whose sign fixes a column's: component k, or the
-    largest-magnitude component when component k is numerically zero. vec is one
-    column and k an int, or vec holds columns and k is one index per column, which
-    gives an array of pivots."""
-    cols = vec.reshape(len(vec), -1)
-    at = np.arange(cols.shape[1])
-    pivot = cols[k, at]
-    weak = np.flatnonzero(np.abs(pivot) < _SIGN_PIVOT_TOL)
-    if weak.size:
-        pivot[weak] = cols[np.abs(cols[:, weak]).argmax(axis=0), weak]
-    return pivot if vec.ndim == 2 else pivot[0]
+    largest-magnitude component when component k is numerically zero."""
+    pivot = column[k]
+    if abs(pivot) < _SIGN_PIVOT_TOL:
+        pivot = column[np.abs(column).argmax()]
+    return pivot
 
 
 def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
@@ -182,14 +193,21 @@ def eigensolve(system: TridiagonalSystem) -> SpheroidalSolution:
     Solved by LAPACK (numpy.linalg.eigh) on the dense matrix.
     Sign convention: component k of column k nonnegative, falling back to the
     largest-magnitude component when component k is numerically zero.
-    DomainError unless system is a TridiagonalSystem.
+    DomainError unless system is a TridiagonalSystem whose bands are real numbers of
+    n + 1 >= 1 and n entries (see _checked_bands).
     """
     _require_type(system, TridiagonalSystem, "system")
-    lam, vec = _solve(system.diag, system.offdiag, f"n={system.n}")
-    np.negative(vec, out=vec, where=_pivot(vec, np.arange(system.n + 1)) < 0.0)
+    diag, off = _checked_bands(system)
+    n = diag.size - 1
+    lam, vec = _solve(diag, off, f"n={n}")
+    pivots = vec.diagonal()
+    if np.count_nonzero(np.abs(pivots) < _SIGN_PIVOT_TOL):
+        pivots = np.array([_pivot(vec[:, k], k) for k in range(n + 1)])
+    # every pivot is nonzero, so x * copysign(1, pivot) is x, or -x bit for bit
+    vec *= np.copysign(1.0, pivots)
     lam.flags.writeable = False
     vec.flags.writeable = False
-    return SpheroidalSolution(n=system.n, basis=system.basis, kind=system.kind,
+    return SpheroidalSolution(n=n, basis=system.basis, kind=system.kind,
                               R=system.R, lam=lam, vectors=vec)
 
 

@@ -8,7 +8,9 @@ ring_energy's omega and the psi_spherical and psi_cylindrical point itself) at t
 values, at non-numbers, and as one entry of a batch; each call returns a finite result or
 raises DomainError or NumericError. A spheroidal kind or a branch passed as anything but
 its enum member is refused with DomainError naming it, and so is a parameter set, a
-spheroidal point or a tridiagonal system of the wrong type, naming the type received.
+spheroidal point or a tridiagonal system of the wrong type, naming the type received, and
+a tridiagonal system whose bands are not real numbers, naming the band, or do not make a
+tridiagonal matrix, naming their shapes.
 """
 
 import csv
@@ -22,9 +24,10 @@ import numpy as np
 import pytest
 
 from genosc import (Branch, CylindricalLabel, Kind, MorseParams, Route, SphericalLabel,
-                    SpheroidalPoint, SystemParams, bi_orthogonality_hypergeometric,
-                    build_tridiag_u, eigensolve, energy_level, enumerate_level, lambda_curve,
-                    lambda_grid, map_spheroidal_point, morse_spectrum, morse_wavefunction,
+                    SpheroidalPoint, SystemParams, TridiagonalSystem,
+                    bi_orthogonality_hypergeometric, build_tridiag_u, eigensolve, energy_level,
+                    enumerate_level, lambda_curve, lambda_grid, map_spheroidal_point,
+                    morse_spectrum, morse_wavefunction,
                     psi_cylindrical, psi_spherical, psi_spheroidal, radial_cylindrical,
                     radial_spherical, ring_energy, ring_relabel, ring_separation_constant, ring_w,
                     small_r_series, spherical_harmonic_limit, sw_to_morse, t_coefficients,
@@ -324,3 +327,45 @@ def test_an_object_of_the_wrong_type_is_refused_naming_its_type(name):
     with pytest.raises(DomainError) as refused:
         call()
     assert str(refused.value) == message
+
+
+_SHAPES = "a tridiagonal system needs bands of shapes (n + 1,) and (n,), got "
+# name -> (diag, offdiag, refusal text): bands that make no symmetric tridiagonal matrix
+MALFORMED_BANDS = {
+    "offdiag too short": (np.ones(3), np.ones(1), _SHAPES + "diag (3,) and offdiag (1,)"),
+    "offdiag too long": (np.ones(3), np.ones(5), _SHAPES + "diag (3,) and offdiag (5,)"),
+    "2-D bands": (np.ones((2, 3)), np.ones((2, 2)), _SHAPES + "diag (2, 3) and offdiag (2, 2)"),
+    "empty diag": (np.ones(0), np.ones(0), _SHAPES + "diag (0,) and offdiag (0,)"),
+    "scalar diag": (1.0, [], _SHAPES + "diag () and offdiag (0,)"),
+    "string bands": ("abc", "ab", "diag must hold real numbers, got 'abc'"),
+    "string entry": (np.ones(3), ["a", 1.0], "offdiag must hold real numbers, got 'a' at point 0"),
+    "complex diag": (np.ones(3, complex), np.ones(2),
+                     "diag must hold real numbers, got (1+0j) at point 0"),
+    "None diag": (None, np.ones(2), "diag must hold real numbers, got None"),
+    "ragged diag": ([1.0, [2.0], 3.0], np.ones(2),
+                    "diag must hold real numbers, got a ragged sequence"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED_BANDS)
+def test_malformed_bands_are_refused_naming_the_band_or_the_shapes(name):
+    # eigensolve and the dense view check the bands alike, before any matrix is formed
+    diag, off, message = MALFORMED_BANDS[name]
+    system = TridiagonalSystem(diag, off, "spherical", Kind.Prolate, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (eigensolve, TridiagonalSystem.dense):
+            with pytest.raises(DomainError) as refused:
+                call(system)
+            assert str(refused.value) == message
+
+
+def test_bands_that_are_not_float64_arrays_are_read_as_arrays():
+    want = eigensolve(TridiagonalSystem(np.array([1.0, 2.0, 3.0]), np.array([0.5, -1.0]),
+                                        "spherical", Kind.Prolate, 1.0))
+    for diag, off in (([1.0, 2.0, 3.0], [0.5, -1.0]), ((1, 2, 3), np.array([0.5, -1.0], ">f8")),
+                      (np.arange(1, 4), [0.5, -1])):
+        got = eigensolve(TridiagonalSystem(diag, off, "spherical", Kind.Prolate, 1.0))
+        assert got.n == 2
+        assert got.lam.tobytes() == want.lam.tobytes()
+        assert got.vectors.tobytes() == want.vectors.tobytes()

@@ -186,6 +186,37 @@ def test_eigensolve_sign_pass_matches_column_loop_bit_for_bit():
         assert eigensolve(system).vectors.tobytes() == vec.tobytes(), i
 
 
+def test_eigensolve_is_lapack_eigh_of_the_dense_matrix_bit_for_bit():
+    # the promise itself, from public numpy only: eigh's eigenvalues, and its vectors
+    # with each column negated where its pivot (component k, or the largest-magnitude
+    # component where component k is below 1e-12) is negative; seeded systems of both
+    # bases and kinds on every admissible branch, R log-uniform in [1e-3, 300]
+    rng = np.random.default_rng(47)
+    systems = weak = 0
+    while systems < 300:
+        params = SystemParams(float(np.exp(rng.uniform(-1.2, 1.2))), float(rng.uniform(-0.24, 2.5)),
+                              float(rng.uniform(0.0, 3.0)), int(rng.integers(-2, 3)))
+        for branch in admissible_branches(params):
+            n = int(rng.integers(0, 41))
+            radius = float(np.exp(rng.uniform(math.log(1e-3), math.log(300.0))))
+            build = (build_tridiag_t, build_tridiag_u)[systems % 2]
+            system = build(n, params, branch, radius, KINDS[systems // 2 % 2])
+            lam, vec = np.linalg.eigh(system.dense())
+            for k in range(n + 1):
+                column = vec[:, k]
+                pivot = column[k]
+                if abs(pivot) < 1e-12:
+                    pivot = column[np.argmax(np.abs(column))]
+                    weak += 1
+                if pivot < 0.0:
+                    vec[:, k] = -column
+            sol = eigensolve(system)
+            assert sol.lam.tobytes() == lam.tobytes(), (params, branch, n, radius)
+            assert sol.vectors.tobytes() == vec.tobytes(), (params, branch, n, radius)
+            systems += 1
+    assert weak   # the fallback pivot is exercised too
+
+
 def test_eigensolve_large_level():
     sol = eigensolve(build_tridiag_t(80, BOTH, Branch.Plus, 1.0, Kind.Prolate))
     assert np.all(np.diff(sol.lam) > 0.0)
