@@ -311,14 +311,14 @@ def cmd_perturb(cfg: JobConfig) -> tuple[list[Section], int]:
     systems = {radius: TridiagonalSystem(diag, off, "spherical", Kind.Prolate, radius)
                for radius, diag, off in zip(radii, diags, offs)}
     rows, orders = [], []
-    # extreme omega overflows an error or x; the non-finite cells fail at rendering
-    with np.errstate(all="ignore"):
-        for regime, series, probes in (("small", small, _SMALL_PROBES),
-                                       ("large", large, _LARGE_PROBES)):
-            errs, xs = [], []
-            for radius in probes:
-                exact = eigensolve(systems[radius]).lam[k]
-                approx = series.eigenvalue(radius)
+    for regime, series, probes in (("small", small, _SMALL_PROBES),
+                                   ("large", large, _LARGE_PROBES)):
+        values = [(eigensolve(systems[radius]).lam[k], series.eigenvalue(radius))
+                  for radius in probes]
+        errs, xs = [], []
+        # extreme omega overflows here; the non-finite cells fail at rendering
+        with np.errstate(all="ignore"):
+            for radius, (exact, approx) in zip(probes, values):
                 err = abs(approx - exact)
                 x = omega * radius * radius
                 # the large-R comparison happens on the bounded quantity lambda/x
@@ -326,7 +326,7 @@ def cmd_perturb(cfg: JobConfig) -> tuple[list[Section], int]:
                 rows.append((regime, radius, approx, exact, err, scaled))
                 errs.append(scaled)
                 xs.append(x)
-            orders.append((regime, _observed_order(errs, xs)))
+        orders.append((regime, _observed_order(errs, xs)))
     return [Section("comparison",
                     ("regime", "R", "series", "exact", "abs_error", "scaled_error"),
                     tuple(rows)),

@@ -26,7 +26,6 @@ from .model import (Branch, SystemParams, _a_q, _e_z, _exponents, require_admiss
 from .specfun import _dense, _lapack
 
 _SIGN_PIVOT_TOL = 1e-12
-_FLOAT64 = np.dtype(np.float64)
 
 
 class Kind(enum.Enum):
@@ -96,14 +95,11 @@ class TridiagonalSystem:
 
 
 def _checked_bands(system: TridiagonalSystem) -> tuple[np.ndarray, np.ndarray]:
-    """The system's bands as 1-D float64 arrays of n + 1 >= 1 and n entries. Other
-    bands are read by check_points (a list as an array; a string, complex value or None
-    refused naming its band); DomainError names the shapes of bands that do not make
-    a tridiagonal matrix. Non-finite entries pass, for the eigensolve to refuse."""
-    diag, off = system.diag, system.offdiag
-    if not (type(diag) is type(off) is np.ndarray
-            and diag.dtype is off.dtype is _FLOAT64):
-        diag, off = check_points(diag, "diag"), check_points(off, "offdiag")
+    """The system's bands as 1-D float64 arrays of n + 1 >= 1 and n entries, read by
+    check_points (a float64 array as it is, a list as an array; a string, complex value
+    or None refused naming its band); DomainError names the shapes of bands that do not
+    make a tridiagonal matrix. Non-finite entries pass, for the eigensolve to refuse."""
+    diag, off = check_points(system.diag, "diag"), check_points(system.offdiag, "offdiag")
     if not (diag.ndim == off.ndim == 1 and off.size == diag.size - 1):
         raise DomainError(f"a tridiagonal system needs bands of shapes (n + 1,) and (n,), "
                           f"got diag {diag.shape} and offdiag {off.shape}")

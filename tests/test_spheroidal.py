@@ -169,9 +169,9 @@ def test_eigensolve_sign_rule():
 
 
 def test_eigensolve_sign_pass_matches_column_loop_bit_for_bit():
-    # the vectorised sign pass against the per-column _pivot loop it replaced, on
-    # random bands, diagonal ones (whose columns are unit vectors: the fallback pivot)
-    # and nearly diagonal ones
+    # the signs read off the diagonal against a per-column _pivot loop, on random
+    # bands, diagonal ones (whose columns are unit vectors: the fallback pivot) and
+    # nearly diagonal ones
     rng = np.random.default_rng(26)
     for i in range(400):
         n = int(rng.integers(0, 25))
