@@ -99,15 +99,9 @@ def _radial_level(n: int, qs, c: float, beta: float, omega: float, r):
                              -0.25, 0.5 * math.log(2.0) + 0.75 * math.log(omega))
 
 
-def _ln_sqrt_2omega(omega: float) -> float:
-    """ln sqrt(2 omega), also where 2 omega passes a double."""
-    twice = 2.0 * omega
-    return 0.5 * math.log(twice) if twice < math.inf else 0.5 * (math.log(2.0) + math.log(omega))
-
-
 def _radial_cyl(degrees, c: float, omega: float, rho):
     """R_{n_rho} = sqrt(2 omega) phi_{n_rho}^c(x) for each n_rho in degrees."""
-    return laguerre_functions(degrees, c, _log_x(omega, rho), 0.0, _ln_sqrt_2omega(omega))
+    return laguerre_functions(degrees, c, _log_x(omega, rho), 0.0, 0.5 * math.log(2.0 * omega))
 
 
 def _axial(ps: range, beta: float, omega: float, z):

@@ -231,10 +231,8 @@ def cmd_spectrum(cfg: JobConfig) -> tuple[list[Section], int]:
     top, params, branch = cfg.n, cfg.params, cfg.branch
     _require_table(((top + 1) * (top + 2) // 2, 5), "spectrum states table", _STATES_CELL_BYTES)
     idx = np.arange(top + 1)
-    # extreme omega overflows a value; the non-finite cells fail at rendering
-    with np.errstate(over="ignore"):
-        energy, a_q, e_rho, e_z = (form(idx, params, branch).tolist()
-                                   for form in (_e_n, _a_q, _e_rho, _e_z))
+    energy, a_q, e_rho, e_z = (form(idx, params, branch).tolist()
+                               for form in (_e_n, _a_q, _e_rho, _e_z))
     levels = tuple(zip(range(top + 1), energy))
     states = tuple((n, q, a_q[q], e_rho[n - q], e_z[q])
                    for n in range(top + 1) for q in range(n + 1))
@@ -288,7 +286,7 @@ def cmd_spheroidal(cfg: JobConfig) -> tuple[list[Section], int]:
 def _observed_order(errs: list[float], xs: list[float]):
     if max(errs) < 1e-13 or min(errs) == 0.0:
         return "exact-to-roundoff"
-    # extreme omega overflows an error or underflows x to zero
+    # at omega's floor an error overflows, and the ratio forms inf / inf
     with np.errstate(all="ignore"):
         err_ratio = np.float64(errs[1]) / errs[0]
         x_ratio = np.float64(xs[1]) / xs[0]
@@ -316,7 +314,7 @@ def cmd_perturb(cfg: JobConfig) -> tuple[list[Section], int]:
         values = [(eigensolve(systems[radius]).lam[k], series.eigenvalue(radius))
                   for radius in probes]
         errs, xs = [], []
-        # extreme omega overflows here; the non-finite cells fail at rendering
+        # at omega's floor err / x overflows here; the non-finite cells fail at rendering
         with np.errstate(all="ignore"):
             for radius, (exact, approx) in zip(probes, values):
                 err = abs(approx - exact)

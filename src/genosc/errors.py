@@ -6,7 +6,7 @@ import numbers
 import numpy as np
 
 
-_INDEX_LIMIT = 2 ** 62   # bounds every Racah table index: int64 holds it, a float one is exact
+_INDEX_LIMIT = 2 ** 62   # bounds |m| and every Racah table index: int64 holds it, a float one exact
 
 
 class DomainError(ValueError):

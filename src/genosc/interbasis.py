@@ -23,7 +23,6 @@ perturbation series read; m_matrix_cyl and n_matrix_sph are their dense views.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import repeat
@@ -388,11 +387,9 @@ def _w_table(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     array exists.
     """
     diag, off = _m_bands(n, params, branch)
-    # extreme parameters overflow the operator; the checks below refuse them
-    with np.errstate(all="ignore"):
-        diag, off = 2.0 * diag, 2.0 * off
-        lam = _a_q(np.arange(n + 1.0), params, branch)
-        vec = _recursion_columns(diag, off, lam)
+    diag, off = 2.0 * diag, 2.0 * off
+    lam = _a_q(np.arange(n + 1.0), params, branch)
+    vec = _recursion_columns(diag, off, lam)
     _require_finite(vec, f"interbasis recursion gave non-finite entries at n={n}")
     _check_residual(diag, off, vec, lam, f"interbasis table at n={n}")
     return CoefficientMatrix(n=n, branch=branch, orientation="cylindrical_to_spherical",
@@ -430,13 +427,7 @@ def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
                           f"{W_OVERLAP_MAX_LEVEL}, got {n}")
     beta, c = _exponents(params, branch)
     omega = params.omega
-    # the volume element's 4 omega^(3/2) (below), which the terms carry back
-    try:
-        volume = 4.0 * omega ** 1.5
-    except OverflowError:
-        volume = math.inf
-    if not sys.float_info.min <= volume < math.inf:
-        raise NumericError(f"overlap table at omega={omega:g}: omega^(3/2) leaves double range")
+    volume = 4.0 * omega ** 1.5   # the volume element's, below, which the terms carry back
     radial = build_quadrature("laguerre", n + 1, alpha=c + beta + 1.0)
     angular = build_quadrature("jacobi", n + 1, alpha=c, beta=beta)
     x, u = radial.nodes[:, None], angular.nodes   # x down the node grid, u across
@@ -449,7 +440,7 @@ def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     sph = _spherical_terms(n, beta, c, omega, r, theta[None])
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
     table = np.einsum("pij,qij->pq", cyl, sph)
-    if not np.isfinite(table).all():   # the sum overflows silently
+    if not np.isfinite(table).all():   # at omega = 1e-150 with c or b near 500, for one
         raise NumericError(f"overlap table at n={n}, omega={omega:g} leaves double range")
     return table
 

@@ -14,8 +14,8 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .errors import (DomainError, _as_float, _require_finite, _require_member, _require_type,
-                     check_abs_int, check_nonneg_int, check_positive)
+from .errors import (_INDEX_LIMIT, DomainError, _as_float, _require_finite, _require_member,
+                     _require_type, check_abs_int, check_nonneg_int, check_positive)
 
 __all__ = [
     "Branch",
@@ -49,12 +49,23 @@ class Branch(enum.Enum):
         return self.value
 
 
+# The accepted range: the paper's domain (omega > 0, P > -1/4, Q >= 0) capped at 1e150, omega
+# floored at 1e-150 and |m| below errors._INDEX_LIMIT, so that omega^2, c^2 = Q + m^2 and every
+# product of two parameters with a level-sized factor stay inside a double. Each field's lowest
+# accepted value (for P the double above -1/4), then the range as its refusal names it.
+_CAP = 1e150
+_RANGES = (("omega", 1e-150, "[1e-150, 1e150]"),
+           ("p_strength", math.nextafter(-0.25, 0.0), "(-1/4, 1e150]"),
+           ("q_strength", 0.0, "[0, 1e150]"))
+
+
 @dataclass(frozen=True)
 class SystemParams:
     """Potential parameters: (omega^2/2) r^2 + P/(2 z^2) + Q/(2 rho^2), plus m.
 
     Stored as floats and an int m: one table-cache key per value (genosc._cache). P and Q
-    reach every table as P + 1/4 and Q + m^2, the same bits for -0.0 as for 0.0."""
+    reach every table as P + 1/4 and Q + m^2, the same bits for -0.0 as for 0.0. A value
+    outside _RANGES (or |m| >= 2^62) raises DomainError naming the field and its range."""
 
     omega: float
     p_strength: float
@@ -62,19 +73,15 @@ class SystemParams:
     m: int
 
     def __post_init__(self):
-        for name in ("omega", "p_strength", "q_strength"):
+        for name, low, span in _RANGES:
             value = getattr(self, name)
             x = _as_float(value)
-            if not math.isfinite(x):
-                raise DomainError(f"{name} must be a finite number, got {value!r}")
+            if not low <= x <= _CAP:   # NaN too
+                raise DomainError(f"{name} must lie in {span}, got {value!r}")
             object.__setattr__(self, name, x)
-        if not self.omega > 0.0:
-            raise DomainError(f"omega must be positive, got {self.omega}")
-        if not self.p_strength > -0.25:
-            raise DomainError(f"p_strength must exceed -1/4, got {self.p_strength}")
-        if self.q_strength < 0.0:
-            raise DomainError(f"q_strength must be nonnegative, got {self.q_strength}")
         k = check_abs_int(self.m, "m")
+        if k >= _INDEX_LIMIT:
+            raise DomainError(f"|m| must lie below 2^62, got {self.m}")
         object.__setattr__(self, "m", -k if self.m < 0 else k)
 
 

@@ -174,14 +174,12 @@ def _series(regime: Regime, n: int, k: int, params: SystemParams, branch: Branch
     if regime is Regime.SmallR:
         diag, off = _n_bands(n, params, branch)
         gamma = c + beta
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag, off = diag / (2.0 * params.omega), off / (2.0 * params.omega)
+        diag, off = diag / (2.0 * params.omega), off / (2.0 * params.omega)
         denom = [4.0 * (k - q) * (k + q + gamma + 1.0) for q in range(n + 1)]
         leading = _a_q(k, params, branch)
     else:
         diag, off = _m_bands(n, params, branch)
-        with np.errstate(over="ignore"):
-            diag, off = 2.0 * diag, 2.0 * off
+        diag, off = 2.0 * diag, 2.0 * off
         denom = [float(k - p) for p in range(n + 1)]
         leading = _e_z(k, params, branch) / (2.0 * params.omega)
     lams, table = _recursion_tables(diag, off, denom, k, order, regime)

@@ -88,7 +88,8 @@ class TridiagonalSystem:
 
     @property
     def n(self) -> int:
-        return len(self.diag) - 1
+        """The level: diag's size less one, DomainError for bands _checked_bands refuses."""
+        return _checked_bands(self)[0].size - 1
 
     def dense(self) -> np.ndarray:
         return _dense(*_checked_bands(self))

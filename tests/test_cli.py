@@ -251,14 +251,19 @@ def test_perturb_builds_each_series_once_and_solves_each_probe(monkeypatch):
         "small_r_series": 1, "large_r_series": 1, "_t_bands": 1, "eigensolve": 4}
 
 
+def _refused_omega(value):
+    """The refusal of an omega outside the accepted range, as the CLI prints it."""
+    return f"invalid config: omega must lie in [1e-150, 1e150], got {float(value)!r}\n"
+
+
 def test_perturb_overflow_exits_4_without_traceback_or_warning():
     # the first two overflow the large-R series below the order cap (at
-    # orders 104 and 114); the last two overflow an error and underflow
-    # x = omega R^2 to zero
+    # orders 104 and 114); the last two overflow an error at omega's floor
     for argv in (["perturb", "--n", "60", "--k", "1", "--order", "128"],
                  ["perturb", "--n", "40", "--order", "128"],
-                 ["perturb", "--omega=1e-300", "--n", "3", "--k", "1"],
-                 ["perturb", "--omega=5e-324", "--Q=1e150", "--n", "1", "--k", "1"]):
+                 ["perturb", "--omega=1e-150", "--P", "0.3", "--Q", "0.5", "--m", "1",
+                  "--n", "3", "--k", "1", "--order", "3"],
+                 ["perturb", "--omega=1e-150", "--Q=1e150", "--n", "1", "--k", "1"]):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             code, out, err = run_cli(argv)
@@ -267,19 +272,30 @@ def test_perturb_overflow_exits_4_without_traceback_or_warning():
         assert len(err.splitlines()) == 1, err
         assert err.startswith("numeric failure"), err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)], argv
+    # the omegas these failures were once shown at lie outside the accepted range
+    for argv, omega in ((["perturb", "--omega=1e-300", "--n", "3", "--k", "1"], "1e-300"),
+                        (["perturb", "--omega=5e-324", "--Q=1e150", "--n", "1", "--k", "1"],
+                         "5e-324")):
+        assert run_cli(argv) == (2, "", _refused_omega(omega)), argv
 
 
 def test_perturb_series_power_overflow_exits_4_naming_the_series():
-    for argv, x in ((["perturb", "--omega", "1e300"], "2.5e+297"),
-                    (["perturb", "--omega", "1e150", "--order", "3"], "2.5e+147")):
+    # a power (omega R^2)^j past a double in either regime, then a product c (omega R^2)^-j
+    # past a double with every power in range
+    for argv, regime, R, x in (
+            (["perturb", "--omega", "1e150", "--order", "3"], "small", "0.05", "2.5e+147"),
+            (["perturb", "--omega", "1e-150", "--order", "6"], "large", "20", "4e-148"),
+            (["perturb", "--omega", "1e-150", "--P", "1e12", "--Q", "0.5", "--m", "1",
+              "--n", "1", "--k", "0", "--order", "3"], "large", "20", "4e-148")):
         code, out, err = run_cli(argv)
         assert (code, out) == (4, ""), argv
-        assert err == f"numeric failure: the small-R series overflows at R=0.05 (omega R^2 = {x})\n"
-    # a product c (omega R^2)^-j past a double, every power in range
-    code, out, err = run_cli(["perturb", "--omega", "1e-155", "--P", "0.3", "--Q", "0.5",
-                              "--m", "1", "--n", "3", "--k", "1", "--order", "3"])
-    assert (code, out) == (4, "")
-    assert err == "numeric failure: the large-R series overflows at R=20 (omega R^2 = 4e-153)\n"
+        assert err == (f"numeric failure: the {regime}-R series overflows at R={R} "
+                       f"(omega R^2 = {x})\n"), argv
+    # the omegas these overflows were once shown at lie outside the accepted range
+    for argv, omega in ((["perturb", "--omega", "1e300"], "1e300"),
+                        (["perturb", "--omega", "1e-155", "--P", "0.3", "--Q", "0.5", "--m", "1",
+                          "--n", "3", "--k", "1", "--order", "3"], "1e-155")):
+        assert run_cli(argv) == (2, "", _refused_omega(omega)), argv
 
 
 def test_perturb_order_past_the_cap_exits_2():
@@ -688,14 +704,35 @@ def test_non_finite_system_input_exits_2():
                 assert "invalid config" in err, argv
 
 
+def test_system_outside_the_accepted_range_exits_2_naming_the_rule():
+    # a 156-digit --m is refused before c = sqrt(Q + m^2) could meet an m past a double
+    big_m = "1" + "0" * 155
+    for flag, value, rule in (
+            ("--omega", "1e-151", "omega must lie in [1e-150, 1e150], got 1e-151"),
+            ("--omega", "2e150", "omega must lie in [1e-150, 1e150], got 2e+150"),
+            ("--P", "2e150", "p_strength must lie in (-1/4, 1e150], got 2e+150"),
+            ("--Q", "2e150", "q_strength must lie in [0, 1e150], got 2e+150"),
+            ("--m", big_m, f"|m| must lie below 2^62, got {big_m}"),
+            ("--m", str(-2 ** 62), f"|m| must lie below 2^62, got {-2 ** 62}")):
+        for command in ("spectrum", "interbasis", "spheroidal", "perturb"):
+            argv = [command, f"{flag}={value}", "--n", "1"]
+            assert run_cli(argv) == (2, "", f"invalid config: {rule}\n"), argv
+
+
 def test_overflow_exits_4():
+    # the interbasis table at the corner of the accepted range misses its contract
     for argv in (["perturb", "--n", "40", "--order", "128"],
                  ["morse", "--V0", "1e300", "--a", "1e-300"],
-                 ["interbasis", "--n", "1", "--P=1e300", "--Q=1.7976931348623157e+308"]):
+                 ["interbasis", "--n", "1", "--P=1e150", "--Q=1e150"]):
         code, out, err = run_cli(argv)
         assert code == 4, argv
         assert out == "", argv
         assert "numeric failure" in err, argv
+    # the P and Q it once overflowed at lie outside the accepted range
+    code, out, err = run_cli(["interbasis", "--n", "1", "--P=1e300",
+                              "--Q=1.7976931348623157e+308"])
+    assert (code, out) == (2, "")
+    assert err == "invalid config: p_strength must lie in (-1/4, 1e150], got 1e+300\n"
 
 
 def test_spheroidal_grid_overflow_exits_4_without_warning():

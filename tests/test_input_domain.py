@@ -15,6 +15,7 @@ tridiagonal matrix, naming their shapes.
 
 import csv
 import io
+import itertools
 import json
 import math
 import warnings
@@ -38,8 +39,11 @@ from genosc.cli import main
 from genosc.errors import DomainError, NumericError
 from genosc.oracles import GramFamily, bi_orthogonality, gram_matrix, w_overlap_oracle
 
+# the edges of a double, then those of the accepted range of omega, P, Q (1e-150 and 1e150,
+# with the next double past each) and |m| (a 156-digit integer)
 EDGES = ("1.7976931348623157e308", "1e308", "1e154", "5e-324", "0", "-0", "-1", "inf", "-inf",
-         "nan")
+         "nan", "1e150", "1.0000000000000002e+150", "1e-150", "9.999999999999999e-151",
+         "1" + "0" * 155)
 LEVELS = (0, 1, 3, 6)
 SYSTEM = ("--omega", "--P", "--Q", "--m")
 # each command's numeric flags beside --n; an R-grid value takes each of its three fields
@@ -93,10 +97,10 @@ def _run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
-@pytest.mark.parametrize("command", FLAGS)
-def test_cli_edge_values_exit_cleanly(command):
+def _unclean(argvs):
+    """(argv, what went wrong) for each run that does not exit cleanly."""
     bad = []
-    for argv in _argvs(command):
+    for argv in argvs:
         code, out, err = _run(argv)
         try:
             assert code in (0, 2, 3, 4), f"exit {code}"
@@ -110,6 +114,38 @@ def test_cli_edge_values_exit_cleanly(command):
                 assert out == "", "stdout on failure"
         except (AssertionError, ValueError) as exc:
             bad.append((argv, str(exc)))
+    return bad
+
+
+@pytest.mark.parametrize("command", FLAGS)
+def test_cli_edge_values_exit_cleanly(command):
+    bad = _unclean(_argvs(command))
+    assert not bad, bad
+
+
+# the corners of the accepted range: omega, P and Q each at its low end, a middling value
+# and the cap, crossed with small m and n, both branches and each command's own flags
+CORNERS = {"--omega": ("1e-150", "1", "1e150"), "--P": ("0", "0.3", "1e150"),
+           "--Q": ("0", "0.5", "1e150")}
+# command -> its own flags at level n
+CORNER_FLAGS = {"spectrum": lambda n: [()], "interbasis": lambda n: [()],
+                "spheroidal": lambda n: [(f"--k={k}", f"--R={R}") for k in (0, n)
+                                         for R in (0.05, 20)],
+                "perturb": lambda n: [(f"--k={k}", f"--order={order}") for k in (0, n)
+                                      for order in (3, 6)]}
+
+
+def _corner_argvs(command):
+    for omega, p, q in itertools.product(*CORNERS.values()):
+        for m, n, branch in itertools.product((0, 1, 6), (0, 1, 6), ("plus", "minus")):
+            for flags in CORNER_FLAGS[command](n):
+                yield [command, f"--omega={omega}", f"--P={p}", f"--Q={q}", f"--m={m}",
+                       f"--n={n}", f"--branch={branch}", *flags]
+
+
+@pytest.mark.parametrize("command", CORNER_FLAGS)
+def test_cli_corners_of_the_accepted_range_exit_cleanly(command):
+    bad = _unclean(_corner_argvs(command))
     assert not bad, bad
 
 
@@ -349,12 +385,13 @@ MALFORMED_BANDS = {
 
 @pytest.mark.parametrize("name", MALFORMED_BANDS)
 def test_malformed_bands_are_refused_naming_the_band_or_the_shapes(name):
-    # eigensolve and the dense view check the bands alike, before any matrix is formed
+    # eigensolve, the dense view and the level n check the bands alike, before any matrix
+    # is formed
     diag, off, message = MALFORMED_BANDS[name]
     system = TridiagonalSystem(diag, off, "spherical", Kind.Prolate, 1.0)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for call in (eigensolve, TridiagonalSystem.dense):
+        for call in (eigensolve, TridiagonalSystem.dense, lambda system: system.n):
             with pytest.raises(DomainError) as refused:
                 call(system)
             assert str(refused.value) == message

@@ -540,13 +540,14 @@ def test_racah_sums_refuse_orders_past_their_prefactor_accuracy():
     # the lgamma prefactor loses digits as a + b + c grows: ring_w(N, 1, 0, 1, 0.2) was
     # 1.3e-9 off mpmath at N = 2^20 + 1 and returned 1.0 at 2^52 + 1; each is refused at once
     params = SystemParams(1.3, 0.7, 1.1, 1)
-    # offsets past int64 (2 delta = 2e300, c = 1e150) are refused too, array calls included
+    # offsets past int64 (2 delta = 2e300, c = 1e75 at the cap Q = 1e150) are refused too,
+    # array calls included
     for call in (lambda: ring_w(2 ** 52 + 1, 1, 0, 1, 0.2),
                  lambda: ring_w(2 ** 20 + 1, 1, 0, 1, 0.2),
                  lambda: w_coefficient(2 ** 20, 0, 0, params, Branch.Plus),
                  lambda: ring_w(4, 1, 1, 2, 1e300),
                  lambda: ring_w(np.array([4, 6]), 1, 1, 2, 1e300),
-                 lambda: w_coefficient(3, 1, np.array([0, 2]), SystemParams(1.3, 0.7, 1e300, 1),
+                 lambda: w_coefficient(3, 1, np.array([0, 2]), SystemParams(1.3, 0.7, 1e150, 1),
                                        Branch.Plus)):
         start = time.perf_counter()
         with pytest.raises(AccuracyError, match="a \\+ b \\+ c"):
@@ -554,6 +555,9 @@ def test_racah_sums_refuse_orders_past_their_prefactor_accuracy():
         assert time.perf_counter() - start < 1.0
     # a + b + c = 2^14 + 0.7 is still served, 1.7e-11 off a 60-digit mpmath sum
     assert ring_w(2 ** 15 + 1, 1, 0, 1, 0.2) == pytest.approx(0.10465266742282016, rel=1e-10)
+    # Q = 1e300 (c = 1e150) lies outside the accepted range
+    with pytest.raises(DomainError, match=r"^q_strength must lie in \[0, 1e150\], got 1e\+300$"):
+        SystemParams(1.3, 0.7, 1e300, 1)
 
 
 def test_a_table_past_a_cap_raises_before_any_sum(monkeypatch):

@@ -53,6 +53,30 @@ def test_params_validation():
         assert type(params.m) is int and params.m == m
 
 
+def test_params_outside_the_accepted_range_are_refused_naming_field_and_range():
+    # omega in [1e-150, 1e150], P in (-1/4, 1e150], Q in [0, 1e150], |m| < 2^62: each edge
+    # is accepted and the next value past it refused
+    past_cap = math.nextafter(1e150, math.inf)
+    valid = {"omega": 1.0, "p_strength": 0.3, "q_strength": 0.5, "m": 1}
+    for name, span, inside, outside in (
+            ("omega", "[1e-150, 1e150]", (1e-150, 1e150), (math.nextafter(1e-150, 0.0), past_cap)),
+            ("p_strength", "(-1/4, 1e150]", (math.nextafter(-0.25, 0.0), 1e150), (-0.25, past_cap)),
+            ("q_strength", "[0, 1e150]", (0.0, 1e150), (-5e-324, past_cap))):
+        for value in inside:
+            assert getattr(SystemParams(**{**valid, name: value}), name) == value
+        for value in outside:
+            with pytest.raises(DomainError) as refused:
+                SystemParams(**{**valid, name: value})
+            assert str(refused.value) == f"{name} must lie in {span}, got {value!r}"
+    for m in (2 ** 62 - 1, -(2 ** 62 - 1)):
+        assert P(m=m).m == m
+    # refused before c = sqrt(Q + m^2) could meet an m past a double
+    for m in (2 ** 62, -(2 ** 62), 10 ** 155, 1e155):
+        with pytest.raises(DomainError) as refused:
+            P(m=m)
+        assert str(refused.value) == f"|m| must lie below 2^62, got {m!r}"
+
+
 def test_branch_admissibility():
     assert admissible_branches(P(p=2.0)) == (Branch.Plus,)
     assert admissible_branches(BOTH) == (Branch.Plus, Branch.Minus)

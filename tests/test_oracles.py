@@ -92,6 +92,12 @@ def test_bi_orthogonality_hypergeometric_is_exactly_zero_off_the_diagonal(n):
                 if q != qp:
                     assert type(value) is float and np.float64(value).tobytes() == bytes(8), \
                         (n, q, qp, params, branch, value)
+    # the diagonal also at large c and b, where a Gamma ratio formed from lgammas would
+    # cancel its digits
+    big = [SystemParams(1.3, 0.3, q_strength, 1) for q_strength in (1e8, 1e12, 1e150)]
+    for params, branch in ((BOTH, Branch.Minus), (STEEP, Branch.Plus),
+                           *((params, Branch.Plus) for params in big),
+                           (SystemParams(1e150, 1e150, 0.5, 1), Branch.Plus)):
         beta = branch.sign * math.sqrt(params.p_strength + 0.25)
         c = math.sqrt(params.q_strength + params.m ** 2)
         for q in (0, n // 2, n):

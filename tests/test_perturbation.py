@@ -372,22 +372,21 @@ def test_series_overflow_raises_numeric_error():
 
 def test_series_power_overflow_raises_numeric_error():
     # (omega R^2)^j past a double: a NumericError naming the regime, never OverflowError
-    small = small_r_series(2, 0, SystemParams(1e300, 0.0, 0.0, 0), Branch.Plus, order=2)
-    large = large_r_series(2, 1, SystemParams(1e-300, 0.0, 0.0, 0), Branch.Plus, order=6)
+    small = small_r_series(2, 0, SystemParams(1e150, 0.0, 0.0, 0), Branch.Plus, order=3)
+    large = large_r_series(2, 1, SystemParams(1e-150, 0.0, 0.0, 0), Branch.Plus, order=6)
     for series, message in (
-            (small, r"^the small-R series overflows at R=0\.05 \(omega R\^2 = 2\.5e\+297\)$"),
-            (large, r"^the large-R series overflows at R=0\.05 \(omega R\^2 = 2\.5e-303\)$")):
+            (small, r"^the small-R series overflows at R=0\.05 \(omega R\^2 = 2\.5e\+147\)$"),
+            (large, r"^the large-R series overflows at R=0\.05 \(omega R\^2 = 2\.5e-153\)$")):
         for evaluate in (series.eigenvalue, series.vector):
             with pytest.raises(NumericError, match=message):
                 evaluate(0.05)
     # every power in range, but a product c (omega R^2)^-j past a double: at order 3,
-    # R = 20 the value's products overflow (it was -inf); at order 2, R = 10 only the
-    # vector's entries do
-    tiny = SystemParams(1e-155, 0.3, 0.5, 1)
+    # R = 20 the value's products overflow; at order 2, R = 10 only the vector's entries do
+    tiny = SystemParams(1e-150, 1e14, 0.5, 1)
     third = large_r_series(3, 1, tiny, Branch.Plus, order=3)
     second = large_r_series(3, 1, tiny, Branch.Plus, order=2)
-    for evaluate, R, x in ((third.eigenvalue, 20.0, "4e-153"), (third.vector, 20.0, "4e-153"),
-                           (second.vector, 10.0, "1e-153")):
+    for evaluate, R, x in ((third.eigenvalue, 20.0, "4e-148"), (third.vector, 20.0, "4e-148"),
+                           (second.vector, 10.0, "1e-148")):
         message = rf"^the large-R series overflows at R={R:g} \(omega R\^2 = {x}\)$"
         with pytest.raises(NumericError, match=message):
             evaluate(R)
@@ -397,6 +396,11 @@ def test_series_power_overflow_raises_numeric_error():
         with pytest.raises(NumericError, match=r"^the large-R series overflows at R=1e-200 "
                                                r"\(omega R\^2 = 0\)$"):
             evaluate(1e-200)
+    # the omegas these overflows were once shown at lie outside the accepted range
+    for omega in (1e300, 1e-300, 1e-155):
+        with pytest.raises(DomainError, match=r"^omega must lie in \[1e-150, 1e150\], got "
+                                              + re.escape(repr(omega)) + "$"):
+            SystemParams(omega, 0.3, 0.5, 1)
 
 
 def test_power_past_a_double_raises_numeric_error_naming_the_series():
