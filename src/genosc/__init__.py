@@ -10,7 +10,7 @@ from .bases import (psi_cylindrical, psi_spherical, radial_cylindrical,
                     theta_ring, z_axial)
 from .errors import AccuracyError, DomainError, NumericError
 from .interbasis import (CoefficientMatrix, m_matrix_cyl, n_matrix_sph,
-                         ring_w, w_coefficient, w_integral_oracle, w_matrix)
+                         ring_w, w_coefficient, w_matrix)
 from .model import (Branch, CylindricalLabel, RingLabel, SphericalLabel,
                     SystemParams, admissible_branches, channel_constants,
                     energy_cylindrical_parts, energy_level, enumerate_level,
@@ -26,7 +26,7 @@ from .perturbation import (Regime, SeriesExpansion, large_r_series,
                            small_r_series, wavefunction_correction)
 from .spheroidal import (Kind, Route, SpheroidalPoint, SpheroidalSolution,
                          TridiagonalSystem, build_tridiag_t, build_tridiag_u,
-                         eigensolve, lambda_curve, lambda_grid,
+                         eigensolve, lambda_grid,
                          map_spheroidal_point, psi_spheroidal, t_coefficients,
                          u_coefficients)
 
@@ -42,7 +42,7 @@ __all__ = [
     "bi_orthogonality_hypergeometric", "bound_state_count",
     "build_tridiag_t", "build_tridiag_u", "channel_constants",
     "energy_cylindrical_parts", "energy_level", "enumerate_level",
-    "eigensolve", "gram_matrix", "lambda_curve", "lambda_grid", "large_r_series",
+    "eigensolve", "gram_matrix", "lambda_grid", "large_r_series",
     "m_matrix_cyl", "map_spheroidal_point", "morse_norms", "morse_spectrum",
     "morse_wavefunction", "n_matrix_sph", "psi_cylindrical", "psi_spherical",
     "psi_spheroidal", "quadrature_norm", "radial_cylindrical",
@@ -50,6 +50,6 @@ __all__ = [
     "ring_separation_constant", "ring_w", "run_verification_suite",
     "separation_constant_A", "small_r_series", "spherical_harmonic_limit",
     "sw_to_morse", "t_coefficients", "theta_angular", "theta_ring",
-    "u_coefficients", "w_coefficient", "w_integral_oracle", "w_matrix",
+    "u_coefficients", "w_coefficient", "w_matrix",
     "w_overlap_oracle", "wavefunction_correction", "z_axial",
 ]

@@ -286,10 +286,8 @@ def cmd_spheroidal(cfg: JobConfig) -> tuple[list[Section], int]:
 def _observed_order(errs: list[float], xs: list[float]):
     if max(errs) < 1e-13 or min(errs) == 0.0:
         return "exact-to-roundoff"
-    # at omega's floor an error overflows, and the ratio forms inf / inf
-    with np.errstate(all="ignore"):
-        err_ratio = np.float64(errs[1]) / errs[0]
-        x_ratio = np.float64(xs[1]) / xs[0]
+    # at omega's floor an error overflows, and the ratio forms inf / inf = nan
+    err_ratio, x_ratio = errs[1] / errs[0], xs[1] / xs[0]
     if not (0.0 < err_ratio < math.inf and 1.0 < x_ratio < math.inf):
         raise NumericError(f"no convergence order from errors {errs[0]:.3g}, "
                            f"{errs[1]:.3g} at x = {xs[0]:.3g}, {xs[1]:.3g}")
@@ -311,19 +309,18 @@ def cmd_perturb(cfg: JobConfig) -> tuple[list[Section], int]:
     rows, orders = [], []
     for regime, series, probes in (("small", small, _SMALL_PROBES),
                                    ("large", large, _LARGE_PROBES)):
-        values = [(eigensolve(systems[radius]).lam[k], series.eigenvalue(radius))
+        values = [(eigensolve(systems[radius]).lam[k].item(), series.eigenvalue(radius))
                   for radius in probes]
         errs, xs = [], []
-        # at omega's floor err / x overflows here; the non-finite cells fail at rendering
-        with np.errstate(all="ignore"):
-            for radius, (exact, approx) in zip(probes, values):
-                err = abs(approx - exact)
-                x = omega * radius * radius
-                # the large-R comparison happens on the bounded quantity lambda/x
-                scaled = err / x if regime == "large" else err
-                rows.append((regime, radius, approx, exact, err, scaled))
-                errs.append(scaled)
-                xs.append(x)
+        for radius, (exact, approx) in zip(probes, values):
+            err = abs(approx - exact)
+            x = omega * radius * radius
+            # the large-R comparison happens on the bounded quantity lambda/x; at omega's
+            # floor err / x overflows to inf here, and the non-finite cell fails at rendering
+            scaled = err / x if regime == "large" else err
+            rows.append((regime, radius, approx, exact, err, scaled))
+            errs.append(scaled)
+            xs.append(x)
         orders.append((regime, _observed_order(errs, xs)))
     return [Section("comparison",
                     ("regime", "R", "series", "exact", "abs_error", "scaled_error"),

@@ -13,8 +13,8 @@ t-sum over exact arguments is summed in integers (specfun._horner) and only the
 Gamma prefactor rounds, so an entry is a few lgamma ulps off at any level and
 independent of its array. _racah sets up a whole table at once; w_coefficient
 and ring_w take index arrays that broadcast. _overlap_table, the one
-overlap-integral route (an exact tensor Gauss rule read by w_integral_oracle
-and oracles.w_overlap_oracle), stops at n = 100. Also owns the two commuting
+overlap-integral route (an exact tensor Gauss rule read by
+oracles.w_overlap_oracle), stops at n = 100. Also owns the two commuting
 tridiagonal operators of a level (M in the cylindrical basis, N in the spherical
 one) as O(n) bands, which the W recursion, the spheroidal systems and the
 perturbation series read; m_matrix_cyl and n_matrix_sph are their dense views.
@@ -43,7 +43,6 @@ __all__ = [
     "CoefficientMatrix",
     "w_coefficient",
     "w_matrix",
-    "w_integral_oracle",
     "ring_w",
     "m_matrix_cyl",
     "n_matrix_sph",
@@ -433,26 +432,20 @@ def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     x, u = radial.nodes[:, None], angular.nodes   # x down the node grid, u across
     r, theta = np.sqrt(x / omega), 0.5 * np.arccos(u)
     ct = np.cos(theta)
-    # 2 r^2 dr sin(theta) dtheta = x^(1/2) dx du / (4 omega^(3/2) cos theta)
+    # 2 r^2 dr sin(theta) dtheta = x^(1/2) dx du / (4 omega^(3/2) cos theta); the angular
+    # weight meets its own weight function first, as the radial product alone can pass a
+    # double at omega's floor with c or b near 500
     weight = (radial.scaled_weights[:, None] * np.sqrt(x) / volume
-              * angular.weights / ((1.0 - u) ** c * (1.0 + u) ** beta * ct))
+              * (angular.weights / ((1.0 - u) ** c * (1.0 + u) ** beta * ct)))
     cyl = _cylindrical_terms(n, beta, c, omega, r * np.sin(theta), r * ct) * weight
     sph = _spherical_terms(n, beta, c, omega, r, theta[None])
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
     table = np.einsum("pij,qij->pq", cyl, sph)
-    if not np.isfinite(table).all():   # at omega = 1e-150 with c or b near 500, for one
+    # past c ~ 1000 the power (1 - u)^c can pass a double, and its inf meets a zero in a
+    # product: at n = 100, P = 2.7e5, Q = 0, m = 1500 and any omega
+    if not np.isfinite(table).all():
         raise NumericError(f"overlap table at n={n}, omega={omega:g} leaves double range")
     return table
-
-
-def w_integral_oracle(n: int, p: int, q: int, params: SystemParams, branch: Branch) -> float:
-    """Same coefficient from the overlap-integral route: entry (p, q) of the
-    table w_overlap_oracle checks; DomainError past W_OVERLAP_MAX_LEVEL. The O(n^4)
-    level table is built on the first call and shared by every entry of the level
-    (and by w_overlap_oracle) while it stays cached."""
-    n, p = check_level_index(n, p, "p")
-    q = check_level_index(n, q, "q")[1]
-    return float(_overlap_table(n, params, branch)[p, q])
 
 
 def ring_w(N: int | np.ndarray, m: int, n3: int | np.ndarray, l: int | np.ndarray,

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import (_INDEX_LIMIT, DomainError, _as_float, _require_finite, _require_member,
-                     _require_type, check_abs_int, check_nonneg_int, check_positive)
+                     _require_type, check_abs_int, check_nonneg_int)
 
 __all__ = [
     "Branch",
@@ -51,12 +51,21 @@ class Branch(enum.Enum):
 
 # The accepted range: the paper's domain (omega > 0, P > -1/4, Q >= 0) capped at 1e150, omega
 # floored at 1e-150 and |m| below errors._INDEX_LIMIT, so that omega^2, c^2 = Q + m^2 and every
-# product of two parameters with a level-sized factor stay inside a double. Each field's lowest
-# accepted value (for P the double above -1/4), then the range as its refusal names it.
+# product of two parameters with a level-sized factor stay inside a double. Each field maps to
+# its lowest accepted value (for P the double above -1/4) and the range as its refusal names it.
 _CAP = 1e150
-_RANGES = (("omega", 1e-150, "[1e-150, 1e150]"),
-           ("p_strength", math.nextafter(-0.25, 0.0), "(-1/4, 1e150]"),
-           ("q_strength", 0.0, "[0, 1e150]"))
+_RANGES = {"omega": (1e-150, "[1e-150, 1e150]"),
+           "p_strength": (math.nextafter(-0.25, 0.0), "(-1/4, 1e150]"),
+           "q_strength": (0.0, "[0, 1e150]")}
+
+
+def _in_range(name: str, value) -> float:
+    """value as a float inside its _RANGES entry; DomainError naming the field and range."""
+    low, span = _RANGES[name]
+    x = _as_float(value)
+    if not low <= x <= _CAP:   # NaN too
+        raise DomainError(f"{name} must lie in {span}, got {value!r}")
+    return x
 
 
 @dataclass(frozen=True)
@@ -73,12 +82,8 @@ class SystemParams:
     m: int
 
     def __post_init__(self):
-        for name, low, span in _RANGES:
-            value = getattr(self, name)
-            x = _as_float(value)
-            if not low <= x <= _CAP:   # NaN too
-                raise DomainError(f"{name} must lie in {span}, got {value!r}")
-            object.__setattr__(self, name, x)
+        for name in _RANGES:
+            object.__setattr__(self, name, _in_range(name, getattr(self, name)))
         k = check_abs_int(self.m, "m")
         if k >= _INDEX_LIMIT:
             raise DomainError(f"|m| must lie below 2^62, got {self.m}")
@@ -293,8 +298,9 @@ def ring_separation_constant(l: int, delta: float) -> float:
 
 
 def ring_energy(N: int, delta: float, omega: float) -> float:
-    """E_N = omega (N + delta + 3/2); the isotropic-oscillator ladder at delta = 0."""
+    """E_N = omega (N + delta + 3/2); the isotropic-oscillator ladder at delta = 0. omega
+    obeys SystemParams' range."""
     N = check_nonneg_int(N, "N")
     d = _ring_delta(delta)
-    return _require_finite(check_positive(omega, "omega") * (_as_float(N) + d + 1.5),
+    return _require_finite(_in_range("omega", omega) * (_as_float(N) + d + 1.5),
                            f"E_{N} at delta={delta}, omega={omega} leaves double range")

@@ -27,12 +27,12 @@ import numpy as np
 
 from ._cache import LEVELS, cached
 from .bases import _angular, _axial, _radial_cyl, _radial_level, _radial_sph
-from .errors import (DomainError, NumericError, _as_float, _require_member, check_level_index,
+from .errors import (DomainError, NumericError, _require_member, check_level_index,
                      check_nonneg_int)
 from .interbasis import _overlap_table, w_matrix
 from .model import Branch, SystemParams, _exponents, admissible_branches
 from .morse import MorseParams, _wavefunctions, normalizable_levels
-from .specfun import _base, _dyadic, _ratio_sum, build_quadrature, gamma_sign_ln
+from .specfun import _base, _dyadic, _ratio_sum, build_quadrature
 
 __all__ = [
     "CheckReport",
@@ -41,7 +41,6 @@ __all__ = [
     "bi_orthogonality",
     "bi_orthogonality_hypergeometric",
     "gram_matrix",
-    "reciprocal_gamma",
     "run_verification_suite",
     "w_overlap_oracle",
 ]
@@ -96,16 +95,6 @@ def _params_tag(params) -> str:
         return f"(V0={params.v0:g}, a={params.a:g})"
     return (f"(omega={params.omega:g}, P={params.p_strength:g}, "
             f"Q={params.q_strength:g}, m={params.m})")
-
-
-def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x) for any real x or +inf, exactly zero at the poles; NaN and -inf
-    raise DomainError (from gamma_sign_ln)."""
-    x = _as_float(x)
-    if x <= 0.0 and x.is_integer():
-        return 0.0
-    sign, ln_abs = gamma_sign_ln(x)
-    return sign * math.exp(-ln_abs)
 
 
 def _bi_indices(n, q, q_prime) -> tuple[int, int, int]:
@@ -303,9 +292,8 @@ def w_overlap_oracle(n: int, params: SystemParams,
                      branch: Branch) -> tuple[np.ndarray, CheckReport]:
     """Interbasis table recomputed as overlap integrals of the bases.
 
-    The table is interbasis._overlap_table (w_integral_oracle reads its
-    entries), refused past W_OVERLAP_MAX_LEVEL. The report compares it
-    entrywise against w_matrix().
+    The table is interbasis._overlap_table, refused past W_OVERLAP_MAX_LEVEL.
+    The report compares it entrywise against w_matrix().
     """
     n = check_nonneg_int(n, "level n")
     _require_member(branch, Branch, "branch")

@@ -366,21 +366,6 @@ def lambda_grid(n: int, params: SystemParams, branch: Branch, kind: Kind,
     return lam
 
 
-def lambda_curve(n: int, k: int, params: SystemParams, branch: Branch, kind: Kind,
-                 R_grid) -> list[tuple[float, float]]:
-    """Separation constant lambda_k sampled on an ascending positive R grid.
-
-    Column k of lambda_grid: each value is certified by its Sturm counts to be
-    the k-th eigenvalue of its R's system within that R's delta (see lambda_grid).
-    """
-    n, k = check_level_index(n, k)
-    grid = _radius_grid(R_grid)
-    if not np.all(np.diff(grid) > 0.0):
-        raise DomainError("R grid must be strictly ascending")
-    lam = lambda_grid(n, params, branch, kind, grid)
-    return [(float(r_val), float(row[k])) for r_val, row in zip(grid, lam)]
-
-
 def _image(point: SpheroidalPoint, R: float, kind: Kind):
     """R checked, and (rho, phi, z, r) of the point: arrays of its shape, numpy scalars for
     a scalar point. A huge xi overflows rho and r to inf, for callers to refuse. DomainError

@@ -139,11 +139,11 @@ def test_an_n300_level_keeps_one_w_table_and_one_solve(monkeypatch, fresh_tables
 
 
 def test_one_overlap_table_per_level_for_every_entry(fresh_tables):
-    # every entry of level 12 through w_integral_oracle, then the oracle's table: one
-    # O(n^4) build per system, and the entries are the table's own
+    # every entry of level 12 read through its own oracle call, then the oracle's table:
+    # one O(n^4) build per system, and the entries are the table's own
     n = 12
     for branch in (Branch.Plus, Branch.Minus):
-        entries = [[interbasis.w_integral_oracle(n, p, q, BOTH, branch) for q in range(n + 1)]
+        entries = [[oracles.w_overlap_oracle(n, BOTH, branch)[0][p, q] for q in range(n + 1)]
                    for p in range(n + 1)]
         table, report = oracles.w_overlap_oracle(n, BOTH, branch)
         assert np.array(entries).tobytes() == table.tobytes() and report.passed

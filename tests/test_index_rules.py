@@ -12,16 +12,15 @@ from genosc.bases import (cylindrical_level, psi_cylindrical, psi_spherical, rad
                           spherical_level, theta_angular, z_axial)
 from genosc.cli import main
 from genosc.errors import DomainError
-from genosc.interbasis import (m_matrix_cyl, n_matrix_sph, w_coefficient, w_integral_oracle,
-                               w_matrix)
+from genosc.interbasis import m_matrix_cyl, n_matrix_sph, w_coefficient, w_matrix
 from genosc.model import (Branch, CylindricalLabel, SphericalLabel, SystemParams,
                           energy_cylindrical_parts, energy_level, ring_relabel,
                           separation_constant_A)
 from genosc.oracles import (GramFamily, bi_orthogonality, bi_orthogonality_hypergeometric,
-                            gram_matrix)
+                            gram_matrix, w_overlap_oracle)
 from genosc.perturbation import Regime, large_r_series, small_r_series, wavefunction_correction
-from genosc.spheroidal import (Kind, Route, SpheroidalPoint, lambda_curve, psi_spheroidal,
-                               t_coefficients, u_coefficients)
+from genosc.spheroidal import (Kind, Route, SpheroidalPoint, psi_spheroidal, t_coefficients,
+                               u_coefficients)
 
 RING = SystemParams(omega=1.0, p_strength=0.0, q_strength=0.5, m=1)   # b = 1/2
 PLUS = Branch.Plus
@@ -31,13 +30,14 @@ POINT = SpheroidalPoint(1.5, 0.5, 0.3)
 ENTRY_POINTS = [
     ("k", lambda n, k: u_coefficients(n, k, RING, PLUS, 1.0, Kind.Prolate)),
     ("k", lambda n, k: t_coefficients(n, k, RING, PLUS, 1.0, Kind.Oblate)),
-    ("k", lambda n, k: lambda_curve(n, k, RING, PLUS, Kind.Prolate, [0.5, 1.0])),
     ("k", lambda n, k: psi_spheroidal(n, k, 1, RING, PLUS, 1.0, Kind.Prolate, POINT,
                                       Route.ViaSpherical)),
     ("k", lambda n, k: small_r_series(n, k, RING, PLUS)),
     ("k", lambda n, k: large_r_series(n, k, RING, PLUS)),
-    ("p", lambda n, p: w_integral_oracle(n, p, 0, RING, PLUS)),
-    ("q", lambda n, q: w_integral_oracle(n, 0, q, RING, PLUS)),
+    ("k", lambda n, k: psi_spheroidal(n, k, 1, RING, PLUS, 1.0, Kind.Oblate, POINT,
+                                      Route.ViaCylindrical)),
+    ("k", lambda n, k: wavefunction_correction(n, k, 1, RING, PLUS, 1.0, Regime.SmallR)),
+    ("k", lambda n, k: wavefunction_correction(n, k, 1, RING, PLUS, 1.0, Regime.LargeR)),
     ("q", lambda n, q: bi_orthogonality(n, q, 0, RING, PLUS)),
     ("q'", lambda n, q: bi_orthogonality(n, 0, q, RING, PLUS)),
     ("q", lambda n, q: bi_orthogonality_hypergeometric(n, q, 0, RING, PLUS)),
@@ -106,7 +106,7 @@ BRANCH_CONSUMERS = {
     "w_matrix": lambda: w_matrix(2, STEEP, MINUS),
     "m_matrix_cyl": lambda: m_matrix_cyl(2, STEEP, MINUS),
     "n_matrix_sph": lambda: n_matrix_sph(2, STEEP, MINUS),
-    "w_integral_oracle": lambda: w_integral_oracle(2, 1, 1, STEEP, MINUS),
+    "w_overlap_oracle": lambda: w_overlap_oracle(2, STEEP, MINUS),
     "small_r_series": lambda: small_r_series(2, 1, STEEP, MINUS),
     "large_r_series": lambda: large_r_series(2, 1, STEEP, MINUS),
     "wavefunction_correction": lambda: wavefunction_correction(2, 1, 1, STEEP, MINUS, 1.0,

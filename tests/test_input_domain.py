@@ -27,13 +27,12 @@ import pytest
 from genosc import (Branch, CylindricalLabel, Kind, MorseParams, Route, SphericalLabel,
                     SpheroidalPoint, SystemParams, TridiagonalSystem,
                     bi_orthogonality_hypergeometric, build_tridiag_u, eigensolve, energy_level,
-                    enumerate_level, lambda_curve, lambda_grid, map_spheroidal_point,
+                    enumerate_level, lambda_grid, large_r_series, map_spheroidal_point,
                     morse_spectrum, morse_wavefunction,
                     psi_cylindrical, psi_spherical, psi_spheroidal, radial_cylindrical,
                     radial_spherical, ring_energy, ring_relabel, ring_separation_constant, ring_w,
                     small_r_series, spherical_harmonic_limit, sw_to_morse, t_coefficients,
-                    theta_angular, theta_ring, u_coefficients, w_coefficient, w_integral_oracle,
-                    w_matrix, z_axial)
+                    theta_angular, theta_ring, u_coefficients, w_coefficient, w_matrix, z_axial)
 from genosc.bases import cylindrical_level, spherical_level
 from genosc.cli import main
 from genosc.errors import DomainError, NumericError
@@ -203,7 +202,8 @@ READERS = {
     "spherical_harmonic_limit phi": (0.7, lambda phi: spherical_harmonic_limit(2, 1, 0.7, phi)),
     "morse_wavefunction": (0.7, lambda x: morse_wavefunction(0, MORSE, x)),
     "lambda_grid": (0.5, lambda R: lambda_grid(1, PARAMS, PLUS, Kind.Prolate, R)),
-    "lambda_curve": (0.5, lambda R: lambda_curve(1, 0, PARAMS, PLUS, Kind.Oblate, R)),
+    "u_coefficients R": (0.5, lambda R: u_coefficients(2, 1, PARAMS, PLUS, R, Kind.Prolate)),
+    "t_coefficients R": (0.5, lambda R: t_coefficients(2, 1, PARAMS, PLUS, R, Kind.Oblate)),
     "ring_w delta": (0.3, lambda d: ring_w(2, 0, 0, 2, d)),
     "ring_energy delta": (0.3, lambda d: ring_energy(2, d, 1.0)),
     # at omega = 10 a finite delta near the float maximum overflows the product
@@ -269,17 +269,20 @@ ENUM_MISUSES = {
                                   "unknown spheroidal kind 'prolate'"),
     "lambda_grid kind": (lambda: lambda_grid(1, PARAMS, PLUS, "prolate", [0.5]),
                          "unknown spheroidal kind 'prolate'"),
-    "lambda_curve kind": (lambda: lambda_curve(1, 0, PARAMS, PLUS, "oblate", [0.5]),
-                          "unknown spheroidal kind 'oblate'"),
     "build_tridiag_u kind": (lambda: build_tridiag_u(1, PARAMS, PLUS, 1.0, "prolate"),
                              "unknown spheroidal kind 'prolate'"),
     "u_coefficients kind": (lambda: u_coefficients(2, 1, PARAMS, PLUS, 1.0, "oblate"),
+                            "unknown spheroidal kind 'oblate'"),
+    "t_coefficients kind": (lambda: t_coefficients(2, 1, PARAMS, PLUS, 1.0, "oblate"),
                             "unknown spheroidal kind 'oblate'"),
     "t_coefficients branch": (lambda: t_coefficients(2, 1, PARAMS, "plus", 1.0, Kind.Prolate),
                               "unknown branch 'plus'"),
     "psi_spheroidal kind": (lambda: psi_spheroidal(2, 1, 1, PARAMS, PLUS, 1.0, "prolate", POINT,
                                                    Route.ViaSpherical),
                             "unknown spheroidal kind 'prolate'"),
+    "psi_spheroidal route": (lambda: psi_spheroidal(2, 1, 1, PARAMS, PLUS, 1.0, Kind.Oblate,
+                                                    POINT, "via_spherical"),
+                             "unknown synthesis route 'via_spherical'"),
     "psi_spheroidal branch": (lambda: psi_spheroidal(2, 1, 1, PARAMS, "plus", 1.0, Kind.Oblate,
                                                      POINT, Route.ViaCylindrical),
                               "unknown branch 'plus'"),
@@ -315,7 +318,9 @@ _NOT_SYSTEM = {
     "w_coefficient": lambda params: w_coefficient(2, 1, 1, params, PLUS),
     "energy_level": lambda params: energy_level(1, params, PLUS),
     "small_r_series": lambda params: small_r_series(2, 1, params, PLUS),
+    "large_r_series": lambda params: large_r_series(2, 1, params, PLUS),
     "u_coefficients": lambda params: u_coefficients(2, 1, params, PLUS, 1.0, Kind.Prolate),
+    "t_coefficients": lambda params: t_coefficients(2, 1, params, PLUS, 1.0, Kind.Oblate),
     "lambda_grid": lambda params: lambda_grid(1, params, PLUS, Kind.Prolate, [0.5]),
     "enumerate_level": lambda params: enumerate_level(1, params),
     "ring_relabel": lambda params: ring_relabel(SphericalLabel(1, 0, 1, PLUS), params),
@@ -325,7 +330,6 @@ _NOT_SYSTEM = {
     "bi_orthogonality": lambda params: bi_orthogonality(3, 1, 1, params, PLUS),
     "bi_orthogonality_hypergeometric":
         lambda params: bi_orthogonality_hypergeometric(3, 1, 1, params, PLUS),
-    "w_integral_oracle": lambda params: w_integral_oracle(2, 0, 0, params, PLUS),
 }
 # name -> (call with one parameter, point or system object of the wrong type, refusal text)
 TYPE_MISUSES = {

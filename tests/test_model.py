@@ -197,9 +197,13 @@ def test_ring_energy_and_separation_constant_check_their_arguments():
             ring_energy(3, bad, 1.0)
         with pytest.raises(DomainError, match="delta must be nonnegative and finite"):
             ring_separation_constant(2, bad)
-    for bad in (-1.0, 0.0, math.nan, math.inf):
-        with pytest.raises(DomainError, match="omega must be positive and finite"):
+    # omega obeys SystemParams' range: once 1e300 gave 1.5e300 and 1e-300 gave 1.5e-300
+    for bad in (-1.0, 0.0, math.nan, math.inf, 1e300, 1e-300, math.nextafter(1e150, math.inf),
+                math.nextafter(1e-150, 0.0)):
+        with pytest.raises(DomainError) as refused:
             ring_energy(3, 0.2, bad)
+        assert str(refused.value) == f"omega must lie in [1e-150, 1e150], got {bad!r}"
+    assert ring_energy(0, 0.0, 1e150) == 1e150 * 1.5 and ring_energy(0, 0.0, 1e-150) == 1e-150 * 1.5
     assert ring_energy(3, 0.2, 1.0) == 4.7 and ring_separation_constant(2, 0.5) == 8.75
 
 

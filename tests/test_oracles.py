@@ -10,13 +10,12 @@ from scipy import integrate
 from genosc import _cache, bases, morse, oracles
 from genosc.bases import radial_cylindrical, radial_spherical, theta_angular, z_axial
 from genosc.errors import DomainError
-from genosc.interbasis import W_OVERLAP_MAX_LEVEL, w_integral_oracle, w_matrix
+from genosc.interbasis import W_OVERLAP_MAX_LEVEL, w_matrix
 from genosc.model import Branch, SystemParams, admissible_branches
 from genosc.morse import MorseParams, bound_state_count, morse_wavefunction
 from genosc.oracles import (SUITE_MANIFEST, CheckReport, GramFamily, _report,
                             bi_orthogonality, bi_orthogonality_hypergeometric,
-                            gram_matrix, reciprocal_gamma,
-                            run_verification_suite, w_overlap_oracle)
+                            gram_matrix, run_verification_suite, w_overlap_oracle)
 from genosc.specfun import build_quadrature, hermite
 
 BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3, c=1
@@ -31,24 +30,6 @@ def branch_cases(param_sets):
     for params in param_sets:
         for branch in admissible_branches(params):
             yield params, branch
-
-
-# --------------------------------------------------------- reciprocal gamma
-
-def test_reciprocal_gamma_values_and_poles():
-    assert reciprocal_gamma(1.0) == 1.0
-    assert reciprocal_gamma(4.0) == pytest.approx(1.0 / 6.0, rel=1e-14)
-    assert reciprocal_gamma(0.5) == pytest.approx(1.0 / math.sqrt(math.pi), rel=1e-14)
-    assert reciprocal_gamma(-1.5) == pytest.approx(1.0 / 2.3632718012073548, rel=1e-12)
-    for pole in (0.0, -1.0, -2.0, -7.0):
-        assert reciprocal_gamma(pole) == 0.0
-
-
-def test_reciprocal_gamma_pair_is_kronecker():
-    for q in range(5):
-        for qp in range(5):
-            prod = reciprocal_gamma(q - qp + 1.0) * reciprocal_gamma(qp - q + 1.0)
-            assert prod == pytest.approx(1.0 if q == qp else 0.0, abs=1e-15)
 
 
 # ---------------------------------------------------------- bi-orthogonality
@@ -340,14 +321,20 @@ def test_overlap_oracle_table_is_orthogonal():
                 (1e-10 if n <= 6 else 2e-13), (params, branch, n)
 
 
+def test_overlap_oracle_at_omegas_floor_stays_in_double_range():
+    # c = 500: the radial weight product alone passes a double at omega = 1e-150, so it
+    # once leaked numpy's overflow warning before a NumericError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table, report = w_overlap_oracle(3, SystemParams(1e-150, 0.0, 2.5e5, 0), Branch.Plus)
+    assert np.isfinite(table).all() and report.passed
+
+
 def test_overlap_oracle_level_cap():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="up to 100"):
         w_overlap_oracle(W_OVERLAP_MAX_LEVEL + 1, BOTH, Branch.Plus)
     with pytest.raises(DomainError):
         w_overlap_oracle(-1, BOTH, Branch.Plus)
-    # the per-entry route reads the same table, so it shares the cap
-    with pytest.raises(DomainError, match="up to 100"):
-        w_integral_oracle(W_OVERLAP_MAX_LEVEL + 1, 0, 0, BOTH, Branch.Plus)
 
 
 # -------------------------------------------------------- verification suite

@@ -18,8 +18,7 @@ from genosc import specfun as sf
 from genosc.errors import AccuracyError, DomainError, NumericError
 from genosc.interbasis import w_coefficient
 from genosc.model import Branch, SystemParams
-from genosc.oracles import (GramFamily, bi_orthogonality_hypergeometric, gram_matrix,
-                            reciprocal_gamma)
+from genosc.oracles import GramFamily, bi_orthogonality_hypergeometric, gram_matrix
 
 mpmath.mp.dps = 35
 
@@ -982,7 +981,6 @@ def test_quadrature_refuses_infinite_exponents(args):
 
 def test_non_finite_arguments_are_domain_errors():
     for call in (lambda: sf.gamma_sign_ln(-math.inf), lambda: sf.gamma_sign_ln(math.nan),
-                 lambda: reciprocal_gamma(-math.inf), lambda: reciprocal_gamma(math.nan),
                  lambda: sf.assoc_legendre(2, 1, math.nan),
                  lambda: sf.assoc_legendre(2, 1, np.array([0.5, math.nan])),
                  lambda: sf.gegenbauer(2, math.nan, 0.3),
@@ -991,6 +989,5 @@ def test_non_finite_arguments_are_domain_errors():
                  lambda: sf.build_quadrature("laguerre", 5, math.nan)):
         with pytest.raises(DomainError):
             call()
-    # +inf stays the limit: Gamma(+inf) = +inf, 1/Gamma(+inf) = 0
+    # +inf stays the limit: Gamma(+inf) = +inf
     assert sf.gamma_sign_ln(math.inf) == (1.0, math.inf)
-    assert reciprocal_gamma(math.inf) == 0.0 and reciprocal_gamma(-3.0) == 0.0

@@ -17,8 +17,7 @@ from genosc.model import (Branch, CylindricalLabel, SphericalLabel, SystemParams
                           separation_constant_A)
 from genosc.bases import cylindrical_level, psi_cylindrical, psi_spherical, spherical_level
 from genosc.spheroidal import (Kind, Route, SpheroidalPoint, build_tridiag_t,
-                               build_tridiag_u, eigensolve, lambda_curve,
-                               lambda_grid, map_spheroidal_point,
+                               build_tridiag_u, eigensolve, lambda_grid, map_spheroidal_point,
                                psi_spheroidal, t_coefficients, u_coefficients)
 
 BOTH = SystemParams(omega=1.0, p_strength=-0.16, q_strength=0.0, m=1)   # b=0.3, c=1
@@ -427,31 +426,28 @@ def test_coefficient_index_validation():
             u_coefficients(2, 0, BOTH, Branch.Plus, bad, Kind.Prolate)
         with pytest.raises(DomainError, match="R grid"):
             lambda_grid(2, BOTH, Branch.Plus, Kind.Prolate, [0.5, bad])
-        with pytest.raises(DomainError, match="R grid"):
-            lambda_curve(2, 0, BOTH, Branch.Plus, Kind.Prolate, [0.5, bad])
 
 
 # ------------------------------------------------------------ lambda curve
 
 def test_lambda_curve_scalar_affine():
     grid = np.linspace(0.1, 2.0, 8)
-    curve = lambda_curve(0, 0, BOTH, Branch.Plus, Kind.Prolate, grid)
-    for r_val, lam in curve:
+    curve = lambda_grid(0, BOTH, Branch.Plus, Kind.Prolate, grid)[:, 0]
+    for r_val, lam in zip(grid, curve):
         assert lam == pytest.approx(5.04 + 0.65 * r_val * r_val, abs=1e-12)
 
 
 def test_lambda_curve_continuity():
     grid = np.linspace(0.05, 4.0, 80)
     for k in (0, 2):
-        curve = lambda_curve(3, k, BOTH, Branch.Plus, Kind.Oblate, grid)
-        lam = np.array([point[1] for point in curve])
+        lam = lambda_grid(3, BOTH, Branch.Plus, Kind.Oblate, grid)[:, k]
         assert np.abs(np.diff(lam)).max() < 1.5
 
 
 def test_lambda_curve_grid_validation():
-    for bad in ([], [2.0, 1.0], [-1.0, 1.0], [[1.0, 2.0]], [1.0, math.inf]):
+    for bad in ([], [-1.0, 1.0], [[1.0, 2.0]], [1.0, math.inf]):
         with pytest.raises(DomainError):
-            lambda_curve(1, 0, BOTH, Branch.Plus, Kind.Prolate, bad)
+            lambda_grid(1, BOTH, Branch.Plus, Kind.Prolate, bad)
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -468,8 +464,6 @@ def test_lambda_grid_matches_per_r_eigensolve(n, kind):
         np.testing.assert_array_equal(row, np.linalg.eigvalsh(system.dense()))
         delta = interbasis._residual_bound(n + 1, system.diag, system.offdiag)
         assert np.abs(row - eigensolve(system).lam).max() <= delta
-    curve = lambda_curve(n, n // 2, STEEP, Branch.Plus, kind, grid)
-    assert [point[1] for point in curve] == list(lam[:, n // 2])
 
 
 def _brackets(n, params, branch, kind, grid, lam):
