@@ -184,20 +184,79 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance-profile", choices=("default", "strict"),
                    default="default", dest="tolerance_profile")
     add_output(p)
+    for command in sub.choices.values():
+        command.flag_table = _flag_table(command)
     parser.commands = sub.choices   # command name -> its own parser, for _parse_args
     return parser
 
 
+def _flag_table(command: argparse.ArgumentParser) -> tuple:
+    """What _read_flags needs of a command parser, read from its own actions once:
+    (option string -> (dest, type function, choices) for each single-value store
+    action, dest -> value when no flag is given, the dash-led value rule). The type
+    function and a string default's conversion are argparse's own."""
+    flags, defaults = {}, {}
+    for action in command._actions:
+        convert = command._registry_get("type", action.type, action.type)
+        if action.default is not argparse.SUPPRESS:
+            default = action.default
+            defaults[action.dest] = convert(default) if isinstance(default, str) else default
+        if isinstance(action, argparse._StoreAction) and action.nargs is None:
+            flags.update(dict.fromkeys(action.option_strings,
+                                       (action.dest, convert, action.choices)))
+    # argparse reads a dash-led word after a flag as its value only if it looks like a
+    # negative number and no option string does
+    negative = (command._negative_number_matcher.match
+                if not command._has_negative_number_optionals else lambda word: None)
+    return flags, defaults, tuple(command.prefix_chars), negative
+
+
+def _read_flags(command: argparse.ArgumentParser, argv: list) -> argparse.Namespace | None:
+    """The namespace argparse gives argv when each word after the command is an exact
+    --flag value or --flag=value pair of the command's table whose value is not read as
+    an option and passes the action's type and choices, a repeated flag keeping its last
+    value; None for any other argv, which argparse then reads, refusals included."""
+    flags, defaults, dashes, negative = command.flag_table
+    values = dict(defaults)
+    words = iter(argv[1:])
+    for word in words:
+        action = flags.get(word)
+        if action is None:
+            flag, equals, value = word.partition("=")
+            action = flags.get(flag) if equals else None
+            if action is None:
+                return None
+        else:
+            value = next(words, None)
+            if value is None:
+                return None
+        if value.startswith(dashes) and not negative(value):
+            return None
+        dest, convert, choices = action
+        try:
+            value = convert(value)
+        except (TypeError, ValueError, argparse.ArgumentTypeError):   # argparse words it
+            return None
+        if choices is not None and value not in choices:
+            return None
+        values[dest] = value
+    return argparse.Namespace(command=argv[0], **values)
+
+
 def _parse_args(argv=None) -> argparse.Namespace:
-    """build_parser().parse_args(argv), with a command's flags read by that command's
-    parser alone instead of being classified by the top parser first. Namespace, exit
-    code, stdout and stderr are those of the top parser: leftover flags are refused by
-    it, with its own message, and an argv that does not start with a command goes to it."""
+    """build_parser().parse_args(argv): an argv of exact flag-value pairs read from the
+    command's table (_read_flags), any other by that command's parser alone instead of
+    being classified by the top parser first. Namespace, exit code, stdout and stderr are
+    those of the top parser: leftover flags are refused by it, with its own message, and
+    an argv that does not start with a command goes to it."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
         return parser.parse_args(argv)
+    args = _read_flags(command, argv)
+    if args is not None:
+        return args
     args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error("unrecognized arguments: %s" % " ".join(extras))
@@ -469,43 +528,45 @@ _ROW_BREAK_LAID = "\n        ],\n        [\n" + _ROW_INDENT
 _EMPTY_ROW_LAID = "[\n" + _ROW_INDENT + "\n        ]"
 
 
-def _json_block(items: list[str], indent: str, brackets: str) -> str:
-    """Encoded items one per line at indent, as json.dumps(indent=2) nests them."""
-    if not items:
-        return brackets
-    return (brackets[0] + "\n" + indent + (",\n" + indent).join(items)
-            + "\n" + indent[:-2] + brackets[1])
-
-
-def _json_rows(rows: tuple[tuple, ...]) -> str:
+def _json_section(out: list, section: Section) -> bool:
+    """Append a section's object, after its name, to out; True if a row is empty."""
+    if section.columns:
+        columns = _JSON_COLUMNS.encode(section.columns)[1:-1]
+        out.append(f'{{\n      "columns": [\n        {columns}\n      ],\n      "rows": ')
+    else:
+        out.append('{\n      "columns": [],\n      "rows": ')
+    rows = section.rows
     if not rows:
-        return "[]"
+        out.append("[]\n    }")
+        return False
+    out.append("[\n        [\n" + _ROW_INDENT)
     step = max(1, _JSON_PIECE_CELLS // (len(rows[0]) + 1))
-    inner = _ROW_BREAK_LAID.join(
-        _JSON_ROWS.encode(rows[i:i + step])[2:-2].replace(_ROW_BREAK, _ROW_BREAK_LAID)
-        for i in range(0, len(rows), step))
-    text = f"[\n        [\n{_ROW_INDENT}{inner}\n        ]\n      ]"
-    return text if all(rows) else text.replace(_EMPTY_ROW_LAID, "[]")
-
-
-def _json_section(section: Section) -> str:
-    columns = _JSON_COLUMNS.encode(section.columns)[1:-1]
-    columns = f"[\n        {columns}\n      ]" if section.columns else "[]"
-    return _json_block([f'"columns": {columns}', f'"rows": {_json_rows(section.rows)}'],
-                       " " * 6, "{}")
+    for i in range(0, len(rows), step):
+        if i:
+            out.append(_ROW_BREAK_LAID)
+        out.append(_JSON_ROWS.encode(rows[i:i + step])[2:-2].replace(_ROW_BREAK,
+                                                                      _ROW_BREAK_LAID))
+    out.append("\n        ]\n      ]\n    }")
+    return not all(rows)
 
 
 def render_json(cfg: JobConfig, sections: list[Section]) -> str:
+    """The document json.dumps(sort_keys=True, indent=2) writes, every piece appended
+    to one list and joined once."""
     by_name = {s.name: s for s in sections}   # a repeated name keeps its last section
+    out, empty_row = ['{\n  "data": {'], False
     try:
         header = _JSON_HEADER.encode(cfg.echo())[1:-1]
-        blocks = [f"{json.dumps(name)}: {_json_section(by_name[name])}"
-                  for name in sorted(by_name)]
+        for i, name in enumerate(sorted(by_name)):
+            out.append(("," if i else "") + f"\n    {json.dumps(name)}: ")
+            empty_row |= _json_section(out, by_name[name])
     except ValueError as exc:
         raise NumericError(f"refusing to write non-finite JSON: {exc}") from exc
-    data = _json_block(blocks, " " * 4, "{}")
-    header = f"{{\n    {header}\n  }}"
-    return _json_block([f'"data": {data}', f'"header": {header}'], "  ", "{}") + "\n"
+    out.append("\n  }" if by_name else "}")
+    out.append(f',\n  "header": {{\n    {header}\n  }}\n}}\n')
+    text = "".join(out)
+    # an empty row is laid out as its neighbours are, and only it reads this way
+    return text.replace(_EMPTY_ROW_LAID, "[]") if empty_row else text
 
 
 def main(argv=None) -> int:

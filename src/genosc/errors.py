@@ -59,10 +59,9 @@ def _require_type(value, kind: type, what: str) -> None:
         raise DomainError(f"{what} must be a {kind.__name__}, got {type(value).__name__}")
 
 
-def _level_index_message(n, **indices) -> str:
-    """The refusal of indices past level n: "need 0 <= k <= n, got n=2, k=5"."""
-    got = "".join(f", {name}={value}" for name, value in indices.items())
-    return f"need 0 <= {', '.join(indices)} <= n, got n={n}{got}"
+def _level_index_message(n, name: str, value) -> str:
+    """The refusal of an index past level n: "need 0 <= k <= n, got n=2, k=5"."""
+    return f"need 0 <= {name} <= n, got n={n}, {name}={value}"
 
 
 def check_level_index(n, k, name: str = "k") -> tuple[int, int]:
@@ -70,7 +69,7 @@ def check_level_index(n, k, name: str = "k") -> tuple[int, int]:
     e.g. p, q or q') are nonnegative integers with k <= n."""
     n, k = check_nonneg_int(n, "level n"), check_nonneg_int(k, name)
     if k > n:
-        raise DomainError(_level_index_message(n, **{name: k}))
+        raise DomainError(_level_index_message(n, name, k))
     return n, k
 
 

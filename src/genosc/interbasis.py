@@ -225,8 +225,9 @@ def w_coefficient(n: int | np.ndarray, p: int | np.ndarray, q: int | np.ndarray,
     """
     index = check_indices(**{"level n": n, "p": p, "q": q})
     n, p, q = index
-    require_points((p <= n) & (q <= n), lambda i: _level_index_message(n[i], p=p[i], q=q[i]),
-                   entries=True)
+    # the first failing entry (C order) names its index past n, p when both are
+    require_points((p <= n) & (q <= n), lambda i: _level_index_message(
+        n[i], *(("p", p[i]) if p[i] > n[i] else ("q", q[i]))), entries=True)
     scale, (sb, c) = _dyadic(*_exponents(params, branch))
     val = _racah(index, _W_SUMS, (0, 0, 2 * c, 2 * sb, 0), scale)
     # + 0.0 turns the -0.0 of an exactly zero entry at odd n - q into +0.0
@@ -377,7 +378,8 @@ def _recursion_columns(diag: np.ndarray, off: np.ndarray, lam: np.ndarray) -> np
 def _w_table(n: int, params: SystemParams, branch: Branch) -> CoefficientMatrix:
     """Level n's W table (entry [p, q] is W_np^q) by recursion, one column
     per q, checked against the eigen residual contract (its orthogonality is
-    w_matrix's check); built once per key for w_matrix and every spheroidal state.
+    w_matrix's check); built once per key for w_matrix, which every spheroidal
+    state of the level reads.
 
     Column q is the eigenvector of 2 M (bands from _m_bands) for A_q; its sign
     is the Racah sum's, since W_n0^q is a single Racah term with positive
@@ -430,19 +432,32 @@ def _overlap_table(n: int, params: SystemParams, branch: Branch) -> np.ndarray:
     radial = build_quadrature("laguerre", n + 1, alpha=c + beta + 1.0)
     angular = build_quadrature("jacobi", n + 1, alpha=c, beta=beta)
     x, u = radial.nodes[:, None], angular.nodes   # x down the node grid, u across
+    # past c or b ~ 1024 a power of the weight function can pass a double while the rule
+    # still builds (at P = 1e5, Q = 4e6), and a product can underflow to zero: refused
+    # before numpy warns, and formed as before wherever it stays in range
+    with np.errstate(over="raise"):
+        try:
+            weight_function = (1.0 - u) ** c * (1.0 + u) ** beta
+            in_range = weight_function.all()
+        except FloatingPointError:
+            in_range = False
+    if not in_range:
+        raise AccuracyError(f"overlap weight function (1 - u)^c (1 + u)^beta leaves double "
+                            f"range at n={n}, c={c:g}, beta={beta:g}")
     r, theta = np.sqrt(x / omega), 0.5 * np.arccos(u)
     ct = np.cos(theta)
     # 2 r^2 dr sin(theta) dtheta = x^(1/2) dx du / (4 omega^(3/2) cos theta); the angular
     # weight meets its own weight function first, as the radial product alone can pass a
     # double at omega's floor with c or b near 500
     weight = (radial.scaled_weights[:, None] * np.sqrt(x) / volume
-              * (angular.weights / ((1.0 - u) ** c * (1.0 + u) ** beta * ct)))
+              * (angular.weights / (weight_function * ct)))
     cyl = _cylindrical_terms(n, beta, c, omega, r * np.sin(theta), r * ct) * weight
     sph = _spherical_terms(n, beta, c, omega, r, theta[None])
     # numpy's own loop, not BLAS: the sum order does not follow the thread count
     table = np.einsum("pij,qij->pq", cyl, sph)
-    # past c ~ 1000 the power (1 - u)^c can pass a double, and its inf meets a zero in a
-    # product: at n = 100, P = 2.7e5, Q = 0, m = 1500 and any omega
+    # a last guard on the products of factors formed apart: with the weight function in
+    # range, no entry was non-finite over n <= 100, P and Q to 4e6, m to 1500 and omega at
+    # both ends (at n = 100, P = 2.7e5, Q = 0, m = 1500 the weight function is refused)
     if not np.isfinite(table).all():
         raise NumericError(f"overlap table at n={n}, omega={omega:g} leaves double range")
     return table

@@ -292,8 +292,10 @@ def w_overlap_oracle(n: int, params: SystemParams,
                      branch: Branch) -> tuple[np.ndarray, CheckReport]:
     """Interbasis table recomputed as overlap integrals of the bases.
 
-    The table is interbasis._overlap_table, refused past W_OVERLAP_MAX_LEVEL.
-    The report compares it entrywise against w_matrix().
+    The table is interbasis._overlap_table, refused past W_OVERLAP_MAX_LEVEL, and
+    with AccuracyError where its weight function (1 - u)^c (1 + u)^(+-b) leaves double
+    range at a Jacobi node (from c or b ~ 1024). The report compares it entrywise
+    against w_matrix().
     """
     n = check_nonneg_int(n, "level n")
     _require_member(branch, Branch, "branch")

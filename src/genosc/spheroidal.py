@@ -20,7 +20,7 @@ from .errors import (DomainError, NumericError, _require_member, _require_type, 
                      check_points, check_positive, require_points)
 # re-exported: spheroidal._RESIDUAL_FACTOR names the eigensolve contract's factor
 from .interbasis import (_RESIDUAL_FACTOR, _check_residual, _m_bands,  # noqa: F401
-                         _n_bands, _residual_bound, _w_table)
+                         _n_bands, _residual_bound, w_matrix)
 from .model import (Branch, SystemParams, _a_q, _e_z, _exponents, require_admissible,
                     require_label_m)
 from .specfun import _dense, _lapack
@@ -224,13 +224,15 @@ def _pair_columns(n: int, k: int, params: SystemParams, branch: Branch, R: float
 
     T is column k of the level's one solve (_level_solve); U = W T (from
     T = W^T U, W orthogonal) is held to the eigen residual contract of the
-    bands build_tridiag_u reads, in O(n). The sign is decided once, for the
+    bands build_tridiag_u reads, in O(n). W is read through w_matrix, so a table
+    past its orthogonality contract is refused here as interbasis refuses it
+    (NumericError, one verdict per level). The sign is decided once, for the
     pair: eigensolve's _pivot rule on whichever column has the larger
     |component k|, which stays sharp toward its column's limit end.
     """
     lam, vec = _level_solve(n, params, branch, R, kind)
     t = vec[:, k]
-    u = np.einsum("pq,q->p", _w_table(n, params, branch).entries, t)
+    u = np.einsum("pq,q->p", w_matrix(n, params, branch).entries, t)
     _check_residual(*_u_bands(n, params, branch, kind, R), u[:, None], lam[k:k + 1],
                     f"cylindrical coefficients at n={n}, k={k}")
     if _pivot(u if abs(u[k]) > abs(t[k]) else t, k) < 0.0:

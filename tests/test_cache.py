@@ -111,16 +111,18 @@ def _counting(monkeypatch, module, name):
 
 def test_w_matrix_and_every_state_of_a_level_read_one_w_table(monkeypatch, fresh_tables):
     # one recursion for w_matrix and every state of the level at two R and both kinds,
-    # whichever comes first; the states never form the table's O(n^3) orthogonality
+    # whichever comes first; the states read the table through w_matrix, so its O(n^3)
+    # orthogonality is formed once, on the table, and shared
     recursions = _counting(monkeypatch, interbasis, "_recursion_columns")
     n = 9
     for R in (0.4, 3.0):
         for kind in Kind:
             for k in range(n + 1):
                 u_coefficients(n, k, BOTH, Branch.Plus, R, kind)
-    assert "ortho_dev" not in vars(interbasis._w_table(n, BOTH, Branch.Plus))
+    dev = vars(interbasis._w_table(n, BOTH, Branch.Plus))["ortho_dev"]
     table = interbasis.w_matrix(n, BOTH, Branch.Plus)
     assert interbasis.w_matrix(n, BOTH, Branch.Plus) is table
+    assert vars(table)["ortho_dev"] is dev
     for k in range(n + 1):
         t_coefficients(n, k, BOTH, Branch.Plus, 1.1, Kind.Prolate)
     assert len(recursions) == 1

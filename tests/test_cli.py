@@ -527,6 +527,113 @@ def test_command_parsers_match_top_parser(argv):
         assert _parse_outcome(main, argv)[:3] == want[:3]
 
 
+def _options():
+    """(command, option string, action) for every -- option of every command, read
+    from build_parser()'s own actions."""
+    return [(name, flag, action) for name, command in cli.build_parser().commands.items()
+            for action in command._actions for flag in action.option_strings
+            if flag.startswith("--")]
+
+
+def _valid_values(action):
+    if action.choices is not None:
+        return list(action.choices)
+    return {int: ["3", "0"], float: ["0.5", "2"]}.get(action.type, ["0.2:2.5:4", "x.json"])
+
+
+def _flag_argvs(name, flag, action):
+    """(argv, pair) for one option: both spellings of each valid value, a repeated flag,
+    values its type or choices refuse, negative values, a missing value. pair is True
+    where the table reads the argv exactly when argparse accepts it, False where the
+    argv always goes to argparse, None where that depends on argparse's version."""
+    if action.nargs == 0:   # --help
+        return [([name, flag], False), ([name, f"{flag}=1"], False)]
+    values = _valid_values(action)
+    cases = [([name, flag, value], True) for value in values]
+    cases += [([name, f"{flag}={value}"], True) for value in values]
+    cases += [([name, flag, values[0], flag, values[-1]], True),
+              ([name, f"{flag}=x", flag, values[0]], True),
+              ([name, flag], False), ([name, flag, values[0], flag], False),
+              ([name, flag, "-x"], False), ([name, flag, "--"], False),
+              ([name, f"{flag}=--"], False), ([name, flag[:-1], values[0]], False)]
+    for value in ("bogus", "-2", "-0.25", "2.5", ""):
+        cases += [([name, flag, value], True), ([name, f"{flag}={value}"], True)]
+    return cases + [([name, flag, "-2.4e-06"], None), ([name, f"{flag}=-2.4e-06"], None)]
+
+
+def _same_as_argparse(argv):
+    """_parse_args(argv) against build_parser().parse_args(argv), each value by its repr
+    (a NaN equals itself, -0.0 differs from 0.0); a refusal through main too. Returns
+    whether argparse refused."""
+    def outcome(parse):
+        code, out, err, args = _parse_outcome(parse, argv)
+        return code, out, err, args and sorted((key, repr(v)) for key, v in args.items())
+
+    want = outcome(cli.build_parser().parse_args)
+    assert outcome(cli._parse_args) == want, argv
+    if want[0] is not None:
+        assert _parse_outcome(main, argv)[:3] == want[:3], argv
+    return want[0] is not None
+
+
+def _table_reads(argv):
+    return cli._read_flags(cli.build_parser().commands[argv[0]], argv) is not None
+
+
+@pytest.mark.parametrize("name, flag, action", _options(),
+                         ids=[f"{name} {flag}" for name, flag, _ in _options()])
+def test_flag_table_matches_argparse(name, flag, action):
+    # the table reads exact pairs whose value passes; argparse reads the rest and words
+    # every refusal, so each outcome is argparse's either way
+    for argv, pair in _flag_argvs(name, flag, action):
+        refused = _same_as_argparse(argv)
+        if pair is not None:
+            assert _table_reads(argv) == (pair and not refused), argv
+    if action.type in (int, float):   # argparse reads "-2" after a flag as a value
+        assert _table_reads([name, flag, "-2"]) and _table_reads([name, f"{flag}=-2"])
+
+
+def _stream_argv(rng, options):
+    """An argv shaped like the benchmark's: a command, then --flag=value or --flag value
+    pairs, mostly valid, now and then a value or word argparse refuses."""
+    name = rng.choice(sorted(options))
+    argv = [name]
+    for flag, action in rng.sample(options[name], rng.randint(0, len(options[name]))):
+        value = rng.choice(_valid_values(action))
+        if action.type in (int, float) and rng.random() < 0.5:
+            value = (repr(rng.uniform(-0.2, 3.0)) if action.type is float
+                     else str(rng.randint(-3, 40)))
+        if rng.random() < 0.05:
+            value = rng.choice(("-2.4e-06", "x", "-", "--", "1e400", "nan", "-x"))
+        argv += [f"{flag}={value}"] if rng.random() < 0.5 else [flag, value]
+    if rng.random() < 0.05:
+        argv.insert(rng.randint(1, len(argv)), rng.choice(("--bogus", "-h", "--n", "7")))
+    return argv
+
+
+def test_flag_table_matches_argparse_on_stream_shaped_argvs():
+    options = {}
+    for name, flag, action in _options():
+        if action.nargs is None:
+            options.setdefault(name, []).append((flag, action))
+    rng = random.Random(51)
+    read = refused = 0
+    for _ in range(500):
+        argv = _stream_argv(rng, options)
+        refused += _same_as_argparse(argv)
+        read += _table_reads(argv)
+    assert read > 300 and refused > 50, (read, refused)
+
+
+def test_one_verdict_for_one_w_table():
+    # level 3's W table at Q = 1e40 is 1.87 off orthogonal: the spheroidal state that
+    # reads it is refused with interbasis's own message, not printed with exit 0
+    system = ["--n", "3", "--P", "0.3", "--Q", "1e40"]
+    message = "numeric failure: interbasis table orthogonality 1.870e+00 above contract at n=3\n"
+    for argv in (["interbasis", *system], ["spheroidal", *system, "--k", "1", "--R", "1"]):
+        assert run_cli(argv) == (4, "", message), argv
+
+
 def test_unwritable_out_exits_2(tmp_path):
     for target in (tmp_path / "missing" / "x.json", tmp_path):
         code, out, err = run_cli(["spectrum", "--out", str(target)])

@@ -42,6 +42,8 @@ ENTRY_POINTS = [
     ("q'", lambda n, q: bi_orthogonality(n, 0, q, RING, PLUS)),
     ("q", lambda n, q: bi_orthogonality_hypergeometric(n, q, 0, RING, PLUS)),
     ("q'", lambda n, q: bi_orthogonality_hypergeometric(n, 0, q, RING, PLUS)),
+    ("p", lambda n, p: w_coefficient(n, p, 0, RING, PLUS)),
+    ("q", lambda n, q: w_coefficient(n, 0, q, RING, PLUS)),
 ]
 
 

@@ -9,7 +9,7 @@ from scipy import integrate
 
 from genosc import _cache, bases, morse, oracles
 from genosc.bases import radial_cylindrical, radial_spherical, theta_angular, z_axial
-from genosc.errors import DomainError
+from genosc.errors import AccuracyError, DomainError
 from genosc.interbasis import W_OVERLAP_MAX_LEVEL, w_matrix
 from genosc.model import Branch, SystemParams, admissible_branches
 from genosc.morse import MorseParams, bound_state_count, morse_wavefunction
@@ -328,6 +328,16 @@ def test_overlap_oracle_at_omegas_floor_stays_in_double_range():
         warnings.simplefilter("error")
         table, report = w_overlap_oracle(3, SystemParams(1e-150, 0.0, 2.5e5, 0), Branch.Plus)
     assert np.isfinite(table).all() and report.passed
+
+
+def test_overlap_oracle_refuses_a_weight_function_past_double_range():
+    # b = 316, c = 2000: the Jacobi rule builds, but (1 - u)^c passes a double at every
+    # node; the table once came back all zero behind numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(AccuracyError, match=r"^overlap weight function \(1 - u\)\^c "
+                                                r"\(1 \+ u\)\^beta leaves double range at n=3"):
+            w_overlap_oracle(3, SystemParams(1.0, 1e5, 4e6, 0), Branch.Plus)
 
 
 def test_overlap_oracle_level_cap():

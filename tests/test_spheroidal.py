@@ -342,13 +342,13 @@ def test_pair_matches_eigensolve_construction_bit_for_bit():
 
 def test_derived_u_meets_the_cylindrical_residual_contract(monkeypatch):
     # U = W T with two columns of W swapped is no eigenvector of the U system
-    clean = interbasis._w_table
+    clean = interbasis.w_matrix
 
     def swapped(n, params, branch):
         table = clean(n, params, branch)
         return dataclasses.replace(table, entries=table.entries[:, [1, 0, *range(2, n + 1)]])
 
-    monkeypatch.setattr(spheroidal, "_w_table", swapped)
+    monkeypatch.setattr(spheroidal, "w_matrix", swapped)
     spheroidal._pair_columns.cache_clear()
     with pytest.raises(NumericError, match="eigen residual"):
         u_coefficients(4, 1, BOTH, Branch.Plus, 1.3, Kind.Prolate)
@@ -404,6 +404,18 @@ def test_psi_cold_and_warm_state_identical():
     assert spheroidal._pair_columns.cache_info().currsize == 1
     warm = [psi_spheroidal(*args, route) for route in Route]
     assert cold == warm
+
+
+def test_state_reads_w_under_its_orthogonality_contract():
+    # at Q = 1e40 level 3's W table is 1.87 off orthogonal, and U = W T was once formed
+    # from it with exit 0; every reader of the state now refuses as w_matrix does
+    params = SystemParams(omega=1.0, p_strength=0.3, q_strength=1e40, m=0)
+    message = r"^interbasis table orthogonality 1\.870e\+00 above contract at n=3$"
+    for call in (lambda: w_matrix(3, params, Branch.Plus),
+                 lambda: u_coefficients(3, 1, params, Branch.Plus, 1.0, Kind.Prolate),
+                 lambda: t_coefficients(3, 1, params, Branch.Plus, 1.0, Kind.Oblate)):
+        with pytest.raises(NumericError, match=message):
+            call()
 
 
 def test_coefficient_index_validation():
