@@ -30,8 +30,8 @@ from .errors import (DomainError, NumericError, _require_table, check_level_inde
 from .interbasis import _require_operator, ring_w, w_matrix
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams, _a_q, _e_n,
                     _e_rho, _e_z, require_admissible, ring_relabel)
-from .morse import (MorseParams, _wavefunctions, bound_state_count, morse_norms,
-                    morse_spectrum, normalizable_levels)
+from .morse import (MorseParams, _norms_and_grid, bound_state_count, morse_spectrum,
+                    normalizable_levels)
 from .oracles import SUITE_MANIFEST, run_verification_suite
 from .perturbation import SERIES_MAX_ORDER, _check_order, large_r_series, small_r_series
 from .spheroidal import (Kind, TridiagonalSystem, _t_bands, eigensolve, lambda_grid,
@@ -51,8 +51,8 @@ _MORSE_GRID_POINTS = 101
 # |norm - 1| contract; morse_norms stays within 1e-13 up to lambda = 1000 (3.3e-14 there)
 _MORSE_NORM_TOL = 1e-10
 # More levels are refused before listing, which bounds the written table and the norm
-# check: the norm table costs O(lambda^2), and 1000 levels take about 0.35 s in-process
-# (56 MB peak) on a 2-core Xeon with one BLAS thread
+# check: the norm table costs O(lambda^2), and 1000 levels take about 0.3 s in-process
+# (49 MB peak) on a 2-core Xeon with one BLAS thread
 _MORSE_MAX_LEVELS = 1000
 
 # Peak memory per cell of a row table held as Python tuples and rendered as JSON,
@@ -248,7 +248,9 @@ def _parse_args(argv=None) -> argparse.Namespace:
     command's table (_read_flags), any other by that command's parser alone instead of
     being classified by the top parser first. Namespace, exit code, stdout and stderr are
     those of the top parser: leftover flags are refused by it, with its own message, and
-    an argv that does not start with a command goes to it."""
+    an argv that does not start with a command goes to it. The one exception is a
+    --flag=-- word, whose [] the top parser keeps: the command's parser refuses it with
+    the message it gives --flag --."""
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     command = parser.commands.get(argv[0]) if argv else None
@@ -260,6 +262,9 @@ def _parse_args(argv=None) -> argparse.Namespace:
     args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
     if extras:
         parser.error("unrecognized arguments: %s" % " ".join(extras))
+    if [] in vars(args).values():   # argparse strips the "--" of --flag=-- and stores []
+        action = next(a for a in command._actions if getattr(args, a.dest, None) == [])
+        command.error(str(argparse.ArgumentError(action, "expected one argument")))
     return args
 
 
@@ -396,14 +401,15 @@ def cmd_morse(cfg: JobConfig) -> tuple[list[Section], int]:
     level_rows = tuple(enumerate(morse_spectrum(params).tolist()))
     # the threshold level (if any) is marginal and has no normalizable state
     normalizable = normalizable_levels(params)
+    x = np.linspace(-2.0 / params.a, 8.0 / params.a, _MORSE_GRID_POINTS)
+    norms, psi = _norms_and_grid(params, x)
     norm_rows = []
-    for p, norm in zip(normalizable, morse_norms(params).tolist()):
+    for p, norm in zip(normalizable, norms.tolist()):
         if not abs(norm - 1.0) <= _MORSE_NORM_TOL:
             raise NumericError(f"Morse level {p} has norm {norm!r}, off one by more "
                                f"than {_MORSE_NORM_TOL:g}")
         norm_rows.append((p, norm, abs(norm - 1.0)))
-    x = np.linspace(-2.0 / params.a, 8.0 / params.a, _MORSE_GRID_POINTS)
-    psi = _wavefunctions(normalizable, params, x).tolist() if normalizable else []
+    psi = psi.tolist()
     grid_rows = tuple(zip(x.tolist(), *psi))
     return [Section("levels", ("p", "energy"), level_rows),
             Section("norms", ("p", "norm", "abs_dev"), tuple(norm_rows)),

@@ -12,7 +12,9 @@ scaled weights hold at any depth, integrates every norm exactly. Level p is the
 orthonormal Laguerre function of order alpha_p = 2 lambda - 1 - 2p, which falls
 by two per level: every level at a point comes from one
 specfun.laguerre_diagonal recurrence, one step per level, so a whole well's
-norm table costs O(N^2).
+norm table costs O(N^2). The morse command's norm check and its printed grid
+share one such recurrence, run on the rule's nodes followed by the grid; points
+do not affect each other, so each value is the one a separate pass gives.
 """
 
 import logging
@@ -149,16 +151,38 @@ def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:
     return vals if vals.ndim else float(vals)
 
 
-def _norms(ps, params: MorseParams) -> np.ndarray:
-    """Norm integrals of psi_p^2 over the line for p in ps, on the well's one rule: N + 1
-    Gauss-Laguerre points of weight w^alpha0 e^{-w}. As dx = dw / (a w), norm_p is
-    sum_i s_i psi_p(w_i)^2 / (a w_i), s_i the rule's scaled weights."""
+def _norm_rule(params: MorseParams) -> tuple[np.ndarray, np.ndarray]:
+    """The well's one norm rule: N + 1 Gauss-Laguerre points of weight w^alpha0 e^{-w}, as
+    positions x_i = log(2 lambda / w_i) / a and, since dx = dw / (a w), weights
+    s_i / (a w_i), s_i the rule's scaled weights."""
     top = normalizable_levels(params)[-1]
     rule = build_quadrature("laguerre", top + 1, alpha=2.0 * params.lam - 2.0 * top - 2.0)
     w = rule.nodes
-    psi = _wavefunctions(ps, params, np.log(2.0 * params.lam / w) / params.a)
+    return np.log(2.0 * params.lam / w) / params.a, rule.scaled_weights / (params.a * w)
+
+
+def _norm_sum(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
     # numpy's own loop, not BLAS, so the sum order does not follow the thread count
-    return np.einsum("pi,i,pi->p", psi, rule.scaled_weights / (params.a * w), psi)
+    return np.einsum("pi,i,pi->p", psi, weights, psi)
+
+
+def _norms(ps, params: MorseParams) -> np.ndarray:
+    """Norm integrals of psi_p^2 over the line for p in ps on the well's one rule,
+    sum_i s_i psi_p(w_i)^2 / (a w_i)."""
+    nodes, weights = _norm_rule(params)
+    return _norm_sum(_wavefunctions(ps, params, nodes), weights)
+
+
+def _norms_and_grid(params: MorseParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """morse_norms(params) and _wavefunctions(levels, params, x) over the normalizable
+    levels from one recurrence, run on the rule's positions followed by x. The merged
+    table is dropped on return: only the grid's columns are kept, as a copy."""
+    levels = normalizable_levels(params)
+    if not levels:
+        return np.empty(0), np.empty((0, x.size))
+    nodes, weights = _norm_rule(params)
+    psi = _wavefunctions(levels, params, np.concatenate((nodes, x)))
+    return _norm_sum(psi[:, :nodes.size], weights), psi[:, nodes.size:].copy()
 
 
 def morse_norms(params: MorseParams) -> np.ndarray:

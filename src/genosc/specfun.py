@@ -22,7 +22,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import islice, repeat
+from itertools import groupby, islice, repeat
 from operator import mul
 
 import numpy as np
@@ -267,10 +267,17 @@ def _scale_rows(out, wanted: dict, renorms: list, x, pts, order: float, power: f
             m, e = m * np.power(f, min(1000, half - done)), e + de
         scale, j = scale * m, j + e
     out *= scale
-    if renorms:
-        since, exp2s = zip(*renorms)
-        j = np.array(np.broadcast_arrays(0, *exp2s))[[bisect_right(since, k) for k in wanted]] + j
-    np.ldexp(out, j, out=out)
+    if not renorms:
+        np.ldexp(out, j, out=out)
+        return r0, j0
+    # rows share an exp2 from one renormalisation to the next: one ldexp per run of rows,
+    # with no row table of exponents
+    since, exp2s = zip(*renorms)
+    exp2s, start = (0, *exp2s), 0
+    for group, rows in groupby(bisect_right(since, k) for k in wanted):
+        stop = start + sum(1 for _ in rows)
+        np.ldexp(out[start:stop], exp2s[group] + j, out=out[start:stop])
+        start = stop
     return r0, j0
 
 

@@ -1,5 +1,6 @@
 """CLI: config validation, worked rows, determinism, exit codes."""
 
+import argparse
 import io
 import json
 import math
@@ -18,13 +19,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import genosc
-from genosc import cli, interbasis, specfun, spheroidal
+from genosc import cli, interbasis, morse, specfun, spheroidal
 from genosc.cli import main
 from genosc.errors import NumericError
 from genosc.model import (Branch, SystemParams, admissible_branches,
                           energy_cylindrical_parts, energy_level, separation_constant_A)
-from genosc.morse import MorseParams, bound_state_count
+from genosc.morse import (MorseParams, _wavefunctions, bound_state_count, morse_norms,
+                          morse_spectrum, normalizable_levels)
 from genosc.oracles import SUITE_MANIFEST
+from genosc.specfun import laguerre_diagonal
 
 
 def run_cli(argv):
@@ -338,11 +341,64 @@ def test_morse_worked_example():
 def test_morse_norm_contract_miss_exits_4(monkeypatch):
     import genosc.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "morse_norms", lambda params: np.array([1.0, 1.0 + 1e-6]))
+    monkeypatch.setattr(cli_mod, "_norms_and_grid",
+                        lambda params, x: (np.array([1.0, 1.0 + 1e-6]), np.zeros((2, x.size))))
     code, out, err = run_cli(["morse", "--V0", "2", "--a", "1"])
     assert code == 4
     assert out == ""
     assert "numeric failure" in err
+
+
+def _morse_wells():
+    """Seeded wells: lambda log-uniform in [0.6, 80], the threshold wells lambda = k + 1/2
+    (at k = 0, V0 = 1/8 and a = 1, the one level sits at the threshold and nothing is
+    listed) and the 1000-level well."""
+    rng = np.random.default_rng(52)
+    wells = [(0.5 * (lam * a) ** 2, a)
+             for lam, a in zip(np.exp(rng.uniform(math.log(0.6), math.log(80.0), 40)).tolist(),
+                               np.exp(rng.uniform(math.log(0.3), math.log(2.0), 40)).tolist())]
+    wells += [(0.5 * (k + 0.5) ** 2, 1.0) for k in (0, 1, 2, 5, 17, 40)]
+    return wells + [(500000.0, 1.0)]
+
+
+def _morse_sections_from_two_passes(params):
+    """cmd_morse's sections with the norms from morse_norms and the grid from a separate
+    _wavefunctions pass, as (name, columns, rows by bits)."""
+    levels = normalizable_levels(params)
+    x = np.linspace(-2.0 / params.a, 8.0 / params.a, cli._MORSE_GRID_POINTS)
+    norms = morse_norms(params).tolist()
+    psi = _wavefunctions(levels, params, x).tolist() if levels else []
+    return [("levels", ("p", "energy"), _bits(enumerate(morse_spectrum(params).tolist()))),
+            ("norms", ("p", "norm", "abs_dev"),
+             _bits((p, norm, abs(norm - 1.0)) for p, norm in zip(levels, norms))),
+            ("wavefunctions", ("x", *(f"psi_{p}" for p in levels)),
+             _bits(zip(x.tolist(), *psi)))]
+
+
+def test_morse_sections_match_two_separate_passes():
+    # the norm nodes and the grid share one recurrence; each point's values are its own
+    for v0, a in _morse_wells():
+        cfg = cli.resolve_config(cli._parse_args(["morse", "--V0", repr(v0), "--a", repr(a)]))
+        sections, code = cli.cmd_morse(cfg)
+        assert code == 0
+        assert [(s.name, s.columns, _bits(s.rows)) for s in sections] == \
+            _morse_sections_from_two_passes(cfg.morse), (v0, a)
+
+
+def test_morse_command_runs_one_recurrence(monkeypatch):
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return laguerre_diagonal(*args, **kwargs)
+
+    monkeypatch.setattr(morse, "laguerre_diagonal", spy)
+    monkeypatch.setattr(specfun, "laguerre_diagonal", spy)
+    for v0, a in _morse_wells()[::4]:
+        calls.clear()
+        assert run_cli(["morse", "--V0", repr(v0), "--a", repr(a)])[0] == 0
+        levels = normalizable_levels(MorseParams(v0, a))
+        assert calls == ([levels] if levels else []), (v0, a)
 
 
 def test_morse_deep_well_exits_0_with_tight_norms():
@@ -561,15 +617,26 @@ def _flag_argvs(name, flag, action):
     return cases + [([name, flag, "-2.4e-06"], None), ([name, f"{flag}=-2.4e-06"], None)]
 
 
+def _argparse_reference(argv):
+    """build_parser().parse_args(argv), but a list value (argparse strips the "--" of
+    --flag=-- and stores []) refused as the command's parser refuses --flag --."""
+    args = cli.build_parser().parse_args(argv)
+    command = cli.build_parser().commands[argv[0]]
+    for action in command._actions:
+        if isinstance(getattr(args, action.dest, None), list):
+            command.parse_args([action.option_strings[0], "--"])
+    return args
+
+
 def _same_as_argparse(argv):
-    """_parse_args(argv) against build_parser().parse_args(argv), each value by its repr
+    """_parse_args(argv) against _argparse_reference(argv), each value by its repr
     (a NaN equals itself, -0.0 differs from 0.0); a refusal through main too. Returns
     whether argparse refused."""
     def outcome(parse):
         code, out, err, args = _parse_outcome(parse, argv)
         return code, out, err, args and sorted((key, repr(v)) for key, v in args.items())
 
-    want = outcome(cli.build_parser().parse_args)
+    want = outcome(_argparse_reference)
     assert outcome(cli._parse_args) == want, argv
     if want[0] is not None:
         assert _parse_outcome(main, argv)[:3] == want[:3], argv
@@ -623,6 +690,29 @@ def test_flag_table_matches_argparse_on_stream_shaped_argvs():
         refused += _same_as_argparse(argv)
         read += _table_reads(argv)
     assert read > 300 and refused > 50, (read, refused)
+
+
+_SINGLE_VALUE_FLAGS = [(name, action.option_strings[0], action.dest)
+                       for name, command in cli.build_parser().commands.items()
+                       for action in command._actions
+                       if isinstance(action, argparse._StoreAction) and action.nargs is None]
+
+
+@pytest.mark.parametrize("name, flag, dest", _SINGLE_VALUE_FLAGS,
+                         ids=[f"{name} {flag}" for name, flag, _ in _SINGLE_VALUE_FLAGS])
+def test_flag_with_a_dash_dash_value_is_refused_as_a_missing_value(name, flag, dest):
+    # argparse strips the "--" of --flag=-- and stores []; the command refuses it as it
+    # refuses --flag --. From Python 3.13 argparse reads "--" as the value itself, which
+    # test_flag_table_matches_argparse compares.
+    stored = _parse_outcome(cli.build_parser().parse_args, [name, f"{flag}=--"])[3]
+    if stored is None or stored[dest] != []:
+        pytest.skip("this argparse does not store [] for --flag=--")
+    code, out, err, args = _parse_outcome(main, [name, f"{flag}=--"])
+    assert (code, out, args) == (2, "", None)
+    assert err.endswith(f"genosc {name}: error: argument {flag}: expected one argument\n")
+    assert sum("error:" in line for line in err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert _parse_outcome(main, [name, flag, "--"]) == (code, out, err, args)
 
 
 def test_one_verdict_for_one_w_table():
