@@ -30,7 +30,7 @@ from .errors import (DomainError, NumericError, _require_table, check_level_inde
 from .interbasis import _require_operator, ring_w, w_matrix
 from .model import (Branch, CylindricalLabel, SphericalLabel, SystemParams, _a_q, _e_n,
                     _e_rho, _e_z, require_admissible, ring_relabel)
-from .morse import (MorseParams, _norms_and_grid, bound_state_count, morse_spectrum,
+from .morse import (MorseParams, _norms, bound_state_count, morse_spectrum,
                     normalizable_levels)
 from .oracles import SUITE_MANIFEST, run_verification_suite
 from .perturbation import SERIES_MAX_ORDER, _check_order, large_r_series, small_r_series
@@ -402,14 +402,14 @@ def cmd_morse(cfg: JobConfig) -> tuple[list[Section], int]:
     # the threshold level (if any) is marginal and has no normalizable state
     normalizable = normalizable_levels(params)
     x = np.linspace(-2.0 / params.a, 8.0 / params.a, _MORSE_GRID_POINTS)
-    norms, psi = _norms_and_grid(params, x)
+    norms, psi = _norms(normalizable, params, x) if normalizable else (np.empty(0),) * 2
     norm_rows = []
     for p, norm in zip(normalizable, norms.tolist()):
         if not abs(norm - 1.0) <= _MORSE_NORM_TOL:
             raise NumericError(f"Morse level {p} has norm {norm!r}, off one by more "
                                f"than {_MORSE_NORM_TOL:g}")
         norm_rows.append((p, norm, abs(norm - 1.0)))
-    psi = psi.tolist()
+    psi = psi.tolist()   # the array goes before the rows are built
     grid_rows = tuple(zip(x.tolist(), *psi))
     return [Section("levels", ("p", "energy"), level_rows),
             Section("norms", ("p", "norm", "abs_dev"), tuple(norm_rows)),

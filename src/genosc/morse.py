@@ -151,50 +151,32 @@ def morse_wavefunction(p: int, params: MorseParams, x) -> float | np.ndarray:
     return vals if vals.ndim else float(vals)
 
 
-def _norm_rule(params: MorseParams) -> tuple[np.ndarray, np.ndarray]:
-    """The well's one norm rule: N + 1 Gauss-Laguerre points of weight w^alpha0 e^{-w}, as
-    positions x_i = log(2 lambda / w_i) / a and, since dx = dw / (a w), weights
-    s_i / (a w_i), s_i the rule's scaled weights."""
+def _norms(ps, params: MorseParams, x=()) -> tuple[np.ndarray, np.ndarray]:
+    """Norm integrals of psi_p^2 over the line for p in ps, on the well's one rule: N + 1
+    Gauss-Laguerre points of weight w^alpha0 e^{-w}. As dx = dw / (a w), norm_p is
+    sum_i s_i psi_p(w_i)^2 / (a w_i), s_i the rule's scaled weights. The recurrence runs
+    on the rule's positions followed by the points x, whose psi_p rows come back second,
+    as a copy, so the merged table is dropped on return."""
     top = normalizable_levels(params)[-1]
     rule = build_quadrature("laguerre", top + 1, alpha=2.0 * params.lam - 2.0 * top - 2.0)
     w = rule.nodes
-    return np.log(2.0 * params.lam / w) / params.a, rule.scaled_weights / (params.a * w)
-
-
-def _norm_sum(psi: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    psi = _wavefunctions(ps, params, np.concatenate((np.log(2.0 * params.lam / w) / params.a, x)))
+    at_nodes = psi[:, :w.size]
     # numpy's own loop, not BLAS, so the sum order does not follow the thread count
-    return np.einsum("pi,i,pi->p", psi, weights, psi)
-
-
-def _norms(ps, params: MorseParams) -> np.ndarray:
-    """Norm integrals of psi_p^2 over the line for p in ps on the well's one rule,
-    sum_i s_i psi_p(w_i)^2 / (a w_i)."""
-    nodes, weights = _norm_rule(params)
-    return _norm_sum(_wavefunctions(ps, params, nodes), weights)
-
-
-def _norms_and_grid(params: MorseParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """morse_norms(params) and _wavefunctions(levels, params, x) over the normalizable
-    levels from one recurrence, run on the rule's positions followed by x. The merged
-    table is dropped on return: only the grid's columns are kept, as a copy."""
-    levels = normalizable_levels(params)
-    if not levels:
-        return np.empty(0), np.empty((0, x.size))
-    nodes, weights = _norm_rule(params)
-    psi = _wavefunctions(levels, params, np.concatenate((nodes, x)))
-    return _norm_sum(psi[:, :nodes.size], weights), psi[:, nodes.size:].copy()
+    norms = np.einsum("pi,i,pi->p", at_nodes, rule.scaled_weights / (params.a * w), at_nodes)
+    return norms, psi[:, w.size:].copy()
 
 
 def morse_norms(params: MorseParams) -> np.ndarray:
     """Norm integral of psi_p^2 over the line for each normalizable level, in order."""
     levels = normalizable_levels(params)
-    return _norms(levels, params) if levels else np.empty(0)
+    return _norms(levels, params)[0] if levels else np.empty(0)
 
 
 def quadrature_norm(p: int, params: MorseParams) -> float:
     """Norm integral of psi_p^2 over the line: level p's entry of morse_norms."""
     p = _check_level(p, params)
-    return float(_norms((p,), params)[0])
+    return float(_norms((p,), params)[0][0])
 
 
 quadrature_norm_scaled = quadrature_norm   # the scaled Gauss-Laguerre sum's name, now one route

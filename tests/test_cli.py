@@ -341,8 +341,8 @@ def test_morse_worked_example():
 def test_morse_norm_contract_miss_exits_4(monkeypatch):
     import genosc.cli as cli_mod
 
-    monkeypatch.setattr(cli_mod, "_norms_and_grid",
-                        lambda params, x: (np.array([1.0, 1.0 + 1e-6]), np.zeros((2, x.size))))
+    monkeypatch.setattr(cli_mod, "_norms",
+                        lambda ps, params, x: (np.array([1.0, 1.0 + 1e-6]), np.zeros((2, x.size))))
     code, out, err = run_cli(["morse", "--V0", "2", "--a", "1"])
     assert code == 4
     assert out == ""
